@@ -9,7 +9,6 @@ Subcommands:
 * ``verify``   -- run the built-in theorem fixtures and report verdicts.
 * ``split``    -- re-divide run fares from a run-account CSV under either
   cost-sharing scheme.
-* ``bench``    -- compare the jitted and numpy shortest-path kernels.
 """
 
 from __future__ import annotations
@@ -281,13 +280,6 @@ def cmd_split(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from .bench import run_benchmark
-
-    run_benchmark(sizes=tuple(int(s) for s in args.sizes.split(",")), repeats=args.repeats)
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="ridepool", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -318,11 +310,6 @@ def main(argv=None) -> int:
                    help="percent thresholds for goalprog")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_split)
-
-    p = sub.add_parser("bench", help="compare shortest-path kernels")
-    p.add_argument("--sizes", default="10,20,30")
-    p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)
     return args.fn(args)

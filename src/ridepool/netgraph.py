@@ -137,14 +137,8 @@ class RoadNetwork:
         if self._tables is None:
             with self._lock:
                 if self._tables is None:
-                    n = self.n_nodes
-                    dur = np.full((n, n), INF, dtype=np.int64)
-                    np.fill_diagonal(dur, 0)
-                    adj = np.full((n, n), INF, dtype=np.int64)
-                    dur[self._arc_from, self._arc_to] = self._arc_dur
-                    adj[self._arc_from, self._arc_to] = self._arc_len
                     self._tables = _sp_kernels.build_tables(
-                        dur, adj, self._arc_from, self._arc_to, self._arc_dur
+                        self.n_nodes, self._arc_from, self._arc_to, self._arc_len, self._arc_dur
                     )
         return self._tables
 
@@ -162,6 +156,16 @@ class RoadNetwork:
 
     def reachable(self, i: int, j: int) -> bool:
         return int(self._ensure_tables()[0][i, j]) < INF
+
+    def first_unreachable(self, nodes) -> tuple[int, int] | None:
+        """First pair (i, j) of the node indices, in row-major order, with no
+        path from i to j; None when they are all mutually reachable."""
+        idx = np.asarray(nodes, dtype=np.intp)
+        cut = self._ensure_tables()[0][np.ix_(idx, idx)] >= INF
+        if not cut.any():
+            return None
+        a, b = divmod(int(np.argmax(cut)), len(idx))
+        return int(idx[a]), int(idx[b])
 
     def arc_attrs(self, i: int, j: int) -> tuple[int, int]:
         """(length_umiles, time_usec) of the direct arc between node indices."""

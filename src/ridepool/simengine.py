@@ -191,13 +191,12 @@ def _validate(cfg: SimConfig, requests: list[Request], fleet) -> None:
             raise ConfigError(f"request {r.id} references nodes off the network")
         used.add(net.index(r.origin))
         used.add(net.index(r.destination))
-    nodes = sorted(used)
-    for i in nodes:
-        for j in nodes:
-            if not net.reachable(i, j):
-                raise ConfigError(
-                    f"nodes {net.node_ids[i]!r} and {net.node_ids[j]!r} are not mutually reachable"
-                )
+    cut = net.first_unreachable(sorted(used))
+    if cut is not None:
+        i, j = cut
+        raise ConfigError(
+            f"nodes {net.node_ids[i]!r} and {net.node_ids[j]!r} are not mutually reachable"
+        )
 
 
 def _solo_plan(r: Request) -> InsertionPlan:
@@ -353,7 +352,10 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                 )
                 fare_int = run.total_fare
                 if isinstance(fare_int, Fraction):
-                    assert fare_int.denominator == 1
+                    if fare_int.denominator != 1:
+                        raise ValueError(
+                            f"run {rec.run_id}: fare {fare_int} mils is not a whole number of mils"
+                        )
                     fare_int = fare_int.numerator
                 rec.account = RunAccount(rec.run_id, members, fare_int)
                 if cfg.split_scheme == "goalprog":

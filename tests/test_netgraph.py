@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ridepool import _sp_kernels
 from ridepool.netgraph import (
     InvalidParameter,
     RoadNetwork,
@@ -14,6 +13,8 @@ from ridepool.netgraph import (
     save_network_csv,
 )
 from ridepool.units import UMILE, USEC
+
+import _fw_oracle
 
 
 def bellman_ford(net, src_id):
@@ -200,17 +201,40 @@ def _grid_cache():
     return _GRID
 
 
-class TestBackends:
-    def test_numba_and_numpy_tables_identical(self, monkeypatch):
-        g1 = make_grid(4, 5, 0.2, 28)
-        monkeypatch.setenv("RIDEPOOL_NUMBA", "0")
-        assert _sp_kernels.backend_name() == "numpy"
-        t_np = g1._ensure_tables()
-        monkeypatch.setenv("RIDEPOOL_NUMBA", "1")
-        g2 = make_grid(4, 5, 0.2, 28)
-        t_nb = g2._ensure_tables()
-        for a, b in zip(t_np, t_nb):
-            assert np.array_equal(a, b)
+def _assert_tables_equal(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+@st.composite
+def random_networks(draw):
+    """Sparse directed networks with one-way arcs, many equal-duration ties,
+    and often several components, isolated nodes and nodes without out-arcs."""
+    n = draw(st.integers(1, 14))
+    cut = draw(st.integers(1, n))  # no arc crosses the cut: [0, cut) and [cut, n)
+    arcs = []
+    for lo, hi in ((0, cut), (cut, n)):
+        size = hi - lo
+        if size < 2:
+            continue
+        arc = st.tuples(st.integers(0, size - 1), st.integers(1, size - 1))
+        for tail, step in draw(st.lists(arc, max_size=3 * size, unique=True)):
+            head = (tail + step) % size
+            arcs.append((lo + tail, lo + head, draw(st.integers(1, 5)), draw(st.integers(1, 3))))
+    ids = [f"v{i:02d}" for i in range(n)]
+    return RoadNetwork(ids, [(ids[a], ids[b], mi / 10, s) for a, b, mi, s in arcs])
+
+
+class TestTables:
+    @given(random_networks())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_floyd_warshall_on_random_networks(self, net):
+        _assert_tables_equal(net._ensure_tables(), _fw_oracle.build_tables(net))
+
+    def test_matches_floyd_warshall_on_grid(self):
+        net = make_grid(10, 10, 0.2, 28)
+        _assert_tables_equal(net._ensure_tables(), _fw_oracle.build_tables(net))
 
 
 class TestNetworkFile:

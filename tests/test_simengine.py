@@ -7,7 +7,8 @@ import pytest
 from ridepool.costshare import shapley_split
 from ridepool.domain import Request
 from ridepool.mechanisms import Mechanism
-from ridepool.netgraph import make_grid
+from ridepool import simengine
+from ridepool.netgraph import RoadNetwork, make_grid
 from ridepool.pricing import Tariff, solitary_fare
 from ridepool.simengine import (
     ConfigError,
@@ -92,6 +93,21 @@ class TestValidation:
         bad = replace(r, destination="nowhere")
         with pytest.raises(ConfigError):
             run_sim(config(grid10, Mechanism.SRO), [bad])
+
+    def test_endpoints_in_different_components_rejected(self):
+        # two islands: a <-> b and c <-> d
+        net = RoadNetwork(
+            ["a", "b", "c", "d"],
+            [("a", "b", 0.1, 10), ("b", "a", 0.1, 10), ("c", "d", 0.1, 10), ("d", "c", 0.1, 10)],
+        )
+        r = Request.build(0, "b", "c", 0, 300)
+        cfg = SimConfig(
+            mechanism=Mechanism.SRO, tariff=TARIFF, fleet_size=1, mar=Fraction(0),
+            rng_seed=0, network=net, horizon=1800 * USEC, initial_vehicle_nodes=("b",),
+        )
+        # used nodes sorted: b, c; the first unreachable pair in row-major order is (b, c)
+        with pytest.raises(ConfigError, match="nodes 'b' and 'c' are not mutually reachable"):
+            run_sim(cfg, [r])
 
 
 class TestDeterminismAndPairing:
@@ -193,6 +209,19 @@ class TestRunAccounting:
             if base.per_customer[c].fare != gp.per_customer[c].fare
         )
         assert diffs > 0
+
+    def test_fractional_run_fare_raises(self, grid10, monkeypatch):
+        real = simengine.extract_runs
+
+        def halved(v, fares):
+            return [replace(run, total_fare=Fraction(2 * run.total_fare + 1, 2))
+                    if len(run.customers) >= 2 else run
+                    for run in real(v, fares)]
+
+        monkeypatch.setattr(simengine, "extract_runs", halved)
+        with pytest.raises(ValueError, match=r"run v\d+r\d+: fare \d+/2 mils"):
+            run_sim(config(grid10, Mechanism.CCP, seed=8, mar=Fraction(1)),
+                    grid_requests(grid10, 8, 150))
 
     def test_no_fare_is_a_float(self, grid10):
         res = run_sim(config(grid10, Mechanism.CCP, seed=8, mar=Fraction(1)),
