@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-INF = np.int64(2**61)
+INF = 2**61  # a Python int: scalar lookups compare against it without numpy
 BLOCK_ROWS = 128  # rows per block in the dense passes; bounds temporaries
 
 

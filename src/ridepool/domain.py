@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, NamedTuple
 
-from .netgraph import RoadNetwork
+import numpy as np
+
+from .netgraph import INF, RoadNetwork, Unreachable
 from .units import mils_from_usd, usec_from_seconds
 
 REC = "REC"
@@ -159,6 +161,8 @@ class VehicleState:
         self.active: dict[int, ActiveRide] = {}
         self.anchor_node: str = start_node
         self.anchor_time: int = 0
+        self.fleet: Fleet | None = None  # the fleet whose arrays mirror this vehicle
+        self.slot = -1  # this vehicle's index in those arrays
         # run accounting used by customer-centered pooling
         self.fare_waypoints: list[int] = []
         self.fare_wp_times: list[int] = []
@@ -193,17 +197,28 @@ class VehicleState:
         """Mileage of the full trace (history plus still-planned tail)."""
         return self.trace_cum[-1]
 
-    def position_cum_at(self, now: int) -> int:
-        """Cumulative mileage up to the last node reached by `now`."""
-        pos = 0
-        while pos + 1 < len(self.trace_times) and self.trace_times[pos + 1] <= now:
-            pos += 1
-        return self.trace_cum[pos]
 
+class Fleet:
+    """The vehicles plus the per-vehicle arrays the candidate pass reads.
 
-def active_schedule(v: VehicleState, t: int) -> list[ScheduleEntry]:
-    """Entries scheduled at or after t, order preserved."""
-    return [e for e in v.schedule if e.time >= t]
+    `ids` holds the vehicle ids, `node` the node where each vehicle's trace
+    ends and `busy_until` its largest committed dropoff time, so a vehicle is
+    idle at `now` exactly when busy_until <= now.  After construction only
+    `apply_assignment` writes them.
+    """
+
+    def __init__(self, vehicles: Iterable[VehicleState]):
+        self.vehicles = list(vehicles)
+        self.by_id = {v.id: v for v in self.vehicles}
+        self.ids = np.array([v.id for v in self.vehicles], dtype=np.int64)
+        self.node = np.array([v.trace_nodes[-1] for v in self.vehicles], dtype=np.intp)
+        never = np.iinfo(np.int64).min
+        self.busy_until = np.array(
+            [max((e.time for e in v.schedule if e.op == DO), default=never) for v in self.vehicles],
+            dtype=np.int64,
+        )
+        for slot, v in enumerate(self.vehicles):
+            v.fleet, v.slot = self, slot
 
 
 def plan_stop_times(
@@ -215,6 +230,7 @@ def plan_stop_times(
     candidate evaluation without mutating the vehicle.
     """
     net = v.net
+    dur, _, lex = net.tables()
     pos, anchor_idx, anchor_time = v.anchor_at(now)
     times = []
     cur = anchor_idx
@@ -223,8 +239,11 @@ def plan_stop_times(
     for stop in stops:
         j = net.index(stop.location)
         if j != cur:
-            t += net.duration_usec(cur, j)
-            new_dist += net.distance_umiles(cur, j)
+            leg = dur.item(cur, j)
+            if leg >= INF:
+                raise Unreachable(net.node_ids[cur], net.node_ids[j])
+            t += leg
+            new_dist += lex.item(cur, j)
             cur = j
         times.append(t)
     old_tail = v.trace_cum[-1] - v.trace_cum[pos]
@@ -283,6 +302,9 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> VehicleS
     v.schedule = entries
     v.anchor_node = anchor_id
     v.anchor_time = anchor_time
+    if v.fleet is not None:
+        v.fleet.node[v.slot] = v.trace_nodes[-1]
+        v.fleet.busy_until[v.slot] = t
     return v
 
 

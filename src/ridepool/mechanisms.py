@@ -22,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .domain import DO, PU, InsertionPlan, Request, Stop, VehicleState, plan_stop_times
+import numpy as np
+
+from .domain import DO, PU, Fleet, InsertionPlan, Request, Stop, VehicleState, plan_stop_times
 from .netgraph import RoadNetwork
 from .pricing import Tariff, route_fare, solitary_fare, pcp_fare
 from .units import Money, time_cost_mils
@@ -81,6 +83,7 @@ class AssignmentDecision:
     partner_fare: Money | None = None
     partner_guaranteed: Money | None = None
     reason: str | None = None
+    quote: int | None = None  # mils, the request's solitary fare
 
     @property
     def vehicle(self):
@@ -166,77 +169,95 @@ def _pooled_candidates_for(
 
 
 def enumerate_candidates(
-    fleet: Sequence[VehicleState],
+    fleet: Fleet,
     r: Request,
     now: int,
     mode: Mechanism,
+    net: RoadNetwork,
     requests: Mapping[int, Request],
 ) -> list[InsertionCandidate]:
-    """All insertion candidates for one request, infeasible ones included.
+    """The one candidate pass for a request, over the fleet's arrays.
 
-    Empty vehicles yield solitary candidates; in pooling modes a poolable
-    request additionally probes every vehicle whose single active customer
-    is poolable, with all capacity-feasible stop interleavings.
+    First, when there is one, the best feasible solitary candidate: one
+    gather from the duration and mileage tables prices every idle vehicle's
+    pickup and added distance, the wait limit prunes (the request-vehicle
+    pruning of Alonso-Mora et al., PNAS 2017), and only the minimum over
+    (added distance, vehicle id) is built.
+    Then, for a poolable request in a pooling mode, every capacity-feasible
+    stop interleaving, infeasible ones included, on each busy vehicle whose
+    single active customer is poolable.
     """
+    dur, _, lex = net.tables()
+    o = net.index(r.origin)
+    idle = np.flatnonzero(fleet.busy_until <= now)
+    nodes = fleet.node[idle]
+    # an idle vehicle leaves its trace end at `now`; every solitary candidate
+    # drives o -> d, so the access leg alone orders them by added distance
+    near = dur[nodes, o] <= r.request_time + r.max_wait - now
     out = []
-    for v in fleet:
-        if v.is_idle(now):
-            out.append(_solitary_candidate(v, r, now))
-        elif mode != Mechanism.SRO and r.poolable and len(v.active) == 1:
-            (k_id,) = v.active
-            k = requests[k_id]
-            if k.poolable:
-                out.extend(_pooled_candidates_for(v, r, k, now))
+    if near.any():
+        slots = idle[near]
+        access = lex[nodes[near], o]
+        tied = slots[access == access.min()]
+        slot = tied[fleet.ids[tied].argmin()]
+        out.append(_solitary_candidate(fleet.vehicles[slot], r, now))
+    if mode != Mechanism.SRO and r.poolable:
+        for slot in np.flatnonzero(fleet.busy_until > now).tolist():
+            v = fleet.vehicles[slot]
+            v.prune(now)
+            if len(v.active) == 1:
+                (k_id,) = v.active
+                k = requests[k_id]
+                if k.poolable:
+                    out.extend(_pooled_candidates_for(v, r, k, now))
     return out
 
 
-# ---------------------------------------------------------------------------
-# shared selection helpers
-# ---------------------------------------------------------------------------
+def _priced_pass(fleet, r, now, mode, net, tariff, requests):
+    """(quote, baseline, best solitary candidate or None, pooled candidates).
 
-def _best(cands):
-    return min(cands, key=InsertionCandidate.sort_key) if cands else None
-
-
-def best_solitary(fleet, r, now) -> InsertionCandidate | None:
-    cands = [_solitary_candidate(v, r, now) for v in fleet if v.is_idle(now)]
-    return _best([c for c in cands if c.feasible])
-
-
-def solitary_baseline(
-    fleet, r: Request, now: int, net: RoadNetwork, tariff: Tariff
-) -> tuple[int, InsertionCandidate | None]:
-    """Frozen solitary-counterfactual total cost for a request.
-
-    The cost of the distance-minimal feasible solitary assignment; when none
-    exists, the hypothetical ride at full fare with maximal admissible wait.
+    One candidate pass and the one solitary quote it prices.  The baseline
+    is the frozen solitary-counterfactual total cost: the quote plus the
+    time cost up to the best solitary dropoff or, when no solitary
+    candidate is feasible, of the hypothetical ride with maximal wait.
     """
+    cands = enumerate_candidates(fleet, r, now, mode, net, requests)
+    solo = cands[0] if cands and cands[0].case is None else None
     quote = solitary_fare(tariff, net, r.origin, r.destination)
-    cand = best_solitary(fleet, r, now)
-    if cand is not None:
-        span = cand.dropoff_times[r.id] - r.request_time
+    if solo is not None:
+        span = solo.dropoff_times[r.id] - r.request_time
     else:
-        o, d = net.index(r.origin), net.index(r.destination)
-        span = r.max_wait + net.duration_usec(o, d)
-    return quote + time_cost_mils(r.value_of_time, span), cand
+        span = r.max_wait + net.duration_usec(net.index(r.origin), net.index(r.destination))
+    return quote, quote + time_cost_mils(r.value_of_time, span), solo, cands[solo is not None :]
 
 
 # ---------------------------------------------------------------------------
 # the three mechanisms
 # ---------------------------------------------------------------------------
 
-def assign_sro(fleet, r: Request, now: int) -> AssignmentDecision:
+def _best(cands):
+    return min(cands, key=InsertionCandidate.sort_key) if cands else None
+
+
+def assign_sro(
+    fleet: Fleet, r: Request, now: int, net: RoadNetwork, tariff: Tariff
+) -> AssignmentDecision:
     """Distance-minimal empty vehicle within the wait limit, else unserved."""
-    best = best_solitary(fleet, r, now)
-    if best is None:
-        return AssignmentDecision(customer=r.id, kind=UNSERVED, reason=MAX_WAIT_REASON)
-    return AssignmentDecision(customer=r.id, kind=SOLITARY, candidate=best)
+    quote, baseline, solo, _ = _priced_pass(fleet, r, now, Mechanism.SRO, net, tariff, {})
+    if solo is None:
+        return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote, reason=MAX_WAIT_REASON)
+    return AssignmentDecision(
+        customer=r.id, kind=SOLITARY, candidate=solo, fare=quote, baseline=baseline,
+        guaranteed=baseline, quote=quote,
+    )
 
 
 def _detour_ok(
     ride_usec: int, direct_usec: int, detour_factor: Fraction
 ) -> bool:
-    return ride_usec <= (1 + detour_factor) * direct_usec
+    """ride <= (1 + detour_factor) * direct, in integers."""
+    den = detour_factor.denominator
+    return ride_usec * den <= (den + detour_factor.numerator) * direct_usec
 
 
 def assign_pcp(
@@ -253,29 +274,30 @@ def assign_pcp(
     pickup respects her wait limit and her pickup-to-dropoff span stays
     within (1 + detour_factor) of her direct ride time.
     """
-    quote = solitary_fare(tariff, net, r.origin, r.destination)
+    quote, baseline, solo, pooled = _priced_pass(fleet, r, now, Mechanism.PCP, net, tariff, requests)
     fare = pcp_fare(tariff, quote) if r.poolable else quote
-    cands = enumerate_candidates(fleet, r, now, Mechanism.PCP, requests)
-    feasible = []
-    for c in cands:
+    feasible = [solo] if solo is not None else []
+    direct: dict[int, int] = {}  # each rider's direct ride time, looked up once
+    for c in pooled:
         if not c.feasible:
             continue
-        if c.case is not None:
-            ok = True
-            for cid, dropoff in c.dropoff_times.items():
+        for cid, dropoff in c.dropoff_times.items():
+            if cid not in direct:
                 rider = r if cid == r.id else requests[cid]
-                direct = net.duration_usec(net.index(rider.origin), net.index(rider.destination))
-                if not _detour_ok(dropoff - c.pickup_times[cid], direct, tariff.detour_factor):
-                    ok = False
-                    break
-            if not ok:
-                continue
-        feasible.append(c)
+                direct[cid] = net.duration_usec(net.index(rider.origin), net.index(rider.destination))
+            if not _detour_ok(dropoff - c.pickup_times[cid], direct[cid], tariff.detour_factor):
+                break
+        else:
+            feasible.append(c)
     best = _best(feasible)
     if best is None:
-        return AssignmentDecision(customer=r.id, kind=UNSERVED, reason=MAX_WAIT_REASON)
+        return AssignmentDecision(
+            customer=r.id, kind=UNSERVED, baseline=baseline, quote=quote, reason=MAX_WAIT_REASON
+        )
     kind = POOLED if best.case is not None else SOLITARY
-    return AssignmentDecision(customer=r.id, kind=kind, candidate=best, fare=fare)
+    return AssignmentDecision(
+        customer=r.id, kind=kind, candidate=best, fare=fare, baseline=baseline, quote=quote
+    )
 
 
 def pooled_pair_economics(
@@ -348,21 +370,19 @@ def assign_ccp(
     both riders' guarantees drop by half the surplus.  Cost sharing later
     re-divides run fares but cannot change these decisions.
     """
-    quote = solitary_fare(tariff, net, r.origin, r.destination)
-    baseline, best_solo = solitary_baseline(fleet, r, now, net, tariff)
-
+    quote, baseline, best_solo, pooled = _priced_pass(
+        fleet, r, now, Mechanism.CCP, net, tariff, requests
+    )
     admissible = []
-    if r.poolable:
-        by_vehicle = {v.id: v for v in fleet}
-        for c in enumerate_candidates(fleet, r, now, Mechanism.CCP, requests):
-            if not c.feasible or c.case is None:
-                continue
-            k = requests[c.partner]
-            evaluated = pooled_pair_economics(
-                by_vehicle[c.vehicle], c, r, k, now, net, tariff, baseline, committed[k.id]
-            )
-            if evaluated.feasible:
-                admissible.append(evaluated)
+    for c in pooled:
+        if not c.feasible:
+            continue
+        k = requests[c.partner]
+        evaluated = pooled_pair_economics(
+            fleet.by_id[c.vehicle], c, r, k, now, net, tariff, baseline, committed[k.id]
+        )
+        if evaluated.feasible:
+            admissible.append(evaluated)
 
     if admissible:
         best = min(admissible, key=lambda c: (-c.surplus, *c.sort_key()))
@@ -382,6 +402,7 @@ def assign_ccp(
             guaranteed=g_r,
             partner_fare=g_k - tc_k,
             partner_guaranteed=g_k,
+            quote=quote,
         )
 
     if best_solo is not None:
@@ -392,7 +413,8 @@ def assign_ccp(
             fare=quote,
             baseline=baseline,
             guaranteed=baseline,
+            quote=quote,
         )
     return AssignmentDecision(
-        customer=r.id, kind=UNSERVED, baseline=baseline, reason=MAX_WAIT_REASON
+        customer=r.id, kind=UNSERVED, baseline=baseline, quote=quote, reason=MAX_WAIT_REASON
     )

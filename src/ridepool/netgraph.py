@@ -63,35 +63,35 @@ class RoadNetwork:
         self._index: dict[str, int] = {nid: i for i, nid in enumerate(self.node_ids)}
         self.coordinates = dict(coordinates or {})
 
-        seen: set[tuple[int, int]] = set()
-        rows = []
+        # each distinct (length, time) input is parsed once; the types are part
+        # of the key because 0.1 and Fraction(0.1) are equal yet parse apart
+        scaled: dict[tuple, tuple[int, int]] = {}
+        arc_map: dict[tuple[int, int], tuple[int, int]] = {}
         for frm, to, length_mi, time_s in arcs:
             if frm not in self._index or to not in self._index:
                 raise InvalidParameter(f"arc ({frm!r}, {to!r}) references unknown node")
             if frm == to:
                 raise InvalidParameter(f"self-loop arc at {frm!r}")
             key = (self._index[frm], self._index[to])
-            if key in seen:
+            if key in arc_map:
                 raise InvalidParameter(f"duplicate arc ({frm!r}, {to!r})")
-            seen.add(key)
-            len_umi = umiles_from_miles(length_mi)
-            dur_us = usec_from_seconds(time_s)
-            if len_umi <= 0 or dur_us <= 0:
+            memo = (type(length_mi), length_mi, type(time_s), time_s)
+            attrs = scaled.get(memo)
+            if attrs is None:
+                attrs = scaled[memo] = (umiles_from_miles(length_mi), usec_from_seconds(time_s))
+            if attrs[0] <= 0 or attrs[1] <= 0:
                 raise InvalidParameter(f"arc ({frm!r}, {to!r}) needs positive length and time")
-            rows.append((key[0], key[1], len_umi, dur_us))
-        rows.sort()
+            arc_map[key] = attrs
+        rows = sorted(key + attrs for key, attrs in arc_map.items())
         self._arc_from = np.array([r[0] for r in rows], dtype=np.int64)
         self._arc_to = np.array([r[1] for r in rows], dtype=np.int64)
         self._arc_len = np.array([r[2] for r in rows], dtype=np.int64)
         self._arc_dur = np.array([r[3] for r in rows], dtype=np.int64)
+        self._arc_map = arc_map
 
         self._lock = threading.Lock()
         self._tables = None
         self._path_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._arc_map: dict[tuple[int, int], tuple[int, int]] = {
-            (int(f), int(t)): (int(l), int(d))
-            for f, t, l, d in zip(self._arc_from, self._arc_to, self._arc_len, self._arc_dur)
-        }
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -133,7 +133,9 @@ class RoadNetwork:
 
     # -- shortest paths --------------------------------------------------------
 
-    def _ensure_tables(self):
+    def tables(self):
+        """(duration usec, next hop, lex_dist umiles) as n x n arrays, built once;
+        unreachable pairs hold INF duration."""
         if self._tables is None:
             with self._lock:
                 if self._tables is None:
@@ -144,24 +146,26 @@ class RoadNetwork:
 
     def duration_usec(self, i: int, j: int) -> int:
         """Travel time between node indices; raises Unreachable."""
-        d = int(self._ensure_tables()[0][i, j])
+        d = self.tables()[0].item(i, j)
         if d >= INF:
             raise Unreachable(self.node_ids[i], self.node_ids[j])
         return d
 
     def distance_umiles(self, i: int, j: int) -> int:
         """Mileage along the canonical time-minimal path between indices."""
-        self.duration_usec(i, j)
-        return int(self._ensure_tables()[2][i, j])
+        d, _, lex = self.tables()
+        if d.item(i, j) >= INF:
+            raise Unreachable(self.node_ids[i], self.node_ids[j])
+        return lex.item(i, j)
 
     def reachable(self, i: int, j: int) -> bool:
-        return int(self._ensure_tables()[0][i, j]) < INF
+        return int(self.tables()[0][i, j]) < INF
 
     def first_unreachable(self, nodes) -> tuple[int, int] | None:
         """First pair (i, j) of the node indices, in row-major order, with no
         path from i to j; None when they are all mutually reachable."""
         idx = np.asarray(nodes, dtype=np.intp)
-        cut = self._ensure_tables()[0][np.ix_(idx, idx)] >= INF
+        cut = self.tables()[0][np.ix_(idx, idx)] >= INF
         if not cut.any():
             return None
         a, b = divmod(int(np.argmax(cut)), len(idx))
@@ -176,7 +180,7 @@ class RoadNetwork:
         cached = self._path_cache.get((i, j))
         if cached is not None:
             return cached
-        d, nxt, _ = self._ensure_tables()
+        d, nxt, _ = self.tables()
         if d[i, j] >= INF:
             raise Unreachable(self.node_ids[i], self.node_ids[j])
         seq = [i]

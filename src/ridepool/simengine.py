@@ -20,29 +20,18 @@ from fractions import Fraction
 import numpy as np
 
 from .costshare import RunAccount, RunMember, goalprog_split
-from .domain import (
-    DO,
-    PU,
-    InsertionPlan,
-    Request,
-    Run,
-    Stop,
-    VehicleState,
-    apply_assignment,
-    extract_runs,
-)
+from .domain import Fleet, Request, Run, VehicleState, apply_assignment, extract_runs
 from .mechanisms import (
-    SOLITARY,
+    POOLED,
     UNSERVED,
     CommittedCost,
     Mechanism,
     assign_ccp,
     assign_pcp,
     assign_sro,
-    solitary_baseline,
 )
 from .netgraph import RoadNetwork
-from .pricing import Tariff, provider_profit, solitary_fare, total_cost
+from .pricing import Tariff, provider_profit, total_cost
 from .units import Money, time_cost_mils
 
 DEFAULT_VOT_MILS_PER_MIN = (166, 195, 225, 254, 283)
@@ -199,22 +188,17 @@ def _validate(cfg: SimConfig, requests: list[Request], fleet) -> None:
         )
 
 
-def _solo_plan(r: Request) -> InsertionPlan:
-    return InsertionPlan(r.id, (Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination)))
-
-
 def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     """Feed the request stream through the configured mechanism."""
     net = cfg.network
-    fleet = initial_fleet(cfg)
+    fleet = Fleet(initial_fleet(cfg))
     stream = [r for r in resolve_requests(cfg, requests) if r.request_time <= cfg.horizon]
-    _validate(cfg, stream, fleet)
+    _validate(cfg, stream, fleet.vehicles)
 
     tariff = cfg.tariff
     by_id = {r.id: r for r in stream}
     book: dict[int, CustomerOutcome] = {}
     committed: dict[int, CommittedCost] = {}
-    vehicles = {v.id: v for v in fleet}
     log: list[DecisionRow] = []
     unserved_ids: list[int] = []
     pooled_ids: set[int] = set()
@@ -222,18 +206,9 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     for r in stream:
         now = r.request_time
         if cfg.mechanism == Mechanism.SRO:
-            decision = assign_sro(fleet, r, now)
-            if decision.kind == SOLITARY:
-                quote = solitary_fare(tariff, net, r.origin, r.destination)
-                decision.fare = quote
-                decision.baseline = total_cost(
-                    quote, r, decision.candidate.dropoff_times[r.id]
-                )
-                decision.guaranteed = decision.baseline
+            decision = assign_sro(fleet, r, now, net, tariff)
         elif cfg.mechanism == Mechanism.PCP:
-            baseline, _ = solitary_baseline(fleet, r, now, net, tariff)
             decision = assign_pcp(fleet, r, now, net, tariff, by_id)
-            decision.baseline = baseline
         else:
             decision = assign_ccp(fleet, r, now, net, tariff, by_id, committed)
 
@@ -246,39 +221,11 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
             continue
 
         cand = decision.candidate
-        v = vehicles[cand.vehicle]
-        quote = solitary_fare(tariff, net, r.origin, r.destination)
-
-        if decision.kind == SOLITARY:
-            v.prune(now)
-            apply_assignment(v, _solo_plan(r), now)
-            fare = decision.fare if decision.fare is not None else quote
-            pickup = cand.pickup_times[r.id]
-            dropoff = cand.dropoff_times[r.id]
-            book[r.id] = CustomerOutcome(
-                customer=r.id,
-                poolable=bool(r.poolable),
-                pooled=False,
-                vehicle=v.id,
-                fare=fare,
-                pickup_time=pickup,
-                dropoff_time=dropoff,
-                total_cost=0,
-                baseline_solitary_cost=decision.baseline,
-                solitary_quote=quote,
-            )
-            if cfg.mechanism == Mechanism.CCP:
-                committed[r.id] = CommittedCost(
-                    customer=r.id, baseline=decision.baseline,
-                    guaranteed=decision.guaranteed, fare=fare,
-                )
-                v.fare_waypoints = [r.origin, r.destination]
-                v.fare_wp_times = [pickup, dropoff]
-                v.run_fare = quote
-                v.run_events = 0
-        else:
+        v = fleet.by_id[cand.vehicle]
+        pooled = decision.kind == POOLED
+        apply_assignment(v, cand.plan, now)
+        if pooled:
             k = by_id[cand.partner]
-            apply_assignment(v, cand.plan, now)
             pooled_ids.add(r.id)
             pooled_ids.add(k.id)
             kb = book[k.id]
@@ -286,36 +233,39 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
             kb.dropoff_time = cand.dropoff_times[k.id]
             if k.id in cand.pickup_times:
                 kb.pickup_time = cand.pickup_times[k.id]
-            if cfg.mechanism == Mechanism.PCP:
-                fare = decision.fare
-            else:
-                fare = decision.fare
+        book[r.id] = CustomerOutcome(
+            customer=r.id,
+            poolable=bool(r.poolable),
+            pooled=pooled,
+            vehicle=v.id,
+            fare=decision.fare,
+            pickup_time=cand.pickup_times[r.id],
+            dropoff_time=cand.dropoff_times[r.id],
+            total_cost=0,
+            baseline_solitary_cost=decision.baseline,
+            solitary_quote=decision.quote,
+        )
+        if cfg.mechanism == Mechanism.CCP:
+            committed[r.id] = CommittedCost(
+                customer=r.id, baseline=decision.baseline,
+                guaranteed=decision.guaranteed, fare=decision.fare,
+            )
+            if pooled:
                 kb.fare = decision.partner_fare
                 committed[k.id] = replace(
                     committed[k.id],
                     guaranteed=decision.partner_guaranteed,
                     fare=decision.partner_fare,
                 )
-                committed[r.id] = CommittedCost(
-                    customer=r.id, baseline=decision.baseline,
-                    guaranteed=decision.guaranteed, fare=fare,
-                )
                 v.fare_waypoints = list(cand.new_waypoints)
                 v.fare_wp_times = list(cand.new_wp_times)
                 v.run_fare = cand.new_run_fare
                 v.run_events += 1
-            book[r.id] = CustomerOutcome(
-                customer=r.id,
-                poolable=True,
-                pooled=True,
-                vehicle=v.id,
-                fare=fare,
-                pickup_time=cand.pickup_times[r.id],
-                dropoff_time=cand.dropoff_times[r.id],
-                total_cost=0,
-                baseline_solitary_cost=decision.baseline,
-                solitary_quote=quote,
-            )
+            else:
+                v.fare_waypoints = [r.origin, r.destination]
+                v.fare_wp_times = [cand.pickup_times[r.id], cand.dropoff_times[r.id]]
+                v.run_fare = decision.quote
+                v.run_events = 0
 
         log.append(
             DecisionRow(
@@ -335,7 +285,7 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     # runs, ex-post splits and final economics
     fares = {cid: o.fare for cid, o in book.items()}
     run_records: list[RunRecord] = []
-    for v in fleet:
+    for v in fleet.vehicles:
         for i, run in enumerate(extract_runs(v, fares)):
             rec = RunRecord(run_id=f"v{v.id}r{i}", run=run)
             if cfg.mechanism == Mechanism.CCP and len(run.customers) >= 2:
@@ -368,7 +318,7 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     for cid, o in book.items():
         o.total_cost = total_cost(o.fare, by_id[cid], o.dropoff_time)
 
-    fleet_umi = sum(v.driven_umiles() for v in fleet)
+    fleet_umi = sum(v.driven_umiles() for v in fleet.vehicles)
     fares_total: Money = sum(o.fare for o in book.values())
     profit = provider_profit(fares_total, fleet_umi, tariff)
 
@@ -386,7 +336,7 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
         decision_log=log,
         unserved_ids=tuple(unserved_ids),
         requests=by_id,
-        vehicles=fleet,
+        vehicles=fleet.vehicles,
     )
 
 

@@ -12,12 +12,16 @@ from ridepool.domain import (
     ScheduleEntry,
     Stop,
     VehicleState,
-    active_schedule,
     apply_assignment,
     extract_runs,
     plan_stop_times,
 )
 from tests.conftest import line_network, sec
+
+
+def active_schedule(v, t):
+    """Entries scheduled at or after t, order preserved."""
+    return [e for e in v.schedule if e.time >= t]
 
 
 def solo_plan(cust, origin, dest):

@@ -1,8 +1,13 @@
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ridepool.domain import DO, PU, InsertionPlan, Request, Stop, VehicleState, apply_assignment
+from ridepool import simengine
+from ridepool.domain import DO, PU, Fleet, InsertionPlan, Request, Stop, VehicleState, apply_assignment
 from ridepool.mechanisms import (
     MAX_WAIT_REASON,
     POOLED,
@@ -10,16 +15,20 @@ from ridepool.mechanisms import (
     UNSERVED,
     CommittedCost,
     Mechanism,
+    _detour_ok,
+    _pooled_candidates_for,
     assign_ccp,
     assign_pcp,
     assign_sro,
     enumerate_candidates,
-    solitary_baseline,
 )
-from ridepool.netgraph import RoadNetwork
+from ridepool.netgraph import RoadNetwork, make_grid
 from ridepool.pricing import Tariff, solitary_fare, total_cost
 from ridepool.units import UMILE, USEC
+from tests import _scan_oracle
 from tests.conftest import line_network, sec
+
+TARIFF = Tariff.from_usd()
 
 
 def req(i, o, d, t=0, vot_mils_min=250, wait_s=600, poolable=True):
@@ -39,28 +48,28 @@ def vehicle_with_rider(net, vid, start, rider, now=0):
 
 class TestAssignSro:
     def test_nearest_feasible_vehicle_wins(self, line6):
-        fleet = [VehicleState(0, "C", line6), VehicleState(1, "D", line6)]
+        fleet = Fleet([VehicleState(0, "C", line6), VehicleState(1, "D", line6)])
         r = req(10, "B", "A")
-        d = assign_sro(fleet, r, 0)
+        d = assign_sro(fleet, r, 0, line6, TARIFF)
         assert d.kind == SOLITARY and d.vehicle == 0
 
     def test_feasibility_filter_before_argmin(self, line6):
         # nearest vehicle misses the wait limit by one second, farther makes it
-        fleet = [VehicleState(0, "C", line6), VehicleState(1, "D", line6)]
+        fleet = Fleet([VehicleState(0, "C", line6), VehicleState(1, "D", line6)])
         r = Request(10, "B", "A", 0, 250, 24 * USEC - 1, True)
-        d = assign_sro(fleet, r, 0)
+        d = assign_sro(fleet, r, 0, line6, TARIFF)
         assert d.kind == UNSERVED
-        fleet = [VehicleState(0, "D", line6), VehicleState(1, "C", line6)]
+        fleet = Fleet([VehicleState(0, "D", line6), VehicleState(1, "C", line6)])
         r = Request(10, "B", "A", 0, 250, 48 * USEC + USEC, True)
-        d = assign_sro(fleet, r, 0)
+        d = assign_sro(fleet, r, 0, line6, TARIFF)
         assert d.kind == SOLITARY and d.vehicle == 1
 
     def test_empty_fleet_unserved(self, line6):
-        assert assign_sro([], req(1, "A", "B"), 0).kind == UNSERVED
+        assert assign_sro(Fleet([]), req(1, "A", "B"), 0, line6, TARIFF).kind == UNSERVED
 
     def test_tie_breaks_on_lower_vehicle_id(self, line6):
-        fleet = [VehicleState(3, "C", line6), VehicleState(1, "C", line6)]
-        d = assign_sro(fleet, req(5, "B", "A"), 0)
+        fleet = Fleet([VehicleState(3, "C", line6), VehicleState(1, "C", line6)])
+        d = assign_sro(fleet, req(5, "B", "A"), 0, line6, TARIFF)
         assert d.vehicle == 1
 
 
@@ -68,35 +77,38 @@ class TestEnumerateCandidates:
     def test_unreachable_within_wait_all_infeasible(self, line6):
         fleet = [VehicleState(0, "F", line6)]
         r = Request(1, "A", "B", 0, 250, sec(30), True)  # F->A takes 120s
-        cands = enumerate_candidates(fleet, r, 0, Mechanism.SRO, {})
+        # the per-vehicle scan builds the candidate and rejects it on the
+        # wait limit; the single pass prunes it before building anything
+        cands = _scan_oracle.enumerate_candidates(fleet, r, 0, Mechanism.SRO, {})
         assert cands and all(not c.feasible for c in cands)
         assert all(c.reason == MAX_WAIT_REASON for c in cands)
+        assert enumerate_candidates(Fleet(fleet), r, 0, Mechanism.SRO, line6, {}) == []
 
     def test_single_adjacent_vehicle_single_candidate(self, line6):
-        fleet = [VehicleState(0, "B", line6)]
+        fleet = Fleet([VehicleState(0, "B", line6)])
         r = req(1, "A", "C")
-        cands = enumerate_candidates(fleet, r, 0, Mechanism.SRO, {})
+        cands = enumerate_candidates(fleet, r, 0, Mechanism.SRO, line6, {})
         assert len(cands) == 1 and cands[0].feasible
 
     def test_onboard_partner_restricts_to_two_orderings(self, line6):
         i = req(1, "A", "E")
         v = vehicle_with_rider(line6, 0, "A", i)  # picked up immediately
         r = req(2, "B", "D", t=1)
-        cands = enumerate_candidates([v], r, sec(1), Mechanism.CCP, {1: i})
+        cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i})
         assert sorted(c.case for c in cands) == [1, 2]
 
     def test_waiting_partner_gives_four_orderings(self, line6):
         i = req(1, "C", "E")
         v = vehicle_with_rider(line6, 0, "A", i)  # 48s away from pickup
         r = req(2, "B", "D", t=1)
-        cands = enumerate_candidates([v], r, sec(1), Mechanism.CCP, {1: i})
+        cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i})
         assert sorted(c.case for c in cands) == [3, 4, 5, 6]
 
     def test_nonpoolable_partner_blocks_pooling(self, line6):
         i = req(1, "A", "E", poolable=False)
         v = vehicle_with_rider(line6, 0, "A", i)
         r = req(2, "B", "D", t=1)
-        assert enumerate_candidates([v], r, sec(1), Mechanism.CCP, {1: i}) == []
+        assert enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i}) == []
 
 
 class TestAssignPcp:
@@ -106,7 +118,7 @@ class TestAssignPcp:
         v0 = vehicle_with_rider(line6, 0, "A", i)
         v1 = VehicleState(1, "D", line6)
         r = req(2, "B", "E", t=1)
-        d = assign_pcp([v0, v1], r, sec(1), line6, tariff, {1: i, 2: r})
+        d = assign_pcp(Fleet([v0, v1]), r, sec(1), line6, tariff, {1: i, 2: r})
         assert d.kind == POOLED and d.vehicle == 0
         # poolable fare is the discounted solitary quote
         assert d.fare == Fraction(8, 10) * solitary_fare(tariff, line6, "B", "E")
@@ -135,7 +147,7 @@ class TestAssignPcp:
         v0 = vehicle_with_rider(net, 0, "A", i)
         v1 = VehicleState(1, "B", net)
         r = req(2, "B", "D", t=0)
-        d = assign_pcp([v0, v1], r, 0, net, tariff, {1: i, 2: r})
+        d = assign_pcp(Fleet([v0, v1]), r, 0, net, tariff, {1: i, 2: r})
         # ride A->B->D is 130s vs bound 1.3*100s; 131s breaches it
         assert d.kind == expected
 
@@ -145,7 +157,7 @@ class TestAssignPcp:
         v0 = vehicle_with_rider(line6, 0, "A", i)
         v1 = VehicleState(1, "B", line6)
         r = req(2, "B", "D", t=1, poolable=False)
-        d = assign_pcp([v0, v1], r, sec(1), line6, tariff, {1: i, 2: r})
+        d = assign_pcp(Fleet([v0, v1]), r, sec(1), line6, tariff, {1: i, 2: r})
         assert d.kind == SOLITARY and d.vehicle == 1
         assert d.fare == solitary_fare(tariff, line6, "B", "D")
 
@@ -164,7 +176,7 @@ class TestAssignCcp:
         committed = {
             1: CommittedCost(1, baseline=4900, guaranteed=4900, fare=v0.run_fare)
         }
-        return tariff, [v0, v1], r, i, committed
+        return tariff, Fleet([v0, v1]), r, i, committed
 
     def test_surplus_pooling_exact_arithmetic(self, line6):
         # solitary sum 9200 mils vs pooled 7200 mils: surplus is exactly $2
@@ -195,13 +207,13 @@ class TestAssignCcp:
         v1 = VehicleState(1, "B", line6)
         committed = {1: CommittedCost(1, 3726, 3726, v0.run_fare)}
         r = req(2, "B", "E", t=40, vot_mils_min=283)
-        d = assign_ccp([v0, v1], r, sec(40), line6, tariff, {1: i, 2: r}, committed)
+        d = assign_ccp(Fleet([v0, v1]), r, sec(40), line6, tariff, {1: i, 2: r}, committed)
         assert d.kind == SOLITARY and d.vehicle == 1
 
     def test_no_solo_but_admissible_pool_serves_pooled(self, line6):
         # only vehicle is busy: baseline falls back to the max-wait hypothetical
         tariff, fleet, r, i, committed = self._fixture(line6, 1.9)
-        fleet = fleet[:1]
+        fleet = Fleet(fleet.vehicles[:1])
         d = assign_ccp(fleet, r, 0, line6, tariff, {1: i, 2: r}, committed)
         assert d.kind == POOLED
         direct = line6.duration_usec(line6.index("B"), line6.index("E"))
@@ -214,16 +226,179 @@ class TestAssignCcp:
 class TestSolitaryBaseline:
     def test_uses_best_feasible_candidate(self, line6):
         tariff = Tariff.from_usd()
-        fleet = [VehicleState(0, "C", line6)]
+        fleet = Fleet([VehicleState(0, "C", line6)])
         r = req(9, "B", "A")
-        baseline, cand = solitary_baseline(fleet, r, 0, line6, tariff)
-        assert cand is not None
+        d = assign_ccp(fleet, r, 0, line6, tariff, {9: r}, {})
+        assert d.kind == SOLITARY
         # C->B access 24s, ride 24s: quote 3000 + 250 mils/min * 0.8 min
-        assert baseline == 3000 + 200
+        assert d.baseline == 3000 + 200
 
     def test_hypothetical_when_no_vehicle(self, line6):
         tariff = Tariff.from_usd()
         r = req(9, "B", "A", wait_s=120)
-        baseline, cand = solitary_baseline([], r, 0, line6, tariff)
-        assert cand is None
-        assert baseline == 3000 + 250 * (120 + 24) // 60
+        d = assign_ccp(Fleet([]), r, 0, line6, tariff, {9: r}, {})
+        assert d.kind == UNSERVED
+        assert d.baseline == 3000 + 250 * (120 + 24) // 60
+
+
+# ---------------------------------------------------------------------------
+# the array-backed single pass against the per-vehicle scan
+# ---------------------------------------------------------------------------
+
+WORLD = make_grid(4, 4, 0.1, 30)  # uniform arcs, so equal access distances are common
+
+
+def random_world(randint):
+    """A fleet of 1-12 vehicles with non-contiguous ids in no fixed order,
+    riders committed solo or pooled at random times, and one new request.
+
+    `randint(lo, hi)` supplies every choice, so hypothesis can drive (and
+    shrink) a world and a seeded `random.Random` can replay one.
+    """
+    nodes = WORLD.node_ids
+
+    def rider(cid, t):
+        o = randint(0, len(nodes) - 1)
+        d = (o + randint(1, len(nodes) - 1)) % len(nodes)
+        return Request(cid, nodes[o], nodes[d], t, (166, 283)[randint(0, 1)],
+                       randint(1, 30) * 10 * USEC, randint(0, 3) > 0)
+
+    n = randint(1, 12)
+    ids = [5 * i + randint(0, 4) for i in range(n)]
+    turn = randint(0, n - 1)
+    ids = ids[turn:] + ids[:turn]
+    fleet = Fleet(VehicleState(i, nodes[randint(0, len(nodes) - 1)], WORLD) for i in ids)
+    tariff = Tariff.from_usd(change_fee=(0.5, 2.0)[randint(0, 1)])
+    requests, committed = {}, {}
+    now = 0
+    for cid in range(randint(0, 2 * n)):
+        now += randint(0, 40) * USEC
+        k = rider(cid, now)
+        v = fleet.vehicles[randint(0, n - 1)]
+        v.prune(now)
+        if not v.active:
+            plan = InsertionPlan(cid, (Stop(PU, cid, k.origin), Stop(DO, cid, k.destination)))
+        elif len(v.active) == 1:
+            (j,) = v.active
+            plans = _pooled_candidates_for(v, k, requests[j], now)
+            plan = plans[randint(0, len(plans) - 1)].plan
+        else:
+            continue
+        apply_assignment(v, plan, now)
+        requests[cid] = k
+        quote = solitary_fare(tariff, WORLD, k.origin, k.destination)
+        cost = quote + randint(0, 40) * 100
+        committed[cid] = CommittedCost(cid, cost, cost, quote)
+        if len(v.active) == 1:  # a solo ride starts a new run
+            ride = v.active[cid]
+            v.fare_waypoints = [k.origin, k.destination]
+            v.fare_wp_times = [ride.pickup_time, ride.dropoff_time]
+            v.run_fare, v.run_events = quote, 0
+    now += randint(0, 40) * USEC
+    r = rider(1000, max(0, now - randint(0, 20) * USEC))
+    requests[r.id] = r
+    return fleet, tariff, requests, committed, r, now
+
+
+def compare_with_scan(world):
+    """Assert the single pass and the per-vehicle scan agree on everything;
+    return the scan's candidates and the three decisions."""
+    fleet, tariff, requests, committed, r, now = world
+    net, vehicles = WORLD, fleet.vehicles
+    scanned = _scan_oracle.enumerate_candidates(vehicles, r, now, Mechanism.CCP, requests)
+    got = enumerate_candidates(fleet, r, now, Mechanism.CCP, net, requests)
+    solo = got[0] if got and got[0].case is None else None
+    assert solo == _scan_oracle.best([c for c in scanned if c.case is None and c.feasible])
+    assert got[solo is not None:] == [c for c in scanned if c.case is not None]
+    decisions = (
+        assign_sro(fleet, r, now, net, tariff),
+        assign_pcp(fleet, r, now, net, tariff, requests),
+        assign_ccp(fleet, r, now, net, tariff, requests, committed),
+    )
+    assert decisions == (
+        _scan_oracle.assign_sro(vehicles, r, now, net, tariff),
+        _scan_oracle.assign_pcp(vehicles, r, now, net, tariff, requests),
+        _scan_oracle.assign_ccp(vehicles, r, now, net, tariff, requests, committed),
+    )
+    return scanned, decisions
+
+
+class TestSinglePass:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_vehicle_scan(self, data):
+        compare_with_scan(random_world(lambda lo, hi: data.draw(st.integers(lo, hi))))
+
+    def test_scan_comparison_covers_ties_and_every_outcome(self):
+        # the same comparison on replayable worlds, checking that they reach
+        # every decision and ties that the vehicle id has to break
+        outcomes = set()
+        id_breaks_tie = 0
+        for seed in range(300):
+            scanned, decisions = compare_with_scan(random_world(random.Random(seed).randint))
+            outcomes |= {(m, d.kind) for m, d in zip(("SRO", "PCP", "CCP"), decisions)}
+            solos = [c for c in scanned if c.case is None and c.feasible]
+            if solos:
+                shortest = min(c.added_distance for c in solos)
+                tied = [c.vehicle for c in solos if c.added_distance == shortest]
+                id_breaks_tie += tied[0] != min(tied)
+        assert outcomes == {
+            (m, kind) for m in ("SRO", "PCP", "CCP") for kind in (SOLITARY, POOLED, UNSERVED)
+        } - {("SRO", POOLED)}
+        assert id_breaks_tie >= 5
+
+
+class TestFleetArrays:
+    def test_arrays_track_every_commit_of_run_sim(self, monkeypatch, grid10):
+        never = np.iinfo(np.int64).min
+        commit = simengine.apply_assignment
+        commits = []
+
+        def checked_commit(v, plan, now):
+            out = commit(v, plan, now)
+            fleet = v.fleet
+            for slot, w in enumerate(fleet.vehicles):
+                dropoffs = [e.time for e in w.schedule if e.op == DO]
+                assert fleet.ids[slot] == w.id
+                assert fleet.node[slot] == w.trace_nodes[-1]
+                assert fleet.busy_until[slot] == max(dropoffs, default=never)
+                assert (fleet.busy_until[slot] <= now) == w.is_idle(now)
+            commits.append(plan.new_customer)
+            return out
+
+        monkeypatch.setattr(simengine, "apply_assignment", checked_commit)
+        rng = np.random.default_rng(5)
+        trips = [
+            Request.build(i, *(grid10.node_ids[int(x)] for x in rng.choice(100, 2, replace=False)),
+                          10 * i, 300)
+            for i in range(120)
+        ]
+        served = pooled = 0
+        for mech in Mechanism:
+            cfg = simengine.SimConfig(
+                mechanism=mech, tariff=TARIFF, fleet_size=10, mar=Fraction(3, 4),
+                rng_seed=1, network=grid10, horizon=1800 * USEC,
+            )
+            res = simengine.run_sim(cfg, trips)
+            served += res.served
+            pooled += res.pooled_customers
+        assert len(commits) == served > 0
+        assert pooled > 0
+
+
+class TestDetourBound:
+    @given(
+        direct=st.integers(0, 10**10),
+        num=st.integers(1, 10**4),
+        den=st.integers(1, 10**4),
+        delta=st.integers(-2, 2),
+    )
+    @example(direct=100 * USEC, num=3, den=10, delta=0)  # exactly on the bound
+    @example(direct=100 * USEC, num=3, den=10, delta=1)
+    @example(direct=7, num=1, den=3, delta=0)  # bound 28/3: floor lies below it
+    @settings(max_examples=500, deadline=None)
+    def test_integer_form_matches_fraction_form(self, direct, num, den, delta):
+        factor = Fraction(num, den)
+        bound = (1 + factor) * direct
+        ride = math.floor(bound) + delta
+        assert _detour_ok(ride, direct, factor) == (ride <= bound)

@@ -230,11 +230,11 @@ class TestTables:
     @given(random_networks())
     @settings(max_examples=200, deadline=None)
     def test_matches_floyd_warshall_on_random_networks(self, net):
-        _assert_tables_equal(net._ensure_tables(), _fw_oracle.build_tables(net))
+        _assert_tables_equal(net.tables(), _fw_oracle.build_tables(net))
 
     def test_matches_floyd_warshall_on_grid(self):
         net = make_grid(10, 10, 0.2, 28)
-        _assert_tables_equal(net._ensure_tables(), _fw_oracle.build_tables(net))
+        _assert_tables_equal(net.tables(), _fw_oracle.build_tables(net))
 
 
 class TestNetworkFile:
