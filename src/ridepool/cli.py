@@ -31,14 +31,37 @@ from .harness import (
 )
 from .mechanisms import Mechanism
 from .netgraph import load_network_csv, make_grid
+from .simengine import ConfigError
 from .units import USEC, fmt4, fraction_from, mils_from_usd, usec_from_seconds, fmt_usd
 from .verify import run_all_fixtures
 
 
+CONFIG_KEYS = (
+    "network", "horizon_s", "tariff", "mechanisms", "max_wait_s", "mar", "fleet_size", "seeds",
+    "value_of_time_usd_per_min", "split_scheme", "split_thresholds_pct",
+)
+TARIFF_KEYS = (
+    "base_fare_usd", "per_mile_usd", "provider_cost_per_mile_usd", "change_fee_usd",
+    "discount_factor", "detour_factor",
+)
+GRID_KEYS = ("rows", "cols", "edge_length_mi", "speed_mph")
+
+
+def _check_keys(section: str, given, allowed) -> None:
+    unknown = sorted(set(given) - set(allowed))
+    if unknown:
+        raise ConfigError(
+            f"unknown {section} key(s) {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(allowed)}"
+        )
+
+
 def _network_from_config(cfg):
     net_cfg = cfg["network"]
+    _check_keys("network", net_cfg, ("grid", "file"))
     if "grid" in net_cfg:
         g = net_cfg["grid"]
+        _check_keys("network.grid", g, GRID_KEYS)
         return make_grid(g["rows"], g["cols"], g["edge_length_mi"], g["speed_mph"])
     return load_network_csv(net_cfg["file"])
 
@@ -48,7 +71,9 @@ def _as_list(value):
 
 
 def _grid_from_config(cfg) -> ScenarioGrid:
+    _check_keys("config", cfg, CONFIG_KEYS)
     tariff = cfg.get("tariff", {})
+    _check_keys("tariff", tariff, TARIFF_KEYS)
     thresholds = tuple(
         Fraction(int(p), 100) for p in cfg.get("split_thresholds_pct", (5, 10, 15, 20))
     )

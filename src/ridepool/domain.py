@@ -180,9 +180,6 @@ class VehicleState:
         self.prune(now)
         return not self.active
 
-    def picked_up(self, customer: int, now: int) -> bool:
-        return self.active[customer].pickup_time <= now
-
     def anchor_at(self, now: int) -> tuple[int, int, int]:
         """(trace position, node index, time) of the next reroutable point."""
         if self.is_idle(now):

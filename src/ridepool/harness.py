@@ -148,18 +148,23 @@ class CellOutcome:
 
 def savings_brackets(result: SimResult, thresholds=BRACKETS):
     """Share of served poolable customers saving at least each threshold
-    relative to their frozen solitary baselines; None when there are none."""
-    poolable = [o for o in result.per_customer.values() if o.poolable]
-    if not poolable:
+    relative to their frozen solitary baselines; None when there are none.
+
+    With threshold p/q, baseline b and total cost n/d, the saving test
+    b - n/d >= (p/q) * b is q * (b*d - n) >= p * b * d, in integers.
+    """
+    costs = [
+        (o.baseline_solitary_cost, o.total_cost.numerator, o.total_cost.denominator)
+        for o in result.per_customer.values()
+        if o.poolable
+    ]
+    if not costs:
         return {t: None for t in thresholds}
     out = {}
     for t in thresholds:
-        hits = sum(
-            1
-            for o in poolable
-            if o.baseline_solitary_cost - o.total_cost >= t * o.baseline_solitary_cost
-        )
-        out[t] = Fraction(hits, len(poolable)) * 100
+        p, q = t.numerator, t.denominator
+        hits = sum(1 for b, n, d in costs if q * (b * d - n) >= p * b * d)
+        out[t] = Fraction(hits, len(costs)) * 100
     return out
 
 

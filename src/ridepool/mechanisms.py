@@ -19,20 +19,19 @@ plan layout break ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .domain import DO, PU, Fleet, InsertionPlan, Request, Stop, VehicleState, plan_stop_times
-from .netgraph import RoadNetwork
-from .pricing import Tariff, route_fare, solitary_fare, pcp_fare
+from .netgraph import INF, RoadNetwork, Unreachable
+from .pricing import Tariff, mileage_fare, pcp_fare, route_distance_umiles, solitary_fare
 from .units import Money, time_cost_mils
 
 MAX_WAIT_REASON = "MaxWaitExceeded"
-PARTNER_WAIT_REASON = "PartnerMaxWaitExceeded"
 
 
 class Mechanism(str, Enum):
@@ -119,52 +118,121 @@ def _solitary_candidate(v: VehicleState, r: Request, now: int) -> InsertionCandi
     )
 
 
-def _pooled_stop_orders(r: Request, k: Request, onboard: bool):
-    """The admissible interleavings, labelled by pooled-fare case."""
-    if onboard:
-        return (
-            (1, (Stop(PU, r.id, r.origin), Stop(DO, k.id, k.destination), Stop(DO, r.id, r.destination))),
-            (2, (Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination), Stop(DO, k.id, k.destination))),
-        )
-    return (
-        (3, (Stop(PU, k.id, k.origin), Stop(PU, r.id, r.origin), Stop(DO, k.id, k.destination), Stop(DO, r.id, r.destination))),
-        (4, (Stop(PU, k.id, k.origin), Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination), Stop(DO, k.id, k.destination))),
-        (5, (Stop(PU, r.id, r.origin), Stop(PU, k.id, k.origin), Stop(DO, k.id, k.destination), Stop(DO, r.id, r.destination))),
-        (6, (Stop(PU, r.id, r.origin), Stop(PU, k.id, k.origin), Stop(DO, r.id, r.destination), Stop(DO, k.id, k.destination))),
+class PooledOffer(NamedTuple):
+    """One wait-feasible pooled interleaving, priced from table reads.
+
+    `stops` holds `Stop`s, each the tuple (op, customer, location), so the
+    key `offer[:3]` orders exactly like `InsertionCandidate.sort_key`.
+    """
+
+    added_distance: int  # umiles
+    vehicle: int
+    stops: tuple[Stop, ...]
+    case: int  # pooled stop-ordering case
+    partner: int
+    pickup: int  # usec, the new request's
+    dropoff: int
+    partner_pickup: int
+    partner_dropoff: int
+
+    feasible = True  # only wait-feasible interleavings become offers
+
+    def stop_times(self) -> list[int]:
+        """Arrival time at each stop, in plan order."""
+        return [
+            (self.partner_pickup if s.op == PU else self.partner_dropoff)
+            if s.customer == self.partner
+            else (self.pickup if s.op == PU else self.dropoff)
+            for s in self.stops
+        ]
+
+
+def _pooled_candidate(c: PooledOffer, r_id: int, **economics) -> InsertionCandidate:
+    """The full candidate record of a winning offer."""
+    pickups, dropoffs = {}, {}
+    for s, t in zip(c.stops, c.stop_times()):
+        (pickups if s.op == PU else dropoffs)[s.customer] = t
+    pickups.setdefault(c.partner, c.partner_pickup)
+    return InsertionCandidate(
+        vehicle=c.vehicle, plan=InsertionPlan(r_id, c.stops), added_distance=c.added_distance,
+        pickup_times=pickups, dropoff_times=dropoffs, feasible=True, case=c.case,
+        partner=c.partner, **economics,
     )
 
 
-def _pooled_candidates_for(
-    v: VehicleState, r: Request, k: Request, now: int
-) -> list[InsertionCandidate]:
-    onboard = v.picked_up(k.id, now)
+def _pooled_offers(
+    fleet: Fleet, r: Request, now: int, net: RoadNetwork, requests: Mapping[int, Request]
+) -> list[PooledOffer]:
+    """Every wait-feasible insertion of `r` into a vehicle serving one poolable `k`.
+
+    A vehicle whose anchor cannot reach r's origin within r's wait limit is
+    skipped: every leg is a shortest path, so no interleaving picks r up
+    sooner.  Legs are scalar reads of the duration and mileage tables; an
+    interleaving that breaks r's wait limit, or the wait limit of a partner
+    still waiting, is dropped.  Cases 1-2 (k on board) and 3-6 (k waiting)
+    mirror the six pooled-fare cases.
+    """
+    dur, _, lex = net.tables()
+
+    def leg(i, j):
+        t = dur.item(i, j)
+        if t >= INF:
+            raise Unreachable(net.node_ids[i], net.node_ids[j])
+        return t, lex.item(i, j)
+
+    o, d = net.index(r.origin), net.index(r.destination)
+    pu_r, do_r = Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination)
+    latest = r.request_time + r.max_wait
+    t_od, m_od = leg(o, d)
     out = []
-    for case, stops in _pooled_stop_orders(r, k, onboard):
-        times, _, _, added = plan_stop_times(v, stops, now)
-        pickups = {}
-        dropoffs = {}
-        for stop, t in zip(stops, times):
-            (pickups if stop.op == PU else dropoffs)[stop.customer] = t
-        if onboard:
-            pickups[k.id] = v.active[k.id].pickup_time
-        feasible, reason = True, None
-        if pickups[r.id] - r.request_time > r.max_wait:
-            feasible, reason = False, MAX_WAIT_REASON
-        elif not onboard and pickups[k.id] - k.request_time > k.max_wait:
-            feasible, reason = False, PARTNER_WAIT_REASON
-        out.append(
-            InsertionCandidate(
-                vehicle=v.id,
-                plan=InsertionPlan(r.id, stops),
-                added_distance=added,
-                pickup_times=pickups,
-                dropoff_times=dropoffs,
-                feasible=feasible,
-                reason=reason,
-                case=case,
-                partner=k.id,
-            )
-        )
+    for slot in np.flatnonzero(fleet.busy_until > now).tolist():
+        v = fleet.vehicles[slot]
+        v.prune(now)
+        if len(v.active) != 1:
+            continue
+        (kid,) = v.active
+        k = requests[kid]
+        if not k.poolable:
+            continue
+        pos, a, t_a = v.anchor_at(now)
+        pick = t_a + dur.item(a, o)  # r's earliest pickup
+        if pick > latest:
+            continue
+        m_ao = lex.item(a, o)
+        tail = v.trace_cum[-1] - v.trace_cum[pos]  # mileage of the abandoned plan
+        ok, dk = net.index(k.origin), net.index(k.destination)
+        do_k = Stop(DO, kid, k.destination)
+        t_kr, m_kr = leg(dk, d)
+        t_rk, m_rk = leg(d, dk)
+        vid = v.id
+
+        def dropoffs(x, t, m, head, case, r_pick, k_pick):
+            """Both dropoff orders after the pickups `head`, from node x reached
+            at time t after m umiles."""
+            t1, m1 = leg(x, dk)
+            out.append(PooledOffer(m + m1 + m_kr - tail, vid, (*head, do_k, do_r), case, kid,
+                                   r_pick, t + t1 + t_kr, k_pick, t + t1))
+            t2, m2 = leg(x, d)
+            out.append(PooledOffer(m + m2 + m_rk - tail, vid, (*head, do_r, do_k), case + 1, kid,
+                                   r_pick, t + t2, k_pick, t + t2 + t_rk))
+
+        ride = v.active[kid]
+        if ride.pickup_time <= now:
+            dropoffs(o, pick, m_ao, (pu_r,), 1, pick, ride.pickup_time)
+            continue
+        pu_k = Stop(PU, kid, k.origin)
+        k_latest = k.request_time + k.max_wait
+        t_ak, m_ak = leg(a, ok)
+        k_pick = t_a + t_ak
+        if k_pick <= k_latest:
+            t, m = leg(ok, o)
+            r_pick = k_pick + t
+            if r_pick <= latest:
+                dropoffs(o, r_pick, m_ak + m, (pu_k, pu_r), 3, r_pick, k_pick)
+        t, m = leg(o, ok)
+        k_pick = pick + t
+        if k_pick <= k_latest:
+            dropoffs(ok, k_pick, m_ao + m, (pu_r, pu_k), 5, pick, k_pick)
     return out
 
 
@@ -175,7 +243,7 @@ def enumerate_candidates(
     mode: Mechanism,
     net: RoadNetwork,
     requests: Mapping[int, Request],
-) -> list[InsertionCandidate]:
+) -> list[InsertionCandidate | PooledOffer]:
     """The one candidate pass for a request, over the fleet's arrays.
 
     First, when there is one, the best feasible solitary candidate: one
@@ -183,9 +251,9 @@ def enumerate_candidates(
     pickup and added distance, the wait limit prunes (the request-vehicle
     pruning of Alonso-Mora et al., PNAS 2017), and only the minimum over
     (added distance, vehicle id) is built.
-    Then, for a poolable request in a pooling mode, every capacity-feasible
-    stop interleaving, infeasible ones included, on each busy vehicle whose
-    single active customer is poolable.
+    Then, for a poolable request in a pooling mode, every wait-feasible
+    pooled interleaving as a `PooledOffer` (see `_pooled_offers`), vehicle
+    by vehicle in fleet order and case by case.  Every item is feasible.
     """
     dur, _, lex = net.tables()
     o = net.index(r.origin)
@@ -202,19 +270,12 @@ def enumerate_candidates(
         slot = tied[fleet.ids[tied].argmin()]
         out.append(_solitary_candidate(fleet.vehicles[slot], r, now))
     if mode != Mechanism.SRO and r.poolable:
-        for slot in np.flatnonzero(fleet.busy_until > now).tolist():
-            v = fleet.vehicles[slot]
-            v.prune(now)
-            if len(v.active) == 1:
-                (k_id,) = v.active
-                k = requests[k_id]
-                if k.poolable:
-                    out.extend(_pooled_candidates_for(v, r, k, now))
+        out.extend(_pooled_offers(fleet, r, now, net, requests))
     return out
 
 
 def _priced_pass(fleet, r, now, mode, net, tariff, requests):
-    """(quote, baseline, best solitary candidate or None, pooled candidates).
+    """(quote, baseline, best solitary candidate or None, pooled offers).
 
     One candidate pass and the one solitary quote it prices.  The baseline
     is the frozen solitary-counterfactual total cost: the quote plus the
@@ -235,10 +296,6 @@ def _priced_pass(fleet, r, now, mode, net, tariff, requests):
 # the three mechanisms
 # ---------------------------------------------------------------------------
 
-def _best(cands):
-    return min(cands, key=InsertionCandidate.sort_key) if cands else None
-
-
 def assign_sro(
     fleet: Fleet, r: Request, now: int, net: RoadNetwork, tariff: Tariff
 ) -> AssignmentDecision:
@@ -252,12 +309,10 @@ def assign_sro(
     )
 
 
-def _detour_ok(
-    ride_usec: int, direct_usec: int, detour_factor: Fraction
-) -> bool:
-    """ride <= (1 + detour_factor) * direct, in integers."""
-    den = detour_factor.denominator
-    return ride_usec * den <= (den + detour_factor.numerator) * direct_usec
+def _detour_limit(direct_usec: int, detour_factor: Fraction) -> int:
+    """A ride fits the detour bound ride <= (1 + detour_factor) * direct
+    exactly when ride * detour_factor.denominator is at most this."""
+    return (detour_factor.denominator + detour_factor.numerator) * direct_usec
 
 
 def assign_pcp(
@@ -276,82 +331,35 @@ def assign_pcp(
     """
     quote, baseline, solo, pooled = _priced_pass(fleet, r, now, Mechanism.PCP, net, tariff, requests)
     fare = pcp_fare(tariff, quote) if r.poolable else quote
-    feasible = [solo] if solo is not None else []
-    direct: dict[int, int] = {}  # each rider's direct ride time, looked up once
+    best, best_key = solo, solo.sort_key() if solo is not None else None
+    den = tariff.detour_factor.denominator
+    limits: dict[int, int] = {}
+
+    def limit(rider):  # each rider's detour limit, computed once
+        if rider.id not in limits:
+            direct = net.duration_usec(net.index(rider.origin), net.index(rider.destination))
+            limits[rider.id] = _detour_limit(direct, tariff.detour_factor)
+        return limits[rider.id]
+
     for c in pooled:
-        if not c.feasible:
-            continue
-        for cid, dropoff in c.dropoff_times.items():
-            if cid not in direct:
-                rider = r if cid == r.id else requests[cid]
-                direct[cid] = net.duration_usec(net.index(rider.origin), net.index(rider.destination))
-            if not _detour_ok(dropoff - c.pickup_times[cid], direct[cid], tariff.detour_factor):
-                break
-        else:
-            feasible.append(c)
-    best = _best(feasible)
+        key = c[:3]
+        if (
+            (best_key is None or key < best_key)
+            and (c.dropoff - c.pickup) * den <= limit(r)
+            and (c.partner_dropoff - c.partner_pickup) * den <= limit(requests[c.partner])
+        ):
+            best, best_key = c, key
     if best is None:
         return AssignmentDecision(
             customer=r.id, kind=UNSERVED, baseline=baseline, quote=quote, reason=MAX_WAIT_REASON
         )
-    kind = POOLED if best.case is not None else SOLITARY
-    return AssignmentDecision(
-        customer=r.id, kind=kind, candidate=best, fare=fare, baseline=baseline, quote=quote
-    )
-
-
-def pooled_pair_economics(
-    v: VehicleState,
-    c: InsertionCandidate,
-    r: Request,
-    k: Request,
-    now: int,
-    net: RoadNetwork,
-    tariff: Tariff,
-    baseline_r: int,
-    committed_k: CommittedCost,
-) -> InsertionCandidate:
-    """Evaluate the coalition check for one pooled candidate.
-
-    The run's chargeable itinerary keeps its already-driven waypoints,
-    routes through the anchor when the partner is on board, and continues
-    with the candidate's stops; the pair fare is the partner's current fare
-    plus the run-fare increment (one extra change fee).  The candidate is
-    admissible when the pair's new total cost is strictly below the sum of
-    the request's baseline and the partner's current guarantee.
-    """
-    past = [
-        (w, t) for w, t in zip(v.fare_waypoints, v.fare_wp_times) if t <= now
-    ]
-    _, anchor_idx, anchor_time = v.anchor_at(now)
-    new_wp = [w for w, _ in past]
-    new_wp_times = [t for _, t in past]
-    if past:
-        new_wp.append(net.node_ids[anchor_idx])
-        new_wp_times.append(anchor_time)
-    for s in c.plan.stops:
-        new_wp.append(s.location)
-        new_wp_times.append(
-            c.pickup_times[s.customer] if s.op == PU else c.dropoff_times[s.customer]
+    if best is solo:
+        return AssignmentDecision(
+            customer=r.id, kind=SOLITARY, candidate=solo, fare=fare, baseline=baseline, quote=quote
         )
-    new_run_fare = route_fare(tariff, net, new_wp, v.run_events + 1)
-    marginal = new_run_fare - v.run_fare
-    pair_fare = committed_k.fare + marginal
-
-    tc_r = time_cost_mils(r.value_of_time, c.dropoff_times[r.id] - r.request_time)
-    tc_k = time_cost_mils(k.value_of_time, c.dropoff_times[k.id] - k.request_time)
-    pooled_total = pair_fare + tc_r + tc_k
-    bar = baseline_r + committed_k.guaranteed
-    surplus = bar - pooled_total
-    if surplus <= 0:
-        return replace(c, feasible=False, reason="NoCoalitionSurplus", surplus=surplus)
-    return replace(
-        c,
-        pooled_fare=pair_fare,
-        surplus=surplus,
-        new_run_fare=new_run_fare,
-        new_waypoints=tuple(new_wp),
-        new_wp_times=tuple(new_wp_times),
+    return AssignmentDecision(
+        customer=r.id, kind=POOLED, candidate=_pooled_candidate(best, r.id), fare=fare,
+        baseline=baseline, quote=quote,
     )
 
 
@@ -366,54 +374,70 @@ def assign_ccp(
 ) -> AssignmentDecision:
     """Pool when the coalition strictly gains; otherwise ride solitary.
 
-    Among admissible pooled candidates the one with maximal surplus wins and
-    both riders' guarantees drop by half the surplus.  Cost sharing later
-    re-divides run fares but cannot change these decisions.
+    The run's chargeable itinerary keeps its waypoints already passed, then
+    the anchor when there are any, and continues with the offer's stops; the
+    pair fare is the partner's current fare plus the run-fare increment (one
+    extra change fee).  An offer is admissible when the pair's new total
+    cost is strictly below the sum of the request's baseline and the
+    partner's current guarantee.  The admissible offer with maximal surplus
+    wins and both riders' guarantees drop by half the surplus.  Cost sharing
+    later re-divides run fares but cannot change these decisions.
     """
     quote, baseline, best_solo, pooled = _priced_pass(
         fleet, r, now, Mechanism.CCP, net, tariff, requests
     )
-    admissible = []
+    lex = net.tables()[2]
+    best = None  # (rank, offer, new run fare, its vehicle's terms)
+    vid = None
     for c in pooled:
-        if not c.feasible:
-            continue
-        k = requests[c.partner]
-        evaluated = pooled_pair_economics(
-            fleet.by_id[c.vehicle], c, r, k, now, net, tariff, baseline, committed[k.id]
-        )
-        if evaluated.feasible:
-            admissible.append(evaluated)
+        if c.vehicle != vid:
+            vid = c.vehicle
+            v, k = fleet.by_id[vid], requests[c.partner]
+            committed_k = committed[k.id]
+            pos, a, t_a = v.anchor_at(now)
+            # the plan's new mileage (added + tail) is the anchor leg plus
+            # the stop legs; the fare itinerary drives the anchor leg only
+            # after a kept prefix
+            tail = v.trace_cum[-1] - v.trace_cum[pos]
+            past = [(w, t) for w, t in zip(v.fare_waypoints, v.fare_wp_times) if t <= now]
+            kept = [w for w, _ in past] + [net.node_ids[a]] if past else []
+            kept_times = [t for _, t in past] + [t_a] if past else []
+            head = route_distance_umiles(net, kept) + tail
+            # the pair's total cost is cap - surplus; cap holds everything
+            # but the new run fare and the two time costs
+            cap = baseline + committed_k.guaranteed - committed_k.fare + v.run_fare
+            terms = (v, k, committed_k, kept, kept_times)
+        lead = head if kept else head - lex.item(a, net.index(c.stops[0].location))
+        new_run_fare = mileage_fare(tariff, c.added_distance + lead, v.run_events + 1)
+        tc_r = time_cost_mils(r.value_of_time, c.dropoff - r.request_time)
+        tc_k = time_cost_mils(k.value_of_time, c.partner_dropoff - k.request_time)
+        total = new_run_fare + tc_r + tc_k
+        if total < cap:
+            rank = (total - cap, c[:3])  # maximal surplus cap - total, then the key
+            if best is None or rank < best[0]:
+                best = (rank, c, new_run_fare, tc_r, tc_k, terms)
 
-    if admissible:
-        best = min(admissible, key=lambda c: (-c.surplus, *c.sort_key()))
-        k = requests[best.partner]
-        committed_k = committed[k.id]
-        half = Fraction(best.surplus) / 2
+    if best is not None:
+        (neg_surplus, _), c, new_run_fare, tc_r, tc_k, (v, k, committed_k, kept, kept_times) = best
+        cand = _pooled_candidate(
+            c, r.id,
+            pooled_fare=committed_k.fare + (new_run_fare - v.run_fare),
+            surplus=-neg_surplus,
+            new_run_fare=new_run_fare,
+            new_waypoints=tuple(kept + [s.location for s in c.stops]),
+            new_wp_times=tuple(kept_times + c.stop_times()),
+        )
+        half = Fraction(cand.surplus) / 2
         g_r = baseline - half
         g_k = committed_k.guaranteed - half
-        tc_r = time_cost_mils(r.value_of_time, best.dropoff_times[r.id] - r.request_time)
-        tc_k = time_cost_mils(k.value_of_time, best.dropoff_times[k.id] - k.request_time)
         return AssignmentDecision(
-            customer=r.id,
-            kind=POOLED,
-            candidate=best,
-            fare=g_r - tc_r,
-            baseline=baseline,
-            guaranteed=g_r,
-            partner_fare=g_k - tc_k,
-            partner_guaranteed=g_k,
-            quote=quote,
+            customer=r.id, kind=POOLED, candidate=cand, fare=g_r - tc_r, baseline=baseline,
+            guaranteed=g_r, partner_fare=g_k - tc_k, partner_guaranteed=g_k, quote=quote,
         )
-
     if best_solo is not None:
         return AssignmentDecision(
-            customer=r.id,
-            kind=SOLITARY,
-            candidate=best_solo,
-            fare=quote,
-            baseline=baseline,
-            guaranteed=baseline,
-            quote=quote,
+            customer=r.id, kind=SOLITARY, candidate=best_solo, fare=quote, baseline=baseline,
+            guaranteed=baseline, quote=quote,
         )
     return AssignmentDecision(
         customer=r.id, kind=UNSERVED, baseline=baseline, quote=quote, reason=MAX_WAIT_REASON

@@ -3,10 +3,9 @@
 A solitary ride costs a base fare plus a distance charge over the
 origin-destination shortest path.  Under provider-centered pooling every
 poolable customer pays the discounted solitary fare whether or not she is
-matched.  Under customer-centered pooling a matched pair is quoted a single
-fare covering both riders' legs plus a change fee for rewriting the
-schedule; six stop orderings are possible depending on whether the earlier
-customer is already riding and on the dropoff order.
+matched.  Under customer-centered pooling a run's fare covers its whole
+itinerary: one base fare, the distance charge over the run's mileage and one
+change fee for each pooling event on the run.
 
 A customer's total cost is her fare plus her value of time applied to the
 span between request and dropoff.  Money is kept in integer mils (tenths of
@@ -27,10 +26,6 @@ from .units import (
     mils_from_usd,
     time_cost_mils,
 )
-
-
-class InvalidGeometry(Exception):
-    """The supplied pooled-stop ordering contradicts its own timing claims."""
 
 
 @dataclass(frozen=True)
@@ -83,37 +78,6 @@ class CostQuote:
     total_cost: Money
 
 
-@dataclass(frozen=True)
-class PoolGeometry:
-    """Which of the six pooled stop orderings applies.
-
-    Cases 1-2: the earlier customer is already riding when the new request
-    arrives at `request_time_j`; the ride continues from `vehicle_location`
-    and the earlier customer is dropped first (1) or last (2).
-    Cases 3-6: neither customer has been picked up; 3-4 pick up the earlier
-    customer first, 5-6 the new one first; odd cases drop the earlier
-    customer first.
-    """
-
-    case: int
-    request_time_j: int  # usec
-    pickup_time_i: int  # usec, scheduled pickup of the earlier customer
-    vehicle_location: str | None = None
-
-    def __post_init__(self):
-        if self.case not in range(1, 7):
-            raise InvalidGeometry(f"case must be 1..6, got {self.case}")
-        if self.case <= 2:
-            if self.vehicle_location is None:
-                raise InvalidGeometry("cases 1-2 need the vehicle location")
-            if self.pickup_time_i > self.request_time_j:
-                raise InvalidGeometry(
-                    "cases 1-2 require the earlier customer to be picked up already"
-                )
-        elif self.pickup_time_i <= self.request_time_j:
-            raise InvalidGeometry("cases 3-6 require the earlier pickup to be pending")
-
-
 def variable_charge(t: Tariff, dist_umiles: int) -> int:
     """Distance-dependent fare component, rounded once on the total."""
     return distance_charge_mils(t.per_mile, dist_umiles)
@@ -128,17 +92,20 @@ def route_distance_umiles(net: RoadNetwork, waypoints) -> int:
     return total
 
 
+def mileage_fare(t: Tariff, dist_umiles: int, change_events: int) -> int:
+    """Base fare + distance charge over a run's mileage + change fees."""
+    return t.base_fare + variable_charge(t, dist_umiles) + change_events * t.change_fee
+
+
 def route_fare(t: Tariff, net: RoadNetwork, waypoints, change_events: int) -> int:
-    """Base fare + distance charge over a waypoint itinerary + change fees."""
-    dist = route_distance_umiles(net, waypoints)
-    return t.base_fare + variable_charge(t, dist) + change_events * t.change_fee
+    """`mileage_fare` over the shortest-path mileage of a waypoint itinerary."""
+    return mileage_fare(t, route_distance_umiles(net, waypoints), change_events)
 
 
 def solitary_fare(t: Tariff, net: RoadNetwork, origin: str, destination: str) -> int:
     if origin == destination:
         raise ValueError("solitary fare needs distinct origin and destination")
-    dist = net.distance_umiles(net.index(origin), net.index(destination))
-    return t.base_fare + variable_charge(t, dist)
+    return mileage_fare(t, net.distance_umiles(net.index(origin), net.index(destination)), 0)
 
 
 def pcp_fare(t: Tariff, solitary: Money) -> Fraction:
@@ -146,30 +113,6 @@ def pcp_fare(t: Tariff, solitary: Money) -> Fraction:
     if solitary < 0:
         raise ValueError("solitary fare must be non-negative")
     return t.discount_factor * solitary
-
-
-def _case_waypoints(case: int, i: Request, j: Request, location: str | None):
-    oi, di, oj, dj = i.origin, i.destination, j.origin, j.destination
-    if case == 1:
-        return (oi, location, oj, di, dj)
-    if case == 2:
-        return (oi, location, oj, dj, di)
-    if case == 3:
-        return (oi, oj, di, dj)
-    if case == 4:
-        return (oi, oj, dj, di)
-    if case == 5:
-        return (oj, oi, di, dj)
-    return (oj, oi, dj, di)
-
-
-def ccp_pooled_fare(
-    t: Tariff, net: RoadNetwork, i: Request, j: Request, geometry: PoolGeometry
-) -> int:
-    """Joint fare for a pooled pair: one base fare, the ordered stop legs
-    of the applicable case, and one change fee for the schedule rewrite."""
-    waypoints = _case_waypoints(geometry.case, i, j, geometry.vehicle_location)
-    return route_fare(t, net, waypoints, 1)
 
 
 def total_cost(fare: Money, r: Request, dropoff: int) -> Money:

@@ -338,8 +338,3 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
         requests=by_id,
         vehicles=fleet.vehicles,
     )
-
-
-def counterfactual_sro(cfg: SimConfig, requests: list[Request]) -> SimResult:
-    """Paired baseline: same seed, fleet and draws, mechanism forced to SRO."""
-    return run_sim(replace(cfg, mechanism=Mechanism.SRO), requests)

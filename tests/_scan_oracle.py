@@ -1,17 +1,23 @@
 """Per-vehicle candidate scan: the reference for the array-backed single pass.
 
 This is the candidate generation and selection the mechanisms used before
-the fleet kept its state in arrays: every vehicle is asked `is_idle`, every
-idle vehicle gets a solitary candidate built in full, the solitary baseline
-scans the fleet a second time, the SRO fare is priced after the decision and
-the PCP detour bound is checked in `Fraction` arithmetic.  Tests compare the
-single pass against it decision by decision.
+the fleet kept its state in arrays and before pooled insertions became
+integer-priced offers: every vehicle is asked `is_idle`, every idle vehicle
+gets a solitary candidate built in full, every stop interleaving on a busy
+single-rider vehicle is built through `plan_stop_times` (infeasible ones
+included), the solitary baseline scans the fleet a second time, the SRO fare
+is priced after the decision, the PCP detour bound is checked in `Fraction`
+arithmetic and CCP prices every wait-feasible pooled candidate's whole
+fare itinerary with `route_fare`.  Tests compare the single pass against it
+decision by decision.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
+from ridepool.domain import DO, PU, InsertionPlan, Stop, plan_stop_times
 from ridepool.mechanisms import (
     MAX_WAIT_REASON,
     POOLED,
@@ -20,12 +26,105 @@ from ridepool.mechanisms import (
     AssignmentDecision,
     InsertionCandidate,
     Mechanism,
-    _pooled_candidates_for,
     _solitary_candidate,
-    pooled_pair_economics,
 )
-from ridepool.pricing import pcp_fare, solitary_fare, total_cost
+from ridepool.pricing import pcp_fare, route_fare, solitary_fare, total_cost
 from ridepool.units import time_cost_mils
+
+PARTNER_WAIT_REASON = "PartnerMaxWaitExceeded"
+
+
+def _pooled_stop_orders(r, k, onboard):
+    """The admissible interleavings, labelled by pooled-fare case."""
+    if onboard:
+        return (
+            (1, (Stop(PU, r.id, r.origin), Stop(DO, k.id, k.destination), Stop(DO, r.id, r.destination))),
+            (2, (Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination), Stop(DO, k.id, k.destination))),
+        )
+    return (
+        (3, (Stop(PU, k.id, k.origin), Stop(PU, r.id, r.origin), Stop(DO, k.id, k.destination), Stop(DO, r.id, r.destination))),
+        (4, (Stop(PU, k.id, k.origin), Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination), Stop(DO, k.id, k.destination))),
+        (5, (Stop(PU, r.id, r.origin), Stop(PU, k.id, k.origin), Stop(DO, k.id, k.destination), Stop(DO, r.id, r.destination))),
+        (6, (Stop(PU, r.id, r.origin), Stop(PU, k.id, k.origin), Stop(DO, r.id, r.destination), Stop(DO, k.id, k.destination))),
+    )
+
+
+def _pooled_candidates_for(v, r, k, now):
+    """Every interleaving of `r` with the vehicle's one rider `k`, built in full."""
+    onboard = v.active[k.id].pickup_time <= now
+    out = []
+    for case, stops in _pooled_stop_orders(r, k, onboard):
+        times, _, _, added = plan_stop_times(v, stops, now)
+        pickups = {}
+        dropoffs = {}
+        for stop, t in zip(stops, times):
+            (pickups if stop.op == PU else dropoffs)[stop.customer] = t
+        if onboard:
+            pickups[k.id] = v.active[k.id].pickup_time
+        feasible, reason = True, None
+        if pickups[r.id] - r.request_time > r.max_wait:
+            feasible, reason = False, MAX_WAIT_REASON
+        elif not onboard and pickups[k.id] - k.request_time > k.max_wait:
+            feasible, reason = False, PARTNER_WAIT_REASON
+        out.append(
+            InsertionCandidate(
+                vehicle=v.id,
+                plan=InsertionPlan(r.id, stops),
+                added_distance=added,
+                pickup_times=pickups,
+                dropoff_times=dropoffs,
+                feasible=feasible,
+                reason=reason,
+                case=case,
+                partner=k.id,
+            )
+        )
+    return out
+
+
+def pooled_pair_economics(v, c, r, k, now, net, tariff, baseline_r, committed_k):
+    """Evaluate the coalition check for one pooled candidate.
+
+    The run's chargeable itinerary keeps its already-driven waypoints,
+    routes through the anchor when the partner is on board, and continues
+    with the candidate's stops; the pair fare is the partner's current fare
+    plus the run-fare increment (one extra change fee).  The candidate is
+    admissible when the pair's new total cost is strictly below the sum of
+    the request's baseline and the partner's current guarantee.
+    """
+    past = [
+        (w, t) for w, t in zip(v.fare_waypoints, v.fare_wp_times) if t <= now
+    ]
+    _, anchor_idx, anchor_time = v.anchor_at(now)
+    new_wp = [w for w, _ in past]
+    new_wp_times = [t for _, t in past]
+    if past:
+        new_wp.append(net.node_ids[anchor_idx])
+        new_wp_times.append(anchor_time)
+    for s in c.plan.stops:
+        new_wp.append(s.location)
+        new_wp_times.append(
+            c.pickup_times[s.customer] if s.op == PU else c.dropoff_times[s.customer]
+        )
+    new_run_fare = route_fare(tariff, net, new_wp, v.run_events + 1)
+    marginal = new_run_fare - v.run_fare
+    pair_fare = committed_k.fare + marginal
+
+    tc_r = time_cost_mils(r.value_of_time, c.dropoff_times[r.id] - r.request_time)
+    tc_k = time_cost_mils(k.value_of_time, c.dropoff_times[k.id] - k.request_time)
+    pooled_total = pair_fare + tc_r + tc_k
+    bar = baseline_r + committed_k.guaranteed
+    surplus = bar - pooled_total
+    if surplus <= 0:
+        return replace(c, feasible=False, reason="NoCoalitionSurplus", surplus=surplus)
+    return replace(
+        c,
+        pooled_fare=pair_fare,
+        surplus=surplus,
+        new_run_fare=new_run_fare,
+        new_waypoints=tuple(new_wp),
+        new_wp_times=tuple(new_wp_times),
+    )
 
 
 def enumerate_candidates(vehicles, r, now, mode, requests):

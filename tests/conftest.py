@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
+from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import RoadNetwork, make_grid
+from ridepool.simengine import run_sim
 from ridepool.units import USEC
 
 
@@ -16,6 +20,11 @@ def line_network(n=6, edge_mi=0.2, edge_s=24):
 
 def sec(x):
     return x * USEC
+
+
+def counterfactual_sro(cfg, requests):
+    """Paired baseline: same seed, fleet and draws, mechanism forced to SRO."""
+    return run_sim(replace(cfg, mechanism=Mechanism.SRO), requests)
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from ridepool.harness import ScenarioGrid, run_grid, summarize, synthetic_trips
 from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import make_grid
 from ridepool.pricing import Tariff
-from ridepool.simengine import SimConfig, counterfactual_sro, run_sim
+from ridepool.simengine import SimConfig, run_sim
 from ridepool.units import USEC
 from ridepool.verify import (
     build_theorem4_fixtures,
@@ -34,6 +34,7 @@ from ridepool.verify import (
     check_threshold_witness,
     run_fixture,
 )
+from tests.conftest import counterfactual_sro
 
 THRESHOLDS = (Fraction(5, 100), Fraction(10, 100), Fraction(15, 100), Fraction(20, 100))
 

@@ -8,6 +8,7 @@ import pytest
 from ridepool.cli import main
 from ridepool.domain import Request
 from ridepool.io import load_run_accounts_csv, load_trips_csv, save_trips_csv
+from ridepool.simengine import ConfigError
 
 
 CONFIG = {
@@ -61,6 +62,29 @@ class TestSimulate:
                      "--out", str(out2)]) == 0
         for name in ("summary.csv", "decisions.csv", "splits.csv", "run_accounts.csv"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize("edit,section,bad,allowed", [
+        (lambda c: c.update(fleet_sizes=[30]), "config", "fleet_sizes", "fleet_size"),
+        (lambda c: c["tariff"].update(change_fee=[2.0]), "tariff", "change_fee",
+         "change_fee_usd"),
+        (lambda c: c["network"]["grid"].update(speed=30), "network.grid", "speed",
+         "speed_mph"),
+        (lambda c: c["network"].update(grids={}), "network", "grids", "file"),
+    ])
+    def test_unknown_key_rejected_with_allowed_keys(self, tmp_path, edit, section, bad, allowed):
+        cfg = json.loads(json.dumps(CONFIG))
+        edit(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError) as err:
+            main(["simulate", "--config", str(path), "--trips", "synthetic:n=10,seed=4",
+                  "--out", str(tmp_path / "out")])
+        msg = str(err.value)
+        assert f"unknown {section} key(s) {bad!r}" in msg
+        assert allowed in msg.split("allowed: ")[1].split(", ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestAnalyze:

@@ -244,7 +244,7 @@ class TestInvariantsUnderRandomAssignments:
                 o, d = rng.choice(len(names), size=2, replace=False)
                 o_id, d_id = names[o], names[d]
                 k_dest = net.node_ids[ride.dest_idx]
-                if v.picked_up(k, now):
+                if ride.pickup_time <= now:
                     stops = (Stop(PU, cid, o_id), Stop(DO, cid, d_id), Stop(DO, k, k_dest))
                 else:
                     k_origin = net.node_ids[ride.origin_idx]

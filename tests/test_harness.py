@@ -1,6 +1,8 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ridepool.harness import (
     BRACKETS,
@@ -90,6 +92,38 @@ class TestSavingsBrackets:
         res = run_fixture(fx, Mechanism.PCP)
         shares = savings_brackets(res)
         assert shares[Fraction(0)] < 100
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(0, 10**7),
+                st.one_of(st.integers(0, 10**7),
+                          st.builds(Fraction, st.integers(0, 2 * 10**7), st.integers(1, 4))),
+            ),
+            min_size=1, max_size=12,
+        ),
+        st.lists(st.fractions(min_value=0, max_value=1, max_denominator=1000), max_size=4),
+    )
+    # on the 5 % boundary, half a mil inside it and half a mil outside it
+    @example(customers=[(True, 100, 95), (True, 1000, Fraction(1899, 2)),
+                        (True, 1000, Fraction(1901, 2))], extra=[])
+    @settings(max_examples=300, deadline=None)
+    def test_integer_form_matches_fraction_form(self, customers, extra):
+        # total costs are whole mils or, after CCP pooling, exact fractions
+        res = SimpleNamespace(per_customer={
+            i: SimpleNamespace(poolable=p, baseline_solitary_cost=b, total_cost=c)
+            for i, (p, b, c) in enumerate(customers)
+        })
+        thresholds = BRACKETS + tuple(extra)
+        poolable = [o for o in res.per_customer.values() if o.poolable]
+        expected = {t: None for t in thresholds} if not poolable else {
+            t: Fraction(sum(1 for o in poolable
+                            if o.baseline_solitary_cost - o.total_cost
+                            >= t * o.baseline_solitary_cost), len(poolable)) * 100
+            for t in thresholds
+        }
+        assert savings_brackets(res, thresholds) == expected
 
     def test_empty_population_is_na(self, grid10):
         trips = synthetic_trips(grid10, 40, 1800, seed=5)

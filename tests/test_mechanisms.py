@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ridepool import simengine
 from ridepool.domain import DO, PU, Fleet, InsertionPlan, Request, Stop, VehicleState, apply_assignment
+from ridepool.harness import synthetic_trips
 from ridepool.mechanisms import (
     MAX_WAIT_REASON,
     POOLED,
@@ -15,8 +16,8 @@ from ridepool.mechanisms import (
     UNSERVED,
     CommittedCost,
     Mechanism,
-    _detour_ok,
-    _pooled_candidates_for,
+    _detour_limit,
+    _pooled_candidate,
     assign_ccp,
     assign_pcp,
     assign_sro,
@@ -26,6 +27,8 @@ from ridepool.netgraph import RoadNetwork, make_grid
 from ridepool.pricing import Tariff, solitary_fare, total_cost
 from ridepool.units import UMILE, USEC
 from tests import _scan_oracle
+from tests._fare_oracle import PoolGeometry, ccp_pooled_fare
+from tests._scan_oracle import PARTNER_WAIT_REASON, _pooled_candidates_for
 from tests.conftest import line_network, sec
 
 TARIFF = Tariff.from_usd()
@@ -103,6 +106,18 @@ class TestEnumerateCandidates:
         r = req(2, "B", "D", t=1)
         cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i})
         assert sorted(c.case for c in cands) == [3, 4, 5, 6]
+
+    @pytest.mark.parametrize("slack,cases", [(0, [1, 2]), (-1, [])])
+    def test_vehicle_bound_keeps_pickup_exactly_at_wait_limit(self, line6, slack, cases):
+        i = req(1, "A", "E")
+        v = vehicle_with_rider(line6, 0, "A", i)  # on board; anchor B at 24 s
+        # r can be picked up at C at 48 s at the earliest: 47 s after its request
+        r = Request(2, "C", "D", sec(1), 250, sec(47) + slack, True)
+        cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i})
+        assert [c.case for c in cands] == cases
+        assert all(c.pickup == sec(48) for c in cands)
+        scanned = _scan_oracle.enumerate_candidates([v], r, sec(1), Mechanism.CCP, {1: i})
+        assert [c.case for c in scanned if c.feasible] == cases
 
     def test_nonpoolable_partner_blocks_pooling(self, line6):
         i = req(1, "A", "E", poolable=False)
@@ -288,7 +303,9 @@ def random_world(randint):
         requests[cid] = k
         quote = solitary_fare(tariff, WORLD, k.origin, k.destination)
         cost = quote + randint(0, 40) * 100
-        committed[cid] = CommittedCost(cid, cost, cost, quote)
+        # CCP pooling leaves guarantees and fares on half mils
+        committed[cid] = CommittedCost(cid, cost, Fraction(2 * cost - randint(0, 1), 2),
+                                       Fraction(2 * quote - randint(0, 1), 2))
         if len(v.active) == 1:  # a solo ride starts a new run
             ride = v.active[cid]
             v.fare_waypoints = [k.origin, k.destination]
@@ -309,7 +326,17 @@ def compare_with_scan(world):
     got = enumerate_candidates(fleet, r, now, Mechanism.CCP, net, requests)
     solo = got[0] if got and got[0].case is None else None
     assert solo == _scan_oracle.best([c for c in scanned if c.case is None and c.feasible])
-    assert got[solo is not None:] == [c for c in scanned if c.case is not None]
+    # the offers are the scan's wait-feasible pooled candidates, in order
+    offers = got[solo is not None:]
+    expected = [c for c in scanned if c.case is not None and c.feasible]
+    assert [(o[:3], o.case, o.partner, o.pickup, o.dropoff, o.partner_pickup, o.partner_dropoff)
+            for o in offers] == [
+        (c.sort_key(), c.case, c.partner, c.pickup_times[r.id], c.dropoff_times[r.id],
+         c.pickup_times[c.partner], c.dropoff_times[c.partner])
+        for c in expected
+    ]
+    assert [_pooled_candidate(o, r.id) for o in offers] == expected
+    assert all(c.feasible for c in got)
     decisions = (
         assign_sro(fleet, r, now, net, tariff),
         assign_pcp(fleet, r, now, net, tariff, requests),
@@ -334,9 +361,11 @@ class TestSinglePass:
         # every decision and ties that the vehicle id has to break
         outcomes = set()
         id_breaks_tie = 0
+        reasons = set()
         for seed in range(300):
             scanned, decisions = compare_with_scan(random_world(random.Random(seed).randint))
             outcomes |= {(m, d.kind) for m, d in zip(("SRO", "PCP", "CCP"), decisions)}
+            reasons |= {c.reason for c in scanned if c.case is not None}
             solos = [c for c in scanned if c.case is None and c.feasible]
             if solos:
                 shortest = min(c.added_distance for c in solos)
@@ -346,6 +375,8 @@ class TestSinglePass:
             (m, kind) for m in ("SRO", "PCP", "CCP") for kind in (SOLITARY, POOLED, UNSERVED)
         } - {("SRO", POOLED)}
         assert id_breaks_tie >= 5
+        # the pass drops pooled interleavings on both wait limits
+        assert reasons == {None, MAX_WAIT_REASON, PARTNER_WAIT_REASON}
 
 
 class TestFleetArrays:
@@ -386,6 +417,49 @@ class TestFleetArrays:
         assert pooled > 0
 
 
+def first_pooling_cases(seed, fee_usd):
+    """Run a small CCP simulation and check the new run fare of every pooling
+    event on a run without earlier ones against the six-case formula; return
+    the cases checked."""
+    net = make_grid(5, 5, 0.15, 30)
+    cfg = simengine.SimConfig(
+        mechanism=Mechanism.CCP, tariff=Tariff.from_usd(change_fee=fee_usd), fleet_size=4,
+        mar=Fraction(1), rng_seed=seed, network=net, horizon=900 * USEC,
+    )
+    assign = simengine.assign_ccp
+    cases = []
+
+    def checked_assign(fleet, r, now, net, tariff, requests, committed):
+        d = assign(fleet, r, now, net, tariff, requests, committed)
+        v = fleet.by_id.get(d.vehicle)
+        if d.kind == POOLED and v.run_events == 0:
+            c, k = d.candidate, requests[d.candidate.partner]
+            _, anchor, _ = v.anchor_at(now)
+            geometry = PoolGeometry(c.case, now, v.active[k.id].pickup_time,
+                                    net.node_ids[anchor] if c.case <= 2 else None)
+            assert c.new_run_fare == ccp_pooled_fare(tariff, net, k, r, geometry)
+            cases.append(c.case)
+        return d
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simengine, "assign_ccp", checked_assign)
+        simengine.run_sim(cfg, synthetic_trips(net, 80, 900, seed=seed))
+    return cases
+
+
+class TestPooledRunFare:
+    @given(seed=st.integers(0, 10**6), fee_usd=st.sampled_from([0.0, 0.5, 2.0]))
+    @settings(max_examples=25, deadline=None)
+    def test_first_pooling_event_matches_six_case_formula(self, seed, fee_usd):
+        first_pooling_cases(seed, fee_usd)
+
+    def test_formula_check_covers_every_case(self):
+        cases = set()
+        for seed in range(6):
+            cases.update(first_pooling_cases(seed, 0.0))
+        assert cases == set(range(1, 7))
+
+
 class TestDetourBound:
     @given(
         direct=st.integers(0, 10**10),
@@ -401,4 +475,4 @@ class TestDetourBound:
         factor = Fraction(num, den)
         bound = (1 + factor) * direct
         ride = math.floor(bound) + delta
-        assert _detour_ok(ride, direct, factor) == (ride <= bound)
+        assert (ride * factor.denominator <= _detour_limit(direct, factor)) == (ride <= bound)

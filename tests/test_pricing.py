@@ -7,10 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ridepool.domain import Request
 from ridepool.netgraph import make_grid
 from ridepool.pricing import (
-    InvalidGeometry,
-    PoolGeometry,
     Tariff,
-    ccp_pooled_fare,
     pcp_fare,
     provider_profit,
     quote,
@@ -21,6 +18,7 @@ from ridepool.pricing import (
     variable_charge,
 )
 from ridepool.units import MILS, UMILE, USEC
+from tests._fare_oracle import InvalidGeometry, PoolGeometry, ccp_pooled_fare
 from tests.conftest import line_network, sec
 
 

@@ -13,12 +13,12 @@ from ridepool.pricing import Tariff, solitary_fare
 from ridepool.simengine import (
     ConfigError,
     SimConfig,
-    counterfactual_sro,
     resolve_requests,
     run_sim,
 )
 from ridepool.units import UMILE, USEC
 from ridepool.verify import check_detour_bounds, check_individual_rationality, check_replay
+from tests.conftest import counterfactual_sro
 
 TARIFF = Tariff.from_usd()
 
