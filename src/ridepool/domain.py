@@ -12,7 +12,8 @@ Times are integer microseconds, distances integer micro-miles; see `units`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -84,12 +85,16 @@ class Request:
             poolable=poolable,
         )
 
-    def resolved(self, value_of_time=None, poolable=None) -> "Request":
+    def resolved(self, value_of_time=None, poolable=None, max_wait=None) -> "Request":
+        """This request with missing value of time and poolable flag filled
+        in and, when given, `max_wait` replaced; one copy at most."""
         kwargs = {}
         if self.value_of_time is None:
             kwargs["value_of_time"] = value_of_time
         if self.poolable is None:
             kwargs["poolable"] = poolable
+        if max_wait is not None:
+            kwargs["max_wait"] = max_wait
         return replace(self, **kwargs) if kwargs else self
 
 
@@ -185,9 +190,12 @@ class VehicleState:
         if self.is_idle(now):
             pos = len(self.trace_nodes) - 1
             return pos, self.trace_nodes[pos], now
-        pos = self._pos
-        while self.trace_times[pos] < now:
-            pos += 1
+        return self.busy_anchor(now)
+
+    def busy_anchor(self, now: int) -> tuple[int, int, int]:
+        """`anchor_at` for a vehicle known to be busy at `now`, without
+        pruning: the first trace node reached at or after `now`."""
+        pos = bisect_left(self.trace_times, now, self._pos)
         return pos, self.trace_nodes[pos], self.trace_times[pos]
 
     def driven_umiles(self) -> int:
@@ -195,13 +203,26 @@ class VehicleState:
         return self.trace_cum[-1]
 
 
+NEVER = np.iinfo(np.int64).min  # the time of a dropoff that never happened
+
+
+def _rider_state(v: VehicleState) -> tuple[int, int]:
+    """(second-to-last dropoff time, id of the rider dropped off last) over
+    the vehicle's committed rides; NEVER and -1 stand in for missing rides."""
+    drops = sorted([(ride.dropoff_time, c) for c, ride in v.active.items()])
+    return (drops[-2][0] if len(drops) > 1 else NEVER), (drops[-1][1] if drops else -1)
+
+
 class Fleet:
     """The vehicles plus the per-vehicle arrays the candidate pass reads.
 
     `ids` holds the vehicle ids, `node` the node where each vehicle's trace
     ends and `busy_until` its largest committed dropoff time, so a vehicle is
-    idle at `now` exactly when busy_until <= now.  After construction only
-    `apply_assignment` writes them.
+    idle at `now` exactly when busy_until <= now.  `second_drop` is the
+    second-to-last committed dropoff time and `last_rider` the rider dropped
+    off at busy_until, so a vehicle carries exactly that one rider at `now`
+    when second_drop <= now < busy_until (riders dropped off together are
+    never alone).  After construction only `apply_assignment` writes them.
     """
 
     def __init__(self, vehicles: Iterable[VehicleState]):
@@ -209,13 +230,19 @@ class Fleet:
         self.by_id = {v.id: v for v in self.vehicles}
         self.ids = np.array([v.id for v in self.vehicles], dtype=np.int64)
         self.node = np.array([v.trace_nodes[-1] for v in self.vehicles], dtype=np.intp)
-        never = np.iinfo(np.int64).min
         self.busy_until = np.array(
-            [max((e.time for e in v.schedule if e.op == DO), default=never) for v in self.vehicles],
+            [max((e.time for e in v.schedule if e.op == DO), default=NEVER) for v in self.vehicles],
             dtype=np.int64,
         )
+        riders = [_rider_state(v) for v in self.vehicles]
+        self.second_drop = np.array([s for s, _ in riders], dtype=np.int64)
+        self.last_rider = np.array([c for _, c in riders], dtype=np.int64)
         for slot, v in enumerate(self.vehicles):
             v.fleet, v.slot = self, slot
+
+    def single_rider(self, now: int) -> np.ndarray:
+        """Mask of the vehicles carrying exactly one committed rider at `now`."""
+        return (self.second_drop <= now) & (now < self.busy_until)
 
 
 def plan_stop_times(
@@ -256,10 +283,9 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> VehicleS
     REC entries are untouched.
     """
     net = v.net
-    v.prune(now)
+    pos, anchor_idx, anchor_time = v.anchor_at(now)  # also prunes finished rides
     _validate_plan(v, plan, now)
 
-    pos, anchor_idx, anchor_time = v.anchor_at(now)
     # the untraveled tail is abandoned; everything up to the anchor is driven
     del v.trace_nodes[pos + 1 :]
     del v.trace_times[pos + 1 :]
@@ -276,13 +302,12 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> VehicleS
     for stop in plan.stops:
         j = net.index(stop.location)
         if j != cur:
-            hops = net.path_indices(cur, j)
-            for a, b in zip(hops, hops[1:]):
-                len_umi, dur_us = net.arc_attrs(a, b)
-                t += dur_us
-                v.trace_nodes.append(b)
-                v.trace_times.append(t)
-                v.trace_cum.append(v.trace_cum[-1] + len_umi)
+            nodes, usec, umiles = net.leg(cur, j).tolist()
+            base = v.trace_cum[-1]
+            v.trace_nodes.extend(nodes[1:])
+            v.trace_times.extend([t + x for x in usec[1:]])
+            v.trace_cum.extend([base + x for x in umiles[1:]])
+            t += usec[-1]
             cur = j
         entries.append(ScheduleEntry(stop.location, t, stop.op, stop.customer))
         if stop.op == PU:
@@ -302,6 +327,7 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> VehicleS
     if v.fleet is not None:
         v.fleet.node[v.slot] = v.trace_nodes[-1]
         v.fleet.busy_until[v.slot] = t
+        v.fleet.second_drop[v.slot], v.fleet.last_rider[v.slot] = _rider_state(v)
     return v
 
 

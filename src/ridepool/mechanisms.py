@@ -165,11 +165,12 @@ def _pooled_offers(
 ) -> list[PooledOffer]:
     """Every wait-feasible insertion of `r` into a vehicle serving one poolable `k`.
 
-    A vehicle whose anchor cannot reach r's origin within r's wait limit is
-    skipped: every leg is a shortest path, so no interleaving picks r up
-    sooner.  Legs are scalar reads of the duration and mileage tables; an
-    interleaving that breaks r's wait limit, or the wait limit of a partner
-    still waiting, is dropped.  Cases 1-2 (k on board) and 3-6 (k waiting)
+    The fleet's rider arrays pick the vehicles carrying exactly one rider at
+    `now` in one mask.  A vehicle whose anchor cannot reach r's origin within
+    r's wait limit is skipped: every leg is a shortest path, so no
+    interleaving picks r up sooner.  Legs are scalar reads of the duration
+    and mileage tables; an interleaving that breaks r's wait limit, or the
+    wait limit of a partner still waiting, is dropped.  Cases 1-2 (k on board) and 3-6 (k waiting)
     mirror the six pooled-fare cases.
     """
     dur, _, lex = net.tables()
@@ -185,16 +186,13 @@ def _pooled_offers(
     latest = r.request_time + r.max_wait
     t_od, m_od = leg(o, d)
     out = []
-    for slot in np.flatnonzero(fleet.busy_until > now).tolist():
-        v = fleet.vehicles[slot]
-        v.prune(now)
-        if len(v.active) != 1:
-            continue
-        (kid,) = v.active
+    single = np.flatnonzero(fleet.single_rider(now))
+    for slot, kid in zip(single.tolist(), fleet.last_rider[single].tolist()):
         k = requests[kid]
         if not k.poolable:
             continue
-        pos, a, t_a = v.anchor_at(now)
+        v = fleet.vehicles[slot]
+        pos, a, t_a = v.busy_anchor(now)
         pick = t_a + dur.item(a, o)  # r's earliest pickup
         if pick > latest:
             continue
@@ -394,7 +392,7 @@ def assign_ccp(
             vid = c.vehicle
             v, k = fleet.by_id[vid], requests[c.partner]
             committed_k = committed[k.id]
-            pos, a, t_a = v.anchor_at(now)
+            pos, a, t_a = v.busy_anchor(now)
             # the plan's new mileage (added + tail) is the anchor leg plus
             # the stop legs; the fare itinerary drives the anchor leg only
             # after a kept prefix

@@ -91,7 +91,7 @@ class RoadNetwork:
 
         self._lock = threading.Lock()
         self._tables = None
-        self._path_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._legs: dict[tuple[int, int], np.ndarray] = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -175,23 +175,33 @@ class RoadNetwork:
         """(length_umiles, time_usec) of the direct arc between node indices."""
         return self._arc_map[(i, j)]
 
-    def path_indices(self, i: int, j: int) -> tuple[int, ...]:
-        """Node-index sequence of the canonical path, memoized per pair."""
-        cached = self._path_cache.get((i, j))
-        if cached is not None:
-            return cached
+    def leg(self, i: int, j: int) -> np.ndarray:
+        """The canonical path between node indices as one int64 array, memoized
+        per pair: rows (node, cumulative usec, cumulative umiles), one column
+        per node from i (0, 0) to j."""
+        memo = self._legs.get((i, j))
+        if memo is not None:
+            return memo
         d, nxt, _ = self.tables()
-        if d[i, j] >= INF:
+        if d.item(i, j) >= INF:
             raise Unreachable(self.node_ids[i], self.node_ids[j])
-        seq = [i]
+        nodes, usec, umiles = [i], [0], [0]
         cur = i
         while cur != j:
-            cur = int(nxt[cur, j])
-            seq.append(cur)
-        out = tuple(seq)
+            nxt_node = nxt.item(cur, j)
+            len_umi, dur_us = self._arc_map[(cur, nxt_node)]
+            nodes.append(nxt_node)
+            usec.append(usec[-1] + dur_us)
+            umiles.append(umiles[-1] + len_umi)
+            cur = nxt_node
+        memo = np.array((nodes, usec, umiles), dtype=np.int64)
         with self._lock:
-            self._path_cache[(i, j)] = out
-        return out
+            self._legs[(i, j)] = memo
+        return memo
+
+    def path_indices(self, i: int, j: int) -> tuple[int, ...]:
+        """Node-index sequence of the canonical path."""
+        return tuple(self.leg(i, j)[0].tolist())
 
     def shortest_path(self, origin: str, destination: str) -> PathResult:
         """Time-minimal path from origin to destination.
@@ -200,11 +210,9 @@ class RoadNetwork:
         lexicographically smallest node sequence is returned, and the
         reported distance is measured along that path.
         """
-        i, j = self.index(origin), self.index(destination)
-        dur = self.duration_usec(i, j)
-        dist = self.distance_umiles(i, j)
-        seq = tuple(self.node_ids[k] for k in self.path_indices(i, j))
-        return PathResult(distance=dist / UMILE, duration=dur / USEC, node_sequence=seq)
+        nodes, usec, umiles = self.leg(self.index(origin), self.index(destination)).tolist()
+        seq = tuple(self.node_ids[k] for k in nodes)
+        return PathResult(distance=umiles[-1] / UMILE, duration=usec[-1] / USEC, node_sequence=seq)
 
 
 def make_grid(rows: int, cols: int, edge_length: float, speed: float) -> RoadNetwork:

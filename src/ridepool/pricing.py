@@ -69,15 +69,6 @@ class Tariff:
         )
 
 
-@dataclass(frozen=True)
-class CostQuote:
-    """Frozen per-customer economics: fare, dropoff time and total cost."""
-
-    fare: Money
-    dropoff_time: int  # usec
-    total_cost: Money
-
-
 def variable_charge(t: Tariff, dist_umiles: int) -> int:
     """Distance-dependent fare component, rounded once on the total."""
     return distance_charge_mils(t.per_mile, dist_umiles)
@@ -122,10 +113,6 @@ def total_cost(fare: Money, r: Request, dropoff: int) -> Money:
     if r.value_of_time is None:
         raise ValueError(f"request {r.id} has no value of time yet")
     return fare + time_cost_mils(r.value_of_time, dropoff - r.request_time)
-
-
-def quote(fare: Money, r: Request, dropoff: int) -> CostQuote:
-    return CostQuote(fare=fare, dropoff_time=dropoff, total_cost=total_cost(fare, r, dropoff))
 
 
 def provider_profit(fares_collected: Money, fleet_umiles: int, t: Tariff) -> Money:

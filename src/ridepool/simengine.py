@@ -138,20 +138,14 @@ def _stream(seed: int, label: int) -> np.random.Generator:
 
 
 def resolve_requests(cfg: SimConfig, requests: list[Request]) -> list[Request]:
-    """Fill missing poolable flags and values of time from seeded streams."""
-    u = _stream(cfg.rng_seed, _STREAM_POOLABLE).random(len(requests))
+    """Fill missing poolable flags and values of time from seeded streams and
+    apply the wait override, one copy per request at most."""
+    poolable = _stream(cfg.rng_seed, _STREAM_POOLABLE).random(len(requests)) < float(cfg.mar)
     vot_idx = _stream(cfg.rng_seed, _STREAM_VOT).integers(0, len(cfg.vot_values), len(requests))
-    mar = float(cfg.mar)
-    out = []
-    for i, r in enumerate(requests):
-        r = r.resolved(
-            value_of_time=int(cfg.vot_values[int(vot_idx[i])]),
-            poolable=bool(u[i] < mar),
-        )
-        if cfg.max_wait_override is not None:
-            r = replace(r, max_wait=cfg.max_wait_override)
-        out.append(r)
-    return out
+    return [
+        r.resolved(value_of_time=int(cfg.vot_values[i]), poolable=p, max_wait=cfg.max_wait_override)
+        for r, i, p in zip(requests, vot_idx.tolist(), poolable.tolist())
+    ]
 
 
 def initial_fleet(cfg: SimConfig) -> list[VehicleState]:

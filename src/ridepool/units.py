@@ -106,7 +106,3 @@ def fmt_miles(umiles: int) -> str:
 
 def fmt_seconds(usec: int) -> str:
     return fmt4(usec, USEC)
-
-
-def fmt_pct(ratio: Fraction) -> str:
-    return fmt4(ratio * 100)

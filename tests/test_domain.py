@@ -16,6 +16,7 @@ from ridepool.domain import (
     extract_runs,
     plan_stop_times,
 )
+from ridepool.netgraph import RoadNetwork
 from tests.conftest import line_network, sec
 
 
@@ -78,6 +79,22 @@ class TestApplyAssignment:
             ScheduleEntry("D", sec(72), DO, 5),
         ]
         assert v.anchor_node == "A"
+
+    def test_commit_extends_the_trace_from_the_leg_memo(self, line6, monkeypatch):
+        def arc_by_arc(*args):
+            raise AssertionError("the commit read the network arc by arc")
+
+        monkeypatch.setattr(RoadNetwork, "arc_attrs", arc_by_arc)
+        v = VehicleState(2, "A", line6)
+        apply_assignment(v, solo_plan(7, "C", "F"), sec(0))
+        plan = InsertionPlan(
+            8,
+            (Stop(PU, 7, "C"), Stop(PU, 8, "D"), Stop(DO, 8, "E"), Stop(DO, 7, "F")),
+        )
+        apply_assignment(v, plan, sec(24))  # truncates the tail after B, then extends
+        assert v.trace_nodes == [0, 1, 2, 3, 4, 5]
+        assert v.trace_times == [sec(24 * k) for k in range(6)]
+        assert v.trace_cum == [200_000 * k for k in range(6)]
 
     def test_insertion_recomputes_downstream_times(self, line6):
         v = VehicleState(2, "A", line6)

@@ -7,7 +7,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ridepool import simengine
-from ridepool.domain import DO, PU, Fleet, InsertionPlan, Request, Stop, VehicleState, apply_assignment
+from ridepool.domain import (
+    DO,
+    NEVER,
+    PU,
+    Fleet,
+    InsertionPlan,
+    Request,
+    Stop,
+    VehicleState,
+    apply_assignment,
+)
 from ridepool.harness import synthetic_trips
 from ridepool.mechanisms import (
     MAX_WAIT_REASON,
@@ -18,6 +28,7 @@ from ridepool.mechanisms import (
     Mechanism,
     _detour_limit,
     _pooled_candidate,
+    _pooled_offers,
     assign_ccp,
     assign_pcp,
     assign_sro,
@@ -118,6 +129,19 @@ class TestEnumerateCandidates:
         assert all(c.pickup == sec(48) for c in cands)
         scanned = _scan_oracle.enumerate_candidates([v], r, sec(1), Mechanism.CCP, {1: i})
         assert [c.case for c in scanned if c.feasible] == cases
+
+    def test_pooled_pass_leaves_rides_unpruned(self, line6, monkeypatch):
+        i = req(1, "A", "E")
+        v = vehicle_with_rider(line6, 0, "A", i)
+        fleet = Fleet([v])
+
+        def per_vehicle(*args):
+            raise AssertionError("the pooled pass asked a vehicle for its riders")
+
+        monkeypatch.setattr(VehicleState, "prune", per_vehicle)
+        monkeypatch.setattr(VehicleState, "is_idle", per_vehicle)
+        offers = _pooled_offers(fleet, req(2, "B", "D", t=1), sec(1), line6, {1: i})
+        assert sorted(c.case for c in offers) == [1, 2]
 
     def test_nonpoolable_partner_blocks_pooling(self, line6):
         i = req(1, "A", "E", poolable=False)
@@ -379,11 +403,32 @@ class TestSinglePass:
         assert reasons == {None, MAX_WAIT_REASON, PARTNER_WAIT_REASON}
 
 
+def check_rider_arrays(fleet, now):
+    """Check the single-rider mask, the last-rider array and the busy anchor
+    against `prune` and a linear trace scan at `now`.  Return how many
+    vehicles carry one rider, and how many of them carried two before."""
+    single = fleet.single_rider(now)
+    alone = after_pair = 0
+    for slot, w in enumerate(fleet.vehicles):
+        w.prune(now)
+        assert single[slot] == (len(w.active) == 1)
+        if single[slot]:
+            assert list(w.active) == [fleet.last_rider[slot]]
+            alone += 1
+            after_pair += fleet.second_drop[slot] != NEVER
+        if w.active:
+            pos = w._pos
+            while w.trace_times[pos] < now:
+                pos += 1
+            assert w.busy_anchor(now) == (pos, w.trace_nodes[pos], w.trace_times[pos])
+    return alone, after_pair
+
+
 class TestFleetArrays:
     def test_arrays_track_every_commit_of_run_sim(self, monkeypatch, grid10):
-        never = np.iinfo(np.int64).min
         commit = simengine.apply_assignment
         commits = []
+        seen = np.zeros(2, dtype=int)  # single-rider vehicles, those after a pair
 
         def checked_commit(v, plan, now):
             out = commit(v, plan, now)
@@ -392,12 +437,21 @@ class TestFleetArrays:
                 dropoffs = [e.time for e in w.schedule if e.op == DO]
                 assert fleet.ids[slot] == w.id
                 assert fleet.node[slot] == w.trace_nodes[-1]
-                assert fleet.busy_until[slot] == max(dropoffs, default=never)
+                assert fleet.busy_until[slot] == max(dropoffs, default=NEVER)
                 assert (fleet.busy_until[slot] <= now) == w.is_idle(now)
+            seen[:] += check_rider_arrays(fleet, now)
             commits.append(plan.new_customer)
             return out
 
+        def checked(assign):
+            def at_request_time(fleet, r, now, *args):
+                seen[:] += check_rider_arrays(fleet, now)
+                return assign(fleet, r, now, *args)
+            return at_request_time
+
         monkeypatch.setattr(simengine, "apply_assignment", checked_commit)
+        for name in ("assign_sro", "assign_pcp", "assign_ccp"):
+            monkeypatch.setattr(simengine, name, checked(getattr(simengine, name)))
         rng = np.random.default_rng(5)
         trips = [
             Request.build(i, *(grid10.node_ids[int(x)] for x in rng.choice(100, 2, replace=False)),
@@ -415,6 +469,25 @@ class TestFleetArrays:
             pooled += res.pooled_customers
         assert len(commits) == served > 0
         assert pooled > 0
+        # the checks met single riders, also ones left after a pooled partner
+        assert seen[0] > seen[1] > 0
+
+    def test_riders_dropped_off_together_are_never_alone(self, line6):
+        k = req(1, "A", "E")
+        v = vehicle_with_rider(line6, 0, "A", k)  # k on board, at E at 96 s
+        fleet = Fleet([v])
+        plan = InsertionPlan(2, (Stop(PU, 2, "B"), Stop(DO, 1, "E"), Stop(DO, 2, "E")))
+        apply_assignment(v, plan, sec(1))
+        assert fleet.second_drop[0] == fleet.busy_until[0] == sec(96)
+        rebuilt = Fleet([v])  # derived from the vehicle's rides alone
+        assert rebuilt.second_drop[0] == rebuilt.busy_until[0] == sec(96)
+        requests = {1: k, 2: req(2, "B", "E", t=1)}
+        for now in range(0, sec(120), sec(2)):
+            assert not rebuilt.single_rider(now)[0]
+            assert check_rider_arrays(rebuilt, now) == (0, 0)
+            r = req(3, "C", "D", t=now / USEC)
+            cands = enumerate_candidates(rebuilt, r, now, Mechanism.CCP, line6, requests)
+            assert all(c.case is None for c in cands)
 
 
 def first_pooling_cases(seed, fee_usd):

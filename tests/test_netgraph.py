@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ridepool.netgraph import (
+    INF,
     InvalidParameter,
+    PathResult,
     RoadNetwork,
     Unreachable,
     load_network_csv,
@@ -235,6 +237,37 @@ class TestTables:
     def test_matches_floyd_warshall_on_grid(self):
         net = make_grid(10, 10, 0.2, 28)
         _assert_tables_equal(net.tables(), _fw_oracle.build_tables(net))
+
+    @given(random_networks())
+    @settings(max_examples=200, deadline=None)
+    def test_leg_memo_matches_hop_by_hop_walk(self, net):
+        dur, nxt, lex = _fw_oracle.build_tables(net)
+        ids = net.node_ids
+        for i, j in itertools.product(range(net.n_nodes), repeat=2):
+            if dur[i, j] >= INF:
+                for query in (net.leg, net.path_indices):
+                    with pytest.raises(Unreachable):
+                        query(i, j)
+                with pytest.raises(Unreachable):
+                    net.shortest_path(ids[i], ids[j])
+                continue
+            # the walk the commit path used to take: next hop, then one arc
+            nodes, usec, umiles = [i], [0], [0]
+            while nodes[-1] != j:
+                b = int(nxt[nodes[-1], j])
+                len_umi, dur_us = net.arc_attrs(nodes[-1], b)
+                nodes.append(b)
+                usec.append(usec[-1] + dur_us)
+                umiles.append(umiles[-1] + len_umi)
+            memo = net.leg(i, j)
+            assert memo.dtype == np.int64
+            assert memo.tolist() == [nodes, usec, umiles]
+            assert net.leg(i, j) is memo
+            assert net.path_indices(i, j) == tuple(nodes)
+            assert net.shortest_path(ids[i], ids[j]) == PathResult(
+                distance=int(lex[i, j]) / UMILE, duration=int(dur[i, j]) / USEC,
+                node_sequence=tuple(ids[k] for k in nodes),
+            )
 
 
 class TestNetworkFile:

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -10,14 +11,13 @@ from ridepool.pricing import (
     Tariff,
     pcp_fare,
     provider_profit,
-    quote,
     route_distance_umiles,
     route_fare,
     solitary_fare,
     total_cost,
     variable_charge,
 )
-from ridepool.units import MILS, UMILE, USEC
+from ridepool.units import MILS, UMILE, USEC, Money
 from tests._fare_oracle import InvalidGeometry, PoolGeometry, ccp_pooled_fare
 from tests.conftest import line_network, sec
 
@@ -153,6 +153,19 @@ class TestTotalCost:
         t_lo = total_cost(fare, lo, sec(600)) - fare
         t_hi = total_cost(fare, hi, sec(600)) - fare
         assert t_hi == 3 * t_lo
+
+
+@dataclass(frozen=True)
+class CostQuote:
+    """Frozen per-customer economics: fare, dropoff time and total cost."""
+
+    fare: Money
+    dropoff_time: int  # usec
+    total_cost: Money
+
+
+def quote(fare: Money, r: Request, dropoff: int) -> CostQuote:
+    return CostQuote(fare=fare, dropoff_time=dropoff, total_cost=total_cost(fare, r, dropoff))
 
 
 class TestQuote:

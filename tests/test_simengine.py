@@ -7,7 +7,7 @@ import pytest
 from ridepool.costshare import shapley_split
 from ridepool.domain import Request
 from ridepool.mechanisms import Mechanism
-from ridepool import simengine
+from ridepool import domain, simengine
 from ridepool.netgraph import RoadNetwork, make_grid
 from ridepool.pricing import Tariff, solitary_fare
 from ridepool.simengine import (
@@ -151,6 +151,39 @@ class TestDeterminismAndPairing:
         cfg = config(grid10, Mechanism.SRO, max_wait_override=120 * USEC)
         resolved = resolve_requests(cfg, reqs)
         assert all(r.max_wait == 120 * USEC for r in resolved)
+
+    @pytest.mark.parametrize("override", [None, 120 * USEC])
+    def test_resolution_makes_one_copy_equal_to_two_steps(self, grid10, monkeypatch, override):
+        reqs = grid_requests(grid10, 3, 40)
+        # every other request carries its own value of time and poolable flag
+        reqs = [r if r.id % 2 else replace(r, value_of_time=100 + r.id, poolable=r.id % 4 == 0)
+                for r in reqs]
+        cfg = config(grid10, Mechanism.CCP, seed=3, mar=Fraction(1, 2), max_wait_override=override)
+        u = simengine._stream(3, simengine._STREAM_POOLABLE).random(len(reqs))
+        vot_idx = simengine._stream(3, simengine._STREAM_VOT).integers(0, len(cfg.vot_values),
+                                                                      len(reqs))
+        expected = []
+        for i, r in enumerate(reqs):
+            r = r.resolved(value_of_time=int(cfg.vot_values[int(vot_idx[i])]),
+                           poolable=bool(u[i] < 0.5))
+            if override is not None:
+                r = replace(r, max_wait=override)
+            expected.append(r)
+
+        copies = []
+
+        def counted(obj, **changes):
+            copies.append(obj.id)
+            return replace(obj, **changes)
+
+        monkeypatch.setattr(domain, "replace", counted)
+        monkeypatch.setattr(simengine, "replace", counted)
+        got = resolve_requests(cfg, reqs)
+        assert got == expected
+        assert {(type(r.value_of_time), type(r.poolable)) for r in got} == {(int, bool)}
+        changed = [r.id for r in reqs if override is not None or r.value_of_time is None]
+        assert copies == changed
+        assert all(g is r for g, r in zip(got, reqs) if r.id not in changed)
 
 
 class TestAudits:
