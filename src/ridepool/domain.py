@@ -12,8 +12,10 @@ Times are integer microseconds, distances integer micro-miles; see `units`.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -103,6 +105,9 @@ class ScheduleEntry(NamedTuple):
     time: int  # usec
     op: str
     customer: int
+
+
+_entry_time = attrgetter("time")
 
 
 class Stop(NamedTuple):
@@ -223,12 +228,17 @@ class Fleet:
     off at busy_until, so a vehicle carries exactly that one rider at `now`
     when second_drop <= now < busy_until (riders dropped off together are
     never alone).  After construction only `apply_assignment` writes them.
+    `id_rank` is each vehicle's place in id order, fixed at construction.
+    `detour_limits` maps a detour factor to the detour limits of the riders
+    priced so far, by rider id; the PCP rule fills it once per rider.
     """
 
     def __init__(self, vehicles: Iterable[VehicleState]):
         self.vehicles = list(vehicles)
         self.by_id = {v.id: v for v in self.vehicles}
         self.ids = np.array([v.id for v in self.vehicles], dtype=np.int64)
+        self.id_rank = np.argsort(np.argsort(self.ids))
+        self.detour_limits: dict[Fraction, dict[int, int]] = {}
         self.node = np.array([v.trace_nodes[-1] for v in self.vehicles], dtype=np.intp)
         self.busy_until = np.array(
             [max((e.time for e in v.schedule if e.op == DO), default=NEVER) for v in self.vehicles],
@@ -293,7 +303,9 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> VehicleS
     self_pos = pos
     v._pos = self_pos
 
-    entries = [e for e in v.schedule if e.time <= now]
+    # schedule times never decrease, so the entries up to `now` are a prefix
+    entries = v.schedule
+    del entries[bisect_right(entries, now, key=_entry_time) :]
     anchor_id = net.node_ids[anchor_idx]
     entries.append(ScheduleEntry(anchor_id, now, REC, plan.new_customer))
 
@@ -321,7 +333,6 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> VehicleS
             ride.dropoff_time = t
             ride.dest_idx = net.index(stop.location)
 
-    v.schedule = entries
     v.anchor_node = anchor_id
     v.anchor_time = anchor_time
     if v.fleet is not None:

@@ -118,51 +118,59 @@ def _solitary_candidate(v: VehicleState, r: Request, now: int) -> InsertionCandi
     )
 
 
-class PooledOffer(NamedTuple):
-    """One wait-feasible pooled interleaving, priced from table reads.
+class PooledVehicle(NamedTuple):
+    """The wait-feasible pooled interleavings of a request on one vehicle
+    carrying one poolable rider, priced as plain integers.
 
-    `stops` holds `Stop`s, each the tuple (op, customer, location), so the
-    key `offer[:3]` orders exactly like `InsertionCandidate.sort_key`.
+    Each case row is (case, added umiles, the request's pickup and dropoff,
+    the partner's pickup and dropoff), times in usec; cases 1-2 (partner on
+    board) and 3-6 (partner waiting) mirror the six pooled-fare cases.
     """
 
-    added_distance: int  # umiles
-    vehicle: int
-    stops: tuple[Stop, ...]
-    case: int  # pooled stop-ordering case
-    partner: int
-    pickup: int  # usec, the new request's
-    dropoff: int
-    partner_pickup: int
-    partner_dropoff: int
+    vehicle: VehicleState
+    partner: Request
+    anchor: int  # node index of the vehicle's next reroutable point
+    anchor_time: int
+    tail: int  # umiles of the plan the insertion abandons
+    cases: tuple[tuple[int, int, int, int, int, int], ...]
 
-    feasible = True  # only wait-feasible interleavings become offers
-
-    def stop_times(self) -> list[int]:
-        """Arrival time at each stop, in plan order."""
-        return [
-            (self.partner_pickup if s.op == PU else self.partner_dropoff)
-            if s.customer == self.partner
-            else (self.pickup if s.op == PU else self.dropoff)
-            for s in self.stops
-        ]
+    feasible = True  # only vehicles with a wait-feasible case get a record
 
 
-def _pooled_candidate(c: PooledOffer, r_id: int, **economics) -> InsertionCandidate:
-    """The full candidate record of a winning offer."""
-    pickups, dropoffs = {}, {}
-    for s, t in zip(c.stops, c.stop_times()):
-        (pickups if s.op == PU else dropoffs)[s.customer] = t
-    pickups.setdefault(c.partner, c.partner_pickup)
+def _case_stops(case: int, r: Request, k: Request) -> tuple[Stop, ...]:
+    """The stops of a pooled case: odd cases drop the partner `k` off first,
+    cases 3-4 pick `k` up first."""
+    pu_r, do_r = Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination)
+    do_k = Stop(DO, k.id, k.destination)
+    drops = (do_k, do_r) if case % 2 else (do_r, do_k)
+    if case <= 2:
+        return (pu_r, *drops)
+    pu_k = Stop(PU, k.id, k.origin)
+    return ((pu_k, pu_r) if case <= 4 else (pu_r, pu_k)) + drops
+
+
+def _case_rank(case: int, r: Request, k: Request) -> int:
+    """Orders one vehicle's cases like their `InsertionPlan.key()`: the plans
+    first differ at a stop of `r` against the same stop of `k`, so the cases
+    order by number when k's id is the smaller one and in reverse otherwise."""
+    return case if k.id < r.id else -case
+
+
+def _pooled_candidate(p: PooledVehicle, row: tuple, r: Request, **economics) -> InsertionCandidate:
+    """The full candidate record of a winning case row."""
+    case, added, r_pick, r_drop, k_pick, k_drop = row
+    k = p.partner
     return InsertionCandidate(
-        vehicle=c.vehicle, plan=InsertionPlan(r_id, c.stops), added_distance=c.added_distance,
-        pickup_times=pickups, dropoff_times=dropoffs, feasible=True, case=c.case,
-        partner=c.partner, **economics,
+        vehicle=p.vehicle.id, plan=InsertionPlan(r.id, _case_stops(case, r, k)),
+        added_distance=added, pickup_times={r.id: r_pick, k.id: k_pick},
+        dropoff_times={r.id: r_drop, k.id: k_drop}, feasible=True, case=case, partner=k.id,
+        **economics,
     )
 
 
-def _pooled_offers(
+def _pooled_vehicles(
     fleet: Fleet, r: Request, now: int, net: RoadNetwork, requests: Mapping[int, Request]
-) -> list[PooledOffer]:
+) -> list[PooledVehicle]:
     """Every wait-feasible insertion of `r` into a vehicle serving one poolable `k`.
 
     The fleet's rider arrays pick the vehicles carrying exactly one rider at
@@ -170,8 +178,8 @@ def _pooled_offers(
     r's wait limit is skipped: every leg is a shortest path, so no
     interleaving picks r up sooner.  Legs are scalar reads of the duration
     and mileage tables; an interleaving that breaks r's wait limit, or the
-    wait limit of a partner still waiting, is dropped.  Cases 1-2 (k on board) and 3-6 (k waiting)
-    mirror the six pooled-fare cases.
+    wait limit of a partner still waiting, is dropped.  Each pickup order
+    (`heads`) is followed by both dropoff orders.
     """
     dur, _, lex = net.tables()
 
@@ -182,9 +190,8 @@ def _pooled_offers(
         return t, lex.item(i, j)
 
     o, d = net.index(r.origin), net.index(r.destination)
-    pu_r, do_r = Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination)
     latest = r.request_time + r.max_wait
-    t_od, m_od = leg(o, d)
+    leg(o, d)  # an unreachable destination fails here, before any vehicle
     out = []
     single = np.flatnonzero(fleet.single_rider(now))
     for slot, kid in zip(single.tolist(), fleet.last_rider[single].tolist()):
@@ -199,39 +206,39 @@ def _pooled_offers(
         m_ao = lex.item(a, o)
         tail = v.trace_cum[-1] - v.trace_cum[pos]  # mileage of the abandoned plan
         ok, dk = net.index(k.origin), net.index(k.destination)
-        do_k = Stop(DO, kid, k.destination)
         t_kr, m_kr = leg(dk, d)
         t_rk, m_rk = leg(d, dk)
-        vid = v.id
-
-        def dropoffs(x, t, m, head, case, r_pick, k_pick):
-            """Both dropoff orders after the pickups `head`, from node x reached
-            at time t after m umiles."""
-            t1, m1 = leg(x, dk)
-            out.append(PooledOffer(m + m1 + m_kr - tail, vid, (*head, do_k, do_r), case, kid,
-                                   r_pick, t + t1 + t_kr, k_pick, t + t1))
-            t2, m2 = leg(x, d)
-            out.append(PooledOffer(m + m2 + m_rk - tail, vid, (*head, do_r, do_k), case + 1, kid,
-                                   r_pick, t + t2, k_pick, t + t2 + t_rk))
-
         ride = v.active[kid]
+        # (first case, node after the pickups, time and umiles there, both pickups)
         if ride.pickup_time <= now:
-            dropoffs(o, pick, m_ao, (pu_r,), 1, pick, ride.pickup_time)
-            continue
-        pu_k = Stop(PU, kid, k.origin)
-        k_latest = k.request_time + k.max_wait
-        t_ak, m_ak = leg(a, ok)
-        k_pick = t_a + t_ak
-        if k_pick <= k_latest:
-            t, m = leg(ok, o)
-            r_pick = k_pick + t
-            if r_pick <= latest:
-                dropoffs(o, r_pick, m_ak + m, (pu_k, pu_r), 3, r_pick, k_pick)
-        t, m = leg(o, ok)
-        k_pick = pick + t
-        if k_pick <= k_latest:
-            dropoffs(ok, k_pick, m_ao + m, (pu_r, pu_k), 5, pick, k_pick)
+            heads = [(1, o, pick, m_ao, pick, ride.pickup_time)]
+        else:
+            heads = []
+            k_latest = k.request_time + k.max_wait
+            t_ak, m_ak = leg(a, ok)
+            k_pick = t_a + t_ak
+            if k_pick <= k_latest:
+                t, m = leg(ok, o)
+                r_pick = k_pick + t
+                if r_pick <= latest:
+                    heads.append((3, o, r_pick, m_ak + m, r_pick, k_pick))
+            t, m = leg(o, ok)
+            k_pick = pick + t
+            if k_pick <= k_latest:
+                heads.append((5, ok, k_pick, m_ao + m, pick, k_pick))
+            if not heads:
+                continue
+        rows = []
+        for case, x, t, m, r_pick, k_pick in heads:
+            t1, m1 = leg(x, dk)
+            rows.append((case, m + m1 + m_kr - tail, r_pick, t + t1 + t_kr, k_pick, t + t1))
+            t2, m2 = leg(x, d)
+            rows.append((case + 1, m + m2 + m_rk - tail, r_pick, t + t2, k_pick, t + t2 + t_rk))
+        out.append(PooledVehicle(v, k, a, t_a, tail, tuple(rows)))
     return out
+
+
+_NO_SCORE = np.iinfo(np.int64).max
 
 
 def enumerate_candidates(
@@ -241,39 +248,37 @@ def enumerate_candidates(
     mode: Mechanism,
     net: RoadNetwork,
     requests: Mapping[int, Request],
-) -> list[InsertionCandidate | PooledOffer]:
+) -> list[InsertionCandidate | PooledVehicle]:
     """The one candidate pass for a request, over the fleet's arrays.
 
     First, when there is one, the best feasible solitary candidate: one
-    gather from the duration and mileage tables prices every idle vehicle's
-    pickup and added distance, the wait limit prunes (the request-vehicle
-    pruning of Alonso-Mora et al., PNAS 2017), and only the minimum over
-    (added distance, vehicle id) is built.
-    Then, for a poolable request in a pooling mode, every wait-feasible
-    pooled interleaving as a `PooledOffer` (see `_pooled_offers`), vehicle
-    by vehicle in fleet order and case by case.  Every item is feasible.
+    gather from the duration and mileage tables prices every vehicle's
+    pickup and access mileage, the idle and wait masks prune (the
+    request-vehicle pruning of Alonso-Mora et al., PNAS 2017), one argmin
+    over access * fleet size + id rank picks the minimum over (added
+    distance, vehicle id), and only that candidate is built.
+    Then, for a poolable request in a pooling mode, one `PooledVehicle` per
+    vehicle with a wait-feasible pooled interleaving (see
+    `_pooled_vehicles`), in fleet order.  Every item is feasible.
     """
     dur, _, lex = net.tables()
     o = net.index(r.origin)
-    idle = np.flatnonzero(fleet.busy_until <= now)
-    nodes = fleet.node[idle]
+    nodes = fleet.node
     # an idle vehicle leaves its trace end at `now`; every solitary candidate
     # drives o -> d, so the access leg alone orders them by added distance
-    near = dur[nodes, o] <= r.request_time + r.max_wait - now
+    near = (fleet.busy_until <= now) & (dur[nodes, o] <= r.request_time + r.max_wait - now)
     out = []
     if near.any():
-        slots = idle[near]
-        access = lex[nodes[near], o]
-        tied = slots[access == access.min()]
-        slot = tied[fleet.ids[tied].argmin()]
-        out.append(_solitary_candidate(fleet.vehicles[slot], r, now))
+        # masked-out scores may overflow on unreachable pairs; none is read
+        score = np.where(near, lex[nodes, o] * len(nodes) + fleet.id_rank, _NO_SCORE)
+        out.append(_solitary_candidate(fleet.vehicles[score.argmin()], r, now))
     if mode != Mechanism.SRO and r.poolable:
-        out.extend(_pooled_offers(fleet, r, now, net, requests))
+        out.extend(_pooled_vehicles(fleet, r, now, net, requests))
     return out
 
 
 def _priced_pass(fleet, r, now, mode, net, tariff, requests):
-    """(quote, baseline, best solitary candidate or None, pooled offers).
+    """(quote, baseline, best solitary candidate or None, pooled vehicles).
 
     One candidate pass and the one solitary quote it prices.  The baseline
     is the frozen solitary-counterfactual total cost: the quote plus the
@@ -281,7 +286,7 @@ def _priced_pass(fleet, r, now, mode, net, tariff, requests):
     candidate is feasible, of the hypothetical ride with maximal wait.
     """
     cands = enumerate_candidates(fleet, r, now, mode, net, requests)
-    solo = cands[0] if cands and cands[0].case is None else None
+    solo = cands[0] if cands and isinstance(cands[0], InsertionCandidate) else None
     quote = solitary_fare(tariff, net, r.origin, r.destination)
     if solo is not None:
         span = solo.dropoff_times[r.id] - r.request_time
@@ -325,28 +330,41 @@ def assign_pcp(
 
     A pooled candidate is feasible only if every affected rider's planned
     pickup respects her wait limit and her pickup-to-dropoff span stays
-    within (1 + detour_factor) of her direct ride time.
+    within (1 + detour_factor) of her direct ride time.  Candidates order by
+    (added distance, vehicle id, plan key); a case that cannot beat the best
+    so far skips the detour test.
     """
     quote, baseline, solo, pooled = _priced_pass(fleet, r, now, Mechanism.PCP, net, tariff, requests)
     fare = pcp_fare(tariff, quote) if r.poolable else quote
-    best, best_key = solo, solo.sort_key() if solo is not None else None
-    den = tariff.detour_factor.denominator
-    limits: dict[int, int] = {}
+    # a solitary and a pooled candidate never share a vehicle, so the third
+    # key place only ever orders cases of one vehicle
+    best, best_key = solo, (solo.added_distance, solo.vehicle, 0) if solo is not None else None
+    if pooled:
+        den = tariff.detour_factor.denominator
+        limits = fleet.detour_limits.setdefault(tariff.detour_factor, {})
 
-    def limit(rider):  # each rider's detour limit, computed once
-        if rider.id not in limits:
-            direct = net.duration_usec(net.index(rider.origin), net.index(rider.destination))
-            limits[rider.id] = _detour_limit(direct, tariff.detour_factor)
-        return limits[rider.id]
+        def limit(rider):
+            lim = limits.get(rider.id)
+            if lim is None:
+                direct = net.duration_usec(net.index(rider.origin), net.index(rider.destination))
+                lim = limits[rider.id] = _detour_limit(direct, tariff.detour_factor)
+            return lim
 
-    for c in pooled:
-        key = c[:3]
-        if (
-            (best_key is None or key < best_key)
-            and (c.dropoff - c.pickup) * den <= limit(r)
-            and (c.partner_dropoff - c.partner_pickup) * den <= limit(requests[c.partner])
-        ):
-            best, best_key = c, key
+        lim_r = limit(r)
+        for p in pooled:
+            vid, k, lim_k = p.vehicle.id, p.partner, None
+            for row in p.cases:
+                case, added, r_pick, r_drop, k_pick, k_drop = row
+                if best_key is not None and not (
+                    added <= best_key[0] and (added, vid, _case_rank(case, r, k)) < best_key
+                ):
+                    continue
+                if (r_drop - r_pick) * den > lim_r:
+                    continue
+                if lim_k is None:
+                    lim_k = limit(k)
+                if (k_drop - k_pick) * den <= lim_k:
+                    best, best_key = (p, row), (added, vid, _case_rank(case, r, k))
     if best is None:
         return AssignmentDecision(
             customer=r.id, kind=UNSERVED, baseline=baseline, quote=quote, reason=MAX_WAIT_REASON
@@ -356,7 +374,7 @@ def assign_pcp(
             customer=r.id, kind=SOLITARY, candidate=solo, fare=fare, baseline=baseline, quote=quote
         )
     return AssignmentDecision(
-        customer=r.id, kind=POOLED, candidate=_pooled_candidate(best, r.id), fare=fare,
+        customer=r.id, kind=POOLED, candidate=_pooled_candidate(*best, r), fare=fare,
         baseline=baseline, quote=quote,
     )
 
@@ -385,46 +403,51 @@ def assign_ccp(
         fleet, r, now, Mechanism.CCP, net, tariff, requests
     )
     lex = net.tables()[2]
-    best = None  # (rank, offer, new run fare, its vehicle's terms)
-    vid = None
-    for c in pooled:
-        if c.vehicle != vid:
-            vid = c.vehicle
-            v, k = fleet.by_id[vid], requests[c.partner]
-            committed_k = committed[k.id]
-            pos, a, t_a = v.busy_anchor(now)
-            # the plan's new mileage (added + tail) is the anchor leg plus
-            # the stop legs; the fare itinerary drives the anchor leg only
-            # after a kept prefix
-            tail = v.trace_cum[-1] - v.trace_cum[pos]
-            past = [(w, t) for w, t in zip(v.fare_waypoints, v.fare_wp_times) if t <= now]
-            kept = [w for w, _ in past] + [net.node_ids[a]] if past else []
-            kept_times = [t for _, t in past] + [t_a] if past else []
-            head = route_distance_umiles(net, kept) + tail
-            # the pair's total cost is cap - surplus; cap holds everything
-            # but the new run fare and the two time costs
-            cap = baseline + committed_k.guaranteed - committed_k.fare + v.run_fare
-            terms = (v, k, committed_k, kept, kept_times)
-        lead = head if kept else head - lex.item(a, net.index(c.stops[0].location))
-        new_run_fare = mileage_fare(tariff, c.added_distance + lead, v.run_events + 1)
-        tc_r = time_cost_mils(r.value_of_time, c.dropoff - r.request_time)
-        tc_k = time_cost_mils(k.value_of_time, c.partner_dropoff - k.request_time)
-        total = new_run_fare + tc_r + tc_k
-        if total < cap:
-            rank = (total - cap, c[:3])  # maximal surplus cap - total, then the key
-            if best is None or rank < best[0]:
-                best = (rank, c, new_run_fare, tc_r, tc_k, terms)
+    o = net.index(r.origin)
+    best = None  # (rank, vehicle record, case row, new run fare, tc_r, tc_k, fare terms)
+    for p in pooled:
+        v, k = p.vehicle, p.partner
+        committed_k = committed[k.id]
+        # the plan's new mileage (added + tail) is the anchor leg plus the
+        # stop legs; the fare itinerary drives the anchor leg only after a
+        # kept prefix
+        past = [(w, t) for w, t in zip(v.fare_waypoints, v.fare_wp_times) if t <= now]
+        kept = [w for w, _ in past] + [net.node_ids[p.anchor]] if past else []
+        kept_times = [t for _, t in past] + [p.anchor_time] if past else []
+        head = route_distance_umiles(net, kept) + p.tail
+        # the pair's total cost is cap - surplus; cap holds everything but
+        # the new run fare and the two time costs, in whole or half mils
+        cap = baseline + committed_k.guaranteed - committed_k.fare + v.run_fare
+        cap_num, cap_den = cap.numerator, cap.denominator
+        for row in p.cases:
+            case, added, r_pick, r_drop, k_pick, k_drop = row
+            lead = head
+            if not kept:  # cases 3-4 leave the anchor for k's origin
+                lead -= lex.item(p.anchor, net.index(k.origin) if 3 <= case <= 4 else o)
+            new_run_fare = mileage_fare(tariff, added + lead, v.run_events + 1)
+            tc_r = time_cost_mils(r.value_of_time, r_drop - r.request_time)
+            tc_k = time_cost_mils(k.value_of_time, k_drop - k.request_time)
+            total = new_run_fare + tc_r + tc_k
+            if total * cap_den < cap_num:
+                # maximal surplus cap - total, then the candidate key
+                rank = (total - cap, added, v.id, _case_rank(case, r, k))
+                if best is None or rank < best[0]:
+                    best = (rank, p, row, new_run_fare, tc_r, tc_k, (committed_k, kept, kept_times))
 
     if best is not None:
-        (neg_surplus, _), c, new_run_fare, tc_r, tc_k, (v, k, committed_k, kept, kept_times) = best
+        rank, p, row, new_run_fare, tc_r, tc_k, (committed_k, kept, kept_times) = best
+        v = p.vehicle
         cand = _pooled_candidate(
-            c, r.id,
+            p, row, r,
             pooled_fare=committed_k.fare + (new_run_fare - v.run_fare),
-            surplus=-neg_surplus,
+            surplus=-rank[0],
             new_run_fare=new_run_fare,
-            new_waypoints=tuple(kept + [s.location for s in c.stops]),
-            new_wp_times=tuple(kept_times + c.stop_times()),
         )
+        stops = cand.plan.stops
+        cand.new_waypoints = tuple(kept + [s.location for s in stops])
+        cand.new_wp_times = tuple(kept_times + [
+            (cand.pickup_times if s.op == PU else cand.dropoff_times)[s.customer] for s in stops
+        ])
         half = Fraction(cand.surplus) / 2
         g_r = baseline - half
         g_k = committed_k.guaranteed - half

@@ -64,9 +64,12 @@ class RoadNetwork:
         self.coordinates = dict(coordinates or {})
 
         # each distinct (length, time) input is parsed once; the types are part
-        # of the key because 0.1 and Fraction(0.1) are equal yet parse apart
+        # of the key because 0.1 and Fraction(0.1) are equal yet parse apart.
+        # Arcs that reuse the previous arc's two objects skip the key's hash,
+        # which is slow for Fractions.
         scaled: dict[tuple, tuple[int, int]] = {}
         arc_map: dict[tuple[int, int], tuple[int, int]] = {}
+        last = (None, None, None)
         for frm, to, length_mi, time_s in arcs:
             if frm not in self._index or to not in self._index:
                 raise InvalidParameter(f"arc ({frm!r}, {to!r}) references unknown node")
@@ -75,10 +78,14 @@ class RoadNetwork:
             key = (self._index[frm], self._index[to])
             if key in arc_map:
                 raise InvalidParameter(f"duplicate arc ({frm!r}, {to!r})")
-            memo = (type(length_mi), length_mi, type(time_s), time_s)
-            attrs = scaled.get(memo)
-            if attrs is None:
-                attrs = scaled[memo] = (umiles_from_miles(length_mi), usec_from_seconds(time_s))
+            if length_mi is last[0] and time_s is last[1]:
+                attrs = last[2]
+            else:
+                memo = (type(length_mi), length_mi, type(time_s), time_s)
+                attrs = scaled.get(memo)
+                if attrs is None:
+                    attrs = scaled[memo] = (umiles_from_miles(length_mi), usec_from_seconds(time_s))
+                last = (length_mi, time_s, attrs)
             if attrs[0] <= 0 or attrs[1] <= 0:
                 raise InvalidParameter(f"arc ({frm!r}, {to!r}) needs positive length and time")
             arc_map[key] = attrs
@@ -234,23 +241,21 @@ def make_grid(rows: int, cols: int, edge_length: float, speed: float) -> RoadNet
     if dur_us <= 0:
         raise InvalidParameter("edge travel time rounds to zero")
 
-    def nid(r, c):
-        return f"n{r:03d}x{c:03d}"
-
+    ids = [[f"n{r:03d}x{c:03d}" for c in range(cols)] for r in range(rows)]
     length = Fraction(len_umi, UMILE)
     time_s = Fraction(dur_us, USEC)
-    nodes = [nid(r, c) for r in range(rows) for c in range(cols)]
     arcs = []
     for r in range(rows):
         for c in range(cols):
+            here = ids[r][c]
             if c + 1 < cols:
-                arcs.append((nid(r, c), nid(r, c + 1), length, time_s))
-                arcs.append((nid(r, c + 1), nid(r, c), length, time_s))
+                arcs.append((here, ids[r][c + 1], length, time_s))
+                arcs.append((ids[r][c + 1], here, length, time_s))
             if r + 1 < rows:
-                arcs.append((nid(r, c), nid(r + 1, c), length, time_s))
-                arcs.append((nid(r + 1, c), nid(r, c), length, time_s))
-    coords = {nid(r, c): (float(c), float(r)) for r in range(rows) for c in range(cols)}
-    return RoadNetwork(nodes, arcs, coords)
+                arcs.append((here, ids[r + 1][c], length, time_s))
+                arcs.append((ids[r + 1][c], here, length, time_s))
+    coords = {ids[r][c]: (float(c), float(r)) for r in range(rows) for c in range(cols)}
+    return RoadNetwork([i for row in ids for i in row], arcs, coords)
 
 
 def load_network_csv(path) -> RoadNetwork:

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from ridepool import simengine
 from ridepool.domain import (
     DO,
     PU,
@@ -16,7 +19,10 @@ from ridepool.domain import (
     extract_runs,
     plan_stop_times,
 )
+from ridepool.harness import synthetic_trips
+from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import RoadNetwork
+from ridepool.pricing import Tariff
 from tests.conftest import line_network, sec
 
 
@@ -295,6 +301,35 @@ class TestInvariantsUnderRandomAssignments:
         for a, b in zip(v.trace_nodes, v.trace_nodes[1:]):
             net.arc_attrs(a, b)
         assert v.trace_cum == sorted(v.trace_cum)
+
+
+class TestScheduleCommit:
+    @pytest.mark.parametrize("mech", list(Mechanism))
+    def test_every_commit_keeps_the_past_and_appends_the_plan(self, mech, grid10, monkeypatch):
+        commit = simengine.apply_assignment
+        commits = []
+
+        def checked_commit(v, plan, now):
+            before = list(v.schedule)
+            times, anchor, _, _ = plan_stop_times(v, plan.stops, now)
+            out = commit(v, plan, now)
+            new = [ScheduleEntry(grid10.node_ids[anchor], now, REC, plan.new_customer)] + [
+                ScheduleEntry(s.location, t, s.op, s.customer) for s, t in zip(plan.stops, times)
+            ]
+            assert v.schedule == [e for e in before if e.time <= now] + new
+            assert [e.time for e in v.schedule] == sorted(e.time for e in v.schedule)
+            commits.append(len(before) - sum(e.time <= now for e in before))
+            return out
+
+        monkeypatch.setattr(simengine, "apply_assignment", checked_commit)
+        cfg = simengine.SimConfig(
+            mechanism=mech, tariff=Tariff.from_usd(), fleet_size=8, mar=Fraction(3, 4),
+            rng_seed=3, network=grid10, horizon=sec(1800),
+        )
+        res = simengine.run_sim(cfg, synthetic_trips(grid10, 120, 1800, seed=3))
+        assert len(commits) == res.served > 0
+        # some commits dropped planned entries, not only past ones
+        assert any(dropped > 0 for dropped in commits) == (mech != Mechanism.SRO)
 
 
 class TestRequestValidation:

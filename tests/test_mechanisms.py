@@ -25,10 +25,14 @@ from ridepool.mechanisms import (
     SOLITARY,
     UNSERVED,
     CommittedCost,
+    InsertionCandidate,
     Mechanism,
+    PooledVehicle,
+    _case_rank,
+    _case_stops,
     _detour_limit,
     _pooled_candidate,
-    _pooled_offers,
+    _pooled_vehicles,
     assign_ccp,
     assign_pcp,
     assign_sro,
@@ -50,6 +54,11 @@ def req(i, o, d, t=0, vot_mils_min=250, wait_s=600, poolable=True):
         id=i, origin=o, destination=d, request_time=sec(t),
         value_of_time=vot_mils_min, max_wait=sec(wait_s), poolable=poolable,
     )
+
+
+def pooled_rows(cands):
+    """The case rows of the pooled vehicle records, in pass order."""
+    return [row for c in cands if isinstance(c, PooledVehicle) for row in c.cases]
 
 
 def vehicle_with_rider(net, vid, start, rider, now=0):
@@ -109,14 +118,14 @@ class TestEnumerateCandidates:
         v = vehicle_with_rider(line6, 0, "A", i)  # picked up immediately
         r = req(2, "B", "D", t=1)
         cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i})
-        assert sorted(c.case for c in cands) == [1, 2]
+        assert [row[0] for row in pooled_rows(cands)] == [1, 2]
 
     def test_waiting_partner_gives_four_orderings(self, line6):
         i = req(1, "C", "E")
         v = vehicle_with_rider(line6, 0, "A", i)  # 48s away from pickup
         r = req(2, "B", "D", t=1)
         cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i})
-        assert sorted(c.case for c in cands) == [3, 4, 5, 6]
+        assert [row[0] for row in pooled_rows(cands)] == [3, 4, 5, 6]
 
     @pytest.mark.parametrize("slack,cases", [(0, [1, 2]), (-1, [])])
     def test_vehicle_bound_keeps_pickup_exactly_at_wait_limit(self, line6, slack, cases):
@@ -125,8 +134,9 @@ class TestEnumerateCandidates:
         # r can be picked up at C at 48 s at the earliest: 47 s after its request
         r = Request(2, "C", "D", sec(1), 250, sec(47) + slack, True)
         cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i})
-        assert [c.case for c in cands] == cases
-        assert all(c.pickup == sec(48) for c in cands)
+        rows = pooled_rows(cands)
+        assert [row[0] for row in rows] == cases and len(cands) == len(rows) // 2
+        assert all(row[2] == sec(48) for row in rows)
         scanned = _scan_oracle.enumerate_candidates([v], r, sec(1), Mechanism.CCP, {1: i})
         assert [c.case for c in scanned if c.feasible] == cases
 
@@ -140,8 +150,8 @@ class TestEnumerateCandidates:
 
         monkeypatch.setattr(VehicleState, "prune", per_vehicle)
         monkeypatch.setattr(VehicleState, "is_idle", per_vehicle)
-        offers = _pooled_offers(fleet, req(2, "B", "D", t=1), sec(1), line6, {1: i})
-        assert sorted(c.case for c in offers) == [1, 2]
+        records = _pooled_vehicles(fleet, req(2, "B", "D", t=1), sec(1), line6, {1: i})
+        assert [row[0] for row in pooled_rows(records)] == [1, 2]
 
     def test_nonpoolable_partner_blocks_pooling(self, line6):
         i = req(1, "A", "E", poolable=False)
@@ -348,18 +358,27 @@ def compare_with_scan(world):
     net, vehicles = WORLD, fleet.vehicles
     scanned = _scan_oracle.enumerate_candidates(vehicles, r, now, Mechanism.CCP, requests)
     got = enumerate_candidates(fleet, r, now, Mechanism.CCP, net, requests)
-    solo = got[0] if got and got[0].case is None else None
+    solo = got[0] if got and isinstance(got[0], InsertionCandidate) else None
     assert solo == _scan_oracle.best([c for c in scanned if c.case is None and c.feasible])
-    # the offers are the scan's wait-feasible pooled candidates, in order
-    offers = got[solo is not None:]
+    # one record per vehicle with a wait-feasible interleaving, whose case
+    # rows are the scan's wait-feasible pooled candidates, in order
+    records = got[solo is not None:]
     expected = [c for c in scanned if c.case is not None and c.feasible]
-    assert [(o[:3], o.case, o.partner, o.pickup, o.dropoff, o.partner_pickup, o.partner_dropoff)
-            for o in offers] == [
-        (c.sort_key(), c.case, c.partner, c.pickup_times[r.id], c.dropoff_times[r.id],
-         c.pickup_times[c.partner], c.dropoff_times[c.partner])
+    assert [(p.vehicle.id, p.partner.id) for p in records] == list(
+        dict.fromkeys((c.vehicle, c.partner) for c in expected))
+    rows = [(p, row) for p in records for row in p.cases]
+    assert [(row[0], row[1], p.vehicle.id, p.partner.id, row[2], row[3], row[4], row[5])
+            for p, row in rows] == [
+        (c.case, c.added_distance, c.vehicle, c.partner, c.pickup_times[r.id],
+         c.dropoff_times[r.id], c.pickup_times[c.partner], c.dropoff_times[c.partner])
         for c in expected
     ]
-    assert [_pooled_candidate(o, r.id) for o in offers] == expected
+    assert [_pooled_candidate(p, row, r) for p, row in rows] == expected
+    # the case rank orders one vehicle's cases like their plan keys
+    for p in records:
+        ranked = sorted(p.cases, key=lambda row: _case_rank(row[0], r, p.partner))
+        assert ranked == sorted(p.cases, key=lambda row: InsertionPlan(
+            r.id, _case_stops(row[0], r, p.partner)).key())
     assert all(c.feasible for c in got)
     decisions = (
         assign_sro(fleet, r, now, net, tariff),
@@ -374,6 +393,20 @@ def compare_with_scan(world):
     return scanned, decisions
 
 
+def within_detour(c, tariff, requests):
+    """Whether a scanned candidate is feasible and keeps every rider within
+    the detour bound, in `Fraction` arithmetic."""
+    if not c.feasible:
+        return False
+    for cid, dropoff in c.dropoff_times.items():
+        rider = requests[cid]
+        direct = WORLD.duration_usec(WORLD.index(rider.origin), WORLD.index(rider.destination))
+        bound = (1 + tariff.detour_factor) * direct
+        if c.case is not None and dropoff - c.pickup_times[cid] > bound:
+            return False
+    return True
+
+
 class TestSinglePass:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -386,8 +419,12 @@ class TestSinglePass:
         outcomes = set()
         id_breaks_tie = 0
         reasons = set()
+        pcp_ties = pcp_pooled_ties = 0  # PCP winners tying another detour-feasible candidate
+        ccp_mixed_caps = 0  # CCP requests admissible on vehicles whose caps differ in denominator
         for seed in range(300):
-            scanned, decisions = compare_with_scan(random_world(random.Random(seed).randint))
+            world = random_world(random.Random(seed).randint)
+            fleet, tariff, requests, committed, r, now = world
+            scanned, decisions = compare_with_scan(world)
             outcomes |= {(m, d.kind) for m, d in zip(("SRO", "PCP", "CCP"), decisions)}
             reasons |= {c.reason for c in scanned if c.case is not None}
             solos = [c for c in scanned if c.case is None and c.feasible]
@@ -395,12 +432,73 @@ class TestSinglePass:
                 shortest = min(c.added_distance for c in solos)
                 tied = [c.vehicle for c in solos if c.added_distance == shortest]
                 id_breaks_tie += tied[0] != min(tied)
+            winner = decisions[1].candidate
+            if winner is not None:
+                tie = sum(c.added_distance == winner.added_distance
+                          for c in scanned if within_detour(c, tariff, requests)) > 1
+                pcp_ties += tie
+                pcp_pooled_ties += tie and winner.case is not None
+            baseline, _ = _scan_oracle.solitary_baseline(fleet.vehicles, r, now, WORLD, tariff)
+            cap_denominators = set()
+            for c in scanned:
+                if c.case is None or not c.feasible:
+                    continue
+                v, k = fleet.by_id[c.vehicle], requests[c.partner]
+                if _scan_oracle.pooled_pair_economics(v, c, r, k, now, WORLD, tariff, baseline,
+                                                      committed[k.id]).feasible:
+                    cap = baseline + committed[k.id].guaranteed - committed[k.id].fare + v.run_fare
+                    cap_denominators.add(Fraction(cap).denominator)
+            ccp_mixed_caps += len(cap_denominators) > 1
         assert outcomes == {
             (m, kind) for m in ("SRO", "PCP", "CCP") for kind in (SOLITARY, POOLED, UNSERVED)
         } - {("SRO", POOLED)}
         assert id_breaks_tie >= 5
+        assert pcp_ties >= 30 and pcp_pooled_ties >= 3
+        assert ccp_mixed_caps >= 10
         # the pass drops pooled interleavings on both wait limits
         assert reasons == {None, MAX_WAIT_REASON, PARTNER_WAIT_REASON}
+
+
+class TestDetourLimitsPerRun:
+    def test_two_detour_factors_in_one_process_match_the_scan(self, monkeypatch):
+        net = make_grid(5, 5, 0.15, 30)
+        trips = synthetic_trips(net, 120, 900, seed=4)
+        assign = simengine.assign_pcp
+        checked = []
+
+        def against_scan(fleet, r, now, net, tariff, requests):
+            d = assign(fleet, r, now, net, tariff, requests)
+            assert d == _scan_oracle.assign_pcp(fleet.vehicles, r, now, net, tariff, requests)
+            checked.append(d.kind)
+            return d
+
+        monkeypatch.setattr(simengine, "assign_pcp", against_scan)
+        pooled = []
+        for factor in (Fraction(1, 20), Fraction(1), Fraction(1, 20)):
+            cfg = simengine.SimConfig(
+                mechanism=Mechanism.PCP, tariff=Tariff.from_usd(detour_factor=factor),
+                fleet_size=5, mar=Fraction(1), rng_seed=2, network=net, horizon=900 * USEC,
+            )
+            pooled.append(simengine.run_sim(cfg, trips).pooled_customers)
+        assert len(checked) == 3 * len(trips)
+        # the factor changes decisions, and the first run's limits did not leak
+        assert pooled[0] < pooled[1] and pooled[2] == pooled[0]
+
+    def test_one_fleet_under_two_detour_factors(self):
+        changed = pooled_strict = 0
+        for seed in range(60):
+            fleet, tariff, requests, committed, r, now = random_world(random.Random(seed).randint)
+            decisions = []
+            # a limit kept from factor 1 would reject every pooled case under 0.05
+            for factor in ("1", "0.05", "1"):
+                tariff = Tariff.from_usd(detour_factor=factor)
+                d = assign_pcp(fleet, r, now, WORLD, tariff, requests)
+                assert d == _scan_oracle.assign_pcp(fleet.vehicles, r, now, WORLD, tariff,
+                                                    requests)
+                decisions.append(d)
+            changed += decisions[0] != decisions[1]
+            pooled_strict += decisions[1].kind == POOLED
+        assert changed > 0 and pooled_strict > 0
 
 
 def check_rider_arrays(fleet, now):
@@ -487,7 +585,7 @@ class TestFleetArrays:
             assert check_rider_arrays(rebuilt, now) == (0, 0)
             r = req(3, "C", "D", t=now / USEC)
             cands = enumerate_candidates(rebuilt, r, now, Mechanism.CCP, line6, requests)
-            assert all(c.case is None for c in cands)
+            assert all(isinstance(c, InsertionCandidate) for c in cands)
 
 
 def first_pooling_cases(seed, fee_usd):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ridepool.netgraph import (
     make_grid,
     save_network_csv,
 )
-from ridepool.units import UMILE, USEC
+from ridepool.units import UMILE, USEC, umiles_from_miles, usec_from_seconds
 
 import _fw_oracle
 
@@ -289,3 +290,58 @@ class TestNetworkFile:
     def test_rejects_duplicate_arc(self):
         with pytest.raises(InvalidParameter):
             RoadNetwork(["a", "b"], [("a", "b", 0.1, 10), ("a", "b", 0.2, 20)])
+
+
+def arc_rows(net):
+    """The sorted arc arrays as (from, to, umiles, usec) rows."""
+    return list(zip(net._arc_from.tolist(), net._arc_to.tolist(), net._arc_len.tolist(),
+                    net._arc_dur.tolist()))
+
+
+def parsed_rows(nodes, arcs):
+    """The same rows with every arc's length and time parsed on its own."""
+    index = {n: i for i, n in enumerate(sorted(set(nodes)))}
+    return sorted((index[f], index[t], umiles_from_miles(mi), usec_from_seconds(s))
+                  for f, t, mi, s in arcs)
+
+
+class TestArcParsing:
+    def test_grid_arcs(self):
+        net = make_grid(4, 3, 0.1, 30)
+        ids = [f"n{r:03d}x{c:03d}" for r in range(4) for c in range(3)]
+        assert list(net.node_ids) == ids
+        assert net.coordinates == {f"n{r:03d}x{c:03d}": (float(c), float(r))
+                                   for r in range(4) for c in range(3)}
+        pairs = {(a, b) for a in ids for b in ids
+                 if abs(int(a[1:4]) - int(b[1:4])) + abs(int(a[5:]) - int(b[5:])) == 1}
+        # 0.1 mi at 30 mph takes 12 s
+        assert arc_rows(net) == sorted(
+            (ids.index(a), ids.index(b), UMILE // 10, 12 * USEC) for a, b in pairs)
+
+    def test_csv_arcs(self, tmp_path):
+        path = tmp_path / "net.csv"
+        path.write_text("node,a,0,0\nnode,b,1,0\nnode,c,2,0\n"
+                        "arc,a,b,0.1000005,12\narc,b,a,0.1000005,12\narc,b,c,0.25,30.5\n"
+                        "arc,c,b,2.5e-06,12\n")
+        arcs = [("a", "b", "0.1000005", "12"), ("b", "a", "0.1000005", "12"),
+                ("b", "c", "0.25", "30.5"), ("c", "b", "2.5e-06", "12")]
+        assert arc_rows(load_network_csv(path)) == parsed_rows("abc", arcs)
+
+    def test_float_string_and_fraction_inputs_parse_apart(self):
+        # a float parses from its repr, a Fraction exactly: these differ
+        x = 0.1000005
+        assert umiles_from_miles(x) != umiles_from_miles(Fraction(x))
+        t = 12.0000005
+        shared = (Fraction(x), Fraction(t))
+        # equal values of other types follow each other; some arcs reuse
+        # the previous arc's objects
+        inputs = [(x, t), (Fraction(x), Fraction(t)), (str(x), str(t)), shared, shared,
+                  (x, t), shared, ("12", 12), (12, "12"), (Fraction(12), 12.0)]
+        nodes = [f"v{i}" for i in range(len(inputs) + 1)]
+        arcs = []
+        for i, (mi, s) in enumerate(inputs):
+            arcs.append((nodes[i], nodes[i + 1], mi, s))
+            arcs.append((nodes[i + 1], nodes[i], mi, s))
+        net = RoadNetwork(nodes, arcs)
+        assert arc_rows(net) == parsed_rows(nodes, arcs)
+        assert len({row[2] for row in arc_rows(net)}) > 1

@@ -1,11 +1,17 @@
-"""The benchmark tracer wraps these methods by name: they must keep existing.
+"""The benchmark tracer must keep working on the package.
 
 `ridebench/tracer.py` replaces each (module, class, method) it lists with a
 timing or counting wrapper, and `run.py --trace 1` fails when one is gone.
+Its hooks also read the results of some wrapped functions, so a traced grid
+must run through.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "ridebench" / "tracer.py"
@@ -25,3 +31,45 @@ def test_every_wrapped_method_resolves():
     for modname, cls, meth in listed:
         owner = getattr(importlib.import_module(modname), cls)
         assert callable(getattr(owner, meth)), (modname, cls, meth)
+
+
+TRACED_GRID = """
+import json, sys
+from fractions import Fraction
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+from ridepool import harness, netgraph
+from ridepool.mechanisms import Mechanism
+from ridepool.units import USEC
+
+net = netgraph.make_grid(4, 4, 0.1, 30)
+grid = harness.ScenarioGrid(
+    mechanisms=tuple(Mechanism), max_waits=(240 * USEC,), mars=(Fraction(1),),
+    fleet_sizes=(3,), change_fees=(0,), discount_factors=(Fraction(8, 10),),
+    detour_factors=(Fraction(3, 10),), seeds=(1,), horizon=600 * USEC,
+)
+outcomes = harness.run_grid(grid, harness.synthetic_trips(net, 40, 600, seed=1), net)
+taken = tracer.take()
+print(json.dumps({
+    "enumerate_calls": taken["calls"].get("mechanisms.enumerate_candidates", 0),
+    "candidates": taken["extra"].get("candidates", 0),
+    "pooled": sum(o.result.pooled_customers for o in outcomes),
+}))
+"""
+
+
+def test_traced_grid_runs_every_mechanism():
+    # the tracer's hooks read the results of the functions they wrap, such
+    # as the items of `enumerate_candidates`; a change of shape breaks them
+    import ridepool
+
+    env = {**os.environ, "PYTHONPATH": str(Path(ridepool.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", TRACED_GRID, str(TRACER.parent)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert counts["enumerate_calls"] > 0
+    assert counts["candidates"] > 0 and counts["pooled"] > 0
