@@ -15,14 +15,10 @@ Two schemes are implemented:
   threshold, never lowering an earlier count.  The run-level problem
   decomposes into exact budget checks over selections of the smallest
   solitary costs, so no mathematical-programming solver is involved.
-
-``oracle_split`` re-derives the optimal counts by brute-force enumeration
-and exists purely as an independent cross-check.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,10 +30,6 @@ class InfeasibleRun(Exception):
 
 class InvalidThresholds(Exception):
     """Thresholds must be strictly increasing and inside (0, 1)."""
-
-
-class TooLarge(Exception):
-    """The enumeration oracle only handles runs of up to four customers."""
 
 
 @dataclass(frozen=True)
@@ -163,33 +155,3 @@ def goalprog_split(acct: RunAccount, thresholds: Sequence) -> SplitResult:
     by_customer = {m.customer: s for m, s in zip(order, savings)}
     entries = tuple(_entry(m, by_customer[m.customer]) for m in acct.members)
     return SplitResult(entries=entries, counts=tuple(counts))
-
-
-def oracle_split(acct: RunAccount, thresholds: Sequence) -> tuple[int, ...]:
-    """Brute-force lexicographic optimum over all per-customer saver levels.
-
-    Assigning customer i the deepest threshold she reaches costs
-    ``sigma_level * c_i`` of the run budget; a level vector is feasible iff
-    those requirements fit the budget.  Counts follow by nesting.
-    """
-    if len(acct.members) > 4:
-        raise TooLarge("oracle enumerates runs of at most 4 customers")
-    sigmas = _validate_thresholds(thresholds)
-    budget = _check_feasible(acct)
-
-    best: tuple[int, ...] | None = None
-    levels = range(-1, len(sigmas))
-    for assignment in itertools.product(levels, repeat=len(acct.members)):
-        need = Fraction(0)
-        for lvl, m in zip(assignment, acct.members):
-            if lvl >= 0:
-                need += sigmas[lvl] * m.solitary_cost
-        if need > budget:
-            continue
-        counts = tuple(
-            sum(1 for lvl in assignment if lvl >= k) for k in range(len(sigmas))
-        )
-        if best is None or counts > best:
-            best = counts
-    assert best is not None  # the all -1 assignment is always feasible
-    return best

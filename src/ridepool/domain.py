@@ -13,14 +13,14 @@ Times are integer microseconds, distances integer micro-miles; see `units`.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .netgraph import INF, RoadNetwork, Unreachable
+from .netgraph import RoadNetwork
 from .units import mils_from_usd, usec_from_seconds
 
 REC = "REC"
@@ -120,10 +120,15 @@ class Stop(NamedTuple):
 
 @dataclass(frozen=True)
 class InsertionPlan:
-    """Ordered interleaving of the new customer's PU/DO with the active stops."""
+    """Ordered interleaving of the new customer's PU/DO with the active stops.
+
+    `nodes` holds each stop's node index when the candidate pass resolved
+    them; a plan built without them is resolved by node id at commit.
+    """
 
     new_customer: int
     stops: tuple[Stop, ...]
+    nodes: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def key(self) -> tuple:
         return tuple((s.op, s.customer, s.location) for s in self.stops)
@@ -173,9 +178,13 @@ class VehicleState:
         self.anchor_time: int = 0
         self.fleet: Fleet | None = None  # the fleet whose arrays mirror this vehicle
         self.slot = -1  # this vehicle's index in those arrays
-        # run accounting used by customer-centered pooling
-        self.fare_waypoints: list[int] = []
+        # run accounting used by customer-centered pooling; `set_fare_run`
+        # writes it: the chargeable itinerary's waypoints (node ids and
+        # indices), their times, and its mileage up to each waypoint
+        self.fare_waypoints: list[str] = []
+        self.fare_nodes: list[int] = []
         self.fare_wp_times: list[int] = []
+        self.fare_cum: list[int] = []
         self.run_fare: int = 0
         self.run_events: int = 0
 
@@ -202,6 +211,30 @@ class VehicleState:
         pruning: the first trace node reached at or after `now`."""
         pos = bisect_left(self.trace_times, now, self._pos)
         return pos, self.trace_nodes[pos], self.trace_times[pos]
+
+    def set_fare_run(self, nodes, times, run_fare: int, run_events: int) -> None:
+        """Set the current run's chargeable itinerary from its waypoints'
+        node indices and non-decreasing times, with its fare and number of
+        pooling events, and carry the itinerary's prefix mileages."""
+        net = self.net
+        lex = net.tables()[2]
+        self.fare_nodes = list(nodes)
+        self.fare_waypoints = [net.node_ids[i] for i in self.fare_nodes]
+        self.fare_wp_times = list(times)
+        cum = [0]
+        for a, b in zip(self.fare_nodes, self.fare_nodes[1:]):
+            cum.append(cum[-1] + lex.item(a, b))
+        self.fare_cum = cum
+        self.run_fare, self.run_events = run_fare, run_events
+
+    def fare_prefix(self, now: int, anchor: int) -> tuple[int, int]:
+        """(n, umiles): the itinerary's first n waypoints are passed by `now`,
+        and an itinerary re-planned from the `anchor` node keeps them and
+        drives on to the anchor, `umiles` in all; (0, 0) when none is passed."""
+        n = bisect_right(self.fare_wp_times, now)
+        if not n:
+            return 0, 0
+        return n, self.fare_cum[n - 1] + self.net.tables()[2].item(self.fare_nodes[n - 1], anchor)
 
     def driven_umiles(self) -> int:
         """Mileage of the full trace (history plus still-planned tail)."""
@@ -231,6 +264,8 @@ class Fleet:
     `id_rank` is each vehicle's place in id order, fixed at construction.
     `detour_limits` maps a detour factor to the detour limits of the riders
     priced so far, by rider id; the PCP rule fills it once per rider.
+    `ends` maps a request id to its (origin, destination) node indices while
+    `run_sim` runs: it fills them for its stream and empties them at the end.
     """
 
     def __init__(self, vehicles: Iterable[VehicleState]):
@@ -239,6 +274,7 @@ class Fleet:
         self.ids = np.array([v.id for v in self.vehicles], dtype=np.int64)
         self.id_rank = np.argsort(np.argsort(self.ids))
         self.detour_limits: dict[Fraction, dict[int, int]] = {}
+        self.ends: dict[int, tuple[int, int]] = {}
         self.node = np.array([v.trace_nodes[-1] for v in self.vehicles], dtype=np.intp)
         self.busy_until = np.array(
             [max((e.time for e in v.schedule if e.op == DO), default=NEVER) for v in self.vehicles],
@@ -254,34 +290,11 @@ class Fleet:
         """Mask of the vehicles carrying exactly one committed rider at `now`."""
         return (self.second_drop <= now) & (now < self.busy_until)
 
-
-def plan_stop_times(
-    v: VehicleState, stops: Iterable[Stop], now: int
-) -> tuple[list[int], int, int, int]:
-    """Arrival times for each stop plus (anchor node, anchor time, added mileage).
-
-    Pure preview of what `apply_assignment` would schedule; used for
-    candidate evaluation without mutating the vehicle.
-    """
-    net = v.net
-    dur, _, lex = net.tables()
-    pos, anchor_idx, anchor_time = v.anchor_at(now)
-    times = []
-    cur = anchor_idx
-    t = anchor_time
-    new_dist = 0
-    for stop in stops:
-        j = net.index(stop.location)
-        if j != cur:
-            leg = dur.item(cur, j)
-            if leg >= INF:
-                raise Unreachable(net.node_ids[cur], net.node_ids[j])
-            t += leg
-            new_dist += lex.item(cur, j)
-            cur = j
-        times.append(t)
-    old_tail = v.trace_cum[-1] - v.trace_cum[pos]
-    return times, anchor_idx, anchor_time, new_dist - old_tail
+    def endpoints(self, r: Request, net: RoadNetwork) -> tuple[int, int]:
+        """r's (origin, destination) node indices: read from `ends`, or
+        looked up for a request outside the run."""
+        ends = self.ends.get(r.id)
+        return ends if ends is not None else (net.index(r.origin), net.index(r.destination))
 
 
 def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> VehicleState:
@@ -311,8 +324,8 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> VehicleS
 
     cur = anchor_idx
     t = anchor_time
-    for stop in plan.stops:
-        j = net.index(stop.location)
+    stop_nodes = plan.nodes or [net.index(s.location) for s in plan.stops]
+    for stop, j in zip(plan.stops, stop_nodes):
         if j != cur:
             nodes, usec, umiles = net.leg(cur, j).tolist()
             base = v.trace_cum[-1]
@@ -325,13 +338,13 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> VehicleS
         if stop.op == PU:
             ride = v.active.get(stop.customer)
             if ride is None:
-                v.active[stop.customer] = ActiveRide(t, t, net.index(stop.location), -1)
+                v.active[stop.customer] = ActiveRide(t, t, j, -1)
             else:
                 ride.pickup_time = t
         else:
             ride = v.active[stop.customer]
             ride.dropoff_time = t
-            ride.dest_idx = net.index(stop.location)
+            ride.dest_idx = j
 
     v.anchor_node = anchor_id
     v.anchor_time = anchor_time

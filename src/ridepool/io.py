@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .domain import Request
 from .simengine import SimResult
-from .units import MILS, fmt4, fmt_miles, fmt_seconds, fmt_usd
+from .units import fmt4, fmt_miles, fmt_seconds, fmt_usd, mils_from_usd, usec_from_seconds
 
 TRIP_COLUMNS = (
     "request_time_s",
@@ -24,47 +24,48 @@ TRIP_COLUMNS = (
 )
 
 
+POOLABLE_FLAGS = {"": None, "0": False, "false": False, "1": True, "true": True}
+
+
 def load_trips_csv(path) -> list[Request]:
-    """Read a trip file; empty value-of-time or poolable fields stay unset."""
+    """Read a trip file; empty value-of-time or poolable fields stay unset.
+
+    A short row, an unparsable number, or a poolable flag other than empty,
+    0, 1, true or false (in any case) raises a ValueError naming the line
+    and the column.
+    """
     out = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(TRIP_COLUMNS) - set(reader.fieldnames or ())
         if missing:
             raise ValueError(f"trip file lacks columns: {sorted(missing)}")
+
+        def field(row, col, parse=str):
+            text = row[col]
+            if text is not None:
+                try:
+                    return parse(text.strip())
+                except (ArithmeticError, KeyError, ValueError):
+                    pass
+            why = "the row is short" if text is None else f"cannot read {text!r}"
+            raise ValueError(f"trip file line {reader.line_num}, column {col!r}: {why}")
+
         for i, row in enumerate(reader):
-            vot = row["value_of_time_usd_per_min"].strip()
-            poolable = row["poolable"].strip()
             out.append(
-                Request.build(
+                Request(
                     id=i,
-                    origin=row["origin_node"].strip(),
-                    destination=row["dest_node"].strip(),
-                    request_time_s=row["request_time_s"].strip(),
-                    max_wait_s=row["max_wait_s"].strip(),
-                    value_of_time_usd_per_min=vot or None,
-                    poolable=None if poolable == "" else poolable not in ("0", "false", "False"),
+                    origin=field(row, "origin_node"),
+                    destination=field(row, "dest_node"),
+                    request_time=field(row, "request_time_s", usec_from_seconds),
+                    value_of_time=field(row, "value_of_time_usd_per_min",
+                                        lambda text: mils_from_usd(text) if text else None),
+                    max_wait=field(row, "max_wait_s", usec_from_seconds),
+                    poolable=field(row, "poolable", lambda text: POOLABLE_FLAGS[text.lower()]),
                 )
             )
     out.sort(key=lambda r: (r.request_time, r.id))
     return out
-
-
-def save_trips_csv(requests, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIP_COLUMNS)
-        for r in requests:
-            writer.writerow(
-                [
-                    fmt_seconds(r.request_time),
-                    r.origin,
-                    r.destination,
-                    "" if r.value_of_time is None else fmt4(r.value_of_time, MILS),
-                    fmt_seconds(r.max_wait),
-                    "" if r.poolable is None else int(r.poolable),
-                ]
-            )
 
 
 DECISION_COLUMNS = (

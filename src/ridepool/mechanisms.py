@@ -19,16 +19,16 @@ plan layout break ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .domain import DO, PU, Fleet, InsertionPlan, Request, Stop, VehicleState, plan_stop_times
+from .domain import DO, PU, Fleet, InsertionPlan, Request, Stop, VehicleState
 from .netgraph import INF, RoadNetwork, Unreachable
-from .pricing import Tariff, mileage_fare, pcp_fare, route_distance_umiles, solitary_fare
+from .pricing import Tariff, mileage_fare, pcp_fare
 from .units import Money, time_cost_mils
 
 MAX_WAIT_REASON = "MaxWaitExceeded"
@@ -40,14 +40,25 @@ class Mechanism(str, Enum):
     CCP = "CCP"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommittedCost:
-    """A customer's frozen baseline and her currently guaranteed economics."""
+    """A customer's frozen baseline and her currently guaranteed economics.
+
+    `spare_num / spare_den` is guaranteed - fare in lowest terms, the part
+    of her guarantee that the coalition test adds to a pair's cost cap.
+    """
 
     customer: int
     baseline: int  # mils, solitary-counterfactual total cost, frozen
     guaranteed: Money  # current guaranteed total cost
     fare: Money  # current fare share
+    spare_num: int = field(init=False, repr=False, compare=False)
+    spare_den: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        spare = self.guaranteed - self.fare
+        object.__setattr__(self, "spare_num", spare.numerator)
+        object.__setattr__(self, "spare_den", spare.denominator)
 
 
 @dataclass
@@ -66,6 +77,7 @@ class InsertionCandidate:
     new_run_fare: int | None = None
     new_waypoints: tuple[str, ...] | None = None
     new_wp_times: tuple[int, ...] | None = None
+    new_wp_nodes: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def sort_key(self):
         return (self.added_distance, self.vehicle, self.plan.key())
@@ -101,22 +113,6 @@ POOLED = "pooled"
 # ---------------------------------------------------------------------------
 # candidate generation
 # ---------------------------------------------------------------------------
-
-def _solitary_candidate(v: VehicleState, r: Request, now: int) -> InsertionCandidate:
-    stops = (Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination))
-    times, _, _, added = plan_stop_times(v, stops, now)
-    pickup, dropoff = times
-    ok = pickup - r.request_time <= r.max_wait
-    return InsertionCandidate(
-        vehicle=v.id,
-        plan=InsertionPlan(r.id, stops),
-        added_distance=added,
-        pickup_times={r.id: pickup},
-        dropoff_times={r.id: dropoff},
-        feasible=ok,
-        reason=None if ok else MAX_WAIT_REASON,
-    )
-
 
 class PooledVehicle(NamedTuple):
     """The wait-feasible pooled interleavings of a request on one vehicle
@@ -159,13 +155,22 @@ def _case_rank(case: int, r: Request, k: Request) -> int:
 def _pooled_candidate(p: PooledVehicle, row: tuple, r: Request, **economics) -> InsertionCandidate:
     """The full candidate record of a winning case row."""
     case, added, r_pick, r_drop, k_pick, k_drop = row
-    k = p.partner
+    v, k = p.vehicle, p.partner
+    stops = _case_stops(case, r, k)
+    ride = v.active[k.id]
+    o, d = v.fleet.endpoints(r, v.net)
+    at = {r.origin: o, r.destination: d, k.origin: ride.origin_idx, k.destination: ride.dest_idx}
     return InsertionCandidate(
-        vehicle=p.vehicle.id, plan=InsertionPlan(r.id, _case_stops(case, r, k)),
+        vehicle=v.id, plan=InsertionPlan(r.id, stops, tuple(at[s.location] for s in stops)),
         added_distance=added, pickup_times={r.id: r_pick, k.id: k_pick},
         dropoff_times={r.id: r_drop, k.id: k_drop}, feasible=True, case=case, partner=k.id,
         **economics,
     )
+
+
+def _unreachable(net: RoadNetwork, i: int, j: int) -> Unreachable:
+    """The error for a pair of node indices with no path between them."""
+    return Unreachable(net.node_ids[i], net.node_ids[j])
 
 
 def _pooled_vehicles(
@@ -177,21 +182,17 @@ def _pooled_vehicles(
     `now` in one mask.  A vehicle whose anchor cannot reach r's origin within
     r's wait limit is skipped: every leg is a shortest path, so no
     interleaving picks r up sooner.  Legs are scalar reads of the duration
-    and mileage tables; an interleaving that breaks r's wait limit, or the
-    wait limit of a partner still waiting, is dropped.  Each pickup order
-    (`heads`) is followed by both dropoff orders.
+    and mileage tables, each duration read tested for reachability; an
+    interleaving that breaks r's wait limit, or the wait limit of a partner
+    still waiting, is dropped.  Each pickup order (`heads`) is followed by
+    both dropoff orders.
     """
     dur, _, lex = net.tables()
-
-    def leg(i, j):
-        t = dur.item(i, j)
-        if t >= INF:
-            raise Unreachable(net.node_ids[i], net.node_ids[j])
-        return t, lex.item(i, j)
-
-    o, d = net.index(r.origin), net.index(r.destination)
+    t_at, m_at = dur.item, lex.item
+    o, d = fleet.endpoints(r, net)
     latest = r.request_time + r.max_wait
-    leg(o, d)  # an unreachable destination fails here, before any vehicle
+    if t_at(o, d) >= INF:  # an unreachable destination fails here, before any vehicle
+        raise _unreachable(net, o, d)
     out = []
     single = np.flatnonzero(fleet.single_rider(now))
     for slot, kid in zip(single.tolist(), fleet.last_rider[single].tolist()):
@@ -200,40 +201,57 @@ def _pooled_vehicles(
             continue
         v = fleet.vehicles[slot]
         pos, a, t_a = v.busy_anchor(now)
-        pick = t_a + dur.item(a, o)  # r's earliest pickup
+        pick = t_a + t_at(a, o)  # r's earliest pickup
         if pick > latest:
             continue
-        m_ao = lex.item(a, o)
+        m_ao = m_at(a, o)
         tail = v.trace_cum[-1] - v.trace_cum[pos]  # mileage of the abandoned plan
-        ok, dk = net.index(k.origin), net.index(k.destination)
-        t_kr, m_kr = leg(dk, d)
-        t_rk, m_rk = leg(d, dk)
         ride = v.active[kid]
+        ok, dk = ride.origin_idx, ride.dest_idx
+        t_kr = t_at(dk, d)
+        if t_kr >= INF:
+            raise _unreachable(net, dk, d)
+        t_rk = t_at(d, dk)
+        if t_rk >= INF:
+            raise _unreachable(net, d, dk)
+        m_kr, m_rk = m_at(dk, d), m_at(d, dk)
         # (first case, node after the pickups, time and umiles there, both pickups)
         if ride.pickup_time <= now:
             heads = [(1, o, pick, m_ao, pick, ride.pickup_time)]
         else:
             heads = []
             k_latest = k.request_time + k.max_wait
-            t_ak, m_ak = leg(a, ok)
-            k_pick = t_a + t_ak
+            t = t_at(a, ok)
+            if t >= INF:
+                raise _unreachable(net, a, ok)
+            k_pick = t_a + t
             if k_pick <= k_latest:
-                t, m = leg(ok, o)
+                t = t_at(ok, o)
+                if t >= INF:
+                    raise _unreachable(net, ok, o)
                 r_pick = k_pick + t
                 if r_pick <= latest:
-                    heads.append((3, o, r_pick, m_ak + m, r_pick, k_pick))
-            t, m = leg(o, ok)
+                    heads.append((3, o, r_pick, m_at(a, ok) + m_at(ok, o), r_pick, k_pick))
+            t = t_at(o, ok)
+            if t >= INF:
+                raise _unreachable(net, o, ok)
             k_pick = pick + t
             if k_pick <= k_latest:
-                heads.append((5, ok, k_pick, m_ao + m, pick, k_pick))
+                heads.append((5, ok, k_pick, m_ao + m_at(o, ok), pick, k_pick))
             if not heads:
                 continue
         rows = []
         for case, x, t, m, r_pick, k_pick in heads:
-            t1, m1 = leg(x, dk)
-            rows.append((case, m + m1 + m_kr - tail, r_pick, t + t1 + t_kr, k_pick, t + t1))
-            t2, m2 = leg(x, d)
-            rows.append((case + 1, m + m2 + m_rk - tail, r_pick, t + t2, k_pick, t + t2 + t_rk))
+            t1 = t_at(x, dk)
+            if t1 >= INF:
+                raise _unreachable(net, x, dk)
+            rows.append((case, m + m_at(x, dk) + m_kr - tail, r_pick, t + t1 + t_kr, k_pick,
+                         t + t1))
+            t2 = t_at(x, d)
+            if t2 >= INF:
+                raise _unreachable(net, x, d)
+            rows.append((case + 1, m + m_at(x, d) + m_rk - tail, r_pick, t + t2, k_pick,
+                         t + t2 + t_rk))
         out.append(PooledVehicle(v, k, a, t_a, tail, tuple(rows)))
     return out
 
@@ -256,22 +274,35 @@ def enumerate_candidates(
     pickup and access mileage, the idle and wait masks prune (the
     request-vehicle pruning of Alonso-Mora et al., PNAS 2017), one argmin
     over access * fleet size + id rank picks the minimum over (added
-    distance, vehicle id), and only that candidate is built.
+    distance, vehicle id), and only that candidate is built, from the same
+    reads: an idle vehicle leaves its trace end at `now` and abandons no
+    planned mileage.
     Then, for a poolable request in a pooling mode, one `PooledVehicle` per
     vehicle with a wait-feasible pooled interleaving (see
     `_pooled_vehicles`), in fleet order.  Every item is feasible.
     """
     dur, _, lex = net.tables()
-    o = net.index(r.origin)
+    o, d = fleet.endpoints(r, net)
     nodes = fleet.node
-    # an idle vehicle leaves its trace end at `now`; every solitary candidate
-    # drives o -> d, so the access leg alone orders them by added distance
-    near = (fleet.busy_until <= now) & (dur[nodes, o] <= r.request_time + r.max_wait - now)
+    # every solitary candidate drives o -> d, so the access leg alone orders
+    # them by added distance
+    t_access = dur[nodes, o]
+    near = (fleet.busy_until <= now) & (t_access <= r.request_time + r.max_wait - now)
     out = []
     if near.any():
         # masked-out scores may overflow on unreachable pairs; none is read
-        score = np.where(near, lex[nodes, o] * len(nodes) + fleet.id_rank, _NO_SCORE)
-        out.append(_solitary_candidate(fleet.vehicles[score.argmin()], r, now))
+        m_access = lex[nodes, o]
+        i = np.where(near, m_access * len(nodes) + fleet.id_rank, _NO_SCORE).argmin()
+        t_od = dur.item(o, d)
+        if t_od >= INF:
+            raise _unreachable(net, o, d)
+        pickup = now + t_access.item(i)
+        stops = (Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination))
+        out.append(InsertionCandidate(
+            vehicle=fleet.vehicles[i].id, plan=InsertionPlan(r.id, stops, (o, d)),
+            added_distance=m_access.item(i) + lex.item(o, d), pickup_times={r.id: pickup},
+            dropoff_times={r.id: pickup + t_od}, feasible=True,
+        ))
     if mode != Mechanism.SRO and r.poolable:
         out.extend(_pooled_vehicles(fleet, r, now, net, requests))
     return out
@@ -287,11 +318,12 @@ def _priced_pass(fleet, r, now, mode, net, tariff, requests):
     """
     cands = enumerate_candidates(fleet, r, now, mode, net, requests)
     solo = cands[0] if cands and isinstance(cands[0], InsertionCandidate) else None
-    quote = solitary_fare(tariff, net, r.origin, r.destination)
+    o, d = fleet.endpoints(r, net)
+    quote = mileage_fare(tariff, net.distance_umiles(o, d), 0)  # the solitary fare
     if solo is not None:
         span = solo.dropoff_times[r.id] - r.request_time
     else:
-        span = r.max_wait + net.duration_usec(net.index(r.origin), net.index(r.destination))
+        span = r.max_wait + net.duration_usec(o, d)
     return quote, quote + time_cost_mils(r.value_of_time, span), solo, cands[solo is not None :]
 
 
@@ -346,7 +378,7 @@ def assign_pcp(
         def limit(rider):
             lim = limits.get(rider.id)
             if lim is None:
-                direct = net.duration_usec(net.index(rider.origin), net.index(rider.destination))
+                direct = net.duration_usec(*fleet.endpoints(rider, net))
                 lim = limits[rider.id] = _detour_limit(direct, tariff.detour_factor)
             return lim
 
@@ -379,6 +411,14 @@ def assign_pcp(
     )
 
 
+def _coalition_cap(baseline: int, ck: CommittedCost, v: VehicleState) -> tuple[int, int]:
+    """The cost cap of pooling a request whose baseline is `baseline` with
+    the rider `ck` on `v`: baseline + her guarantee - her fare + the run
+    fare, as (numerator, denominator) in integers.  An offer is admissible
+    when its total times the denominator is below the numerator."""
+    return (baseline + v.run_fare) * ck.spare_den + ck.spare_num, ck.spare_den
+
+
 def assign_ccp(
     fleet,
     r: Request,
@@ -403,54 +443,55 @@ def assign_ccp(
         fleet, r, now, Mechanism.CCP, net, tariff, requests
     )
     lex = net.tables()[2]
-    o = net.index(r.origin)
-    best = None  # (rank, vehicle record, case row, new run fare, tc_r, tc_k, fare terms)
+    o, _ = fleet.endpoints(r, net)
+    best = None  # (rank, vehicle record, case row, new run fare, tc_r, tc_k, partner, kept)
     for p in pooled:
         v, k = p.vehicle, p.partner
-        committed_k = committed[k.id]
+        ck = committed[k.id]
         # the plan's new mileage (added + tail) is the anchor leg plus the
-        # stop legs; the fare itinerary drives the anchor leg only after a
-        # kept prefix
-        past = [(w, t) for w, t in zip(v.fare_waypoints, v.fare_wp_times) if t <= now]
-        kept = [w for w, _ in past] + [net.node_ids[p.anchor]] if past else []
-        kept_times = [t for _, t in past] + [p.anchor_time] if past else []
-        head = route_distance_umiles(net, kept) + p.tail
+        # stop legs; the fare itinerary drives the anchor leg only after the
+        # kept waypoints, the n passed by now
+        n, head = v.fare_prefix(now, p.anchor)
+        head += p.tail
         # the pair's total cost is cap - surplus; cap holds everything but
-        # the new run fare and the two time costs, in whole or half mils
-        cap = baseline + committed_k.guaranteed - committed_k.fare + v.run_fare
-        cap_num, cap_den = cap.numerator, cap.denominator
+        # the new run fare and the two time costs
+        cap_num, cap_den = _coalition_cap(baseline, ck, v)
         for row in p.cases:
             case, added, r_pick, r_drop, k_pick, k_drop = row
             lead = head
-            if not kept:  # cases 3-4 leave the anchor for k's origin
-                lead -= lex.item(p.anchor, net.index(k.origin) if 3 <= case <= 4 else o)
+            if not n:  # cases 3-4 leave the anchor for k's origin
+                lead -= lex.item(p.anchor, v.active[k.id].origin_idx if 3 <= case <= 4 else o)
             new_run_fare = mileage_fare(tariff, added + lead, v.run_events + 1)
             tc_r = time_cost_mils(r.value_of_time, r_drop - r.request_time)
             tc_k = time_cost_mils(k.value_of_time, k_drop - k.request_time)
             total = new_run_fare + tc_r + tc_k
             if total * cap_den < cap_num:
                 # maximal surplus cap - total, then the candidate key
-                rank = (total - cap, added, v.id, _case_rank(case, r, k))
+                rank = (Fraction(total * cap_den - cap_num, cap_den), added, v.id,
+                        _case_rank(case, r, k))
                 if best is None or rank < best[0]:
-                    best = (rank, p, row, new_run_fare, tc_r, tc_k, (committed_k, kept, kept_times))
+                    best = (rank, p, row, new_run_fare, tc_r, tc_k, ck, n)
 
     if best is not None:
-        rank, p, row, new_run_fare, tc_r, tc_k, (committed_k, kept, kept_times) = best
+        rank, p, row, new_run_fare, tc_r, tc_k, ck, n = best
         v = p.vehicle
         cand = _pooled_candidate(
             p, row, r,
-            pooled_fare=committed_k.fare + (new_run_fare - v.run_fare),
+            pooled_fare=ck.fare + (new_run_fare - v.run_fare),
             surplus=-rank[0],
             new_run_fare=new_run_fare,
         )
         stops = cand.plan.stops
-        cand.new_waypoints = tuple(kept + [s.location for s in stops])
-        cand.new_wp_times = tuple(kept_times + [
+        kept = (*v.fare_nodes[:n], p.anchor) if n else ()
+        kept_times = (*v.fare_wp_times[:n], p.anchor_time) if n else ()
+        cand.new_wp_nodes = kept + cand.plan.nodes
+        cand.new_waypoints = tuple(net.node_ids[i] for i in cand.new_wp_nodes)
+        cand.new_wp_times = kept_times + tuple(
             (cand.pickup_times if s.op == PU else cand.dropoff_times)[s.customer] for s in stops
-        ])
+        )
         half = Fraction(cand.surplus) / 2
         g_r = baseline - half
-        g_k = committed_k.guaranteed - half
+        g_k = ck.guaranteed - half
         return AssignmentDecision(
             customer=r.id, kind=POOLED, candidate=cand, fare=g_r - tc_r, baseline=baseline,
             guaranteed=g_r, partner_fare=g_k - tc_k, partner_guaranteed=g_k, quote=quote,

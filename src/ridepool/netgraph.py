@@ -281,13 +281,3 @@ def load_network_csv(path) -> RoadNetwork:
             else:
                 raise InvalidParameter(f"line {lineno}: unknown row kind {row[0]!r}")
     return RoadNetwork(nodes, arcs, coords)
-
-
-def save_network_csv(net: RoadNetwork, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for nid in net.node_ids:
-            x, y = net.coordinates.get(nid, (0.0, 0.0))
-            writer.writerow(["node", nid, x, y])
-        for frm, to, len_umi, dur_us in net.arcs():
-            writer.writerow(["arc", frm, to, len_umi / UMILE, dur_us / USEC])

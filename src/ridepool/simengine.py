@@ -160,7 +160,9 @@ def initial_fleet(cfg: SimConfig) -> list[VehicleState]:
     return [VehicleState(i, node, net) for i, node in enumerate(nodes)]
 
 
-def _validate(cfg: SimConfig, requests: list[Request], fleet) -> None:
+def _validate(cfg: SimConfig, requests: list[Request], fleet) -> dict[int, tuple[int, int]]:
+    """Check the stream and its nodes; return each request's (origin,
+    destination) node indices by request id."""
     net = cfg.network
     times = [r.request_time for r in requests]
     if times != sorted(times):
@@ -169,17 +171,20 @@ def _validate(cfg: SimConfig, requests: list[Request], fleet) -> None:
     if len(set(ids)) != len(ids):
         raise ConfigError("request ids must be unique")
     used = {v.trace_nodes[0] for v in fleet}
+    ends = {}
     for r in requests:
         if not (net.has_node(r.origin) and net.has_node(r.destination)):
             raise ConfigError(f"request {r.id} references nodes off the network")
-        used.add(net.index(r.origin))
-        used.add(net.index(r.destination))
+        o, d = ends[r.id] = net.index(r.origin), net.index(r.destination)
+        used.add(o)
+        used.add(d)
     cut = net.first_unreachable(sorted(used))
     if cut is not None:
         i, j = cut
         raise ConfigError(
             f"nodes {net.node_ids[i]!r} and {net.node_ids[j]!r} are not mutually reachable"
         )
+    return ends
 
 
 def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
@@ -187,7 +192,7 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     net = cfg.network
     fleet = Fleet(initial_fleet(cfg))
     stream = [r for r in resolve_requests(cfg, requests) if r.request_time <= cfg.horizon]
-    _validate(cfg, stream, fleet.vehicles)
+    fleet.ends = _validate(cfg, stream, fleet.vehicles)
 
     tariff = cfg.tariff
     by_id = {r.id: r for r in stream}
@@ -251,15 +256,11 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                     guaranteed=decision.partner_guaranteed,
                     fare=decision.partner_fare,
                 )
-                v.fare_waypoints = list(cand.new_waypoints)
-                v.fare_wp_times = list(cand.new_wp_times)
-                v.run_fare = cand.new_run_fare
-                v.run_events += 1
+                v.set_fare_run(cand.new_wp_nodes, cand.new_wp_times, cand.new_run_fare,
+                               v.run_events + 1)
             else:
-                v.fare_waypoints = [r.origin, r.destination]
-                v.fare_wp_times = [cand.pickup_times[r.id], cand.dropoff_times[r.id]]
-                v.run_fare = decision.quote
-                v.run_events = 0
+                v.set_fare_run(cand.plan.nodes, (cand.pickup_times[r.id], cand.dropoff_times[r.id]),
+                               decision.quote, 0)
 
         log.append(
             DecisionRow(
@@ -275,6 +276,8 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                 added_distance=cand.added_distance,
             )
         )
+
+    fleet.ends = {}  # the run's lookups do not outlive it in the result's vehicles
 
     # runs, ex-post splits and final economics
     fares = {cid: o.fare for cid, o in book.items()}

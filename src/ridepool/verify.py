@@ -155,20 +155,6 @@ def check_replay(result: SimResult) -> Verdict:
 # value-of-time threshold (maximally detoured discounted ride)
 # ---------------------------------------------------------------------------
 
-def theorem3_threshold(delta, p_solitary, detour_factor, solitary_duration) -> float:
-    """Value of time (dollars/second) above which a worst-case detoured
-    discounted ride costs more than the solitary ride it replaced."""
-    delta = fraction_from(delta)
-    detour = fraction_from(detour_factor)
-    if not 0 < delta <= 1:
-        raise DomainError("discount factor must be in (0, 1]")
-    if detour <= 0:
-        raise DomainError("detour factor must be positive")
-    if solitary_duration <= 0:
-        raise DomainError("solitary duration must be positive")
-    return float((1 - delta) * fraction_from(p_solitary) / (detour * fraction_from(solitary_duration)))
-
-
 def _loop_arcs(names, long_mi=50.0, long_s=9000):
     """Slow return arcs making a fixture network strongly connected."""
     out = []

@@ -4,8 +4,8 @@ This is the candidate generation and selection the mechanisms used before
 the fleet kept its state in arrays and before pooled insertions became
 integer-priced offers: every vehicle is asked `is_idle`, every idle vehicle
 gets a solitary candidate built in full, every stop interleaving on a busy
-single-rider vehicle is built through `plan_stop_times` (infeasible ones
-included), the solitary baseline scans the fleet a second time, the SRO fare
+single-rider vehicle is built through `plan_stop_times`, the preview of a
+commit that `apply_assignment` would make (infeasible ones included), the solitary baseline scans the fleet a second time, the SRO fare
 is priced after the decision, the PCP detour bound is checked in `Fraction`
 arithmetic and CCP prices every wait-feasible pooled candidate's whole
 fare itinerary with `route_fare`.  Tests compare the single pass against it
@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from typing import Iterable
 
-from ridepool.domain import DO, PU, InsertionPlan, Stop, plan_stop_times
+from ridepool.domain import DO, PU, InsertionPlan, Request, Stop, VehicleState
 from ridepool.mechanisms import (
     MAX_WAIT_REASON,
     POOLED,
@@ -26,12 +27,57 @@ from ridepool.mechanisms import (
     AssignmentDecision,
     InsertionCandidate,
     Mechanism,
-    _solitary_candidate,
 )
+from ridepool.netgraph import INF, Unreachable
 from ridepool.pricing import pcp_fare, route_fare, solitary_fare, total_cost
 from ridepool.units import time_cost_mils
 
 PARTNER_WAIT_REASON = "PartnerMaxWaitExceeded"
+
+
+def plan_stop_times(
+    v: VehicleState, stops: Iterable[Stop], now: int
+) -> tuple[list[int], int, int, int]:
+    """Arrival times for each stop plus (anchor node, anchor time, added mileage).
+
+    Pure preview of what `apply_assignment` would schedule; used for
+    candidate evaluation without mutating the vehicle.
+    """
+    net = v.net
+    dur, _, lex = net.tables()
+    pos, anchor_idx, anchor_time = v.anchor_at(now)
+    times = []
+    cur = anchor_idx
+    t = anchor_time
+    new_dist = 0
+    for stop in stops:
+        j = net.index(stop.location)
+        if j != cur:
+            leg = dur.item(cur, j)
+            if leg >= INF:
+                raise Unreachable(net.node_ids[cur], net.node_ids[j])
+            t += leg
+            new_dist += lex.item(cur, j)
+            cur = j
+        times.append(t)
+    old_tail = v.trace_cum[-1] - v.trace_cum[pos]
+    return times, anchor_idx, anchor_time, new_dist - old_tail
+
+
+def _solitary_candidate(v: VehicleState, r: Request, now: int) -> InsertionCandidate:
+    stops = (Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination))
+    times, _, _, added = plan_stop_times(v, stops, now)
+    pickup, dropoff = times
+    ok = pickup - r.request_time <= r.max_wait
+    return InsertionCandidate(
+        vehicle=v.id,
+        plan=InsertionPlan(r.id, stops),
+        added_distance=added,
+        pickup_times={r.id: pickup},
+        dropoff_times={r.id: dropoff},
+        feasible=ok,
+        reason=None if ok else MAX_WAIT_REASON,
+    )
 
 
 def _pooled_stop_orders(r, k, onboard):

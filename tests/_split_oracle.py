@@ -1,0 +1,49 @@
+"""Brute-force reference for the saver counts of `goalprog_split`.
+
+Every assignment of a saver level to each customer is enumerated; the
+lexicographically largest count vector among those that fit the run's
+budget is the optimum the goal-programming split must reach.
+"""
+
+from __future__ import annotations
+
+import itertools
+from math import lcm
+from typing import Sequence
+
+from ridepool.costshare import RunAccount, _check_feasible, _validate_thresholds
+
+
+class TooLarge(Exception):
+    """The enumeration oracle only handles runs of up to four customers."""
+
+
+def oracle_split(acct: RunAccount, thresholds: Sequence) -> tuple[int, ...]:
+    """Brute-force lexicographic optimum over all per-customer saver levels.
+
+    Assigning customer i the deepest threshold she reaches costs
+    ``sigma_level * c_i`` of the run budget; a level vector is feasible iff
+    those requirements fit the budget.  Counts follow by nesting.  The
+    thresholds become integer numerators over their common denominator, so
+    the budget test compares integers.
+    """
+    if len(acct.members) > 4:
+        raise TooLarge("oracle enumerates runs of at most 4 customers")
+    sigmas = _validate_thresholds(thresholds)
+    budget = _check_feasible(acct)
+    den = lcm(*(s.denominator for s in sigmas))
+    nums = [s.numerator * (den // s.denominator) for s in sigmas]
+    # each member's share of the scaled budget at level 0 (no threshold
+    # reached) and at level l + 1 (threshold l reached)
+    needs = [[0] + [num * m.solitary_cost for num in nums] for m in acct.members]
+    scaled_budget = budget * den
+
+    best: tuple[int, ...] | None = None
+    for assignment in itertools.product(range(len(sigmas) + 1), repeat=len(needs)):
+        if sum(need[lvl] for need, lvl in zip(needs, assignment)) > scaled_budget:
+            continue
+        counts = tuple(sum(1 for lvl in assignment if lvl > k) for k in range(len(sigmas)))
+        if best is None or counts > best:
+            best = counts
+    assert best is not None  # the all-zero assignment is always feasible
+    return best

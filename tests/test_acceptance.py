@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from ridepool.cli import main as cli_main
-from ridepool.costshare import RunAccount, RunMember, goalprog_split, oracle_split, shapley_split
+from ridepool.costshare import RunAccount, RunMember, goalprog_split, shapley_split
 from ridepool.harness import ScenarioGrid, run_grid, summarize, synthetic_trips
 from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import make_grid
@@ -34,6 +34,7 @@ from ridepool.verify import (
     check_threshold_witness,
     run_fixture,
 )
+from tests._split_oracle import oracle_split
 from tests.conftest import counterfactual_sro
 
 THRESHOLDS = (Fraction(5, 100), Fraction(10, 100), Fraction(15, 100), Fraction(20, 100))

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -7,8 +8,9 @@ import pytest
 
 from ridepool.cli import main
 from ridepool.domain import Request
-from ridepool.io import load_run_accounts_csv, load_trips_csv, save_trips_csv
+from ridepool.io import TRIP_COLUMNS, load_run_accounts_csv, load_trips_csv
 from ridepool.simengine import ConfigError
+from ridepool.units import MILS, fmt4, fmt_seconds
 
 
 CONFIG = {
@@ -170,6 +172,23 @@ class TestSplitCommand:
             load_run_accounts_csv(bad)
 
 
+def save_trips_csv(requests, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRIP_COLUMNS)
+        for r in requests:
+            writer.writerow(
+                [
+                    fmt_seconds(r.request_time),
+                    r.origin,
+                    r.destination,
+                    "" if r.value_of_time is None else fmt4(r.value_of_time, MILS),
+                    fmt_seconds(r.max_wait),
+                    "" if r.poolable is None else int(r.poolable),
+                ]
+            )
+
+
 class TestTripFiles:
     def test_round_trip(self, tmp_path, grid10):
         reqs = [
@@ -186,6 +205,33 @@ class TestTripFiles:
         path.write_text("request_time_s,origin_node\n0,a\n")
         with pytest.raises(ValueError):
             load_trips_csv(path)
+
+    def write(self, tmp_path, *rows):
+        path = tmp_path / "trips.csv"
+        path.write_text("\n".join((",".join(TRIP_COLUMNS),) + rows) + "\n")
+        return path
+
+    def test_short_row_names_line_and_column(self, tmp_path):
+        path = self.write(tmp_path, "0,n000x000,n001x001,,300,1", "5,n000x000,n001x001")
+        with pytest.raises(ValueError, match=r"line 3, column 'value_of_time_usd_per_min'.*short"):
+            load_trips_csv(path)
+
+    def test_unparsable_number_names_line_and_column(self, tmp_path):
+        path = self.write(tmp_path, "0,n000x000,n001x001,,3x0,1")
+        with pytest.raises(ValueError, match=r"line 2, column 'max_wait_s': cannot read '3x0'"):
+            load_trips_csv(path)
+
+    @pytest.mark.parametrize("flag", ["maybe", "no", "yes", "2"])
+    def test_unknown_poolable_flag_names_line_and_column(self, tmp_path, flag):
+        path = self.write(tmp_path, "0,n000x000,n001x001,,300,", f"1,n000x000,n001x001,,300,{flag}")
+        with pytest.raises(ValueError, match=rf"line 3, column 'poolable': cannot read '{flag}'"):
+            load_trips_csv(path)
+
+    def test_poolable_flags_read_in_any_case(self, tmp_path):
+        flags = ["", "0", "1", "true", "false", "TRUE", "FALSE", "False", " True "]
+        rows = [f"{i},n000x000,n001x001,,300,{flag}" for i, flag in enumerate(flags)]
+        got = [r.poolable for r in load_trips_csv(self.write(tmp_path, *rows))]
+        assert got == [None, False, True, True, False, True, False, False, True]
 
 
 class TestEntryPoint:

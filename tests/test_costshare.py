@@ -9,11 +9,10 @@ from ridepool.costshare import (
     InvalidThresholds,
     RunAccount,
     RunMember,
-    TooLarge,
     goalprog_split,
-    oracle_split,
     shapley_split,
 )
+from tests._split_oracle import TooLarge, oracle_split
 
 USD = 1000  # mils per dollar
 

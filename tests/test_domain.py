@@ -17,12 +17,12 @@ from ridepool.domain import (
     VehicleState,
     apply_assignment,
     extract_runs,
-    plan_stop_times,
 )
 from ridepool.harness import synthetic_trips
 from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import RoadNetwork
 from ridepool.pricing import Tariff
+from tests._scan_oracle import plan_stop_times
 from tests.conftest import line_network, sec
 
 
@@ -310,6 +310,8 @@ class TestScheduleCommit:
         commits = []
 
         def checked_commit(v, plan, now):
+            # the candidate pass hands over each stop's node index
+            assert plan.nodes == tuple(grid10.index(s.location) for s in plan.stops)
             before = list(v.schedule)
             times, anchor, _, _ = plan_stop_times(v, plan.stops, now)
             out = commit(v, plan, now)

@@ -30,6 +30,7 @@ from ridepool.mechanisms import (
     PooledVehicle,
     _case_rank,
     _case_stops,
+    _coalition_cap,
     _detour_limit,
     _pooled_candidate,
     _pooled_vehicles,
@@ -39,7 +40,7 @@ from ridepool.mechanisms import (
     enumerate_candidates,
 )
 from ridepool.netgraph import RoadNetwork, make_grid
-from ridepool.pricing import Tariff, solitary_fare, total_cost
+from ridepool.pricing import Tariff, route_distance_umiles, solitary_fare, total_cost
 from ridepool.units import UMILE, USEC
 from tests import _scan_oracle
 from tests._fare_oracle import PoolGeometry, ccp_pooled_fare
@@ -216,10 +217,8 @@ class TestAssignCcp:
         tariff = Tariff.from_usd(change_fee=change_fee_usd)
         i = req(1, "A", "E", vot_mils_min=250)
         v0 = vehicle_with_rider(line, 0, "A", i)
-        v0.fare_waypoints = ["A", "E"]
-        v0.fare_wp_times = [0, sec(96)]
-        v0.run_fare = solitary_fare(tariff, line, "A", "E")
-        v0.run_events = 0
+        v0.set_fare_run([line.index("A"), line.index("E")], [0, sec(96)],
+                        solitary_fare(tariff, line, "A", "E"), 0)
         v1 = VehicleState(1, "B", line)
         r = req(2, "B", "E", t=0, vot_mils_min=250)
         committed = {
@@ -249,10 +248,8 @@ class TestAssignCcp:
         tariff = Tariff.from_usd(change_fee=2.0)
         i = req(1, "A", "C", vot_mils_min=283)
         v0 = vehicle_with_rider(line6, 0, "A", i)
-        v0.fare_waypoints = ["A", "C"]
-        v0.fare_wp_times = [0, sec(48)]
-        v0.run_fare = solitary_fare(tariff, line6, "A", "C")
-        v0.run_events = 0
+        v0.set_fare_run([line6.index("A"), line6.index("C")], [0, sec(48)],
+                        solitary_fare(tariff, line6, "A", "C"), 0)
         v1 = VehicleState(1, "B", line6)
         committed = {1: CommittedCost(1, 3726, 3726, v0.run_fare)}
         r = req(2, "B", "E", t=40, vot_mils_min=283)
@@ -297,12 +294,13 @@ class TestSolitaryBaseline:
 WORLD = make_grid(4, 4, 0.1, 30)  # uniform arcs, so equal access distances are common
 
 
-def random_world(randint):
+def random_world(randint, den=2):
     """A fleet of 1-12 vehicles with non-contiguous ids in no fixed order,
     riders committed solo or pooled at random times, and one new request.
 
     `randint(lo, hi)` supplies every choice, so hypothesis can drive (and
-    shrink) a world and a seeded `random.Random` can replay one.
+    shrink) a world and a seeded `random.Random` can replay one.  Committed
+    guarantees and fares lie on multiples of 1/`den` mils.
     """
     nodes = WORLD.node_ids
 
@@ -338,13 +336,12 @@ def random_world(randint):
         quote = solitary_fare(tariff, WORLD, k.origin, k.destination)
         cost = quote + randint(0, 40) * 100
         # CCP pooling leaves guarantees and fares on half mils
-        committed[cid] = CommittedCost(cid, cost, Fraction(2 * cost - randint(0, 1), 2),
-                                       Fraction(2 * quote - randint(0, 1), 2))
+        committed[cid] = CommittedCost(cid, cost, Fraction(den * cost - randint(0, den - 1), den),
+                                       Fraction(den * quote - randint(0, den - 1), den))
         if len(v.active) == 1:  # a solo ride starts a new run
             ride = v.active[cid]
-            v.fare_waypoints = [k.origin, k.destination]
-            v.fare_wp_times = [ride.pickup_time, ride.dropoff_time]
-            v.run_fare, v.run_events = quote, 0
+            v.set_fare_run([WORLD.index(k.origin), WORLD.index(k.destination)],
+                           [ride.pickup_time, ride.dropoff_time], quote, 0)
     now += randint(0, 40) * USEC
     r = rider(1000, max(0, now - randint(0, 20) * USEC))
     requests[r.id] = r
@@ -586,6 +583,91 @@ class TestFleetArrays:
             r = req(3, "C", "D", t=now / USEC)
             cands = enumerate_candidates(rebuilt, r, now, Mechanism.CCP, line6, requests)
             assert all(isinstance(c, InsertionCandidate) for c in cands)
+
+
+def check_fare_state(fleet, now, net, baseline, committed):
+    """Check, on every vehicle whose one rider the coalition test may pair
+    at `now`, the carried fare prefix against `route_distance_umiles` over
+    the waypoints passed by `now` plus the anchor, and the integer cap
+    against the `Fraction` cap.  Return the vehicles checked."""
+    checked = []
+    for slot in np.flatnonzero(fleet.single_rider(now)).tolist():
+        v = fleet.vehicles[slot]
+        ck = committed[fleet.last_rider[slot]]
+        _, anchor, _ = v.busy_anchor(now)
+        assert v.fare_wp_times == sorted(v.fare_wp_times)
+        past = [w for w, t in zip(v.fare_waypoints, v.fare_wp_times) if t <= now]
+        kept = route_distance_umiles(net, past + [net.node_ids[anchor]]) if past else 0
+        assert v.fare_prefix(now, anchor) == (len(past), kept)
+        num, den = _coalition_cap(baseline, ck, v)
+        assert Fraction(num, den) == baseline + ck.guaranteed - ck.fare + v.run_fare
+        checked.append((v, ck))
+    return checked
+
+
+class TestCarriedFareState:
+    def test_prefix_and_cap_at_every_ccp_request(self, monkeypatch):
+        net = make_grid(5, 5, 0.15, 30)  # 18 s arcs
+        assign = simengine.assign_ccp
+        seen = dict.fromkeys(("vehicles", "at_now", "extended", "fresh_after_pool",
+                              "changed_guarantee"), 0)
+        pooled_runs = set()
+
+        def checked(fleet, r, now, net, tariff, requests, committed):
+            d = assign(fleet, r, now, net, tariff, requests, committed)
+            for v, ck in check_fare_state(fleet, now, net, d.baseline, committed):
+                seen["vehicles"] += 1
+                seen["at_now"] += now in v.fare_wp_times
+                seen["extended"] += v.run_events > 0
+                seen["fresh_after_pool"] += v.run_events == 0 and v.id in pooled_runs
+                # tightened by the pooling that was the vehicle's last commit
+                seen["changed_guarantee"] += ck.guaranteed != ck.baseline
+                if v.run_events:
+                    pooled_runs.add(v.id)
+            return d
+
+        monkeypatch.setattr(simengine, "assign_ccp", checked)
+        rng = np.random.default_rng(7)
+        for seed in range(3):
+            # request times on the arc lattice, so waypoints fall exactly at `now`
+            trips = [
+                Request.build(i, *(net.node_ids[int(x)] for x in rng.choice(25, 2, replace=False)),
+                              18 * (i // 2), 240)
+                for i in range(100)
+            ]
+            cfg = simengine.SimConfig(
+                mechanism=Mechanism.CCP, tariff=Tariff.from_usd(change_fee=0.5), fleet_size=4,
+                mar=Fraction(1), rng_seed=seed, network=net, horizon=1800 * USEC,
+            )
+            simengine.run_sim(cfg, trips)
+        assert seen["vehicles"] >= 100
+        assert min(seen.values()) >= 10, seen
+
+    def test_denominator_four_guarantees_match_the_scan(self):
+        pooled_quarters = 0
+        for seed in range(200):
+            world = random_world(random.Random(seed).randint, den=4)
+            fleet, tariff, requests, committed, r, now = world
+            _, decisions = compare_with_scan(world)
+            baseline = decisions[2].baseline
+            check_fare_state(fleet, now, WORLD, baseline, committed)
+            d = decisions[2]
+            pooled_quarters += d.kind == POOLED and committed[d.partner].spare_den == 4
+        assert pooled_quarters >= 10
+
+    @pytest.mark.parametrize("tighter,expected", [(0, POOLED), (1999, POOLED), (2000, SOLITARY)])
+    def test_partner_guarantee_changed_after_the_commit(self, line6, tighter, expected):
+        # the fixture pools with a surplus of exactly $2; a partner guarantee
+        # tightened after her vehicle's commit shrinks the cap by as much
+        tariff, fleet, r, i, committed = TestAssignCcp()._fixture(line6, 1.9)
+        ck = committed[1]
+        committed[1] = CommittedCost(1, ck.baseline, ck.guaranteed - tighter, ck.fare)
+        d = assign_ccp(fleet, r, 0, line6, tariff, {1: i, 2: r}, committed)
+        assert d.kind == expected
+        assert d == _scan_oracle.assign_ccp(fleet.vehicles, r, 0, line6, tariff, {1: i, 2: r},
+                                            committed)
+        if expected == POOLED:
+            assert d.candidate.surplus == 2000 - tighter
 
 
 def first_pooling_cases(seed, fee_usd):

@@ -1,3 +1,4 @@
+import csv
 import itertools
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from ridepool.netgraph import (
     Unreachable,
     load_network_csv,
     make_grid,
-    save_network_csv,
 )
 from ridepool.units import UMILE, USEC, umiles_from_miles, usec_from_seconds
 
@@ -269,6 +269,16 @@ class TestTables:
                 distance=int(lex[i, j]) / UMILE, duration=int(dur[i, j]) / USEC,
                 node_sequence=tuple(ids[k] for k in nodes),
             )
+
+
+def save_network_csv(net: RoadNetwork, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for nid in net.node_ids:
+            x, y = net.coordinates.get(nid, (0.0, 0.0))
+            writer.writerow(["node", nid, x, y])
+        for frm, to, len_umi, dur_us in net.arcs():
+            writer.writerow(["arc", frm, to, len_umi / UMILE, dur_us / USEC])
 
 
 class TestNetworkFile:
