@@ -444,10 +444,10 @@ def assign_ccp(
     )
     lex = net.tables()[2]
     o, _ = fleet.endpoints(r, net)
-    best = None  # (rank, vehicle record, case row, new run fare, tc_r, tc_k, partner, kept)
+    best = None  # (rank, vehicle record, case row, new run fare, tc_r, tc_k, committed_k, n)
     for p in pooled:
         v, k = p.vehicle, p.partner
-        ck = committed[k.id]
+        committed_k = committed[k.id]
         # the plan's new mileage (added + tail) is the anchor leg plus the
         # stop legs; the fare itinerary drives the anchor leg only after the
         # kept waypoints, the n passed by now
@@ -455,7 +455,7 @@ def assign_ccp(
         head += p.tail
         # the pair's total cost is cap - surplus; cap holds everything but
         # the new run fare and the two time costs
-        cap_num, cap_den = _coalition_cap(baseline, ck, v)
+        cap_num, cap_den = _coalition_cap(baseline, committed_k, v)
         for row in p.cases:
             case, added, r_pick, r_drop, k_pick, k_drop = row
             lead = head
@@ -470,14 +470,14 @@ def assign_ccp(
                 rank = (Fraction(total * cap_den - cap_num, cap_den), added, v.id,
                         _case_rank(case, r, k))
                 if best is None or rank < best[0]:
-                    best = (rank, p, row, new_run_fare, tc_r, tc_k, ck, n)
+                    best = (rank, p, row, new_run_fare, tc_r, tc_k, committed_k, n)
 
     if best is not None:
-        rank, p, row, new_run_fare, tc_r, tc_k, ck, n = best
+        rank, p, row, new_run_fare, tc_r, tc_k, committed_k, n = best
         v = p.vehicle
         cand = _pooled_candidate(
             p, row, r,
-            pooled_fare=ck.fare + (new_run_fare - v.run_fare),
+            pooled_fare=committed_k.fare + (new_run_fare - v.run_fare),
             surplus=-rank[0],
             new_run_fare=new_run_fare,
         )
@@ -491,7 +491,7 @@ def assign_ccp(
         )
         half = Fraction(cand.surplus) / 2
         g_r = baseline - half
-        g_k = ck.guaranteed - half
+        g_k = committed_k.guaranteed - half
         return AssignmentDecision(
             customer=r.id, kind=POOLED, candidate=cand, fare=g_r - tc_r, baseline=baseline,
             guaranteed=g_r, partner_fare=g_k - tc_k, partner_guaranteed=g_k, quote=quote,

@@ -212,23 +212,27 @@ class TestAssignPcp:
         assert d.fare == solitary_fare(tariff, line6, "B", "D")
 
 
+def ccp_fixture(line, change_fee_usd):
+    """Rider 1 alone on vehicle 0 from A to E, vehicle 1 idle at B, and a
+    request from B to E at time 0."""
+    tariff = Tariff.from_usd(change_fee=change_fee_usd)
+    i = req(1, "A", "E", vot_mils_min=250)
+    v0 = vehicle_with_rider(line, 0, "A", i)
+    v0.set_fare_run([line.index("A"), line.index("E")], [0, sec(96)],
+                    solitary_fare(tariff, line, "A", "E"), 0)
+    v1 = VehicleState(1, "B", line)
+    r = req(2, "B", "E", t=0, vot_mils_min=250)
+    committed = {
+        1: CommittedCost(1, baseline=4900, guaranteed=4900, fare=v0.run_fare)
+    }
+    return tariff, Fleet([v0, v1]), r, i, committed
+
+
 class TestAssignCcp:
-    def _fixture(self, line, change_fee_usd):
-        tariff = Tariff.from_usd(change_fee=change_fee_usd)
-        i = req(1, "A", "E", vot_mils_min=250)
-        v0 = vehicle_with_rider(line, 0, "A", i)
-        v0.set_fare_run([line.index("A"), line.index("E")], [0, sec(96)],
-                        solitary_fare(tariff, line, "A", "E"), 0)
-        v1 = VehicleState(1, "B", line)
-        r = req(2, "B", "E", t=0, vot_mils_min=250)
-        committed = {
-            1: CommittedCost(1, baseline=4900, guaranteed=4900, fare=v0.run_fare)
-        }
-        return tariff, Fleet([v0, v1]), r, i, committed
 
     def test_surplus_pooling_exact_arithmetic(self, line6):
         # solitary sum 9200 mils vs pooled 7200 mils: surplus is exactly $2
-        tariff, fleet, r, i, committed = self._fixture(line6, 1.9)
+        tariff, fleet, r, i, committed = ccp_fixture(line6, 1.9)
         d = assign_ccp(fleet, r, 0, line6, tariff, {1: i, 2: r}, committed)
         assert d.kind == POOLED
         assert d.candidate.surplus == 2000
@@ -240,7 +244,7 @@ class TestAssignCcp:
 
     def test_zero_surplus_boundary_not_pooled(self, line6):
         # change fee consumes the whole gain: equality fails the strict test
-        tariff, fleet, r, i, committed = self._fixture(line6, 3.9)
+        tariff, fleet, r, i, committed = ccp_fixture(line6, 3.9)
         d = assign_ccp(fleet, r, 0, line6, tariff, {1: i, 2: r}, committed)
         assert d.kind == SOLITARY and d.vehicle == 1
 
@@ -258,7 +262,7 @@ class TestAssignCcp:
 
     def test_no_solo_but_admissible_pool_serves_pooled(self, line6):
         # only vehicle is busy: baseline falls back to the max-wait hypothetical
-        tariff, fleet, r, i, committed = self._fixture(line6, 1.9)
+        tariff, fleet, r, i, committed = ccp_fixture(line6, 1.9)
         fleet = Fleet(fleet.vehicles[:1])
         d = assign_ccp(fleet, r, 0, line6, tariff, {1: i, 2: r}, committed)
         assert d.kind == POOLED
@@ -649,21 +653,22 @@ class TestCarriedFareState:
             world = random_world(random.Random(seed).randint, den=4)
             fleet, tariff, requests, committed, r, now = world
             _, decisions = compare_with_scan(world)
-            baseline = decisions[2].baseline
-            check_fare_state(fleet, now, WORLD, baseline, committed)
             d = decisions[2]
+            check_fare_state(fleet, now, WORLD, d.baseline, committed)
             pooled_quarters += d.kind == POOLED and committed[d.partner].spare_den == 4
         assert pooled_quarters >= 10
 
     @pytest.mark.parametrize("tighter,expected", [(0, POOLED), (1999, POOLED), (2000, SOLITARY)])
     def test_partner_guarantee_changed_after_the_commit(self, line6, tighter, expected):
         # the fixture pools with a surplus of exactly $2; a partner guarantee
-        # tightened after her vehicle's commit shrinks the cap by as much
-        tariff, fleet, r, i, committed = TestAssignCcp()._fixture(line6, 1.9)
+        # tightened after her vehicle's commit shrinks the cap by as much.
+        # The request comes at 0, when the run's first waypoint is passed.
+        tariff, fleet, r, i, committed = ccp_fixture(line6, 1.9)
         ck = committed[1]
         committed[1] = CommittedCost(1, ck.baseline, ck.guaranteed - tighter, ck.fare)
         d = assign_ccp(fleet, r, 0, line6, tariff, {1: i, 2: r}, committed)
         assert d.kind == expected
+        assert len(check_fare_state(fleet, 0, line6, d.baseline, committed)) == 1
         assert d == _scan_oracle.assign_ccp(fleet.vehicles, r, 0, line6, tariff, {1: i, 2: r},
                                             committed)
         if expected == POOLED:
