@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -120,15 +119,12 @@ class Stop(NamedTuple):
 
 @dataclass(frozen=True)
 class InsertionPlan:
-    """Ordered interleaving of the new customer's PU/DO with the active stops.
-
-    `nodes` holds each stop's node index when the candidate pass resolved
-    them; a plan built without them is resolved by node id at commit.
-    """
+    """Ordered interleaving of the new customer's PU/DO with the active stops;
+    `nodes` holds each stop's node index."""
 
     new_customer: int
     stops: tuple[Stop, ...]
-    nodes: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    nodes: tuple[int, ...] = field(compare=False, repr=False)
 
     def key(self) -> tuple:
         return tuple((s.op, s.customer, s.location) for s in self.stops)
@@ -179,9 +175,8 @@ class VehicleState:
         self.fleet: Fleet | None = None  # the fleet whose arrays mirror this vehicle
         self.slot = -1  # this vehicle's index in those arrays
         # run accounting used by customer-centered pooling; `set_fare_run`
-        # writes it: the chargeable itinerary's waypoints (node ids and
-        # indices), their times, and its mileage up to each waypoint
-        self.fare_waypoints: list[str] = []
+        # writes it: the chargeable itinerary's waypoints (node indices),
+        # their times, and its mileage up to each waypoint
         self.fare_nodes: list[int] = []
         self.fare_wp_times: list[int] = []
         self.fare_cum: list[int] = []
@@ -206,6 +201,11 @@ class VehicleState:
             return pos, self.trace_nodes[pos], now
         return self.busy_anchor(now)
 
+    @property
+    def fare_waypoints(self) -> list[str]:
+        """The current run's chargeable itinerary as node ids."""
+        return [self.net.node_ids[i] for i in self.fare_nodes]
+
     def busy_anchor(self, now: int) -> tuple[int, int, int]:
         """`anchor_at` for a vehicle known to be busy at `now`, without
         pruning: the first trace node reached at or after `now`."""
@@ -216,10 +216,8 @@ class VehicleState:
         """Set the current run's chargeable itinerary from its waypoints'
         node indices and non-decreasing times, with its fare and number of
         pooling events, and carry the itinerary's prefix mileages."""
-        net = self.net
-        lex = net.tables()[2]
+        lex = self.net.tables()[2]
         self.fare_nodes = list(nodes)
-        self.fare_waypoints = [net.node_ids[i] for i in self.fare_nodes]
         self.fare_wp_times = list(times)
         cum = [0]
         for a, b in zip(self.fare_nodes, self.fare_nodes[1:]):
@@ -262,10 +260,6 @@ class Fleet:
     when second_drop <= now < busy_until (riders dropped off together are
     never alone).  After construction only `apply_assignment` writes them.
     `id_rank` is each vehicle's place in id order, fixed at construction.
-    `detour_limits` maps a detour factor to the detour limits of the riders
-    priced so far, by rider id; the PCP rule fills it once per rider.
-    `ends` maps a request id to its (origin, destination) node indices while
-    `run_sim` runs: it fills them for its stream and empties them at the end.
     """
 
     def __init__(self, vehicles: Iterable[VehicleState]):
@@ -273,8 +267,6 @@ class Fleet:
         self.by_id = {v.id: v for v in self.vehicles}
         self.ids = np.array([v.id for v in self.vehicles], dtype=np.int64)
         self.id_rank = np.argsort(np.argsort(self.ids))
-        self.detour_limits: dict[Fraction, dict[int, int]] = {}
-        self.ends: dict[int, tuple[int, int]] = {}
         self.node = np.array([v.trace_nodes[-1] for v in self.vehicles], dtype=np.intp)
         self.busy_until = np.array(
             [max((e.time for e in v.schedule if e.op == DO), default=NEVER) for v in self.vehicles],
@@ -289,12 +281,6 @@ class Fleet:
     def single_rider(self, now: int) -> np.ndarray:
         """Mask of the vehicles carrying exactly one committed rider at `now`."""
         return (self.second_drop <= now) & (now < self.busy_until)
-
-    def endpoints(self, r: Request, net: RoadNetwork) -> tuple[int, int]:
-        """r's (origin, destination) node indices: read from `ends`, or
-        looked up for a request outside the run."""
-        ends = self.ends.get(r.id)
-        return ends if ends is not None else (net.index(r.origin), net.index(r.destination))
 
 
 def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> VehicleState:
@@ -324,8 +310,7 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> VehicleS
 
     cur = anchor_idx
     t = anchor_time
-    stop_nodes = plan.nodes or [net.index(s.location) for s in plan.stops]
-    for stop, j in zip(plan.stops, stop_nodes):
+    for stop, j in zip(plan.stops, plan.nodes):
         if j != cur:
             nodes, usec, umiles = net.leg(cur, j).tolist()
             base = v.trace_cum[-1]

@@ -75,9 +75,8 @@ class InsertionCandidate:
     pooled_fare: Money | None = None
     surplus: Fraction | None = None
     new_run_fare: int | None = None
-    new_waypoints: tuple[str, ...] | None = None
+    new_wp_nodes: tuple[int, ...] | None = None  # the new fare itinerary's node indices
     new_wp_times: tuple[int, ...] | None = None
-    new_wp_nodes: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def sort_key(self):
         return (self.added_distance, self.vehicle, self.plan.key())
@@ -152,13 +151,15 @@ def _case_rank(case: int, r: Request, k: Request) -> int:
     return case if k.id < r.id else -case
 
 
-def _pooled_candidate(p: PooledVehicle, row: tuple, r: Request, **economics) -> InsertionCandidate:
-    """The full candidate record of a winning case row."""
+def _pooled_candidate(
+    p: PooledVehicle, row: tuple, r: Request, o: int, d: int, **economics
+) -> InsertionCandidate:
+    """The full candidate record of a winning case row; `o` and `d` are r's
+    origin and destination node indices."""
     case, added, r_pick, r_drop, k_pick, k_drop = row
     v, k = p.vehicle, p.partner
     stops = _case_stops(case, r, k)
     ride = v.active[k.id]
-    o, d = v.fleet.endpoints(r, v.net)
     at = {r.origin: o, r.destination: d, k.origin: ride.origin_idx, k.destination: ride.dest_idx}
     return InsertionCandidate(
         vehicle=v.id, plan=InsertionPlan(r.id, stops, tuple(at[s.location] for s in stops)),
@@ -174,9 +175,11 @@ def _unreachable(net: RoadNetwork, i: int, j: int) -> Unreachable:
 
 
 def _pooled_vehicles(
-    fleet: Fleet, r: Request, now: int, net: RoadNetwork, requests: Mapping[int, Request]
+    fleet: Fleet, r: Request, o: int, d: int, now: int, net: RoadNetwork,
+    requests: Mapping[int, Request],
 ) -> list[PooledVehicle]:
-    """Every wait-feasible insertion of `r` into a vehicle serving one poolable `k`.
+    """Every wait-feasible insertion of `r`, from node `o` to node `d`, into
+    a vehicle serving one poolable `k`.
 
     The fleet's rider arrays pick the vehicles carrying exactly one rider at
     `now` in one mask.  A vehicle whose anchor cannot reach r's origin within
@@ -189,7 +192,6 @@ def _pooled_vehicles(
     """
     dur, _, lex = net.tables()
     t_at, m_at = dur.item, lex.item
-    o, d = fleet.endpoints(r, net)
     latest = r.request_time + r.max_wait
     if t_at(o, d) >= INF:  # an unreachable destination fails here, before any vehicle
         raise _unreachable(net, o, d)
@@ -266,8 +268,11 @@ def enumerate_candidates(
     mode: Mechanism,
     net: RoadNetwork,
     requests: Mapping[int, Request],
+    o: int,
+    d: int,
 ) -> list[InsertionCandidate | PooledVehicle]:
-    """The one candidate pass for a request, over the fleet's arrays.
+    """The one candidate pass for a request from node `o` to node `d`, over
+    the fleet's arrays.
 
     First, when there is one, the best feasible solitary candidate: one
     gather from the duration and mileage tables prices every vehicle's
@@ -282,7 +287,6 @@ def enumerate_candidates(
     `_pooled_vehicles`), in fleet order.  Every item is feasible.
     """
     dur, _, lex = net.tables()
-    o, d = fleet.endpoints(r, net)
     nodes = fleet.node
     # every solitary candidate drives o -> d, so the access leg alone orders
     # them by added distance
@@ -304,27 +308,30 @@ def enumerate_candidates(
             dropoff_times={r.id: pickup + t_od}, feasible=True,
         ))
     if mode != Mechanism.SRO and r.poolable:
-        out.extend(_pooled_vehicles(fleet, r, now, net, requests))
+        out.extend(_pooled_vehicles(fleet, r, o, d, now, net, requests))
     return out
 
 
 def _priced_pass(fleet, r, now, mode, net, tariff, requests):
-    """(quote, baseline, best solitary candidate or None, pooled vehicles).
+    """(r's origin and destination node indices, quote, baseline, best
+    solitary candidate or None, pooled vehicles).
 
-    One candidate pass and the one solitary quote it prices.  The baseline
-    is the frozen solitary-counterfactual total cost: the quote plus the
-    time cost up to the best solitary dropoff or, when no solitary
-    candidate is feasible, of the hypothetical ride with maximal wait.
+    The request's one endpoint lookup, its one candidate pass and the one
+    solitary quote it prices.  The baseline is the frozen
+    solitary-counterfactual total cost: the quote plus the time cost up to
+    the best solitary dropoff or, when no solitary candidate is feasible, of
+    the hypothetical ride with maximal wait.
     """
-    cands = enumerate_candidates(fleet, r, now, mode, net, requests)
+    o, d = net.index(r.origin), net.index(r.destination)
+    cands = enumerate_candidates(fleet, r, now, mode, net, requests, o, d)
     solo = cands[0] if cands and isinstance(cands[0], InsertionCandidate) else None
-    o, d = fleet.endpoints(r, net)
     quote = mileage_fare(tariff, net.distance_umiles(o, d), 0)  # the solitary fare
     if solo is not None:
         span = solo.dropoff_times[r.id] - r.request_time
     else:
         span = r.max_wait + net.duration_usec(o, d)
-    return quote, quote + time_cost_mils(r.value_of_time, span), solo, cands[solo is not None :]
+    baseline = quote + time_cost_mils(r.value_of_time, span)
+    return o, d, quote, baseline, solo, cands[solo is not None :]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +342,7 @@ def assign_sro(
     fleet: Fleet, r: Request, now: int, net: RoadNetwork, tariff: Tariff
 ) -> AssignmentDecision:
     """Distance-minimal empty vehicle within the wait limit, else unserved."""
-    quote, baseline, solo, _ = _priced_pass(fleet, r, now, Mechanism.SRO, net, tariff, {})
+    *_, quote, baseline, solo, _ = _priced_pass(fleet, r, now, Mechanism.SRO, net, tariff, {})
     if solo is None:
         return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote, reason=MAX_WAIT_REASON)
     return AssignmentDecision(
@@ -366,23 +373,17 @@ def assign_pcp(
     (added distance, vehicle id, plan key); a case that cannot beat the best
     so far skips the detour test.
     """
-    quote, baseline, solo, pooled = _priced_pass(fleet, r, now, Mechanism.PCP, net, tariff, requests)
+    o, d, quote, baseline, solo, pooled = _priced_pass(
+        fleet, r, now, Mechanism.PCP, net, tariff, requests
+    )
     fare = pcp_fare(tariff, quote) if r.poolable else quote
     # a solitary and a pooled candidate never share a vehicle, so the third
     # key place only ever orders cases of one vehicle
     best, best_key = solo, (solo.added_distance, solo.vehicle, 0) if solo is not None else None
     if pooled:
-        den = tariff.detour_factor.denominator
-        limits = fleet.detour_limits.setdefault(tariff.detour_factor, {})
-
-        def limit(rider):
-            lim = limits.get(rider.id)
-            if lim is None:
-                direct = net.duration_usec(*fleet.endpoints(rider, net))
-                lim = limits[rider.id] = _detour_limit(direct, tariff.detour_factor)
-            return lim
-
-        lim_r = limit(r)
+        factor = tariff.detour_factor
+        den = factor.denominator
+        lim_r = _detour_limit(net.duration_usec(o, d), factor)
         for p in pooled:
             vid, k, lim_k = p.vehicle.id, p.partner, None
             for row in p.cases:
@@ -394,7 +395,9 @@ def assign_pcp(
                 if (r_drop - r_pick) * den > lim_r:
                     continue
                 if lim_k is None:
-                    lim_k = limit(k)
+                    ride = p.vehicle.active[k.id]
+                    direct = net.duration_usec(ride.origin_idx, ride.dest_idx)
+                    lim_k = _detour_limit(direct, factor)
                 if (k_drop - k_pick) * den <= lim_k:
                     best, best_key = (p, row), (added, vid, _case_rank(case, r, k))
     if best is None:
@@ -406,7 +409,7 @@ def assign_pcp(
             customer=r.id, kind=SOLITARY, candidate=solo, fare=fare, baseline=baseline, quote=quote
         )
     return AssignmentDecision(
-        customer=r.id, kind=POOLED, candidate=_pooled_candidate(*best, r), fare=fare,
+        customer=r.id, kind=POOLED, candidate=_pooled_candidate(*best, r, o, d), fare=fare,
         baseline=baseline, quote=quote,
     )
 
@@ -439,11 +442,10 @@ def assign_ccp(
     wins and both riders' guarantees drop by half the surplus.  Cost sharing
     later re-divides run fares but cannot change these decisions.
     """
-    quote, baseline, best_solo, pooled = _priced_pass(
+    o, d, quote, baseline, best_solo, pooled = _priced_pass(
         fleet, r, now, Mechanism.CCP, net, tariff, requests
     )
     lex = net.tables()[2]
-    o, _ = fleet.endpoints(r, net)
     best = None  # (rank, vehicle record, case row, new run fare, tc_r, tc_k, committed_k, n)
     for p in pooled:
         v, k = p.vehicle, p.partner
@@ -476,7 +478,7 @@ def assign_ccp(
         rank, p, row, new_run_fare, tc_r, tc_k, committed_k, n = best
         v = p.vehicle
         cand = _pooled_candidate(
-            p, row, r,
+            p, row, r, o, d,
             pooled_fare=committed_k.fare + (new_run_fare - v.run_fare),
             surplus=-rank[0],
             new_run_fare=new_run_fare,
@@ -485,7 +487,6 @@ def assign_ccp(
         kept = (*v.fare_nodes[:n], p.anchor) if n else ()
         kept_times = (*v.fare_wp_times[:n], p.anchor_time) if n else ()
         cand.new_wp_nodes = kept + cand.plan.nodes
-        cand.new_waypoints = tuple(net.node_ids[i] for i in cand.new_wp_nodes)
         cand.new_wp_times = kept_times + tuple(
             (cand.pickup_times if s.op == PU else cand.dropoff_times)[s.customer] for s in stops
         )

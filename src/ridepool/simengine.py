@@ -160,9 +160,7 @@ def initial_fleet(cfg: SimConfig) -> list[VehicleState]:
     return [VehicleState(i, node, net) for i, node in enumerate(nodes)]
 
 
-def _validate(cfg: SimConfig, requests: list[Request], fleet) -> dict[int, tuple[int, int]]:
-    """Check the stream and its nodes; return each request's (origin,
-    destination) node indices by request id."""
+def _validate(cfg: SimConfig, requests: list[Request], fleet) -> None:
     net = cfg.network
     times = [r.request_time for r in requests]
     if times != sorted(times):
@@ -171,20 +169,17 @@ def _validate(cfg: SimConfig, requests: list[Request], fleet) -> dict[int, tuple
     if len(set(ids)) != len(ids):
         raise ConfigError("request ids must be unique")
     used = {v.trace_nodes[0] for v in fleet}
-    ends = {}
     for r in requests:
         if not (net.has_node(r.origin) and net.has_node(r.destination)):
             raise ConfigError(f"request {r.id} references nodes off the network")
-        o, d = ends[r.id] = net.index(r.origin), net.index(r.destination)
-        used.add(o)
-        used.add(d)
+        used.add(net.index(r.origin))
+        used.add(net.index(r.destination))
     cut = net.first_unreachable(sorted(used))
     if cut is not None:
         i, j = cut
         raise ConfigError(
             f"nodes {net.node_ids[i]!r} and {net.node_ids[j]!r} are not mutually reachable"
         )
-    return ends
 
 
 def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
@@ -192,7 +187,7 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     net = cfg.network
     fleet = Fleet(initial_fleet(cfg))
     stream = [r for r in resolve_requests(cfg, requests) if r.request_time <= cfg.horizon]
-    fleet.ends = _validate(cfg, stream, fleet.vehicles)
+    _validate(cfg, stream, fleet.vehicles)
 
     tariff = cfg.tariff
     by_id = {r.id: r for r in stream}
@@ -276,8 +271,6 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                 added_distance=cand.added_distance,
             )
         )
-
-    fleet.ends = {}  # the run's lookups do not outlive it in the result's vehicles
 
     # runs, ex-post splits and final economics
     fares = {cid: o.fare for cid, o in book.items()}

@@ -155,6 +155,21 @@ def check_replay(result: SimResult) -> Verdict:
 # value-of-time threshold (maximally detoured discounted ride)
 # ---------------------------------------------------------------------------
 
+def theorem3_threshold(delta, p_solitary, detour_factor, solitary_duration) -> Fraction:
+    """Value of time above which a worst-case detoured discounted ride costs
+    more than the solitary ride it replaced, exactly, in units of
+    `p_solitary` per unit of `solitary_duration`."""
+    delta = fraction_from(delta)
+    detour = fraction_from(detour_factor)
+    if not 0 < delta <= 1:
+        raise DomainError("discount factor must be in (0, 1]")
+    if detour <= 0:
+        raise DomainError("detour factor must be positive")
+    if solitary_duration <= 0:
+        raise DomainError("solitary duration must be positive")
+    return (1 - delta) * fraction_from(p_solitary) / (detour * fraction_from(solitary_duration))
+
+
 def _loop_arcs(names, long_mi=50.0, long_s=9000):
     """Slow return arcs making a fixture network strongly connected."""
     out = []
@@ -190,7 +205,7 @@ def build_threshold_fixture(
 
     tariff = Tariff.from_usd(discount_factor=delta, detour_factor=detour)
     p_sol = solitary_fare(tariff, net, "OI", "DJ")
-    threshold_per_min = (1 - delta) * p_sol / (detour * Fraction(direct_s, 60))
+    threshold_per_min = theorem3_threshold(delta, p_sol, detour, Fraction(direct_s, 60))
     vot = ratio * threshold_per_min
     if vot.denominator != 1:
         raise DomainError("chosen ratio must give an integer mils-per-minute value of time")

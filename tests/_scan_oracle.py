@@ -71,7 +71,7 @@ def _solitary_candidate(v: VehicleState, r: Request, now: int) -> InsertionCandi
     ok = pickup - r.request_time <= r.max_wait
     return InsertionCandidate(
         vehicle=v.id,
-        plan=InsertionPlan(r.id, stops),
+        plan=InsertionPlan(r.id, stops, tuple(v.net.index(s.location) for s in stops)),
         added_distance=added,
         pickup_times={r.id: pickup},
         dropoff_times={r.id: dropoff},
@@ -115,7 +115,7 @@ def _pooled_candidates_for(v, r, k, now):
         out.append(
             InsertionCandidate(
                 vehicle=v.id,
-                plan=InsertionPlan(r.id, stops),
+                plan=InsertionPlan(r.id, stops, tuple(v.net.index(s.location) for s in stops)),
                 added_distance=added,
                 pickup_times=pickups,
                 dropoff_times=dropoffs,
@@ -168,7 +168,7 @@ def pooled_pair_economics(v, c, r, k, now, net, tariff, baseline_r, committed_k)
         pooled_fare=pair_fare,
         surplus=surplus,
         new_run_fare=new_run_fare,
-        new_waypoints=tuple(new_wp),
+        new_wp_nodes=tuple(net.index(w) for w in new_wp),
         new_wp_times=tuple(new_wp_times),
     )
 

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from ridepool.domain import InsertionPlan
 from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import RoadNetwork, make_grid
 from ridepool.simengine import run_sim
@@ -20,6 +21,16 @@ def line_network(n=6, edge_mi=0.2, edge_s=24):
 
 def sec(x):
     return x * USEC
+
+
+def ends(net, r):
+    """r's (origin, destination) node indices on `net`."""
+    return net.index(r.origin), net.index(r.destination)
+
+
+def plan_on(net, cust, stops):
+    """An insertion plan for `cust` carrying its stops' node indices on `net`."""
+    return InsertionPlan(cust, tuple(stops), tuple(net.index(s.location) for s in stops))
 
 
 def counterfactual_sro(cfg, requests):

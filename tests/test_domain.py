@@ -9,7 +9,6 @@ from ridepool.domain import (
     PU,
     REC,
     CapacityViolation,
-    InsertionPlan,
     OrderingViolation,
     Request,
     ScheduleEntry,
@@ -23,7 +22,7 @@ from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import RoadNetwork
 from ridepool.pricing import Tariff
 from tests._scan_oracle import plan_stop_times
-from tests.conftest import line_network, sec
+from tests.conftest import line_network, plan_on, sec
 
 
 def active_schedule(v, t):
@@ -31,8 +30,8 @@ def active_schedule(v, t):
     return [e for e in v.schedule if e.time >= t]
 
 
-def solo_plan(cust, origin, dest):
-    return InsertionPlan(cust, (Stop(PU, cust, origin), Stop(DO, cust, dest)))
+def solo_plan(net, cust, origin, dest):
+    return plan_on(net, cust, (Stop(PU, cust, origin), Stop(DO, cust, dest)))
 
 
 class TestActiveSchedule:
@@ -51,9 +50,9 @@ class TestActiveSchedule:
     def test_insertion_keeps_future_from_new_pickup(self, line6):
         # vehicle heading to pick up j; i inserted mid-way
         v = VehicleState(2, "A", line6)
-        apply_assignment(v, solo_plan(7, "C", "F"), sec(0))
-        plan = InsertionPlan(
-            8,
+        apply_assignment(v, solo_plan(line6, 7, "C", "F"), sec(0))
+        plan = plan_on(
+            line6, 8,
             (Stop(PU, 7, "C"), Stop(PU, 8, "D"), Stop(DO, 8, "E"), Stop(DO, 7, "F")),
         )
         apply_assignment(v, plan, sec(24))
@@ -78,7 +77,7 @@ class TestActiveSchedule:
 class TestApplyAssignment:
     def test_empty_vehicle_rec_pu_do(self, line6):
         v = VehicleState(1, "A", line6)
-        apply_assignment(v, solo_plan(5, "B", "D"), sec(0))
+        apply_assignment(v, solo_plan(line6, 5, "B", "D"), sec(0))
         assert v.schedule == [
             ScheduleEntry("A", 0, REC, 5),
             ScheduleEntry("B", sec(24), PU, 5),
@@ -92,9 +91,9 @@ class TestApplyAssignment:
 
         monkeypatch.setattr(RoadNetwork, "arc_attrs", arc_by_arc)
         v = VehicleState(2, "A", line6)
-        apply_assignment(v, solo_plan(7, "C", "F"), sec(0))
-        plan = InsertionPlan(
-            8,
+        apply_assignment(v, solo_plan(line6, 7, "C", "F"), sec(0))
+        plan = plan_on(
+            line6, 8,
             (Stop(PU, 7, "C"), Stop(PU, 8, "D"), Stop(DO, 8, "E"), Stop(DO, 7, "F")),
         )
         apply_assignment(v, plan, sec(24))  # truncates the tail after B, then extends
@@ -104,10 +103,10 @@ class TestApplyAssignment:
 
     def test_insertion_recomputes_downstream_times(self, line6):
         v = VehicleState(2, "A", line6)
-        apply_assignment(v, solo_plan(7, "C", "F"), sec(0))
+        apply_assignment(v, solo_plan(line6, 7, "C", "F"), sec(0))
         assert [e.time for e in v.schedule] == [0, sec(48), sec(120)]
-        plan = InsertionPlan(
-            8,
+        plan = plan_on(
+            line6, 8,
             (Stop(PU, 7, "C"), Stop(PU, 8, "D"), Stop(DO, 8, "E"), Stop(DO, 7, "F")),
         )
         apply_assignment(v, plan, sec(24))
@@ -118,13 +117,13 @@ class TestApplyAssignment:
 
     def test_third_concurrent_rider_rejected(self, line6):
         v = VehicleState(0, "A", line6)
-        apply_assignment(v, solo_plan(1, "B", "F"), sec(0))
-        pooled = InsertionPlan(
-            2, (Stop(PU, 1, "B"), Stop(PU, 2, "C"), Stop(DO, 2, "E"), Stop(DO, 1, "F"))
+        apply_assignment(v, solo_plan(line6, 1, "B", "F"), sec(0))
+        pooled = plan_on(
+            line6, 2, (Stop(PU, 1, "B"), Stop(PU, 2, "C"), Stop(DO, 2, "E"), Stop(DO, 1, "F"))
         )
         apply_assignment(v, pooled, sec(0))
-        third = InsertionPlan(
-            3,
+        third = plan_on(
+            line6, 3,
             (
                 Stop(PU, 1, "B"),
                 Stop(PU, 2, "C"),
@@ -139,20 +138,20 @@ class TestApplyAssignment:
 
     def test_plan_must_cover_committed_customers(self, line6):
         v = VehicleState(0, "A", line6)
-        apply_assignment(v, solo_plan(1, "B", "F"), sec(0))
-        dropped = InsertionPlan(2, (Stop(PU, 2, "C"), Stop(DO, 2, "E")))
+        apply_assignment(v, solo_plan(line6, 1, "B", "F"), sec(0))
+        dropped = plan_on(line6, 2, (Stop(PU, 2, "C"), Stop(DO, 2, "E")))
         with pytest.raises(OrderingViolation):
             apply_assignment(v, dropped, sec(0))
 
     def test_new_customer_needs_pu_then_do(self, line6):
         v = VehicleState(0, "A", line6)
-        backwards = InsertionPlan(1, (Stop(DO, 1, "C"), Stop(PU, 1, "B")))
+        backwards = plan_on(line6, 1, (Stop(DO, 1, "C"), Stop(PU, 1, "B")))
         with pytest.raises(OrderingViolation):
             apply_assignment(v, backwards, sec(0))
 
     def test_idle_vehicle_parks_at_last_dropoff(self, line6):
         v = VehicleState(0, "A", line6)
-        apply_assignment(v, solo_plan(1, "B", "D"), sec(0))
+        apply_assignment(v, solo_plan(line6, 1, "B", "D"), sec(0))
         assert v.is_idle(sec(72))
         _, anchor, t = v.anchor_at(sec(100))
         assert line6.node_ids[anchor] == "D"
@@ -160,11 +159,11 @@ class TestApplyAssignment:
 
     def test_preview_matches_commit(self, line6):
         v = VehicleState(0, "A", line6)
-        apply_assignment(v, solo_plan(1, "C", "F"), sec(0))
+        apply_assignment(v, solo_plan(line6, 1, "C", "F"), sec(0))
         # backward-going rider D->C forces a real detour
         stops = (Stop(PU, 1, "C"), Stop(PU, 2, "D"), Stop(DO, 2, "C"), Stop(DO, 1, "F"))
         times, _, _, added = plan_stop_times(v, stops, sec(24))
-        apply_assignment(v, InsertionPlan(2, stops), sec(24))
+        apply_assignment(v, plan_on(line6, 2, stops), sec(24))
         scheduled = [e.time for e in v.schedule if e.op != REC]
         assert times == scheduled
         # old tail from anchor B is 4 edges; new route B,C,D,C,F is 6 edges
@@ -260,7 +259,7 @@ class TestInvariantsUnderRandomAssignments:
             cid += 1
             if not actives:
                 o, d = rng.choice(len(names), size=2, replace=False)
-                apply_assignment(v, solo_plan(cid, names[o], names[d]), now)
+                apply_assignment(v, solo_plan(net, cid, names[o], names[d]), now)
             elif len(actives) == 1:
                 k = actives[0]
                 ride = v.active[k]
@@ -277,7 +276,7 @@ class TestInvariantsUnderRandomAssignments:
                         Stop(DO, cid, d_id),
                         Stop(DO, k, k_dest),
                     )
-                apply_assignment(v, InsertionPlan(cid, stops), now)
+                apply_assignment(v, plan_on(net, cid, stops), now)
             else:
                 continue
 

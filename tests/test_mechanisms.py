@@ -12,7 +12,6 @@ from ridepool.domain import (
     NEVER,
     PU,
     Fleet,
-    InsertionPlan,
     Request,
     Stop,
     VehicleState,
@@ -45,7 +44,7 @@ from ridepool.units import UMILE, USEC
 from tests import _scan_oracle
 from tests._fare_oracle import PoolGeometry, ccp_pooled_fare
 from tests._scan_oracle import PARTNER_WAIT_REASON, _pooled_candidates_for
-from tests.conftest import line_network, sec
+from tests.conftest import ends, line_network, plan_on, sec
 
 TARIFF = Tariff.from_usd()
 
@@ -65,7 +64,8 @@ def pooled_rows(cands):
 def vehicle_with_rider(net, vid, start, rider, now=0):
     """Vehicle standing at `start` that just committed to `rider` solo."""
     v = VehicleState(vid, start, net)
-    plan = InsertionPlan(rider.id, (Stop(PU, rider.id, rider.origin), Stop(DO, rider.id, rider.destination)))
+    plan = plan_on(net, rider.id, (Stop(PU, rider.id, rider.origin),
+                                   Stop(DO, rider.id, rider.destination)))
     apply_assignment(v, plan, sec(now))
     return v
 
@@ -106,26 +106,29 @@ class TestEnumerateCandidates:
         cands = _scan_oracle.enumerate_candidates(fleet, r, 0, Mechanism.SRO, {})
         assert cands and all(not c.feasible for c in cands)
         assert all(c.reason == MAX_WAIT_REASON for c in cands)
-        assert enumerate_candidates(Fleet(fleet), r, 0, Mechanism.SRO, line6, {}) == []
+        assert enumerate_candidates(Fleet(fleet), r, 0, Mechanism.SRO, line6, {},
+            *ends(line6, r)) == []
 
     def test_single_adjacent_vehicle_single_candidate(self, line6):
         fleet = Fleet([VehicleState(0, "B", line6)])
         r = req(1, "A", "C")
-        cands = enumerate_candidates(fleet, r, 0, Mechanism.SRO, line6, {})
+        cands = enumerate_candidates(fleet, r, 0, Mechanism.SRO, line6, {}, *ends(line6, r))
         assert len(cands) == 1 and cands[0].feasible
 
     def test_onboard_partner_restricts_to_two_orderings(self, line6):
         i = req(1, "A", "E")
         v = vehicle_with_rider(line6, 0, "A", i)  # picked up immediately
         r = req(2, "B", "D", t=1)
-        cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i})
+        cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i},
+            *ends(line6, r))
         assert [row[0] for row in pooled_rows(cands)] == [1, 2]
 
     def test_waiting_partner_gives_four_orderings(self, line6):
         i = req(1, "C", "E")
         v = vehicle_with_rider(line6, 0, "A", i)  # 48s away from pickup
         r = req(2, "B", "D", t=1)
-        cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i})
+        cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i},
+            *ends(line6, r))
         assert [row[0] for row in pooled_rows(cands)] == [3, 4, 5, 6]
 
     @pytest.mark.parametrize("slack,cases", [(0, [1, 2]), (-1, [])])
@@ -134,7 +137,8 @@ class TestEnumerateCandidates:
         v = vehicle_with_rider(line6, 0, "A", i)  # on board; anchor B at 24 s
         # r can be picked up at C at 48 s at the earliest: 47 s after its request
         r = Request(2, "C", "D", sec(1), 250, sec(47) + slack, True)
-        cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i})
+        cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i},
+            *ends(line6, r))
         rows = pooled_rows(cands)
         assert [row[0] for row in rows] == cases and len(cands) == len(rows) // 2
         assert all(row[2] == sec(48) for row in rows)
@@ -151,14 +155,16 @@ class TestEnumerateCandidates:
 
         monkeypatch.setattr(VehicleState, "prune", per_vehicle)
         monkeypatch.setattr(VehicleState, "is_idle", per_vehicle)
-        records = _pooled_vehicles(fleet, req(2, "B", "D", t=1), sec(1), line6, {1: i})
+        r = req(2, "B", "D", t=1)
+        records = _pooled_vehicles(fleet, r, *ends(line6, r), sec(1), line6, {1: i})
         assert [row[0] for row in pooled_rows(records)] == [1, 2]
 
     def test_nonpoolable_partner_blocks_pooling(self, line6):
         i = req(1, "A", "E", poolable=False)
         v = vehicle_with_rider(line6, 0, "A", i)
         r = req(2, "B", "D", t=1)
-        assert enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i}) == []
+        assert enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i},
+            *ends(line6, r)) == []
 
 
 class TestAssignPcp:
@@ -328,7 +334,7 @@ def random_world(randint, den=2):
         v = fleet.vehicles[randint(0, n - 1)]
         v.prune(now)
         if not v.active:
-            plan = InsertionPlan(cid, (Stop(PU, cid, k.origin), Stop(DO, cid, k.destination)))
+            plan = plan_on(WORLD, cid, (Stop(PU, cid, k.origin), Stop(DO, cid, k.destination)))
         elif len(v.active) == 1:
             (j,) = v.active
             plans = _pooled_candidates_for(v, k, requests[j], now)
@@ -358,7 +364,7 @@ def compare_with_scan(world):
     fleet, tariff, requests, committed, r, now = world
     net, vehicles = WORLD, fleet.vehicles
     scanned = _scan_oracle.enumerate_candidates(vehicles, r, now, Mechanism.CCP, requests)
-    got = enumerate_candidates(fleet, r, now, Mechanism.CCP, net, requests)
+    got = enumerate_candidates(fleet, r, now, Mechanism.CCP, net, requests, *ends(net, r))
     solo = got[0] if got and isinstance(got[0], InsertionCandidate) else None
     assert solo == _scan_oracle.best([c for c in scanned if c.case is None and c.feasible])
     # one record per vehicle with a wait-feasible interleaving, whose case
@@ -374,12 +380,12 @@ def compare_with_scan(world):
          c.dropoff_times[r.id], c.pickup_times[c.partner], c.dropoff_times[c.partner])
         for c in expected
     ]
-    assert [_pooled_candidate(p, row, r) for p, row in rows] == expected
+    assert [_pooled_candidate(p, row, r, *ends(net, r)) for p, row in rows] == expected
     # the case rank orders one vehicle's cases like their plan keys
     for p in records:
         ranked = sorted(p.cases, key=lambda row: _case_rank(row[0], r, p.partner))
-        assert ranked == sorted(p.cases, key=lambda row: InsertionPlan(
-            r.id, _case_stops(row[0], r, p.partner)).key())
+        assert ranked == sorted(p.cases, key=lambda row: plan_on(
+            net, r.id, _case_stops(row[0], r, p.partner)).key())
     assert all(c.feasible for c in got)
     decisions = (
         assign_sro(fleet, r, now, net, tariff),
@@ -575,7 +581,7 @@ class TestFleetArrays:
         k = req(1, "A", "E")
         v = vehicle_with_rider(line6, 0, "A", k)  # k on board, at E at 96 s
         fleet = Fleet([v])
-        plan = InsertionPlan(2, (Stop(PU, 2, "B"), Stop(DO, 1, "E"), Stop(DO, 2, "E")))
+        plan = plan_on(line6, 2, (Stop(PU, 2, "B"), Stop(DO, 1, "E"), Stop(DO, 2, "E")))
         apply_assignment(v, plan, sec(1))
         assert fleet.second_drop[0] == fleet.busy_until[0] == sec(96)
         rebuilt = Fleet([v])  # derived from the vehicle's rides alone
@@ -585,7 +591,8 @@ class TestFleetArrays:
             assert not rebuilt.single_rider(now)[0]
             assert check_rider_arrays(rebuilt, now) == (0, 0)
             r = req(3, "C", "D", t=now / USEC)
-            cands = enumerate_candidates(rebuilt, r, now, Mechanism.CCP, line6, requests)
+            cands = enumerate_candidates(rebuilt, r, now, Mechanism.CCP, line6, requests,
+                *ends(line6, r))
             assert all(isinstance(c, InsertionCandidate) for c in cands)
 
 

@@ -8,7 +8,7 @@ from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import make_grid
 from ridepool.pricing import Tariff
 from ridepool.simengine import SimConfig, run_sim
-from ridepool.units import USEC, fraction_from
+from ridepool.units import USEC
 from ridepool.verify import (
     DomainError,
     InvalidEpsilon,
@@ -21,22 +21,9 @@ from ridepool.verify import (
     check_weak_dominance_fixture,
     run_all_fixtures,
     run_fixture,
+    theorem3_threshold,
 )
 from tests.test_simengine import TARIFF, config, grid_requests
-
-
-def theorem3_threshold(delta, p_solitary, detour_factor, solitary_duration) -> float:
-    """Value of time (dollars/second) above which a worst-case detoured
-    discounted ride costs more than the solitary ride it replaced."""
-    delta = fraction_from(delta)
-    detour = fraction_from(detour_factor)
-    if not 0 < delta <= 1:
-        raise DomainError("discount factor must be in (0, 1]")
-    if detour <= 0:
-        raise DomainError("detour factor must be positive")
-    if solitary_duration <= 0:
-        raise DomainError("solitary duration must be positive")
-    return float((1 - delta) * fraction_from(p_solitary) / (detour * fraction_from(solitary_duration)))
 
 
 class TestThresholdFormula:
