@@ -22,8 +22,14 @@ from pathlib import Path
 from . import io as rio
 from .costshare import goalprog_split, shapley_split
 from .harness import (
+    BRACKET_COLUMNS,
+    BRACKETS,
+    CELL_COLUMNS,
     SUMMARY_COLUMNS,
+    MechanismSummary,
     ScenarioGrid,
+    aggregate,
+    cell_fields,
     pareto_dominance,
     run_grid,
     summary_row,
@@ -32,7 +38,7 @@ from .harness import (
 from .mechanisms import Mechanism
 from .netgraph import load_network_csv, make_grid
 from .simengine import ConfigError
-from .units import USEC, fmt4, fraction_from, mils_from_usd, usec_from_seconds, fmt_usd
+from .units import fmt4, fmt_opt, fmt_usd, fraction_from, mils_from_usd, usec_from_seconds
 from .verify import run_all_fixtures
 
 
@@ -133,124 +139,62 @@ def cmd_simulate(args) -> int:
         (summary_row(oc, grid.split_scheme) for oc in outcomes),
     )
 
-    def cell_prefix(oc):
-        return (
-            oc.mechanism,
-            "n/a" if oc.params.get("fee") is None else fmt_usd(oc.params["fee"]),
-            "n/a" if oc.params.get("discount") is None else fmt4(oc.params["discount"]),
-            "n/a" if oc.params.get("detour") is None else fmt4(oc.params["detour"]),
-            oc.params["max_wait"] // USEC,
-            oc.params["fleet"],
-            fmt4(oc.params.get("mar", Fraction(0))),
-            oc.seed,
+    for name, columns, rows in (
+        ("decisions.csv", rio.DECISION_COLUMNS, rio.decision_rows),
+        ("splits.csv", rio.SPLIT_COLUMNS, rio.split_rows),
+        ("run_accounts.csv", rio.RUN_ACCOUNT_COLUMNS, rio.run_account_rows),
+    ):
+        rio.write_csv(
+            out / name,
+            CELL_COLUMNS + columns,
+            (row for oc in outcomes for row in rows(oc.result, cell_fields(oc))),
         )
-
-    cell_cols = (
-        "mechanism", "change_fee_usd", "discount_factor", "detour_factor",
-        "max_wait_s", "fleet_size", "mar", "seed",
-    )
-    rio.write_csv(
-        out / "decisions.csv",
-        cell_cols + rio.DECISION_COLUMNS,
-        (row for oc in outcomes for row in rio.decision_rows(oc.result, cell_prefix(oc))),
-    )
-    rio.write_csv(
-        out / "splits.csv",
-        cell_cols + rio.SPLIT_COLUMNS,
-        (row for oc in outcomes for row in rio.split_rows(oc.result, cell_prefix(oc))),
-    )
-    rio.write_csv(
-        out / "run_accounts.csv",
-        cell_cols + rio.RUN_ACCOUNT_COLUMNS,
-        (row for oc in outcomes for row in rio.run_account_rows(oc.result, cell_prefix(oc))),
-    )
     print(f"wrote {len(outcomes)} simulations to {out}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    # aggregation re-runs on the stored exact rows would lose precision;
-    # instead analyze re-executes nothing and works off summary.csv text
-    import csv as _csv
-
-    path = Path(args.indir) / "summary.csv"
-    with open(path, newline="") as fh:
-        rows = list(_csv.DictReader(fh))
-    if not rows:
+    cells = rio.load_summary_csv(Path(args.indir) / "summary.csv")
+    if not cells:
         print("summary.csv is empty", file=sys.stderr)
         return 1
 
-    key_fields = ("mechanism", "change_fee_usd", "discount_factor", "detour_factor",
-                  "max_wait_s", "fleet_size")
-    groups: dict[tuple, dict[str, list[dict]]] = {}
-    for row in rows:
-        if row["mechanism"] == "SRO":
-            continue
-        key = tuple(row[k] for k in key_fields)
-        groups.setdefault(key, {}).setdefault(row["mar"], []).append(row)
+    # a setting is a cell without its MAR and seed
+    n = CELL_COLUMNS.index("mar")
+    settings = aggregate(
+        (cell[:n], Fraction(cell[n]), metrics)
+        for cell, metrics in cells
+        if cell[0] != Mechanism.SRO.value
+    )
+    summaries = [
+        MechanismSummary("|".join(key), key[0], dict(zip(CELL_COLUMNS, key)), settings[key])
+        for key in sorted(settings)
+    ]
 
-    def mean(vals):
-        nums = [Fraction(v) for v in vals if v != "n/a"]
-        return None if not nums else sum(nums) / len(nums)
+    agg_rows, bracket_rows = [], []
+    for s in summaries:
+        for mar in s.mars():
+            m = s.per_mar[mar]
+            agg_rows.append(
+                (s.label, fmt4(mar), fmt_opt(m["unserved_pct"]), fmt_opt(m["distance_saving_pct"]),
+                 fmt_opt(m["profit"], fmt_usd), fmt_opt(m["mean_cost_per_poolable"], fmt_usd))
+            )
+            bracket_rows.append((s.label, fmt4(mar), *(fmt_opt(m["brackets"][t]) for t in BRACKETS)))
 
     out = Path(args.out) if args.out else Path(args.indir)
-    agg_rows = []
-    bracket_rows = []
-    per_label = {}
-    for key in sorted(groups):
-        label = "|".join(key)
-        per_mar = {}
-        for mar in sorted(groups[key], key=Fraction):
-            cell = groups[key][mar]
-            unserved = mean(
-                Fraction(int(r["unserved"]), int(r["requests"])) * 100 for r in cell
-            )
-            saving = mean(r["distance_saving_pct"] for r in cell)
-            profit = mean(r["profit_usd"] for r in cell)
-            cost = mean(r["mean_cost_per_poolable_usd"] for r in cell)
-            agg_rows.append(
-                (label, mar, fmt4(unserved) if unserved is not None else "n/a",
-                 fmt4(saving) if saving is not None else "n/a",
-                 fmt4(profit) if profit is not None else "n/a",
-                 fmt4(cost) if cost is not None else "n/a")
-            )
-            per_mar[Fraction(mar)] = {"profit": profit, "mean_cost_per_poolable": cost}
-            if args.brackets:
-                shares = [mean(r[col] for r in cell) for col in ("br0", "br5", "br10", "br15", "br20")]
-                bracket_rows.append(
-                    (label, mar, *(fmt4(s) if s is not None else "n/a" for s in shares))
-                )
-        per_label[label] = per_mar
-
     rio.write_csv(out / "aggregate.csv",
                   ("setting", "mar", "unserved_pct", "distance_saving_pct",
                    "profit_usd", "mean_cost_per_poolable_usd"), agg_rows)
     if args.brackets:
-        rio.write_csv(out / "brackets.csv",
-                      ("setting", "mar", "br0", "br5", "br10", "br15", "br20"), bracket_rows)
+        rio.write_csv(out / "brackets.csv", ("setting", "mar", *BRACKET_COLUMNS), bracket_rows)
         print(f"wrote {out / 'brackets.csv'}")
 
     if args.pareto:
-        from .harness import MechanismSummary
-
-        summaries = [
-            MechanismSummary(label=lbl, mechanism=lbl.split("|")[0], params={}, per_mar=pm)
-            for lbl, pm in per_label.items()
-        ]
-        pareto_rows = []
-        for a in summaries:
-            for b in summaries:
-                if a.label == b.label or a.mars() != b.mars():
-                    continue
-                rel = pareto_dominance(a, b)
-                if rel.kind != "none":
-                    pareto_rows.append(
-                        (a.label, b.label, rel.kind,
-                         fmt4(rel.mar_lo) if rel.mar_lo is not None else "",
-                         fmt4(rel.mar_hi) if rel.mar_hi is not None else "")
-                    )
-        rio.write_csv(out / "pareto.csv",
-                      ("dominant", "dominated", "relation", "mar_lo", "mar_hi"), pareto_rows)
+        relations = ((a, b, pareto_dominance(a, b)) for a in summaries for b in summaries
+                     if a.label != b.label and a.mars() == b.mars())
+        rio.write_csv(out / "pareto.csv", ("dominant", "dominated", "relation", "mar_lo", "mar_hi"),
+                      ((a.label, b.label, rel.kind, fmt4(rel.mar_lo), fmt4(rel.mar_hi))
+                       for a, b, rel in relations if rel.kind != "none"))
         print(f"wrote {out / 'pareto.csv'}")
     print(f"wrote {out / 'aggregate.csv'}")
     return 0

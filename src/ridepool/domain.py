@@ -170,10 +170,7 @@ class VehicleState:
         self.trace_cum: list[int] = [0]
         self._pos = 0
         self.active: dict[int, ActiveRide] = {}
-        self.anchor_node: str = start_node
-        self.anchor_time: int = 0
-        self.fleet: Fleet | None = None  # the fleet whose arrays mirror this vehicle
-        self.slot = -1  # this vehicle's index in those arrays
+        self.slot = -1  # this vehicle's index in its `Fleet`'s arrays
         # run accounting used by customer-centered pooling; `set_fare_run`
         # writes it: the chargeable itinerary's waypoints (node indices),
         # their times, and its mileage up to each waypoint
@@ -258,7 +255,7 @@ class Fleet:
     second-to-last committed dropoff time and `last_rider` the rider dropped
     off at busy_until, so a vehicle carries exactly that one rider at `now`
     when second_drop <= now < busy_until (riders dropped off together are
-    never alone).  After construction only `apply_assignment` writes them.
+    never alone).  After construction only `commit` writes them.
     `id_rank` is each vehicle's place in id order, fixed at construction.
     """
 
@@ -276,14 +273,22 @@ class Fleet:
         self.second_drop = np.array([s for s, _ in riders], dtype=np.int64)
         self.last_rider = np.array([c for _, c in riders], dtype=np.int64)
         for slot, v in enumerate(self.vehicles):
-            v.fleet, v.slot = self, slot
+            v.slot = slot
 
     def single_rider(self, now: int) -> np.ndarray:
         """Mask of the vehicles carrying exactly one committed rider at `now`."""
         return (self.second_drop <= now) & (now < self.busy_until)
 
+    def commit(self, v: VehicleState, plan: InsertionPlan, now: int) -> None:
+        """`apply_assignment` on one of these vehicles, then refresh its arrays."""
+        apply_assignment(v, plan, now)
+        slot = v.slot
+        self.node[slot] = v.trace_nodes[-1]
+        self.busy_until[slot] = v.schedule[-1].time  # the plan ends on a dropoff
+        self.second_drop[slot], self.last_rider[slot] = _rider_state(v)
 
-def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> VehicleState:
+
+def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> None:
     """Commit an insertion plan: rewrite the future schedule from the anchor.
 
     The new customer gets a REC entry at (anchor, now); every downstream stop
@@ -299,14 +304,12 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> VehicleS
     del v.trace_nodes[pos + 1 :]
     del v.trace_times[pos + 1 :]
     del v.trace_cum[pos + 1 :]
-    self_pos = pos
-    v._pos = self_pos
+    v._pos = pos
 
     # schedule times never decrease, so the entries up to `now` are a prefix
     entries = v.schedule
     del entries[bisect_right(entries, now, key=_entry_time) :]
-    anchor_id = net.node_ids[anchor_idx]
-    entries.append(ScheduleEntry(anchor_id, now, REC, plan.new_customer))
+    entries.append(ScheduleEntry(net.node_ids[anchor_idx], now, REC, plan.new_customer))
 
     cur = anchor_idx
     t = anchor_time
@@ -330,14 +333,6 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> VehicleS
             ride = v.active[stop.customer]
             ride.dropoff_time = t
             ride.dest_idx = j
-
-    v.anchor_node = anchor_id
-    v.anchor_time = anchor_time
-    if v.fleet is not None:
-        v.fleet.node[v.slot] = v.trace_nodes[-1]
-        v.fleet.busy_until[v.slot] = t
-        v.fleet.second_drop[v.slot], v.fleet.last_rider[v.slot] = _rider_state(v)
-    return v
 
 
 def _validate_plan(v: VehicleState, plan: InsertionPlan, now: int) -> None:

@@ -31,9 +31,10 @@ from .simengine import (
     SimResult,
     run_sim,
 )
-from .units import USEC, fmt4, fmt_miles, fmt_usd
+from .units import USEC, fmt4, fmt_miles, fmt_opt, fmt_usd
 
 BRACKETS = (Fraction(0), Fraction(5, 100), Fraction(10, 100), Fraction(15, 100), Fraction(20, 100))
+BRACKET_COLUMNS = tuple(f"br{t * 100}" for t in BRACKETS)  # br0, br5, ..., br20
 
 
 class MismatchedGrids(Exception):
@@ -236,6 +237,12 @@ class MechanismSummary:
         return [self.per_mar[m][metric] for m in self.mars()]
 
 
+SUMMARY_METRICS = (
+    "unserved_pct", "pooled_share_pct", "distance_saving_pct", "profit_delta_pct",
+    "profit", "mean_cost_per_poolable", "cost_reduction_pct",
+)
+
+
 def _mean(values):
     vals = [v for v in values if v is not None]
     if not vals:
@@ -243,21 +250,38 @@ def _mean(values):
     return sum(vals, Fraction(0)) / len(vals)
 
 
+def aggregate(cells) -> dict:
+    """Seed means of `SUMMARY_METRICS` and of each savings bracket.
+
+    Takes (setting key, mar, metrics) triples, metrics as from
+    `CellOutcome.metrics`, and returns {setting key: {mar: means}}; a None
+    value is left out of its mean, and a mean over no values is None.
+    """
+    groups: dict = {}
+    for key, mar, m in cells:
+        groups.setdefault(key, {}).setdefault(mar, []).append(m)
+    out = {}
+    for key, by_mar in groups.items():
+        out[key] = per_mar = {}
+        for mar, rows in by_mar.items():
+            means = {metric: _mean(r[metric] for r in rows) for metric in SUMMARY_METRICS}
+            means["brackets"] = {t: _mean(r["brackets"][t] for r in rows) for t in BRACKETS}
+            per_mar[mar] = means
+    return out
+
+
 def summarize(outcomes: list[CellOutcome]) -> list[MechanismSummary]:
     """Average cell metrics over seeds, grouped by mechanism setting."""
-    groups: dict[tuple, dict] = {}
-    for oc in outcomes:
-        if oc.mechanism == Mechanism.SRO.value:
-            continue
-        p = oc.params
-        key = (
-            oc.mechanism, p["max_wait"], p["fleet"],
-            p.get("fee"), p.get("discount"), p.get("detour"),
-        )
-        groups.setdefault(key, {}).setdefault(p["mar"], []).append(oc.metrics())
+    def setting(p):
+        return p["max_wait"], p["fleet"], p.get("fee"), p.get("discount"), p.get("detour")
 
+    settings = aggregate(
+        ((oc.mechanism, *setting(oc.params)), oc.params["mar"], oc.metrics())
+        for oc in outcomes
+        if oc.mechanism != Mechanism.SRO.value
+    )
     summaries = []
-    for key in sorted(groups, key=repr):
+    for key in sorted(settings, key=repr):
         mech, wait, fleet, fee, disc, det = key
         bits = [mech, f"w{wait // USEC}", f"u{fleet}"]
         if fee is not None:
@@ -266,26 +290,13 @@ def summarize(outcomes: list[CellOutcome]) -> list[MechanismSummary]:
             bits.append(f"disc{fmt4(disc)}")
         if det is not None:
             bits.append(f"det{fmt4(det)}")
-        per_mar = {}
-        for mar, rows in groups[key].items():
-            agg = {}
-            for metric in (
-                "unserved_pct", "pooled_share_pct", "distance_saving_pct",
-                "profit_delta_pct", "profit", "mean_cost_per_poolable",
-                "cost_reduction_pct",
-            ):
-                agg[metric] = _mean(r[metric] for r in rows)
-            agg["brackets"] = {
-                t: _mean(r["brackets"][t] for r in rows) for t in BRACKETS
-            }
-            per_mar[mar] = agg
         summaries.append(
             MechanismSummary(
                 label="-".join(bits),
                 mechanism=mech,
                 params={"max_wait": wait, "fleet": fleet, "fee": fee,
                         "discount": disc, "detour": det},
-                per_mar=per_mar,
+                per_mar=settings[key],
             )
         )
     return summaries
@@ -359,34 +370,41 @@ def synthetic_trips(net: RoadNetwork, n: int, horizon_s: int, seed: int,
 # tabular views
 # ---------------------------------------------------------------------------
 
-SUMMARY_COLUMNS = (
+# the coordinates of one simulation, leading every per-cell CSV row
+CELL_COLUMNS = (
     "mechanism", "change_fee_usd", "discount_factor", "detour_factor",
-    "max_wait_s", "fleet_size", "mar", "seed", "split_scheme",
+    "max_wait_s", "fleet_size", "mar", "seed",
+)
+SUMMARY_COLUMNS = CELL_COLUMNS + (
+    "split_scheme",
     "requests", "served", "unserved", "poolable", "pooled",
     "fleet_distance_mi", "fares_usd", "profit_usd",
     "sro_distance_mi", "sro_profit_usd",
     "distance_saving_pct", "profit_delta_pct",
     "mean_cost_per_poolable_usd", "cost_reduction_pct",
-    "br0", "br5", "br10", "br15", "br20",
+    *BRACKET_COLUMNS,
 )
 
 
-def _opt(value, render):
-    return "n/a" if value is None else render(value)
-
-
-def summary_row(oc: CellOutcome, split_scheme: str) -> tuple:
-    m = oc.metrics()
+def cell_fields(oc: CellOutcome) -> tuple:
+    """The `CELL_COLUMNS` values of one simulation, as written."""
     p = oc.params
     return (
         oc.mechanism,
-        _opt(p.get("fee"), fmt_usd),
-        _opt(p.get("discount"), fmt4),
-        _opt(p.get("detour"), fmt4),
+        fmt_opt(p.get("fee"), fmt_usd),
+        fmt_opt(p.get("discount")),
+        fmt_opt(p.get("detour")),
         p["max_wait"] // USEC,
         p["fleet"],
         fmt4(p.get("mar", Fraction(0))),
         oc.seed,
+    )
+
+
+def summary_row(oc: CellOutcome, split_scheme: str) -> tuple:
+    m = oc.metrics()
+    return (
+        *cell_fields(oc),
         split_scheme,
         m["requests"], m["served"], m["unserved"], m["poolable"], m["pooled"],
         fmt_miles(m["fleet_distance"]),
@@ -394,9 +412,9 @@ def summary_row(oc: CellOutcome, split_scheme: str) -> tuple:
         fmt_usd(m["profit"]),
         fmt_miles(m["sro_distance"]),
         fmt_usd(m["sro_profit"]),
-        _opt(m["distance_saving_pct"], fmt4),
-        _opt(m["profit_delta_pct"], fmt4),
-        _opt(m["mean_cost_per_poolable"], fmt_usd),
-        _opt(m["cost_reduction_pct"], fmt4),
-        *(_opt(m["brackets"][t], fmt4) for t in BRACKETS),
+        fmt_opt(m["distance_saving_pct"]),
+        fmt_opt(m["profit_delta_pct"]),
+        fmt_opt(m["mean_cost_per_poolable"], fmt_usd),
+        fmt_opt(m["cost_reduction_pct"]),
+        *(fmt_opt(m["brackets"][t]) for t in BRACKETS),
     )

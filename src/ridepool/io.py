@@ -1,4 +1,4 @@
-"""File formats: trip CSVs and the result/report writers.
+"""File formats: the trip, summary and run-account readers and the CSV writers.
 
 All floating outputs are rendered with exactly four decimals, rounded half
 to even from the exact internal integers, so rewriting the same results
@@ -11,8 +11,9 @@ import csv
 from fractions import Fraction
 
 from .domain import Request
+from .harness import BRACKET_COLUMNS, BRACKETS, CELL_COLUMNS, SUMMARY_COLUMNS
 from .simengine import SimResult
-from .units import fmt4, fmt_miles, fmt_seconds, fmt_usd, mils_from_usd, usec_from_seconds
+from .units import MILS, fmt4, fmt_miles, fmt_seconds, fmt_usd, mils_from_usd, usec_from_seconds
 
 TRIP_COLUMNS = (
     "request_time_s",
@@ -65,6 +66,41 @@ def load_trips_csv(path) -> list[Request]:
                 )
             )
     out.sort(key=lambda r: (r.request_time, r.id))
+    return out
+
+
+def load_summary_csv(path) -> list[tuple[tuple[str, ...], dict]]:
+    """One (`CELL_COLUMNS` text, metrics) pair per summary row, the metrics
+    exact and in `CellOutcome.metrics` units: the two shares from the integer
+    counts, the others from their four decimals, "n/a" as None."""
+
+    def value(text, scale=1):
+        return None if text == "n/a" else Fraction(text) * scale
+
+    def share(part, whole):
+        return Fraction(int(part), int(whole)) * 100 if int(whole) else None
+
+    out = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(SUMMARY_COLUMNS) - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"summary file lacks columns: {sorted(missing)}")
+        for row in reader:
+            try:
+                metrics = {
+                    "unserved_pct": share(row["unserved"], row["requests"]),
+                    "pooled_share_pct": share(row["pooled"], row["poolable"]),
+                    "distance_saving_pct": value(row["distance_saving_pct"]),
+                    "profit_delta_pct": value(row["profit_delta_pct"]),
+                    "profit": value(row["profit_usd"], MILS),
+                    "mean_cost_per_poolable": value(row["mean_cost_per_poolable_usd"], MILS),
+                    "cost_reduction_pct": value(row["cost_reduction_pct"]),
+                    "brackets": {t: value(row[c]) for t, c in zip(BRACKETS, BRACKET_COLUMNS)},
+                }
+            except (TypeError, ValueError) as err:  # a short row, or text that is no number
+                raise ValueError(f"summary file line {reader.line_num}: {err}") from None
+            out.append((tuple(row[c] for c in CELL_COLUMNS), metrics))
     return out
 
 
@@ -152,7 +188,6 @@ def run_account_rows(result: SimResult, prefix: tuple = ()):
 def load_run_accounts_csv(path):
     """Read run accounts: one row per run member, fare repeated within a run."""
     from .costshare import RunAccount, RunMember
-    from .units import mils_from_usd
 
     groups: dict[str, list] = {}
     fares: dict[str, int] = {}

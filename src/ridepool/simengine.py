@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .costshare import RunAccount, RunMember, goalprog_split
-from .domain import Fleet, Request, Run, VehicleState, apply_assignment, extract_runs
+from .domain import Fleet, Request, Run, VehicleState, extract_runs
 from .mechanisms import (
     POOLED,
     UNSERVED,
@@ -217,7 +217,7 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
         cand = decision.candidate
         v = fleet.by_id[cand.vehicle]
         pooled = decision.kind == POOLED
-        apply_assignment(v, cand.plan, now)
+        fleet.commit(v, cand.plan, now)
         if pooled:
             k = by_id[cand.partner]
             pooled_ids.add(r.id)

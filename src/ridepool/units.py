@@ -96,6 +96,11 @@ def fmt4(value: int | Fraction, per: int = 1) -> str:
     return f"{sign}{mag // 10**4}.{mag % 10**4:04d}"
 
 
+def fmt_opt(value, render=fmt4) -> str:
+    """`render(value)`, or "n/a" for a missing value."""
+    return "n/a" if value is None else render(value)
+
+
 def fmt_usd(mils: Money) -> str:
     return fmt4(mils, MILS)
 

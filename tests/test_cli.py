@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from ridepool import cli
 from ridepool.cli import main
 from ridepool.domain import Request
-from ridepool.io import TRIP_COLUMNS, load_run_accounts_csv, load_trips_csv
+from ridepool.harness import SUMMARY_COLUMNS, run_grid, summarize
+from ridepool.io import TRIP_COLUMNS, load_run_accounts_csv, load_summary_csv, load_trips_csv
 from ridepool.simengine import ConfigError
-from ridepool.units import MILS, fmt4, fmt_seconds
+from ridepool.units import MILS, USEC, fmt4, fmt_opt, fmt_seconds, fmt_usd
 
 
 CONFIG = {
@@ -98,6 +101,84 @@ class TestAnalyze:
         assert (out / "pareto.csv").exists()
         header = (out / "brackets.csv").read_text().splitlines()[0]
         assert header == "setting,mar,br0,br5,br10,br15,br20"
+
+    def test_reports_are_pinned(self, simulated):
+        # analyze's reports for this grid, byte for byte
+        _, _, out = simulated
+        assert main(["analyze", "--in", str(out), "--brackets", "--pareto"]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("aggregate.csv", "brackets.csv", "pareto.csv")}
+        assert digests == {
+            "aggregate.csv": "2fcdd8c6d32afad1bdc6a06bb59501de38ffccea63dc8fe1a38445305bc2c8ef",
+            "brackets.csv": "2da705c5158359a5f84f62f7bb954c69eb93f18907452e2b85f315a84a115c63",
+            "pareto.csv": "126cb3aee5a05ba80440a06ae3631b3645c53cf637cf5aaa71d1771e8a55b64f",
+        }
+
+    def test_unserved_share_matches_summarize(self, simulated, tmp_path):
+        # both sides are exact: analyze takes the share from the integer
+        # counts, so its mean renders as summarize's exact mean does
+        _, _, out = simulated
+        assert main(["analyze", "--in", str(out), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "aggregate.csv", newline="") as fh:
+            analyzed = {(row["setting"], row["mar"]): row["unserved_pct"]
+                        for row in csv.DictReader(fh)}
+        net = cli._network_from_config(CONFIG)
+        grid = cli._grid_from_config(CONFIG)
+        trips = cli._load_trips("synthetic:n=100,seed=4", net, CONFIG)
+        expected = {}
+        for s in summarize(run_grid(grid, trips, net)):
+            p = s.params
+            setting = "|".join((s.mechanism, fmt_opt(p["fee"], fmt_usd), fmt_opt(p["discount"]),
+                                fmt_opt(p["detour"]), str(p["max_wait"] // USEC), str(p["fleet"])))
+            for mar in s.mars():
+                expected[setting, fmt4(mar)] = fmt_opt(s.per_mar[mar]["unserved_pct"])
+        assert len(expected) == 6
+        assert analyzed == expected
+
+    def test_zero_request_cell(self, tmp_path):
+        # a horizon that ends before the first request leaves every cell
+        # without requests, so its shares are n/a
+        cfg = dict(CONFIG, horizon_s=5, mechanisms=["SRO", "CCP"], fleet_size=[3])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--trips",
+                     "synthetic:n=5,seed=1,horizon_s=1800", "--out", str(out)]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            assert {row["requests"] for row in csv.DictReader(fh)} == {"0"}
+        assert main(["analyze", "--in", str(out), "--brackets", "--pareto"]) == 0
+        rows = (out / "aggregate.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(row.split(",")[2] == "n/a" for row in rows)
+
+    def test_missing_summary_columns_named(self, simulated, tmp_path):
+        _, _, out = simulated
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        drop = [rows[0].index("unserved"), rows[0].index("br15")]
+        bad = tmp_path / "summary.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows([c for i, c in enumerate(row) if i not in drop]
+                                     for row in rows)
+        with pytest.raises(ValueError, match=r"lacks columns: \['br15', 'unserved'\]"):
+            load_summary_csv(bad)
+        with pytest.raises(ValueError, match="lacks columns"):
+            main(["analyze", "--in", str(tmp_path)])
+        assert len(load_summary_csv(out / "summary.csv")) == len(rows) - 1
+        assert tuple(rows[0]) == SUMMARY_COLUMNS
+
+    @pytest.mark.parametrize("column,text", [("profit_usd", "abc"), ("requests", "1.5"),
+                                             ("br5", "")])
+    def test_unreadable_summary_value_names_the_line(self, simulated, tmp_path, column, text):
+        _, _, out = simulated
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][rows[0].index(column)] = text
+        bad = tmp_path / "summary.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(ValueError, match="summary file line 4: "):
+            load_summary_csv(bad)
 
 
 class TestVerifyCommand:

@@ -6,10 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from ridepool.harness import (
     BRACKETS,
+    SUMMARY_METRICS,
     DominanceResult,
     MechanismSummary,
     MismatchedGrids,
     ScenarioGrid,
+    aggregate,
     pareto_dominance,
     run_grid,
     savings_brackets,
@@ -73,6 +75,42 @@ class TestRunGrid:
     def test_summaries_cover_grid_mars(self, small_outcomes):
         for s in summarize(small_outcomes):
             assert s.mars() == (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+class TestAggregate:
+    def test_means_skip_missing_values(self):
+        def metrics(value, share):
+            m = dict.fromkeys(SUMMARY_METRICS, value)
+            m["brackets"] = dict.fromkeys(BRACKETS, share)
+            return m
+
+        half = Fraction(1, 2)
+        out = aggregate([
+            (("CCP", 1), half, metrics(Fraction(1), None)),
+            (("CCP", 1), half, metrics(None, None)),
+            (("CCP", 1), half, metrics(Fraction(4), Fraction(10))),
+            (("CCP", 1), Fraction(1), metrics(None, None)),
+            (("PCP", 1), half, metrics(2, 3)),
+        ])
+        assert list(out) == [("CCP", 1), ("PCP", 1)]
+        assert out["CCP", 1][half] == {
+            **dict.fromkeys(SUMMARY_METRICS, Fraction(5, 2)),
+            "brackets": dict.fromkeys(BRACKETS, Fraction(10)),
+        }
+        assert out["CCP", 1][Fraction(1)] == {
+            **dict.fromkeys(SUMMARY_METRICS), "brackets": dict.fromkeys(BRACKETS),
+        }
+        assert out["PCP", 1][half]["profit"] == 2
+
+    def test_summarize_averages_cell_metrics(self, small_outcomes):
+        for s in summarize(small_outcomes):
+            for mar, means in s.per_mar.items():
+                cells = [oc.metrics() for oc in small_outcomes
+                         if oc.mechanism == s.mechanism and oc.params["mar"] == mar]
+                assert len(cells) == 2
+                for metric in SUMMARY_METRICS:
+                    values = [m[metric] for m in cells if m[metric] is not None]
+                    assert means[metric] == (sum(values) / len(values) if values else None)
 
 
 class TestSavingsBrackets:

@@ -341,7 +341,7 @@ def random_world(randint, den=2):
             plan = plans[randint(0, len(plans) - 1)].plan
         else:
             continue
-        apply_assignment(v, plan, now)
+        fleet.commit(v, plan, now)
         requests[cid] = k
         quote = solitary_fare(tariff, WORLD, k.origin, k.destination)
         cost = quote + randint(0, 40) * 100
@@ -531,13 +531,12 @@ def check_rider_arrays(fleet, now):
 
 class TestFleetArrays:
     def test_arrays_track_every_commit_of_run_sim(self, monkeypatch, grid10):
-        commit = simengine.apply_assignment
+        commit = Fleet.commit  # how `run_sim` commits
         commits = []
         seen = np.zeros(2, dtype=int)  # single-rider vehicles, those after a pair
 
-        def checked_commit(v, plan, now):
-            out = commit(v, plan, now)
-            fleet = v.fleet
+        def checked_commit(fleet, v, plan, now):
+            out = commit(fleet, v, plan, now)
             for slot, w in enumerate(fleet.vehicles):
                 dropoffs = [e.time for e in w.schedule if e.op == DO]
                 assert fleet.ids[slot] == w.id
@@ -554,7 +553,7 @@ class TestFleetArrays:
                 return assign(fleet, r, now, *args)
             return at_request_time
 
-        monkeypatch.setattr(simengine, "apply_assignment", checked_commit)
+        monkeypatch.setattr(Fleet, "commit", checked_commit)
         for name in ("assign_sro", "assign_pcp", "assign_ccp"):
             monkeypatch.setattr(simengine, name, checked(getattr(simengine, name)))
         rng = np.random.default_rng(5)
@@ -582,7 +581,7 @@ class TestFleetArrays:
         v = vehicle_with_rider(line6, 0, "A", k)  # k on board, at E at 96 s
         fleet = Fleet([v])
         plan = plan_on(line6, 2, (Stop(PU, 2, "B"), Stop(DO, 1, "E"), Stop(DO, 2, "E")))
-        apply_assignment(v, plan, sec(1))
+        fleet.commit(v, plan, sec(1))
         assert fleet.second_drop[0] == fleet.busy_until[0] == sec(96)
         rebuilt = Fleet([v])  # derived from the vehicle's rides alone
         assert rebuilt.second_drop[0] == rebuilt.busy_until[0] == sec(96)

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -75,6 +77,25 @@ class TestBasics:
         late = Request.build(99, "n000x000", "n005x005", 4000, 360)
         res = run_sim(config(grid10, Mechanism.SRO), reqs + [late])
         assert res.n_requests == 20
+
+
+class TestRelease:
+    @pytest.mark.parametrize("mech", list(Mechanism))
+    def test_result_freed_without_the_cyclic_collector(self, mech, grid10):
+        # a vehicle must not point back at the fleet that points at it, or
+        # each finished result waits for the cyclic collector
+        reqs = grid_requests(grid10, 2, 80)
+        gc.collect()
+        gc.disable()
+        try:
+            res = run_sim(config(grid10, mech, seed=2, fleet=6), reqs)
+            assert res.served > 0
+            vehicle, result = weakref.ref(res.vehicles[0]), weakref.ref(res)
+            del res
+            assert result() is None
+            assert vehicle() is None
+        finally:
+            gc.enable()
 
 
 class TestValidation:
