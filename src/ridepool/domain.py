@@ -120,11 +120,13 @@ class Stop(NamedTuple):
 @dataclass(frozen=True)
 class InsertionPlan:
     """Ordered interleaving of the new customer's PU/DO with the active stops;
-    `nodes` holds each stop's node index."""
+    `nodes` holds each stop's node index and `poolable` the new customer's
+    flag (a pooled plan only ever carries poolable customers)."""
 
     new_customer: int
     stops: tuple[Stop, ...]
     nodes: tuple[int, ...] = field(compare=False, repr=False)
+    poolable: bool = field(default=True, compare=False, repr=False)
 
     def key(self) -> tuple:
         return tuple((s.op, s.customer, s.location) for s in self.stops)
@@ -138,6 +140,7 @@ class ActiveRide:
     dropoff_time: int
     origin_idx: int
     dest_idx: int
+    poolable: bool
 
 
 @dataclass(frozen=True)
@@ -239,53 +242,63 @@ class VehicleState:
 NEVER = np.iinfo(np.int64).min  # the time of a dropoff that never happened
 
 
-def _rider_state(v: VehicleState) -> tuple[int, int]:
-    """(second-to-last dropoff time, id of the rider dropped off last) over
-    the vehicle's committed rides; NEVER and -1 stand in for missing rides."""
+def _rider_state(v: VehicleState) -> tuple[int, int, bool]:
+    """(second-to-last dropoff time, id of the rider dropped off last, whether
+    that rider is poolable) over the vehicle's committed rides; NEVER, -1 and
+    False stand in for missing rides."""
     drops = sorted([(ride.dropoff_time, c) for c, ride in v.active.items()])
-    return (drops[-2][0] if len(drops) > 1 else NEVER), (drops[-1][1] if drops else -1)
+    if not drops:
+        return NEVER, -1, False
+    last = drops[-1][1]
+    return (drops[-2][0] if len(drops) > 1 else NEVER), last, v.active[last].poolable
 
 
 class Fleet:
-    """The vehicles plus the per-vehicle arrays the candidate pass reads.
+    """The vehicles plus the per-vehicle state the candidate pass reads.
 
-    `ids` holds the vehicle ids, `node` the node where each vehicle's trace
-    ends and `busy_until` its largest committed dropoff time, so a vehicle is
-    idle at `now` exactly when busy_until <= now.  `second_drop` is the
-    second-to-last committed dropoff time and `last_rider` the rider dropped
-    off at busy_until, so a vehicle carries exactly that one rider at `now`
-    when second_drop <= now < busy_until (riders dropped off together are
-    never alone).  After construction only `commit` writes them.
-    `id_rank` is each vehicle's place in id order, fixed at construction.
+    `slots_at` maps a node index to the slots of the vehicles whose trace
+    ends there.  `busy_until` is each vehicle's largest committed dropoff
+    time, so a vehicle is idle at `now` exactly when busy_until <= now.
+    `second_drop` is the second-to-last committed dropoff time and
+    `last_rider` the rider dropped off at busy_until, so a vehicle carries
+    exactly that one rider at `now` when second_drop <= now < busy_until
+    (riders dropped off together are never alone); `last_poolable` is that
+    rider's flag.  After construction only `commit` writes them.
     """
 
     def __init__(self, vehicles: Iterable[VehicleState]):
         self.vehicles = list(vehicles)
         self.by_id = {v.id: v for v in self.vehicles}
-        self.ids = np.array([v.id for v in self.vehicles], dtype=np.int64)
-        self.id_rank = np.argsort(np.argsort(self.ids))
-        self.node = np.array([v.trace_nodes[-1] for v in self.vehicles], dtype=np.intp)
+        self.slots_at: dict[int, list[int]] = {}
+        for slot, v in enumerate(self.vehicles):
+            v.slot = slot
+            self.slots_at.setdefault(v.trace_nodes[-1], []).append(slot)
         self.busy_until = np.array(
             [max((e.time for e in v.schedule if e.op == DO), default=NEVER) for v in self.vehicles],
             dtype=np.int64,
         )
         riders = [_rider_state(v) for v in self.vehicles]
-        self.second_drop = np.array([s for s, _ in riders], dtype=np.int64)
-        self.last_rider = np.array([c for _, c in riders], dtype=np.int64)
-        for slot, v in enumerate(self.vehicles):
-            v.slot = slot
+        self.second_drop = np.array([s for s, _, _ in riders], dtype=np.int64)
+        self.last_rider = np.array([c for _, c, _ in riders], dtype=np.int64)
+        self.last_poolable = np.array([p for _, _, p in riders], dtype=bool)
 
     def single_rider(self, now: int) -> np.ndarray:
         """Mask of the vehicles carrying exactly one committed rider at `now`."""
         return (self.second_drop <= now) & (now < self.busy_until)
 
     def commit(self, v: VehicleState, plan: InsertionPlan, now: int) -> None:
-        """`apply_assignment` on one of these vehicles, then refresh its arrays."""
+        """`apply_assignment` on one of these vehicles, then refresh its state."""
+        slot, old = v.slot, v.trace_nodes[-1]
         apply_assignment(v, plan, now)
-        slot = v.slot
-        self.node[slot] = v.trace_nodes[-1]
+        new = v.trace_nodes[-1]
+        if new != old:
+            here = self.slots_at[old]
+            here.remove(slot)
+            if not here:
+                del self.slots_at[old]
+            self.slots_at.setdefault(new, []).append(slot)
         self.busy_until[slot] = v.schedule[-1].time  # the plan ends on a dropoff
-        self.second_drop[slot], self.last_rider[slot] = _rider_state(v)
+        self.second_drop[slot], self.last_rider[slot], self.last_poolable[slot] = _rider_state(v)
 
 
 def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> None:
@@ -326,7 +339,7 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> None:
         if stop.op == PU:
             ride = v.active.get(stop.customer)
             if ride is None:
-                v.active[stop.customer] = ActiveRide(t, t, j, -1)
+                v.active[stop.customer] = ActiveRide(t, t, j, -1, plan.poolable)
             else:
                 ride.pickup_time = t
         else:

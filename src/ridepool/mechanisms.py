@@ -24,8 +24,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-import numpy as np
-
 from .domain import DO, PU, Fleet, InsertionPlan, Request, Stop, VehicleState
 from .netgraph import INF, RoadNetwork, Unreachable
 from .pricing import Tariff, mileage_fare, pcp_fare
@@ -162,7 +160,8 @@ def _pooled_candidate(
     ride = v.active[k.id]
     at = {r.origin: o, r.destination: d, k.origin: ride.origin_idx, k.destination: ride.dest_idx}
     return InsertionCandidate(
-        vehicle=v.id, plan=InsertionPlan(r.id, stops, tuple(at[s.location] for s in stops)),
+        vehicle=v.id, plan=InsertionPlan(r.id, stops, tuple(at[s.location] for s in stops),
+                                         r.poolable),
         added_distance=added, pickup_times={r.id: r_pick, k.id: k_pick},
         dropoff_times={r.id: r_drop, k.id: k_drop}, feasible=True, case=case, partner=k.id,
         **economics,
@@ -182,9 +181,9 @@ def _pooled_vehicles(
     a vehicle serving one poolable `k`.
 
     The fleet's rider arrays pick the vehicles carrying exactly one rider at
-    `now` in one mask.  A vehicle whose anchor cannot reach r's origin within
-    r's wait limit is skipped: every leg is a shortest path, so no
-    interleaving picks r up sooner.  Legs are scalar reads of the duration
+    `now`, a poolable one, in one mask.  A vehicle whose anchor cannot reach
+    r's origin within r's wait limit is skipped: every leg is a shortest
+    path, so no interleaving picks r up sooner.  Legs are scalar reads of the duration
     and mileage tables, each duration read tested for reachability; an
     interleaving that breaks r's wait limit, or the wait limit of a partner
     still waiting, is dropped.  Each pickup order (`heads`) is followed by
@@ -196,11 +195,9 @@ def _pooled_vehicles(
     if t_at(o, d) >= INF:  # an unreachable destination fails here, before any vehicle
         raise _unreachable(net, o, d)
     out = []
-    single = np.flatnonzero(fleet.single_rider(now))
+    single = (fleet.single_rider(now) & fleet.last_poolable).nonzero()[0]
     for slot, kid in zip(single.tolist(), fleet.last_rider[single].tolist()):
         k = requests[kid]
-        if not k.poolable:
-            continue
         v = fleet.vehicles[slot]
         pos, a, t_a = v.busy_anchor(now)
         pick = t_a + t_at(a, o)  # r's earliest pickup
@@ -258,9 +255,6 @@ def _pooled_vehicles(
     return out
 
 
-_NO_SCORE = np.iinfo(np.int64).max
-
-
 def enumerate_candidates(
     fleet: Fleet,
     r: Request,
@@ -274,38 +268,52 @@ def enumerate_candidates(
     """The one candidate pass for a request from node `o` to node `d`, over
     the fleet's arrays.
 
-    First, when there is one, the best feasible solitary candidate: one
-    gather from the duration and mileage tables prices every vehicle's
-    pickup and access mileage, the idle and wait masks prune (the
-    request-vehicle pruning of Alonso-Mora et al., PNAS 2017), one argmin
-    over access * fleet size + id rank picks the minimum over (added
-    distance, vehicle id), and only that candidate is built, from the same
-    reads: an idle vehicle leaves its trace end at `now` and abandons no
-    planned mileage.
+    First, when there is one, the best feasible solitary candidate: the
+    minimum over (added distance, vehicle id) of the idle vehicles that reach
+    `o` within the wait.  Every solitary candidate drives o -> d, so the
+    access mileage alone orders them by added distance, and the pass walks
+    the nodes nearest-first (`RoadNetwork.order_to`), skips nodes where no
+    trace ends and stops at the first node farther than the best eligible
+    vehicle so far (the request-vehicle pruning of Alonso-Mora et al., PNAS
+    2017, over per-target travel orders like T-Share's, Ma et al., ICDE
+    2013).  Only the winner is built, from the walk's reads: an idle vehicle
+    leaves its trace end at `now` and abandons no planned mileage.
     Then, for a poolable request in a pooling mode, one `PooledVehicle` per
     vehicle with a wait-feasible pooled interleaving (see
     `_pooled_vehicles`), in fleet order.  Every item is feasible.
     """
     dur, _, lex = net.tables()
-    nodes = fleet.node
-    # every solitary candidate drives o -> d, so the access leg alone orders
-    # them by added distance
-    t_access = dur[nodes, o]
-    near = (fleet.busy_until <= now) & (t_access <= r.request_time + r.max_wait - now)
+    t_at, m_at, busy_at = dur.item, lex.item, fleet.busy_until.item
+    slots_at, vehicles = fleet.slots_at, fleet.vehicles
+    wait = r.request_time + r.max_wait - now
+    best = None  # (access umiles, vehicle id, access usec)
+    for a in net.order_to(o):
+        slots = slots_at.get(a)
+        if slots is None:
+            continue
+        m = m_at(a, o)
+        if best is not None and m > best[0]:
+            break
+        t = t_at(a, o)
+        if t > wait:
+            continue
+        for slot in slots:
+            if busy_at(slot) <= now:
+                vid = vehicles[slot].id
+                # the walk is past every nearer node, so m ties the best
+                if best is None or vid < best[1]:
+                    best = (m, vid, t)
     out = []
-    if near.any():
-        # masked-out scores may overflow on unreachable pairs; none is read
-        m_access = lex[nodes, o]
-        i = np.where(near, m_access * len(nodes) + fleet.id_rank, _NO_SCORE).argmin()
-        t_od = dur.item(o, d)
+    if best is not None:
+        m, vid, t = best
+        t_od = t_at(o, d)
         if t_od >= INF:
             raise _unreachable(net, o, d)
-        pickup = now + t_access.item(i)
         stops = (Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination))
         out.append(InsertionCandidate(
-            vehicle=fleet.vehicles[i].id, plan=InsertionPlan(r.id, stops, (o, d)),
-            added_distance=m_access.item(i) + lex.item(o, d), pickup_times={r.id: pickup},
-            dropoff_times={r.id: pickup + t_od}, feasible=True,
+            vehicle=vid, plan=InsertionPlan(r.id, stops, (o, d), r.poolable),
+            added_distance=m + m_at(o, d), pickup_times={r.id: now + t},
+            dropoff_times={r.id: now + t + t_od}, feasible=True,
         ))
     if mode != Mechanism.SRO and r.poolable:
         out.extend(_pooled_vehicles(fleet, r, o, d, now, net, requests))

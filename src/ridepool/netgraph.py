@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import threading
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,6 +100,7 @@ class RoadNetwork:
         self._lock = threading.Lock()
         self._tables = None
         self._legs: dict[tuple[int, int], np.ndarray] = {}
+        self._orders: dict[int, array] = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -204,6 +206,17 @@ class RoadNetwork:
         memo = np.array((nodes, usec, umiles), dtype=np.int64)
         with self._lock:
             self._legs[(i, j)] = memo
+        return memo
+
+    def order_to(self, j: int) -> array:
+        """Every node index in ascending mileage to node index `j` (index order
+        among equal mileages; unreachable nodes last), memoized per target."""
+        memo = self._orders.get(j)
+        if memo is not None:
+            return memo
+        memo = array("i", np.argsort(self.tables()[2][:, j], kind="stable").tolist())
+        with self._lock:
+            self._orders[j] = memo
         return memo
 
     def path_indices(self, i: int, j: int) -> tuple[int, ...]:

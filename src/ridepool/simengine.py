@@ -30,7 +30,7 @@ from .mechanisms import (
     assign_pcp,
     assign_sro,
 )
-from .netgraph import RoadNetwork
+from .netgraph import INF, RoadNetwork
 from .pricing import Tariff, provider_profit, total_cost
 from .units import Money, time_cost_mils
 
@@ -174,9 +174,12 @@ def _validate(cfg: SimConfig, requests: list[Request], fleet) -> None:
             raise ConfigError(f"request {r.id} references nodes off the network")
         used.add(net.index(r.origin))
         used.add(net.index(r.destination))
-    cut = net.first_unreachable(sorted(used))
-    if cut is not None:
-        i, j = cut
+    # all used nodes are mutually reachable exactly when each reaches one hub
+    # and is reached from it; only a failure searches every pair for its name
+    nodes = np.fromiter(used, dtype=np.intp, count=len(used))
+    dur, hub = net.tables()[0], nodes[0]
+    if (dur[hub, nodes] >= INF).any() or (dur[nodes, hub] >= INF).any():
+        i, j = net.first_unreachable(sorted(used))
         raise ConfigError(
             f"nodes {net.node_ids[i]!r} and {net.node_ids[j]!r} are not mutually reachable"
         )

@@ -28,9 +28,10 @@ def ends(net, r):
     return net.index(r.origin), net.index(r.destination)
 
 
-def plan_on(net, cust, stops):
+def plan_on(net, cust, stops, poolable=True):
     """An insertion plan for `cust` carrying its stops' node indices on `net`."""
-    return InsertionPlan(cust, tuple(stops), tuple(net.index(s.location) for s in stops))
+    return InsertionPlan(cust, tuple(stops), tuple(net.index(s.location) for s in stops),
+                         poolable)
 
 
 def counterfactual_sro(cfg, requests):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -65,7 +66,7 @@ def vehicle_with_rider(net, vid, start, rider, now=0):
     """Vehicle standing at `start` that just committed to `rider` solo."""
     v = VehicleState(vid, start, net)
     plan = plan_on(net, rider.id, (Stop(PU, rider.id, rider.origin),
-                                   Stop(DO, rider.id, rider.destination)))
+                                   Stop(DO, rider.id, rider.destination)), rider.poolable)
     apply_assignment(v, plan, sec(now))
     return v
 
@@ -165,6 +166,63 @@ class TestEnumerateCandidates:
         r = req(2, "B", "D", t=1)
         assert enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i},
             *ends(line6, r)) == []
+
+
+def counted_walk(monkeypatch, net):
+    """The node indices the pass visits on `net`'s per-target orders."""
+    visited = []
+    order_to = net.order_to
+
+    def counting(j):
+        for a in order_to(j):
+            visited.append(a)
+            yield a
+
+    monkeypatch.setattr(net, "order_to", counting)
+    return visited
+
+
+class TestNearestFirstWalk:
+    def test_equal_mileage_on_two_nodes_prefers_the_lower_id(self, line6, monkeypatch):
+        a, b, c, d = (line6.index(x) for x in "ABCD")
+        # B and D are both one arc from C; B comes first in C's order
+        assert list(line6.order_to(c))[:4] == [c, b, d, a]
+        fleet = Fleet([VehicleState(5, "B", line6), VehicleState(2, "D", line6),
+                       VehicleState(0, "A", line6)])
+        r = req(1, "C", "A")
+        visited = counted_walk(monkeypatch, line6)
+        (solo,) = enumerate_candidates(fleet, r, 0, Mechanism.SRO, line6, {}, *ends(line6, r))
+        assert solo.vehicle == 2 and solo.added_distance == 3 * UMILE // 5
+        # the walk checks D's tie, then stops at A's farther vehicle
+        assert visited == [c, b, d, a]
+
+    def test_empty_fleet_walks_every_node(self, line6, monkeypatch):
+        r = req(1, "C", "A")
+        visited = counted_walk(monkeypatch, line6)
+        assert enumerate_candidates(Fleet([]), r, 0, Mechanism.CCP, line6, {},
+                                    *ends(line6, r)) == []
+        assert len(visited) == line6.n_nodes
+
+    def test_every_vehicle_busy(self, line6, monkeypatch):
+        riders = [req(1, "A", "E", poolable=False), req(2, "F", "B", poolable=False)]
+        fleet = Fleet([vehicle_with_rider(line6, i, k.origin, k) for i, k in enumerate(riders)])
+        r = req(3, "C", "D", t=1)
+        visited = counted_walk(monkeypatch, line6)
+        assert enumerate_candidates(fleet, r, sec(1), Mechanism.CCP, line6,
+                                    {k.id: k for k in riders}, *ends(line6, r)) == []
+        assert len(visited) == line6.n_nodes
+
+    def test_no_idle_vehicle_within_the_wait_walks_every_node(self, line6, monkeypatch):
+        fleet = Fleet([VehicleState(0, "E", line6), VehicleState(1, "D", line6)])
+        r = Request(1, "A", "B", 0, 250, sec(71), True)  # D->A takes 72 s
+        visited = counted_walk(monkeypatch, line6)
+        assert enumerate_candidates(fleet, r, 0, Mechanism.SRO, line6, {}, *ends(line6, r)) == []
+        assert len(visited) == line6.n_nodes
+        # one second more and D's vehicle wins; the walk stops at E's, short of F
+        r = Request(1, "A", "B", 0, 250, sec(72), True)
+        visited.clear()
+        (solo,) = enumerate_candidates(fleet, r, 0, Mechanism.SRO, line6, {}, *ends(line6, r))
+        assert solo.vehicle == 1 and visited == [line6.index(x) for x in "ABCDE"]
 
 
 class TestAssignPcp:
@@ -304,15 +362,36 @@ class TestSolitaryBaseline:
 WORLD = make_grid(4, 4, 0.1, 30)  # uniform arcs, so equal access distances are common
 
 
-def random_world(randint, den=2):
+def one_way_grid(n=4):
+    """An n x n grid whose rows run one way, alternately east and west, and
+    whose two-way vertical arcs are shorter but slower than the horizontal
+    ones.  The mileage to a node then differs from the mileage out of it, and
+    the nearest vehicle by mileage is often not the quickest to arrive."""
+    ids = [[f"n{r}x{c}" for c in range(n)] for r in range(n)]
+    arcs = []
+    for r in range(n):
+        for c in range(n - 1):
+            west, east = ids[r][c], ids[r][c + 1]
+            arcs.append((east, west, 0.1, 12) if r % 2 else (west, east, 0.1, 12))
+    for r in range(n - 1):
+        for c in range(n):
+            arcs += [(ids[r][c], ids[r + 1][c], 0.05, 60), (ids[r + 1][c], ids[r][c], 0.05, 60)]
+    return RoadNetwork([i for row in ids for i in row], arcs)
+
+
+ONE_WAY = one_way_grid()
+
+
+def random_world(randint, den=2, net=WORLD):
     """A fleet of 1-12 vehicles with non-contiguous ids in no fixed order,
-    riders committed solo or pooled at random times, and one new request.
+    riders committed solo or pooled at random times, and one new request,
+    on `net`.
 
     `randint(lo, hi)` supplies every choice, so hypothesis can drive (and
     shrink) a world and a seeded `random.Random` can replay one.  Committed
     guarantees and fares lie on multiples of 1/`den` mils.
     """
-    nodes = WORLD.node_ids
+    nodes = net.node_ids
 
     def rider(cid, t):
         o = randint(0, len(nodes) - 1)
@@ -324,7 +403,7 @@ def random_world(randint, den=2):
     ids = [5 * i + randint(0, 4) for i in range(n)]
     turn = randint(0, n - 1)
     ids = ids[turn:] + ids[:turn]
-    fleet = Fleet(VehicleState(i, nodes[randint(0, len(nodes) - 1)], WORLD) for i in ids)
+    fleet = Fleet(VehicleState(i, nodes[randint(0, len(nodes) - 1)], net) for i in ids)
     tariff = Tariff.from_usd(change_fee=(0.5, 2.0)[randint(0, 1)])
     requests, committed = {}, {}
     now = 0
@@ -334,23 +413,24 @@ def random_world(randint, den=2):
         v = fleet.vehicles[randint(0, n - 1)]
         v.prune(now)
         if not v.active:
-            plan = plan_on(WORLD, cid, (Stop(PU, cid, k.origin), Stop(DO, cid, k.destination)))
+            plan = plan_on(net, cid, (Stop(PU, cid, k.origin), Stop(DO, cid, k.destination)),
+                           k.poolable)
         elif len(v.active) == 1:
             (j,) = v.active
             plans = _pooled_candidates_for(v, k, requests[j], now)
-            plan = plans[randint(0, len(plans) - 1)].plan
+            plan = replace(plans[randint(0, len(plans) - 1)].plan, poolable=k.poolable)
         else:
             continue
         fleet.commit(v, plan, now)
         requests[cid] = k
-        quote = solitary_fare(tariff, WORLD, k.origin, k.destination)
+        quote = solitary_fare(tariff, net, k.origin, k.destination)
         cost = quote + randint(0, 40) * 100
         # CCP pooling leaves guarantees and fares on half mils
         committed[cid] = CommittedCost(cid, cost, Fraction(den * cost - randint(0, den - 1), den),
                                        Fraction(den * quote - randint(0, den - 1), den))
         if len(v.active) == 1:  # a solo ride starts a new run
             ride = v.active[cid]
-            v.set_fare_run([WORLD.index(k.origin), WORLD.index(k.destination)],
+            v.set_fare_run([net.index(k.origin), net.index(k.destination)],
                            [ride.pickup_time, ride.dropoff_time], quote, 0)
     now += randint(0, 40) * USEC
     r = rider(1000, max(0, now - randint(0, 20) * USEC))
@@ -358,11 +438,12 @@ def random_world(randint, den=2):
     return fleet, tariff, requests, committed, r, now
 
 
-def compare_with_scan(world):
-    """Assert the single pass and the per-vehicle scan agree on everything;
-    return the scan's candidates and the three decisions."""
+def compare_with_scan(world, net=WORLD):
+    """Assert the single pass and the per-vehicle scan agree on everything
+    in a world on `net`; return the scan's candidates and the three
+    decisions."""
     fleet, tariff, requests, committed, r, now = world
-    net, vehicles = WORLD, fleet.vehicles
+    vehicles = fleet.vehicles
     scanned = _scan_oracle.enumerate_candidates(vehicles, r, now, Mechanism.CCP, requests)
     got = enumerate_candidates(fleet, r, now, Mechanism.CCP, net, requests, *ends(net, r))
     solo = got[0] if got and isinstance(got[0], InsertionCandidate) else None
@@ -419,6 +500,33 @@ class TestSinglePass:
     @settings(max_examples=300, deadline=None)
     def test_matches_per_vehicle_scan(self, data):
         compare_with_scan(random_world(lambda lo, hi: data.draw(st.integers(lo, hi))))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_vehicle_scan_on_one_way_streets(self, data):
+        draw = lambda lo, hi: data.draw(st.integers(lo, hi))  # noqa: E731
+        compare_with_scan(random_world(draw, net=ONE_WAY), ONE_WAY)
+
+    def test_one_way_comparison_reaches_past_nearer_vehicles(self):
+        # replayable one-way worlds where the solitary winner is not the idle
+        # vehicle nearest by mileage (that one misses the wait), and where the
+        # mileage out of the origin would pick another vehicle
+        dur, _, lex = ONE_WAY.tables()
+        passed_nearer = reverse_differs = 0
+        for seed in range(300):
+            world = random_world(random.Random(seed).randint, net=ONE_WAY)
+            fleet, tariff, requests, committed, r, now = world
+            _, (sro, _, _) = compare_with_scan(world, ONE_WAY)
+            if sro.kind != SOLITARY:
+                continue
+            o = ONE_WAY.index(r.origin)
+            idle = [(v.trace_nodes[-1], v.id) for v in fleet.vehicles if v.is_idle(now)]
+            eligible = [(a, vid) for a, vid in idle
+                        if dur[a, o] <= r.request_time + r.max_wait - now]
+            won = min(lex[a, o] for a, vid in eligible if vid == sro.vehicle)
+            passed_nearer += any(lex[a, o] < won for a, _ in idle)
+            reverse_differs += min(eligible, key=lambda e: (lex[o, e[0]], e[1]))[1] != sro.vehicle
+        assert passed_nearer >= 5 and reverse_differs >= 10
 
     def test_scan_comparison_covers_ties_and_every_outcome(self):
         # the same comparison on replayable worlds, checking that they reach
@@ -508,9 +616,10 @@ class TestDetourLimitsPerRun:
         assert changed > 0 and pooled_strict > 0
 
 
-def check_rider_arrays(fleet, now):
+def check_rider_arrays(fleet, now, poolable=None):
     """Check the single-rider mask, the last-rider array and the busy anchor
-    against `prune` and a linear trace scan at `now`.  Return how many
+    against `prune` and a linear trace scan at `now`, and, given every
+    customer's flag in `poolable`, the lone rider's flag.  Return how many
     vehicles carry one rider, and how many of them carried two before."""
     single = fleet.single_rider(now)
     alone = after_pair = 0
@@ -519,6 +628,8 @@ def check_rider_arrays(fleet, now):
         assert single[slot] == (len(w.active) == 1)
         if single[slot]:
             assert list(w.active) == [fleet.last_rider[slot]]
+            if poolable is not None:
+                assert fleet.last_poolable[slot] == poolable[fleet.last_rider[slot]]
             alone += 1
             after_pair += fleet.second_drop[slot] != NEVER
         if w.active:
@@ -534,22 +645,25 @@ class TestFleetArrays:
         commit = Fleet.commit  # how `run_sim` commits
         commits = []
         seen = np.zeros(2, dtype=int)  # single-rider vehicles, those after a pair
+        poolable = {}  # every customer's flag in the current run
 
         def checked_commit(fleet, v, plan, now):
             out = commit(fleet, v, plan, now)
+            ends = {}
             for slot, w in enumerate(fleet.vehicles):
                 dropoffs = [e.time for e in w.schedule if e.op == DO]
-                assert fleet.ids[slot] == w.id
-                assert fleet.node[slot] == w.trace_nodes[-1]
+                ends.setdefault(w.trace_nodes[-1], []).append(slot)
                 assert fleet.busy_until[slot] == max(dropoffs, default=NEVER)
                 assert (fleet.busy_until[slot] <= now) == w.is_idle(now)
-            seen[:] += check_rider_arrays(fleet, now)
+            # the node -> slots index holds every trace end and no empty node
+            assert {a: sorted(slots) for a, slots in fleet.slots_at.items()} == ends
+            seen[:] += check_rider_arrays(fleet, now, poolable)
             commits.append(plan.new_customer)
             return out
 
         def checked(assign):
             def at_request_time(fleet, r, now, *args):
-                seen[:] += check_rider_arrays(fleet, now)
+                seen[:] += check_rider_arrays(fleet, now, poolable)
                 return assign(fleet, r, now, *args)
             return at_request_time
 
@@ -568,6 +682,7 @@ class TestFleetArrays:
                 mechanism=mech, tariff=TARIFF, fleet_size=10, mar=Fraction(3, 4),
                 rng_seed=1, network=grid10, horizon=1800 * USEC,
             )
+            poolable = {r.id: r.poolable for r in simengine.resolve_requests(cfg, trips)}
             res = simengine.run_sim(cfg, trips)
             served += res.served
             pooled += res.pooled_customers

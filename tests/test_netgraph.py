@@ -270,6 +270,17 @@ class TestTables:
                 node_sequence=tuple(ids[k] for k in nodes),
             )
 
+    @given(random_networks())
+    @settings(max_examples=200, deadline=None)
+    def test_order_to_ascends_in_mileage_to_the_target(self, net):
+        lex = _fw_oracle.build_tables(net)[2]
+        for j in range(net.n_nodes):
+            order = net.order_to(j)
+            # column j: mileage from each node to j, which one-way arcs make
+            # differ from the mileage out of j
+            assert list(order) == sorted(range(net.n_nodes), key=lambda a: (lex[a, j], a))
+            assert net.order_to(j) is order
+
 
 def save_network_csv(net: RoadNetwork, path) -> None:
     with open(path, "w", newline="") as fh:

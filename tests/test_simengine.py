@@ -130,6 +130,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="nodes 'b' and 'c' are not mutually reachable"):
             run_sim(cfg, [r])
 
+    def test_one_way_reachability_rejected(self):
+        # every node reaches b and c, but nothing reaches a
+        net = RoadNetwork(["a", "b", "c"], [("a", "b", 0.1, 10), ("b", "c", 0.1, 10),
+                                            ("c", "b", 0.1, 10)])
+        cfg = SimConfig(
+            mechanism=Mechanism.SRO, tariff=TARIFF, fleet_size=1, mar=Fraction(0),
+            rng_seed=0, network=net, horizon=1800 * USEC, initial_vehicle_nodes=("a",),
+        )
+        with pytest.raises(ConfigError, match="nodes 'b' and 'a' are not mutually reachable"):
+            run_sim(cfg, [Request.build(0, "b", "c", 0, 300)])
+        cfg = replace(cfg, initial_vehicle_nodes=("b",))
+        assert run_sim(cfg, [Request.build(0, "b", "c", 0, 300)]).served == 1
+
 
 class TestDeterminismAndPairing:
     def test_identical_runs_identical_logs(self, grid10):
