@@ -214,7 +214,8 @@ class RoadNetwork:
         memo = self._orders.get(j)
         if memo is not None:
             return memo
-        memo = array("i", np.argsort(self.tables()[2][:, j], kind="stable").tolist())
+        order = np.argsort(self.tables()[2][:, j], kind="stable")
+        memo = array("i", order.astype(np.intc).tobytes())
         with self._lock:
             self._orders[j] = memo
         return memo

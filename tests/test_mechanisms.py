@@ -418,6 +418,7 @@ def random_world(randint, den=2, net=WORLD):
         elif len(v.active) == 1:
             (j,) = v.active
             plans = _pooled_candidates_for(v, k, requests[j], now)
+            # this world pools riders whatever their flags; the plan keeps k's
             plan = replace(plans[randint(0, len(plans) - 1)].plan, poolable=k.poolable)
         else:
             continue
