@@ -220,15 +220,11 @@ def cmd_split(args) -> int:
     rows = []
     for acct in accounts:
         if args.scheme == "shapley":
-            if len(acct.members) != 2:
-                print(
-                    f"run {acct.run_id}: shapley splits rider pairs only "
-                    f"({len(acct.members)} riders; chained runs are priced per pooling "
-                    f"event inside the simulation) - use goalprog here",
-                    file=sys.stderr,
-                )
+            try:
+                res = shapley_split(acct)
+            except ValueError as err:
+                print(err, file=sys.stderr)
                 return 2
-            res = shapley_split(acct)
         else:
             res = goalprog_split(acct, thresholds)
         by_cust = {m.customer: m for m in acct.members}

@@ -64,9 +64,6 @@ class SplitResult:
     entries: tuple[SplitEntry, ...]
     counts: tuple[int, ...] | None = None
 
-    def fares(self) -> dict[int, Fraction]:
-        return {e.customer: e.fare for e in self.entries}
-
 
 def _check_feasible(acct: RunAccount) -> int:
     budget = acct.budget()
@@ -89,7 +86,8 @@ def shapley_split(acct: RunAccount) -> SplitResult:
     """Equal split of a two-rider surplus: both save budget/2 in absolute terms."""
     if len(acct.members) != 2:
         raise ValueError(
-            "shapley_split handles rider pairs; longer chains are priced per pooling event"
+            f"run {acct.run_id}: shapley splits rider pairs only ({len(acct.members)} riders; "
+            "chained runs are priced per pooling event inside the simulation) - use goalprog"
         )
     budget = _check_feasible(acct)
     half = Fraction(budget, 2)

@@ -128,9 +128,6 @@ class InsertionPlan:
     nodes: tuple[int, ...] = field(compare=False, repr=False)
     poolable: bool = field(default=True, compare=False, repr=False)
 
-    def key(self) -> tuple:
-        return tuple((s.op, s.customer, s.location) for s in self.stops)
-
 
 @dataclass
 class ActiveRide:
@@ -200,11 +197,6 @@ class VehicleState:
             pos = len(self.trace_nodes) - 1
             return pos, self.trace_nodes[pos], now
         return self.busy_anchor(now)
-
-    @property
-    def fare_waypoints(self) -> list[str]:
-        """The current run's chargeable itinerary as node ids."""
-        return [self.net.node_ids[i] for i in self.fare_nodes]
 
     def busy_anchor(self, now: int) -> tuple[int, int, int]:
         """`anchor_at` for a vehicle known to be busy at `now`, without

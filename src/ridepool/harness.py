@@ -350,10 +350,10 @@ def pareto_dominance(a: MechanismSummary, b: MechanismSummary) -> DominanceResul
 # desk-scale trip corpus
 # ---------------------------------------------------------------------------
 
-def synthetic_trips(net: RoadNetwork, n: int, horizon_s: int, seed: int,
-                    max_wait_s: int = 600) -> list[Request]:
+def synthetic_trips(net: RoadNetwork, n: int, horizon_s: int, seed: int) -> list[Request]:
     """Seeded synthetic demand: uniform origin/destination pairs and arrival
-    times; poolable flags and values of time are left for the simulation."""
+    times, each with a 600 s wait limit; poolable flags and values of time
+    are left for the simulation."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     rows = []
     for _ in range(n):
@@ -361,7 +361,7 @@ def synthetic_trips(net: RoadNetwork, n: int, horizon_s: int, seed: int,
         rows.append((int(rng.integers(0, horizon_s + 1)), int(o), int(d)))
     rows.sort()
     return [
-        Request.build(i, net.node_ids[o], net.node_ids[d], t, max_wait_s)
+        Request.build(i, net.node_ids[o], net.node_ids[d], t, 600)
         for i, (t, o, d) in enumerate(rows)
     ]
 

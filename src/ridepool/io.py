@@ -28,6 +28,30 @@ TRIP_COLUMNS = (
 POOLABLE_FLAGS = {"": None, "0": False, "false": False, "1": True, "true": True}
 
 
+def _read(path, kind: str, columns):
+    """Each row of the CSV file at `path` with its `field(col, parse=str)`,
+    `parse` of the column's stripped text.  Missing columns raise a
+    ValueError naming them; a short row, or text that `parse` rejects, one
+    naming the `kind` file's line and the column."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(columns) - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{kind} file lacks columns: {sorted(missing)}")
+        for row in reader:
+            def field(col, parse=str):
+                text = row[col]
+                if text is not None:
+                    try:
+                        return parse(text.strip())
+                    except (ArithmeticError, KeyError, ValueError):
+                        pass
+                why = "the row is short" if text is None else f"cannot read {text!r}"
+                raise ValueError(f"{kind} file line {reader.line_num}, column {col!r}: {why}")
+
+            yield row, field
+
+
 def load_trips_csv(path) -> list[Request]:
     """Read a trip file; empty value-of-time or poolable fields stay unset.
 
@@ -35,36 +59,19 @@ def load_trips_csv(path) -> list[Request]:
     0, 1, true or false (in any case) raises a ValueError naming the line
     and the column.
     """
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(TRIP_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"trip file lacks columns: {sorted(missing)}")
-
-        def field(row, col, parse=str):
-            text = row[col]
-            if text is not None:
-                try:
-                    return parse(text.strip())
-                except (ArithmeticError, KeyError, ValueError):
-                    pass
-            why = "the row is short" if text is None else f"cannot read {text!r}"
-            raise ValueError(f"trip file line {reader.line_num}, column {col!r}: {why}")
-
-        for i, row in enumerate(reader):
-            out.append(
-                Request(
-                    id=i,
-                    origin=field(row, "origin_node"),
-                    destination=field(row, "dest_node"),
-                    request_time=field(row, "request_time_s", usec_from_seconds),
-                    value_of_time=field(row, "value_of_time_usd_per_min",
-                                        lambda text: mils_from_usd(text) if text else None),
-                    max_wait=field(row, "max_wait_s", usec_from_seconds),
-                    poolable=field(row, "poolable", lambda text: POOLABLE_FLAGS[text.lower()]),
-                )
-            )
+    out = [
+        Request(
+            id=i,
+            origin=field("origin_node"),
+            destination=field("dest_node"),
+            request_time=field("request_time_s", usec_from_seconds),
+            value_of_time=field("value_of_time_usd_per_min",
+                                lambda text: mils_from_usd(text) if text else None),
+            max_wait=field("max_wait_s", usec_from_seconds),
+            poolable=field("poolable", lambda text: POOLABLE_FLAGS[text.lower()]),
+        )
+        for i, (_, field) in enumerate(_read(path, "trip", TRIP_COLUMNS))
+    ]
     out.sort(key=lambda r: (r.request_time, r.id))
     return out
 
@@ -72,35 +79,28 @@ def load_trips_csv(path) -> list[Request]:
 def load_summary_csv(path) -> list[tuple[tuple[str, ...], dict]]:
     """One (`CELL_COLUMNS` text, metrics) pair per summary row, the metrics
     exact and in `CellOutcome.metrics` units: the two shares from the integer
-    counts, the others from their four decimals, "n/a" as None."""
-
-    def value(text, scale=1):
-        return None if text == "n/a" else Fraction(text) * scale
-
-    def share(part, whole):
-        return Fraction(int(part), int(whole)) * 100 if int(whole) else None
-
+    counts, the others from their four decimals, "n/a" as None.  A short row
+    or unreadable text raises a ValueError naming the line and the column."""
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(SUMMARY_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"summary file lacks columns: {sorted(missing)}")
-        for row in reader:
-            try:
-                metrics = {
-                    "unserved_pct": share(row["unserved"], row["requests"]),
-                    "pooled_share_pct": share(row["pooled"], row["poolable"]),
-                    "distance_saving_pct": value(row["distance_saving_pct"]),
-                    "profit_delta_pct": value(row["profit_delta_pct"]),
-                    "profit": value(row["profit_usd"], MILS),
-                    "mean_cost_per_poolable": value(row["mean_cost_per_poolable_usd"], MILS),
-                    "cost_reduction_pct": value(row["cost_reduction_pct"]),
-                    "brackets": {t: value(row[c]) for t, c in zip(BRACKETS, BRACKET_COLUMNS)},
-                }
-            except (TypeError, ValueError) as err:  # a short row, or text that is no number
-                raise ValueError(f"summary file line {reader.line_num}: {err}") from None
-            out.append((tuple(row[c] for c in CELL_COLUMNS), metrics))
+    for row, field in _read(path, "summary", SUMMARY_COLUMNS):
+        def value(col, scale=1):
+            return field(col, lambda text: None if text == "n/a" else Fraction(text) * scale)
+
+        def share(part, whole):
+            whole = field(whole, int)
+            return Fraction(field(part, int), whole) * 100 if whole else None
+
+        metrics = {
+            "unserved_pct": share("unserved", "requests"),
+            "pooled_share_pct": share("pooled", "poolable"),
+            "distance_saving_pct": value("distance_saving_pct"),
+            "profit_delta_pct": value("profit_delta_pct"),
+            "profit": value("profit_usd", MILS),
+            "mean_cost_per_poolable": value("mean_cost_per_poolable_usd", MILS),
+            "cost_reduction_pct": value("cost_reduction_pct"),
+            "brackets": {t: value(c) for t, c in zip(BRACKETS, BRACKET_COLUMNS)},
+        }
+        out.append((tuple(row[c] for c in CELL_COLUMNS), metrics))
     return out
 
 
@@ -186,33 +186,26 @@ def run_account_rows(result: SimResult, prefix: tuple = ()):
 
 
 def load_run_accounts_csv(path):
-    """Read run accounts: one row per run member, fare repeated within a run."""
+    """Read run accounts: one row per run member, fare repeated within a run.
+    A short row or unreadable text raises a ValueError naming the line and
+    the column."""
     from .costshare import RunAccount, RunMember
 
     groups: dict[str, list] = {}
     fares: dict[str, int] = {}
-    order: list[str] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(RUN_ACCOUNT_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"run file lacks columns: {sorted(missing)}")
-        for row in reader:
-            rid = row["run_id"].strip()
-            if rid not in groups:
-                groups[rid] = []
-                order.append(rid)
-                fares[rid] = mils_from_usd(row["run_fare_usd"].strip())
-            elif fares[rid] != mils_from_usd(row["run_fare_usd"].strip()):
-                raise ValueError(f"run {rid}: inconsistent run_fare_usd across rows")
-            groups[rid].append(
-                RunMember(
-                    customer=int(row["customer"]),
-                    solitary_cost=mils_from_usd(row["c_solitary_usd"].strip()),
-                    pooled_time_cost=mils_from_usd(row["a_pooled_time_usd"].strip()),
-                )
+    for _, field in _read(path, "run", RUN_ACCOUNT_COLUMNS):
+        rid = field("run_id")
+        fare = field("run_fare_usd", mils_from_usd)
+        if fares.setdefault(rid, fare) != fare:
+            raise ValueError(f"run {rid}: inconsistent run_fare_usd across rows")
+        groups.setdefault(rid, []).append(
+            RunMember(
+                customer=field("customer", int),
+                solitary_cost=field("c_solitary_usd", mils_from_usd),
+                pooled_time_cost=field("a_pooled_time_usd", mils_from_usd),
             )
-    return [RunAccount(rid, tuple(groups[rid]), fares[rid]) for rid in order]
+        )
+    return [RunAccount(rid, tuple(members), fares[rid]) for rid, members in groups.items()]
 
 
 def write_csv(path, header, rows) -> None:

@@ -40,14 +40,12 @@ class Mechanism(str, Enum):
 
 @dataclass(frozen=True)
 class CommittedCost:
-    """A customer's frozen baseline and her currently guaranteed economics.
+    """A customer's currently guaranteed total cost and fare share.
 
     `spare_num / spare_den` is guaranteed - fare in lowest terms, the part
     of her guarantee that the coalition test adds to a pair's cost cap.
     """
 
-    customer: int
-    baseline: int  # mils, solitary-counterfactual total cost, frozen
     guaranteed: Money  # current guaranteed total cost
     fare: Money  # current fare share
     spare_num: int = field(init=False, repr=False, compare=False)
@@ -75,9 +73,6 @@ class InsertionCandidate:
     new_run_fare: int | None = None
     new_wp_nodes: tuple[int, ...] | None = None  # the new fare itinerary's node indices
     new_wp_times: tuple[int, ...] | None = None
-
-    def sort_key(self):
-        return (self.added_distance, self.vehicle, self.plan.key())
 
 
 @dataclass
@@ -143,9 +138,10 @@ def _case_stops(case: int, r: Request, k: Request) -> tuple[Stop, ...]:
 
 
 def _case_rank(case: int, r: Request, k: Request) -> int:
-    """Orders one vehicle's cases like their `InsertionPlan.key()`: the plans
-    first differ at a stop of `r` against the same stop of `k`, so the cases
-    order by number when k's id is the smaller one and in reverse otherwise."""
+    """Orders one vehicle's cases like their plans' stop tuples of (op,
+    customer, location): the plans first differ at a stop of `r` against the
+    same stop of `k`, so the cases order by number when k's id is the
+    smaller one and in reverse otherwise."""
     return case if k.id < r.id else -case
 
 

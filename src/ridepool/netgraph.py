@@ -85,7 +85,12 @@ class RoadNetwork:
                 memo = (type(length_mi), length_mi, type(time_s), time_s)
                 attrs = scaled.get(memo)
                 if attrs is None:
-                    attrs = scaled[memo] = (umiles_from_miles(length_mi), usec_from_seconds(time_s))
+                    try:
+                        attrs = (umiles_from_miles(length_mi), usec_from_seconds(time_s))
+                    except (ArithmeticError, TypeError, ValueError):
+                        raise InvalidParameter(f"arc ({frm!r}, {to!r}): cannot read length "
+                                               f"{length_mi!r} or time {time_s!r}") from None
+                    scaled[memo] = attrs
                 last = (length_mi, time_s, attrs)
             if attrs[0] <= 0 or attrs[1] <= 0:
                 raise InvalidParameter(f"arc ({frm!r}, {to!r}) needs positive length and time")
@@ -101,15 +106,6 @@ class RoadNetwork:
         self._tables = None
         self._legs: dict[tuple[int, int], np.ndarray] = {}
         self._orders: dict[int, array] = {}
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     # -- construction helpers -------------------------------------------------
 
@@ -287,7 +283,12 @@ def load_network_csv(path) -> RoadNetwork:
                     raise InvalidParameter(f"line {lineno}: node row needs an id")
                 nodes.append(row[1].strip())
                 if len(row) >= 4:
-                    coords[row[1].strip()] = (float(row[2]), float(row[3]))
+                    try:
+                        coords[row[1].strip()] = (float(row[2]), float(row[3]))
+                    except ValueError:
+                        raise InvalidParameter(
+                            f"line {lineno}: cannot read coordinates {row[2]!r}, {row[3]!r}"
+                        ) from None
             elif kind == "arc":
                 if len(row) < 5:
                     raise InvalidParameter(f"line {lineno}: arc row needs from,to,length_mi,time_s")

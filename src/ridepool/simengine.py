@@ -14,7 +14,7 @@ customer so the poolable populations at increasing MAR levels are nested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -108,7 +108,6 @@ class RunRecord:
     run_id: str
     run: Run
     account: RunAccount | None = None  # pooled runs only
-    counts: tuple[int, ...] | None = None
 
 
 @dataclass
@@ -198,7 +197,6 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     committed: dict[int, CommittedCost] = {}
     log: list[DecisionRow] = []
     unserved_ids: list[int] = []
-    pooled_ids: set[int] = set()
 
     for r in stream:
         now = r.request_time
@@ -209,27 +207,34 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
         else:
             decision = assign_ccp(fleet, r, now, net, tariff, by_id, committed)
 
+        cand = decision.candidate
+        log.append(
+            DecisionRow(
+                time=now,
+                customer=r.id,
+                mechanism=cfg.mechanism.value,
+                decision=decision.kind,
+                vehicle=decision.vehicle,
+                partner=decision.partner,
+                fare=decision.fare,
+                baseline_cost=decision.baseline,
+                guaranteed_cost=decision.guaranteed,
+                added_distance=cand.added_distance if cand else None,
+            )
+        )
         if decision.kind == UNSERVED:
             unserved_ids.append(r.id)
-            log.append(
-                DecisionRow(now, r.id, cfg.mechanism.value, UNSERVED, None, None, None,
-                            decision.baseline, None, None)
-            )
             continue
 
-        cand = decision.candidate
         v = fleet.by_id[cand.vehicle]
         pooled = decision.kind == POOLED
         fleet.commit(v, cand.plan, now)
         if pooled:
-            k = by_id[cand.partner]
-            pooled_ids.add(r.id)
-            pooled_ids.add(k.id)
-            kb = book[k.id]
+            k = cand.partner
+            kb = book[k]
             kb.pooled = True
-            kb.dropoff_time = cand.dropoff_times[k.id]
-            if k.id in cand.pickup_times:
-                kb.pickup_time = cand.pickup_times[k.id]
+            kb.pickup_time = cand.pickup_times[k]
+            kb.dropoff_time = cand.dropoff_times[k]
         book[r.id] = CustomerOutcome(
             customer=r.id,
             poolable=bool(r.poolable),
@@ -243,37 +248,17 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
             solitary_quote=decision.quote,
         )
         if cfg.mechanism == Mechanism.CCP:
-            committed[r.id] = CommittedCost(
-                customer=r.id, baseline=decision.baseline,
-                guaranteed=decision.guaranteed, fare=decision.fare,
-            )
+            committed[r.id] = CommittedCost(guaranteed=decision.guaranteed, fare=decision.fare)
             if pooled:
                 kb.fare = decision.partner_fare
-                committed[k.id] = replace(
-                    committed[k.id],
-                    guaranteed=decision.partner_guaranteed,
-                    fare=decision.partner_fare,
+                committed[k] = CommittedCost(
+                    guaranteed=decision.partner_guaranteed, fare=decision.partner_fare
                 )
                 v.set_fare_run(cand.new_wp_nodes, cand.new_wp_times, cand.new_run_fare,
                                v.run_events + 1)
             else:
                 v.set_fare_run(cand.plan.nodes, (cand.pickup_times[r.id], cand.dropoff_times[r.id]),
                                decision.quote, 0)
-
-        log.append(
-            DecisionRow(
-                time=now,
-                customer=r.id,
-                mechanism=cfg.mechanism.value,
-                decision=decision.kind,
-                vehicle=cand.vehicle,
-                partner=cand.partner,
-                fare=decision.fare,
-                baseline_cost=decision.baseline,
-                guaranteed_cost=decision.guaranteed,
-                added_distance=cand.added_distance,
-            )
-        )
 
     # runs, ex-post splits and final economics
     fares = {cid: o.fare for cid, o in book.items()}
@@ -293,18 +278,14 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                     )
                     for c in run.customers
                 )
-                fare_int = run.total_fare
-                if isinstance(fare_int, Fraction):
-                    if fare_int.denominator != 1:
-                        raise ValueError(
-                            f"run {rec.run_id}: fare {fare_int} mils is not a whole number of mils"
-                        )
-                    fare_int = fare_int.numerator
-                rec.account = RunAccount(rec.run_id, members, fare_int)
+                fare = run.total_fare  # int or Fraction mils
+                if fare.denominator != 1:
+                    raise ValueError(
+                        f"run {rec.run_id}: fare {fare} mils is not a whole number of mils"
+                    )
+                rec.account = RunAccount(rec.run_id, members, fare.numerator)
                 if cfg.split_scheme == "goalprog":
-                    split = goalprog_split(rec.account, cfg.split_thresholds)
-                    rec.counts = split.counts
-                    for entry in split.entries:
+                    for entry in goalprog_split(rec.account, cfg.split_thresholds).entries:
                         book[entry.customer].fare = entry.fare
             run_records.append(rec)
 
@@ -319,7 +300,7 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
         mechanism=cfg.mechanism.value,
         served=len(book),
         unserved=len(unserved_ids),
-        pooled_customers=len(pooled_ids),
+        pooled_customers=sum(o.pooled for o in book.values()),
         poolable_customers=sum(1 for r in stream if r.poolable),
         fleet_distance=fleet_umi,
         fares_total=fares_total,

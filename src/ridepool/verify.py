@@ -58,7 +58,6 @@ class TheoremFixture:
     tariff: Tariff
     flagged_customer: int | None = None
     expect: str | None = None  # relation of poolable vs non-poolable cost
-    meta: dict | None = None
 
 
 def run_fixture(fx: TheoremFixture, mechanism: Mechanism, **overrides) -> SimResult:
@@ -219,7 +218,6 @@ def build_threshold_fixture(
         tariff=tariff,
         flagged_customer=1,
         expect="strictly_higher" if ratio > 1 else "strictly_lower",
-        meta={"threshold_mils_per_min": threshold_per_min, "vot": int(vot)},
     )
 
 
@@ -293,7 +291,6 @@ def build_theorem4_fixtures(
             vehicle_nodes=("OJ", "OI"),
             requests=(first, second),
             tariff=tariff,
-            meta={"detour": detour, "eps_t": eps_t, "eps_d": eps_d},
         )
 
     original = make("two-scenario-original", (base_mi, base_s), (base_mi, base_s))
@@ -367,8 +364,6 @@ def check_theorem4_dichotomy(original: TheoremFixture, altered: TheoremFixture) 
 def build_weak_dominance_fixtures() -> list[TheoremFixture]:
     """Isolation instances where flipping one rider's flag cannot change any
     other assignment: the flagged rider arrives last and meets one vehicle."""
-    from .netgraph import RoadNetwork
-
     names = ["A", "B", "C", "D", "E"]
     arcs = []
     for a, b in zip(names, names[1:]):
@@ -420,7 +415,6 @@ def check_weak_dominance_fixture(
         "strictly_lower": on.total_cost < off.total_cost,
         "equal": on.total_cost == off.total_cost,
         "strictly_higher": on.total_cost > off.total_cost,
-        "not_higher": on.total_cost <= off.total_cost,
     }
     ok = relations[fx.expect]
     return Verdict(

@@ -35,6 +35,22 @@ from ridepool.units import time_cost_mils
 PARTNER_WAIT_REASON = "PartnerMaxWaitExceeded"
 
 
+def plan_key(plan: InsertionPlan) -> tuple:
+    """The plan's stops as (op, customer, location) rows, the last place of
+    the candidate order."""
+    return tuple((s.op, s.customer, s.location) for s in plan.stops)
+
+
+def sort_key(c: InsertionCandidate) -> tuple:
+    """The candidate order: added distance, then vehicle id, then plan."""
+    return (c.added_distance, c.vehicle, plan_key(c.plan))
+
+
+def fare_waypoints(v: VehicleState) -> list[str]:
+    """The vehicle's current run's chargeable itinerary as node ids."""
+    return [v.net.node_ids[i] for i in v.fare_nodes]
+
+
 def plan_stop_times(
     v: VehicleState, stops: Iterable[Stop], now: int
 ) -> tuple[list[int], int, int, int]:
@@ -139,7 +155,7 @@ def pooled_pair_economics(v, c, r, k, now, net, tariff, baseline_r, committed_k)
     the request's baseline and the partner's current guarantee.
     """
     past = [
-        (w, t) for w, t in zip(v.fare_waypoints, v.fare_wp_times) if t <= now
+        (w, t) for w, t in zip(fare_waypoints(v), v.fare_wp_times) if t <= now
     ]
     _, anchor_idx, anchor_time = v.anchor_at(now)
     new_wp = [w for w, _ in past]
@@ -188,7 +204,7 @@ def enumerate_candidates(vehicles, r, now, mode, requests):
 
 
 def best(cands):
-    return min(cands, key=InsertionCandidate.sort_key) if cands else None
+    return min(cands, key=sort_key) if cands else None
 
 
 def best_solitary(vehicles, r, now):
@@ -265,7 +281,7 @@ def assign_ccp(vehicles, r, now, net, tariff, requests, committed):
             if evaluated.feasible:
                 admissible.append(evaluated)
     if admissible:
-        chosen = min(admissible, key=lambda c: (-c.surplus, *c.sort_key()))
+        chosen = min(admissible, key=lambda c: (-c.surplus, *sort_key(c)))
         k = requests[chosen.partner]
         half = Fraction(chosen.surplus) / 2
         g_r = baseline - half

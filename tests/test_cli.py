@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,26 @@ class TestSimulate:
                      "--out", str(out2)]) == 0
         for name in ("summary.csv", "decisions.csv", "splits.csv", "run_accounts.csv"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_decision_kinds_present(self, simulated):
+        # the pinned outputs below cover every decision kind each mechanism makes
+        _, _, out = simulated
+        with open(out / "decisions.csv", newline="") as fh:
+            kinds = {(row["mechanism"], row["decision"]) for row in csv.DictReader(fh)}
+        pooling = {(m, k) for m in ("PCP", "CCP") for k in ("unserved", "solitary", "pooled")}
+        assert kinds == pooling | {("SRO", "unserved"), ("SRO", "solitary")}
+
+    def test_outputs_are_pinned(self, simulated):
+        # simulate's files for this grid, byte for byte
+        _, _, out = simulated
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("summary.csv", "decisions.csv", "splits.csv", "run_accounts.csv")}
+        assert digests == {
+            "summary.csv": "6fa46d6edc4c894e36bb9196823a9c8c10940a85e7ed55c7e194c9056699e903",
+            "decisions.csv": "b7cb256e8b229656af1156c576bb812b05e31e990d52bf01756e4eb87c5dd9f2",
+            "splits.csv": "5464ab0bf017e2feba3c6627a1c071270f09a61c439a5a824f14b60495b8081d",
+            "run_accounts.csv": "5058144fe63dac34437bd906a798ee581b3812a334379fa742c61fa1c632946f",
+        }
 
 
 class TestStrictConfig:
@@ -177,7 +198,16 @@ class TestAnalyze:
         bad = tmp_path / "summary.csv"
         with open(bad, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
-        with pytest.raises(ValueError, match="summary file line 4: "):
+        with pytest.raises(ValueError,
+                           match=rf"summary file line 4, column '{column}': cannot read '{text}'"):
+            load_summary_csv(bad)
+
+    def test_short_summary_row_names_the_line(self, simulated, tmp_path):
+        _, _, out = simulated
+        lines = (out / "summary.csv").read_text().splitlines()
+        bad = tmp_path / "summary.csv"
+        bad.write_text("\n".join(lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]) + "\n")
+        with pytest.raises(ValueError, match=r"summary file line 3, column 'br20': the row is short"):
             load_summary_csv(bad)
 
 
@@ -223,7 +253,7 @@ class TestSplitCommand:
         assert body[0] == "run_id,customer,c_solitary_usd,a_pooled_time_usd,fare_usd,relative_saving"
         assert len(body) > 1
 
-    def test_shapley_on_pairs_and_clean_error_on_chains(self, tmp_path):
+    def test_shapley_on_pairs_and_clean_error_on_chains(self, tmp_path, capsys):
         pair = tmp_path / "pair.csv"
         pair.write_text(
             "run_id,customer,c_solitary_usd,a_pooled_time_usd,run_fare_usd\n"
@@ -240,7 +270,10 @@ class TestSplitCommand:
             "r1,2,10.0,1.0,20.0\n"
             "r1,3,10.0,1.0,20.0\n"
         )
+        capsys.readouterr()
         assert main(["split", "--runs", str(chain), "--scheme", "shapley"]) == 2
+        err = capsys.readouterr().err
+        assert "run r1:" in err and "3 riders" in err and "goalprog" in err
 
     def test_accounts_loader_validates_fare_consistency(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -249,7 +282,22 @@ class TestSplitCommand:
             "r1,1,10.0,1.0,14.0\n"
             "r1,2,10.0,1.0,15.0\n"
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="run r1: inconsistent run_fare_usd"):
+            load_run_accounts_csv(bad)
+
+    @pytest.mark.parametrize("row,message", [
+        ("r1,x1,10.0,1.0,14.0", r"line 3, column 'customer': cannot read 'x1'"),
+        ("r1,2,ten,1.0,14.0", r"line 3, column 'c_solitary_usd': cannot read 'ten'"),
+        ("r1,2,10.0", r"line 3, column 'run_fare_usd': the row is short"),
+    ])
+    def test_accounts_loader_names_line_and_column(self, tmp_path, row, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "run_id,customer,c_solitary_usd,a_pooled_time_usd,run_fare_usd\n"
+            "r1,1,10.0,1.0,14.0\n"
+            f"{row}\n"
+        )
+        with pytest.raises(ValueError, match=rf"run file {message}"):
             load_run_accounts_csv(bad)
 
 
@@ -320,6 +368,8 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "ridepool.cli", "verify", "--fixtures", "all"],
             capture_output=True, text=True,
+            # the package imports as it does here, installed or from the checkout
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout

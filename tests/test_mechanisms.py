@@ -287,7 +287,7 @@ def ccp_fixture(line, change_fee_usd):
     v1 = VehicleState(1, "B", line)
     r = req(2, "B", "E", t=0, vot_mils_min=250)
     committed = {
-        1: CommittedCost(1, baseline=4900, guaranteed=4900, fare=v0.run_fare)
+        1: CommittedCost(guaranteed=4900, fare=v0.run_fare)
     }
     return tariff, Fleet([v0, v1]), r, i, committed
 
@@ -319,7 +319,7 @@ class TestAssignCcp:
         v0.set_fare_run([line6.index("A"), line6.index("C")], [0, sec(48)],
                         solitary_fare(tariff, line6, "A", "C"), 0)
         v1 = VehicleState(1, "B", line6)
-        committed = {1: CommittedCost(1, 3726, 3726, v0.run_fare)}
+        committed = {1: CommittedCost(3726, v0.run_fare)}
         r = req(2, "B", "E", t=40, vot_mils_min=283)
         d = assign_ccp(Fleet([v0, v1]), r, sec(40), line6, tariff, {1: i, 2: r}, committed)
         assert d.kind == SOLITARY and d.vehicle == 1
@@ -427,7 +427,7 @@ def random_world(randint, den=2, net=WORLD):
         quote = solitary_fare(tariff, net, k.origin, k.destination)
         cost = quote + randint(0, 40) * 100
         # CCP pooling leaves guarantees and fares on half mils
-        committed[cid] = CommittedCost(cid, cost, Fraction(den * cost - randint(0, den - 1), den),
+        committed[cid] = CommittedCost(Fraction(den * cost - randint(0, den - 1), den),
                                        Fraction(den * quote - randint(0, den - 1), den))
         if len(v.active) == 1:  # a solo ride starts a new run
             ride = v.active[cid]
@@ -466,8 +466,8 @@ def compare_with_scan(world, net=WORLD):
     # the case rank orders one vehicle's cases like their plan keys
     for p in records:
         ranked = sorted(p.cases, key=lambda row: _case_rank(row[0], r, p.partner))
-        assert ranked == sorted(p.cases, key=lambda row: plan_on(
-            net, r.id, _case_stops(row[0], r, p.partner)).key())
+        assert ranked == sorted(p.cases, key=lambda row: _scan_oracle.plan_key(plan_on(
+            net, r.id, _case_stops(row[0], r, p.partner))))
     assert all(c.feasible for c in got)
     decisions = (
         assign_sro(fleet, r, now, net, tariff),
@@ -722,7 +722,7 @@ def check_fare_state(fleet, now, net, baseline, committed):
         ck = committed[fleet.last_rider[slot]]
         _, anchor, _ = v.busy_anchor(now)
         assert v.fare_wp_times == sorted(v.fare_wp_times)
-        past = [w for w, t in zip(v.fare_waypoints, v.fare_wp_times) if t <= now]
+        past = [w for w, t in zip(_scan_oracle.fare_waypoints(v), v.fare_wp_times) if t <= now]
         kept = route_distance_umiles(net, past + [net.node_ids[anchor]]) if past else 0
         assert v.fare_prefix(now, anchor) == (len(past), kept)
         num, den = _coalition_cap(baseline, ck, v)
@@ -738,6 +738,7 @@ class TestCarriedFareState:
         seen = dict.fromkeys(("vehicles", "at_now", "extended", "fresh_after_pool",
                               "changed_guarantee"), 0)
         pooled_runs = set()
+        baselines = {}  # each committed rider's frozen baseline
 
         def checked(fleet, r, now, net, tariff, requests, committed):
             d = assign(fleet, r, now, net, tariff, requests, committed)
@@ -747,9 +748,10 @@ class TestCarriedFareState:
                 seen["extended"] += v.run_events > 0
                 seen["fresh_after_pool"] += v.run_events == 0 and v.id in pooled_runs
                 # tightened by the pooling that was the vehicle's last commit
-                seen["changed_guarantee"] += ck.guaranteed != ck.baseline
+                seen["changed_guarantee"] += ck.guaranteed != baselines[fleet.last_rider[v.slot]]
                 if v.run_events:
                     pooled_runs.add(v.id)
+            baselines[r.id] = d.baseline
             return d
 
         monkeypatch.setattr(simengine, "assign_ccp", checked)
@@ -787,7 +789,7 @@ class TestCarriedFareState:
         # The request comes at 0, when the run's first waypoint is passed.
         tariff, fleet, r, i, committed = ccp_fixture(line6, 1.9)
         ck = committed[1]
-        committed[1] = CommittedCost(1, ck.baseline, ck.guaranteed - tighter, ck.fare)
+        committed[1] = CommittedCost(ck.guaranteed - tighter, ck.fare)
         d = assign_ccp(fleet, r, 0, line6, tariff, {1: i, 2: r}, committed)
         assert d.kind == expected
         assert len(check_fare_state(fleet, 0, line6, d.baseline, committed)) == 1

@@ -308,6 +308,18 @@ class TestNetworkFile:
         with pytest.raises(InvalidParameter):
             load_network_csv(path)
 
+    def test_rejects_unreadable_arc_number(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("node,a,0,0\nnode,b,1,0\narc,a,b,xx,60\n")
+        with pytest.raises(InvalidParameter, match=r"arc \('a', 'b'\): cannot read length 'xx'"):
+            load_network_csv(path)
+
+    def test_rejects_unreadable_coordinate_naming_the_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("node,a,0,0\nnode,b,x,0\narc,a,b,0.1,12\n")
+        with pytest.raises(InvalidParameter, match=r"line 2: cannot read coordinates 'x', '0'"):
+            load_network_csv(path)
+
     def test_rejects_duplicate_arc(self):
         with pytest.raises(InvalidParameter):
             RoadNetwork(["a", "b"], [("a", "b", 0.1, 10), ("a", "b", 0.2, 20)])

@@ -211,7 +211,6 @@ class TestDeterminismAndPairing:
             return replace(obj, **changes)
 
         monkeypatch.setattr(domain, "replace", counted)
-        monkeypatch.setattr(simengine, "replace", counted)
         got = resolve_requests(cfg, reqs)
         assert got == expected
         assert {(type(r.value_of_time), type(r.poolable)) for r in got} == {(int, bool)}
@@ -255,7 +254,7 @@ class TestRunAccounting:
                 continue
             assert rec.account.budget() >= 0
             if len(rec.account.members) == 2:
-                expected = shapley_split(rec.account).fares()
+                expected = {e.customer: e.fare for e in shapley_split(rec.account).entries}
                 got = {c: res.per_customer[c].fare for c in rec.run.customers}
                 assert got == expected
             else:
