@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import io as rio
-from .costshare import goalprog_split, shapley_split
+from .costshare import InfeasibleRun, InvalidThresholds, goalprog_split, shapley_split
 from .harness import (
     BRACKET_COLUMNS,
     BRACKETS,
@@ -117,10 +117,14 @@ def _load_trips(spec: str, net, cfg):
             if part:
                 key, _, val = part.partition("=")
                 opts[key.strip()] = val.strip()
-        n = int(opts.get("n", 500))
-        seed = int(opts.get("seed", 1))
-        horizon_s = int(opts.get("horizon_s", cfg.get("horizon_s", 1800)))
-        return synthetic_trips(net, n, horizon_s, seed)
+        _check_keys("synthetic trips", opts, ("n", "seed", "horizon_s"))
+        values = {"n": 500, "seed": 1, "horizon_s": cfg.get("horizon_s", 1800)}
+        for key, text in opts.items():
+            try:
+                values[key] = int(text)
+            except ValueError:
+                raise ConfigError(f"synthetic trips {key}={text!r} is not an integer") from None
+        return synthetic_trips(net, values["n"], int(values["horizon_s"]), values["seed"])
     return rio.load_trips_csv(spec)
 
 
@@ -220,11 +224,7 @@ def cmd_split(args) -> int:
     rows = []
     for acct in accounts:
         if args.scheme == "shapley":
-            try:
-                res = shapley_split(acct)
-            except ValueError as err:
-                print(err, file=sys.stderr)
-                return 2
+            res = shapley_split(acct)
         else:
             res = goalprog_split(acct, thresholds)
         by_cust = {m.customer: m for m in acct.members}
@@ -277,7 +277,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_split)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ConfigError, InfeasibleRun, InvalidThresholds, OSError, ValueError) as err:
+        print(f"ridepool {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

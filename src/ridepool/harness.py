@@ -233,9 +233,6 @@ class MechanismSummary:
     def mars(self):
         return tuple(sorted(self.per_mar))
 
-    def series(self, metric):
-        return [self.per_mar[m][metric] for m in self.mars()]
-
 
 SUMMARY_METRICS = (
     "unserved_pct", "pooled_share_pct", "distance_saving_pct", "profit_delta_pct",

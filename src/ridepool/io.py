@@ -146,14 +146,12 @@ SPLIT_COLUMNS = (
 
 def split_rows(result: SimResult, prefix: tuple = ()):
     """Per-customer rows of every pooled run's final fare division."""
-    for rec in result.runs:
-        if rec.account is None:
-            continue
-        for m in rec.account.members:
+    for account in result.accounts:
+        for m in account.members:
             fare = result.per_customer[m.customer].fare
             saving = 1 - Fraction(fare + m.pooled_time_cost, m.solitary_cost)
             yield prefix + (
-                rec.run_id,
+                account.run_id,
                 m.customer,
                 fmt_usd(m.solitary_cost),
                 fmt_usd(m.pooled_time_cost),
@@ -172,16 +170,14 @@ RUN_ACCOUNT_COLUMNS = (
 
 
 def run_account_rows(result: SimResult, prefix: tuple = ()):
-    for rec in result.runs:
-        if rec.account is None:
-            continue
-        for m in rec.account.members:
+    for account in result.accounts:
+        for m in account.members:
             yield prefix + (
-                rec.run_id,
+                account.run_id,
                 m.customer,
                 fmt_usd(m.solitary_cost),
                 fmt_usd(m.pooled_time_cost),
-                fmt_usd(rec.account.run_fare),
+                fmt_usd(account.run_fare),
             )
 
 

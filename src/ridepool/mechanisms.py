@@ -42,19 +42,24 @@ class Mechanism(str, Enum):
 class CommittedCost:
     """A customer's currently guaranteed total cost and fare share.
 
-    `spare_num / spare_den` is guaranteed - fare in lowest terms, the part
-    of her guarantee that the coalition test adds to a pair's cost cap.
+    `spare` is guarantee - fare, her time cost, the part of her guarantee
+    that the coalition test adds to a pair's cost cap.  Every commitment
+    sets the fare to the guarantee minus an integer time cost, so it is a
+    whole number of mils; anything else raises a ValueError.
     """
 
     guaranteed: Money  # current guaranteed total cost
     fare: Money  # current fare share
-    spare_num: int = field(init=False, repr=False, compare=False)
-    spare_den: int = field(init=False, repr=False, compare=False)
+    spare: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spare = self.guaranteed - self.fare
-        object.__setattr__(self, "spare_num", spare.numerator)
-        object.__setattr__(self, "spare_den", spare.denominator)
+        if spare.denominator != 1:
+            raise ValueError(
+                f"guarantee {self.guaranteed} minus fare {self.fare} mils is not a whole "
+                "number of mils"
+            )
+        object.__setattr__(self, "spare", spare.numerator)
 
 
 @dataclass
@@ -68,8 +73,7 @@ class InsertionCandidate:
     reason: str | None = None
     case: int | None = None  # pooled stop-ordering case, None for solitary
     partner: int | None = None
-    pooled_fare: Money | None = None
-    surplus: Fraction | None = None
+    surplus: int | None = None
     new_run_fare: int | None = None
     new_wp_nodes: tuple[int, ...] | None = None  # the new fare itinerary's node indices
     new_wp_times: tuple[int, ...] | None = None
@@ -418,14 +422,6 @@ def assign_pcp(
     )
 
 
-def _coalition_cap(baseline: int, ck: CommittedCost, v: VehicleState) -> tuple[int, int]:
-    """The cost cap of pooling a request whose baseline is `baseline` with
-    the rider `ck` on `v`: baseline + her guarantee - her fare + the run
-    fare, as (numerator, denominator) in integers.  An offer is admissible
-    when its total times the denominator is below the numerator."""
-    return (baseline + v.run_fare) * ck.spare_den + ck.spare_num, ck.spare_den
-
-
 def assign_ccp(
     fleet,
     r: Request,
@@ -459,9 +455,10 @@ def assign_ccp(
         # kept waypoints, the n passed by now
         n, head = v.fare_prefix(now, p.anchor)
         head += p.tail
-        # the pair's total cost is cap - surplus; cap holds everything but
-        # the new run fare and the two time costs
-        cap_num, cap_den = _coalition_cap(baseline, committed_k, v)
+        # the pair's new total cost, k's fare plus the run-fare increment
+        # plus both time costs, is below baseline + k's guarantee exactly
+        # when the new run fare plus both time costs is below this cap
+        cap = baseline + v.run_fare + committed_k.spare
         for row in p.cases:
             case, added, r_pick, r_drop, k_pick, k_drop = row
             lead = head
@@ -471,22 +468,16 @@ def assign_ccp(
             tc_r = time_cost_mils(r.value_of_time, r_drop - r.request_time)
             tc_k = time_cost_mils(k.value_of_time, k_drop - k.request_time)
             total = new_run_fare + tc_r + tc_k
-            if total * cap_den < cap_num:
+            if total < cap:
                 # maximal surplus cap - total, then the candidate key
-                rank = (Fraction(total * cap_den - cap_num, cap_den), added, v.id,
-                        _case_rank(case, r, k))
+                rank = (total - cap, added, v.id, _case_rank(case, r, k))
                 if best is None or rank < best[0]:
                     best = (rank, p, row, new_run_fare, tc_r, tc_k, committed_k, n)
 
     if best is not None:
         rank, p, row, new_run_fare, tc_r, tc_k, committed_k, n = best
         v = p.vehicle
-        cand = _pooled_candidate(
-            p, row, r, o, d,
-            pooled_fare=committed_k.fare + (new_run_fare - v.run_fare),
-            surplus=-rank[0],
-            new_run_fare=new_run_fare,
-        )
+        cand = _pooled_candidate(p, row, r, o, d, surplus=-rank[0], new_run_fare=new_run_fare)
         stops = cand.plan.stops
         kept = (*v.fare_nodes[:n], p.anchor) if n else ()
         kept_times = (*v.fare_wp_times[:n], p.anchor_time) if n else ()
@@ -494,7 +485,7 @@ def assign_ccp(
         cand.new_wp_times = kept_times + tuple(
             (cand.pickup_times if s.op == PU else cand.dropoff_times)[s.customer] for s in stops
         )
-        half = Fraction(cand.surplus) / 2
+        half = Fraction(cand.surplus, 2)
         g_r = baseline - half
         g_k = committed_k.guaranteed - half
         return AssignmentDecision(

@@ -55,14 +55,13 @@ class RoadNetwork:
     multiple threads; table construction is guarded by a lock.
     """
 
-    def __init__(self, nodes, arcs, coordinates=None):
+    def __init__(self, nodes, arcs):
         """nodes: iterable of ids; arcs: (from, to, length_mi, time_s)."""
         node_ids = sorted(set(nodes))
         if not node_ids:
             raise InvalidParameter("network needs at least one node")
         self.node_ids: tuple[str, ...] = tuple(node_ids)
         self._index: dict[str, int] = {nid: i for i, nid in enumerate(self.node_ids)}
-        self.coordinates = dict(coordinates or {})
 
         # each distinct (length, time) input is parsed once; the types are part
         # of the key because 0.1 and Fraction(0.1) are equal yet parse apart.
@@ -264,15 +263,13 @@ def make_grid(rows: int, cols: int, edge_length: float, speed: float) -> RoadNet
             if r + 1 < rows:
                 arcs.append((here, ids[r + 1][c], length, time_s))
                 arcs.append((ids[r + 1][c], here, length, time_s))
-    coords = {ids[r][c]: (float(c), float(r)) for r in range(rows) for c in range(cols)}
-    return RoadNetwork([i for row in ids for i in row], arcs, coords)
+    return RoadNetwork([i for row in ids for i in row], arcs)
 
 
 def load_network_csv(path) -> RoadNetwork:
     """Read a network file with `node,id,x,y` and `arc,from,to,length_mi,time_s` rows."""
     nodes = []
     arcs = []
-    coords = {}
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].startswith("#"):
@@ -284,7 +281,7 @@ def load_network_csv(path) -> RoadNetwork:
                 nodes.append(row[1].strip())
                 if len(row) >= 4:
                     try:
-                        coords[row[1].strip()] = (float(row[2]), float(row[3]))
+                        float(row[2]), float(row[3])  # checked, not kept
                     except ValueError:
                         raise InvalidParameter(
                             f"line {lineno}: cannot read coordinates {row[2]!r}, {row[3]!r}"
@@ -295,4 +292,4 @@ def load_network_csv(path) -> RoadNetwork:
                 arcs.append((row[1].strip(), row[2].strip(), row[3].strip(), row[4].strip()))
             else:
                 raise InvalidParameter(f"line {lineno}: unknown row kind {row[0]!r}")
-    return RoadNetwork(nodes, arcs, coords)
+    return RoadNetwork(nodes, arcs)

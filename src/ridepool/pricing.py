@@ -69,11 +69,6 @@ class Tariff:
         )
 
 
-def variable_charge(t: Tariff, dist_umiles: int) -> int:
-    """Distance-dependent fare component, rounded once on the total."""
-    return distance_charge_mils(t.per_mile, dist_umiles)
-
-
 def route_distance_umiles(net: RoadNetwork, waypoints) -> int:
     """Sum of shortest-path leg mileages over consecutive waypoints."""
     total = 0
@@ -85,7 +80,8 @@ def route_distance_umiles(net: RoadNetwork, waypoints) -> int:
 
 def mileage_fare(t: Tariff, dist_umiles: int, change_events: int) -> int:
     """Base fare + distance charge over a run's mileage + change fees."""
-    return t.base_fare + variable_charge(t, dist_umiles) + change_events * t.change_fee
+    charge = distance_charge_mils(t.per_mile, dist_umiles)
+    return t.base_fare + charge + change_events * t.change_fee
 
 
 def route_fare(t: Tariff, net: RoadNetwork, waypoints, change_events: int) -> int:

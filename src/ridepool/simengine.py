@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .costshare import RunAccount, RunMember, goalprog_split
-from .domain import Fleet, Request, Run, VehicleState, extract_runs
+from .domain import Fleet, Request, VehicleState, extract_runs
 from .mechanisms import (
     POOLED,
     UNSERVED,
@@ -104,13 +104,6 @@ class DecisionRow:
 
 
 @dataclass
-class RunRecord:
-    run_id: str
-    run: Run
-    account: RunAccount | None = None  # pooled runs only
-
-
-@dataclass
 class SimResult:
     mechanism: str
     served: int
@@ -121,9 +114,8 @@ class SimResult:
     fares_total: Money
     profit: Money
     per_customer: dict[int, CustomerOutcome]
-    runs: list[RunRecord]
+    accounts: list[RunAccount]  # one per pooled CCP run
     decision_log: list[DecisionRow]
-    unserved_ids: tuple[int, ...]
     requests: dict[int, Request]
     vehicles: list[VehicleState]
 
@@ -196,7 +188,6 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     book: dict[int, CustomerOutcome] = {}
     committed: dict[int, CommittedCost] = {}
     log: list[DecisionRow] = []
-    unserved_ids: list[int] = []
 
     for r in stream:
         now = r.request_time
@@ -223,7 +214,6 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
             )
         )
         if decision.kind == UNSERVED:
-            unserved_ids.append(r.id)
             continue
 
         v = fleet.by_id[cand.vehicle]
@@ -260,13 +250,16 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                 v.set_fare_run(cand.plan.nodes, (cand.pickup_times[r.id], cand.dropoff_times[r.id]),
                                decision.quote, 0)
 
-    # runs, ex-post splits and final economics
-    fares = {cid: o.fare for cid, o in book.items()}
-    run_records: list[RunRecord] = []
-    for v in fleet.vehicles:
-        for i, run in enumerate(extract_runs(v, fares)):
-            rec = RunRecord(run_id=f"v{v.id}r{i}", run=run)
-            if cfg.mechanism == Mechanism.CCP and len(run.customers) >= 2:
+    # pooled CCP runs, ex-post splits and final economics; a run's id counts
+    # every run of its vehicle
+    accounts: list[RunAccount] = []
+    if cfg.mechanism == Mechanism.CCP:
+        fares = {cid: o.fare for cid, o in book.items()}
+        for v in fleet.vehicles:
+            for i, run in enumerate(extract_runs(v, fares)):
+                if len(run.customers) < 2:
+                    continue
+                run_id = f"v{v.id}r{i}"
                 members = tuple(
                     RunMember(
                         customer=c,
@@ -281,13 +274,13 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                 fare = run.total_fare  # int or Fraction mils
                 if fare.denominator != 1:
                     raise ValueError(
-                        f"run {rec.run_id}: fare {fare} mils is not a whole number of mils"
+                        f"run {run_id}: fare {fare} mils is not a whole number of mils"
                     )
-                rec.account = RunAccount(rec.run_id, members, fare.numerator)
+                account = RunAccount(run_id, members, fare.numerator)
+                accounts.append(account)
                 if cfg.split_scheme == "goalprog":
-                    for entry in goalprog_split(rec.account, cfg.split_thresholds).entries:
+                    for entry in goalprog_split(account, cfg.split_thresholds).entries:
                         book[entry.customer].fare = entry.fare
-            run_records.append(rec)
 
     for cid, o in book.items():
         o.total_cost = total_cost(o.fare, by_id[cid], o.dropoff_time)
@@ -299,16 +292,15 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     return SimResult(
         mechanism=cfg.mechanism.value,
         served=len(book),
-        unserved=len(unserved_ids),
+        unserved=len(stream) - len(book),
         pooled_customers=sum(o.pooled for o in book.values()),
         poolable_customers=sum(1 for r in stream if r.poolable),
         fleet_distance=fleet_umi,
         fares_total=fares_total,
         profit=profit,
         per_customer=book,
-        runs=run_records,
+        accounts=accounts,
         decision_log=log,
-        unserved_ids=tuple(unserved_ids),
         requests=by_id,
         vehicles=fleet.vehicles,
     )

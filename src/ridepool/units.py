@@ -39,7 +39,8 @@ def div_half_even(num: int, den: int) -> int:
     return q
 
 
-def _as_fraction(value: int | float | str | Fraction | Decimal) -> Fraction:
+def fraction_from(value: int | float | str | Fraction | Decimal) -> Fraction:
+    """Exact fraction from a decimal literal, float repr, int or Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -57,7 +58,7 @@ def round_fraction(value: Fraction) -> int:
 
 
 def _scaled(value, scale: int) -> int:
-    return round_fraction(_as_fraction(value) * scale)
+    return round_fraction(fraction_from(value) * scale)
 
 
 def usec_from_seconds(seconds) -> int:
@@ -70,11 +71,6 @@ def umiles_from_miles(miles) -> int:
 
 def mils_from_usd(usd) -> int:
     return _scaled(usd, MILS)
-
-
-def fraction_from(value) -> Fraction:
-    """Exact fraction from a decimal literal, float repr, int or Fraction."""
-    return _as_fraction(value)
 
 
 def time_cost_mils(vot_mils_per_min: int, span_usec: int) -> int:

@@ -181,7 +181,6 @@ def pooled_pair_economics(v, c, r, k, now, net, tariff, baseline_r, committed_k)
         return replace(c, feasible=False, reason="NoCoalitionSurplus", surplus=surplus)
     return replace(
         c,
-        pooled_fare=pair_fare,
         surplus=surplus,
         new_run_fare=new_run_fare,
         new_wp_nodes=tuple(net.index(w) for w in new_wp),

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from ridepool.domain import InsertionPlan
-from ridepool.mechanisms import Mechanism
+from ridepool.mechanisms import UNSERVED, Mechanism
 from ridepool.netgraph import RoadNetwork, make_grid
 from ridepool.simengine import run_sim
 from ridepool.units import USEC
@@ -32,6 +32,11 @@ def plan_on(net, cust, stops, poolable=True):
     """An insertion plan for `cust` carrying its stops' node indices on `net`."""
     return InsertionPlan(cust, tuple(stops), tuple(net.index(s.location) for s in stops),
                          poolable)
+
+
+def unserved_ids(result):
+    """The ids of a result's unserved requests, from its decision log."""
+    return [row.customer for row in result.decision_log if row.decision == UNSERVED]
 
 
 def counterfactual_sro(cfg, requests):

@@ -13,7 +13,6 @@ from ridepool.cli import main
 from ridepool.domain import Request
 from ridepool.harness import SUMMARY_COLUMNS, run_grid, summarize
 from ridepool.io import TRIP_COLUMNS, load_run_accounts_csv, load_summary_csv, load_trips_csv
-from ridepool.simengine import ConfigError
 from ridepool.units import MILS, USEC, fmt4, fmt_opt, fmt_seconds, fmt_usd
 
 
@@ -37,16 +36,26 @@ CONFIG = {
 }
 
 
-@pytest.fixture(scope="module")
-def simulated(tmp_path_factory):
-    base = tmp_path_factory.mktemp("cli")
+def simulate(base, config):
+    """Run `simulate` on `config` over 100 synthetic trips into `base`."""
     cfg = base / "cfg.json"
-    cfg.write_text(json.dumps(CONFIG))
+    cfg.write_text(json.dumps(config))
     out = base / "out"
     rc = main(["simulate", "--config", str(cfg), "--trips", "synthetic:n=100,seed=4",
                "--out", str(out)])
     assert rc == 0
     return base, cfg, out
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    return simulate(tmp_path_factory.mktemp("cli"), CONFIG)
+
+
+def output_digests(out):
+    """The SHA-256 of each file `simulate` wrote to `out`."""
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("summary.csv", "decisions.csv", "splits.csv", "run_accounts.csv")}
 
 
 class TestSimulate:
@@ -80,14 +89,33 @@ class TestSimulate:
     def test_outputs_are_pinned(self, simulated):
         # simulate's files for this grid, byte for byte
         _, _, out = simulated
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("summary.csv", "decisions.csv", "splits.csv", "run_accounts.csv")}
-        assert digests == {
+        assert output_digests(out) == {
             "summary.csv": "6fa46d6edc4c894e36bb9196823a9c8c10940a85e7ed55c7e194c9056699e903",
             "decisions.csv": "b7cb256e8b229656af1156c576bb812b05e31e990d52bf01756e4eb87c5dd9f2",
             "splits.csv": "5464ab0bf017e2feba3c6627a1c071270f09a61c439a5a824f14b60495b8081d",
             "run_accounts.csv": "5058144fe63dac34437bd906a798ee581b3812a334379fa742c61fa1c632946f",
         }
+
+    def test_shapley_outputs_are_pinned(self, tmp_path):
+        # the same grid under the default split scheme, which changes only
+        # the split fares: decisions and run accounts match the pins above
+        _, _, out = simulate(tmp_path, dict(CONFIG, split_scheme="shapley"))
+        assert output_digests(out) == {
+            "summary.csv": "7047910a625bba20384ca675ffda9b814f77a7f2fe38561a7e5ba180aa5e31d7",
+            "decisions.csv": "b7cb256e8b229656af1156c576bb812b05e31e990d52bf01756e4eb87c5dd9f2",
+            "splits.csv": "9b5bcac248d437b7b90ab13b76b67a443b6491d51e495fd69ef0ae3c2f835ae6",
+            "run_accounts.csv": "5058144fe63dac34437bd906a798ee581b3812a334379fa742c61fa1c632946f",
+        }
+
+
+def fails_cleanly(capsys, argv):
+    """Run `main(argv)`, check that it exits 2 having printed only one
+    stderr line that names the command, and return that line."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"ridepool {argv[0]}: ") and err.count("\n") == 1, err
+    return err.rstrip("\n")
 
 
 class TestStrictConfig:
@@ -99,15 +127,14 @@ class TestStrictConfig:
          "speed_mph"),
         (lambda c: c["network"].update(grids={}), "network", "grids", "file"),
     ])
-    def test_unknown_key_rejected_with_allowed_keys(self, tmp_path, edit, section, bad, allowed):
+    def test_unknown_key_rejected_with_allowed_keys(self, tmp_path, capsys, edit, section, bad,
+                                                    allowed):
         cfg = json.loads(json.dumps(CONFIG))
         edit(cfg)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        with pytest.raises(ConfigError) as err:
-            main(["simulate", "--config", str(path), "--trips", "synthetic:n=10,seed=4",
-                  "--out", str(tmp_path / "out")])
-        msg = str(err.value)
+        msg = fails_cleanly(capsys, ["simulate", "--config", str(path), "--trips",
+                                     "synthetic:n=10,seed=4", "--out", str(tmp_path / "out")])
         assert f"unknown {section} key(s) {bad!r}" in msg
         assert allowed in msg.split("allowed: ")[1].split(", ")
         assert not (tmp_path / "out").exists()
@@ -172,7 +199,7 @@ class TestAnalyze:
         assert len(rows) == 3
         assert all(row.split(",")[2] == "n/a" for row in rows)
 
-    def test_missing_summary_columns_named(self, simulated, tmp_path):
+    def test_missing_summary_columns_named(self, simulated, tmp_path, capsys):
         _, _, out = simulated
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -183,8 +210,7 @@ class TestAnalyze:
                                      for row in rows)
         with pytest.raises(ValueError, match=r"lacks columns: \['br15', 'unserved'\]"):
             load_summary_csv(bad)
-        with pytest.raises(ValueError, match="lacks columns"):
-            main(["analyze", "--in", str(tmp_path)])
+        assert "lacks columns" in fails_cleanly(capsys, ["analyze", "--in", str(tmp_path)])
         assert len(load_summary_csv(out / "summary.csv")) == len(rows) - 1
         assert tuple(rows[0]) == SUMMARY_COLUMNS
 
@@ -299,6 +325,70 @@ class TestSplitCommand:
         )
         with pytest.raises(ValueError, match=rf"run file {message}"):
             load_run_accounts_csv(bad)
+
+
+RUNS_HEADER = "run_id,customer,c_solitary_usd,a_pooled_time_usd,run_fare_usd\n"
+
+
+def two_rider_run(tmp_path, fare_usd):
+    """A run-account file of one run r1 of two riders, each with a $10
+    solitary cost and a $1 pooled time cost, so $18 of willingness."""
+    path = tmp_path / "runs.csv"
+    path.write_text(RUNS_HEADER + f"r1,1,10.0,1.0,{fare_usd}\nr1,2,10.0,1.0,{fare_usd}\n")
+    return str(path)
+
+
+class TestInputErrors:
+    """Bad input ends in exit status 2 and one line on stderr, no traceback."""
+
+    @pytest.mark.parametrize("scheme", ["shapley", "goalprog"])
+    def test_infeasible_run(self, tmp_path, capsys, scheme):
+        runs = two_rider_run(tmp_path, 30.0)
+        err = fails_cleanly(capsys, ["split", "--runs", runs, "--scheme", scheme])
+        assert "run r1: fare 30000 exceeds willingness 18000" in err
+
+    @pytest.mark.parametrize("thresholds,message", [
+        ("5,x", "invalid literal for int() with base 10: 'x'"),
+        ("20,5", "thresholds must be strictly increasing"),
+        ("150", "thresholds must lie in (0, 1)"),
+    ])
+    def test_malformed_thresholds(self, tmp_path, capsys, thresholds, message):
+        runs = two_rider_run(tmp_path, 14.0)
+        assert main(["split", "--runs", runs, "--scheme", "goalprog"]) == 0
+        err = fails_cleanly(capsys, ["split", "--runs", runs, "--scheme", "goalprog",
+                                     "--thresholds", thresholds])
+        assert message in err
+
+    @pytest.mark.parametrize("command,flag", [("split", "--runs"), ("analyze", "--in")])
+    def test_missing_input_file(self, tmp_path, capsys, command, flag):
+        argv = [command, flag, str(tmp_path / "missing")]
+        argv += ["--scheme", "shapley"] if command == "split" else []
+        assert "No such file or directory" in fails_cleanly(capsys, argv)
+
+    @pytest.mark.parametrize("spec,message", [
+        ("synthetic:n=7,sed=3",
+         "unknown synthetic trips key(s) 'sed'; allowed: n, seed, horizon_s"),
+        ("synthetic:n=7,seed=three", "synthetic trips seed='three' is not an integer"),
+        ("synthetic:n=", "synthetic trips n='' is not an integer"),
+    ])
+    def test_bad_synthetic_trips(self, tmp_path, capsys, spec, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(CONFIG))
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--trips", spec, "--out", str(out)]
+        assert message in fails_cleanly(capsys, argv)
+        assert not out.exists()
+
+    def test_module_invocation_prints_no_traceback(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ridepool.cli", "split", "--runs", two_rider_run(tmp_path, 30.0),
+             "--scheme", "shapley"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "ridepool split: run r1: fare 30000 exceeds willingness 18000\n"
 
 
 def save_trips_csv(requests, path) -> None:

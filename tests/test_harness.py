@@ -25,6 +25,7 @@ from ridepool.simengine import SimConfig, run_sim
 from ridepool.pricing import Tariff
 from ridepool.units import USEC
 from ridepool.verify import build_threshold_fixture, run_fixture
+from tests.conftest import unserved_ids
 
 
 def small_grid(seeds=(1, 2), mars=(Fraction(0), Fraction(1, 2), Fraction(1))):
@@ -54,7 +55,7 @@ class TestRunGrid:
             if oc.mechanism != "SRO" and oc.params["mar"] == 0:
                 assert oc.result.fleet_distance == oc.baseline.fleet_distance
                 assert oc.result.fares_total == oc.baseline.fares_total
-                assert oc.result.unserved_ids == oc.baseline.unserved_ids
+                assert unserved_ids(oc.result) == unserved_ids(oc.baseline)
 
     def test_pairing_shares_seed_and_fleet(self, small_outcomes):
         for oc in small_outcomes:

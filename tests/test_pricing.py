@@ -15,9 +15,8 @@ from ridepool.pricing import (
     route_fare,
     solitary_fare,
     total_cost,
-    variable_charge,
 )
-from ridepool.units import MILS, UMILE, USEC, Money
+from ridepool.units import MILS, UMILE, USEC, Money, distance_charge_mils
 from tests._fare_oracle import InvalidGeometry, PoolGeometry, ccp_pooled_fare
 from tests.conftest import line_network, sec
 
@@ -123,7 +122,8 @@ class TestPooledFare:
                     6: (c, a, d, b),
                 }
                 legs = route_distance_umiles(grid, seqs[case])
-                expected = tariff.base_fare + variable_charge(tariff, legs) + tariff.change_fee
+                charge = distance_charge_mils(tariff.per_mile, legs)
+                expected = tariff.base_fare + charge + tariff.change_fee
                 assert ccp_pooled_fare(tariff, grid, i, j, geom) == expected
 
 
