@@ -20,7 +20,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import io as rio
-from .costshare import InfeasibleRun, InvalidThresholds, goalprog_split, shapley_split
+from .costshare import (
+    InfeasibleRun, InvalidThresholds, goalprog_split, shapley_split, validate_thresholds,
+)
 from .harness import (
     BRACKET_COLUMNS,
     BRACKETS,
@@ -54,6 +56,8 @@ GRID_KEYS = ("rows", "cols", "edge_length_mi", "speed_mph")
 
 
 def _check_keys(section: str, given, allowed) -> None:
+    if not isinstance(given, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {given!r}")
     unknown = sorted(set(given) - set(allowed))
     if unknown:
         raise ConfigError(
@@ -62,13 +66,29 @@ def _check_keys(section: str, given, allowed) -> None:
         )
 
 
+def _required(section: str, given, key: str):
+    if key not in given:
+        raise ConfigError(f"{section} needs {key!r}")
+    return given[key]
+
+
+def _int(name: str, value) -> int:
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _network_from_config(cfg):
-    net_cfg = cfg["network"]
+    net_cfg = _required("config", cfg, "network")
     _check_keys("network", net_cfg, ("grid", "file"))
     if "grid" in net_cfg:
         g = net_cfg["grid"]
         _check_keys("network.grid", g, GRID_KEYS)
-        return make_grid(g["rows"], g["cols"], g["edge_length_mi"], g["speed_mph"])
+        rows, cols, length, speed = (_required("network.grid", g, key) for key in GRID_KEYS)
+        return make_grid(_int("network.grid rows", rows), _int("network.grid cols", cols),
+                         length, speed)
+    if "file" not in net_cfg:
+        raise ConfigError("network needs 'grid' or 'file'")
     return load_network_csv(net_cfg["file"])
 
 
@@ -76,18 +96,24 @@ def _as_list(value):
     return value if isinstance(value, list) else [value]
 
 
+def _thresholds(percents) -> tuple[Fraction, ...]:
+    """Percent thresholds of the goal-programming split, checked."""
+    return tuple(validate_thresholds([Fraction(int(p), 100) for p in percents]))
+
+
 def _grid_from_config(cfg) -> ScenarioGrid:
     _check_keys("config", cfg, CONFIG_KEYS)
     tariff = cfg.get("tariff", {})
     _check_keys("tariff", tariff, TARIFF_KEYS)
-    thresholds = tuple(
-        Fraction(int(p), 100) for p in cfg.get("split_thresholds_pct", (5, 10, 15, 20))
-    )
+    thresholds = ()  # only the goal-programming split reads them
+    if cfg.get("split_scheme") == "goalprog":
+        percents = cfg.get("split_thresholds_pct", [5, 10, 15, 20])
+        thresholds = _thresholds(_int("split_thresholds_pct", p) for p in _as_list(percents))
     return ScenarioGrid(
         mechanisms=tuple(Mechanism(m) for m in cfg.get("mechanisms", ["SRO", "PCP", "CCP"])),
         max_waits=tuple(usec_from_seconds(w) for w in _as_list(cfg.get("max_wait_s", 360))),
         mars=tuple(fraction_from(m) for m in _as_list(cfg.get("mar", 0.5))),
-        fleet_sizes=tuple(_as_list(cfg.get("fleet_size", 30))),
+        fleet_sizes=tuple(_int("fleet_size", f) for f in _as_list(cfg.get("fleet_size", 30))),
         change_fees=tuple(mils_from_usd(f) for f in _as_list(tariff.get("change_fee_usd", 2.0))),
         discount_factors=tuple(
             fraction_from(d) for d in _as_list(tariff.get("discount_factor", 0.8))
@@ -95,14 +121,14 @@ def _grid_from_config(cfg) -> ScenarioGrid:
         detour_factors=tuple(
             fraction_from(d) for d in _as_list(tariff.get("detour_factor", 0.3))
         ),
-        seeds=tuple(_as_list(cfg.get("seeds", [1]))),
+        seeds=tuple(_int("seeds", s) for s in _as_list(cfg.get("seeds", [1]))),
         base_fare=mils_from_usd(tariff.get("base_fare_usd", 2.50)),
         per_mile=mils_from_usd(tariff.get("per_mile_usd", 2.50)),
         provider_cost_per_mile=mils_from_usd(tariff.get("provider_cost_per_mile_usd", 2.945)),
         vot_values=tuple(
-            mils_from_usd(v) for v in cfg.get(
+            mils_from_usd(v) for v in _as_list(cfg.get(
                 "value_of_time_usd_per_min", [0.166, 0.195, 0.225, 0.254, 0.283]
-            )
+            ))
         ),
         split_scheme=cfg.get("split_scheme", "shapley"),
         split_thresholds=thresholds,
@@ -130,8 +156,8 @@ def _load_trips(spec: str, net, cfg):
 
 def cmd_simulate(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
-    net = _network_from_config(cfg)
     grid = _grid_from_config(cfg)
+    net = _network_from_config(cfg)
     trips = _load_trips(args.trips, net, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -219,8 +245,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_split(args) -> int:
+    if args.scheme == "goalprog":  # checked before any run is read
+        thresholds = _thresholds(args.thresholds.split(","))
     accounts = rio.load_run_accounts_csv(args.runs)
-    thresholds = tuple(Fraction(int(p), 100) for p in args.thresholds.split(","))
     rows = []
     for acct in accounts:
         if args.scheme == "shapley":

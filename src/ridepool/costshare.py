@@ -95,7 +95,7 @@ def shapley_split(acct: RunAccount) -> SplitResult:
     return SplitResult(entries=entries)
 
 
-def _validate_thresholds(thresholds: Sequence) -> list[Fraction]:
+def validate_thresholds(thresholds: Sequence) -> list[Fraction]:
     sigmas = [Fraction(t) if not isinstance(t, float) else Fraction(str(t)) for t in thresholds]
     if not sigmas:
         raise InvalidThresholds("need at least one threshold")
@@ -115,7 +115,7 @@ def goalprog_split(acct: RunAccount, thresholds: Sequence) -> SplitResult:
     proportion to solitary cost, i.e. as a uniform bump of everyone's
     relative saving.
     """
-    sigmas = _validate_thresholds(thresholds)
+    sigmas = validate_thresholds(thresholds)
     budget = Fraction(_check_feasible(acct))
 
     order = sorted(acct.members, key=lambda m: (m.solitary_cost, m.customer))

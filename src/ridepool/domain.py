@@ -152,23 +152,20 @@ class Run:
 
 
 class VehicleState:
-    """One vehicle: schedule history, as-driven path and current commitments.
+    """One vehicle: schedule history, stop-level route and current commitments.
 
-    `trace_*` arrays are the node-by-node plan the vehicle follows, including
-    everything already driven; rerouting truncates only the untraveled tail.
-    The anchor is the next trace node at or after the current time: a vehicle
-    between nodes is treated as "will be at the anchor at its arrival time".
+    `way_*` hold the route's waypoints (the start node, each anchor inside a leg, each
+    stop off the previous waypoint) with the arrival time and cumulative mileage at each.
+    Canonical paths join them; a vehicle waits only at its last waypoint, while idle.
     """
 
     def __init__(self, vid: int, start_node: str, net: RoadNetwork):
         self.id = vid
         self.net = net
-        start_idx = net.index(start_node)
         self.schedule: list[ScheduleEntry] = []
-        self.trace_nodes: list[int] = [start_idx]
-        self.trace_times: list[int] = [0]
-        self.trace_cum: list[int] = [0]
-        self._pos = 0
+        self.way_nodes: list[int] = [net.index(start_node)]
+        self.way_times: list[int] = [0]
+        self.way_cum: list[int] = [0]
         self.active: dict[int, ActiveRide] = {}
         self.slot = -1  # this vehicle's index in its `Fleet`'s arrays
         # run accounting used by customer-centered pooling; `set_fare_run`
@@ -192,17 +189,24 @@ class VehicleState:
         return not self.active
 
     def anchor_at(self, now: int) -> tuple[int, int, int]:
-        """(trace position, node index, time) of the next reroutable point."""
+        """(node index, time, cumulative umiles) of the next node it can turn at."""
         if self.is_idle(now):
-            pos = len(self.trace_nodes) - 1
-            return pos, self.trace_nodes[pos], now
+            return self.way_nodes[-1], now, self.way_cum[-1]
         return self.busy_anchor(now)
 
     def busy_anchor(self, now: int) -> tuple[int, int, int]:
         """`anchor_at` for a vehicle known to be busy at `now`, without
-        pruning: the first trace node reached at or after `now`."""
-        pos = bisect_left(self.trace_times, now, self._pos)
-        return pos, self.trace_nodes[pos], self.trace_times[pos]
+        pruning: the first node of its route reached at or after `now`."""
+        j = bisect_right(self.way_times, now) - 1
+        if self.way_times[j] == now:
+            return self.way_nodes[j], now, self.way_cum[j]
+        # a canonical path is the lexicographically smallest time-minimal one, so its prefix
+        # to a hop is the canonical path there: the driven part of a leg cut at an anchor.
+        # Hop 0 is never the anchor: a leg departing at `now` after a wait has left it
+        nodes, usec, umiles = self.net.leg(self.way_nodes[j], self.way_nodes[j + 1])
+        start = self.way_times[j + 1] - usec[-1]  # the leg departs then, after any wait
+        k = bisect_left(usec, now - start, 1)
+        return nodes[k], start + usec[k], self.way_cum[j] + umiles[k]
 
     def set_fare_run(self, nodes, times, run_fare: int, run_events: int) -> None:
         """Set the current run's chargeable itinerary from its waypoints'
@@ -226,10 +230,6 @@ class VehicleState:
             return 0, 0
         return n, self.fare_cum[n - 1] + self.net.tables()[2].item(self.fare_nodes[n - 1], anchor)
 
-    def driven_umiles(self) -> int:
-        """Mileage of the full trace (history plus still-planned tail)."""
-        return self.trace_cum[-1]
-
 
 NEVER = np.iinfo(np.int64).min  # the time of a dropoff that never happened
 
@@ -248,7 +248,7 @@ def _rider_state(v: VehicleState) -> tuple[int, int, bool]:
 class Fleet:
     """The vehicles plus the per-vehicle state the candidate pass reads.
 
-    `slots_at` maps a node index to the slots of the vehicles whose trace
+    `slots_at` maps a node index to the slots of the vehicles whose route
     ends there.  `busy_until` is each vehicle's largest committed dropoff
     time, so a vehicle is idle at `now` exactly when busy_until <= now.
     `second_drop` is the second-to-last committed dropoff time and
@@ -264,7 +264,7 @@ class Fleet:
         self.slots_at: dict[int, list[int]] = {}
         for slot, v in enumerate(self.vehicles):
             v.slot = slot
-            self.slots_at.setdefault(v.trace_nodes[-1], []).append(slot)
+            self.slots_at.setdefault(v.way_nodes[-1], []).append(slot)
         self.busy_until = np.array(
             [max((e.time for e in v.schedule if e.op == DO), default=NEVER) for v in self.vehicles],
             dtype=np.int64,
@@ -280,9 +280,9 @@ class Fleet:
 
     def commit(self, v: VehicleState, plan: InsertionPlan, now: int) -> None:
         """`apply_assignment` on one of these vehicles, then refresh its state."""
-        slot, old = v.slot, v.trace_nodes[-1]
+        slot, old = v.slot, v.way_nodes[-1]
         apply_assignment(v, plan, now)
-        new = v.trace_nodes[-1]
+        new = v.way_nodes[-1]
         if new != old:
             here = self.slots_at[old]
             here.remove(slot)
@@ -301,31 +301,31 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> None:
     OrderingViolation if the plan is malformed.  Past entries and committed
     REC entries are untouched.
     """
-    net = v.net
-    pos, anchor_idx, anchor_time = v.anchor_at(now)  # also prunes finished rides
+    anchor_idx, t, cum = v.anchor_at(now)  # also prunes finished rides
     _validate_plan(v, plan, now)
 
-    # the untraveled tail is abandoned; everything up to the anchor is driven
-    del v.trace_nodes[pos + 1 :]
-    del v.trace_times[pos + 1 :]
-    del v.trace_cum[pos + 1 :]
-    v._pos = pos
+    # the waypoints reached by `now` are driven, then the route turns at the anchor
+    kept = bisect_right(v.way_times, now)
+    del v.way_nodes[kept:], v.way_times[kept:], v.way_cum[kept:]
+    if anchor_idx != v.way_nodes[-1]:
+        v.way_nodes.append(anchor_idx)
+        v.way_times.append(t)
+        v.way_cum.append(cum)
 
     # schedule times never decrease, so the entries up to `now` are a prefix
     entries = v.schedule
     del entries[bisect_right(entries, now, key=_entry_time) :]
-    entries.append(ScheduleEntry(net.node_ids[anchor_idx], now, REC, plan.new_customer))
+    entries.append(ScheduleEntry(v.net.node_ids[anchor_idx], now, REC, plan.new_customer))
 
+    dur, _, lex = v.net.tables()
     cur = anchor_idx
-    t = anchor_time
     for stop, j in zip(plan.stops, plan.nodes):
         if j != cur:
-            nodes, usec, umiles = net.leg(cur, j).tolist()
-            base = v.trace_cum[-1]
-            v.trace_nodes.extend(nodes[1:])
-            v.trace_times.extend([t + x for x in usec[1:]])
-            v.trace_cum.extend([base + x for x in umiles[1:]])
-            t += usec[-1]
+            t += dur.item(cur, j)
+            cum += lex.item(cur, j)
+            v.way_nodes.append(j)
+            v.way_times.append(t)
+            v.way_cum.append(cum)
             cur = j
         entries.append(ScheduleEntry(stop.location, t, stop.op, stop.customer))
         if stop.op == PU:

@@ -199,12 +199,12 @@ def _pooled_vehicles(
     for slot, kid in zip(single.tolist(), fleet.last_rider[single].tolist()):
         k = requests[kid]
         v = fleet.vehicles[slot]
-        pos, a, t_a = v.busy_anchor(now)
+        a, t_a, a_cum = v.busy_anchor(now)
         pick = t_a + t_at(a, o)  # r's earliest pickup
         if pick > latest:
             continue
         m_ao = m_at(a, o)
-        tail = v.trace_cum[-1] - v.trace_cum[pos]  # mileage of the abandoned plan
+        tail = v.way_cum[-1] - a_cum  # mileage of the abandoned plan
         ride = v.active[kid]
         ok, dk = ride.origin_idx, ride.dest_idx
         t_kr = t_at(dk, d)

@@ -70,6 +70,7 @@ class RoadNetwork:
         scaled: dict[tuple, tuple[int, int]] = {}
         arc_map: dict[tuple[int, int], tuple[int, int]] = {}
         last = (None, None, None)
+        too_long = INF // len(node_ids)  # no path of shorter arcs sums to INF
         for frm, to, length_mi, time_s in arcs:
             if frm not in self._index or to not in self._index:
                 raise InvalidParameter(f"arc ({frm!r}, {to!r}) references unknown node")
@@ -89,6 +90,9 @@ class RoadNetwork:
                     except (ArithmeticError, TypeError, ValueError):
                         raise InvalidParameter(f"arc ({frm!r}, {to!r}): cannot read length "
                                                f"{length_mi!r} or time {time_s!r}") from None
+                    if max(attrs) >= too_long:
+                        raise InvalidParameter(f"arc ({frm!r}, {to!r}) is too long for exact "
+                                               f"path sums: {length_mi!r} mi, {time_s!r} s")
                     scaled[memo] = attrs
                 last = (length_mi, time_s, attrs)
             if attrs[0] <= 0 or attrs[1] <= 0:
@@ -103,7 +107,7 @@ class RoadNetwork:
 
         self._lock = threading.Lock()
         self._tables = None
-        self._legs: dict[tuple[int, int], np.ndarray] = {}
+        self._legs: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
         self._orders: dict[int, array] = {}
 
     # -- construction helpers -------------------------------------------------
@@ -179,10 +183,10 @@ class RoadNetwork:
         """(length_umiles, time_usec) of the direct arc between node indices."""
         return self._arc_map[(i, j)]
 
-    def leg(self, i: int, j: int) -> np.ndarray:
-        """The canonical path between node indices as one int64 array, memoized
-        per pair: rows (node, cumulative usec, cumulative umiles), one column
-        per node from i (0, 0) to j."""
+    def leg(self, i: int, j: int) -> tuple[list[int], list[int], list[int]]:
+        """The canonical path between node indices, memoized per pair: three
+        lists (node, cumulative usec, cumulative umiles), one item per node
+        from i (0, 0) to j.  Callers must not modify them."""
         memo = self._legs.get((i, j))
         if memo is not None:
             return memo
@@ -198,9 +202,8 @@ class RoadNetwork:
             usec.append(usec[-1] + dur_us)
             umiles.append(umiles[-1] + len_umi)
             cur = nxt_node
-        memo = np.array((nodes, usec, umiles), dtype=np.int64)
         with self._lock:
-            self._legs[(i, j)] = memo
+            self._legs[(i, j)] = memo = (nodes, usec, umiles)
         return memo
 
     def order_to(self, j: int) -> array:
@@ -217,7 +220,7 @@ class RoadNetwork:
 
     def path_indices(self, i: int, j: int) -> tuple[int, ...]:
         """Node-index sequence of the canonical path."""
-        return tuple(self.leg(i, j)[0].tolist())
+        return tuple(self.leg(i, j)[0])
 
     def shortest_path(self, origin: str, destination: str) -> PathResult:
         """Time-minimal path from origin to destination.
@@ -226,7 +229,7 @@ class RoadNetwork:
         lexicographically smallest node sequence is returned, and the
         reported distance is measured along that path.
         """
-        nodes, usec, umiles = self.leg(self.index(origin), self.index(destination)).tolist()
+        nodes, usec, umiles = self.leg(self.index(origin), self.index(destination))
         seq = tuple(self.node_ids[k] for k in nodes)
         return PathResult(distance=umiles[-1] / UMILE, duration=usec[-1] / USEC, node_sequence=seq)
 

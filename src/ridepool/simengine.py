@@ -159,7 +159,7 @@ def _validate(cfg: SimConfig, requests: list[Request], fleet) -> None:
     ids = [r.id for r in requests]
     if len(set(ids)) != len(ids):
         raise ConfigError("request ids must be unique")
-    used = {v.trace_nodes[0] for v in fleet}
+    used = {v.way_nodes[0] for v in fleet}
     for r in requests:
         if not (net.has_node(r.origin) and net.has_node(r.destination)):
             raise ConfigError(f"request {r.id} references nodes off the network")
@@ -285,7 +285,7 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     for cid, o in book.items():
         o.total_cost = total_cost(o.fare, by_id[cid], o.dropoff_time)
 
-    fleet_umi = sum(v.driven_umiles() for v in fleet.vehicles)
+    fleet_umi = sum(v.way_cum[-1] for v in fleet.vehicles)
     fares_total: Money = sum(o.fare for o in book.values())
     profit = provider_profit(fares_total, fleet_umi, tariff)
 

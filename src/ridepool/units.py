@@ -40,17 +40,25 @@ def div_half_even(num: int, den: int) -> int:
 
 
 def fraction_from(value: int | float | str | Fraction | Decimal) -> Fraction:
-    """Exact fraction from a decimal literal, float repr, int or Fraction."""
+    """Exact fraction from a decimal literal, float repr, int or Fraction.
+
+    Raises ValueError naming the value when it is not a number, not finite,
+    or nonzero with a decimal exponent beyond +-30 (an exact conversion of a
+    huge exponent would not finish)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, Decimal):
-        return Fraction(value)
-    if isinstance(value, float):
-        # repr() is the shortest exact decimal rendering, so "0.2" stays 1/5
-        return Fraction(Decimal(repr(value)))
-    return Fraction(Decimal(value))
+    try:
+        # repr() is the shortest exact decimal rendering, so 0.2 stays 1/5
+        dec = Decimal(repr(value) if isinstance(value, float) else value)
+    except (ArithmeticError, TypeError, ValueError):
+        raise ValueError(f"cannot read {value!r} as a number") from None
+    if not dec.is_finite():
+        raise ValueError(f"{value!r} is not a finite number")
+    if dec and abs(dec.adjusted()) > 30:
+        raise ValueError(f"{value!r} has a decimal exponent beyond +-30")
+    return Fraction(dec)
 
 
 def round_fraction(value: Fraction) -> int:

@@ -136,8 +136,9 @@ def check_replay(result: SimResult) -> Verdict:
             elif e.op == "DO":
                 onboard -= 1
                 seen_dropoffs[e.customer] = (e.time, e.location)
-        for a, b in zip(v.trace_nodes, v.trace_nodes[1:]):
-            fleet_dist += v.net.arc_attrs(a, b)[0]
+        for w, x in zip(v.way_nodes, v.way_nodes[1:]):
+            hops = v.net.leg(w, x)[0]
+            fleet_dist += sum(v.net.arc_attrs(a, b)[0] for a, b in zip(hops, hops[1:]))
     for cid, o in result.per_customer.items():
         t, loc = seen_dropoffs[cid]
         if t != o.dropoff_time or loc != result.requests[cid].destination:

@@ -61,7 +61,7 @@ def plan_stop_times(
     """
     net = v.net
     dur, _, lex = net.tables()
-    pos, anchor_idx, anchor_time = v.anchor_at(now)
+    anchor_idx, anchor_time, anchor_cum = v.anchor_at(now)
     times = []
     cur = anchor_idx
     t = anchor_time
@@ -76,7 +76,7 @@ def plan_stop_times(
             new_dist += lex.item(cur, j)
             cur = j
         times.append(t)
-    old_tail = v.trace_cum[-1] - v.trace_cum[pos]
+    old_tail = v.way_cum[-1] - anchor_cum
     return times, anchor_idx, anchor_time, new_dist - old_tail
 
 
@@ -157,7 +157,7 @@ def pooled_pair_economics(v, c, r, k, now, net, tariff, baseline_r, committed_k)
     past = [
         (w, t) for w, t in zip(fare_waypoints(v), v.fare_wp_times) if t <= now
     ]
-    _, anchor_idx, anchor_time = v.anchor_at(now)
+    anchor_idx, anchor_time, _ = v.anchor_at(now)
     new_wp = [w for w, _ in past]
     new_wp_times = [t for _, t in past]
     if past:

@@ -11,7 +11,7 @@ import itertools
 from math import lcm
 from typing import Sequence
 
-from ridepool.costshare import RunAccount, _check_feasible, _validate_thresholds
+from ridepool.costshare import RunAccount, _check_feasible, validate_thresholds
 
 
 class TooLarge(Exception):
@@ -29,7 +29,7 @@ def oracle_split(acct: RunAccount, thresholds: Sequence) -> tuple[int, ...]:
     """
     if len(acct.members) > 4:
         raise TooLarge("oracle enumerates runs of at most 4 customers")
-    sigmas = _validate_thresholds(thresholds)
+    sigmas = validate_thresholds(thresholds)
     budget = _check_feasible(acct)
     den = lcm(*(s.denominator for s in sigmas))
     nums = [s.numerator * (den // s.denominator) for s in sigmas]

@@ -34,6 +34,20 @@ def plan_on(net, cust, stops, poolable=True):
                          poolable)
 
 
+def expand_route(v):
+    """A vehicle's route hop by hop: (nodes, arrival times, cumulative umiles),
+    each leg between waypoints read through `net.leg` and departing so that
+    it reaches the later waypoint at its arrival time."""
+    nodes, times, cum = v.way_nodes[:1], v.way_times[:1], v.way_cum[:1]
+    for k in range(1, len(v.way_nodes)):
+        hops, usec, umiles = v.net.leg(v.way_nodes[k - 1], v.way_nodes[k])
+        start = v.way_times[k] - usec[-1]
+        nodes += hops[1:]
+        times += [start + x for x in usec[1:]]
+        cum += [v.way_cum[k - 1] + x for x in umiles[1:]]
+    return nodes, times, cum
+
+
 def unserved_ids(result):
     """The ids of a result's unserved requests, from its decision log."""
     return [row.customer for row in result.decision_log if row.decision == UNSERVED]

@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import json
@@ -378,6 +379,72 @@ class TestInputErrors:
         argv = ["simulate", "--config", str(cfg), "--trips", spec, "--out", str(out)]
         assert message in fails_cleanly(capsys, argv)
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda c: c.pop("network"), "config needs 'network'"),
+        (lambda c: c.update(network={}), "network needs 'grid' or 'file'"),
+        (lambda c: c["network"]["grid"].pop("edge_length_mi"),
+         "network.grid needs 'edge_length_mi'"),
+        (lambda c: c.update(fleet_size="x"), "fleet_size must be an integer, got 'x'"),
+        (lambda c: c.update(seeds=[1, 2.0]), "seeds must be an integer, got 2.0"),
+        (lambda c: c["network"]["grid"].update(rows="4"),
+         "network.grid rows must be an integer, got '4'"),
+        (lambda c: c.update(tariff=[]), "tariff must be a JSON object, got []"),
+        # a fractional percent used to be cut to a whole one
+        (lambda c: c.update(split_thresholds_pct=[5, 12.5]),
+         "split_thresholds_pct must be an integer, got 12.5"),
+        (lambda c: c.update(mar="abc"), "cannot read 'abc' as a number"),
+        (lambda c: c.update(max_wait_s="inf"), "'inf' is not a finite number"),
+        (lambda c: c.update(mar="1e400"), "'1e400' has a decimal exponent beyond +-30"),
+    ], ids=["no-network", "empty-network", "no-edge-length", "fleet-size-text", "seed-float",
+            "rows-text", "tariff-list", "fractional-percent", "mar-text", "wait-inf",
+            "mar-exponent"])
+    def test_bad_config(self, tmp_path, capsys, edit, message):
+        config = copy.deepcopy(CONFIG)
+        edit(config)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--trips", "synthetic:n=5", "--out", str(out)]
+        assert fails_cleanly(capsys, argv) == f"ridepool simulate: {message}"
+        assert not out.exists()
+
+    def test_scalar_value_of_time_reads_as_one_value(self):
+        # like every other list-valued key; it used to end in a TypeError
+        grid = cli._grid_from_config({**CONFIG, "value_of_time_usd_per_min": 0.2})
+        assert grid.vot_values == (200,)
+
+    def test_arc_too_long_for_path_sums(self, tmp_path, capsys):
+        net = tmp_path / "net.csv"
+        net.write_text("node,a\nnode,b\narc,a,b,1e30,30\narc,b,a,0.1,30\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CONFIG, "network": {"file": str(net)}}))
+        argv = ["simulate", "--config", str(cfg), "--trips", "synthetic:n=5", "--out",
+                str(tmp_path / "out")]
+        assert fails_cleanly(capsys, argv) == (
+            "ridepool simulate: arc ('a', 'b') is too long for exact path sums: "
+            "'1e30' mi, '30' s")
+
+    def test_thresholds_checked_only_for_goalprog_before_the_runs(self, tmp_path, capsys):
+        empty = tmp_path / "runs.csv"
+        empty.write_text(RUNS_HEADER)
+        # shapley never reads the thresholds
+        assert main(["split", "--runs", str(empty), "--scheme", "shapley",
+                     "--thresholds", "5,x"]) == 0
+        err = fails_cleanly(capsys, ["split", "--runs", str(empty), "--scheme", "goalprog",
+                                     "--thresholds", "20,5"])
+        assert "thresholds must be strictly increasing" in err
+        # checked before the run file is opened
+        err = fails_cleanly(capsys, ["split", "--runs", str(tmp_path / "missing"),
+                                     "--scheme", "goalprog", "--thresholds", "150"])
+        assert "thresholds must lie in (0, 1)" in err
+
+    def test_simulate_checks_goalprog_thresholds_up_front(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CONFIG, "split_thresholds_pct": [20, 5]}))
+        argv = ["simulate", "--config", str(cfg), "--trips", "synthetic:n=5", "--out",
+                str(tmp_path / "out")]
+        assert "thresholds must be strictly increasing" in fails_cleanly(capsys, argv)
 
     def test_module_invocation_prints_no_traceback(self, tmp_path):
         proc = subprocess.run(

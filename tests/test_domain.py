@@ -1,7 +1,11 @@
+import random
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ridepool import domain, simengine
 from ridepool.domain import (
@@ -21,8 +25,9 @@ from ridepool.harness import synthetic_trips
 from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import RoadNetwork
 from ridepool.pricing import Tariff
+from tests._hop_oracle import HopRoute
 from tests._scan_oracle import plan_stop_times
-from tests.conftest import line_network, plan_on, sec
+from tests.conftest import expand_route, line_network, plan_on, sec
 
 
 def active_schedule(v, t):
@@ -84,21 +89,31 @@ class TestApplyAssignment:
             ScheduleEntry("D", sec(72), DO, 5),
         ]
 
-    def test_commit_extends_the_trace_from_the_leg_memo(self, line6, monkeypatch):
+    def test_commit_keeps_stop_level_waypoints(self, line6, monkeypatch):
         def arc_by_arc(*args):
             raise AssertionError("the commit read the network arc by arc")
 
+        leg = RoadNetwork.leg
+        legs_read = []
+
+        def recorded_leg(net, i, j):
+            legs_read.append((i, j))
+            return leg(net, i, j)
+
         monkeypatch.setattr(RoadNetwork, "arc_attrs", arc_by_arc)
+        monkeypatch.setattr(RoadNetwork, "leg", recorded_leg)
         v = VehicleState(2, "A", line6)
         apply_assignment(v, solo_plan(line6, 7, "C", "F"), sec(0))
+        assert (v.way_nodes, legs_read) == ([0, 2, 5], [])  # the start and the two stops
         plan = plan_on(
             line6, 8,
             (Stop(PU, 7, "C"), Stop(PU, 8, "D"), Stop(DO, 8, "E"), Stop(DO, 7, "F")),
         )
-        apply_assignment(v, plan, sec(24))  # truncates the tail after B, then extends
-        assert v.trace_nodes == [0, 1, 2, 3, 4, 5]
-        assert v.trace_times == [sec(24 * k) for k in range(6)]
-        assert v.trace_cum == [200_000 * k for k in range(6)]
+        apply_assignment(v, plan, sec(24))  # turns at B, inside the leg to C
+        assert legs_read == [(0, 2)]  # the anchor's leg, and no leg of the plan
+        assert v.way_nodes == [0, 1, 2, 3, 4, 5]
+        assert v.way_times == [sec(24 * k) for k in range(6)]
+        assert v.way_cum == [200_000 * k for k in range(6)]
 
     def test_insertion_recomputes_downstream_times(self, line6):
         v = VehicleState(2, "A", line6)
@@ -152,7 +167,7 @@ class TestApplyAssignment:
         v = VehicleState(0, "A", line6)
         apply_assignment(v, solo_plan(line6, 1, "B", "D"), sec(0))
         assert v.is_idle(sec(72))
-        _, anchor, t = v.anchor_at(sec(100))
+        anchor, t, _ = v.anchor_at(sec(100))
         assert line6.node_ids[anchor] == "D"
         assert t == sec(100)
 
@@ -295,10 +310,11 @@ class TestInvariantsUnderRandomAssignments:
                 assert onboard <= 2
             elif e.op == DO:
                 onboard -= 1
-        # trace is a connected walk with consistent mileage
-        for a, b in zip(v.trace_nodes, v.trace_nodes[1:]):
-            net.arc_attrs(a, b)
-        assert v.trace_cum == sorted(v.trace_cum)
+        # the route is a connected walk with consistent mileage
+        nodes, _, cum = expand_route(v)
+        assert cum[0] == 0 and cum[-1] == v.way_cum[-1]
+        for k, (a, b) in enumerate(zip(nodes, nodes[1:])):
+            assert cum[k + 1] - cum[k] == net.arc_attrs(a, b)[0]
 
 
 class TestScheduleCommit:
@@ -348,3 +364,89 @@ class TestRequestValidation:
         assert full.value_of_time == 225 and full.poolable is True
         fixed = Request.build(2, "A", "B", 0, 300, 0.225, poolable=False)
         assert fixed.resolved(value_of_time=999, poolable=True) == fixed
+
+
+def ring_world(randint):
+    """A strongly connected network (a one-way ring of 3-9 nodes plus random
+    one-way arcs of 20-60 s and 0.1-0.5 mi, so equal times are common), 1-30
+    trips at whole seconds with repeated request times, and a simulation
+    config for one of the three mechanisms."""
+    n = randint(3, 9)
+    names = [f"v{i}" for i in range(n)]
+    pairs = {(i, (i + 1) % n) for i in range(n)}
+    for _ in range(randint(0, 2 * n)):
+        a, b = randint(0, n - 1), randint(0, n - 1)
+        if a != b:
+            pairs.add((a, b))
+    arcs = [(names[a], names[b], Fraction(randint(100, 500), 1000), randint(20, 60))
+            for a, b in sorted(pairs)]
+    net = RoadNetwork(names, arcs)
+    trips, t = [], 0
+    for i in range(randint(1, 30)):
+        t += randint(0, 40) * randint(0, 1)  # every other trip shares its request time
+        o = randint(0, n - 1)
+        d = (o + randint(1, n - 1)) % n
+        trips.append(Request.build(i, names[o], names[d], t, randint(60, 400)))
+    cfg = simengine.SimConfig(
+        mechanism=list(Mechanism)[randint(0, 2)], tariff=Tariff.from_usd(),
+        fleet_size=randint(1, 4), mar=Fraction(randint(1, 2), 2), rng_seed=randint(0, 99),
+        network=net, horizon=sec(3600),
+    )
+    return cfg, trips
+
+
+def replay_against_hops(cfg, trips):
+    """Run one simulation with a per-hop route beside each vehicle.  At every
+    commit, check the anchor of every vehicle against it, then commit on
+    both and check the committed vehicle's expanded route.  Return counts of
+    the commits, of anchors strictly inside a leg, and of anchors on a leg
+    that departs at `now` after a wait."""
+    net = cfg.network
+    dur = net.tables()[0]
+    commit = domain.Fleet.commit
+    hops: dict[int, HopRoute] = {}
+    counts = Counter()
+
+    def checked_commit(fleet, v, plan, now):
+        for w in fleet.vehicles:
+            ref = hops.setdefault(w.id, HopRoute(w.way_nodes[0]))
+            idle = w.is_idle(now)
+            _, node, t, cum = ref.anchor(now, idle)
+            assert w.anchor_at(now) == (node, t, cum)
+            if not idle:
+                counts["inside"] += t not in w.way_times
+                j = bisect_right(w.way_times, now) - 1
+                depart = w.way_times[j + 1] - dur.item(w.way_nodes[j], w.way_nodes[j + 1])
+                counts["departs_now"] += depart == now > w.way_times[j]
+        hops[v.id].commit(net, plan, now, v.is_idle(now))
+        out = commit(fleet, v, plan, now)
+        ref = hops[v.id]
+        assert expand_route(v) == (ref.nodes, ref.times, ref.cum)
+        counts["commits"] += 1
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(domain.Fleet, "commit", checked_commit)
+        res = simengine.run_sim(cfg, trips)
+    assert counts["commits"] == res.served
+    return counts
+
+
+class TestRouteAgainstHops:
+    """The stop-level route against the per-hop route it replaced."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_anchors_and_routes_match_the_per_hop_route(self, data):
+        replay_against_hops(*ring_world(lambda lo, hi: data.draw(st.integers(lo, hi))))
+
+    def test_replays_reach_every_kind_of_anchor(self):
+        counts = Counter()
+        mechanisms = set()
+        for seed in range(200):
+            cfg, trips = ring_world(random.Random(seed).randint)
+            counts += replay_against_hops(cfg, trips)
+            mechanisms.add(cfg.mechanism)
+        assert mechanisms == set(Mechanism)
+        assert counts["commits"] > 800
+        assert counts["inside"] > 400 and counts["departs_now"] > 100

@@ -61,8 +61,8 @@ class TestRunGrid:
         for oc in small_outcomes:
             if oc.mechanism == "SRO":
                 continue
-            spawn_a = [v.trace_nodes[0] for v in oc.result.vehicles]
-            spawn_b = [v.trace_nodes[0] for v in oc.baseline.vehicles]
+            spawn_a = [v.way_nodes[0] for v in oc.result.vehicles]
+            spawn_b = [v.way_nodes[0] for v in oc.baseline.vehicles]
             assert spawn_a == spawn_b
 
     def test_rerun_is_identical(self):

@@ -44,7 +44,7 @@ from ridepool.units import UMILE, USEC
 from tests import _scan_oracle
 from tests._fare_oracle import PoolGeometry, ccp_pooled_fare
 from tests._scan_oracle import PARTNER_WAIT_REASON, _pooled_candidates_for
-from tests.conftest import ends, line_network, plan_on, sec
+from tests.conftest import ends, expand_route, line_network, plan_on, sec
 
 TARIFF = Tariff.from_usd()
 
@@ -520,7 +520,7 @@ class TestSinglePass:
             if sro.kind != SOLITARY:
                 continue
             o = ONE_WAY.index(r.origin)
-            idle = [(v.trace_nodes[-1], v.id) for v in fleet.vehicles if v.is_idle(now)]
+            idle = [(v.way_nodes[-1], v.id) for v in fleet.vehicles if v.is_idle(now)]
             eligible = [(a, vid) for a, vid in idle
                         if dur[a, o] <= r.request_time + r.max_wait - now]
             won = min(lex[a, o] for a, vid in eligible if vid == sro.vehicle)
@@ -605,9 +605,10 @@ class TestDetourLimitsPerRun:
 
 def check_rider_arrays(fleet, now, poolable=None):
     """Check the single-rider mask, the last-rider array and the busy anchor
-    against `prune` and a linear trace scan at `now`, and, given every
-    customer's flag in `poolable`, the lone rider's flag.  Return how many
-    vehicles carry one rider, and how many of them carried two before."""
+    against `prune` and a linear scan of the expanded route at `now`, and,
+    given every customer's flag in `poolable`, the lone rider's flag.  Return
+    how many vehicles carry one rider, and how many of them carried two
+    before."""
     single = fleet.single_rider(now)
     alone = after_pair = 0
     for slot, w in enumerate(fleet.vehicles):
@@ -620,10 +621,11 @@ def check_rider_arrays(fleet, now, poolable=None):
             alone += 1
             after_pair += fleet.second_drop[slot] != NEVER
         if w.active:
-            pos = w._pos
-            while w.trace_times[pos] < now:
+            nodes, times, cum = expand_route(w)
+            pos = 0
+            while times[pos] < now:
                 pos += 1
-            assert w.busy_anchor(now) == (pos, w.trace_nodes[pos], w.trace_times[pos])
+            assert w.busy_anchor(now) == (nodes[pos], times[pos], cum[pos])
     return alone, after_pair
 
 
@@ -639,7 +641,7 @@ class TestFleetArrays:
             ends = {}
             for slot, w in enumerate(fleet.vehicles):
                 dropoffs = [e.time for e in w.schedule if e.op == DO]
-                ends.setdefault(w.trace_nodes[-1], []).append(slot)
+                ends.setdefault(w.way_nodes[-1], []).append(slot)
                 assert fleet.busy_until[slot] == max(dropoffs, default=NEVER)
                 assert (fleet.busy_until[slot] <= now) == w.is_idle(now)
             # the node -> slots index holds every trace end and no empty node
@@ -706,7 +708,7 @@ def check_fare_state(fleet, now, net, committed):
     for slot in np.flatnonzero(fleet.single_rider(now)).tolist():
         v = fleet.vehicles[slot]
         ck = committed[fleet.last_rider[slot]]
-        _, anchor, _ = v.busy_anchor(now)
+        anchor, _, _ = v.busy_anchor(now)
         assert v.fare_wp_times == sorted(v.fare_wp_times)
         past = [w for w, t in zip(_scan_oracle.fare_waypoints(v), v.fare_wp_times) if t <= now]
         kept = route_distance_umiles(net, past + [net.node_ids[anchor]]) if past else 0
@@ -850,7 +852,7 @@ def first_pooling_cases(seed, fee_usd):
         v = fleet.by_id.get(d.vehicle)
         if d.kind == POOLED and v.run_events == 0:
             c, k = d.candidate, requests[d.candidate.partner]
-            _, anchor, _ = v.anchor_at(now)
+            anchor, _, _ = v.anchor_at(now)
             geometry = PoolGeometry(c.case, now, v.active[k.id].pickup_time,
                                     net.node_ids[anchor] if c.case <= 2 else None)
             assert c.new_run_fare == ccp_pooled_fare(tariff, net, k, r, geometry)

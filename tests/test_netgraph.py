@@ -261,8 +261,8 @@ class TestTables:
                 usec.append(usec[-1] + dur_us)
                 umiles.append(umiles[-1] + len_umi)
             memo = net.leg(i, j)
-            assert memo.dtype == np.int64
-            assert memo.tolist() == [nodes, usec, umiles]
+            assert memo == (nodes, usec, umiles)
+            assert all(type(x) is int for column in memo for x in column)
             assert net.leg(i, j) is memo
             assert net.path_indices(i, j) == tuple(nodes)
             assert net.shortest_path(ids[i], ids[j]) == PathResult(
