@@ -72,10 +72,21 @@ def _required(section: str, given, key: str):
     return given[key]
 
 
-def _int(name: str, value) -> int:
+def _int(name: str, value, least: int | None = None) -> int:
     if type(value) is not int:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")
     return value
+
+
+def _seconds(name: str, value, least: int) -> int:
+    """A config time in usec, at least `least` usec."""
+    usec = usec_from_seconds(value)
+    if usec < least:
+        sign = "positive" if least else "non-negative"
+        raise ConfigError(f"{name} must be {sign}, got {value!r}")
+    return usec
 
 
 def _network_from_config(cfg):
@@ -92,7 +103,11 @@ def _network_from_config(cfg):
     return load_network_csv(net_cfg["file"])
 
 
-def _as_list(value):
+def _axis(section: dict, key: str, default) -> list:
+    """A grid axis: the non-empty list at `key`, or its one value as a list."""
+    value = section.get(key, default)
+    if value == []:
+        raise ConfigError(f"{key} must not be an empty list")
     return value if isinstance(value, list) else [value]
 
 
@@ -107,32 +122,25 @@ def _grid_from_config(cfg) -> ScenarioGrid:
     _check_keys("tariff", tariff, TARIFF_KEYS)
     thresholds = ()  # only the goal-programming split reads them
     if cfg.get("split_scheme") == "goalprog":
-        percents = cfg.get("split_thresholds_pct", [5, 10, 15, 20])
-        thresholds = _thresholds(_int("split_thresholds_pct", p) for p in _as_list(percents))
+        percents = _axis(cfg, "split_thresholds_pct", [5, 10, 15, 20])
+        thresholds = _thresholds(_int("split_thresholds_pct", p) for p in percents)
     return ScenarioGrid(
-        mechanisms=tuple(Mechanism(m) for m in cfg.get("mechanisms", ["SRO", "PCP", "CCP"])),
-        max_waits=tuple(usec_from_seconds(w) for w in _as_list(cfg.get("max_wait_s", 360))),
-        mars=tuple(fraction_from(m) for m in _as_list(cfg.get("mar", 0.5))),
-        fleet_sizes=tuple(_int("fleet_size", f) for f in _as_list(cfg.get("fleet_size", 30))),
-        change_fees=tuple(mils_from_usd(f) for f in _as_list(tariff.get("change_fee_usd", 2.0))),
-        discount_factors=tuple(
-            fraction_from(d) for d in _as_list(tariff.get("discount_factor", 0.8))
-        ),
-        detour_factors=tuple(
-            fraction_from(d) for d in _as_list(tariff.get("detour_factor", 0.3))
-        ),
-        seeds=tuple(_int("seeds", s) for s in _as_list(cfg.get("seeds", [1]))),
+        mechanisms=tuple(Mechanism(m) for m in _axis(cfg, "mechanisms", ["SRO", "PCP", "CCP"])),
+        max_waits=tuple(_seconds("max_wait_s", w, 1) for w in _axis(cfg, "max_wait_s", 360)),
+        mars=tuple(fraction_from(m) for m in _axis(cfg, "mar", 0.5)),
+        fleet_sizes=tuple(_int("fleet_size", f) for f in _axis(cfg, "fleet_size", 30)),
+        change_fees=tuple(mils_from_usd(f) for f in _axis(tariff, "change_fee_usd", 2.0)),
+        discount_factors=tuple(fraction_from(d) for d in _axis(tariff, "discount_factor", 0.8)),
+        detour_factors=tuple(fraction_from(d) for d in _axis(tariff, "detour_factor", 0.3)),
+        seeds=tuple(_int("seeds", s, 0) for s in _axis(cfg, "seeds", [1])),
         base_fare=mils_from_usd(tariff.get("base_fare_usd", 2.50)),
         per_mile=mils_from_usd(tariff.get("per_mile_usd", 2.50)),
         provider_cost_per_mile=mils_from_usd(tariff.get("provider_cost_per_mile_usd", 2.945)),
-        vot_values=tuple(
-            mils_from_usd(v) for v in _as_list(cfg.get(
-                "value_of_time_usd_per_min", [0.166, 0.195, 0.225, 0.254, 0.283]
-            ))
-        ),
+        vot_values=tuple(mils_from_usd(v) for v in _axis(
+            cfg, "value_of_time_usd_per_min", [0.166, 0.195, 0.225, 0.254, 0.283])),
         split_scheme=cfg.get("split_scheme", "shapley"),
         split_thresholds=thresholds,
-        horizon=usec_from_seconds(cfg.get("horizon_s", 1800)),
+        horizon=_seconds("horizon_s", cfg.get("horizon_s", 1800), 0),
     )
 
 
@@ -150,6 +158,8 @@ def _load_trips(spec: str, net, cfg):
                 values[key] = int(text)
             except ValueError:
                 raise ConfigError(f"synthetic trips {key}={text!r} is not an integer") from None
+            if values[key] < 0:
+                raise ConfigError(f"synthetic trips {key}={text!r} is negative")
         return synthetic_trips(net, values["n"], int(values["horizon_s"]), values["seed"])
     return rio.load_trips_csv(spec)
 

@@ -157,6 +157,9 @@ class VehicleState:
     `way_*` hold the route's waypoints (the start node, each anchor inside a leg, each
     stop off the previous waypoint) with the arrival time and cumulative mileage at each.
     Canonical paths join them; a vehicle waits only at its last waypoint, while idle.
+    Customer-centered pooling also keeps the current run's fare, its pooling events and
+    `run_umiles`, the route's planned mileage from the run's first pickup; `run_sim` sets
+    all three at every CCP commit.
     """
 
     def __init__(self, vid: int, start_node: str, net: RoadNetwork):
@@ -168,14 +171,9 @@ class VehicleState:
         self.way_cum: list[int] = [0]
         self.active: dict[int, ActiveRide] = {}
         self.slot = -1  # this vehicle's index in its `Fleet`'s arrays
-        # run accounting used by customer-centered pooling; `set_fare_run`
-        # writes it: the chargeable itinerary's waypoints (node indices),
-        # their times, and its mileage up to each waypoint
-        self.fare_nodes: list[int] = []
-        self.fare_wp_times: list[int] = []
-        self.fare_cum: list[int] = []
         self.run_fare: int = 0
         self.run_events: int = 0
+        self.run_umiles: int = 0
 
     # -- state queries ---------------------------------------------------------
 
@@ -207,28 +205,6 @@ class VehicleState:
         start = self.way_times[j + 1] - usec[-1]  # the leg departs then, after any wait
         k = bisect_left(usec, now - start, 1)
         return nodes[k], start + usec[k], self.way_cum[j] + umiles[k]
-
-    def set_fare_run(self, nodes, times, run_fare: int, run_events: int) -> None:
-        """Set the current run's chargeable itinerary from its waypoints'
-        node indices and non-decreasing times, with its fare and number of
-        pooling events, and carry the itinerary's prefix mileages."""
-        lex = self.net.tables()[2]
-        self.fare_nodes = list(nodes)
-        self.fare_wp_times = list(times)
-        cum = [0]
-        for a, b in zip(self.fare_nodes, self.fare_nodes[1:]):
-            cum.append(cum[-1] + lex.item(a, b))
-        self.fare_cum = cum
-        self.run_fare, self.run_events = run_fare, run_events
-
-    def fare_prefix(self, now: int, anchor: int) -> tuple[int, int]:
-        """(n, umiles): the itinerary's first n waypoints are passed by `now`,
-        and an itinerary re-planned from the `anchor` node keeps them and
-        drives on to the anchor, `umiles` in all; (0, 0) when none is passed."""
-        n = bisect_right(self.fare_wp_times, now)
-        if not n:
-            return 0, 0
-        return n, self.fare_cum[n - 1] + self.net.tables()[2].item(self.fare_nodes[n - 1], anchor)
 
 
 NEVER = np.iinfo(np.int64).min  # the time of a dropoff that never happened

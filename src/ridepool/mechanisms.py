@@ -75,8 +75,7 @@ class InsertionCandidate:
     partner: int | None = None
     surplus: int | None = None
     new_run_fare: int | None = None
-    new_wp_nodes: tuple[int, ...] | None = None  # the new fare itinerary's node indices
-    new_wp_times: tuple[int, ...] | None = None
+    new_run_umiles: int | None = None  # the run's planned mileage after the insertion
 
 
 @dataclass
@@ -122,7 +121,6 @@ class PooledVehicle(NamedTuple):
     vehicle: VehicleState
     partner: Request
     anchor: int  # node index of the vehicle's next reroutable point
-    anchor_time: int
     tail: int  # umiles of the plan the insertion abandons
     cases: tuple[tuple[int, int, int, int, int, int], ...]
 
@@ -251,7 +249,7 @@ def _pooled_vehicles(
                 raise _unreachable(net, x, d)
             rows.append((case + 1, m + m_at(x, d) + m_rk - tail, r_pick, t + t2, k_pick,
                          t + t2 + t_rk))
-        out.append(PooledVehicle(v, k, a, t_a, tail, tuple(rows)))
+        out.append(PooledVehicle(v, k, a, tail, tuple(rows)))
     return out
 
 
@@ -273,11 +271,11 @@ def enumerate_candidates(
     `o` within the wait.  Every solitary candidate drives o -> d, so the
     access mileage alone orders them by added distance, and the pass walks
     the nodes nearest-first (`RoadNetwork.order_to`), skips nodes where no
-    trace ends and stops at the first node farther than the best eligible
+    route ends and stops at the first node farther than the best eligible
     vehicle so far (the request-vehicle pruning of Alonso-Mora et al., PNAS
     2017, over per-target travel orders like T-Share's, Ma et al., ICDE
     2013).  Only the winner is built, from the walk's reads: an idle vehicle
-    leaves its trace end at `now` and abandons no planned mileage.
+    leaves its last waypoint at `now` and abandons no planned mileage.
     Then, for a poolable request in a pooling mode, one `PooledVehicle` per
     vehicle with a wait-feasible pooled interleaving (see
     `_pooled_vehicles`), in fleet order.  Every item is feasible.
@@ -433,38 +431,36 @@ def assign_ccp(
 ) -> AssignmentDecision:
     """Pool when the coalition strictly gains; otherwise ride solitary.
 
-    The run's chargeable itinerary keeps its waypoints already passed, then
-    the anchor when there are any, and continues with the offer's stops; the
-    pair fare is the partner's current fare plus the run-fare increment (one
-    extra change fee).  An offer is admissible when the pair's new total
-    cost is strictly below the sum of the request's baseline and the
-    partner's current guarantee.  The admissible offer with maximal surplus
-    wins and both riders' guarantees drop by half the surplus.  Cost sharing
-    later re-divides run fares but cannot change these decisions.
+    With the partner on board, her run goes on and its planned mileage grows
+    by the offer's added mileage; with her waiting, a new run starts at the
+    offer's first pickup and drives the rest of its plan.  The pair fare is
+    the partner's current fare plus the run-fare increment (one extra change
+    fee).  An offer is admissible when the pair's new total cost is strictly
+    below the sum of the request's baseline and the partner's current
+    guarantee.  The admissible offer with maximal surplus wins and both
+    riders' guarantees drop by half the surplus.  Cost sharing later
+    re-divides run fares but cannot change these decisions.
     """
     o, d, quote, baseline, best_solo, pooled = _priced_pass(
         fleet, r, now, Mechanism.CCP, net, tariff, requests
     )
     lex = net.tables()[2]
-    best = None  # (rank, vehicle record, case row, new run fare, tc_r, tc_k, committed_k, n)
+    best = None  # (rank, vehicle record, case row, new run fare, umiles, tc_r, tc_k, committed_k)
     for p in pooled:
         v, k = p.vehicle, p.partner
         committed_k = committed[k.id]
-        # the plan's new mileage (added + tail) is the anchor leg plus the
-        # stop legs; the fare itinerary drives the anchor leg only after the
-        # kept waypoints, the n passed by now
-        n, head = v.fare_prefix(now, p.anchor)
-        head += p.tail
         # the pair's new total cost, k's fare plus the run-fare increment
         # plus both time costs, is below baseline + k's guarantee exactly
         # when the new run fare plus both time costs is below this cap
         cap = baseline + v.run_fare + committed_k.spare
         for row in p.cases:
             case, added, r_pick, r_drop, k_pick, k_drop = row
-            lead = head
-            if not n:  # cases 3-4 leave the anchor for k's origin
-                lead -= lex.item(p.anchor, v.active[k.id].origin_idx if 3 <= case <= 4 else o)
-            new_run_fare = mileage_fare(tariff, added + lead, v.run_events + 1)
+            if case <= 2:  # k on board: her run goes on, `added` umiles longer
+                umiles = v.run_umiles + added
+            else:  # the plan (added + tail) less its leg to the first pickup, k's in cases 3-4
+                umiles = added + p.tail - lex.item(
+                    p.anchor, v.active[k.id].origin_idx if case <= 4 else o)
+            new_run_fare = mileage_fare(tariff, umiles, v.run_events + 1)
             tc_r = time_cost_mils(r.value_of_time, r_drop - r.request_time)
             tc_k = time_cost_mils(k.value_of_time, k_drop - k.request_time)
             total = new_run_fare + tc_r + tc_k
@@ -472,19 +468,12 @@ def assign_ccp(
                 # maximal surplus cap - total, then the candidate key
                 rank = (total - cap, added, v.id, _case_rank(case, r, k))
                 if best is None or rank < best[0]:
-                    best = (rank, p, row, new_run_fare, tc_r, tc_k, committed_k, n)
+                    best = (rank, p, row, new_run_fare, umiles, tc_r, tc_k, committed_k)
 
     if best is not None:
-        rank, p, row, new_run_fare, tc_r, tc_k, committed_k, n = best
-        v = p.vehicle
-        cand = _pooled_candidate(p, row, r, o, d, surplus=-rank[0], new_run_fare=new_run_fare)
-        stops = cand.plan.stops
-        kept = (*v.fare_nodes[:n], p.anchor) if n else ()
-        kept_times = (*v.fare_wp_times[:n], p.anchor_time) if n else ()
-        cand.new_wp_nodes = kept + cand.plan.nodes
-        cand.new_wp_times = kept_times + tuple(
-            (cand.pickup_times if s.op == PU else cand.dropoff_times)[s.customer] for s in stops
-        )
+        rank, p, row, new_run_fare, umiles, tc_r, tc_k, committed_k = best
+        cand = _pooled_candidate(p, row, r, o, d, surplus=-rank[0], new_run_fare=new_run_fare,
+                                 new_run_umiles=umiles)
         half = Fraction(cand.surplus, 2)
         g_r = baseline - half
         g_k = committed_k.guaranteed - half

@@ -244,11 +244,11 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                 committed[k] = CommittedCost(
                     guaranteed=decision.partner_guaranteed, fare=decision.partner_fare
                 )
-                v.set_fare_run(cand.new_wp_nodes, cand.new_wp_times, cand.new_run_fare,
-                               v.run_events + 1)
+                v.run_fare, v.run_events = cand.new_run_fare, v.run_events + 1
+                v.run_umiles = cand.new_run_umiles
             else:
-                v.set_fare_run(cand.plan.nodes, (cand.pickup_times[r.id], cand.dropoff_times[r.id]),
-                               decision.quote, 0)
+                v.run_fare, v.run_events = decision.quote, 0
+                v.run_umiles = net.distance_umiles(*cand.plan.nodes)
 
     # pooled CCP runs, ex-post splits and final economics; a run's id counts
     # every run of its vehicle

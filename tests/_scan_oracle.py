@@ -8,8 +8,8 @@ single-rider vehicle is built through `plan_stop_times`, the preview of a
 commit that `apply_assignment` would make (infeasible ones included), the solitary baseline scans the fleet a second time, the SRO fare
 is priced after the decision, the PCP detour bound is checked in `Fraction`
 arithmetic and CCP prices every wait-feasible pooled candidate's whole
-fare itinerary with `route_fare`.  Tests compare the single pass against it
-decision by decision.
+run itinerary, read from the schedule, with `route_fare`.  Tests compare the
+single pass against it decision by decision.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable
 
-from ridepool.domain import DO, PU, InsertionPlan, Request, Stop, VehicleState
+from ridepool.domain import DO, PU, InsertionPlan, Request, ScheduleEntry, Stop, VehicleState
 from ridepool.mechanisms import (
     MAX_WAIT_REASON,
     POOLED,
@@ -29,7 +29,9 @@ from ridepool.mechanisms import (
     Mechanism,
 )
 from ridepool.netgraph import INF, Unreachable
-from ridepool.pricing import pcp_fare, route_fare, solitary_fare, total_cost
+from ridepool.pricing import (
+    pcp_fare, route_distance_umiles, route_fare, solitary_fare, total_cost,
+)
 from ridepool.units import time_cost_mils
 
 PARTNER_WAIT_REASON = "PartnerMaxWaitExceeded"
@@ -46,9 +48,18 @@ def sort_key(c: InsertionCandidate) -> tuple:
     return (c.added_distance, c.vehicle, plan_key(c.plan))
 
 
-def fare_waypoints(v: VehicleState) -> list[str]:
-    """The vehicle's current run's chargeable itinerary as node ids."""
-    return [v.net.node_ids[i] for i in v.fare_nodes]
+def run_entries(v: VehicleState) -> list[ScheduleEntry]:
+    """The vehicle's last run in its schedule: every entry from the pickup
+    that last found the vehicle empty, REC anchors included."""
+    start, onboard = len(v.schedule), 0
+    for i, e in enumerate(v.schedule):
+        if e.op == PU:
+            if not onboard:
+                start = i
+            onboard += 1
+        elif e.op == DO:
+            onboard -= 1
+    return v.schedule[start:]
 
 
 def plan_stop_times(
@@ -147,27 +158,17 @@ def _pooled_candidates_for(v, r, k, now):
 def pooled_pair_economics(v, c, r, k, now, net, tariff, baseline_r, committed_k):
     """Evaluate the coalition check for one pooled candidate.
 
-    The run's chargeable itinerary keeps its already-driven waypoints,
-    routes through the anchor when the partner is on board, and continues
-    with the candidate's stops; the pair fare is the partner's current fare
-    plus the run-fare increment (one extra change fee).  The candidate is
-    admissible when the pair's new total cost is strictly below the sum of
-    the request's baseline and the partner's current guarantee.
+    The run's itinerary keeps the entries of its schedule reached by `now`,
+    routes through the anchor when there are any (the partner is on board),
+    and continues with the candidate's stops; the pair fare is the partner's
+    current fare plus the run-fare increment (one extra change fee).  The
+    candidate is admissible when the pair's new total cost is strictly below
+    the sum of the request's baseline and the partner's current guarantee.
     """
-    past = [
-        (w, t) for w, t in zip(fare_waypoints(v), v.fare_wp_times) if t <= now
-    ]
-    anchor_idx, anchor_time, _ = v.anchor_at(now)
-    new_wp = [w for w, _ in past]
-    new_wp_times = [t for _, t in past]
-    if past:
-        new_wp.append(net.node_ids[anchor_idx])
-        new_wp_times.append(anchor_time)
-    for s in c.plan.stops:
-        new_wp.append(s.location)
-        new_wp_times.append(
-            c.pickup_times[s.customer] if s.op == PU else c.dropoff_times[s.customer]
-        )
+    new_wp = [e.location for e in run_entries(v) if e.time <= now]
+    if new_wp:
+        new_wp.append(net.node_ids[v.anchor_at(now)[0]])
+    new_wp += [s.location for s in c.plan.stops]
     new_run_fare = route_fare(tariff, net, new_wp, v.run_events + 1)
     marginal = new_run_fare - v.run_fare
     pair_fare = committed_k.fare + marginal
@@ -183,8 +184,7 @@ def pooled_pair_economics(v, c, r, k, now, net, tariff, baseline_r, committed_k)
         c,
         surplus=surplus,
         new_run_fare=new_run_fare,
-        new_wp_nodes=tuple(net.index(w) for w in new_wp),
-        new_wp_times=tuple(new_wp_times),
+        new_run_umiles=route_distance_umiles(net, new_wp),
     )
 
 

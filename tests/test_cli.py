@@ -119,6 +119,18 @@ def fails_cleanly(capsys, argv):
     return err.rstrip("\n")
 
 
+def config_error(tmp_path, capsys, config):
+    """Run `simulate` on `config` over synthetic trips, check that it fails
+    cleanly before writing any output, and return its stderr line."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    err = fails_cleanly(capsys, ["simulate", "--config", str(cfg), "--trips", "synthetic:n=5",
+                                 "--out", str(out)])
+    assert not out.exists()
+    return err
+
+
 class TestStrictConfig:
     @pytest.mark.parametrize("edit,section,bad,allowed", [
         (lambda c: c.update(fleet_sizes=[30]), "config", "fleet_sizes", "fleet_size"),
@@ -371,6 +383,9 @@ class TestInputErrors:
          "unknown synthetic trips key(s) 'sed'; allowed: n, seed, horizon_s"),
         ("synthetic:n=7,seed=three", "synthetic trips seed='three' is not an integer"),
         ("synthetic:n=", "synthetic trips n='' is not an integer"),
+        ("synthetic:n=-1", "synthetic trips n='-1' is negative"),
+        ("synthetic:n=5,seed=-3", "synthetic trips seed='-3' is negative"),
+        ("synthetic:n=5,horizon_s=-1", "synthetic trips horizon_s='-1' is negative"),
     ])
     def test_bad_synthetic_trips(self, tmp_path, capsys, spec, message):
         cfg = tmp_path / "cfg.json"
@@ -396,18 +411,29 @@ class TestInputErrors:
         (lambda c: c.update(mar="abc"), "cannot read 'abc' as a number"),
         (lambda c: c.update(max_wait_s="inf"), "'inf' is not a finite number"),
         (lambda c: c.update(mar="1e400"), "'1e400' has a decimal exponent beyond +-30"),
+        # these three used to reach numpy or the request check unnamed
+        (lambda c: c.update(horizon_s=-1), "horizon_s must be non-negative, got -1"),
+        (lambda c: c.update(max_wait_s=0), "max_wait_s must be positive, got 0"),
+        (lambda c: c.update(seeds=[1, -3]), "seeds must be at least 0, got -3"),
     ], ids=["no-network", "empty-network", "no-edge-length", "fleet-size-text", "seed-float",
             "rows-text", "tariff-list", "fractional-percent", "mar-text", "wait-inf",
-            "mar-exponent"])
+            "mar-exponent", "horizon-negative", "wait-zero", "seed-negative"])
     def test_bad_config(self, tmp_path, capsys, edit, message):
         config = copy.deepcopy(CONFIG)
         edit(config)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        out = tmp_path / "out"
-        argv = ["simulate", "--config", str(cfg), "--trips", "synthetic:n=5", "--out", str(out)]
-        assert fails_cleanly(capsys, argv) == f"ridepool simulate: {message}"
-        assert not out.exists()
+        assert config_error(tmp_path, capsys, config) == f"ridepool simulate: {message}"
+
+    @pytest.mark.parametrize("key", [
+        "change_fee_usd", "discount_factor", "detour_factor", "seeds", "mechanisms",
+        "max_wait_s", "mar", "fleet_size", "value_of_time_usd_per_min", "split_thresholds_pct",
+    ])
+    def test_empty_grid_axis(self, tmp_path, capsys, key):
+        # an empty axis used to raise an IndexError, write no simulations or
+        # silently drop every pooled cell
+        config = copy.deepcopy(CONFIG)
+        (config["tariff"] if key in cli.TARIFF_KEYS else config)[key] = []
+        assert config_error(tmp_path, capsys, config) == (
+            f"ridepool simulate: {key} must not be an empty list")
 
     def test_scalar_value_of_time_reads_as_one_value(self):
         # like every other list-valued key; it used to end in a TypeError

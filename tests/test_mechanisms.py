@@ -39,7 +39,7 @@ from ridepool.mechanisms import (
     enumerate_candidates,
 )
 from ridepool.netgraph import RoadNetwork, make_grid
-from ridepool.pricing import Tariff, route_distance_umiles, solitary_fare, total_cost
+from ridepool.pricing import Tariff, route_distance_umiles, route_fare, solitary_fare, total_cost
 from ridepool.units import UMILE, USEC
 from tests import _scan_oracle
 from tests._fare_oracle import PoolGeometry, ccp_pooled_fare
@@ -68,6 +68,21 @@ def vehicle_with_rider(net, vid, start, rider, now=0):
                                    Stop(DO, rider.id, rider.destination)), rider.poolable)
     apply_assignment(v, plan, sec(now))
     return v
+
+
+def run_fields(v, tariff):
+    """(fare, pooling events, mileage) of the vehicle's last run, read from
+    its schedule (`_scan_oracle.run_entries`): each pickup after the first
+    is a pooling event."""
+    entries = _scan_oracle.run_entries(v)
+    stops = [e.location for e in entries]
+    events = sum(e.op == PU for e in entries) - 1
+    return route_fare(tariff, v.net, stops, events), events, route_distance_umiles(v.net, stops)
+
+
+def set_run_fields(v, tariff):
+    """Set the vehicle's CCP run fields as `run_sim` keeps them after a commit."""
+    v.run_fare, v.run_events, v.run_umiles = run_fields(v, tariff)
 
 
 class TestAssignSro:
@@ -281,8 +296,7 @@ def ccp_fixture(line, change_fee_usd):
     tariff = Tariff.from_usd(change_fee=change_fee_usd)
     i = req(1, "A", "E", vot_mils_min=250)
     v0 = vehicle_with_rider(line, 0, "A", i)
-    v0.set_fare_run([line.index("A"), line.index("E")], [0, sec(96)],
-                    solitary_fare(tariff, line, "A", "E"), 0)
+    set_run_fields(v0, tariff)
     v1 = VehicleState(1, "B", line)
     r = req(2, "B", "E", t=0, vot_mils_min=250)
     committed = {
@@ -314,8 +328,7 @@ class TestAssignCcp:
         tariff = Tariff.from_usd(change_fee=2.0)
         i = req(1, "A", "C", vot_mils_min=283)
         v0 = vehicle_with_rider(line6, 0, "A", i)
-        v0.set_fare_run([line6.index("A"), line6.index("C")], [0, sec(48)],
-                        solitary_fare(tariff, line6, "A", "C"), 0)
+        set_run_fields(v0, tariff)
         v1 = VehicleState(1, "B", line6)
         committed = {1: CommittedCost(3726, v0.run_fare)}
         r = req(2, "B", "E", t=40, vot_mils_min=283)
@@ -428,10 +441,7 @@ def random_world(randint, den=2, net=WORLD):
         # CCP pooling leaves guarantees on half mils
         guaranteed = Fraction(den * (quote + time_cost) - randint(0, den - 1), den)
         committed[cid] = CommittedCost(guaranteed, guaranteed - time_cost)
-        if len(v.active) == 1:  # a solo ride starts a new run
-            ride = v.active[cid]
-            v.set_fare_run([net.index(k.origin), net.index(k.destination)],
-                           [ride.pickup_time, ride.dropoff_time], quote, 0)
+        set_run_fields(v, tariff)
     now += randint(0, 40) * USEC
     r = rider(1000, max(0, now - randint(0, 20) * USEC))
     requests[r.id] = r
@@ -699,26 +709,21 @@ class TestFleetArrays:
             assert all(isinstance(c, InsertionCandidate) for c in cands)
 
 
-def check_fare_state(fleet, now, net, committed):
+def check_fare_state(fleet, now, tariff, committed):
     """Check, on every vehicle whose one rider the coalition test may pair
-    at `now`, the carried fare prefix against `route_distance_umiles` over
-    the waypoints passed by `now` plus the anchor.  Return the vehicles
-    checked."""
+    at `now`, the carried run fare, pooling events and mileage against the
+    run's itinerary in its schedule (`run_fields`).  Return the vehicles
+    checked with their riders' commitments."""
     checked = []
     for slot in np.flatnonzero(fleet.single_rider(now)).tolist():
         v = fleet.vehicles[slot]
-        ck = committed[fleet.last_rider[slot]]
-        anchor, _, _ = v.busy_anchor(now)
-        assert v.fare_wp_times == sorted(v.fare_wp_times)
-        past = [w for w, t in zip(_scan_oracle.fare_waypoints(v), v.fare_wp_times) if t <= now]
-        kept = route_distance_umiles(net, past + [net.node_ids[anchor]]) if past else 0
-        assert v.fare_prefix(now, anchor) == (len(past), kept)
-        checked.append((v, ck))
+        assert (v.run_fare, v.run_events, v.run_umiles) == run_fields(v, tariff)
+        checked.append((v, committed[fleet.last_rider[slot]]))
     return checked
 
 
 class TestCarriedFareState:
-    def test_prefix_and_cap_at_every_ccp_request(self, monkeypatch):
+    def test_run_fields_at_every_ccp_request(self, monkeypatch):
         net = make_grid(5, 5, 0.15, 30)  # 18 s arcs
         assign = simengine.assign_ccp
         seen = dict.fromkeys(("vehicles", "at_now", "extended", "fresh_after_pool",
@@ -728,9 +733,9 @@ class TestCarriedFareState:
 
         def checked(fleet, r, now, net, tariff, requests, committed):
             d = assign(fleet, r, now, net, tariff, requests, committed)
-            for v, ck in check_fare_state(fleet, now, net, committed):
+            for v, ck in check_fare_state(fleet, now, tariff, committed):
                 seen["vehicles"] += 1
-                seen["at_now"] += now in v.fare_wp_times
+                seen["at_now"] += any(e.time == now for e in _scan_oracle.run_entries(v))
                 seen["extended"] += v.run_events > 0
                 seen["fresh_after_pool"] += v.run_events == 0 and v.id in pooled_runs
                 # tightened by the pooling that was the vehicle's last commit
@@ -764,7 +769,7 @@ class TestCarriedFareState:
             fleet, tariff, requests, committed, r, now = world
             _, decisions = compare_with_scan(world)
             d = decisions[2]
-            check_fare_state(fleet, now, WORLD, committed)
+            check_fare_state(fleet, now, tariff, committed)
             pooled_quarters += d.kind == POOLED and committed[d.partner].guaranteed.denominator == 4
         assert pooled_quarters >= 10
 
@@ -778,7 +783,7 @@ class TestCarriedFareState:
         committed[1] = CommittedCost(ck.guaranteed - tighter, ck.fare)
         d = assign_ccp(fleet, r, 0, line6, tariff, {1: i, 2: r}, committed)
         assert d.kind == expected
-        assert len(check_fare_state(fleet, 0, line6, committed)) == 1
+        assert len(check_fare_state(fleet, 0, tariff, committed)) == 1
         assert d == _scan_oracle.assign_ccp(fleet.vehicles, r, 0, line6, tariff, {1: i, 2: r},
                                             committed)
         if expected == POOLED:
