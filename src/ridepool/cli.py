@@ -80,13 +80,16 @@ def _int(name: str, value, least: int | None = None) -> int:
     return value
 
 
-def _seconds(name: str, value, least: int) -> int:
-    """A config time in usec, at least `least` usec."""
-    usec = usec_from_seconds(value)
-    if usec < least:
-        sign = "positive" if least else "non-negative"
-        raise ConfigError(f"{name} must be {sign}, got {value!r}")
-    return usec
+def _number(key: str, value, convert=fraction_from, least=None):
+    """`convert(value)`; an unreadable value, or one below `least`, raises a
+    ConfigError naming the config key."""
+    try:
+        number = convert(value)
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}") from None
+    if least is not None and number < least:
+        raise ConfigError(f"{key} must be {'positive' if least else 'non-negative'}, got {value!r}")
+    return number
 
 
 def _network_from_config(cfg):
@@ -103,12 +106,21 @@ def _network_from_config(cfg):
     return load_network_csv(net_cfg["file"])
 
 
-def _axis(section: dict, key: str, default) -> list:
-    """A grid axis: the non-empty list at `key`, or its one value as a list."""
+def _axis(section: dict, key: str, default, convert=fraction_from, least=None,
+          distinct=True) -> tuple:
+    """The non-empty list at `key`, or its one value, each read by `_number`.
+    A `distinct` axis takes no value twice, however spelled: the grid would
+    run its cells twice and weigh them double in every mean."""
     value = section.get(key, default)
     if value == []:
         raise ConfigError(f"{key} must not be an empty list")
-    return value if isinstance(value, list) else [value]
+    raw = value if isinstance(value, list) else [value]
+    values = tuple(_number(key, v, convert, least) for v in raw)
+    for i, v in enumerate(values):
+        if distinct and v in values[:i]:
+            first = raw[values.index(v)]
+            raise ConfigError(f"{key} gives one value twice: {first!r} and {raw[i]!r}")
+    return values
 
 
 def _thresholds(percents) -> tuple[Fraction, ...]:
@@ -122,25 +134,28 @@ def _grid_from_config(cfg) -> ScenarioGrid:
     _check_keys("tariff", tariff, TARIFF_KEYS)
     thresholds = ()  # only the goal-programming split reads them
     if cfg.get("split_scheme") == "goalprog":
-        percents = _axis(cfg, "split_thresholds_pct", [5, 10, 15, 20])
-        thresholds = _thresholds(_int("split_thresholds_pct", p) for p in percents)
+        thresholds = _thresholds(_axis(cfg, "split_thresholds_pct", [5, 10, 15, 20],
+                                       lambda p: _int("split_thresholds_pct", p)))
     return ScenarioGrid(
-        mechanisms=tuple(Mechanism(m) for m in _axis(cfg, "mechanisms", ["SRO", "PCP", "CCP"])),
-        max_waits=tuple(_seconds("max_wait_s", w, 1) for w in _axis(cfg, "max_wait_s", 360)),
-        mars=tuple(fraction_from(m) for m in _axis(cfg, "mar", 0.5)),
-        fleet_sizes=tuple(_int("fleet_size", f) for f in _axis(cfg, "fleet_size", 30)),
-        change_fees=tuple(mils_from_usd(f) for f in _axis(tariff, "change_fee_usd", 2.0)),
-        discount_factors=tuple(fraction_from(d) for d in _axis(tariff, "discount_factor", 0.8)),
-        detour_factors=tuple(fraction_from(d) for d in _axis(tariff, "detour_factor", 0.3)),
-        seeds=tuple(_int("seeds", s, 0) for s in _axis(cfg, "seeds", [1])),
-        base_fare=mils_from_usd(tariff.get("base_fare_usd", 2.50)),
-        per_mile=mils_from_usd(tariff.get("per_mile_usd", 2.50)),
-        provider_cost_per_mile=mils_from_usd(tariff.get("provider_cost_per_mile_usd", 2.945)),
-        vot_values=tuple(mils_from_usd(v) for v in _axis(
-            cfg, "value_of_time_usd_per_min", [0.166, 0.195, 0.225, 0.254, 0.283])),
+        mechanisms=_axis(cfg, "mechanisms", ["SRO", "PCP", "CCP"], Mechanism),
+        max_waits=_axis(cfg, "max_wait_s", 360, usec_from_seconds, 1),
+        mars=_axis(cfg, "mar", 0.5),
+        fleet_sizes=_axis(cfg, "fleet_size", 30, lambda f: _int("fleet_size", f)),
+        change_fees=_axis(tariff, "change_fee_usd", 2.0, mils_from_usd),
+        discount_factors=_axis(tariff, "discount_factor", 0.8),
+        detour_factors=_axis(tariff, "detour_factor", 0.3),
+        seeds=_axis(cfg, "seeds", [1], lambda s: _int("seeds", s, 0)),
+        base_fare=_number("base_fare_usd", tariff.get("base_fare_usd", 2.50), mils_from_usd),
+        per_mile=_number("per_mile_usd", tariff.get("per_mile_usd", 2.50), mils_from_usd),
+        provider_cost_per_mile=_number("provider_cost_per_mile_usd",
+                                       tariff.get("provider_cost_per_mile_usd", 2.945),
+                                       mils_from_usd),
+        # a value given twice is drawn twice as often
+        vot_values=_axis(cfg, "value_of_time_usd_per_min", [0.166, 0.195, 0.225, 0.254, 0.283],
+                         mils_from_usd, 0, distinct=False),
         split_scheme=cfg.get("split_scheme", "shapley"),
         split_thresholds=thresholds,
-        horizon=_seconds("horizon_s", cfg.get("horizon_s", 1800), 0),
+        horizon=_number("horizon_s", cfg.get("horizon_s", 1800), usec_from_seconds, 0),
     )
 
 

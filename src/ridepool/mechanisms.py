@@ -19,7 +19,7 @@ plan layout break ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -38,30 +38,6 @@ class Mechanism(str, Enum):
     CCP = "CCP"
 
 
-@dataclass(frozen=True)
-class CommittedCost:
-    """A customer's currently guaranteed total cost and fare share.
-
-    `spare` is guarantee - fare, her time cost, the part of her guarantee
-    that the coalition test adds to a pair's cost cap.  Every commitment
-    sets the fare to the guarantee minus an integer time cost, so it is a
-    whole number of mils; anything else raises a ValueError.
-    """
-
-    guaranteed: Money  # current guaranteed total cost
-    fare: Money  # current fare share
-    spare: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        spare = self.guaranteed - self.fare
-        if spare.denominator != 1:
-            raise ValueError(
-                f"guarantee {self.guaranteed} minus fare {self.fare} mils is not a whole "
-                "number of mils"
-            )
-        object.__setattr__(self, "spare", spare.numerator)
-
-
 @dataclass
 class InsertionCandidate:
     vehicle: int
@@ -73,7 +49,6 @@ class InsertionCandidate:
     reason: str | None = None
     case: int | None = None  # pooled stop-ordering case, None for solitary
     partner: int | None = None
-    surplus: int | None = None
     new_run_fare: int | None = None
     new_run_umiles: int | None = None  # the run's planned mileage after the insertion
 
@@ -87,7 +62,6 @@ class AssignmentDecision:
     baseline: int | None = None
     guaranteed: Money | None = None
     partner_fare: Money | None = None
-    partner_guaranteed: Money | None = None
     reason: str | None = None
     quote: int | None = None  # mils, the request's solitary fare
 
@@ -427,39 +401,44 @@ def assign_ccp(
     net: RoadNetwork,
     tariff: Tariff,
     requests: Mapping[int, Request],
-    committed: Mapping[int, CommittedCost],
+    book: Mapping,
 ) -> AssignmentDecision:
     """Pool when the coalition strictly gains; otherwise ride solitary.
 
-    With the partner on board, her run goes on and its planned mileage grows
-    by the offer's added mileage; with her waiting, a new run starts at the
-    offer's first pickup and drives the rest of its plan.  The pair fare is
-    the partner's current fare plus the run-fare increment (one extra change
-    fee).  An offer is admissible when the pair's new total cost is strictly
-    below the sum of the request's baseline and the partner's current
-    guarantee.  The admissible offer with maximal surplus wins and both
-    riders' guarantees drop by half the surplus.  Cost sharing later
-    re-divides run fares but cannot change these decisions.
+    `book` holds each committed customer's current fare in `.fare`.  A
+    partner's guarantee is her fare plus her time cost at the dropoff her
+    vehicle holds: every commitment sets her fare to her guarantee less that
+    time cost, and her dropoff moves only at a pooling on her vehicle, which
+    rewrites her fare.  With the partner on board, her run goes on and its
+    planned mileage grows by the offer's added mileage; with her waiting, a
+    new run starts at the offer's first pickup and drives the rest of its
+    plan.  The pair fare is the partner's current fare plus the run-fare
+    increment (one extra change fee).  An offer is admissible when the
+    pair's new total cost is strictly below the sum of the request's
+    baseline and the partner's guarantee.  The admissible offer with maximal
+    surplus wins and both riders' guarantees drop by half the surplus.  Cost
+    sharing later re-divides run fares but cannot change these decisions.
     """
     o, d, quote, baseline, best_solo, pooled = _priced_pass(
         fleet, r, now, Mechanism.CCP, net, tariff, requests
     )
     lex = net.tables()[2]
-    best = None  # (rank, vehicle record, case row, new run fare, umiles, tc_r, tc_k, committed_k)
+    best = None  # (rank, vehicle record, case row, new run fare, umiles, tc_r, tc_k, spare)
     for p in pooled:
         v, k = p.vehicle, p.partner
-        committed_k = committed[k.id]
+        ride = v.active[k.id]
+        spare = time_cost_mils(k.value_of_time, ride.dropoff_time - k.request_time)
         # the pair's new total cost, k's fare plus the run-fare increment
-        # plus both time costs, is below baseline + k's guarantee exactly
-        # when the new run fare plus both time costs is below this cap
-        cap = baseline + v.run_fare + committed_k.spare
+        # plus both time costs, is below baseline + k's guarantee (her fare
+        # plus `spare`) exactly when the new run fare plus both time costs
+        # is below this cap
+        cap = baseline + v.run_fare + spare
         for row in p.cases:
             case, added, r_pick, r_drop, k_pick, k_drop = row
             if case <= 2:  # k on board: her run goes on, `added` umiles longer
                 umiles = v.run_umiles + added
             else:  # the plan (added + tail) less its leg to the first pickup, k's in cases 3-4
-                umiles = added + p.tail - lex.item(
-                    p.anchor, v.active[k.id].origin_idx if case <= 4 else o)
+                umiles = added + p.tail - lex.item(p.anchor, ride.origin_idx if case <= 4 else o)
             new_run_fare = mileage_fare(tariff, umiles, v.run_events + 1)
             tc_r = time_cost_mils(r.value_of_time, r_drop - r.request_time)
             tc_k = time_cost_mils(k.value_of_time, k_drop - k.request_time)
@@ -468,18 +447,18 @@ def assign_ccp(
                 # maximal surplus cap - total, then the candidate key
                 rank = (total - cap, added, v.id, _case_rank(case, r, k))
                 if best is None or rank < best[0]:
-                    best = (rank, p, row, new_run_fare, umiles, tc_r, tc_k, committed_k)
+                    best = (rank, p, row, new_run_fare, umiles, tc_r, tc_k, spare)
 
     if best is not None:
-        rank, p, row, new_run_fare, umiles, tc_r, tc_k, committed_k = best
-        cand = _pooled_candidate(p, row, r, o, d, surplus=-rank[0], new_run_fare=new_run_fare,
+        rank, p, row, new_run_fare, umiles, tc_r, tc_k, spare = best
+        cand = _pooled_candidate(p, row, r, o, d, new_run_fare=new_run_fare,
                                  new_run_umiles=umiles)
-        half = Fraction(cand.surplus, 2)
+        half = Fraction(-rank[0], 2)
         g_r = baseline - half
-        g_k = committed_k.guaranteed - half
         return AssignmentDecision(
             customer=r.id, kind=POOLED, candidate=cand, fare=g_r - tc_r, baseline=baseline,
-            guaranteed=g_r, partner_fare=g_k - tc_k, partner_guaranteed=g_k, quote=quote,
+            guaranteed=g_r, partner_fare=book[p.partner.id].fare + spare - half - tc_k,
+            quote=quote,
         )
     if best_solo is not None:
         return AssignmentDecision(

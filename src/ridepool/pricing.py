@@ -69,24 +69,10 @@ class Tariff:
         )
 
 
-def route_distance_umiles(net: RoadNetwork, waypoints) -> int:
-    """Sum of shortest-path leg mileages over consecutive waypoints."""
-    total = 0
-    for a, b in zip(waypoints, waypoints[1:]):
-        if a != b:
-            total += net.distance_umiles(net.index(a), net.index(b))
-    return total
-
-
 def mileage_fare(t: Tariff, dist_umiles: int, change_events: int) -> int:
     """Base fare + distance charge over a run's mileage + change fees."""
     charge = distance_charge_mils(t.per_mile, dist_umiles)
     return t.base_fare + charge + change_events * t.change_fee
-
-
-def route_fare(t: Tariff, net: RoadNetwork, waypoints, change_events: int) -> int:
-    """`mileage_fare` over the shortest-path mileage of a waypoint itinerary."""
-    return mileage_fare(t, route_distance_umiles(net, waypoints), change_events)
 
 
 def solitary_fare(t: Tariff, net: RoadNetwork, origin: str, destination: str) -> int:

@@ -24,7 +24,6 @@ from .domain import Fleet, Request, VehicleState, extract_runs
 from .mechanisms import (
     POOLED,
     UNSERVED,
-    CommittedCost,
     Mechanism,
     assign_ccp,
     assign_pcp,
@@ -186,7 +185,6 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     tariff = cfg.tariff
     by_id = {r.id: r for r in stream}
     book: dict[int, CustomerOutcome] = {}
-    committed: dict[int, CommittedCost] = {}
     log: list[DecisionRow] = []
 
     for r in stream:
@@ -196,7 +194,7 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
         elif cfg.mechanism == Mechanism.PCP:
             decision = assign_pcp(fleet, r, now, net, tariff, by_id)
         else:
-            decision = assign_ccp(fleet, r, now, net, tariff, by_id, committed)
+            decision = assign_ccp(fleet, r, now, net, tariff, by_id, book)
 
         cand = decision.candidate
         log.append(
@@ -238,12 +236,8 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
             solitary_quote=decision.quote,
         )
         if cfg.mechanism == Mechanism.CCP:
-            committed[r.id] = CommittedCost(guaranteed=decision.guaranteed, fare=decision.fare)
             if pooled:
                 kb.fare = decision.partner_fare
-                committed[k] = CommittedCost(
-                    guaranteed=decision.partner_guaranteed, fare=decision.partner_fare
-                )
                 v.run_fare, v.run_events = cand.new_run_fare, v.run_events + 1
                 v.run_umiles = cand.new_run_umiles
             else:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .domain import Request
 from .mechanisms import Mechanism
 from .netgraph import RoadNetwork
-from .pricing import Tariff, route_fare, solitary_fare, total_cost
+from .pricing import Tariff, mileage_fare, solitary_fare, total_cost
 from .simengine import SimConfig, SimResult, run_sim
 from .units import USEC, fraction_from, time_cost_mils, usec_from_seconds
 
@@ -317,12 +317,15 @@ def _pair_coalition_surplus(fx: TheoremFixture) -> Fraction:
     def dur(a, b):
         return net.duration_usec(net.index(a), net.index(b))
 
+    def dist(a, b):
+        return net.distance_umiles(net.index(a), net.index(b))
+
     sol_first = total_cost(solitary_fare(t, net, first.origin, first.destination),
                            first, dur(first.origin, first.destination))
     sol_second = total_cost(solitary_fare(t, net, second.origin, second.destination),
                             second, dur(second.origin, second.destination))
-    legs = (first.origin, second.origin, second.destination)
-    pooled_fare = route_fare(t, net, legs, 1)
+    pooled_fare = mileage_fare(
+        t, dist(first.origin, second.origin) + dist(second.origin, second.destination), 1)
     # both riders alight together at the shared destination
     span = dur(first.origin, second.origin) + dur(second.origin, second.destination)
     pooled_total = (

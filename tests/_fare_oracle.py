@@ -2,15 +2,31 @@
 
 A pooled pair is quoted one base fare, the distance charge over the ordered
 stop legs of its case and one change fee.  The engine prices every pooled
-run from its whole itinerary through `pricing.mileage_fare`; on a run's
-first pooling event that itinerary is one of these six cases.
+run from its mileage through `pricing.mileage_fare`; on a run's first
+pooling event that is the mileage of one of these six itineraries.  Here
+a fare is priced from the itinerary itself, leg by leg (`route_fare`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ridepool.pricing import route_fare
+from ridepool.netgraph import RoadNetwork
+from ridepool.pricing import Tariff, mileage_fare
+
+
+def route_distance_umiles(net: RoadNetwork, waypoints) -> int:
+    """Sum of shortest-path leg mileages over consecutive waypoints."""
+    total = 0
+    for a, b in zip(waypoints, waypoints[1:]):
+        if a != b:
+            total += net.distance_umiles(net.index(a), net.index(b))
+    return total
+
+
+def route_fare(t: Tariff, net: RoadNetwork, waypoints, change_events: int) -> int:
+    """`mileage_fare` over the shortest-path mileage of a waypoint itinerary."""
+    return mileage_fare(t, route_distance_umiles(net, waypoints), change_events)
 
 
 class InvalidGeometry(Exception):

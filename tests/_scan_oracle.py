@@ -8,13 +8,14 @@ single-rider vehicle is built through `plan_stop_times`, the preview of a
 commit that `apply_assignment` would make (infeasible ones included), the solitary baseline scans the fleet a second time, the SRO fare
 is priced after the decision, the PCP detour bound is checked in `Fraction`
 arithmetic and CCP prices every wait-feasible pooled candidate's whole
-run itinerary, read from the schedule, with `route_fare`.  Tests compare the
+run itinerary, read from the schedule, with `route_fare`, against each
+partner's guarantee kept in a ledger of `Commitment`s.  Tests compare the
 single pass against it decision by decision.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -29,12 +30,20 @@ from ridepool.mechanisms import (
     Mechanism,
 )
 from ridepool.netgraph import INF, Unreachable
-from ridepool.pricing import (
-    pcp_fare, route_distance_umiles, route_fare, solitary_fare, total_cost,
-)
-from ridepool.units import time_cost_mils
+from ridepool.pricing import pcp_fare, solitary_fare, total_cost
+from ridepool.units import Money, time_cost_mils
+from tests._fare_oracle import route_distance_umiles, route_fare
 
 PARTNER_WAIT_REASON = "PartnerMaxWaitExceeded"
+
+
+@dataclass(frozen=True)
+class Commitment:
+    """A CCP customer's guaranteed total cost and current fare, as a ledger
+    kept apart from her vehicle's schedule records them."""
+
+    guaranteed: Money
+    fare: Money
 
 
 def plan_key(plan: InsertionPlan) -> tuple:
@@ -156,7 +165,8 @@ def _pooled_candidates_for(v, r, k, now):
 
 
 def pooled_pair_economics(v, c, r, k, now, net, tariff, baseline_r, committed_k):
-    """Evaluate the coalition check for one pooled candidate.
+    """Evaluate the coalition check for one pooled candidate: return its
+    surplus and the candidate, marked infeasible when it is not admissible.
 
     The run's itinerary keeps the entries of its schedule reached by `now`,
     routes through the anchor when there are any (the partner is on board),
@@ -179,12 +189,9 @@ def pooled_pair_economics(v, c, r, k, now, net, tariff, baseline_r, committed_k)
     bar = baseline_r + committed_k.guaranteed
     surplus = bar - pooled_total
     if surplus <= 0:
-        return replace(c, feasible=False, reason="NoCoalitionSurplus", surplus=surplus)
-    return replace(
-        c,
-        surplus=surplus,
-        new_run_fare=new_run_fare,
-        new_run_umiles=route_distance_umiles(net, new_wp),
+        return surplus, replace(c, feasible=False, reason="NoCoalitionSurplus")
+    return surplus, replace(
+        c, new_run_fare=new_run_fare, new_run_umiles=route_distance_umiles(net, new_wp)
     )
 
 
@@ -274,22 +281,22 @@ def assign_ccp(vehicles, r, now, net, tariff, requests, committed):
             if not c.feasible or c.case is None:
                 continue
             k = requests[c.partner]
-            evaluated = pooled_pair_economics(
+            surplus, evaluated = pooled_pair_economics(
                 by_vehicle[c.vehicle], c, r, k, now, net, tariff, baseline, committed[k.id]
             )
             if evaluated.feasible:
-                admissible.append(evaluated)
+                admissible.append((surplus, evaluated))
     if admissible:
-        chosen = min(admissible, key=lambda c: (-c.surplus, *sort_key(c)))
+        surplus, chosen = min(admissible, key=lambda e: (-e[0], *sort_key(e[1])))
         k = requests[chosen.partner]
-        half = Fraction(chosen.surplus) / 2
+        half = Fraction(surplus) / 2
         g_r = baseline - half
         g_k = committed[k.id].guaranteed - half
         tc_r = time_cost_mils(r.value_of_time, chosen.dropoff_times[r.id] - r.request_time)
         tc_k = time_cost_mils(k.value_of_time, chosen.dropoff_times[k.id] - k.request_time)
         return AssignmentDecision(
             customer=r.id, kind=POOLED, candidate=chosen, fare=g_r - tc_r, baseline=baseline,
-            guaranteed=g_r, partner_fare=g_k - tc_k, partner_guaranteed=g_k, quote=quote,
+            guaranteed=g_r, partner_fare=g_k - tc_k, quote=quote,
         )
     if best_solo is not None:
         return AssignmentDecision(

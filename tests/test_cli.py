@@ -408,16 +408,27 @@ class TestInputErrors:
         # a fractional percent used to be cut to a whole one
         (lambda c: c.update(split_thresholds_pct=[5, 12.5]),
          "split_thresholds_pct must be an integer, got 12.5"),
-        (lambda c: c.update(mar="abc"), "cannot read 'abc' as a number"),
-        (lambda c: c.update(max_wait_s="inf"), "'inf' is not a finite number"),
-        (lambda c: c.update(mar="1e400"), "'1e400' has a decimal exponent beyond +-30"),
+        (lambda c: c.update(mar="abc"), "mar: cannot read 'abc' as a number"),
+        (lambda c: c.update(max_wait_s="inf"), "max_wait_s: 'inf' is not a finite number"),
+        (lambda c: c.update(mar="1e400"), "mar: '1e400' has a decimal exponent beyond +-30"),
+        # these six used to name the value alone, or blame the first request
+        (lambda c: c.update(horizon_s="abc"), "horizon_s: cannot read 'abc' as a number"),
+        (lambda c: c.update(max_wait_s="x"), "max_wait_s: cannot read 'x' as a number"),
+        (lambda c: c.update(mar=["x"]), "mar: cannot read 'x' as a number"),
+        (lambda c: c["tariff"].update(base_fare_usd="x"),
+         "base_fare_usd: cannot read 'x' as a number"),
+        (lambda c: c.update(value_of_time_usd_per_min=["x"]),
+         "value_of_time_usd_per_min: cannot read 'x' as a number"),
+        (lambda c: c.update(value_of_time_usd_per_min=[-0.1]),
+         "value_of_time_usd_per_min must be non-negative, got -0.1"),
         # these three used to reach numpy or the request check unnamed
         (lambda c: c.update(horizon_s=-1), "horizon_s must be non-negative, got -1"),
         (lambda c: c.update(max_wait_s=0), "max_wait_s must be positive, got 0"),
         (lambda c: c.update(seeds=[1, -3]), "seeds must be at least 0, got -3"),
     ], ids=["no-network", "empty-network", "no-edge-length", "fleet-size-text", "seed-float",
             "rows-text", "tariff-list", "fractional-percent", "mar-text", "wait-inf",
-            "mar-exponent", "horizon-negative", "wait-zero", "seed-negative"])
+            "mar-exponent", "horizon-text", "wait-text", "mar-list-text", "base-fare-text",
+            "vot-text", "vot-negative", "horizon-negative", "wait-zero", "seed-negative"])
     def test_bad_config(self, tmp_path, capsys, edit, message):
         config = copy.deepcopy(CONFIG)
         edit(config)
@@ -434,6 +445,30 @@ class TestInputErrors:
         (config["tariff"] if key in cli.TARIFF_KEYS else config)[key] = []
         assert config_error(tmp_path, capsys, config) == (
             f"ridepool simulate: {key} must not be an empty list")
+
+    @pytest.mark.parametrize("key,values,message", [
+        ("seeds", [1, 1, 2], "1 and 1"),
+        ("mar", [0.5, "0.50"], "0.5 and '0.50'"),
+        ("max_wait_s", [240, "240.0"], "240 and '240.0'"),
+        ("mechanisms", ["CCP", "SRO", "CCP"], "'CCP' and 'CCP'"),
+        ("fleet_size", [8, 8], "8 and 8"),
+        ("change_fee_usd", [2, 2.0], "2 and 2.0"),
+        ("discount_factor", [0.8, "0.80"], "0.8 and '0.80'"),
+        ("detour_factor", [0.3, 0.3], "0.3 and 0.3"),
+    ], ids=["seeds", "mar", "max-wait", "mechanisms", "fleet-size", "change-fee", "discount",
+            "detour"])
+    def test_repeated_grid_axis_value(self, tmp_path, capsys, key, values, message):
+        # a repeated value used to run its cells twice and weigh them double
+        # in every mean, with exit status 0
+        config = copy.deepcopy(CONFIG)
+        (config["tariff"] if key in cli.TARIFF_KEYS else config)[key] = values
+        assert config_error(tmp_path, capsys, config) == (
+            f"ridepool simulate: {key} gives one value twice: {message}")
+
+    def test_repeated_value_of_time_is_drawn_twice_as_often(self):
+        # not a grid axis: the values are drawn per request, so a repeat is a weight
+        grid = cli._grid_from_config({**CONFIG, "value_of_time_usd_per_min": [0.2, 0.2, 0.3]})
+        assert grid.vot_values == (200, 200, 300)
 
     def test_scalar_value_of_time_reads_as_one_value(self):
         # like every other list-valued key; it used to end in a TypeError

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ridepool import mechanisms, simengine
+from ridepool import simengine
 from ridepool.domain import (
     DO,
     NEVER,
@@ -24,7 +24,6 @@ from ridepool.mechanisms import (
     POOLED,
     SOLITARY,
     UNSERVED,
-    CommittedCost,
     InsertionCandidate,
     Mechanism,
     PooledVehicle,
@@ -39,11 +38,11 @@ from ridepool.mechanisms import (
     enumerate_candidates,
 )
 from ridepool.netgraph import RoadNetwork, make_grid
-from ridepool.pricing import Tariff, route_distance_umiles, route_fare, solitary_fare, total_cost
-from ridepool.units import UMILE, USEC
+from ridepool.pricing import Tariff, solitary_fare, total_cost
+from ridepool.units import UMILE, USEC, time_cost_mils
 from tests import _scan_oracle
-from tests._fare_oracle import PoolGeometry, ccp_pooled_fare
-from tests._scan_oracle import PARTNER_WAIT_REASON, _pooled_candidates_for
+from tests._fare_oracle import PoolGeometry, ccp_pooled_fare, route_distance_umiles, route_fare
+from tests._scan_oracle import PARTNER_WAIT_REASON, Commitment, _pooled_candidates_for
 from tests.conftest import ends, expand_route, line_network, plan_on, sec
 
 TARIFF = Tariff.from_usd()
@@ -83,6 +82,17 @@ def run_fields(v, tariff):
 def set_run_fields(v, tariff):
     """Set the vehicle's CCP run fields as `run_sim` keeps them after a commit."""
     v.run_fare, v.run_events, v.run_umiles = run_fields(v, tariff)
+
+
+def held_time_cost(k, v):
+    """Rider k's time cost at the dropoff vehicle `v` holds for her."""
+    return time_cost_mils(k.value_of_time, v.active[k.id].dropoff_time - k.request_time)
+
+
+def commitment(k, v, guaranteed):
+    """Rider k's ledger entry on vehicle `v`: her guarantee, and as her fare
+    that guarantee less `held_time_cost`, as CCP commits them."""
+    return Commitment(guaranteed, guaranteed - held_time_cost(k, v))
 
 
 class TestAssignSro:
@@ -299,9 +309,8 @@ def ccp_fixture(line, change_fee_usd):
     set_run_fields(v0, tariff)
     v1 = VehicleState(1, "B", line)
     r = req(2, "B", "E", t=0, vot_mils_min=250)
-    committed = {
-        1: CommittedCost(guaranteed=4900, fare=v0.run_fare)
-    }
+    committed = {1: commitment(i, v0, 4900)}
+    assert committed[1].fare == v0.run_fare == 4500  # a solitary rider pays her run fare
     return tariff, Fleet([v0, v1]), r, i, committed
 
 
@@ -312,11 +321,14 @@ class TestAssignCcp:
         tariff, fleet, r, i, committed = ccp_fixture(line6, 1.9)
         d = assign_ccp(fleet, r, 0, line6, tariff, {1: i, 2: r}, committed)
         assert d.kind == POOLED
-        assert d.candidate.surplus == 2000
         assert d.baseline == 4300
+        # both guarantees drop by half the surplus
         assert d.guaranteed == 4300 - 1000
-        assert d.partner_guaranteed == 4900 - 1000
+        tc_i = time_cost_mils(i.value_of_time, d.candidate.dropoff_times[1] - i.request_time)
+        assert d.partner_fare + tc_i == 4900 - 1000
         assert d.fare + d.partner_fare == 4500 + 1900
+        assert d == _scan_oracle.assign_ccp(fleet.vehicles, r, 0, line6, tariff, {1: i, 2: r},
+                                            committed)
 
     def test_zero_surplus_boundary_not_pooled(self, line6):
         # change fee consumes the whole gain: equality fails the strict test
@@ -330,7 +342,8 @@ class TestAssignCcp:
         v0 = vehicle_with_rider(line6, 0, "A", i)
         set_run_fields(v0, tariff)
         v1 = VehicleState(1, "B", line6)
-        committed = {1: CommittedCost(3726, v0.run_fare)}
+        committed = {1: commitment(i, v0, 3726)}
+        assert committed[1].fare == v0.run_fare == 3500
         r = req(2, "B", "E", t=40, vot_mils_min=283)
         d = assign_ccp(Fleet([v0, v1]), r, sec(40), line6, tariff, {1: i, 2: r}, committed)
         assert d.kind == SOLITARY and d.vehicle == 1
@@ -401,7 +414,8 @@ def random_world(randint, den=2, net=WORLD):
     `randint(lo, hi)` supplies every choice, so hypothesis can drive (and
     shrink) a world and a seeded `random.Random` can replay one.  Committed
     guarantees lie on multiples of 1/`den` mils, and each fare is its
-    guarantee less a whole time cost, as CCP commits them.
+    guarantee less the rider's time cost at the dropoff her vehicle holds,
+    recomputed at every commit, as CCP commits them.
     """
     nodes = net.node_ids
 
@@ -437,10 +451,11 @@ def random_world(randint, den=2, net=WORLD):
         fleet.commit(v, plan, now)
         requests[cid] = k
         quote = solitary_fare(tariff, net, k.origin, k.destination)
-        time_cost = randint(0, 40) * 100
         # CCP pooling leaves guarantees on half mils
-        guaranteed = Fraction(den * (quote + time_cost) - randint(0, den - 1), den)
-        committed[cid] = CommittedCost(guaranteed, guaranteed - time_cost)
+        guaranteed = Fraction(den * (quote + randint(0, 40) * 100) - randint(0, den - 1), den)
+        committed[cid] = Commitment(guaranteed, None)  # its fare is set just below
+        for j in v.active:  # k, and a partner whose dropoff the commit may have moved
+            committed[j] = commitment(requests[j], v, committed[j].guaranteed)
         set_run_fields(v, tariff)
     now += randint(0, 40) * USEC
     r = rider(1000, max(0, now - randint(0, 20) * USEC))
@@ -709,16 +724,16 @@ class TestFleetArrays:
             assert all(isinstance(c, InsertionCandidate) for c in cands)
 
 
-def check_fare_state(fleet, now, tariff, committed):
+def check_fare_state(fleet, now, tariff):
     """Check, on every vehicle whose one rider the coalition test may pair
     at `now`, the carried run fare, pooling events and mileage against the
     run's itinerary in its schedule (`run_fields`).  Return the vehicles
-    checked with their riders' commitments."""
+    checked."""
     checked = []
     for slot in np.flatnonzero(fleet.single_rider(now)).tolist():
         v = fleet.vehicles[slot]
         assert (v.run_fare, v.run_events, v.run_umiles) == run_fields(v, tariff)
-        checked.append((v, committed[fleet.last_rider[slot]]))
+        checked.append(v)
     return checked
 
 
@@ -731,15 +746,17 @@ class TestCarriedFareState:
         pooled_runs = set()
         baselines = {}  # each committed rider's frozen baseline
 
-        def checked(fleet, r, now, net, tariff, requests, committed):
-            d = assign(fleet, r, now, net, tariff, requests, committed)
-            for v, ck in check_fare_state(fleet, now, tariff, committed):
+        def checked(fleet, r, now, net, tariff, requests, book):
+            d = assign(fleet, r, now, net, tariff, requests, book)
+            for v in check_fare_state(fleet, now, tariff):
                 seen["vehicles"] += 1
                 seen["at_now"] += any(e.time == now for e in _scan_oracle.run_entries(v))
                 seen["extended"] += v.run_events > 0
                 seen["fresh_after_pool"] += v.run_events == 0 and v.id in pooled_runs
                 # tightened by the pooling that was the vehicle's last commit
-                seen["changed_guarantee"] += ck.guaranteed != baselines[fleet.last_rider[v.slot]]
+                k = requests[fleet.last_rider[v.slot]]
+                guaranteed = book[k.id].fare + held_time_cost(k, v)
+                seen["changed_guarantee"] += guaranteed != baselines[k.id]
                 if v.run_events:
                     pooled_runs.add(v.id)
             baselines[r.id] = d.baseline
@@ -769,25 +786,9 @@ class TestCarriedFareState:
             fleet, tariff, requests, committed, r, now = world
             _, decisions = compare_with_scan(world)
             d = decisions[2]
-            check_fare_state(fleet, now, tariff, committed)
+            check_fare_state(fleet, now, tariff)
             pooled_quarters += d.kind == POOLED and committed[d.partner].guaranteed.denominator == 4
         assert pooled_quarters >= 10
-
-    @pytest.mark.parametrize("tighter,expected", [(0, POOLED), (1999, POOLED), (2000, SOLITARY)])
-    def test_partner_guarantee_changed_after_the_commit(self, line6, tighter, expected):
-        # the fixture pools with a surplus of exactly $2; a partner guarantee
-        # tightened after her vehicle's commit shrinks the cap by as much.
-        # The request comes at 0, when the run's first waypoint is passed.
-        tariff, fleet, r, i, committed = ccp_fixture(line6, 1.9)
-        ck = committed[1]
-        committed[1] = CommittedCost(ck.guaranteed - tighter, ck.fare)
-        d = assign_ccp(fleet, r, 0, line6, tariff, {1: i, 2: r}, committed)
-        assert d.kind == expected
-        assert len(check_fare_state(fleet, 0, tariff, committed)) == 1
-        assert d == _scan_oracle.assign_ccp(fleet.vehicles, r, 0, line6, tariff, {1: i, 2: r},
-                                            committed)
-        if expected == POOLED:
-            assert d.candidate.surplus == 2000 - tighter
 
 
 CCP_NET = make_grid(5, 5, 0.15, 30)
@@ -802,20 +803,31 @@ def ccp_config(seed, fee_usd, mar):
 
 
 def committed_money(seed, fee_usd, mar):
-    """Run a small CCP simulation and check, at every request, that each
-    commitment's spare is its guarantee minus its fare in whole mils and
-    that each guarantee lies on whole or half mils; return the number of
-    commitments checked and how many of them were on half mils."""
+    """Run a small CCP simulation and replay the guarantee ledger from its
+    decisions: a commitment guarantees the request its decision's
+    guarantee, and a pooling lowers the partner's by as much as the
+    request's fell below its baseline.  Check at every request that each
+    rider a vehicle holds has a guarantee of her fare plus her time cost at
+    the dropoff the vehicle holds, and that every guarantee lies on whole or
+    half mils; return the number of riders checked and how many of them had
+    a guarantee on half mils."""
     assign = simengine.assign_ccp
+    ledger = {}
     counts = [0, 0]
 
-    def checked(fleet, r, now, net, tariff, requests, committed):
-        for ck in committed.values():
-            assert type(ck.spare) is int and ck.spare == ck.guaranteed - ck.fare
-            assert ck.guaranteed.denominator in (1, 2)
-            counts[0] += 1
-            counts[1] += ck.guaranteed.denominator == 2
-        return assign(fleet, r, now, net, tariff, requests, committed)
+    def checked(fleet, r, now, net, tariff, requests, book):
+        assert all(g.denominator in (1, 2) for g in ledger.values())
+        for v in fleet.vehicles:
+            for cid in v.active:
+                assert ledger[cid] - book[cid].fare == held_time_cost(requests[cid], v)
+                counts[0] += 1
+                counts[1] += ledger[cid].denominator == 2
+        d = assign(fleet, r, now, net, tariff, requests, book)
+        if d.kind != UNSERVED:
+            ledger[r.id] = d.guaranteed
+        if d.kind == POOLED:
+            ledger[d.partner] -= d.baseline - d.guaranteed
+        return d
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simengine, "assign_ccp", checked)
@@ -832,17 +844,10 @@ class TestMoneyInvariant:
         committed_money(seed, fee_usd, mar)
 
     def test_check_sees_half_mil_guarantees(self):
+        # half-mil guarantees come from poolings, so they are partners' and
+        # requests' guarantees after a pooling moved or set their dropoffs
         checked, halves = committed_money(1, 0.5, Fraction(1))
-        assert checked >= 1000 and halves >= 100
-
-    def test_fractional_time_cost_fails_fast(self, monkeypatch):
-        # a time cost off whole mils leaves guarantee - fare off them too
-        real = mechanisms.time_cost_mils
-        monkeypatch.setattr(mechanisms, "time_cost_mils",
-                            lambda vot, span: real(vot, span) + Fraction(1, 2))
-        with pytest.raises(ValueError, match=r"guarantee \d+/2 minus fare \d+ mils is not a whole"):
-            simengine.run_sim(ccp_config(1, 0.5, Fraction(1)),
-                              synthetic_trips(CCP_NET, 80, 900, 1))
+        assert checked >= 500 and halves >= 300
 
 
 def first_pooling_cases(seed, fee_usd):
@@ -852,8 +857,8 @@ def first_pooling_cases(seed, fee_usd):
     assign = simengine.assign_ccp
     cases = []
 
-    def checked_assign(fleet, r, now, net, tariff, requests, committed):
-        d = assign(fleet, r, now, net, tariff, requests, committed)
+    def checked_assign(fleet, r, now, net, tariff, requests, book):
+        d = assign(fleet, r, now, net, tariff, requests, book)
         v = fleet.by_id.get(d.vehicle)
         if d.kind == POOLED and v.run_events == 0:
             c, k = d.candidate, requests[d.candidate.partner]

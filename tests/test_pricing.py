@@ -11,13 +11,13 @@ from ridepool.pricing import (
     Tariff,
     pcp_fare,
     provider_profit,
-    route_distance_umiles,
-    route_fare,
     solitary_fare,
     total_cost,
 )
 from ridepool.units import MILS, UMILE, USEC, Money, distance_charge_mils
-from tests._fare_oracle import InvalidGeometry, PoolGeometry, ccp_pooled_fare
+from tests._fare_oracle import (
+    InvalidGeometry, PoolGeometry, ccp_pooled_fare, route_distance_umiles,
+)
 from tests.conftest import line_network, sec
 
 
