@@ -100,7 +100,7 @@ def _network_from_config(cfg):
         _check_keys("network.grid", g, GRID_KEYS)
         rows, cols, length, speed = (_required("network.grid", g, key) for key in GRID_KEYS)
         return make_grid(_int("network.grid rows", rows), _int("network.grid cols", cols),
-                         length, speed)
+                         _number("edge_length_mi", length), _number("speed_mph", speed))
     if "file" not in net_cfg:
         raise ConfigError("network needs 'grid' or 'file'")
     return load_network_csv(net_cfg["file"])
@@ -123,6 +123,16 @@ def _axis(section: dict, key: str, default, convert=fraction_from, least=None,
     return values
 
 
+def _within(ok, words: str):
+    """A reader for `_number` that takes a number only when `ok` holds for it."""
+    def read(value):
+        number = fraction_from(value)
+        if not ok(number):
+            raise ValueError(f"must be {words}, got {value!r}")
+        return number
+    return read
+
+
 def _thresholds(percents) -> tuple[Fraction, ...]:
     """Percent thresholds of the goal-programming split, checked."""
     return tuple(validate_thresholds([Fraction(int(p), 100) for p in percents]))
@@ -141,15 +151,16 @@ def _grid_from_config(cfg) -> ScenarioGrid:
         max_waits=_axis(cfg, "max_wait_s", 360, usec_from_seconds, 1),
         mars=_axis(cfg, "mar", 0.5),
         fleet_sizes=_axis(cfg, "fleet_size", 30, lambda f: _int("fleet_size", f)),
-        change_fees=_axis(tariff, "change_fee_usd", 2.0, mils_from_usd),
-        discount_factors=_axis(tariff, "discount_factor", 0.8),
-        detour_factors=_axis(tariff, "detour_factor", 0.3),
+        change_fees=_axis(tariff, "change_fee_usd", 2.0, mils_from_usd, 0),
+        discount_factors=_axis(tariff, "discount_factor", 0.8,
+                               _within(lambda f: 0 < f <= 1, "in (0, 1]")),
+        detour_factors=_axis(tariff, "detour_factor", 0.3, _within(lambda f: f > 0, "positive")),
         seeds=_axis(cfg, "seeds", [1], lambda s: _int("seeds", s, 0)),
-        base_fare=_number("base_fare_usd", tariff.get("base_fare_usd", 2.50), mils_from_usd),
-        per_mile=_number("per_mile_usd", tariff.get("per_mile_usd", 2.50), mils_from_usd),
+        base_fare=_number("base_fare_usd", tariff.get("base_fare_usd", 2.50), mils_from_usd, 0),
+        per_mile=_number("per_mile_usd", tariff.get("per_mile_usd", 2.50), mils_from_usd, 1),
         provider_cost_per_mile=_number("provider_cost_per_mile_usd",
                                        tariff.get("provider_cost_per_mile_usd", 2.945),
-                                       mils_from_usd),
+                                       mils_from_usd, 1),
         # a value given twice is drawn twice as often
         vot_values=_axis(cfg, "value_of_time_usd_per_min", [0.166, 0.195, 0.225, 0.254, 0.283],
                          mils_from_usd, 0, distinct=False),

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
+from math import inf
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
-
-import numpy as np
 
 from .netgraph import RoadNetwork
 from .units import mils_from_usd, usec_from_seconds
@@ -170,7 +170,7 @@ class VehicleState:
         self.way_times: list[int] = [0]
         self.way_cum: list[int] = [0]
         self.active: dict[int, ActiveRide] = {}
-        self.slot = -1  # this vehicle's index in its `Fleet`'s arrays
+        self.slot = -1  # this vehicle's index in its `Fleet`'s vehicles
         self.run_fare: int = 0
         self.run_events: int = 0
         self.run_umiles: int = 0
@@ -207,66 +207,67 @@ class VehicleState:
         return nodes[k], start + usec[k], self.way_cum[j] + umiles[k]
 
 
-NEVER = np.iinfo(np.int64).min  # the time of a dropoff that never happened
-
-
-def _rider_state(v: VehicleState) -> tuple[int, int, bool]:
-    """(second-to-last dropoff time, id of the rider dropped off last, whether
-    that rider is poolable) over the vehicle's committed rides; NEVER, -1 and
-    False stand in for missing rides."""
-    drops = sorted([(ride.dropoff_time, c) for c, ride in v.active.items()])
-    if not drops:
-        return NEVER, -1, False
-    last = drops[-1][1]
-    return (drops[-2][0] if len(drops) > 1 else NEVER), last, v.active[last].poolable
-
-
 class Fleet:
-    """The vehicles plus the per-vehicle state the candidate pass reads.
+    """The vehicles plus the state the candidate pass reads, as of `advance`'s clock.
 
-    `slots_at` maps a node index to the slots of the vehicles whose route
-    ends there.  `busy_until` is each vehicle's largest committed dropoff
-    time, so a vehicle is idle at `now` exactly when busy_until <= now.
-    `second_drop` is the second-to-last committed dropoff time and
-    `last_rider` the rider dropped off at busy_until, so a vehicle carries
-    exactly that one rider at `now` when second_drop <= now < busy_until
-    (riders dropped off together are never alone); `last_poolable` is that
-    rider's flag.  After construction only `commit` writes them.
+    `idle_at` maps a node index to the slots of the idle vehicles whose route
+    ends there; `lone` maps a slot to the rider of a vehicle carrying exactly
+    one rider, a poolable one.  A vehicle is idle from its last committed
+    dropoff on and carries one rider from its second-to-last one on (riders
+    dropped off together are never alone).  Construction and `commit` push
+    both times onto one min-heap, tagged with the vehicle's version;
+    `advance` applies the events due and skips those of earlier versions.
     """
 
     def __init__(self, vehicles: Iterable[VehicleState]):
         self.vehicles = list(vehicles)
         self.by_id = {v.id: v for v in self.vehicles}
-        self.slots_at: dict[int, list[int]] = {}
+        self.idle_at: dict[int, list[int]] = {}
+        self.lone: dict[int, int] = {}
+        self.clock = -inf
+        # a heap of (time, slot, version, rider or None) and each slot's version
+        self._events, self._version = [], [0] * len(self.vehicles)
         for slot, v in enumerate(self.vehicles):
             v.slot = slot
-            self.slots_at.setdefault(v.way_nodes[-1], []).append(slot)
-        self.busy_until = np.array(
-            [max((e.time for e in v.schedule if e.op == DO), default=NEVER) for v in self.vehicles],
-            dtype=np.int64,
-        )
-        riders = [_rider_state(v) for v in self.vehicles]
-        self.second_drop = np.array([s for s, _, _ in riders], dtype=np.int64)
-        self.last_rider = np.array([c for _, c, _ in riders], dtype=np.int64)
-        self.last_poolable = np.array([p for _, _, p in riders], dtype=bool)
+            self._track(v)
 
-    def single_rider(self, now: int) -> np.ndarray:
-        """Mask of the vehicles carrying exactly one committed rider at `now`."""
-        return (self.second_drop <= now) & (now < self.busy_until)
+    def _track(self, v: VehicleState) -> None:
+        """Queue the events of the vehicle's next version: idle from its last committed dropoff
+        (at once without one) and, for a poolable last rider, alone from the dropoff before."""
+        version = self._version[v.slot] = self._version[v.slot] + 1
+        drops = sorted([(ride.dropoff_time, c) for c, ride in v.active.items()])
+        last, rider = drops[-1] if drops else (-inf, None)
+        second = drops[-2][0] if len(drops) > 1 else -inf
+        heappush(self._events, (last, v.slot, version, None))
+        if second < last and v.active[rider].poolable:
+            heappush(self._events, (second, v.slot, version, rider))
+
+    def advance(self, now: int) -> None:
+        """Apply every event due by `now`; the clock never runs backwards."""
+        if now < self.clock:
+            raise ValueError(f"the fleet's clock cannot run back from {self.clock} to {now}")
+        self.clock = now
+        while self._events and self._events[0][0] <= now:
+            _, slot, version, rider = heappop(self._events)
+            if version != self._version[slot]:
+                continue  # a later commit replaced this event
+            if rider is None:
+                self.lone.pop(slot, None)
+                self.idle_at.setdefault(self.vehicles[slot].way_nodes[-1], []).append(slot)
+            else:
+                self.lone[slot] = rider
 
     def commit(self, v: VehicleState, plan: InsertionPlan, now: int) -> None:
-        """`apply_assignment` on one of these vehicles, then refresh its state."""
+        """`apply_assignment` on one of these vehicles; `advance` applies its new events."""
         slot, old = v.slot, v.way_nodes[-1]
         apply_assignment(v, plan, now)
-        new = v.way_nodes[-1]
-        if new != old:
-            here = self.slots_at[old]
+        here = self.idle_at.get(old)
+        if here is not None and slot in here:
             here.remove(slot)
             if not here:
-                del self.slots_at[old]
-            self.slots_at.setdefault(new, []).append(slot)
-        self.busy_until[slot] = v.schedule[-1].time  # the plan ends on a dropoff
-        self.second_drop[slot], self.last_rider[slot], self.last_poolable[slot] = _rider_state(v)
+                del self.idle_at[old]
+        self.lone.pop(slot, None)
+        self._track(v)
 
 
 def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> None:

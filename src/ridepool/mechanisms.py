@@ -150,10 +150,10 @@ def _pooled_vehicles(
     requests: Mapping[int, Request],
 ) -> list[PooledVehicle]:
     """Every wait-feasible insertion of `r`, from node `o` to node `d`, into
-    a vehicle serving one poolable `k`.
+    a vehicle serving one poolable `k`, in fleet order.
 
-    The fleet's rider arrays pick the vehicles carrying exactly one rider at
-    `now`, a poolable one, in one mask.  A vehicle whose anchor cannot reach
+    The fleet, advanced to `now`, holds the vehicles carrying exactly one
+    rider, a poolable one, in `lone`.  A vehicle whose anchor cannot reach
     r's origin within r's wait limit is skipped: every leg is a shortest
     path, so no interleaving picks r up sooner.  Legs are scalar reads of the duration
     and mileage tables, each duration read tested for reachability; an
@@ -167,8 +167,8 @@ def _pooled_vehicles(
     if t_at(o, d) >= INF:  # an unreachable destination fails here, before any vehicle
         raise _unreachable(net, o, d)
     out = []
-    single = (fleet.single_rider(now) & fleet.last_poolable).nonzero()[0]
-    for slot, kid in zip(single.tolist(), fleet.last_rider[single].tolist()):
+    fleet.advance(now)
+    for slot, kid in sorted(fleet.lone.items()):
         k = requests[kid]
         v = fleet.vehicles[slot]
         a, t_a, a_cum = v.busy_anchor(now)
@@ -238,29 +238,30 @@ def enumerate_candidates(
     d: int,
 ) -> list[InsertionCandidate | PooledVehicle]:
     """The one candidate pass for a request from node `o` to node `d`, over
-    the fleet's arrays.
+    the fleet advanced to `now`.
 
     First, when there is one, the best feasible solitary candidate: the
     minimum over (added distance, vehicle id) of the idle vehicles that reach
     `o` within the wait.  Every solitary candidate drives o -> d, so the
     access mileage alone orders them by added distance, and the pass walks
-    the nodes nearest-first (`RoadNetwork.order_to`), skips nodes where no
-    route ends and stops at the first node farther than the best eligible
-    vehicle so far (the request-vehicle pruning of Alonso-Mora et al., PNAS
-    2017, over per-target travel orders like T-Share's, Ma et al., ICDE
-    2013).  Only the winner is built, from the walk's reads: an idle vehicle
+    the nodes nearest-first (`RoadNetwork.order_to`; no node at all when no
+    vehicle is idle), skips nodes where no idle vehicle's route ends and
+    stops at the first node farther than the best eligible vehicle so far
+    (the request-vehicle pruning of Alonso-Mora et al., PNAS 2017, over
+    per-target travel orders like T-Share's, Ma et al., ICDE 2013).  Only
+    the winner is built, from the walk's reads: an idle vehicle
     leaves its last waypoint at `now` and abandons no planned mileage.
     Then, for a poolable request in a pooling mode, one `PooledVehicle` per
     vehicle with a wait-feasible pooled interleaving (see
     `_pooled_vehicles`), in fleet order.  Every item is feasible.
     """
     dur, _, lex = net.tables()
-    t_at, m_at, busy_at = dur.item, lex.item, fleet.busy_until.item
-    slots_at, vehicles = fleet.slots_at, fleet.vehicles
+    t_at, m_at, idle_at, vehicles = dur.item, lex.item, fleet.idle_at, fleet.vehicles
+    fleet.advance(now)
     wait = r.request_time + r.max_wait - now
     best = None  # (access umiles, vehicle id, access usec)
-    for a in net.order_to(o):
-        slots = slots_at.get(a)
+    for a in net.order_to(o) if idle_at else ():
+        slots = idle_at.get(a)
         if slots is None:
             continue
         m = m_at(a, o)
@@ -270,11 +271,10 @@ def enumerate_candidates(
         if t > wait:
             continue
         for slot in slots:
-            if busy_at(slot) <= now:
-                vid = vehicles[slot].id
-                # the walk is past every nearer node, so m ties the best
-                if best is None or vid < best[1]:
-                    best = (m, vid, t)
+            vid = vehicles[slot].id
+            # the walk is past every nearer node, so m ties the best
+            if best is None or vid < best[1]:
+                best = (m, vid, t)
     out = []
     if best is not None:
         m, vid, t = best

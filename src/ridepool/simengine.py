@@ -187,21 +187,19 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     book: dict[int, CustomerOutcome] = {}
     log: list[DecisionRow] = []
 
+    mechanism, ccp = cfg.mechanism.value, cfg.mechanism == Mechanism.CCP
+    assign, extra = {Mechanism.SRO: (assign_sro, ()), Mechanism.PCP: (assign_pcp, (by_id,)),
+                     Mechanism.CCP: (assign_ccp, (by_id, book))}[cfg.mechanism]
     for r in stream:
         now = r.request_time
-        if cfg.mechanism == Mechanism.SRO:
-            decision = assign_sro(fleet, r, now, net, tariff)
-        elif cfg.mechanism == Mechanism.PCP:
-            decision = assign_pcp(fleet, r, now, net, tariff, by_id)
-        else:
-            decision = assign_ccp(fleet, r, now, net, tariff, by_id, book)
+        decision = assign(fleet, r, now, net, tariff, *extra)
 
         cand = decision.candidate
         log.append(
             DecisionRow(
                 time=now,
                 customer=r.id,
-                mechanism=cfg.mechanism.value,
+                mechanism=mechanism,
                 decision=decision.kind,
                 vehicle=decision.vehicle,
                 partner=decision.partner,
@@ -235,7 +233,7 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
             baseline_solitary_cost=decision.baseline,
             solitary_quote=decision.quote,
         )
-        if cfg.mechanism == Mechanism.CCP:
+        if ccp:
             if pooled:
                 kb.fare = decision.partner_fare
                 v.run_fare, v.run_events = cand.new_run_fare, v.run_events + 1

@@ -434,6 +434,44 @@ class TestInputErrors:
         edit(config)
         assert config_error(tmp_path, capsys, config) == f"ridepool simulate: {message}"
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda c: c["network"]["grid"].update(edge_length_mi="x"),
+         "edge_length_mi: cannot read 'x' as a number"),
+        (lambda c: c["network"]["grid"].update(speed_mph=[30]),
+         "speed_mph: cannot read [30] as a number"),
+        (lambda c: c["tariff"].update(base_fare_usd=-1),
+         "base_fare_usd must be non-negative, got -1"),
+        (lambda c: c["tariff"].update(change_fee_usd=[2.0, -0.5]),
+         "change_fee_usd must be non-negative, got -0.5"),
+        (lambda c: c["tariff"].update(per_mile_usd=0), "per_mile_usd must be positive, got 0"),
+        (lambda c: c["tariff"].update(provider_cost_per_mile_usd="-2.945"),
+         "provider_cost_per_mile_usd must be positive, got '-2.945'"),
+        (lambda c: c["tariff"].update(discount_factor=[0.8, 0]),
+         "discount_factor: must be in (0, 1], got 0"),
+        (lambda c: c["tariff"].update(discount_factor=1.25),
+         "discount_factor: must be in (0, 1], got 1.25"),
+        (lambda c: c["tariff"].update(detour_factor=[0.3, -0.1]),
+         "detour_factor: must be positive, got -0.1"),
+        (lambda c: c["tariff"].update(detour_factor="x"),
+         "detour_factor: cannot read 'x' as a number"),
+    ], ids=["edge-length-text", "speed-list", "base-fare-negative", "change-fee-negative",
+            "per-mile-zero", "provider-cost-negative", "discount-zero", "discount-above-one",
+            "detour-negative", "detour-text"])
+    def test_grid_number_or_tariff_out_of_range(self, tmp_path, capsys, edit, message):
+        # the grid numbers used to reach `make_grid` unnamed, and the tariff's
+        # ranges were first checked inside the run, after `--out` was made
+        config = copy.deepcopy(CONFIG)
+        edit(config)
+        assert config_error(tmp_path, capsys, config) == f"ridepool simulate: {message}"
+
+    def test_edge_cases_of_the_tariff_ranges_run(self):
+        # zero fees and a discount of exactly one are in range
+        tariff = {**CONFIG["tariff"], "base_fare_usd": 0, "change_fee_usd": 0,
+                  "discount_factor": 1}
+        grid = cli._grid_from_config({**CONFIG, "tariff": tariff})
+        assert (grid.base_fare, grid.change_fees, grid.discount_factors) == (0, (0,), (1,))
+        assert grid.tariff().discount_factor == 1
+
     @pytest.mark.parametrize("key", [
         "change_fee_usd", "discount_factor", "detour_factor", "seeds", "mechanisms",
         "max_wait_s", "mar", "fleet_size", "value_of_time_usd_per_min", "split_thresholds_pct",

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from ridepool import simengine
 from ridepool.domain import (
     DO,
-    NEVER,
     PU,
+    REC,
     Fleet,
     Request,
     Stop,
@@ -220,12 +220,12 @@ class TestNearestFirstWalk:
         # the walk checks D's tie, then stops at A's farther vehicle
         assert visited == [c, b, d, a]
 
-    def test_empty_fleet_walks_every_node(self, line6, monkeypatch):
+    def test_empty_fleet_visits_no_node(self, line6, monkeypatch):
         r = req(1, "C", "A")
         visited = counted_walk(monkeypatch, line6)
         assert enumerate_candidates(Fleet([]), r, 0, Mechanism.CCP, line6, {},
                                     *ends(line6, r)) == []
-        assert len(visited) == line6.n_nodes
+        assert visited == []
 
     def test_every_vehicle_busy(self, line6, monkeypatch):
         riders = [req(1, "A", "E", poolable=False), req(2, "F", "B", poolable=False)]
@@ -234,7 +234,12 @@ class TestNearestFirstWalk:
         visited = counted_walk(monkeypatch, line6)
         assert enumerate_candidates(fleet, r, sec(1), Mechanism.CCP, line6,
                                     {k.id: k for k in riders}, *ends(line6, r)) == []
-        assert len(visited) == line6.n_nodes
+        assert visited == []
+        # both drop their riders off at 96 s, at E and B; the walk stops at E, past B
+        r = req(4, "C", "D", t=96)
+        (solo,) = enumerate_candidates(fleet, r, sec(96), Mechanism.CCP, line6,
+                                       {k.id: k for k in riders}, *ends(line6, r))
+        assert solo.vehicle == 1 and visited == [line6.index(x) for x in "CBDAE"]
 
     def test_no_idle_vehicle_within_the_wait_walks_every_node(self, line6, monkeypatch):
         fleet = Fleet([VehicleState(0, "E", line6), VehicleState(1, "D", line6)])
@@ -628,56 +633,63 @@ class TestDetourLimitsPerRun:
         assert changed > 0 and pooled_strict > 0
 
 
-def check_rider_arrays(fleet, now, poolable=None):
-    """Check the single-rider mask, the last-rider array and the busy anchor
-    against `prune` and a linear scan of the expanded route at `now`, and,
-    given every customer's flag in `poolable`, the lone rider's flag.  Return
-    how many vehicles carry one rider, and how many of them carried two
-    before."""
-    single = fleet.single_rider(now)
+def check_fleet_state(fleet, now, poolable):
+    """Check the fleet's `idle_at` and `lone` against a recomputation from
+    the schedules at `now`, given every customer's flag in `poolable`: a
+    vehicle is idle when no dropoff in its schedule lies after `now`, and
+    carries one rider when exactly one does.  Check each busy vehicle's
+    anchor against a linear scan of its expanded route.  Return how many
+    vehicles carry one rider, and how many of them dropped another rider off
+    since their last commit."""
+    idle, lone = {}, {}
     alone = after_pair = 0
     for slot, w in enumerate(fleet.vehicles):
-        w.prune(now)
-        assert single[slot] == (len(w.active) == 1)
-        if single[slot]:
-            assert list(w.active) == [fleet.last_rider[slot]]
-            if poolable is not None:
-                assert fleet.last_poolable[slot] == poolable[fleet.last_rider[slot]]
+        drops = {e.customer: e.time for e in w.schedule if e.op == DO}
+        ahead = [c for c, t in drops.items() if t > now]
+        if not ahead:
+            idle.setdefault(w.way_nodes[-1], []).append(slot)
+            continue
+        if len(ahead) == 1:
             alone += 1
-            after_pair += fleet.second_drop[slot] != NEVER
-        if w.active:
-            nodes, times, cum = expand_route(w)
-            pos = 0
-            while times[pos] < now:
-                pos += 1
-            assert w.busy_anchor(now) == (nodes[pos], times[pos], cum[pos])
+            committed = max(e.time for e in w.schedule if e.op == REC)
+            after_pair += any(committed < t <= now for t in drops.values())
+            if poolable[ahead[0]]:
+                lone[slot] = ahead[0]
+        nodes, times, cum = expand_route(w)
+        pos = 0
+        while times[pos] < now:
+            pos += 1
+        assert w.busy_anchor(now) == (nodes[pos], times[pos], cum[pos])
+    assert {a: sorted(slots) for a, slots in fleet.idle_at.items()} == idle
+    assert fleet.lone == lone
     return alone, after_pair
 
 
-class TestFleetArrays:
-    def test_arrays_track_every_commit_of_run_sim(self, monkeypatch, grid10):
+def stale_events(fleet):
+    """The fleet's queued events that an earlier commit of their vehicle pushed."""
+    return sum(version != fleet._version[slot] for _, slot, version, _ in fleet._events)
+
+
+class TestClockedFleet:
+    def test_state_tracks_every_commit_and_request_of_run_sim(self, monkeypatch, grid10):
         commit = Fleet.commit  # how `run_sim` commits
         commits = []
-        seen = np.zeros(2, dtype=int)  # single-rider vehicles, those after a pair
+        # single-rider vehicles, those after a pair, and stale events queued
+        seen = np.zeros(3, dtype=int)
         poolable = {}  # every customer's flag in the current run
 
         def checked_commit(fleet, v, plan, now):
             out = commit(fleet, v, plan, now)
-            ends = {}
-            for slot, w in enumerate(fleet.vehicles):
-                dropoffs = [e.time for e in w.schedule if e.op == DO]
-                ends.setdefault(w.way_nodes[-1], []).append(slot)
-                assert fleet.busy_until[slot] == max(dropoffs, default=NEVER)
-                assert (fleet.busy_until[slot] <= now) == w.is_idle(now)
-            # the node -> slots index holds every trace end and no empty node
-            assert {a: sorted(slots) for a, slots in fleet.slots_at.items()} == ends
-            seen[:] += check_rider_arrays(fleet, now, poolable)
+            seen[2] += stale_events(fleet)
+            fleet.advance(now)  # as every reader does
+            seen[:2] += check_fleet_state(fleet, now, poolable)
             commits.append(plan.new_customer)
             return out
 
         def checked(assign):
             def at_request_time(fleet, r, now, *args):
-                seen[:] += check_rider_arrays(fleet, now, poolable)
+                fleet.advance(now)  # as the candidate pass does
+                seen[:2] += check_fleet_state(fleet, now, poolable)
                 return assign(fleet, r, now, *args)
             return at_request_time
 
@@ -702,8 +714,9 @@ class TestFleetArrays:
             pooled += res.pooled_customers
         assert len(commits) == served > 0
         assert pooled > 0
-        # the checks met single riders, also ones left after a pooled partner
-        assert seen[0] > seen[1] > 0
+        # the checks met single riders, also ones left after a pooled partner,
+        # and events that re-commits left behind
+        assert seen[0] > seen[1] > 0 and seen[2] > 0
 
     def test_riders_dropped_off_together_are_never_alone(self, line6):
         k = req(1, "A", "E")
@@ -711,17 +724,45 @@ class TestFleetArrays:
         fleet = Fleet([v])
         plan = plan_on(line6, 2, (Stop(PU, 2, "B"), Stop(DO, 1, "E"), Stop(DO, 2, "E")))
         fleet.commit(v, plan, sec(1))
-        assert fleet.second_drop[0] == fleet.busy_until[0] == sec(96)
         rebuilt = Fleet([v])  # derived from the vehicle's rides alone
-        assert rebuilt.second_drop[0] == rebuilt.busy_until[0] == sec(96)
         requests = {1: k, 2: req(2, "B", "E", t=1)}
-        for now in range(0, sec(120), sec(2)):
-            assert not rebuilt.single_rider(now)[0]
-            assert check_rider_arrays(rebuilt, now) == (0, 0)
-            r = req(3, "C", "D", t=now / USEC)
-            cands = enumerate_candidates(rebuilt, r, now, Mechanism.CCP, line6, requests,
-                *ends(line6, r))
-            assert all(isinstance(c, InsertionCandidate) for c in cands)
+        for f in (fleet, rebuilt):
+            for now in range(0, sec(120), sec(2)):
+                f.advance(now)
+                assert f.lone == {}
+                assert check_fleet_state(f, now, {1: True, 2: True}) == (0, 0)
+                r = req(3, "C", "D", t=now / USEC)
+                cands = enumerate_candidates(f, r, now, Mechanism.CCP, line6, requests,
+                                             *ends(line6, r))
+                assert all(isinstance(c, InsertionCandidate) for c in cands)
+            assert f.idle_at == {line6.index("E"): [0]}
+
+    def test_pooled_recommit_skips_the_replaced_events(self, line6):
+        k = req(1, "A", "E")
+        v = vehicle_with_rider(line6, 0, "A", k)  # k on board, at E at 96 s
+        fleet = Fleet([v])
+        fleet.advance(sec(1))
+        assert fleet.lone == {0: 1}
+        # r rides on to F, so k is dropped off at E on the way back, at 144 s
+        plan = plan_on(line6, 2, (Stop(PU, 2, "B"), Stop(DO, 2, "F"), Stop(DO, 1, "E")))
+        fleet.commit(v, plan, sec(1))
+        assert stale_events(fleet) == 1  # the vehicle's old end at 96 s
+        flags = {1: True, 2: True}
+        for now, lone in ((sec(96), {}), (sec(100), {}), (sec(120), {0: 1}), (sec(144), {})):
+            fleet.advance(now)
+            assert fleet.lone == lone
+            check_fleet_state(fleet, now, flags)
+        assert fleet.idle_at == {line6.index("E"): [0]}
+
+    def test_clock_never_runs_backwards(self, line6):
+        fleet = Fleet([VehicleState(0, "A", line6)])
+        fleet.advance(sec(5))
+        fleet.advance(sec(5))
+        r = req(1, "B", "C", t=4)
+        with pytest.raises(ValueError, match="cannot run back"):
+            enumerate_candidates(fleet, r, sec(4), Mechanism.SRO, line6, {}, *ends(line6, r))
+        with pytest.raises(ValueError, match="cannot run back"):
+            fleet.advance(sec(5) - 1)
 
 
 def check_fare_state(fleet, now, tariff):
@@ -730,7 +771,8 @@ def check_fare_state(fleet, now, tariff):
     run's itinerary in its schedule (`run_fields`).  Return the vehicles
     checked."""
     checked = []
-    for slot in np.flatnonzero(fleet.single_rider(now)).tolist():
+    fleet.advance(now)
+    for slot in sorted(fleet.lone):
         v = fleet.vehicles[slot]
         assert (v.run_fare, v.run_events, v.run_umiles) == run_fields(v, tariff)
         checked.append(v)
@@ -754,7 +796,7 @@ class TestCarriedFareState:
                 seen["extended"] += v.run_events > 0
                 seen["fresh_after_pool"] += v.run_events == 0 and v.id in pooled_runs
                 # tightened by the pooling that was the vehicle's last commit
-                k = requests[fleet.last_rider[v.slot]]
+                k = requests[fleet.lone[v.slot]]
                 guaranteed = book[k.id].fare + held_time_cost(k, v)
                 seen["changed_guarantee"] += guaranteed != baselines[k.id]
                 if v.run_events:
