@@ -283,9 +283,9 @@ def cmd_verify(args) -> int:
 def cmd_split(args) -> int:
     if args.scheme == "goalprog":  # checked before any run is read
         thresholds = _thresholds(args.thresholds.split(","))
-    accounts = rio.load_run_accounts_csv(args.runs)
+    cell_columns, accounts = rio.load_run_accounts_csv(args.runs)
     rows = []
-    for acct in accounts:
+    for cell, acct in accounts:
         if args.scheme == "shapley":
             res = shapley_split(acct)
         else:
@@ -294,16 +294,17 @@ def cmd_split(args) -> int:
         for e in res.entries:
             m = by_cust[e.customer]
             rows.append(
-                (acct.run_id, e.customer, fmt_usd(m.solitary_cost),
-                 fmt_usd(m.pooled_time_cost), fmt_usd(e.fare), fmt4(e.saving))
+                cell + (acct.run_id, e.customer, fmt_usd(m.solitary_cost),
+                        fmt_usd(m.pooled_time_cost), fmt_usd(e.fare), fmt4(e.saving))
             )
+    header = cell_columns + rio.SPLIT_COLUMNS
     target = args.out or "-"
     if target == "-":
-        print(",".join(rio.SPLIT_COLUMNS))
+        print(",".join(header))
         for row in rows:
             print(",".join(str(x) for x in row))
     else:
-        rio.write_csv(target, rio.SPLIT_COLUMNS, rows)
+        rio.write_csv(target, header, rows)
         print(f"wrote {target}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Core entities: trip requests, vehicle schedules and completed runs.
+"""Core entities: trip requests, vehicle schedules, stop-level routes and the fleet.
 
 A vehicle schedule is an ordered list of (location, time, op, customer)
 entries where op is REC (request received / rerouting point), PU (pickup)
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from math import inf
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .netgraph import RoadNetwork
 from .units import mils_from_usd, usec_from_seconds
@@ -140,26 +140,16 @@ class ActiveRide:
     poolable: bool
 
 
-@dataclass(frozen=True)
-class Run:
-    """Maximal interval during which a vehicle is continuously occupied."""
-
-    vehicle: int
-    customers: tuple[int, ...]  # in first-pickup order, unique
-    start_time: int
-    end_time: int
-    total_fare: object  # mils (int or Fraction)
-
-
 class VehicleState:
     """One vehicle: schedule history, stop-level route and current commitments.
 
     `way_*` hold the route's waypoints (the start node, each anchor inside a leg, each
     stop off the previous waypoint) with the arrival time and cumulative mileage at each.
     Canonical paths join them; a vehicle waits only at its last waypoint, while idle.
-    Customer-centered pooling also keeps the current run's fare, its pooling events and
-    `run_umiles`, the route's planned mileage from the run's first pickup; `run_sim` sets
-    all three at every CCP commit.
+    Customer-centered pooling also keeps `runs`, each run's customers in first-pickup order
+    (a run is a maximal occupied interval), plus the last run's fare and `run_umiles`, the
+    route's planned mileage from that run's first pickup; `run_sim` sets them at every CCP
+    commit.
     """
 
     def __init__(self, vid: int, start_node: str, net: RoadNetwork):
@@ -171,8 +161,8 @@ class VehicleState:
         self.way_cum: list[int] = [0]
         self.active: dict[int, ActiveRide] = {}
         self.slot = -1  # this vehicle's index in its `Fleet`'s vehicles
+        self.runs: list[list[int]] = []
         self.run_fare: int = 0
-        self.run_events: int = 0
         self.run_umiles: int = 0
 
     # -- state queries ---------------------------------------------------------
@@ -343,27 +333,3 @@ def _validate_plan(v: VehicleState, plan: InsertionPlan, now: int) -> None:
         else:
             onboard -= 1
 
-
-def extract_runs(v: VehicleState, fares: Mapping[int, object]) -> list[Run]:
-    """Partition a realized schedule into occupied intervals.
-
-    A run starts when the empty vehicle picks somebody up and ends when it
-    is empty again; its fare is the sum of its customers' fares.
-    """
-    runs: list[Run] = []
-    onboard: set[int] = set()
-    customers: list[int] = []
-    start = None
-    for e in v.schedule:
-        if e.op == PU:
-            if not onboard:
-                start = e.time
-                customers = []
-            onboard.add(e.customer)
-            customers.append(e.customer)
-        elif e.op == DO:
-            onboard.discard(e.customer)
-            if not onboard:
-                total = sum(fares[c] for c in customers)
-                runs.append(Run(v.id, tuple(customers), start, e.time, total))
-    return runs

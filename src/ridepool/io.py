@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from fractions import Fraction
 
+from .costshare import RunAccount, RunMember
 from .domain import Request
 from .harness import BRACKET_COLUMNS, BRACKETS, CELL_COLUMNS, SUMMARY_COLUMNS
 from .simengine import SimResult
@@ -28,11 +29,15 @@ TRIP_COLUMNS = (
 POOLABLE_FLAGS = {"": None, "0": False, "false": False, "1": True, "true": True}
 
 
+class Rejected(ValueError):
+    """Readable text that a column does not allow; the message says why."""
+
+
 def _read(path, kind: str, columns):
     """Each row of the CSV file at `path` with its `field(col, parse=str)`,
     `parse` of the column's stripped text.  Missing columns raise a
-    ValueError naming them; a short row, or text that `parse` rejects, one
-    naming the `kind` file's line and the column."""
+    ValueError naming them; a short row, or text that `parse` cannot read or
+    `Rejected`, one naming the `kind` file's line and the column."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(columns) - set(reader.fieldnames or ())
@@ -40,13 +45,14 @@ def _read(path, kind: str, columns):
             raise ValueError(f"{kind} file lacks columns: {sorted(missing)}")
         for row in reader:
             def field(col, parse=str):
-                text = row[col]
+                text, why = row[col], "the row is short"
                 if text is not None:
                     try:
                         return parse(text.strip())
+                    except Rejected as err:
+                        why = str(err)
                     except (ArithmeticError, KeyError, ValueError):
-                        pass
-                why = "the row is short" if text is None else f"cannot read {text!r}"
+                        why = f"cannot read {text!r}"
                 raise ValueError(f"{kind} file line {reader.line_num}, column {col!r}: {why}")
 
             yield row, field
@@ -181,27 +187,49 @@ def run_account_rows(result: SimResult, prefix: tuple = ()):
             )
 
 
-def load_run_accounts_csv(path):
-    """Read run accounts: one row per run member, fare repeated within a run.
-    A short row or unreadable text raises a ValueError naming the line and
-    the column."""
-    from .costshare import RunAccount, RunMember
+def _usd(text: str) -> int:
+    """Whole mils of a dollar amount that may not be negative."""
+    mils = mils_from_usd(text)
+    if mils < 0:
+        raise Rejected(f"{text!r} is negative")
+    return mils
 
-    groups: dict[str, list] = {}
-    fares: dict[str, int] = {}
-    for _, field in _read(path, "run", RUN_ACCOUNT_COLUMNS):
+
+def load_run_accounts_csv(path):
+    """The leading cell columns of a run-account file, one row per run member with the
+    run fare repeated, and one (cell, account) pair per run.  Runs are keyed by cell and
+    run id; without `CELL_COLUMNS` every cell is ().  A short row, unreadable text, a
+    negative amount, a run fare that differs within a run or a customer listed twice in
+    one run raises a ValueError naming the line and the column."""
+    with open(path, newline="") as fh:
+        cells = CELL_COLUMNS if set(CELL_COLUMNS) <= set(next(csv.reader(fh), ())) else ()
+    members: dict[tuple, list] = {}
+    fares: dict[tuple, int] = {}
+    for row, field in _read(path, "run", RUN_ACCOUNT_COLUMNS):
         rid = field("run_id")
-        fare = field("run_fare_usd", mils_from_usd)
-        if fares.setdefault(rid, fare) != fare:
-            raise ValueError(f"run {rid}: inconsistent run_fare_usd across rows")
-        groups.setdefault(rid, []).append(
-            RunMember(
-                customer=field("customer", int),
-                solitary_cost=field("c_solitary_usd", mils_from_usd),
-                pooled_time_cost=field("a_pooled_time_usd", mils_from_usd),
-            )
-        )
-    return [RunAccount(rid, tuple(members), fares[rid]) for rid, members in groups.items()]
+        key = (tuple(row[c] for c in cells), rid)
+        group = members.setdefault(key, [])
+
+        def fare(text):
+            mils = _usd(text)
+            if fares.setdefault(key, mils) != mils:
+                raise Rejected(f"run {rid}: inconsistent run_fare_usd across rows")
+            return mils
+
+        def customer(text):
+            c = int(text)
+            if any(m.customer == c for m in group):
+                raise Rejected(f"run {rid} lists customer {c} twice")
+            return c
+
+        field("run_fare_usd", fare)
+        group.append(RunMember(customer=field("customer", customer),
+                               solitary_cost=field("c_solitary_usd", _usd),
+                               pooled_time_cost=field("a_pooled_time_usd", _usd)))
+    return cells, [
+        (cell, RunAccount(rid, tuple(group), fares[cell, rid]))
+        for (cell, rid), group in members.items()
+    ]
 
 
 def write_csv(path, header, rows) -> None:

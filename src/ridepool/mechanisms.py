@@ -412,12 +412,14 @@ def assign_ccp(
     rewrites her fare.  With the partner on board, her run goes on and its
     planned mileage grows by the offer's added mileage; with her waiting, a
     new run starts at the offer's first pickup and drives the rest of its
-    plan.  The pair fare is the partner's current fare plus the run-fare
-    increment (one extra change fee).  An offer is admissible when the
-    pair's new total cost is strictly below the sum of the request's
-    baseline and the partner's guarantee.  The admissible offer with maximal
-    surplus wins and both riders' guarantees drop by half the surplus.  Cost
-    sharing later re-divides run fares but cannot change these decisions.
+    plan.  The new run fare charges a change fee for each rider the request
+    joins in the vehicle's last run (`v.runs[-1]`), and the pair fare is the
+    partner's current fare plus the run-fare increment.  An offer is
+    admissible when the pair's new total cost is strictly below the sum of
+    the request's baseline and the partner's guarantee.  The admissible
+    offer with maximal surplus wins and both riders' guarantees drop by half
+    the surplus.  Cost sharing later re-divides run fares but cannot change
+    these decisions.
     """
     o, d, quote, baseline, best_solo, pooled = _priced_pass(
         fleet, r, now, Mechanism.CCP, net, tariff, requests
@@ -439,7 +441,7 @@ def assign_ccp(
                 umiles = v.run_umiles + added
             else:  # the plan (added + tail) less its leg to the first pickup, k's in cases 3-4
                 umiles = added + p.tail - lex.item(p.anchor, ride.origin_idx if case <= 4 else o)
-            new_run_fare = mileage_fare(tariff, umiles, v.run_events + 1)
+            new_run_fare = mileage_fare(tariff, umiles, len(v.runs[-1]))
             tc_r = time_cost_mils(r.value_of_time, r_drop - r.request_time)
             tc_k = time_cost_mils(k.value_of_time, k_drop - k.request_time)
             total = new_run_fare + tc_r + tc_k

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .costshare import RunAccount, RunMember, goalprog_split
-from .domain import Fleet, Request, VehicleState, extract_runs
+from .domain import Fleet, Request, VehicleState
 from .mechanisms import (
     POOLED,
     UNSERVED,
@@ -234,22 +234,22 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
             solitary_quote=decision.quote,
         )
         if ccp:
-            if pooled:
+            if pooled:  # r joins k's run, ahead of k in cases 5-6, where r is picked up first
                 kb.fare = decision.partner_fare
-                v.run_fare, v.run_events = cand.new_run_fare, v.run_events + 1
-                v.run_umiles = cand.new_run_umiles
-            else:
-                v.run_fare, v.run_events = decision.quote, 0
-                v.run_umiles = net.distance_umiles(*cand.plan.nodes)
+                run = v.runs[-1]
+                run.insert(len(run) - 1 if cand.case >= 5 else len(run), r.id)
+                v.run_fare, v.run_umiles = cand.new_run_fare, cand.new_run_umiles
+            else:  # a solitary rider lands on an idle vehicle and opens its next run
+                v.runs.append([r.id])
+                v.run_fare, v.run_umiles = decision.quote, net.distance_umiles(*cand.plan.nodes)
 
     # pooled CCP runs, ex-post splits and final economics; a run's id counts
     # every run of its vehicle
     accounts: list[RunAccount] = []
     if cfg.mechanism == Mechanism.CCP:
-        fares = {cid: o.fare for cid, o in book.items()}
         for v in fleet.vehicles:
-            for i, run in enumerate(extract_runs(v, fares)):
-                if len(run.customers) < 2:
+            for i, run in enumerate(v.runs):
+                if len(run) < 2:
                     continue
                 run_id = f"v{v.id}r{i}"
                 members = tuple(
@@ -261,9 +261,9 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                             book[c].dropoff_time - by_id[c].request_time,
                         ),
                     )
-                    for c in run.customers
+                    for c in run
                 )
-                fare = run.total_fare  # int or Fraction mils
+                fare = sum(book[c].fare for c in run)  # int or Fraction mils
                 if fare.denominator != 1:
                     raise ValueError(
                         f"run {run_id}: fare {fare} mils is not a whole number of mils"

@@ -10,7 +10,9 @@ is priced after the decision, the PCP detour bound is checked in `Fraction`
 arithmetic and CCP prices every wait-feasible pooled candidate's whole
 run itinerary, read from the schedule, with `route_fare`, against each
 partner's guarantee kept in a ledger of `Commitment`s.  Tests compare the
-single pass against it decision by decision.
+single pass against it decision by decision, and the runs `run_sim`
+records at its commits against `extract_runs`, a partition of the
+realized schedule.
 """
 
 from __future__ import annotations
@@ -57,10 +59,13 @@ def sort_key(c: InsertionCandidate) -> tuple:
     return (c.added_distance, c.vehicle, plan_key(c.plan))
 
 
-def run_entries(v: VehicleState) -> list[ScheduleEntry]:
-    """The vehicle's last run in its schedule: every entry from the pickup
-    that last found the vehicle empty, REC anchors included."""
-    start, onboard = len(v.schedule), 0
+def extract_runs(v: VehicleState) -> list[list[ScheduleEntry]]:
+    """Partition a realized schedule into runs, the maximal intervals during
+    which the vehicle is occupied: each run's entries from the pickup that
+    finds the vehicle empty to the dropoff that empties it, REC anchors
+    included.  The reference for the runs `run_sim` records at its commits."""
+    runs: list[list[ScheduleEntry]] = []
+    start = onboard = 0
     for i, e in enumerate(v.schedule):
         if e.op == PU:
             if not onboard:
@@ -68,7 +73,27 @@ def run_entries(v: VehicleState) -> list[ScheduleEntry]:
             onboard += 1
         elif e.op == DO:
             onboard -= 1
-    return v.schedule[start:]
+            if not onboard:
+                runs.append(v.schedule[start : i + 1])
+    return runs
+
+
+def run_customers(run: list[ScheduleEntry]) -> list[int]:
+    """A run's customers in first-pickup order."""
+    return [e.customer for e in run if e.op == PU]
+
+
+def run_fare(tariff, net, run: list[ScheduleEntry]) -> int:
+    """A run's fare: its itinerary's with a change fee for each rider after
+    the first."""
+    stops = [e.location for e in run]
+    return route_fare(tariff, net, stops, len(run_customers(run)) - 1)
+
+
+def run_entries(v: VehicleState) -> list[ScheduleEntry]:
+    """The vehicle's last run in its schedule (`extract_runs`)."""
+    runs = extract_runs(v)
+    return runs[-1] if runs else []
 
 
 def plan_stop_times(
@@ -179,7 +204,7 @@ def pooled_pair_economics(v, c, r, k, now, net, tariff, baseline_r, committed_k)
     if new_wp:
         new_wp.append(net.node_ids[v.anchor_at(now)[0]])
     new_wp += [s.location for s in c.plan.stops]
-    new_run_fare = route_fare(tariff, net, new_wp, v.run_events + 1)
+    new_run_fare = route_fare(tariff, net, new_wp, len(v.runs[-1]))
     marginal = new_run_fare - v.run_fare
     pair_fare = committed_k.fare + marginal
 

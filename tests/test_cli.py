@@ -12,8 +12,10 @@ import pytest
 from ridepool import cli
 from ridepool.cli import main
 from ridepool.domain import Request
-from ridepool.harness import SUMMARY_COLUMNS, run_grid, summarize
-from ridepool.io import TRIP_COLUMNS, load_run_accounts_csv, load_summary_csv, load_trips_csv
+from ridepool.harness import CELL_COLUMNS, SUMMARY_COLUMNS, run_grid, summarize
+from ridepool.io import (
+    SPLIT_COLUMNS, TRIP_COLUMNS, load_run_accounts_csv, load_summary_csv, load_trips_csv,
+)
 from ridepool.units import MILS, USEC, fmt4, fmt_opt, fmt_seconds, fmt_usd
 
 
@@ -262,35 +264,17 @@ class TestVerifyCommand:
 
 class TestSplitCommand:
     def test_round_trip_through_run_accounts(self, simulated, tmp_path):
+        # re-split the simulator's own pooled runs, from every CCP cell: the
+        # goalprog split with the default thresholds writes splits.csv again
         _, _, out = simulated
-        # re-split the simulator's own pooled runs under both schemes
-        runs_file = tmp_path / "runs.csv"
-        rows = (out / "run_accounts.csv").read_text().splitlines()
-        header = rows[0].split(",")
-        keep = ["run_id", "customer", "c_solitary_usd", "a_pooled_time_usd", "run_fare_usd"]
-        idx = [header.index(k) for k in keep]
-        seen = set()
-        trimmed = [",".join(keep)]
-        for line in rows[1:]:
-            parts = line.split(",")
-            key = tuple(parts[i] for i in idx[:2])
-            cell = ",".join(parts[:8])
-            run_key = (cell, parts[idx[0]])
-            # run ids repeat across cells; keep the first cell only
-            if parts[idx[0]] in seen and run_key not in seen:
-                continue
-            seen.add(parts[idx[0]])
-            seen.add(run_key)
-            trimmed.append(",".join(parts[i] for i in idx))
-        runs_file.write_text("\n".join(trimmed) + "\n")
-
+        with open(out / "run_accounts.csv", newline="") as fh:
+            cells = {tuple(row[c] for c in CELL_COLUMNS) for row in csv.DictReader(fh)}
+        assert len(cells) >= 2
         target = tmp_path / "split.csv"
-        rc = main(["split", "--runs", str(runs_file), "--scheme", "goalprog",
-                   "--thresholds", "5,10,15,20", "--out", str(target)])
+        rc = main(["split", "--runs", str(out / "run_accounts.csv"), "--scheme", "goalprog",
+                   "--out", str(target)])
         assert rc == 0
-        body = target.read_text().splitlines()
-        assert body[0] == "run_id,customer,c_solitary_usd,a_pooled_time_usd,fare_usd,relative_saving"
-        assert len(body) > 1
+        assert target.read_bytes() == (out / "splits.csv").read_bytes()
 
     def test_shapley_on_pairs_and_clean_error_on_chains(self, tmp_path, capsys):
         pair = tmp_path / "pair.csv"
@@ -301,7 +285,10 @@ class TestSplitCommand:
         )
         out = tmp_path / "pair_split.csv"
         assert main(["split", "--runs", str(pair), "--scheme", "shapley", "--out", str(out)]) == 0
-        assert "7.0000" in out.read_text()
+        # a file without the cell columns splits to the bare split columns
+        body = out.read_text().splitlines()
+        assert body[0] == ",".join(SPLIT_COLUMNS)
+        assert "7.0000" in body[1] and "7.0000" in body[2]
         chain = tmp_path / "chain.csv"
         chain.write_text(
             "run_id,customer,c_solitary_usd,a_pooled_time_usd,run_fare_usd\n"
@@ -328,6 +315,9 @@ class TestSplitCommand:
         ("r1,x1,10.0,1.0,14.0", r"line 3, column 'customer': cannot read 'x1'"),
         ("r1,2,ten,1.0,14.0", r"line 3, column 'c_solitary_usd': cannot read 'ten'"),
         ("r1,2,10.0", r"line 3, column 'run_fare_usd': the row is short"),
+        ("r1,1,10.0,1.0,14.0", r"line 3, column 'customer': run r1 lists customer 1 twice"),
+        ("r2,2,10.0,1.0,-8.00", r"line 3, column 'run_fare_usd': '-8.00' is negative"),
+        ("r1,2,10.0,-1.0,14.0", r"line 3, column 'a_pooled_time_usd': '-1.0' is negative"),
     ])
     def test_accounts_loader_names_line_and_column(self, tmp_path, row, message):
         bad = tmp_path / "bad.csv"

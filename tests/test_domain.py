@@ -19,14 +19,13 @@ from ridepool.domain import (
     Stop,
     VehicleState,
     apply_assignment,
-    extract_runs,
 )
 from ridepool.harness import synthetic_trips
 from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import RoadNetwork
 from ridepool.pricing import Tariff
 from tests._hop_oracle import HopRoute
-from tests._scan_oracle import plan_stop_times
+from tests._scan_oracle import extract_runs, plan_stop_times, run_customers
 from tests.conftest import expand_route, line_network, plan_on, sec
 
 
@@ -185,13 +184,15 @@ class TestApplyAssignment:
 
 
 class TestExtractRuns:
-    def _vehicle_with_schedule(self, entries, line):
+    """The reference partition of a schedule into runs (`_scan_oracle.extract_runs`)."""
+
+    def _runs(self, entries, line):
         v = VehicleState(9, "A", line)
         v.schedule = entries
-        return v
+        return [(tuple(run_customers(run)), run[0].time, run[-1].time) for run in extract_runs(v)]
 
     def test_two_solo_runs(self, line6):
-        v = self._vehicle_with_schedule(
+        runs = self._runs(
             [
                 ScheduleEntry("A", 0, REC, 1),
                 ScheduleEntry("B", sec(24), PU, 1),
@@ -202,14 +203,10 @@ class TestExtractRuns:
             ],
             line6,
         )
-        runs = extract_runs(v, {1: 5000, 2: 7000})
-        assert [(r.customers, r.start_time, r.end_time, r.total_fare) for r in runs] == [
-            ((1,), sec(24), sec(48), 5000),
-            ((2,), sec(84), sec(108), 7000),
-        ]
+        assert runs == [((1,), sec(24), sec(48)), ((2,), sec(84), sec(108))]
 
     def test_pooled_pair_is_one_run(self, line6):
-        v = self._vehicle_with_schedule(
+        runs = self._runs(
             [
                 ScheduleEntry("B", 0, PU, 1),
                 ScheduleEntry("C", sec(24), PU, 2),
@@ -218,13 +215,10 @@ class TestExtractRuns:
             ],
             line6,
         )
-        runs = extract_runs(v, {1: 4000, 2: 3000})
-        assert len(runs) == 1
-        assert runs[0].customers == (1, 2)
-        assert runs[0].total_fare == 7000
+        assert runs == [((1, 2), 0, sec(72))]
 
     def test_chained_pooling_single_run(self, line6):
-        v = self._vehicle_with_schedule(
+        runs = self._runs(
             [
                 ScheduleEntry("A", 0, PU, 1),
                 ScheduleEntry("B", sec(24), PU, 2),
@@ -235,12 +229,7 @@ class TestExtractRuns:
             ],
             line6,
         )
-        runs = extract_runs(v, {1: 1000, 2: 2000, 3: 3000})
-        assert len(runs) == 1
-        assert runs[0].customers == (1, 2, 3)
-        assert runs[0].start_time == 0
-        assert runs[0].end_time == sec(120)
-        assert runs[0].total_fare == 6000
+        assert runs == [((1, 2, 3), 0, sec(120))]
 
     def test_runs_partition_all_events(self, line6):
         entries = [
@@ -251,9 +240,8 @@ class TestExtractRuns:
             ScheduleEntry("E", sec(96), DO, 3),
             ScheduleEntry("F", sec(120), DO, 2),
         ]
-        v = self._vehicle_with_schedule(entries, line6)
-        runs = extract_runs(v, {1: 1, 2: 1, 3: 1})
-        covered = [c for r in runs for c in r.customers]
+        runs = self._runs(entries, line6)
+        covered = [c for customers, _, _ in runs for c in customers]
         assert sorted(covered) == [1, 2, 3]
         assert len(covered) == len(set(covered))
 

@@ -41,7 +41,7 @@ from ridepool.netgraph import RoadNetwork, make_grid
 from ridepool.pricing import Tariff, solitary_fare, total_cost
 from ridepool.units import UMILE, USEC, time_cost_mils
 from tests import _scan_oracle
-from tests._fare_oracle import PoolGeometry, ccp_pooled_fare, route_distance_umiles, route_fare
+from tests._fare_oracle import PoolGeometry, ccp_pooled_fare, route_distance_umiles
 from tests._scan_oracle import PARTNER_WAIT_REASON, Commitment, _pooled_candidates_for
 from tests.conftest import ends, expand_route, line_network, plan_on, sec
 
@@ -70,18 +70,17 @@ def vehicle_with_rider(net, vid, start, rider, now=0):
 
 
 def run_fields(v, tariff):
-    """(fare, pooling events, mileage) of the vehicle's last run, read from
-    its schedule (`_scan_oracle.run_entries`): each pickup after the first
-    is a pooling event."""
-    entries = _scan_oracle.run_entries(v)
-    stops = [e.location for e in entries]
-    events = sum(e.op == PU for e in entries) - 1
-    return route_fare(tariff, v.net, stops, events), events, route_distance_umiles(v.net, stops)
+    """(last run's fare, runs, last run's mileage) of the vehicle, read from
+    its schedule: the runs are the customer lists of `_scan_oracle.extract_runs`."""
+    runs = _scan_oracle.extract_runs(v)
+    stops = [e.location for e in runs[-1]]
+    return (_scan_oracle.run_fare(tariff, v.net, runs[-1]),
+            [_scan_oracle.run_customers(run) for run in runs], route_distance_umiles(v.net, stops))
 
 
 def set_run_fields(v, tariff):
     """Set the vehicle's CCP run fields as `run_sim` keeps them after a commit."""
-    v.run_fare, v.run_events, v.run_umiles = run_fields(v, tariff)
+    v.run_fare, v.runs, v.run_umiles = run_fields(v, tariff)
 
 
 def held_time_cost(k, v):
@@ -767,14 +766,13 @@ class TestClockedFleet:
 
 def check_fare_state(fleet, now, tariff):
     """Check, on every vehicle whose one rider the coalition test may pair
-    at `now`, the carried run fare, pooling events and mileage against the
-    run's itinerary in its schedule (`run_fields`).  Return the vehicles
-    checked."""
+    at `now`, the carried run fare, runs and mileage against the runs in its
+    schedule (`run_fields`).  Return the vehicles checked."""
     checked = []
     fleet.advance(now)
     for slot in sorted(fleet.lone):
         v = fleet.vehicles[slot]
-        assert (v.run_fare, v.run_events, v.run_umiles) == run_fields(v, tariff)
+        assert (v.run_fare, v.runs, v.run_umiles) == run_fields(v, tariff)
         checked.append(v)
     return checked
 
@@ -791,15 +789,18 @@ class TestCarriedFareState:
         def checked(fleet, r, now, net, tariff, requests, book):
             d = assign(fleet, r, now, net, tariff, requests, book)
             for v in check_fare_state(fleet, now, tariff):
+                # fare conservation: the run's riders pay its run fare between them
+                assert sum(book[c].fare for c in v.runs[-1]) == v.run_fare
+                pooled = len(v.runs[-1]) > 1
                 seen["vehicles"] += 1
                 seen["at_now"] += any(e.time == now for e in _scan_oracle.run_entries(v))
-                seen["extended"] += v.run_events > 0
-                seen["fresh_after_pool"] += v.run_events == 0 and v.id in pooled_runs
+                seen["extended"] += pooled
+                seen["fresh_after_pool"] += not pooled and v.id in pooled_runs
                 # tightened by the pooling that was the vehicle's last commit
                 k = requests[fleet.lone[v.slot]]
                 guaranteed = book[k.id].fare + held_time_cost(k, v)
                 seen["changed_guarantee"] += guaranteed != baselines[k.id]
-                if v.run_events:
+                if pooled:
                     pooled_runs.add(v.id)
             baselines[r.id] = d.baseline
             return d
@@ -820,6 +821,23 @@ class TestCarriedFareState:
             simengine.run_sim(cfg, trips)
         assert seen["vehicles"] >= 100
         assert min(seen.values()) >= 10, seen
+
+    def test_account_fares_price_their_runs(self):
+        # the run fare carried through the commits is its realized run's fare
+        accounts, chains = 0, 0
+        for seed in range(4):
+            cfg = ccp_config(seed, 0.5, Fraction(1))
+            res = simengine.run_sim(cfg, synthetic_trips(CCP_NET, 80, 900, seed))
+            by_id = {a.run_id: a for a in res.accounts}
+            for v in res.vehicles:
+                for i, run in enumerate(_scan_oracle.extract_runs(v)):
+                    if len(_scan_oracle.run_customers(run)) > 1:
+                        account = by_id.pop(f"v{v.id}r{i}")
+                        assert account.run_fare == _scan_oracle.run_fare(cfg.tariff, CCP_NET, run)
+                        accounts += 1
+                        chains += len(account.members) > 2
+            assert not by_id
+        assert accounts >= 20 and chains >= 3, (accounts, chains)
 
     def test_denominator_four_guarantees_match_the_scan(self):
         pooled_quarters = 0
@@ -902,7 +920,7 @@ def first_pooling_cases(seed, fee_usd):
     def checked_assign(fleet, r, now, net, tariff, requests, book):
         d = assign(fleet, r, now, net, tariff, requests, book)
         v = fleet.by_id.get(d.vehicle)
-        if d.kind == POOLED and v.run_events == 0:
+        if d.kind == POOLED and len(v.runs[-1]) == 1:
             c, k = d.candidate, requests[d.candidate.partner]
             anchor, _, _ = v.anchor_at(now)
             geometry = PoolGeometry(c.case, now, v.active[k.id].pickup_time,

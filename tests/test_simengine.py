@@ -1,5 +1,6 @@
 import gc
 import weakref
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 
 from ridepool.costshare import shapley_split
 from ridepool.domain import Request
-from ridepool.mechanisms import Mechanism
+from ridepool.harness import synthetic_trips
+from ridepool.mechanisms import POOLED, Mechanism
 from ridepool import domain, simengine
 from ridepool.netgraph import RoadNetwork, make_grid
 from ridepool.pricing import Tariff, solitary_fare
@@ -20,6 +22,7 @@ from ridepool.simengine import (
 )
 from ridepool.units import UMILE, USEC
 from ridepool.verify import check_detour_bounds, check_individual_rationality, check_replay
+from tests import _scan_oracle
 from tests.conftest import counterfactual_sro, unserved_ids
 
 TARIFF = Tariff.from_usd()
@@ -244,6 +247,30 @@ class TestAudits:
                 assert onboard <= 1
 
 
+class TestRunsAtCommits:
+    def test_commit_built_runs_equal_the_schedule(self, grid10, monkeypatch):
+        # every vehicle's runs, recorded at its commits, partition its realized schedule
+        real, cases = simengine.assign_ccp, Counter()
+
+        def counted(*args):
+            d = real(*args)
+            if d.kind == POOLED:
+                cases[d.candidate.case] += 1
+            return d
+
+        monkeypatch.setattr(simengine, "assign_ccp", counted)
+        riders = []
+        for mar in (Fraction(1, 2), Fraction(1)):
+            res = run_sim(config(grid10, Mechanism.CCP, seed=8, fleet=20, mar=mar),
+                          synthetic_trips(grid10, 500, 1800, 8))
+            for v in res.vehicles:
+                runs = _scan_oracle.extract_runs(v)
+                assert v.runs == [_scan_oracle.run_customers(run) for run in runs]
+                riders += map(len, v.runs)
+        assert set(cases) == set(range(1, 7)), cases
+        assert max(riders) >= 3
+
+
 class TestRunAccounting:
     def test_pair_runs_match_shapley_and_chains_are_feasible(self, grid10):
         res = run_sim(config(grid10, Mechanism.CCP, seed=2, mar=Fraction(1)),
@@ -275,14 +302,16 @@ class TestRunAccounting:
         assert diffs > 0
 
     def test_fractional_run_fare_raises(self, grid10, monkeypatch):
-        real = simengine.extract_runs
+        real = simengine.assign_ccp
 
-        def halved(v, fares):
-            return [replace(run, total_fare=Fraction(2 * run.total_fare + 1, 2))
-                    if len(run.customers) >= 2 else run
-                    for run in real(v, fares)]
+        def halved(*args):
+            # half a mil on a partner's fare leaves her pair's run fare off whole mils
+            d = real(*args)
+            if d.kind == POOLED:
+                d = replace(d, partner_fare=d.partner_fare + Fraction(1, 2))
+            return d
 
-        monkeypatch.setattr(simengine, "extract_runs", halved)
+        monkeypatch.setattr(simengine, "assign_ccp", halved)
         with pytest.raises(ValueError, match=r"run v\d+r\d+: fare \d+/2 mils"):
             run_sim(config(grid10, Mechanism.CCP, seed=8, mar=Fraction(1)),
                     grid_requests(grid10, 8, 150))
