@@ -13,7 +13,7 @@ Times are integer microseconds, distances integer micro-miles; see `units`.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import inf
 from operator import attrgetter
@@ -89,14 +89,14 @@ class Request:
     def resolved(self, value_of_time=None, poolable=None, max_wait=None) -> "Request":
         """This request with missing value of time and poolable flag filled
         in and, when given, `max_wait` replaced; one copy at most."""
-        kwargs = {}
-        if self.value_of_time is None:
-            kwargs["value_of_time"] = value_of_time
-        if self.poolable is None:
-            kwargs["poolable"] = poolable
-        if max_wait is not None:
-            kwargs["max_wait"] = max_wait
-        return replace(self, **kwargs) if kwargs else self
+        if self.value_of_time is not None and self.poolable is not None and max_wait is None:
+            return self
+        return Request(
+            self.id, self.origin, self.destination, self.request_time,
+            value_of_time if self.value_of_time is None else self.value_of_time,
+            self.max_wait if max_wait is None else max_wait,
+            poolable if self.poolable is None else self.poolable,
+        )
 
 
 class ScheduleEntry(NamedTuple):
@@ -146,6 +146,9 @@ class VehicleState:
     `way_*` hold the route's waypoints (the start node, each anchor inside a leg, each
     stop off the previous waypoint) with the arrival time and cumulative mileage at each.
     Canonical paths join them; a vehicle waits only at its last waypoint, while idle.
+    `busy_anchor` carries the leg being driven: the index of the waypoint it leaves, the
+    memoized leg and its departure time; `apply_assignment`, which rewrites the route,
+    clears it.
     Customer-centered pooling also keeps `runs`, each run's customers in first-pickup order
     (a run is a maximal occupied interval), plus the last run's fare and `run_umiles`, the
     route's planned mileage from that run's first pickup; `run_sim` sets them at every CCP
@@ -159,6 +162,9 @@ class VehicleState:
         self.way_nodes: list[int] = [net.index(start_node)]
         self.way_times: list[int] = [0]
         self.way_cum: list[int] = [0]
+        self.leg_from = -1  # the waypoint index of the carried leg; -1 when none is
+        self.leg: tuple[list[int], list[int], list[int]] = ([], [], [])
+        self.leg_start = 0  # usec, the carried leg's departure time
         self.active: dict[int, ActiveRide] = {}
         self.slot = -1  # this vehicle's index in its `Fleet`'s vehicles
         self.runs: list[list[int]] = []
@@ -191,8 +197,11 @@ class VehicleState:
         # a canonical path is the lexicographically smallest time-minimal one, so its prefix
         # to a hop is the canonical path there: the driven part of a leg cut at an anchor.
         # Hop 0 is never the anchor: a leg departing at `now` after a wait has left it
-        nodes, usec, umiles = self.net.leg(self.way_nodes[j], self.way_nodes[j + 1])
-        start = self.way_times[j + 1] - usec[-1]  # the leg departs then, after any wait
+        if j != self.leg_from:
+            self.leg_from, self.leg = j, self.net.leg(self.way_nodes[j], self.way_nodes[j + 1])
+            self.leg_start = self.way_times[j + 1] - self.leg[1][-1]  # after any wait
+        nodes, usec, umiles = self.leg
+        start = self.leg_start
         k = bisect_left(usec, now - start, 1)
         return nodes[k], start + usec[k], self.way_cum[j] + umiles[k]
 
@@ -270,6 +279,7 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> None:
     """
     anchor_idx, t, cum = v.anchor_at(now)  # also prunes finished rides
     _validate_plan(v, plan, now)
+    v.leg_from = -1  # the waypoints change below
 
     # the waypoints reached by `now` are driven, then the route turns at the anchor
     kept = bisect_right(v.way_times, now)
@@ -284,12 +294,12 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> None:
     del entries[bisect_right(entries, now, key=_entry_time) :]
     entries.append(ScheduleEntry(v.net.node_ids[anchor_idx], now, REC, plan.new_customer))
 
-    dur, _, lex = v.net.tables()
+    dur, lex = v.net.rows()
     cur = anchor_idx
     for stop, j in zip(plan.stops, plan.nodes):
         if j != cur:
-            t += dur.item(cur, j)
-            cum += lex.item(cur, j)
+            t += dur[cur][j]
+            cum += lex[cur][j]
             v.way_nodes.append(j)
             v.way_times.append(t)
             v.way_cum.append(cum)

@@ -61,16 +61,16 @@ def _read(path, kind: str, columns):
 def load_trips_csv(path) -> list[Request]:
     """Read a trip file; empty value-of-time or poolable fields stay unset.
 
-    A short row, an unparsable number, or a poolable flag other than empty,
-    0, 1, true or false (in any case) raises a ValueError naming the line
-    and the column.
+    A short row, an unparsable number, a negative request time, or a poolable
+    flag other than empty, 0, 1, true or false (in any case) raises a
+    ValueError naming the line and the column.
     """
     out = [
         Request(
             id=i,
             origin=field("origin_node"),
             destination=field("dest_node"),
-            request_time=field("request_time_s", usec_from_seconds),
+            request_time=field("request_time_s", _usec),
             value_of_time=field("value_of_time_usd_per_min",
                                 lambda text: mils_from_usd(text) if text else None),
             max_wait=field("max_wait_s", usec_from_seconds),
@@ -187,12 +187,19 @@ def run_account_rows(result: SimResult, prefix: tuple = ()):
             )
 
 
-def _usd(text: str) -> int:
-    """Whole mils of a dollar amount that may not be negative."""
-    mils = mils_from_usd(text)
-    if mils < 0:
-        raise Rejected(f"{text!r} is negative")
-    return mils
+def _non_negative(parse):
+    """`parse`, with a negative result `Rejected`."""
+    def read(text: str) -> int:
+        value = parse(text)
+        if value < 0:
+            raise Rejected(f"{text!r} is negative")
+        return value
+
+    return read
+
+
+_usec = _non_negative(usec_from_seconds)  # whole usec of seconds
+_usd = _non_negative(mils_from_usd)  # whole mils of dollars
 
 
 def load_run_accounts_csv(path):

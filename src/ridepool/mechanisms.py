@@ -155,16 +155,15 @@ def _pooled_vehicles(
     The fleet, advanced to `now`, holds the vehicles carrying exactly one
     rider, a poolable one, in `lone`.  A vehicle whose anchor cannot reach
     r's origin within r's wait limit is skipped: every leg is a shortest
-    path, so no interleaving picks r up sooner.  Legs are scalar reads of the duration
-    and mileage tables, each duration read tested for reachability; an
-    interleaving that breaks r's wait limit, or the wait limit of a partner
-    still waiting, is dropped.  Each pickup order (`heads`) is followed by
-    both dropoff orders.
+    path, so no interleaving picks r up sooner.  Legs are scalar reads of
+    the tables' row views (`RoadNetwork.rows`), each duration read tested
+    for reachability; an interleaving that breaks r's wait limit, or the
+    wait limit of a partner still waiting, is dropped.  Each pickup order
+    (`heads`) is followed by both dropoff orders.
     """
-    dur, _, lex = net.tables()
-    t_at, m_at = dur.item, lex.item
+    dur, lex = net.rows()
     latest = r.request_time + r.max_wait
-    if t_at(o, d) >= INF:  # an unreachable destination fails here, before any vehicle
+    if dur[o][d] >= INF:  # an unreachable destination fails here, before any vehicle
         raise _unreachable(net, o, d)
     out = []
     fleet.advance(now)
@@ -172,56 +171,56 @@ def _pooled_vehicles(
         k = requests[kid]
         v = fleet.vehicles[slot]
         a, t_a, a_cum = v.busy_anchor(now)
-        pick = t_a + t_at(a, o)  # r's earliest pickup
+        pick = t_a + dur[a][o]  # r's earliest pickup
         if pick > latest:
             continue
-        m_ao = m_at(a, o)
+        m_ao = lex[a][o]
         tail = v.way_cum[-1] - a_cum  # mileage of the abandoned plan
         ride = v.active[kid]
         ok, dk = ride.origin_idx, ride.dest_idx
-        t_kr = t_at(dk, d)
+        t_kr = dur[dk][d]
         if t_kr >= INF:
             raise _unreachable(net, dk, d)
-        t_rk = t_at(d, dk)
+        t_rk = dur[d][dk]
         if t_rk >= INF:
             raise _unreachable(net, d, dk)
-        m_kr, m_rk = m_at(dk, d), m_at(d, dk)
+        m_kr, m_rk = lex[dk][d], lex[d][dk]
         # (first case, node after the pickups, time and umiles there, both pickups)
         if ride.pickup_time <= now:
             heads = [(1, o, pick, m_ao, pick, ride.pickup_time)]
         else:
             heads = []
             k_latest = k.request_time + k.max_wait
-            t = t_at(a, ok)
+            t = dur[a][ok]
             if t >= INF:
                 raise _unreachable(net, a, ok)
             k_pick = t_a + t
             if k_pick <= k_latest:
-                t = t_at(ok, o)
+                t = dur[ok][o]
                 if t >= INF:
                     raise _unreachable(net, ok, o)
                 r_pick = k_pick + t
                 if r_pick <= latest:
-                    heads.append((3, o, r_pick, m_at(a, ok) + m_at(ok, o), r_pick, k_pick))
-            t = t_at(o, ok)
+                    heads.append((3, o, r_pick, lex[a][ok] + lex[ok][o], r_pick, k_pick))
+            t = dur[o][ok]
             if t >= INF:
                 raise _unreachable(net, o, ok)
             k_pick = pick + t
             if k_pick <= k_latest:
-                heads.append((5, ok, k_pick, m_ao + m_at(o, ok), pick, k_pick))
+                heads.append((5, ok, k_pick, m_ao + lex[o][ok], pick, k_pick))
             if not heads:
                 continue
         rows = []
         for case, x, t, m, r_pick, k_pick in heads:
-            t1 = t_at(x, dk)
+            t1 = dur[x][dk]
             if t1 >= INF:
                 raise _unreachable(net, x, dk)
-            rows.append((case, m + m_at(x, dk) + m_kr - tail, r_pick, t + t1 + t_kr, k_pick,
+            rows.append((case, m + lex[x][dk] + m_kr - tail, r_pick, t + t1 + t_kr, k_pick,
                          t + t1))
-            t2 = t_at(x, d)
+            t2 = dur[x][d]
             if t2 >= INF:
                 raise _unreachable(net, x, d)
-            rows.append((case + 1, m + m_at(x, d) + m_rk - tail, r_pick, t + t2, k_pick,
+            rows.append((case + 1, m + lex[x][d] + m_rk - tail, r_pick, t + t2, k_pick,
                          t + t2 + t_rk))
         out.append(PooledVehicle(v, k, a, tail, tuple(rows)))
     return out
@@ -255,8 +254,8 @@ def enumerate_candidates(
     vehicle with a wait-feasible pooled interleaving (see
     `_pooled_vehicles`), in fleet order.  Every item is feasible.
     """
-    dur, _, lex = net.tables()
-    t_at, m_at, idle_at, vehicles = dur.item, lex.item, fleet.idle_at, fleet.vehicles
+    dur, lex = net.rows()
+    idle_at, vehicles = fleet.idle_at, fleet.vehicles
     fleet.advance(now)
     wait = r.request_time + r.max_wait - now
     best = None  # (access umiles, vehicle id, access usec)
@@ -264,10 +263,10 @@ def enumerate_candidates(
         slots = idle_at.get(a)
         if slots is None:
             continue
-        m = m_at(a, o)
+        m = lex[a][o]
         if best is not None and m > best[0]:
             break
-        t = t_at(a, o)
+        t = dur[a][o]
         if t > wait:
             continue
         for slot in slots:
@@ -278,13 +277,13 @@ def enumerate_candidates(
     out = []
     if best is not None:
         m, vid, t = best
-        t_od = t_at(o, d)
+        t_od = dur[o][d]
         if t_od >= INF:
             raise _unreachable(net, o, d)
         stops = (Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination))
         out.append(InsertionCandidate(
             vehicle=vid, plan=InsertionPlan(r.id, stops, (o, d), r.poolable),
-            added_distance=m + m_at(o, d), pickup_times={r.id: now + t},
+            added_distance=m + lex[o][d], pickup_times={r.id: now + t},
             dropoff_times={r.id: now + t + t_od}, feasible=True,
         ))
     if mode != Mechanism.SRO and r.poolable:
@@ -424,7 +423,7 @@ def assign_ccp(
     o, d, quote, baseline, best_solo, pooled = _priced_pass(
         fleet, r, now, Mechanism.CCP, net, tariff, requests
     )
-    lex = net.tables()[2]
+    lex = net.rows()[1]
     best = None  # (rank, vehicle record, case row, new run fare, umiles, tc_r, tc_k, spare)
     for p in pooled:
         v, k = p.vehicle, p.partner
@@ -440,7 +439,7 @@ def assign_ccp(
             if case <= 2:  # k on board: her run goes on, `added` umiles longer
                 umiles = v.run_umiles + added
             else:  # the plan (added + tail) less its leg to the first pickup, k's in cases 3-4
-                umiles = added + p.tail - lex.item(p.anchor, ride.origin_idx if case <= 4 else o)
+                umiles = added + p.tail - lex[p.anchor][ride.origin_idx if case <= 4 else o]
             new_run_fare = mileage_fare(tariff, umiles, len(v.runs[-1]))
             tc_r = time_cost_mils(r.value_of_time, r_drop - r.request_time)
             tc_k = time_cost_mils(k.value_of_time, k_drop - k.request_time)

@@ -107,6 +107,7 @@ class RoadNetwork:
 
         self._lock = threading.Lock()
         self._tables = None
+        self._rows = None
         self._legs: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
         self._orders: dict[int, array] = {}
 
@@ -152,19 +153,30 @@ class RoadNetwork:
                     )
         return self._tables
 
+    def rows(self):
+        """(duration rows, lex_dist rows): one memoryview per row of the duration
+        and mileage tables, sharing their memory, built once at the first call.
+        `rows[i][j]` reads the same int as `table.item(i, j)`, at about half the cost."""
+        if self._rows is None:
+            dur, _, lex = self.tables()
+            with self._lock:
+                if self._rows is None:
+                    self._rows = (_row_views(dur), _row_views(lex))
+        return self._rows
+
     def duration_usec(self, i: int, j: int) -> int:
         """Travel time between node indices; raises Unreachable."""
-        d = self.tables()[0].item(i, j)
+        d = self.rows()[0][i][j]
         if d >= INF:
             raise Unreachable(self.node_ids[i], self.node_ids[j])
         return d
 
     def distance_umiles(self, i: int, j: int) -> int:
         """Mileage along the canonical time-minimal path between indices."""
-        d, _, lex = self.tables()
-        if d.item(i, j) >= INF:
+        dur, lex = self.rows()
+        if dur[i][j] >= INF:
             raise Unreachable(self.node_ids[i], self.node_ids[j])
-        return lex.item(i, j)
+        return lex[i][j]
 
     def reachable(self, i: int, j: int) -> bool:
         return int(self.tables()[0][i, j]) < INF
@@ -232,6 +244,13 @@ class RoadNetwork:
         nodes, usec, umiles = self.leg(self.index(origin), self.index(destination))
         seq = tuple(self.node_ids[k] for k in nodes)
         return PathResult(distance=umiles[-1] / UMILE, duration=usec[-1] / USEC, node_sequence=seq)
+
+
+def _row_views(table: np.ndarray) -> tuple[memoryview, ...]:
+    """One read-only int64 memoryview per row of a C-contiguous table, no copy."""
+    n = table.shape[1]
+    flat = memoryview(table).toreadonly().cast("B").cast("q")
+    return tuple(flat[i * n : (i + 1) * n] for i in range(table.shape[0]))
 
 
 def make_grid(rows: int, cols: int, edge_length: float, speed: float) -> RoadNetwork:

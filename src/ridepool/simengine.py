@@ -31,7 +31,7 @@ from .mechanisms import (
 )
 from .netgraph import INF, RoadNetwork
 from .pricing import Tariff, provider_profit, total_cost
-from .units import Money, time_cost_mils
+from .units import Money, fmt_seconds, time_cost_mils
 
 DEFAULT_VOT_MILS_PER_MIN = (166, 195, 225, 254, 283)
 DEFAULT_THRESHOLDS = (
@@ -160,6 +160,9 @@ def _validate(cfg: SimConfig, requests: list[Request], fleet) -> None:
         raise ConfigError("request ids must be unique")
     used = {v.way_nodes[0] for v in fleet}
     for r in requests:
+        if r.request_time < 0:
+            raise ConfigError(f"request {r.id}: request time {fmt_seconds(r.request_time)} s "
+                              "is negative")
         if not (net.has_node(r.origin) and net.has_node(r.destination)):
             raise ConfigError(f"request {r.id} references nodes off the network")
         used.add(net.index(r.origin))

@@ -93,11 +93,8 @@ def distance_charge_mils(rate_mils_per_mile: int, dist_umiles: int) -> int:
 
 def fmt4(value: int | Fraction, per: int = 1) -> str:
     """Render value/per with exactly four decimals, rounding half to even."""
-    if isinstance(value, int):
-        scaled = div_half_even(value * 10**4, per)
-    else:
-        frac = value / per
-        scaled = div_half_even(frac.numerator * 10**4, frac.denominator)
+    # an int's denominator is 1; rounding needs no fraction in lowest terms
+    scaled = div_half_even(value.numerator * 10**4, value.denominator * per)
     sign = "-" if scaled < 0 else ""
     mag = abs(scaled)
     return f"{sign}{mag // 10**4}.{mag % 10**4:04d}"

@@ -503,6 +503,18 @@ class TestInputErrors:
         grid = cli._grid_from_config({**CONFIG, "value_of_time_usd_per_min": 0.2})
         assert grid.vot_values == (200,)
 
+    def test_negative_request_time(self, tmp_path, capsys):
+        # every route starts at time 0, so a trip before it used to end in an IndexError
+        trips = tmp_path / "trips.csv"
+        trips.write_text(",".join(TRIP_COLUMNS) + "\n-5,n000x000,n001x001,,60,\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(CONFIG))
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--trips", str(trips), "--out", str(out)]
+        assert fails_cleanly(capsys, argv) == (
+            "ridepool simulate: trip file line 2, column 'request_time_s': '-5' is negative")
+        assert not out.exists()
+
     def test_arc_too_long_for_path_sums(self, tmp_path, capsys):
         net = tmp_path / "net.csv"
         net.write_text("node,a\nnode,b\narc,a,b,1e30,30\narc,b,a,0.1,30\n")
@@ -594,6 +606,12 @@ class TestTripFiles:
     def test_unparsable_number_names_line_and_column(self, tmp_path):
         path = self.write(tmp_path, "0,n000x000,n001x001,,3x0,1")
         with pytest.raises(ValueError, match=r"line 2, column 'max_wait_s': cannot read '3x0'"):
+            load_trips_csv(path)
+
+    def test_negative_request_time_names_line_and_column(self, tmp_path):
+        path = self.write(tmp_path, "0,n000x000,n001x001,,300,", "-0.5,n000x000,n001x001,,300,")
+        with pytest.raises(ValueError,
+                           match=r"line 3, column 'request_time_s': '-0.5' is negative"):
             load_trips_csv(path)
 
     @pytest.mark.parametrize("flag", ["maybe", "no", "yes", "2"])

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
 
@@ -762,6 +763,77 @@ class TestClockedFleet:
             enumerate_candidates(fleet, r, sec(4), Mechanism.SRO, line6, {}, *ends(line6, r))
         with pytest.raises(ValueError, match="cannot run back"):
             fleet.advance(sec(5) - 1)
+
+
+class TestCarriedLeg:
+    def test_busy_anchor_at_every_call_of_run_sim(self, monkeypatch, grid10):
+        """Every `busy_anchor` answer equals the linear scan of the expanded
+        route, and each leg of each route is read through `net.leg` once."""
+        busy_anchor, leg, commit = VehicleState.busy_anchor, RoadNetwork.leg, Fleet.commit
+        legs_read = []
+        version = {}  # (run, vehicle) -> its commits so far: its route's version
+        reads = {}  # (run, vehicle, version, waypoint index) -> legs read there
+        last = {}  # (run, vehicle, version) -> waypoint index of the last call inside a leg
+        seen = dict.fromkeys(("calls", "reused", "advanced", "after_wait"), 0)
+        by_mechanism = dict.fromkeys(Mechanism, 0)
+        run, mechanism = 0, None
+
+        def counted_leg(net, i, j):
+            legs_read.append((i, j))
+            return leg(net, i, j)
+
+        def versioned_commit(fleet, v, plan, now):
+            out = commit(fleet, v, plan, now)  # its anchor is read on the route it replaces
+            version[run, v.id] = version.get((run, v.id), 0) + 1
+            return out
+
+        def checked(v, now):
+            before = len(legs_read)
+            got = busy_anchor(v, now)
+            fetched = len(legs_read) - before
+            nodes, times, cum = expand_route(v)
+            pos = 0
+            while times[pos] < now:
+                pos += 1
+            assert got == (nodes[pos], times[pos], cum[pos])
+            seen["calls"] += 1
+            by_mechanism[mechanism] += 1
+            j = bisect_right(v.way_times, now) - 1
+            if v.way_times[j] == now:
+                assert fetched == 0
+                return got
+            route = (run, v.id, version.get((run, v.id), 0))
+            key = route + (j,)
+            reads[key] = reads.get(key, 0) + fetched
+            assert reads[key] == 1, f"leg {key} read {reads[key]} times"
+            seen["reused"] += fetched == 0
+            seen["advanced"] += last.get(route, j) < j
+            last[route] = j
+            start = v.way_times[j + 1] - leg(v.net, v.way_nodes[j], v.way_nodes[j + 1])[1][-1]
+            seen["after_wait"] += start > v.way_times[j]
+            return got
+
+        monkeypatch.setattr(RoadNetwork, "leg", counted_leg)
+        monkeypatch.setattr(Fleet, "commit", versioned_commit)
+        monkeypatch.setattr(VehicleState, "busy_anchor", checked)
+        rng = np.random.default_rng(11)
+        trips = [
+            Request.build(i, *(grid10.node_ids[int(x)] for x in rng.choice(100, 2, replace=False)),
+                          8 * i, 300)
+            for i in range(150)
+        ]
+        for seed in (1, 2):
+            for mechanism in Mechanism:
+                run += 1
+                cfg = simengine.SimConfig(
+                    mechanism=mechanism, tariff=TARIFF, fleet_size=8, mar=Fraction(3, 4),
+                    rng_seed=seed, network=grid10, horizon=1800 * USEC,
+                )
+                simengine.run_sim(cfg, trips)
+        # the pooling mechanisms ask for busy anchors; the checks met reused legs, anchors on
+        # a later leg of the same route, and legs that depart after a wait at their waypoint
+        assert by_mechanism[Mechanism.PCP] > 0 and by_mechanism[Mechanism.CCP] > 0
+        assert min(seen.values()) >= 10, seen
 
 
 def check_fare_state(fleet, now, tariff):

@@ -210,6 +210,24 @@ def _assert_tables_equal(got, want):
         assert np.array_equal(g, w)
 
 
+def assert_rows_match_tables(net):
+    """`net.rows()` reads every cell of the duration and mileage tables as
+    `ndarray.item` does, INF pairs included, through views of their memory;
+    return how many pairs are unreachable."""
+    dur, _, lex = net.tables()
+    views = net.rows()
+    assert len(views) == 2
+    cells = list(itertools.product(range(net.n_nodes), repeat=2))
+    for table, rows in zip((dur, lex), views):
+        assert len(rows) == net.n_nodes
+        for row in rows:
+            assert np.shares_memory(row, table)
+        got = [rows[i][j] for i, j in cells]
+        assert got == [table.item(i, j) for i, j in cells]
+        assert {type(x) for x in got} == {int}
+    return sum(dur.item(i, j) >= INF for i, j in cells)
+
+
 @st.composite
 def random_networks(draw):
     """Sparse directed networks with one-way arcs, many equal-duration ties,
@@ -238,6 +256,26 @@ class TestTables:
     def test_matches_floyd_warshall_on_grid(self):
         net = make_grid(10, 10, 0.2, 28)
         _assert_tables_equal(net.tables(), _fw_oracle.build_tables(net))
+
+    @given(random_networks())
+    @settings(max_examples=200, deadline=None)
+    def test_row_views_read_every_cell_like_item(self, net):
+        assert_rows_match_tables(net)
+
+    def test_row_views_read_every_cell_like_item_on_grid(self):
+        assert_rows_match_tables(make_grid(10, 10, 0.2, 28))
+
+    def test_row_views_read_unreachable_pairs_as_inf(self):
+        net = RoadNetwork(["a", "b", "c"], [("a", "b", 0.1, 10)])
+        assert assert_rows_match_tables(net) == 5  # all but a->b and the diagonal
+        dur, lex = net.rows()
+        assert dur[1][0] == lex[1][0] == INF and dur[0][1] == 10 * USEC
+
+    def test_row_views_are_built_once(self):
+        net = make_grid(3, 4, 0.2, 30)
+        views = net.rows()
+        assert net.rows() is views
+        assert all(row.readonly for rows in views for row in rows)
 
     @given(random_networks())
     @settings(max_examples=200, deadline=None)

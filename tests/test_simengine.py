@@ -11,7 +11,7 @@ from ridepool.costshare import shapley_split
 from ridepool.domain import Request
 from ridepool.harness import synthetic_trips
 from ridepool.mechanisms import POOLED, Mechanism
-from ridepool import domain, simengine
+from ridepool import simengine
 from ridepool.netgraph import RoadNetwork, make_grid
 from ridepool.pricing import Tariff, solitary_fare
 from ridepool.simengine import (
@@ -112,6 +112,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             run_sim(config(grid10, Mechanism.SRO), [r, r])
 
+    def test_negative_request_time_rejected(self, grid10):
+        reqs = [Request.build(0, "n000x000", "n001x001", -1, 300),
+                Request.build(1, "n000x000", "n001x001", 0, 300)]
+        with pytest.raises(ConfigError, match=r"request 0: request time -1.0000 s is negative"):
+            run_sim(config(grid10, Mechanism.SRO), reqs)
+
     def test_off_network_rejected(self, grid10):
         r = Request.build(0, "n000x000", "n001x001", 0, 300)
         bad = replace(r, destination="nowhere")
@@ -208,12 +214,13 @@ class TestDeterminismAndPairing:
             expected.append(r)
 
         copies = []
+        post_init = Request.__post_init__
 
-        def counted(obj, **changes):
+        def counted(obj):
             copies.append(obj.id)
-            return replace(obj, **changes)
+            post_init(obj)
 
-        monkeypatch.setattr(domain, "replace", counted)
+        monkeypatch.setattr(Request, "__post_init__", counted)
         got = resolve_requests(cfg, reqs)
         assert got == expected
         assert {(type(r.value_of_time), type(r.poolable)) for r in got} == {(int, bool)}

@@ -4,10 +4,37 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ridepool.units import fmt4, fraction_from
+from ridepool.units import MILS, UMILE, USEC, div_half_even, fmt4, fraction_from
 
 # ints with value * 10**4 / 10**6 ending in exactly one half
 HALF_EVEN_TIES = st.integers(-10**9, 10**9).map(lambda k: 100 * k + 50)
+PERS = st.sampled_from([1, MILS, UMILE, USEC])
+
+
+def fmt4_via_fraction(value, per=1):
+    """The rendering through one `Fraction` per value: value / per, reduced, then rounded."""
+    if isinstance(value, int):
+        scaled = div_half_even(value * 10**4, per)
+    else:
+        frac = value / per
+        scaled = div_half_even(frac.numerator * 10**4, frac.denominator)
+    sign = "-" if scaled < 0 else ""
+    mag = abs(scaled)
+    return f"{sign}{mag // 10**4}.{mag % 10**4:04d}"
+
+
+@st.composite
+def values_and_pers(draw):
+    """(value, per): ints, fractions, and values whose rendering is an exact half-way tie."""
+    per = draw(PERS)
+    kind = draw(st.sampled_from(["int", "fraction", "tie"]))
+    if kind == "int":
+        return draw(st.integers(-10**15, 10**15)), per
+    if kind == "fraction":
+        return Fraction(draw(st.integers(-10**15, 10**15)), draw(st.integers(1, 10**6))), per
+    # value / per * 10**4 == k + 1/2; an int when it divides out
+    value = Fraction((2 * draw(st.integers(-10**9, 10**9)) + 1) * per, 2 * 10**4)
+    return (int(value) if value.denominator == 1 else value), per
 
 
 class TestFmt4:
@@ -19,6 +46,24 @@ class TestFmt4:
     @example(-150, 10**6)
     def test_int_path_matches_fraction_path(self, value, per):
         assert fmt4(value, per) == fmt4(Fraction(value), per)
+
+    @given(values_and_pers())
+    @example((Fraction(1, 2), 1))
+    @example((Fraction(-3, 20000), 1))  # -0.00015 rounds to even, -0.0002
+    @example((Fraction(5, 2), MILS))  # 0.0025 mils per dollar, a tie at 0.00025
+    def test_matches_the_fraction_formula(self, case):
+        value, per = case
+        assert fmt4(value, per) == fmt4_via_fraction(value, per)
+
+    def test_builds_no_fraction(self, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError("fmt4 built a Fraction")
+
+        quarter, third = Fraction(1, 4), Fraction(-1, 3)
+        monkeypatch.setattr(Fraction, "__new__", no_fraction)
+        assert fmt4(quarter, MILS) == "0.0002"  # 0.00025, a tie
+        assert fmt4(third, 1) == "-0.3333"
+        assert fmt4(-150, USEC) == "-0.0002"
 
     def test_ties_round_half_to_even(self):
         assert [fmt4(v, 10**6) for v in (50, 150, -50, -150)] == [
