@@ -6,7 +6,10 @@ provider-centered pooling) with wait limits, fleet sizes, matching
 acceptance rates and seeds.  Every pooling cell is paired with a
 solitary-rides baseline sharing its seed, fleet placement and request
 draws, so per-seed comparisons are coupled; the baseline is independent of
-the acceptance rate and cached per (wait, fleet, seed).
+the acceptance rate and cached per (wait, fleet, seed).  Provider-centered
+pooling decides without reading the discount factor, so its decisions are
+shared across discounts: the first discount cell of each (wait, fleet, MAR,
+detour, seed) group is simulated and the others re-price that run.
 
 Outputs are exact-fraction aggregates; rendering to four decimals happens
 only in the writers, so rerunning a grid reproduces files byte for byte.
@@ -170,8 +173,15 @@ def savings_brackets(result: SimResult, thresholds=BRACKETS):
 
 
 def run_grid(grid: ScenarioGrid, trips: list[Request], net: RoadNetwork) -> list[CellOutcome]:
-    """Execute every grid cell with its paired baseline, seeds innermost."""
+    """Execute every grid cell with its paired baseline, seeds innermost.
+
+    Every cell is one `run_sim` call.  A PCP cell whose (wait, fleet, MAR,
+    detour, seed) group already ran under another discount hands that run
+    over as `SimConfig.decided`, so `run_sim` re-prices it rather than
+    deciding every request again.
+    """
     sro_cache: dict[tuple, SimResult] = {}
+    pcp_decided: dict[tuple, SimResult] = {}
     outcomes: list[CellOutcome] = []
 
     def sro_for(wait, fleet, seed):
@@ -202,6 +212,8 @@ def run_grid(grid: ScenarioGrid, trips: list[Request], net: RoadNetwork) -> list
                 discount=params.get("discount"),
                 detour=params.get("detour"),
             )
+            group = (mech, params["max_wait"], params["fleet"], params["mar"],
+                     params.get("detour"), seed)
             cfg = SimConfig(
                 mechanism=mech,
                 tariff=tariff,
@@ -214,10 +226,12 @@ def run_grid(grid: ScenarioGrid, trips: list[Request], net: RoadNetwork) -> list
                 split_scheme=grid.split_scheme,
                 split_thresholds=grid.split_thresholds,
                 vot_values=grid.vot_values,
+                decided=pcp_decided.get(group),
             )
-            outcomes.append(
-                CellOutcome(mech.value, dict(params), seed, run_sim(cfg, trips), baseline)
-            )
+            result = run_sim(cfg, trips)
+            if mech == Mechanism.PCP:
+                pcp_decided.setdefault(group, result)
+            outcomes.append(CellOutcome(mech.value, dict(params), seed, result, baseline))
     return outcomes
 
 

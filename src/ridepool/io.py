@@ -61,23 +61,30 @@ def _read(path, kind: str, columns):
 def load_trips_csv(path) -> list[Request]:
     """Read a trip file; empty value-of-time or poolable fields stay unset.
 
-    A short row, an unparsable number, a negative request time, or a poolable
-    flag other than empty, 0, 1, true or false (in any case) raises a
-    ValueError naming the line and the column.
+    A short row, an unparsable number, a negative request time or value of
+    time, a wait limit that is not positive, a destination equal to the
+    origin, or a poolable flag other than empty, 0, 1, true or false (in any
+    case) raises a ValueError naming the line and the column.
     """
-    out = [
-        Request(
+    out = []
+    for i, (_, field) in enumerate(_read(path, "trip", TRIP_COLUMNS)):
+        origin = field("origin_node")
+
+        def destination(text):
+            if text == origin:
+                raise Rejected(f"{text!r} equals origin_node")
+            return text
+
+        out.append(Request(
             id=i,
-            origin=field("origin_node"),
-            destination=field("dest_node"),
+            origin=origin,
+            destination=field("dest_node", destination),
             request_time=field("request_time_s", _usec),
             value_of_time=field("value_of_time_usd_per_min",
-                                lambda text: mils_from_usd(text) if text else None),
-            max_wait=field("max_wait_s", usec_from_seconds),
+                                lambda text: _usd(text) if text else None),
+            max_wait=field("max_wait_s", _positive_usec),
             poolable=field("poolable", lambda text: POOLABLE_FLAGS[text.lower()]),
-        )
-        for i, (_, field) in enumerate(_read(path, "trip", TRIP_COLUMNS))
-    ]
+        ))
     out.sort(key=lambda r: (r.request_time, r.id))
     return out
 
@@ -200,6 +207,14 @@ def _non_negative(parse):
 
 _usec = _non_negative(usec_from_seconds)  # whole usec of seconds
 _usd = _non_negative(mils_from_usd)  # whole mils of dollars
+
+
+def _positive_usec(text: str) -> int:
+    """Whole usec of seconds, with zero or less `Rejected`."""
+    usec = usec_from_seconds(text)
+    if usec <= 0:
+        raise Rejected(f"{text!r} is not positive")
+    return usec
 
 
 def load_run_accounts_csv(path):

@@ -10,11 +10,15 @@ byte-identical results.
 Poolable flags and values of time left unset on requests are drawn from
 independent seeded streams; the poolable draw thresholds one uniform per
 customer so the poolable populations at increasing MAR levels are nested.
+
+Provider-centered pooling decides without reading the discount factor, so a
+PCP run under another discount is its decisions re-priced (`reprice`); a
+configuration's `decided` field hands such a run to `run_sim`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +34,7 @@ from .mechanisms import (
     assign_sro,
 )
 from .netgraph import INF, RoadNetwork
-from .pricing import Tariff, provider_profit, total_cost
+from .pricing import Tariff, pcp_fare, provider_profit, total_cost
 from .units import Money, fmt_seconds, time_cost_mils
 
 DEFAULT_VOT_MILS_PER_MIN = (166, 195, 225, 254, 283)
@@ -64,6 +68,9 @@ class SimConfig:
     split_thresholds: tuple[Fraction, ...] = DEFAULT_THRESHOLDS
     initial_vehicle_nodes: tuple[str, ...] | None = None
     vot_values: tuple[int, ...] = DEFAULT_VOT_MILS_PER_MIN  # mils per minute
+    # a PCP run of this configuration under another discount factor, which
+    # `run_sim` re-prices instead of deciding every request again
+    decided: SimResult | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.fleet_size < 1:
@@ -117,6 +124,7 @@ class SimResult:
     decision_log: list[DecisionRow]
     requests: dict[int, Request]
     vehicles: list[VehicleState]
+    config: SimConfig
 
     @property
     def n_requests(self) -> int:
@@ -179,7 +187,14 @@ def _validate(cfg: SimConfig, requests: list[Request], fleet) -> None:
 
 
 def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
-    """Feed the request stream through the configured mechanism."""
+    """Feed the request stream through the configured mechanism.
+
+    With `cfg.decided` set, re-price that run instead; `requests` must then
+    be the stream it decided.
+    """
+    if cfg.decided is not None:
+        _check_decided(cfg)
+        return reprice(cfg.decided, cfg.tariff)
     net = cfg.network
     fleet = Fleet(initial_fleet(cfg))
     stream = [r for r in resolve_requests(cfg, requests) if r.request_time <= cfg.horizon]
@@ -246,8 +261,8 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                 v.runs.append([r.id])
                 v.run_fare, v.run_umiles = decision.quote, net.distance_umiles(*cand.plan.nodes)
 
-    # pooled CCP runs, ex-post splits and final economics; a run's id counts
-    # every run of its vehicle
+    # pooled CCP runs and their ex-post splits; a run's id counts every run
+    # of its vehicle
     accounts: list[RunAccount] = []
     if cfg.mechanism == Mechanism.CCP:
         for v in fleet.vehicles:
@@ -277,25 +292,68 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                     for entry in goalprog_split(account, cfg.split_thresholds).entries:
                         book[entry.customer].fare = entry.fare
 
+    return _settle(cfg, book, log, accounts, by_id, fleet.vehicles)
+
+
+def _settle(cfg: SimConfig, book: dict[int, CustomerOutcome], log: list[DecisionRow],
+            accounts: list[RunAccount], by_id: dict[int, Request],
+            vehicles: list[VehicleState]) -> SimResult:
+    """The run's result: each served customer's total cost from her final
+    fare, the fleet's distance, the fares collected and the profit."""
     for cid, o in book.items():
         o.total_cost = total_cost(o.fare, by_id[cid], o.dropoff_time)
-
-    fleet_umi = sum(v.way_cum[-1] for v in fleet.vehicles)
+    fleet_umi = sum(v.way_cum[-1] for v in vehicles)
     fares_total: Money = sum(o.fare for o in book.values())
-    profit = provider_profit(fares_total, fleet_umi, tariff)
-
     return SimResult(
         mechanism=cfg.mechanism.value,
         served=len(book),
-        unserved=len(stream) - len(book),
+        unserved=len(by_id) - len(book),
         pooled_customers=sum(o.pooled for o in book.values()),
-        poolable_customers=sum(1 for r in stream if r.poolable),
+        poolable_customers=sum(1 for r in by_id.values() if r.poolable),
         fleet_distance=fleet_umi,
         fares_total=fares_total,
-        profit=profit,
+        profit=provider_profit(fares_total, fleet_umi, cfg.tariff),
         per_customer=book,
         accounts=accounts,
         decision_log=log,
         requests=by_id,
-        vehicles=fleet.vehicles,
+        vehicles=vehicles,
+        config=cfg,
     )
+
+
+def _check_decided(cfg: SimConfig) -> None:
+    """Raise a ConfigError naming the field unless `cfg.decided` is a PCP run
+    whose configuration differs from `cfg` at most in the discount factor."""
+    ran = cfg.decided.config
+    if ran.mechanism != Mechanism.PCP:
+        raise ConfigError(f"decided: mechanism {ran.mechanism.value} decides with its tariff; "
+                          "only a PCP run can be re-priced")
+    for f in fields(SimConfig):
+        if f.compare and f.name != "tariff" and getattr(ran, f.name) != getattr(cfg, f.name):
+            raise ConfigError(f"decided: the run differs in {f.name}")
+    for f in fields(Tariff):
+        ran_value, value = getattr(ran.tariff, f.name), getattr(cfg.tariff, f.name)
+        if f.name != "discount_factor" and ran_value != value:
+            raise ConfigError(f"decided: the run differs in tariff.{f.name}")
+
+
+def reprice(decided: SimResult, tariff: Tariff) -> SimResult:
+    """The PCP run `decided` under `tariff`'s discount factor.
+
+    PCP reads the discount only to price each decision, so the decisions,
+    vehicles and requests stay (and are shared with `decided`): every
+    poolable customer's fare, in the outcomes and in the decision log,
+    becomes `pcp_fare` of her quote, and `_settle` prices the run again.
+    """
+    book = {
+        cid: replace(o, fare=pcp_fare(tariff, o.solitary_quote)) if o.poolable else replace(o)
+        for cid, o in decided.per_customer.items()
+    }
+    log = [
+        replace(row, fare=book[row.customer].fare)
+        if row.fare is not None and book[row.customer].poolable else row
+        for row in decided.decision_log
+    ]
+    return _settle(replace(decided.config, tariff=tariff), book, log, [], decided.requests,
+                   decided.vehicles)

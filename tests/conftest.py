@@ -53,6 +53,17 @@ def unserved_ids(result):
     return [row.customer for row in result.decision_log if row.decision == UNSERVED]
 
 
+def assert_same_run(a, b):
+    """Results `a` and `b` agree in every decision, outcome and economic total."""
+    assert [repr(row) for row in a.decision_log] == [repr(row) for row in b.decision_log]
+    assert repr(a.per_customer) == repr(b.per_customer)
+    assert (repr(a.fares_total), repr(a.profit)) == (repr(b.fares_total), repr(b.profit))
+    assert a.fleet_distance == b.fleet_distance
+    assert (a.served, a.unserved, a.pooled_customers, a.poolable_customers) == (
+        b.served, b.unserved, b.pooled_customers, b.poolable_customers)
+    assert a.accounts == b.accounts
+
+
 def counterfactual_sro(cfg, requests):
     """Paired baseline: same seed, fleet and draws, mechanism forced to SRO."""
     return run_sim(replace(cfg, mechanism=Mechanism.SRO), requests)

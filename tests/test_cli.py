@@ -110,6 +110,21 @@ class TestSimulate:
             "run_accounts.csv": "5058144fe63dac34437bd906a798ee581b3812a334379fa742c61fa1c632946f",
         }
 
+    def test_discount_axis_outputs_are_pinned(self, tmp_path):
+        # three discounts, two detours, three MARs and two seeds: the PCP
+        # cells past the first discount re-price that cell's decisions, and
+        # the files match those of a grid that simulated every cell
+        config = copy.deepcopy(CONFIG)
+        config["tariff"].update(discount_factor=[0.7, 0.8, 1], detour_factor=[0.3, 0.5])
+        _, _, out = simulate(tmp_path, config)
+        digests = output_digests(out)
+        assert {name: digests[name] for name in ("summary.csv", "decisions.csv")} == {
+            "summary.csv": "7179c48593dce9ab58948b2f34024e6c248b934c178e59515c1ed310627c567a",
+            "decisions.csv": "161d7e174773b5c288c7a4386e333859a4a8167b39b1384039ff9c62a4c90bfb",
+        }
+        # SRO: 2 seeds; PCP: 3 discounts x 2 detours x 3 mars x 2 seeds; CCP: 3 mars x 2 seeds
+        assert len((out / "summary.csv").read_text().splitlines()) == 1 + 2 + 36 + 6
+
 
 def fails_cleanly(capsys, argv):
     """Run `main(argv)`, check that it exits 2 having printed only one
@@ -612,6 +627,19 @@ class TestTripFiles:
         path = self.write(tmp_path, "0,n000x000,n001x001,,300,", "-0.5,n000x000,n001x001,,300,")
         with pytest.raises(ValueError,
                            match=r"line 3, column 'request_time_s': '-0.5' is negative"):
+            load_trips_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,n000x000,n000x000,,300,", r"column 'dest_node': 'n000x000' equals origin_node"),
+        ("0,n000x000,n001x001,,0,", r"column 'max_wait_s': '0' is not positive"),
+        ("0,n000x000,n001x001,,-5,", r"column 'max_wait_s': '-5' is not positive"),
+        ("0,n000x000,n001x001,-0.1,300,",
+         r"column 'value_of_time_usd_per_min': '-0.1' is negative"),
+    ])
+    def test_request_check_names_line_and_column(self, tmp_path, row, message):
+        # the checks a Request makes on itself, read from a file
+        path = self.write(tmp_path, "0,n000x000,n001x001,,300,", row)
+        with pytest.raises(ValueError, match=rf"^trip file line 3, {message}$"):
             load_trips_csv(path)
 
     @pytest.mark.parametrize("flag", ["maybe", "no", "yes", "2"])

@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ridepool import harness
 from ridepool.harness import (
     BRACKETS,
     SUMMARY_METRICS,
@@ -22,10 +24,10 @@ from ridepool.harness import (
 from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import make_grid
 from ridepool.simengine import SimConfig, run_sim
-from ridepool.pricing import Tariff
+from ridepool.pricing import Tariff, pcp_fare
 from ridepool.units import USEC
 from ridepool.verify import build_threshold_fixture, run_fixture
-from tests.conftest import unserved_ids
+from tests.conftest import assert_same_run, unserved_ids
 
 
 def small_grid(seeds=(1, 2), mars=(Fraction(0), Fraction(1, 2), Fraction(1))):
@@ -76,6 +78,79 @@ class TestRunGrid:
     def test_summaries_cover_grid_mars(self, small_outcomes):
         for s in summarize(small_outcomes):
             assert s.mars() == (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+DISCOUNTS = (Fraction(7, 10), Fraction(8, 10), Fraction(1))
+
+
+@pytest.fixture(scope="module")
+def discount_calls():
+    """A CCP and PCP grid over three discounts and two detours, and every
+    `run_sim` call its `run_grid` made, as (config, result) pairs."""
+    net = make_grid(6, 6, 0.15, 30)
+    trips = synthetic_trips(net, 120, 1200, seed=4)
+    grid = replace(small_grid(mars=(Fraction(1, 2), Fraction(1))),
+                   mechanisms=(Mechanism.CCP, Mechanism.PCP), discount_factors=DISCOUNTS,
+                   detour_factors=(Fraction(3, 10), Fraction(1, 2)))
+    calls = []
+
+    def recorded(cfg, trips):
+        res = run_sim(cfg, trips)
+        calls.append((cfg, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "run_sim", recorded)
+        outcomes = run_grid(grid, trips, net)
+    return outcomes, calls, trips
+
+
+class TestSharedPcpDecisions:
+    def test_one_simulation_per_pcp_group(self, discount_calls):
+        outcomes, calls, _ = discount_calls
+        # every cell is one call: 2 baselines, 2 MARs x 2 seeds of CCP and
+        # 2 MARs x 3 discounts x 2 detours x 2 seeds of PCP
+        assert len(calls) == 2 + len(outcomes) == 2 + 4 + 24
+        assert sum(cfg.decided is None for cfg, _ in calls) == 2 + 4 + 8
+        for cfg, res in calls:
+            if cfg.decided is None:
+                assert res.config is cfg
+                assert cfg.mechanism != Mechanism.PCP or cfg.tariff.discount_factor == DISCOUNTS[0]
+                continue
+            ran = cfg.decided.config
+            assert ran.tariff.discount_factor == DISCOUNTS[0] < cfg.tariff.discount_factor
+            assert ran == replace(cfg, tariff=ran.tariff)
+            assert res.vehicles is cfg.decided.vehicles
+
+    def test_re_priced_cells_equal_fresh_runs(self, discount_calls):
+        _, calls, trips = discount_calls
+        shared = [(cfg, res) for cfg, res in calls if cfg.decided is not None]
+        assert len(shared) == 16
+        for cfg, res in shared:
+            assert_same_run(res, run_sim(replace(cfg, decided=None), trips))
+
+    def test_sunk_cost_only_under_pcp(self, discount_calls):
+        # the paper's observation, on every cell: a CCP rider who is never
+        # pooled pays her solitary quote, while PCP charges every poolable
+        # rider the discounted quote, pooled or not
+        outcomes, _, _ = discount_calls
+        unpooled_ccp, sunk = 0, []
+        for oc in outcomes:
+            tariff = oc.result.config.tariff
+            served = oc.result.per_customer.values()
+            if oc.mechanism == "CCP":
+                for o in served:
+                    if not o.pooled:
+                        assert o.fare == o.solitary_quote
+                        unpooled_ccp += 1
+            elif oc.mechanism == "PCP":
+                for o in served:
+                    assert o.fare == (pcp_fare(tariff, o.solitary_quote) if o.poolable
+                                      else o.solitary_quote)
+                sunk.append(sum(o.solitary_quote - o.fare
+                                for o in served if o.poolable and not o.pooled))
+        assert unpooled_ccp > 0 and len(sunk) == 24
+        assert max(sunk) > 0
 
 
 class TestAggregate:

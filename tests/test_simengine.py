@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ridepool.costshare import shapley_split
 from ridepool.domain import Request
@@ -13,17 +14,18 @@ from ridepool.harness import synthetic_trips
 from ridepool.mechanisms import POOLED, Mechanism
 from ridepool import simengine
 from ridepool.netgraph import RoadNetwork, make_grid
-from ridepool.pricing import Tariff, solitary_fare
+from ridepool.pricing import Tariff, pcp_fare, solitary_fare
 from ridepool.simengine import (
     ConfigError,
     SimConfig,
+    reprice,
     resolve_requests,
     run_sim,
 )
 from ridepool.units import UMILE, USEC
 from ridepool.verify import check_detour_bounds, check_individual_rationality, check_replay
 from tests import _scan_oracle
-from tests.conftest import counterfactual_sro, unserved_ids
+from tests.conftest import assert_same_run, counterfactual_sro, unserved_ids
 
 TARIFF = Tariff.from_usd()
 
@@ -329,3 +331,82 @@ class TestRunAccounting:
         for o in res.per_customer.values():
             assert isinstance(o.fare, (int, Fraction))
             assert isinstance(o.total_cost, (int, Fraction))
+
+
+def with_discount(cfg, discount, **kw):
+    return replace(cfg, tariff=replace(cfg.tariff, discount_factor=discount), **kw)
+
+
+@pytest.fixture(scope="module")
+def pcp_run(grid10):
+    """A PCP configuration, its request stream and its run at discount 0.7:
+    MAR 0.6 leaves both poolable and non-poolable riders, fleet 8 pools."""
+    cfg = with_discount(config(grid10, Mechanism.PCP, seed=3, fleet=8, mar=Fraction(6, 10)),
+                        Fraction(7, 10))
+    reqs = grid_requests(grid10, 3, 150)
+    return cfg, reqs, run_sim(cfg, reqs)
+
+
+class TestReprice:
+    def test_world_has_every_kind_of_rider(self, pcp_run):
+        _, _, res = pcp_run
+        kinds = {(o.poolable, o.pooled) for o in res.per_customer.values()}
+        assert kinds == {(False, False), (True, False), (True, True)}
+        assert res.unserved > 0
+
+    @given(discount=st.fractions(0, 1, max_denominator=10**4).filter(lambda f: f > 0))
+    @example(discount=Fraction(1))
+    @example(discount=Fraction(997, 1000))
+    @example(discount=Fraction(7, 10))
+    @settings(max_examples=40, deadline=None)
+    def test_repriced_run_equals_a_fresh_one(self, pcp_run, discount):
+        cfg, reqs, decided = pcp_run
+        fresh = run_sim(with_discount(cfg, discount), reqs)
+        assert_same_run(reprice(decided, fresh.config.tariff), fresh)
+        assert_same_run(run_sim(with_discount(cfg, discount, decided=decided), reqs), fresh)
+
+    def test_run_sim_re_prices_without_deciding(self, pcp_run, monkeypatch):
+        cfg, reqs, decided = pcp_run
+        before = [repr(decided.decision_log), repr(decided.per_customer), decided.profit]
+
+        def no_decisions(*args):
+            raise AssertionError("a re-priced run decides no request")
+
+        monkeypatch.setattr(simengine, "assign_pcp", no_decisions)
+        cfg = with_discount(cfg, Fraction(9, 10), decided=decided)
+        res = run_sim(cfg, reqs)
+        assert res.config == cfg and res.config.decided is None
+        assert res.vehicles is decided.vehicles and res.requests is decided.requests
+        assert [repr(decided.decision_log), repr(decided.per_customer), decided.profit] == before
+        poolable = [o for o in res.per_customer.values() if o.poolable]
+        assert poolable and all(o.fare == pcp_fare(cfg.tariff, o.solitary_quote) for o in poolable)
+
+    def test_decided_is_outside_equality_and_repr(self, pcp_run):
+        cfg, _, decided = pcp_run
+        assert replace(cfg, decided=decided) == cfg
+        assert repr(replace(cfg, decided=decided)) == repr(cfg)
+
+    @pytest.mark.parametrize("change, field", [
+        (lambda cfg: with_discount(cfg, Fraction(9, 10)), None),
+        (lambda cfg: replace(cfg, mechanism=Mechanism.CCP), "mechanism"),
+        (lambda cfg: replace(cfg, tariff=replace(cfg.tariff, detour_factor=Fraction(1, 2))),
+         "tariff.detour_factor"),
+        (lambda cfg: replace(cfg, mar=Fraction(1)), "mar"),
+        (lambda cfg: replace(cfg, rng_seed=4), "rng_seed"),
+        (lambda cfg: replace(cfg, fleet_size=9), "fleet_size"),
+    ])
+    def test_decided_must_differ_only_in_the_discount(self, pcp_run, change, field):
+        cfg, reqs, decided = pcp_run
+        cfg = replace(change(cfg), decided=decided)
+        if field is None:
+            assert run_sim(cfg, reqs).config == cfg
+            return
+        with pytest.raises(ConfigError, match=rf"decided: the run differs in {field}$"):
+            run_sim(cfg, reqs)
+
+    def test_a_ccp_result_is_not_re_priced(self, pcp_run):
+        cfg, reqs, _ = pcp_run
+        ccp = run_sim(replace(cfg, mechanism=Mechanism.CCP), reqs)
+        for mech in (Mechanism.PCP, Mechanism.CCP):
+            with pytest.raises(ConfigError, match="decided: mechanism CCP .* only a PCP run"):
+                run_sim(replace(cfg, mechanism=mech, decided=ccp), reqs)
