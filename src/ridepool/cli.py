@@ -300,9 +300,7 @@ def cmd_split(args) -> int:
     header = cell_columns + rio.SPLIT_COLUMNS
     target = args.out or "-"
     if target == "-":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(x) for x in row))
+        rio.write_rows(sys.stdout, header, rows)
     else:
         rio.write_csv(target, header, rows)
         print(f"wrote {target}")

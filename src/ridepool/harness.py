@@ -334,27 +334,15 @@ def pareto_dominance(a: MechanismSummary, b: MechanismSummary) -> DominanceResul
     for mar in mars:
         pa, pb = a.per_mar[mar]["profit"], b.per_mar[mar]["profit"]
         ca, cb = a.per_mar[mar]["mean_cost_per_poolable"], b.per_mar[mar]["mean_cost_per_poolable"]
-        if None in (pa, pb, ca, cb):
-            ok.append(False)
-        else:
-            ok.append(pa >= pb and ca <= cb)
+        ok.append(None not in (pa, pb, ca, cb) and pa >= pb and ca <= cb)
     if all(ok):
         return DominanceResult("dominates", mars[0], mars[-1])
-    best_len, best_lo, best_hi = 0, None, None
-    i = 0
-    while i < len(mars):
-        if ok[i]:
-            j = i
-            while j + 1 < len(mars) and ok[j + 1]:
-                j += 1
-            if j - i + 1 > best_len:
-                best_len, best_lo, best_hi = j - i + 1, mars[i], mars[j]
-            i = j + 1
-        else:
-            i += 1
-    if best_len:
-        return DominanceResult("partial", best_lo, best_hi)
-    return DominanceResult("none")
+    runs = [[i for i, _ in run] for held, run in itertools.groupby(enumerate(ok), lambda x: x[1])
+            if held]
+    if not runs:
+        return DominanceResult("none")
+    best = max(runs, key=len)  # the first of the longest: the earliest on ties
+    return DominanceResult("partial", mars[best[0]], mars[best[-1]])
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,11 @@ def load_run_accounts_csv(path):
 
 def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        write_rows(fh, header, rows)
+
+
+def write_rows(fh, header, rows) -> None:
+    """The CSV text of a header and its rows, as `write_csv` writes it, to an open file."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)

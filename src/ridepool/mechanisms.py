@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .domain import DO, PU, Fleet, InsertionPlan, Request, Stop, VehicleState
-from .netgraph import INF, RoadNetwork, Unreachable
+from .netgraph import RoadNetwork
 from .pricing import Tariff, mileage_fare, pcp_fare
 from .units import Money, time_cost_mils
 
@@ -140,11 +140,6 @@ def _pooled_candidate(
     )
 
 
-def _unreachable(net: RoadNetwork, i: int, j: int) -> Unreachable:
-    """The error for a pair of node indices with no path between them."""
-    return Unreachable(net.node_ids[i], net.node_ids[j])
-
-
 def _pooled_vehicles(
     fleet: Fleet, r: Request, o: int, d: int, now: int, net: RoadNetwork,
     requests: Mapping[int, Request],
@@ -155,18 +150,17 @@ def _pooled_vehicles(
     The fleet, advanced to `now`, holds the vehicles carrying exactly one
     rider, a poolable one, in `lone`.  A vehicle whose anchor cannot reach
     r's origin within r's wait limit is skipped: every leg is a shortest
-    path, so no interleaving picks r up sooner.  Legs are scalar reads of
-    the tables' row views (`RoadNetwork.rows`), each duration read tested
-    for reachability; an interleaving that breaks r's wait limit, or the
-    wait limit of a partner still waiting, is dropped.  Each pickup order
-    (`heads`) is followed by both dropoff orders.
+    path, so no interleaving picks r up sooner.  Legs are plain scalar reads
+    of the tables' row views (`RoadNetwork.rows`): r's endpoints and the
+    fleet's routes must be mutually reachable, as `run_sim` checks at entry,
+    and every anchor lies on a canonical path between such nodes.  An
+    interleaving that breaks r's wait limit, or the wait limit of a partner
+    still waiting, is dropped.  Each pickup order (`heads`) is followed by
+    both dropoff orders.
     """
     dur, lex = net.rows()
     latest = r.request_time + r.max_wait
-    if dur[o][d] >= INF:  # an unreachable destination fails here, before any vehicle
-        raise _unreachable(net, o, d)
     out = []
-    fleet.advance(now)
     for slot, kid in sorted(fleet.lone.items()):
         k = requests[kid]
         v = fleet.vehicles[slot]
@@ -178,12 +172,7 @@ def _pooled_vehicles(
         tail = v.way_cum[-1] - a_cum  # mileage of the abandoned plan
         ride = v.active[kid]
         ok, dk = ride.origin_idx, ride.dest_idx
-        t_kr = dur[dk][d]
-        if t_kr >= INF:
-            raise _unreachable(net, dk, d)
-        t_rk = dur[d][dk]
-        if t_rk >= INF:
-            raise _unreachable(net, d, dk)
+        t_kr, t_rk = dur[dk][d], dur[d][dk]
         m_kr, m_rk = lex[dk][d], lex[d][dk]
         # (first case, node after the pickups, time and umiles there, both pickups)
         if ride.pickup_time <= now:
@@ -191,35 +180,21 @@ def _pooled_vehicles(
         else:
             heads = []
             k_latest = k.request_time + k.max_wait
-            t = dur[a][ok]
-            if t >= INF:
-                raise _unreachable(net, a, ok)
-            k_pick = t_a + t
+            k_pick = t_a + dur[a][ok]
             if k_pick <= k_latest:
-                t = dur[ok][o]
-                if t >= INF:
-                    raise _unreachable(net, ok, o)
-                r_pick = k_pick + t
+                r_pick = k_pick + dur[ok][o]
                 if r_pick <= latest:
                     heads.append((3, o, r_pick, lex[a][ok] + lex[ok][o], r_pick, k_pick))
-            t = dur[o][ok]
-            if t >= INF:
-                raise _unreachable(net, o, ok)
-            k_pick = pick + t
+            k_pick = pick + dur[o][ok]
             if k_pick <= k_latest:
                 heads.append((5, ok, k_pick, m_ao + lex[o][ok], pick, k_pick))
             if not heads:
                 continue
         rows = []
         for case, x, t, m, r_pick, k_pick in heads:
-            t1 = dur[x][dk]
-            if t1 >= INF:
-                raise _unreachable(net, x, dk)
+            t1, t2 = dur[x][dk], dur[x][d]
             rows.append((case, m + lex[x][dk] + m_kr - tail, r_pick, t + t1 + t_kr, k_pick,
                          t + t1))
-            t2 = dur[x][d]
-            if t2 >= INF:
-                raise _unreachable(net, x, d)
             rows.append((case + 1, m + lex[x][d] + m_rk - tail, r_pick, t + t2, k_pick,
                          t + t2 + t_rk))
         out.append(PooledVehicle(v, k, a, tail, tuple(rows)))
@@ -253,6 +228,9 @@ def enumerate_candidates(
     Then, for a poolable request in a pooling mode, one `PooledVehicle` per
     vehicle with a wait-feasible pooled interleaving (see
     `_pooled_vehicles`), in fleet order.  Every item is feasible.
+
+    `o`, `d` and the fleet's routes must be mutually reachable, as `run_sim`
+    checks at entry: the pass reads the tables without testing for `INF`.
     """
     dur, lex = net.rows()
     idle_at, vehicles = fleet.idle_at, fleet.vehicles
@@ -277,14 +255,11 @@ def enumerate_candidates(
     out = []
     if best is not None:
         m, vid, t = best
-        t_od = dur[o][d]
-        if t_od >= INF:
-            raise _unreachable(net, o, d)
         stops = (Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination))
         out.append(InsertionCandidate(
             vehicle=vid, plan=InsertionPlan(r.id, stops, (o, d), r.poolable),
             added_distance=m + lex[o][d], pickup_times={r.id: now + t},
-            dropoff_times={r.id: now + t + t_od}, feasible=True,
+            dropoff_times={r.id: now + t + dur[o][d]}, feasible=True,
         ))
     if mode != Mechanism.SRO and r.poolable:
         out.extend(_pooled_vehicles(fleet, r, o, d, now, net, requests))
@@ -320,7 +295,11 @@ def _priced_pass(fleet, r, now, mode, net, tariff, requests):
 def assign_sro(
     fleet: Fleet, r: Request, now: int, net: RoadNetwork, tariff: Tariff
 ) -> AssignmentDecision:
-    """Distance-minimal empty vehicle within the wait limit, else unserved."""
+    """Distance-minimal empty vehicle within the wait limit, else unserved.
+
+    `r`'s endpoints and the fleet's routes must be mutually reachable, as
+    `run_sim` checks at entry (see `enumerate_candidates`).
+    """
     *_, quote, baseline, solo, _ = _priced_pass(fleet, r, now, Mechanism.SRO, net, tariff, {})
     if solo is None:
         return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote, reason=MAX_WAIT_REASON)
@@ -351,6 +330,9 @@ def assign_pcp(
     within (1 + detour_factor) of her direct ride time.  Candidates order by
     (added distance, vehicle id, plan key); a case that cannot beat the best
     so far skips the detour test.
+
+    `r`'s endpoints and the fleet's routes must be mutually reachable, as
+    `run_sim` checks at entry (see `enumerate_candidates`).
     """
     o, d, quote, baseline, solo, pooled = _priced_pass(
         fleet, r, now, Mechanism.PCP, net, tariff, requests
@@ -419,6 +401,9 @@ def assign_ccp(
     offer with maximal surplus wins and both riders' guarantees drop by half
     the surplus.  Cost sharing later re-divides run fares but cannot change
     these decisions.
+
+    `r`'s endpoints and the fleet's routes must be mutually reachable, as
+    `run_sim` checks at entry (see `enumerate_candidates`).
     """
     o, d, quote, baseline, best_solo, pooled = _priced_pass(
         fleet, r, now, Mechanism.CCP, net, tariff, requests

@@ -117,10 +117,6 @@ class RoadNetwork:
     def n_nodes(self) -> int:
         return len(self.node_ids)
 
-    @property
-    def n_arcs(self) -> int:
-        return int(self._arc_from.shape[0])
-
     def index(self, node: str) -> int:
         try:
             return self._index[node]
@@ -129,16 +125,6 @@ class RoadNetwork:
 
     def has_node(self, node: str) -> bool:
         return node in self._index
-
-    def arcs(self):
-        """Yield (from_id, to_id, length_umiles, time_usec)."""
-        for i in range(self.n_arcs):
-            yield (
-                self.node_ids[self._arc_from[i]],
-                self.node_ids[self._arc_to[i]],
-                int(self._arc_len[i]),
-                int(self._arc_dur[i]),
-            )
 
     # -- shortest paths --------------------------------------------------------
 

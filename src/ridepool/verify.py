@@ -140,6 +140,8 @@ def check_replay(result: SimResult) -> Verdict:
             hops = v.net.leg(w, x)[0]
             fleet_dist += sum(v.net.arc_attrs(a, b)[0] for a, b in zip(hops, hops[1:]))
     for cid, o in result.per_customer.items():
+        if cid not in seen_dropoffs:
+            return Verdict("replay", "dropoffs-match", False, f"customer {cid}: no dropoff")
         t, loc = seen_dropoffs[cid]
         if t != o.dropoff_time or loc != result.requests[cid].destination:
             return Verdict("replay", "dropoffs-match", False, f"customer {cid}")

@@ -316,6 +316,20 @@ class TestSplitCommand:
         err = capsys.readouterr().err
         assert "run r1:" in err and "3 riders" in err and "goalprog" in err
 
+    def test_stdout_is_the_out_file(self, tmp_path, capsysbinary):
+        # a run id holding a comma is quoted on both paths
+        runs = tmp_path / "runs.csv"
+        runs.write_text(RUNS_HEADER + '"v1,r0",1,10.0,1.0,14.0\n"v1,r0",2,10.0,1.0,14.0\n')
+        target = tmp_path / "split.csv"
+        assert main(["split", "--runs", str(runs), "--scheme", "shapley", "--out", str(target)]) == 0
+        capsysbinary.readouterr()
+        assert main(["split", "--runs", str(runs), "--scheme", "shapley"]) == 0
+        printed = capsysbinary.readouterr().out
+        assert printed == target.read_bytes()
+        rows = list(csv.reader(printed.decode().splitlines()))
+        assert [len(row) for row in rows] == [len(SPLIT_COLUMNS)] * 3
+        assert rows[1][0] == rows[2][0] == "v1,r0"
+
     def test_accounts_loader_validates_fare_consistency(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text(

@@ -269,6 +269,17 @@ class TestParetoDominance:
         assert rel.kind == "partial"
         assert (rel.mar_lo, rel.mar_hi) == (Fraction(4, 10), Fraction(8, 10))
 
+    def test_earliest_of_equal_partial_ranges(self):
+        # cost lower at MARs 0.2-0.4 and 0.8-1.0, two ranges of two, and at 1.4 alone
+        a = summary_with([10] * 7, [5, 5, 9, 5, 5, 9, 5])
+        b = summary_with([5] * 7, [7] * 7)
+        rel = pareto_dominance(a, b)
+        assert (rel.kind, rel.mar_lo, rel.mar_hi) == ("partial", Fraction(2, 10), Fraction(4, 10))
+        # a longer later range wins over an earlier shorter one
+        a = summary_with([10] * 6, [5, 9, 5, 5, 5, 9])
+        rel = pareto_dominance(a, summary_with([5] * 6, [7] * 6))
+        assert (rel.kind, rel.mar_lo, rel.mar_hi) == ("partial", Fraction(6, 10), Fraction(1))
+
     def test_none_when_cost_always_higher(self):
         a = summary_with([10, 10], [9, 9])
         b = summary_with([5, 5], [7, 7])

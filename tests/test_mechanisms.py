@@ -181,6 +181,7 @@ class TestEnumerateCandidates:
         monkeypatch.setattr(VehicleState, "prune", per_vehicle)
         monkeypatch.setattr(VehicleState, "is_idle", per_vehicle)
         r = req(2, "B", "D", t=1)
+        fleet.advance(sec(1))  # the pass reads a fleet already advanced to `now`
         records = _pooled_vehicles(fleet, r, *ends(line6, r), sec(1), line6, {1: i})
         assert [row[0] for row in pooled_rows(records)] == [1, 2]
 

@@ -13,7 +13,7 @@ from ridepool.domain import Request
 from ridepool.harness import synthetic_trips
 from ridepool.mechanisms import POOLED, Mechanism
 from ridepool import simengine
-from ridepool.netgraph import RoadNetwork, make_grid
+from ridepool.netgraph import INF, RoadNetwork, make_grid
 from ridepool.pricing import Tariff, pcp_fare, solitary_fare
 from ridepool.simengine import (
     ConfigError,
@@ -155,6 +155,71 @@ class TestValidation:
         assert run_sim(cfg, [Request.build(0, "b", "c", 0, 300)]).served == 1
 
 
+def grid_with_sink(n=4):
+    """An n x n two-way grid of 0.1 mi, 12 s arcs plus a node `sink` that
+    one one-way arc enters and none leaves: every grid node reaches it, and
+    it reaches nothing, so its row of the tables is all INF."""
+    ids = [[f"n{r}{c}" for c in range(n)] for r in range(n)]
+    arcs = [("n00", "sink", 0.1, 12)]
+    for r in range(n):
+        for c in range(n):
+            for rr, cc in ((r, c + 1), (r + 1, c)):
+                if rr < n and cc < n:
+                    arcs += [(ids[r][c], ids[rr][cc], 0.1, 12), (ids[rr][cc], ids[r][c], 0.1, 12)]
+    return RoadNetwork([i for row in ids for i in row] + ["sink"], arcs)
+
+
+class _FiniteRows:
+    """A table's row views that fail the test at any read of an INF cell."""
+
+    def __init__(self, rows, i=None):
+        self.rows, self.i = rows, i
+
+    def __getitem__(self, j):
+        if self.i is None:
+            return _FiniteRows(self.rows[j], j)
+        x = self.rows[j]
+        assert x < INF, f"read of unreachable pair ({self.i}, {j})"
+        return x
+
+
+class TestReachabilityCheckedOnce:
+    """`run_sim` checks reachability at entry, so no table read in its
+    request loop is of an unreachable pair, even where the network has
+    some: the sink, used by no vehicle and no request."""
+
+    @pytest.fixture
+    def finite_reads(self, monkeypatch):
+        rows = RoadNetwork.rows
+        monkeypatch.setattr(RoadNetwork, "rows",
+                            lambda net: tuple(_FiniteRows(t) for t in rows(net)))
+
+    @pytest.mark.parametrize("mech", list(Mechanism))
+    def test_no_read_is_inf(self, finite_reads, mech):
+        net = grid_with_sink()
+        cfg = SimConfig(mechanism=mech, tariff=TARIFF, fleet_size=4, mar=Fraction(1),
+                        rng_seed=3, network=net, horizon=1800 * USEC,
+                        initial_vehicle_nodes=("n00", "n03", "n30", "n33"))
+        grid = [i for i in net.node_ids if i != "sink"]
+        rng = np.random.default_rng(3)
+        reqs = [Request.build(i, *(grid[int(x)] for x in rng.choice(len(grid), 2, replace=False)),
+                              10 * i, 300) for i in range(60)]
+        res = run_sim(cfg, reqs)
+        assert res.served > 0
+        assert (res.pooled_customers > 0) == (mech != Mechanism.SRO)
+
+    @pytest.mark.parametrize("mech", list(Mechanism))
+    def test_request_to_the_sink_rejected_at_entry(self, finite_reads, mech):
+        net = grid_with_sink()
+        cfg = SimConfig(mechanism=mech, tariff=TARIFF, fleet_size=2, mar=Fraction(1),
+                        rng_seed=3, network=net, horizon=1800 * USEC,
+                        initial_vehicle_nodes=("n00", "n33"))
+        reqs = [Request.build(0, "n01", "sink", 0, 300), Request.build(1, "n10", "n33", 5, 300),
+                Request.build(2, "n32", "n11", 60, 300), Request.build(3, "n02", "n20", 90, 300)]
+        with pytest.raises(ConfigError, match="'sink' .* are not mutually reachable"):
+            run_sim(cfg, reqs)
+
+
 class TestDeterminismAndPairing:
     def test_identical_runs_identical_logs(self, grid10):
         reqs = grid_requests(grid10, 5, 120)
@@ -238,6 +303,18 @@ class TestAudits:
                       grid_requests(grid10, seed, 200))
         assert check_individual_rationality(res).passed
         assert check_replay(res).passed
+
+    def test_replay_fails_on_a_missing_dropoff(self, grid10):
+        res = run_sim(config(grid10, Mechanism.CCP, seed=0, mar=Fraction(8, 10)),
+                      grid_requests(grid10, 0, 40))
+        # a vehicle's last entry is a dropoff: removing it breaks no capacity count
+        v = next(v for v in res.vehicles if v.schedule)
+        drop = v.schedule.pop()
+        assert drop.op == "DO"
+        verdict = check_replay(res)
+        assert not verdict.passed
+        assert (verdict.check, verdict.detail) == ("dropoffs-match",
+                                                   f"customer {drop.customer}: no dropoff")
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_pcp_detour_bounds_and_replay(self, grid10, seed):
