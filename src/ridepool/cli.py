@@ -20,21 +20,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import io as rio
-from .costshare import (
-    InfeasibleRun, InvalidThresholds, goalprog_split, shapley_split, validate_thresholds,
-)
+from .costshare import InfeasibleRun, goalprog_split, shapley_split
 from .harness import (
-    BRACKET_COLUMNS,
-    BRACKETS,
-    CELL_COLUMNS,
-    SUMMARY_COLUMNS,
-    MechanismSummary,
-    ScenarioGrid,
-    aggregate,
-    cell_fields,
-    pareto_dominance,
-    run_grid,
-    summary_row,
+    BRACKETS, MechanismSummary, ScenarioGrid, aggregate, pareto_dominance, run_grid,
     synthetic_trips,
 )
 from .mechanisms import Mechanism
@@ -133,9 +121,14 @@ def _within(ok, words: str):
     return read
 
 
-def _thresholds(percents) -> tuple[Fraction, ...]:
-    """Percent thresholds of the goal-programming split, checked."""
-    return tuple(validate_thresholds([Fraction(int(p), 100) for p in percents]))
+def _thresholds(key: str, typed, percents) -> tuple[Fraction, ...]:
+    """The goal-programming split's thresholds from whole `percents`; an
+    error names `key` and shows the thresholds as `typed`."""
+    if not all(0 < p < 100 for p in percents):
+        raise ConfigError(f"{key} must lie in (0, 100): {typed}")
+    if any(b <= a for a, b in zip(percents, percents[1:])):
+        raise ConfigError(f"{key} must be strictly increasing: {typed}")
+    return tuple(Fraction(p, 100) for p in percents)
 
 
 def _grid_from_config(cfg) -> ScenarioGrid:
@@ -144,8 +137,9 @@ def _grid_from_config(cfg) -> ScenarioGrid:
     _check_keys("tariff", tariff, TARIFF_KEYS)
     thresholds = ()  # only the goal-programming split reads them
     if cfg.get("split_scheme") == "goalprog":
-        thresholds = _thresholds(_axis(cfg, "split_thresholds_pct", [5, 10, 15, 20],
-                                       lambda p: _int("split_thresholds_pct", p)))
+        key, default = "split_thresholds_pct", [5, 10, 15, 20]
+        thresholds = _thresholds(key, cfg.get(key, default),
+                                 _axis(cfg, key, default, lambda p: _int(key, p)))
     return ScenarioGrid(
         mechanisms=_axis(cfg, "mechanisms", ["SRO", "PCP", "CCP"], Mechanism),
         max_waits=_axis(cfg, "max_wait_s", 360, usec_from_seconds, 1),
@@ -195,45 +189,30 @@ def cmd_simulate(args) -> int:
     grid = _grid_from_config(cfg)
     net = _network_from_config(cfg)
     trips = _load_trips(args.trips, net, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     outcomes = run_grid(grid, trips, net)
-    rio.write_csv(
-        out / "summary.csv",
-        SUMMARY_COLUMNS,
-        (summary_row(oc, grid.split_scheme) for oc in outcomes),
-    )
-
-    for name, columns, rows in (
-        ("decisions.csv", rio.DECISION_COLUMNS, rio.decision_rows),
-        ("splits.csv", rio.SPLIT_COLUMNS, rio.split_rows),
-        ("run_accounts.csv", rio.RUN_ACCOUNT_COLUMNS, rio.run_account_rows),
-    ):
-        rio.write_csv(
-            out / name,
-            CELL_COLUMNS + columns,
-            (row for oc in outcomes for row in rows(oc.result, cell_fields(oc))),
-        )
+    out = Path(args.out)  # made only now, so that a failed grid leaves no directory
+    out.mkdir(parents=True, exist_ok=True)
+    for name, header, rows in rio.SIMULATE_OUTPUTS:
+        rio.write_csv(out / name, header, (row for oc in outcomes for row in rows(oc)))
     print(f"wrote {len(outcomes)} simulations to {out}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    cells = rio.load_summary_csv(Path(args.indir) / "summary.csv")
+    path = Path(args.indir) / "summary.csv"
+    cells = rio.load_summary_csv(path)
     if not cells:
-        print("summary.csv is empty", file=sys.stderr)
-        return 1
+        raise ValueError(f"{path} has no rows")
 
     # a setting is a cell without its MAR and seed
-    n = CELL_COLUMNS.index("mar")
+    n = rio.CELL_COLUMNS.index("mar")
     settings = aggregate(
         (cell[:n], Fraction(cell[n]), metrics)
         for cell, metrics in cells
         if cell[0] != Mechanism.SRO.value
     )
     summaries = [
-        MechanismSummary("|".join(key), key[0], dict(zip(CELL_COLUMNS, key)), settings[key])
+        MechanismSummary("|".join(key), key[0], dict(zip(rio.CELL_COLUMNS, key)), settings[key])
         for key in sorted(settings)
     ]
 
@@ -252,7 +231,7 @@ def cmd_analyze(args) -> int:
                   ("setting", "mar", "unserved_pct", "distance_saving_pct",
                    "profit_usd", "mean_cost_per_poolable_usd"), agg_rows)
     if args.brackets:
-        rio.write_csv(out / "brackets.csv", ("setting", "mar", *BRACKET_COLUMNS), bracket_rows)
+        rio.write_csv(out / "brackets.csv", ("setting", "mar", *rio.BRACKET_COLUMNS), bracket_rows)
         print(f"wrote {out / 'brackets.csv'}")
 
     if args.pareto:
@@ -282,7 +261,12 @@ def cmd_verify(args) -> int:
 
 def cmd_split(args) -> int:
     if args.scheme == "goalprog":  # checked before any run is read
-        thresholds = _thresholds(args.thresholds.split(","))
+        try:
+            percents = [int(p) for p in args.thresholds.split(",")]
+        except ValueError:
+            raise ConfigError("--thresholds must be comma-separated whole percents, "
+                              f"got {args.thresholds!r}") from None
+        thresholds = _thresholds("--thresholds", args.thresholds, percents)
     cell_columns, accounts = rio.load_run_accounts_csv(args.runs)
     rows = []
     for cell, acct in accounts:
@@ -290,13 +274,7 @@ def cmd_split(args) -> int:
             res = shapley_split(acct)
         else:
             res = goalprog_split(acct, thresholds)
-        by_cust = {m.customer: m for m in acct.members}
-        for e in res.entries:
-            m = by_cust[e.customer]
-            rows.append(
-                cell + (acct.run_id, e.customer, fmt_usd(m.solitary_cost),
-                        fmt_usd(m.pooled_time_cost), fmt_usd(e.fare), fmt4(e.saving))
-            )
+        rows.extend(rio.run_split_rows(acct, {e.customer: e.fare for e in res.entries}, cell))
     header = cell_columns + rio.SPLIT_COLUMNS
     target = args.out or "-"
     if target == "-":
@@ -341,7 +319,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, InfeasibleRun, InvalidThresholds, OSError, ValueError) as err:
+    except (ConfigError, InfeasibleRun, OSError, ValueError) as err:
         print(f"ridepool {args.command}: {err}", file=sys.stderr)
         return 2
 

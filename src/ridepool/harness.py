@@ -6,19 +6,21 @@ provider-centered pooling) with wait limits, fleet sizes, matching
 acceptance rates and seeds.  Every pooling cell is paired with a
 solitary-rides baseline sharing its seed, fleet placement and request
 draws, so per-seed comparisons are coupled; the baseline is independent of
-the acceptance rate and cached per (wait, fleet, seed).  Provider-centered
-pooling decides without reading the discount factor, so its decisions are
-shared across discounts: the first discount cell of each (wait, fleet, MAR,
+the acceptance rate, and one is simulated per configuration, that is per
+(wait, fleet, seed).  Each pooling cell's configuration is its baseline's
+with the cell's mechanism, tariff and MAR.  Provider-centered pooling
+decides without reading the discount factor, so its decisions are shared
+across discounts: the first discount cell of each (wait, fleet, MAR,
 detour, seed) group is simulated and the others re-price that run.
 
-Outputs are exact-fraction aggregates; rendering to four decimals happens
-only in the writers, so rerunning a grid reproduces files byte for byte.
+Outputs are exact-fraction aggregates; `io` renders them to four decimals,
+so rerunning a grid reproduces files byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -34,10 +36,9 @@ from .simengine import (
     SimResult,
     run_sim,
 )
-from .units import USEC, fmt4, fmt_miles, fmt_opt, fmt_usd
+from .units import USEC, fmt4, fmt_usd
 
 BRACKETS = (Fraction(0), Fraction(5, 100), Fraction(10, 100), Fraction(15, 100), Fraction(20, 100))
-BRACKET_COLUMNS = tuple(f"br{t * 100}" for t in BRACKETS)  # br0, br5, ..., br20
 
 
 class MismatchedGrids(Exception):
@@ -175,57 +176,36 @@ def savings_brackets(result: SimResult, thresholds=BRACKETS):
 def run_grid(grid: ScenarioGrid, trips: list[Request], net: RoadNetwork) -> list[CellOutcome]:
     """Execute every grid cell with its paired baseline, seeds innermost.
 
-    Every cell is one `run_sim` call.  A PCP cell whose (wait, fleet, MAR,
+    Every cell is one `run_sim` call, preceded by its baseline's when that
+    configuration has not run yet.  A PCP cell whose (wait, fleet, MAR,
     detour, seed) group already ran under another discount hands that run
     over as `SimConfig.decided`, so `run_sim` re-prices it rather than
     deciding every request again.
     """
-    sro_cache: dict[tuple, SimResult] = {}
+    sro_cache: dict[SimConfig, SimResult] = {}
     pcp_decided: dict[tuple, SimResult] = {}
     outcomes: list[CellOutcome] = []
-
-    def sro_for(wait, fleet, seed):
-        key = (wait, fleet, seed)
-        if key not in sro_cache:
-            cfg = SimConfig(
-                mechanism=Mechanism.SRO,
-                tariff=grid.tariff(),
-                fleet_size=fleet,
-                mar=Fraction(0),
-                rng_seed=seed,
-                network=net,
-                horizon=grid.horizon,
-                max_wait_override=wait,
-                vot_values=grid.vot_values,
-            )
-            sro_cache[key] = run_sim(cfg, trips)
-        return sro_cache[key]
-
     for mech, params in grid.cells():
         for seed in grid.seeds:
-            baseline = sro_for(params["max_wait"], params["fleet"], seed)
+            sro = SimConfig(
+                mechanism=Mechanism.SRO, tariff=grid.tariff(), fleet_size=params["fleet"],
+                mar=Fraction(0), rng_seed=seed, network=net, horizon=grid.horizon,
+                max_wait_override=params["max_wait"], split_scheme=grid.split_scheme,
+                split_thresholds=grid.split_thresholds, vot_values=grid.vot_values,
+            )
+            if sro not in sro_cache:
+                sro_cache[sro] = run_sim(sro, trips)
+            baseline = sro_cache[sro]
             if mech == Mechanism.SRO:
                 outcomes.append(CellOutcome(mech.value, dict(params), seed, baseline, baseline))
                 continue
-            tariff = grid.tariff(
-                change_fee=params.get("fee"),
-                discount=params.get("discount"),
-                detour=params.get("detour"),
-            )
-            group = (mech, params["max_wait"], params["fleet"], params["mar"],
-                     params.get("detour"), seed)
-            cfg = SimConfig(
+            group = (sro, mech, params["mar"], params.get("detour"))
+            cfg = replace(
+                sro,
                 mechanism=mech,
-                tariff=tariff,
-                fleet_size=params["fleet"],
+                tariff=grid.tariff(change_fee=params.get("fee"), discount=params.get("discount"),
+                                   detour=params.get("detour")),
                 mar=params["mar"],
-                rng_seed=seed,
-                network=net,
-                horizon=grid.horizon,
-                max_wait_override=params["max_wait"],
-                split_scheme=grid.split_scheme,
-                split_thresholds=grid.split_thresholds,
-                vot_values=grid.vot_values,
                 decided=pcp_decided.get(group),
             )
             result = run_sim(cfg, trips)
@@ -363,57 +343,3 @@ def synthetic_trips(net: RoadNetwork, n: int, horizon_s: int, seed: int) -> list
         Request.build(i, net.node_ids[o], net.node_ids[d], t, 600)
         for i, (t, o, d) in enumerate(rows)
     ]
-
-
-# ---------------------------------------------------------------------------
-# tabular views
-# ---------------------------------------------------------------------------
-
-# the coordinates of one simulation, leading every per-cell CSV row
-CELL_COLUMNS = (
-    "mechanism", "change_fee_usd", "discount_factor", "detour_factor",
-    "max_wait_s", "fleet_size", "mar", "seed",
-)
-SUMMARY_COLUMNS = CELL_COLUMNS + (
-    "split_scheme",
-    "requests", "served", "unserved", "poolable", "pooled",
-    "fleet_distance_mi", "fares_usd", "profit_usd",
-    "sro_distance_mi", "sro_profit_usd",
-    "distance_saving_pct", "profit_delta_pct",
-    "mean_cost_per_poolable_usd", "cost_reduction_pct",
-    *BRACKET_COLUMNS,
-)
-
-
-def cell_fields(oc: CellOutcome) -> tuple:
-    """The `CELL_COLUMNS` values of one simulation, as written."""
-    p = oc.params
-    return (
-        oc.mechanism,
-        fmt_opt(p.get("fee"), fmt_usd),
-        fmt_opt(p.get("discount")),
-        fmt_opt(p.get("detour")),
-        p["max_wait"] // USEC,
-        p["fleet"],
-        fmt4(p.get("mar", Fraction(0))),
-        oc.seed,
-    )
-
-
-def summary_row(oc: CellOutcome, split_scheme: str) -> tuple:
-    m = oc.metrics()
-    return (
-        *cell_fields(oc),
-        split_scheme,
-        m["requests"], m["served"], m["unserved"], m["poolable"], m["pooled"],
-        fmt_miles(m["fleet_distance"]),
-        fmt_usd(m["fares"]),
-        fmt_usd(m["profit"]),
-        fmt_miles(m["sro_distance"]),
-        fmt_usd(m["sro_profit"]),
-        fmt_opt(m["distance_saving_pct"]),
-        fmt_opt(m["profit_delta_pct"]),
-        fmt_opt(m["mean_cost_per_poolable"], fmt_usd),
-        fmt_opt(m["cost_reduction_pct"]),
-        *(fmt_opt(m["brackets"][t]) for t in BRACKETS),
-    )

@@ -1,4 +1,5 @@
-"""File formats: the trip, summary and run-account readers and the CSV writers.
+"""File formats: the trip, summary and run-account readers and the CSVs of
+`simulate` (`SIMULATE_OUTPUTS`) and `split` (`run_split_rows`, as in `splits.csv`).
 
 All floating outputs are rendered with exactly four decimals, rounded half
 to even from the exact internal integers, so rewriting the same results
@@ -12,9 +13,10 @@ from fractions import Fraction
 
 from .costshare import RunAccount, RunMember
 from .domain import Request
-from .harness import BRACKET_COLUMNS, BRACKETS, CELL_COLUMNS, SUMMARY_COLUMNS
-from .simengine import SimResult
-from .units import MILS, fmt4, fmt_miles, fmt_seconds, fmt_usd, mils_from_usd, usec_from_seconds
+from .harness import BRACKETS, CellOutcome
+from .units import (
+    MILS, USEC, fmt4, fmt_miles, fmt_opt, fmt_seconds, fmt_usd, mils_from_usd, usec_from_seconds,
+)
 
 TRIP_COLUMNS = (
     "request_time_s",
@@ -27,6 +29,22 @@ TRIP_COLUMNS = (
 
 
 POOLABLE_FLAGS = {"": None, "0": False, "false": False, "1": True, "true": True}
+
+# the coordinates of one simulation, leading every per-cell CSV row
+CELL_COLUMNS = (
+    "mechanism", "change_fee_usd", "discount_factor", "detour_factor",
+    "max_wait_s", "fleet_size", "mar", "seed",
+)
+BRACKET_COLUMNS = tuple(f"br{t * 100}" for t in BRACKETS)  # br0, br5, ..., br20
+SUMMARY_COLUMNS = CELL_COLUMNS + (
+    "split_scheme",
+    "requests", "served", "unserved", "poolable", "pooled",
+    "fleet_distance_mi", "fares_usd", "profit_usd",
+    "sro_distance_mi", "sro_profit_usd",
+    "distance_saving_pct", "profit_delta_pct",
+    "mean_cost_per_poolable_usd", "cost_reduction_pct",
+    *BRACKET_COLUMNS,
+)
 
 
 class Rejected(ValueError):
@@ -117,6 +135,40 @@ def load_summary_csv(path) -> list[tuple[tuple[str, ...], dict]]:
     return out
 
 
+def cell_fields(oc: CellOutcome) -> tuple:
+    """The `CELL_COLUMNS` values of one simulation, as written."""
+    p = oc.params
+    return (
+        oc.mechanism,
+        fmt_opt(p.get("fee"), fmt_usd),
+        fmt_opt(p.get("discount")),
+        fmt_opt(p.get("detour")),
+        p["max_wait"] // USEC,
+        p["fleet"],
+        fmt4(p.get("mar", Fraction(0))),
+        oc.seed,
+    )
+
+
+def summary_row(oc: CellOutcome) -> tuple:
+    m = oc.metrics()
+    return (
+        *cell_fields(oc),
+        oc.result.config.split_scheme,
+        m["requests"], m["served"], m["unserved"], m["poolable"], m["pooled"],
+        fmt_miles(m["fleet_distance"]),
+        fmt_usd(m["fares"]),
+        fmt_usd(m["profit"]),
+        fmt_miles(m["sro_distance"]),
+        fmt_usd(m["sro_profit"]),
+        fmt_opt(m["distance_saving_pct"]),
+        fmt_opt(m["profit_delta_pct"]),
+        fmt_opt(m["mean_cost_per_poolable"], fmt_usd),
+        fmt_opt(m["cost_reduction_pct"]),
+        *(fmt_opt(m["brackets"][t]) for t in BRACKETS),
+    )
+
+
 DECISION_COLUMNS = (
     "time_s",
     "customer",
@@ -131,9 +183,10 @@ DECISION_COLUMNS = (
 )
 
 
-def decision_rows(result: SimResult, prefix: tuple = ()):
-    for d in result.decision_log:
-        yield prefix + (
+def decision_rows(oc: CellOutcome):
+    cell = cell_fields(oc)
+    for d in oc.result.decision_log:
+        yield cell + (
             fmt_seconds(d.time),
             d.customer,
             d.mechanism,
@@ -157,20 +210,22 @@ SPLIT_COLUMNS = (
 )
 
 
-def split_rows(result: SimResult, prefix: tuple = ()):
+def run_split_rows(account: RunAccount, fares, cell: tuple = ()):
+    """One row per member of a run divided into `fares` (customer -> mils),
+    each led by `cell`."""
+    for m in account.members:
+        fare = fares[m.customer]
+        saving = 1 - Fraction(fare + m.pooled_time_cost, m.solitary_cost)
+        yield cell + (account.run_id, m.customer, fmt_usd(m.solitary_cost),
+                      fmt_usd(m.pooled_time_cost), fmt_usd(fare), fmt4(saving))
+
+
+def split_rows(oc: CellOutcome):
     """Per-customer rows of every pooled run's final fare division."""
-    for account in result.accounts:
-        for m in account.members:
-            fare = result.per_customer[m.customer].fare
-            saving = 1 - Fraction(fare + m.pooled_time_cost, m.solitary_cost)
-            yield prefix + (
-                account.run_id,
-                m.customer,
-                fmt_usd(m.solitary_cost),
-                fmt_usd(m.pooled_time_cost),
-                fmt_usd(fare),
-                fmt4(saving),
-            )
+    cell, book = cell_fields(oc), oc.result.per_customer
+    for account in oc.result.accounts:
+        yield from run_split_rows(account, {m.customer: book[m.customer].fare
+                                            for m in account.members}, cell)
 
 
 RUN_ACCOUNT_COLUMNS = (
@@ -182,16 +237,21 @@ RUN_ACCOUNT_COLUMNS = (
 )
 
 
-def run_account_rows(result: SimResult, prefix: tuple = ()):
-    for account in result.accounts:
+def run_account_rows(oc: CellOutcome):
+    cell = cell_fields(oc)
+    for account in oc.result.accounts:
         for m in account.members:
-            yield prefix + (
-                account.run_id,
-                m.customer,
-                fmt_usd(m.solitary_cost),
-                fmt_usd(m.pooled_time_cost),
-                fmt_usd(account.run_fare),
-            )
+            yield cell + (account.run_id, m.customer, fmt_usd(m.solitary_cost),
+                          fmt_usd(m.pooled_time_cost), fmt_usd(account.run_fare))
+
+
+# (file name, header, rows of one simulation) of every file `simulate` writes
+SIMULATE_OUTPUTS = (
+    ("summary.csv", SUMMARY_COLUMNS, lambda oc: (summary_row(oc),)),
+    ("decisions.csv", CELL_COLUMNS + DECISION_COLUMNS, decision_rows),
+    ("splits.csv", CELL_COLUMNS + SPLIT_COLUMNS, split_rows),
+    ("run_accounts.csv", CELL_COLUMNS + RUN_ACCOUNT_COLUMNS, run_account_rows),
+)
 
 
 def _non_negative(parse):

@@ -171,10 +171,10 @@ def _validate(cfg: SimConfig, requests: list[Request], fleet) -> None:
         if r.request_time < 0:
             raise ConfigError(f"request {r.id}: request time {fmt_seconds(r.request_time)} s "
                               "is negative")
-        if not (net.has_node(r.origin) and net.has_node(r.destination)):
-            raise ConfigError(f"request {r.id} references nodes off the network")
-        used.add(net.index(r.origin))
-        used.add(net.index(r.destination))
+        for node in (r.origin, r.destination):
+            if not net.has_node(node):
+                raise ConfigError(f"request {r.id}: node {node!r} is not on the network")
+            used.add(net.index(node))
     # all used nodes are mutually reachable exactly when each reaches one hub
     # and is reached from it; only a failure searches every pair for its name
     nodes = np.fromiter(used, dtype=np.intp, count=len(used))

@@ -119,8 +119,9 @@ def check_detour_bounds(result: SimResult, detour_factor: Fraction) -> Verdict:
 
 
 def check_replay(result: SimResult) -> Verdict:
-    """Schedules, customer records and mileage must agree when replayed."""
-    seen_dropoffs = {}
+    """Schedules, customer records and mileage must agree when replayed: each
+    served customer's last pickup and dropoff match her times and endpoints."""
+    pickups, dropoffs = {}, {}  # each customer's last, as (time, node)
     fleet_dist = 0
     for v in result.vehicles:
         onboard = 0
@@ -133,17 +134,20 @@ def check_replay(result: SimResult) -> Verdict:
                 onboard += 1
                 if onboard > 2:
                     return Verdict("replay", "capacity", False, f"vehicle {v.id} at t={e.time}")
+                pickups[e.customer] = (e.time, e.location)
             elif e.op == "DO":
                 onboard -= 1
-                seen_dropoffs[e.customer] = (e.time, e.location)
+                dropoffs[e.customer] = (e.time, e.location)
         for w, x in zip(v.way_nodes, v.way_nodes[1:]):
             hops = v.net.leg(w, x)[0]
             fleet_dist += sum(v.net.arc_attrs(a, b)[0] for a, b in zip(hops, hops[1:]))
     for cid, o in result.per_customer.items():
-        if cid not in seen_dropoffs:
+        r = result.requests[cid]
+        if pickups.get(cid) != (o.pickup_time, r.origin):
+            return Verdict("replay", "pickups-match", False, f"customer {cid}")
+        if cid not in dropoffs:
             return Verdict("replay", "dropoffs-match", False, f"customer {cid}: no dropoff")
-        t, loc = seen_dropoffs[cid]
-        if t != o.dropoff_time or loc != result.requests[cid].destination:
+        if dropoffs[cid] != (o.dropoff_time, r.destination):
             return Verdict("replay", "dropoffs-match", False, f"customer {cid}")
     if fleet_dist != result.fleet_distance:
         return Verdict(

@@ -12,9 +12,10 @@ import pytest
 from ridepool import cli
 from ridepool.cli import main
 from ridepool.domain import Request
-from ridepool.harness import CELL_COLUMNS, SUMMARY_COLUMNS, run_grid, summarize
+from ridepool.harness import run_grid, summarize
 from ridepool.io import (
-    SPLIT_COLUMNS, TRIP_COLUMNS, load_run_accounts_csv, load_summary_csv, load_trips_csv,
+    CELL_COLUMNS, SPLIT_COLUMNS, SUMMARY_COLUMNS, TRIP_COLUMNS, load_run_accounts_csv,
+    load_summary_csv, load_trips_csv,
 )
 from ridepool.units import MILS, USEC, fmt4, fmt_opt, fmt_seconds, fmt_usd
 
@@ -136,13 +137,13 @@ def fails_cleanly(capsys, argv):
     return err.rstrip("\n")
 
 
-def config_error(tmp_path, capsys, config):
-    """Run `simulate` on `config` over synthetic trips, check that it fails
-    cleanly before writing any output, and return its stderr line."""
+def config_error(tmp_path, capsys, config, trips="synthetic:n=5"):
+    """Run `simulate` on `config` over `trips`, check that it fails cleanly
+    before writing any output, and return its stderr line."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    err = fails_cleanly(capsys, ["simulate", "--config", str(cfg), "--trips", "synthetic:n=5",
+    err = fails_cleanly(capsys, ["simulate", "--config", str(cfg), "--trips", trips,
                                  "--out", str(out)])
     assert not out.exists()
     return err
@@ -257,6 +258,13 @@ class TestAnalyze:
         with pytest.raises(ValueError,
                            match=rf"summary file line 4, column '{column}': cannot read '{text}'"):
             load_summary_csv(bad)
+
+    def test_header_only_summary_fails_cleanly(self, tmp_path, capsys):
+        # used to print an unprefixed line and exit 1
+        path = tmp_path / "summary.csv"
+        path.write_text(",".join(SUMMARY_COLUMNS) + "\n")
+        assert fails_cleanly(capsys, ["analyze", "--in", str(tmp_path)]) == (
+            f"ridepool analyze: {path} has no rows")
 
     def test_short_summary_row_names_the_line(self, simulated, tmp_path):
         _, _, out = simulated
@@ -380,16 +388,18 @@ class TestInputErrors:
         assert "run r1: fare 30000 exceeds willingness 18000" in err
 
     @pytest.mark.parametrize("thresholds,message", [
-        ("5,x", "invalid literal for int() with base 10: 'x'"),
-        ("20,5", "thresholds must be strictly increasing"),
-        ("150", "thresholds must lie in (0, 1)"),
-    ])
+        # these used to print Python's int() text and Fraction reprs
+        ("5,x", "--thresholds must be comma-separated whole percents, got '5,x'"),
+        ("20,5", "--thresholds must be strictly increasing: 20,5"),
+        ("150", "--thresholds must lie in (0, 100): 150"),
+        ("10,5", "--thresholds must be strictly increasing: 10,5"),
+    ], ids=["not-a-number", "decreasing", "above-100", "halving"])
     def test_malformed_thresholds(self, tmp_path, capsys, thresholds, message):
         runs = two_rider_run(tmp_path, 14.0)
         assert main(["split", "--runs", runs, "--scheme", "goalprog"]) == 0
         err = fails_cleanly(capsys, ["split", "--runs", runs, "--scheme", "goalprog",
                                      "--thresholds", thresholds])
-        assert message in err
+        assert err == f"ridepool split: {message}"
 
     @pytest.mark.parametrize("command,flag", [("split", "--runs"), ("analyze", "--in")])
     def test_missing_input_file(self, tmp_path, capsys, command, flag):
@@ -483,6 +493,24 @@ class TestInputErrors:
         edit(config)
         assert config_error(tmp_path, capsys, config) == f"ridepool simulate: {message}"
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda c: c.update(fleet_size=0), "fleet_size must be at least 1"),
+        (lambda c: c.update(mar=1.5), "mar must lie in [0, 1]"),
+        (lambda c: c.update(split_scheme="foo"), "unknown split scheme 'foo'"),
+    ], ids=["fleet-zero", "mar-above-one", "unknown-split-scheme"])
+    def test_error_inside_the_grid_writes_no_output(self, tmp_path, capsys, edit, message):
+        # raised by the simulations, after `--out` used to be made
+        config = copy.deepcopy(CONFIG)
+        edit(config)
+        assert config_error(tmp_path, capsys, config) == f"ridepool simulate: {message}"
+
+    def test_trip_node_off_the_network_is_named(self, tmp_path, capsys):
+        trips = tmp_path / "trips.csv"
+        trips.write_text(",".join(TRIP_COLUMNS) + "\n5,n000x000,n001x001,,60,\n"
+                         "9,n000x001,zzz,,60,\n")
+        assert config_error(tmp_path, capsys, CONFIG, str(trips)) == (
+            "ridepool simulate: request 1: node 'zzz' is not on the network")
+
     def test_edge_cases_of_the_tariff_ranges_run(self):
         # zero fees and a discount of exactly one are in range
         tariff = {**CONFIG["tariff"], "base_fare_usd": 0, "change_fee_usd": 0,
@@ -563,18 +591,21 @@ class TestInputErrors:
                      "--thresholds", "5,x"]) == 0
         err = fails_cleanly(capsys, ["split", "--runs", str(empty), "--scheme", "goalprog",
                                      "--thresholds", "20,5"])
-        assert "thresholds must be strictly increasing" in err
+        assert err == "ridepool split: --thresholds must be strictly increasing: 20,5"
         # checked before the run file is opened
         err = fails_cleanly(capsys, ["split", "--runs", str(tmp_path / "missing"),
                                      "--scheme", "goalprog", "--thresholds", "150"])
-        assert "thresholds must lie in (0, 1)" in err
+        assert err == "ridepool split: --thresholds must lie in (0, 100): 150"
 
     def test_simulate_checks_goalprog_thresholds_up_front(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**CONFIG, "split_thresholds_pct": [20, 5]}))
-        argv = ["simulate", "--config", str(cfg), "--trips", "synthetic:n=5", "--out",
-                str(tmp_path / "out")]
-        assert "thresholds must be strictly increasing" in fails_cleanly(capsys, argv)
+        # the percents as given, where Fraction reprs of the thresholds used to be shown
+        for percents, message in [([20, 5], "must be strictly increasing: [20, 5]"),
+                                  ([10, 5], "must be strictly increasing: [10, 5]"),
+                                  ([200], "must lie in (0, 100): [200]"),
+                                  (200, "must lie in (0, 100): 200")]:
+            config = {**CONFIG, "split_thresholds_pct": percents}
+            assert config_error(tmp_path, capsys, config) == (
+                f"ridepool simulate: split_thresholds_pct {message}")
 
     def test_module_invocation_prints_no_traceback(self, tmp_path):
         proc = subprocess.run(

@@ -18,9 +18,9 @@ from ridepool.harness import (
     run_grid,
     savings_brackets,
     summarize,
-    summary_row,
     synthetic_trips,
 )
+from ridepool.io import summary_row
 from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import make_grid
 from ridepool.simengine import SimConfig, run_sim
@@ -71,8 +71,8 @@ class TestRunGrid:
         net = make_grid(6, 6, 0.15, 30)
         trips = synthetic_trips(net, 60, 1200, seed=9)
         grid = small_grid(seeds=(3,), mars=(Fraction(1, 2),))
-        rows1 = [summary_row(oc, grid.split_scheme) for oc in run_grid(grid, trips, net)]
-        rows2 = [summary_row(oc, grid.split_scheme) for oc in run_grid(grid, trips, net)]
+        rows1 = [summary_row(oc) for oc in run_grid(grid, trips, net)]
+        rows2 = [summary_row(oc) for oc in run_grid(grid, trips, net)]
         assert rows1 == rows2
 
     def test_summaries_cover_grid_mars(self, small_outcomes):

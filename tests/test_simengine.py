@@ -123,8 +123,15 @@ class TestValidation:
     def test_off_network_rejected(self, grid10):
         r = Request.build(0, "n000x000", "n001x001", 0, 300)
         bad = replace(r, destination="nowhere")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^request 0: node 'nowhere' is not on the network$"):
             run_sim(config(grid10, Mechanism.SRO), [bad])
+
+    def test_off_network_origin_is_named(self, grid10):
+        # the message used to name neither the node nor which end it was
+        reqs = [Request.build(0, "n000x000", "n001x001", 0, 300),
+                Request.build(1, "zzz", "n001x001", 5, 300)]
+        with pytest.raises(ConfigError, match="^request 1: node 'zzz' is not on the network$"):
+            run_sim(config(grid10, Mechanism.CCP), reqs)
 
     def test_endpoints_in_different_components_rejected(self):
         # two islands: a <-> b and c <-> d
@@ -315,6 +322,16 @@ class TestAudits:
         assert not verdict.passed
         assert (verdict.check, verdict.detail) == ("dropoffs-match",
                                                    f"customer {drop.customer}: no dropoff")
+
+    def test_replay_fails_on_a_wrong_pickup_time(self, grid10):
+        res = run_sim(config(grid10, Mechanism.CCP, seed=0, mar=Fraction(8, 10)),
+                      grid_requests(grid10, 0, 40))
+        assert check_replay(res).passed
+        rider = next(o for o in res.per_customer.values() if o.pooled)
+        rider.pickup_time += 1
+        verdict = check_replay(res)
+        assert not verdict.passed
+        assert (verdict.check, verdict.detail) == ("pickups-match", f"customer {rider.customer}")
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_pcp_detour_bounds_and_replay(self, grid10, seed):
