@@ -27,19 +27,43 @@ from .harness import (
 )
 from .mechanisms import Mechanism
 from .netgraph import load_network_csv, make_grid
-from .simengine import ConfigError
-from .units import fmt4, fmt_opt, fmt_usd, fraction_from, mils_from_usd, usec_from_seconds
+from .simengine import DEFAULT_THRESHOLDS, SPLIT_SCHEMES, ConfigError
+from .units import USEC, fmt4, fmt_opt, fmt_usd, fraction_from, mils_from_usd, usec_from_seconds
 from .verify import run_all_fixtures
 
 
-CONFIG_KEYS = (
-    "network", "horizon_s", "tariff", "mechanisms", "max_wait_s", "mar", "fleet_size", "seeds",
-    "value_of_time_usd_per_min", "split_scheme", "split_thresholds_pct",
-)
-TARIFF_KEYS = (
-    "base_fare_usd", "per_mile_usd", "provider_cost_per_mile_usd", "change_fee_usd",
-    "discount_factor", "detour_factor",
-)
+# A rule is (test, words): a value read from a config key must pass `test`,
+# or the config fails with "<key> must be <words>, got <value as typed>".
+INTEGER = (lambda v: type(v) is int, "an integer")
+POSITIVE = (lambda v: v > 0, "positive")
+NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
+
+# config key -> (ScenarioGrid field, reader of one value or None to keep it as
+# typed, rules).  A key whose field defaults to a tuple takes a list or one
+# value; a key left out takes the field's default.
+CONFIG_TABLE = {
+    "horizon_s": ("horizon", usec_from_seconds, (NON_NEGATIVE,)),
+    "mechanisms": ("mechanisms", Mechanism, ()),
+    "max_wait_s": ("max_waits", usec_from_seconds, (POSITIVE,)),
+    "mar": ("mars", fraction_from, ((lambda m: 0 <= m <= 1, "in [0, 1]"),)),
+    "fleet_size": ("fleet_sizes", None, (INTEGER, (lambda f: f >= 1, "at least 1"))),
+    "seeds": ("seeds", None, (INTEGER, (lambda s: s >= 0, "at least 0"))),
+    "value_of_time_usd_per_min": ("vot_values", mils_from_usd, (NON_NEGATIVE,)),
+    "split_scheme": ("split_scheme", None,
+                     ((lambda s: s in SPLIT_SCHEMES, " or ".join(SPLIT_SCHEMES)),)),
+    # whole percents, made thresholds by `_thresholds`
+    "split_thresholds_pct": ("split_thresholds", None, (INTEGER,)),
+}
+TARIFF_TABLE = {
+    "base_fare_usd": ("base_fare", mils_from_usd, (NON_NEGATIVE,)),
+    "per_mile_usd": ("per_mile", mils_from_usd, (POSITIVE,)),
+    "provider_cost_per_mile_usd": ("provider_cost_per_mile", mils_from_usd, (POSITIVE,)),
+    "change_fee_usd": ("change_fees", mils_from_usd, (NON_NEGATIVE,)),
+    "discount_factor": ("discount_factors", fraction_from, ((lambda d: 0 < d <= 1, "in (0, 1]"),)),
+    "detour_factor": ("detour_factors", fraction_from, (POSITIVE,)),
+}
+CONFIG_KEYS = ("network", "tariff", *CONFIG_TABLE)
+TARIFF_KEYS = tuple(TARIFF_TABLE)
 GRID_KEYS = ("rows", "cols", "edge_length_mi", "speed_mph")
 
 
@@ -60,50 +84,27 @@ def _required(section: str, given, key: str):
     return given[key]
 
 
-def _int(name: str, value, least: int | None = None) -> int:
-    if type(value) is not int:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ConfigError(f"{name} must be at least {least}, got {value}")
+def _value(key: str, typed, read=None, rules=()):
+    """`read(typed)`, or `typed` when `read` is None, passing every rule; an
+    unreadable value or a broken rule raises a ConfigError naming `key`."""
+    try:
+        value = typed if read is None else read(typed)
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}") from None
+    for test, words in rules:
+        if not test(value):
+            raise ConfigError(f"{key} must be {words}, got {typed!r}")
     return value
 
 
-def _number(key: str, value, convert=fraction_from, least=None):
-    """`convert(value)`; an unreadable value, or one below `least`, raises a
-    ConfigError naming the config key."""
-    try:
-        number = convert(value)
-    except ValueError as err:
-        raise ConfigError(f"{key}: {err}") from None
-    if least is not None and number < least:
-        raise ConfigError(f"{key} must be {'positive' if least else 'non-negative'}, got {value!r}")
-    return number
-
-
-def _network_from_config(cfg):
-    net_cfg = _required("config", cfg, "network")
-    _check_keys("network", net_cfg, ("grid", "file"))
-    if "grid" in net_cfg:
-        g = net_cfg["grid"]
-        _check_keys("network.grid", g, GRID_KEYS)
-        rows, cols, length, speed = (_required("network.grid", g, key) for key in GRID_KEYS)
-        return make_grid(_int("network.grid rows", rows), _int("network.grid cols", cols),
-                         _number("edge_length_mi", length), _number("speed_mph", speed))
-    if "file" not in net_cfg:
-        raise ConfigError("network needs 'grid' or 'file'")
-    return load_network_csv(net_cfg["file"])
-
-
-def _axis(section: dict, key: str, default, convert=fraction_from, least=None,
-          distinct=True) -> tuple:
-    """The non-empty list at `key`, or its one value, each read by `_number`.
-    A `distinct` axis takes no value twice, however spelled: the grid would
-    run its cells twice and weigh them double in every mean."""
-    value = section.get(key, default)
-    if value == []:
+def _values(key: str, typed, read, rules, distinct: bool) -> tuple:
+    """The non-empty list `typed`, or its one value, each read by `_value`.
+    A `distinct` list takes no value twice, however spelled: a grid axis
+    would run its cells twice and weigh them double in every mean."""
+    if typed == []:
         raise ConfigError(f"{key} must not be an empty list")
-    raw = value if isinstance(value, list) else [value]
-    values = tuple(_number(key, v, convert, least) for v in raw)
+    raw = typed if isinstance(typed, list) else [typed]
+    values = tuple(_value(key, v, read, rules) for v in raw)
     for i, v in enumerate(values):
         if distinct and v in values[:i]:
             first = raw[values.index(v)]
@@ -111,14 +112,20 @@ def _axis(section: dict, key: str, default, convert=fraction_from, least=None,
     return values
 
 
-def _within(ok, words: str):
-    """A reader for `_number` that takes a number only when `ok` holds for it."""
-    def read(value):
-        number = fraction_from(value)
-        if not ok(number):
-            raise ValueError(f"must be {words}, got {value!r}")
-        return number
-    return read
+def _network_from_config(cfg):
+    net_cfg = _required("config", cfg, "network")
+    _check_keys("network", net_cfg, ("grid", "file"))
+    if len(net_cfg) != 1:
+        raise ConfigError(f"network needs 'grid' or 'file'{', not both' if net_cfg else ''}")
+    if "grid" in net_cfg:
+        g = net_cfg["grid"]
+        _check_keys("network.grid", g, GRID_KEYS)
+        rows, cols, length, speed = (_required("network.grid", g, key) for key in GRID_KEYS)
+        return make_grid(_value("network.grid rows", rows, rules=(INTEGER,)),
+                         _value("network.grid cols", cols, rules=(INTEGER,)),
+                         _value("edge_length_mi", length, fraction_from),
+                         _value("speed_mph", speed, fraction_from))
+    return load_network_csv(net_cfg["file"])
 
 
 def _thresholds(key: str, typed, percents) -> tuple[Fraction, ...]:
@@ -135,36 +142,23 @@ def _grid_from_config(cfg) -> ScenarioGrid:
     _check_keys("config", cfg, CONFIG_KEYS)
     tariff = cfg.get("tariff", {})
     _check_keys("tariff", tariff, TARIFF_KEYS)
-    thresholds = ()  # only the goal-programming split reads them
-    if cfg.get("split_scheme") == "goalprog":
-        key, default = "split_thresholds_pct", [5, 10, 15, 20]
-        thresholds = _thresholds(key, cfg.get(key, default),
-                                 _axis(cfg, key, default, lambda p: _int(key, p)))
-    return ScenarioGrid(
-        mechanisms=_axis(cfg, "mechanisms", ["SRO", "PCP", "CCP"], Mechanism),
-        max_waits=_axis(cfg, "max_wait_s", 360, usec_from_seconds, 1),
-        mars=_axis(cfg, "mar", 0.5),
-        fleet_sizes=_axis(cfg, "fleet_size", 30, lambda f: _int("fleet_size", f)),
-        change_fees=_axis(tariff, "change_fee_usd", 2.0, mils_from_usd, 0),
-        discount_factors=_axis(tariff, "discount_factor", 0.8,
-                               _within(lambda f: 0 < f <= 1, "in (0, 1]")),
-        detour_factors=_axis(tariff, "detour_factor", 0.3, _within(lambda f: f > 0, "positive")),
-        seeds=_axis(cfg, "seeds", [1], lambda s: _int("seeds", s, 0)),
-        base_fare=_number("base_fare_usd", tariff.get("base_fare_usd", 2.50), mils_from_usd, 0),
-        per_mile=_number("per_mile_usd", tariff.get("per_mile_usd", 2.50), mils_from_usd, 1),
-        provider_cost_per_mile=_number("provider_cost_per_mile_usd",
-                                       tariff.get("provider_cost_per_mile_usd", 2.945),
-                                       mils_from_usd, 1),
-        # a value given twice is drawn twice as often
-        vot_values=_axis(cfg, "value_of_time_usd_per_min", [0.166, 0.195, 0.225, 0.254, 0.283],
-                         mils_from_usd, 0, distinct=False),
-        split_scheme=cfg.get("split_scheme", "shapley"),
-        split_thresholds=thresholds,
-        horizon=_number("horizon_s", cfg.get("horizon_s", 1800), usec_from_seconds, 0),
-    )
+    given = {}
+    for section, table in ((cfg, CONFIG_TABLE), (tariff, TARIFF_TABLE)):
+        for key, (field, read, rules) in table.items():
+            if key not in section:
+                continue
+            if isinstance(getattr(ScenarioGrid, field), tuple):
+                # a value of time given twice is drawn twice as often
+                given[field] = _values(key, section[key], read, rules, field != "vot_values")
+            else:
+                given[field] = _value(key, section[key], read, rules)
+    if "split_thresholds" in given:
+        key = "split_thresholds_pct"
+        given["split_thresholds"] = _thresholds(key, cfg[key], given["split_thresholds"])
+    return ScenarioGrid(**given)
 
 
-def _load_trips(spec: str, net, cfg):
+def _load_trips(spec: str, net, horizon_s: int):
     if spec.startswith("synthetic:"):
         opts = {}
         for part in spec[len("synthetic:"):].split(","):
@@ -172,7 +166,7 @@ def _load_trips(spec: str, net, cfg):
                 key, _, val = part.partition("=")
                 opts[key.strip()] = val.strip()
         _check_keys("synthetic trips", opts, ("n", "seed", "horizon_s"))
-        values = {"n": 500, "seed": 1, "horizon_s": cfg.get("horizon_s", 1800)}
+        values = {"n": 500, "seed": 1, "horizon_s": horizon_s}
         for key, text in opts.items():
             try:
                 values[key] = int(text)
@@ -180,7 +174,7 @@ def _load_trips(spec: str, net, cfg):
                 raise ConfigError(f"synthetic trips {key}={text!r} is not an integer") from None
             if values[key] < 0:
                 raise ConfigError(f"synthetic trips {key}={text!r} is negative")
-        return synthetic_trips(net, values["n"], int(values["horizon_s"]), values["seed"])
+        return synthetic_trips(net, values["n"], values["horizon_s"], values["seed"])
     return rio.load_trips_csv(spec)
 
 
@@ -188,7 +182,7 @@ def cmd_simulate(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
     grid = _grid_from_config(cfg)
     net = _network_from_config(cfg)
-    trips = _load_trips(args.trips, net, cfg)
+    trips = _load_trips(args.trips, net, grid.horizon // USEC)
     outcomes = run_grid(grid, trips, net)
     out = Path(args.out)  # made only now, so that a failed grid leaves no directory
     out.mkdir(parents=True, exist_ok=True)
@@ -310,8 +304,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("split", help="re-divide run fares")
     p.add_argument("--runs", required=True, help="run-account CSV")
-    p.add_argument("--scheme", required=True, choices=["shapley", "goalprog"])
-    p.add_argument("--thresholds", default="5,10,15,20",
+    p.add_argument("--scheme", required=True, choices=SPLIT_SCHEMES)
+    p.add_argument("--thresholds", default=",".join(str(t * 100) for t in DEFAULT_THRESHOLDS),
                    help="percent thresholds for goalprog")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_split)

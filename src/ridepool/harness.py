@@ -47,14 +47,16 @@ class MismatchedGrids(Exception):
 
 @dataclass(frozen=True)
 class ScenarioGrid:
-    mechanisms: tuple[Mechanism, ...]
-    max_waits: tuple[int, ...]  # usec
-    mars: tuple[Fraction, ...]
-    fleet_sizes: tuple[int, ...]
-    change_fees: tuple[int, ...]  # mils, CCP only
-    discount_factors: tuple[Fraction, ...]  # PCP only
-    detour_factors: tuple[Fraction, ...]  # PCP only
-    seeds: tuple[int, ...]
+    """A grid's axes and fixed values; `simulate` takes a default for each key left out."""
+
+    mechanisms: tuple[Mechanism, ...] = tuple(Mechanism)
+    max_waits: tuple[int, ...] = (360 * USEC,)
+    mars: tuple[Fraction, ...] = (Fraction(1, 2),)
+    fleet_sizes: tuple[int, ...] = (30,)
+    change_fees: tuple[int, ...] = (2000,)  # mils, CCP only
+    discount_factors: tuple[Fraction, ...] = (Fraction(4, 5),)  # PCP only
+    detour_factors: tuple[Fraction, ...] = (Fraction(3, 10),)  # PCP only
+    seeds: tuple[int, ...] = (1,)
     base_fare: int = 2500
     per_mile: int = 2500
     provider_cost_per_mile: int = 2945

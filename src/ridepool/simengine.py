@@ -44,6 +44,7 @@ DEFAULT_THRESHOLDS = (
     Fraction(15, 100),
     Fraction(20, 100),
 )
+SPLIT_SCHEMES = ("shapley", "goalprog")
 
 _STREAM_POOLABLE = 101
 _STREAM_VOT = 102
@@ -64,7 +65,7 @@ class SimConfig:
     network: RoadNetwork
     horizon: int  # usec
     max_wait_override: int | None = None  # usec, replaces per-request limits
-    split_scheme: str = "shapley"  # shapley | goalprog
+    split_scheme: str = "shapley"  # one of SPLIT_SCHEMES
     split_thresholds: tuple[Fraction, ...] = DEFAULT_THRESHOLDS
     initial_vehicle_nodes: tuple[str, ...] | None = None
     vot_values: tuple[int, ...] = DEFAULT_VOT_MILS_PER_MIN  # mils per minute
@@ -77,7 +78,7 @@ class SimConfig:
             raise ConfigError("fleet_size must be at least 1")
         if not 0 <= self.mar <= 1:
             raise ConfigError("mar must lie in [0, 1]")
-        if self.split_scheme not in ("shapley", "goalprog"):
+        if self.split_scheme not in SPLIT_SCHEMES:
             raise ConfigError(f"unknown split scheme {self.split_scheme!r}")
 
 

@@ -5,18 +5,21 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import astuple
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ridepool import cli
+from ridepool import cli, harness
 from ridepool.cli import main
 from ridepool.domain import Request
-from ridepool.harness import run_grid, summarize
+from ridepool.harness import ScenarioGrid, run_grid, summarize
 from ridepool.io import (
     CELL_COLUMNS, SPLIT_COLUMNS, SUMMARY_COLUMNS, TRIP_COLUMNS, load_run_accounts_csv,
     load_summary_csv, load_trips_csv,
 )
+from ridepool.mechanisms import Mechanism
 from ridepool.units import MILS, USEC, fmt4, fmt_opt, fmt_seconds, fmt_usd
 
 
@@ -126,6 +129,16 @@ class TestSimulate:
         # SRO: 2 seeds; PCP: 3 discounts x 2 detours x 3 mars x 2 seeds; CCP: 3 mars x 2 seeds
         assert len((out / "summary.csv").read_text().splitlines()) == 1 + 2 + 36 + 6
 
+    def test_horizon_in_any_spelling_gives_the_same_outputs(self, tmp_path):
+        # the synthetic trips re-read horizon_s with int(), which failed on
+        # "1e3" although the grid reads it as 1000 s
+        digests = []
+        for horizon in (1000, "1e3"):
+            (tmp_path / str(horizon)).mkdir()
+            _, _, out = simulate(tmp_path / str(horizon), {**CONFIG, "horizon_s": horizon})
+            digests.append(output_digests(out))
+        assert digests[0] == digests[1]
+
 
 def fails_cleanly(capsys, argv):
     """Run `main(argv)`, check that it exits 2 having printed only one
@@ -170,6 +183,38 @@ class TestStrictConfig:
         assert allowed in msg.split("allowed: ")[1].split(", ")
         assert not (tmp_path / "out").exists()
 
+    def test_defaults_are_pinned(self):
+        # each key left out takes ScenarioGrid's default
+        grid = cli._grid_from_config({"network": CONFIG["network"]})
+        assert grid == ScenarioGrid()
+        assert astuple(grid) == (
+            (Mechanism.SRO, Mechanism.PCP, Mechanism.CCP), (360 * USEC,), (Fraction(1, 2),),
+            (30,), (2000,), (Fraction(4, 5),), (Fraction(3, 10),), (1,),
+            2500, 2500, 2945, (166, 195, 225, 254, 283), "shapley",
+            (Fraction(5, 100), Fraction(10, 100), Fraction(15, 100), Fraction(20, 100)),
+            1800 * USEC,
+        )
+
+    def test_readme_keys_and_example(self):
+        # the README lists every key once with its default, and its example
+        # config gives every key
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | default | range |\n|---|---|---|\n")[1].split("\n\n")[0]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in table.splitlines()]
+        defaults = {"network": CONFIG["network"], "tariff": {}}
+        for key, default, _ in rows[1:]:
+            section, _, name = key.split("`")[1].rpartition(".")
+            (defaults[section] if section else defaults)[name] = json.loads(default.strip("`"))
+        assert [row[0].split("`")[1] for row in rows] == [
+            *(k for k in cli.CONFIG_KEYS if k != "tariff"), *(f"tariff.{k}" for k in cli.TARIFF_KEYS)]
+        assert cli._grid_from_config(defaults) == ScenarioGrid()
+        example = json.loads(readme.split("```json\n")[1].split("```")[0])
+        assert set(example) == set(cli.CONFIG_KEYS)
+        assert set(example["tariff"]) == set(cli.TARIFF_KEYS)
+        grid = cli._grid_from_config(example)
+        assert (grid.change_fees, grid.max_waits) == ((2000, 2500), (240 * USEC, 360 * USEC))
+
 
 class TestAnalyze:
     def test_analyze_writes_reports(self, simulated):
@@ -203,7 +248,7 @@ class TestAnalyze:
                         for row in csv.DictReader(fh)}
         net = cli._network_from_config(CONFIG)
         grid = cli._grid_from_config(CONFIG)
-        trips = cli._load_trips("synthetic:n=100,seed=4", net, CONFIG)
+        trips = cli._load_trips("synthetic:n=100,seed=4", net, grid.horizon // USEC)
         expected = {}
         for s in summarize(run_grid(grid, trips, net)):
             p = s.params
@@ -427,6 +472,9 @@ class TestInputErrors:
     @pytest.mark.parametrize("edit,message", [
         (lambda c: c.pop("network"), "config needs 'network'"),
         (lambda c: c.update(network={}), "network needs 'grid' or 'file'"),
+        # the grid used to win silently
+        (lambda c: c["network"].update(file="net.csv"),
+         "network needs 'grid' or 'file', not both"),
         (lambda c: c["network"]["grid"].pop("edge_length_mi"),
          "network.grid needs 'edge_length_mi'"),
         (lambda c: c.update(fleet_size="x"), "fleet_size must be an integer, got 'x'"),
@@ -454,8 +502,8 @@ class TestInputErrors:
         (lambda c: c.update(horizon_s=-1), "horizon_s must be non-negative, got -1"),
         (lambda c: c.update(max_wait_s=0), "max_wait_s must be positive, got 0"),
         (lambda c: c.update(seeds=[1, -3]), "seeds must be at least 0, got -3"),
-    ], ids=["no-network", "empty-network", "no-edge-length", "fleet-size-text", "seed-float",
-            "rows-text", "tariff-list", "fractional-percent", "mar-text", "wait-inf",
+    ], ids=["no-network", "empty-network", "grid-and-file", "no-edge-length", "fleet-size-text",
+            "seed-float", "rows-text", "tariff-list", "fractional-percent", "mar-text", "wait-inf",
             "mar-exponent", "horizon-text", "wait-text", "mar-list-text", "base-fare-text",
             "vot-text", "vot-negative", "horizon-negative", "wait-zero", "seed-negative"])
     def test_bad_config(self, tmp_path, capsys, edit, message):
@@ -476,11 +524,11 @@ class TestInputErrors:
         (lambda c: c["tariff"].update(provider_cost_per_mile_usd="-2.945"),
          "provider_cost_per_mile_usd must be positive, got '-2.945'"),
         (lambda c: c["tariff"].update(discount_factor=[0.8, 0]),
-         "discount_factor: must be in (0, 1], got 0"),
+         "discount_factor must be in (0, 1], got 0"),
         (lambda c: c["tariff"].update(discount_factor=1.25),
-         "discount_factor: must be in (0, 1], got 1.25"),
+         "discount_factor must be in (0, 1], got 1.25"),
         (lambda c: c["tariff"].update(detour_factor=[0.3, -0.1]),
-         "detour_factor: must be positive, got -0.1"),
+         "detour_factor must be positive, got -0.1"),
         (lambda c: c["tariff"].update(detour_factor="x"),
          "detour_factor: cannot read 'x' as a number"),
     ], ids=["edge-length-text", "speed-list", "base-fare-negative", "change-fee-negative",
@@ -494,15 +542,21 @@ class TestInputErrors:
         assert config_error(tmp_path, capsys, config) == f"ridepool simulate: {message}"
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda c: c.update(fleet_size=0), "fleet_size must be at least 1"),
-        (lambda c: c.update(mar=1.5), "mar must lie in [0, 1]"),
-        (lambda c: c.update(split_scheme="foo"), "unknown split scheme 'foo'"),
+        (lambda c: c.update(fleet_size=0), "fleet_size must be at least 1, got 0"),
+        (lambda c: c.update(mar=[0.0, 0.5, 1.5]), "mar must be in [0, 1], got 1.5"),
+        (lambda c: c.update(split_scheme="foo"),
+         "split_scheme must be shapley or goalprog, got 'foo'"),
     ], ids=["fleet-zero", "mar-above-one", "unknown-split-scheme"])
-    def test_error_inside_the_grid_writes_no_output(self, tmp_path, capsys, edit, message):
-        # raised by the simulations, after `--out` used to be made
+    def test_error_inside_the_grid_writes_no_output(self, tmp_path, capsys, monkeypatch, edit,
+                                                    message):
+        # these used to be raised by the simulations, naming no config key,
+        # after the cells before the bad one had run
+        calls, run_sim = [], harness.run_sim
+        monkeypatch.setattr(harness, "run_sim", lambda *args: calls.append(args) or run_sim(*args))
         config = copy.deepcopy(CONFIG)
         edit(config)
         assert config_error(tmp_path, capsys, config) == f"ridepool simulate: {message}"
+        assert calls == []
 
     def test_trip_node_off_the_network_is_named(self, tmp_path, capsys):
         trips = tmp_path / "trips.csv"
