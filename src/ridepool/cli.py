@@ -62,9 +62,16 @@ TARIFF_TABLE = {
     "discount_factor": ("discount_factors", fraction_from, ((lambda d: 0 < d <= 1, "in (0, 1]"),)),
     "detour_factor": ("detour_factors", fraction_from, (POSITIVE,)),
 }
+# network.grid key -> (name in messages, reader, rules), in `make_grid`'s argument order
+GRID_SIDE = (INTEGER, (lambda n: 2 <= n <= 1000, "in [2, 1000]"))
+GRID_TABLE = {
+    "rows": ("network.grid rows", None, GRID_SIDE),
+    "cols": ("network.grid cols", None, GRID_SIDE),
+    "edge_length_mi": ("edge_length_mi", fraction_from, (POSITIVE,)),
+    "speed_mph": ("speed_mph", fraction_from, (POSITIVE,)),
+}
 CONFIG_KEYS = ("network", "tariff", *CONFIG_TABLE)
 TARIFF_KEYS = tuple(TARIFF_TABLE)
-GRID_KEYS = ("rows", "cols", "edge_length_mi", "speed_mph")
 
 
 def _check_keys(section: str, given, allowed) -> None:
@@ -119,12 +126,10 @@ def _network_from_config(cfg):
         raise ConfigError(f"network needs 'grid' or 'file'{', not both' if net_cfg else ''}")
     if "grid" in net_cfg:
         g = net_cfg["grid"]
-        _check_keys("network.grid", g, GRID_KEYS)
-        rows, cols, length, speed = (_required("network.grid", g, key) for key in GRID_KEYS)
-        return make_grid(_value("network.grid rows", rows, rules=(INTEGER,)),
-                         _value("network.grid cols", cols, rules=(INTEGER,)),
-                         _value("edge_length_mi", length, fraction_from),
-                         _value("speed_mph", speed, fraction_from))
+        _check_keys("network.grid", g, GRID_TABLE)
+        typed = [_required("network.grid", g, key) for key in GRID_TABLE]
+        return make_grid(*(_value(name, value, read, rules)
+                           for (name, read, rules), value in zip(GRID_TABLE.values(), typed)))
     return load_network_csv(net_cfg["file"])
 
 
@@ -265,10 +270,10 @@ def cmd_split(args) -> int:
     rows = []
     for cell, acct in accounts:
         if args.scheme == "shapley":
-            res = shapley_split(acct)
+            fares = shapley_split(acct)
         else:
-            res = goalprog_split(acct, thresholds)
-        rows.extend(rio.run_split_rows(acct, {e.customer: e.fare for e in res.entries}, cell))
+            fares = goalprog_split(acct, thresholds)
+        rows.extend(rio.run_split_rows(acct, fares, cell))
     header = cell_columns + rio.SPLIT_COLUMNS
     target = args.out or "-"
     if target == "-":

@@ -6,7 +6,9 @@ has a frozen solitary-ride total cost ``c_i`` and a pooled cost of time
 ``fare_i + a_i = (1 - s_i) * c_i``.  Fares must sum to the run fare exactly
 and nobody may end up worse off than riding alone (``s_i >= 0``).
 
-Two schemes are implemented:
+Two schemes are implemented, each returning the run's fare map
+``{customer: fare}`` in mils; a saving, and a count of savers, is derived
+from a fare through the definition above:
 
 * ``shapley_split`` -- the two-rider surplus is shared equally, so both
   customers save the same absolute amount.
@@ -52,19 +54,6 @@ class RunAccount:
         return sum(m.solitary_cost - m.pooled_time_cost for m in self.members) - self.run_fare
 
 
-@dataclass(frozen=True)
-class SplitEntry:
-    customer: int
-    fare: Fraction  # mils
-    saving: Fraction  # relative saving s_i
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    entries: tuple[SplitEntry, ...]
-    counts: tuple[int, ...] | None = None
-
-
 def _check_feasible(acct: RunAccount) -> int:
     budget = acct.budget()
     if budget < 0:
@@ -77,13 +66,9 @@ def _check_feasible(acct: RunAccount) -> int:
     return budget
 
 
-def _entry(member: RunMember, saving: Fraction) -> SplitEntry:
-    fare = member.solitary_cost - member.pooled_time_cost - saving * member.solitary_cost
-    return SplitEntry(customer=member.customer, fare=fare, saving=saving)
-
-
-def shapley_split(acct: RunAccount) -> SplitResult:
-    """Equal split of a two-rider surplus: both save budget/2 in absolute terms."""
+def shapley_split(acct: RunAccount) -> dict[int, Fraction]:
+    """Fare map of an equal split of a two-rider surplus: both save budget/2
+    in absolute terms."""
     if len(acct.members) != 2:
         raise ValueError(
             f"run {acct.run_id}: shapley splits rider pairs only ({len(acct.members)} riders; "
@@ -91,8 +76,7 @@ def shapley_split(acct: RunAccount) -> SplitResult:
         )
     budget = _check_feasible(acct)
     half = Fraction(budget, 2)
-    entries = tuple(_entry(m, half / m.solitary_cost) for m in acct.members)
-    return SplitResult(entries=entries)
+    return {m.customer: m.solitary_cost - m.pooled_time_cost - half for m in acct.members}
 
 
 def validate_thresholds(thresholds: Sequence) -> list[Fraction]:
@@ -106,8 +90,8 @@ def validate_thresholds(thresholds: Sequence) -> list[Fraction]:
     return sigmas
 
 
-def goalprog_split(acct: RunAccount, thresholds: Sequence) -> SplitResult:
-    """Lexicographic maximization of per-threshold saver counts.
+def goalprog_split(acct: RunAccount, thresholds: Sequence) -> dict[int, Fraction]:
+    """Fare map of a lexicographic maximization of per-threshold saver counts.
 
     At each level the cheapest-to-satisfy customers (smallest solitary
     cost, then lowest id) are promoted while earlier levels' counts are
@@ -150,6 +134,6 @@ def goalprog_split(acct: RunAccount, thresholds: Sequence) -> SplitResult:
         for idx in range(recipients):
             savings[idx] += bump
 
-    by_customer = {m.customer: s for m, s in zip(order, savings)}
-    entries = tuple(_entry(m, by_customer[m.customer]) for m in acct.members)
-    return SplitResult(entries=entries, counts=tuple(counts))
+    saving = {m.customer: s for m, s in zip(order, savings)}
+    return {m.customer: m.solitary_cost - m.pooled_time_cost - saving[m.customer] * m.solitary_cost
+            for m in acct.members}

@@ -13,8 +13,10 @@ decides without reading the discount factor, so its decisions are shared
 across discounts: the first discount cell of each (wait, fleet, MAR,
 detour, seed) group is simulated and the others re-price that run.
 
-Outputs are exact-fraction aggregates; `io` renders them to four decimals,
-so rerunning a grid reproduces files byte for byte.
+A cell's axes are read back from its simulation's `SimConfig` by
+`coordinates`, their one reader, which `summarize` and `io` share.  Outputs
+are exact-fraction aggregates; `io` renders them to four decimals, so
+rerunning a grid reproduces files byte for byte.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ from .simengine import (
 from .units import USEC, fmt4, fmt_usd
 
 BRACKETS = (Fraction(0), Fraction(5, 100), Fraction(10, 100), Fraction(15, 100), Fraction(20, 100))
+
+
+# the keys of a `ScenarioGrid.cells()` params dict, in the order its axes nest
+CELL_AXES = ("max_wait", "fleet", "mar", "discount", "detour", "fee")
 
 
 class MismatchedGrids(Exception):
@@ -76,36 +82,40 @@ class ScenarioGrid:
         )
 
     def cells(self):
-        """Yield (mechanism, params dict) for every applicable combination."""
+        """Yield (mechanism, params dict) for every applicable combination; a
+        params dict leaves out each axis its mechanism does not read."""
         for mech in self.mechanisms:
-            if mech == Mechanism.SRO:
-                for wait, fleet in itertools.product(self.max_waits, self.fleet_sizes):
-                    yield mech, {"max_wait": wait, "fleet": fleet}
-            elif mech == Mechanism.PCP:
-                for wait, fleet, mar, disc, det in itertools.product(
-                    self.max_waits, self.fleet_sizes, self.mars,
-                    self.discount_factors, self.detour_factors,
-                ):
-                    yield mech, {
-                        "max_wait": wait, "fleet": fleet, "mar": mar,
-                        "discount": disc, "detour": det,
-                    }
-            else:
-                for wait, fleet, mar, fee in itertools.product(
-                    self.max_waits, self.fleet_sizes, self.mars, self.change_fees
-                ):
-                    yield mech, {"max_wait": wait, "fleet": fleet, "mar": mar, "fee": fee}
+            pooled, pcp = mech != Mechanism.SRO, mech == Mechanism.PCP
+            for values in itertools.product(
+                self.max_waits, self.fleet_sizes, self.mars if pooled else (None,),
+                self.discount_factors if pcp else (None,), self.detour_factors if pcp else (None,),
+                self.change_fees if mech == Mechanism.CCP else (None,),
+            ):
+                yield mech, {key: v for key, v in zip(CELL_AXES, values) if v is not None}
+
+
+def coordinates(cfg: SimConfig) -> tuple:
+    """(mechanism, wait, fleet, fee, discount, detour, MAR, seed) of the
+    simulation `cfg` configures, None for a tariff axis its mechanism does
+    not read; the one reader of a cell's axes."""
+    t = cfg.tariff
+    ccp, pcp = cfg.mechanism == Mechanism.CCP, cfg.mechanism == Mechanism.PCP
+    return (cfg.mechanism.value, cfg.max_wait_override, cfg.fleet_size,
+            t.change_fee if ccp else None, t.discount_factor if pcp else None,
+            t.detour_factor if pcp else None, cfg.mar, cfg.rng_seed)
 
 
 @dataclass
 class CellOutcome:
-    """One simulation plus its paired solitary baseline, with derived metrics."""
+    """One simulation plus its paired solitary baseline, with derived metrics;
+    the cell's coordinates are its result's configuration."""
 
-    mechanism: str
-    params: dict
-    seed: int
     result: SimResult
     baseline: SimResult
+
+    @property
+    def mechanism(self) -> str:
+        return self.result.mechanism
 
     def metrics(self) -> dict:
         res, sro = self.result, self.baseline
@@ -199,7 +209,7 @@ def run_grid(grid: ScenarioGrid, trips: list[Request], net: RoadNetwork) -> list
                 sro_cache[sro] = run_sim(sro, trips)
             baseline = sro_cache[sro]
             if mech == Mechanism.SRO:
-                outcomes.append(CellOutcome(mech.value, dict(params), seed, baseline, baseline))
+                outcomes.append(CellOutcome(baseline, baseline))
                 continue
             group = (sro, mech, params["mar"], params.get("detour"))
             cfg = replace(
@@ -213,7 +223,7 @@ def run_grid(grid: ScenarioGrid, trips: list[Request], net: RoadNetwork) -> list
             result = run_sim(cfg, trips)
             if mech == Mechanism.PCP:
                 pcp_decided.setdefault(group, result)
-            outcomes.append(CellOutcome(mech.value, dict(params), seed, result, baseline))
+            outcomes.append(CellOutcome(result, baseline))
     return outcomes
 
 
@@ -265,14 +275,12 @@ def aggregate(cells) -> dict:
 
 def summarize(outcomes: list[CellOutcome]) -> list[MechanismSummary]:
     """Average cell metrics over seeds, grouped by mechanism setting."""
-    def setting(p):
-        return p["max_wait"], p["fleet"], p.get("fee"), p.get("discount"), p.get("detour")
-
-    settings = aggregate(
-        ((oc.mechanism, *setting(oc.params)), oc.params["mar"], oc.metrics())
-        for oc in outcomes
-        if oc.mechanism != Mechanism.SRO.value
-    )
+    cells = []  # a setting is a cell without its MAR and seed
+    for oc in outcomes:
+        if oc.mechanism != Mechanism.SRO.value:
+            *setting, mar, _ = coordinates(oc.result.config)
+            cells.append((tuple(setting), mar, oc.metrics()))
+    settings = aggregate(cells)
     summaries = []
     for key in sorted(settings, key=repr):
         mech, wait, fleet, fee, disc, det = key

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .costshare import RunAccount, RunMember
 from .domain import Request
-from .harness import BRACKETS, CellOutcome
+from .harness import BRACKETS, CellOutcome, coordinates
 from .units import (
     MILS, USEC, fmt4, fmt_miles, fmt_opt, fmt_seconds, fmt_usd, mils_from_usd, usec_from_seconds,
 )
@@ -137,16 +137,16 @@ def load_summary_csv(path) -> list[tuple[tuple[str, ...], dict]]:
 
 def cell_fields(oc: CellOutcome) -> tuple:
     """The `CELL_COLUMNS` values of one simulation, as written."""
-    p = oc.params
+    mech, wait, fleet, fee, disc, det, mar, seed = coordinates(oc.result.config)
     return (
-        oc.mechanism,
-        fmt_opt(p.get("fee"), fmt_usd),
-        fmt_opt(p.get("discount")),
-        fmt_opt(p.get("detour")),
-        p["max_wait"] // USEC,
-        p["fleet"],
-        fmt4(p.get("mar", Fraction(0))),
-        oc.seed,
+        mech,
+        fmt_opt(fee, fmt_usd),
+        fmt_opt(disc),
+        fmt_opt(det),
+        wait // USEC,
+        fleet,
+        fmt4(mar),
+        seed,
     )
 
 

@@ -63,11 +63,7 @@ class RoadNetwork:
         self.node_ids: tuple[str, ...] = tuple(node_ids)
         self._index: dict[str, int] = {nid: i for i, nid in enumerate(self.node_ids)}
 
-        # each distinct (length, time) input is parsed once; the types are part
-        # of the key because 0.1 and Fraction(0.1) are equal yet parse apart.
-        # Arcs that reuse the previous arc's two objects skip the key's hash,
-        # which is slow for Fractions.
-        scaled: dict[tuple, tuple[int, int]] = {}
+        # an arc that reuses the previous arc's two objects reuses their parse
         arc_map: dict[tuple[int, int], tuple[int, int]] = {}
         last = (None, None, None)
         too_long = INF // len(node_ids)  # no path of shorter arcs sums to INF
@@ -82,18 +78,14 @@ class RoadNetwork:
             if length_mi is last[0] and time_s is last[1]:
                 attrs = last[2]
             else:
-                memo = (type(length_mi), length_mi, type(time_s), time_s)
-                attrs = scaled.get(memo)
-                if attrs is None:
-                    try:
-                        attrs = (umiles_from_miles(length_mi), usec_from_seconds(time_s))
-                    except (ArithmeticError, TypeError, ValueError):
-                        raise InvalidParameter(f"arc ({frm!r}, {to!r}): cannot read length "
-                                               f"{length_mi!r} or time {time_s!r}") from None
-                    if max(attrs) >= too_long:
-                        raise InvalidParameter(f"arc ({frm!r}, {to!r}) is too long for exact "
-                                               f"path sums: {length_mi!r} mi, {time_s!r} s")
-                    scaled[memo] = attrs
+                try:
+                    attrs = (umiles_from_miles(length_mi), usec_from_seconds(time_s))
+                except (ArithmeticError, TypeError, ValueError):
+                    raise InvalidParameter(f"arc ({frm!r}, {to!r}): cannot read length "
+                                           f"{length_mi!r} or time {time_s!r}") from None
+                if max(attrs) >= too_long:
+                    raise InvalidParameter(f"arc ({frm!r}, {to!r}) is too long for exact "
+                                           f"path sums: {length_mi!r} mi, {time_s!r} s")
                 last = (length_mi, time_s, attrs)
             if attrs[0] <= 0 or attrs[1] <= 0:
                 raise InvalidParameter(f"arc ({frm!r}, {to!r}) needs positive length and time")

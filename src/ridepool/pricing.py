@@ -22,8 +22,6 @@ from .netgraph import RoadNetwork
 from .units import (
     Money,
     distance_charge_mils,
-    fraction_from,
-    mils_from_usd,
     time_cost_mils,
 )
 
@@ -48,25 +46,6 @@ class Tariff:
             raise ValueError("discount factor must be in (0, 1]")
         if self.detour_factor <= 0:
             raise ValueError("detour factor must be positive")
-
-    @classmethod
-    def from_usd(
-        cls,
-        base_fare=2.50,
-        per_mile=2.50,
-        change_fee=2.00,
-        discount_factor="0.8",
-        detour_factor="0.3",
-        provider_cost_per_mile=2.945,
-    ) -> "Tariff":
-        return cls(
-            base_fare=mils_from_usd(base_fare),
-            per_mile=mils_from_usd(per_mile),
-            change_fee=mils_from_usd(change_fee),
-            discount_factor=fraction_from(discount_factor),
-            detour_factor=fraction_from(detour_factor),
-            provider_cost_per_mile=mils_from_usd(provider_cost_per_mile),
-        )
 
 
 def mileage_fare(t: Tariff, dist_umiles: int, change_events: int) -> int:

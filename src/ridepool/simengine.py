@@ -290,8 +290,8 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                 account = RunAccount(run_id, members, fare.numerator)
                 accounts.append(account)
                 if cfg.split_scheme == "goalprog":
-                    for entry in goalprog_split(account, cfg.split_thresholds).entries:
-                        book[entry.customer].fare = entry.fare
+                    for cid, split_fare in goalprog_split(account, cfg.split_thresholds).items():
+                        book[cid].fare = split_fare
 
     return _settle(cfg, book, log, accounts, by_id, fleet.vehicles)
 

@@ -21,11 +21,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .domain import Request
+from .harness import ScenarioGrid
 from .mechanisms import Mechanism
 from .netgraph import RoadNetwork
 from .pricing import Tariff, mileage_fare, solitary_fare, total_cost
 from .simengine import SimConfig, SimResult, run_sim
-from .units import USEC, fraction_from, time_cost_mils, usec_from_seconds
+from .units import USEC, fraction_from, mils_from_usd, time_cost_mils, usec_from_seconds
 
 
 class DomainError(ValueError):
@@ -176,14 +177,12 @@ def theorem3_threshold(delta, p_solitary, detour_factor, solitary_duration) -> F
     return (1 - delta) * fraction_from(p_solitary) / (detour * fraction_from(solitary_duration))
 
 
-def _loop_arcs(names, long_mi=50.0, long_s=9000):
-    """Slow return arcs making a fixture network strongly connected."""
-    out = []
-    for a in names:
-        for b in names:
-            if a != b:
-                out.append((a, b, long_mi, long_s))
-    return out
+def _fixture_network(names, base) -> RoadNetwork:
+    """The network on `names` with the arcs of `base`, (from, to) -> (miles,
+    seconds), and a slow 50 mi, 9000 s arc for every other ordered pair,
+    which makes it strongly connected."""
+    return RoadNetwork(names, [(a, b, *base.get((a, b), (50.0, 9000)))
+                               for a in names for b in names if a != b])
 
 
 def build_threshold_fixture(
@@ -204,12 +203,9 @@ def build_threshold_fixture(
         raise DomainError("detour_factor * direct_s must be an integer second count")
     base = {("OI", "DJ"): (direct_mi, direct_s), ("OI", "OJ"): (0.5, int(detour_s)),
             ("OJ", "DJ"): (direct_mi, direct_s)}
-    arcs = [(a, b, mi, s) for (a, b), (mi, s) in base.items()]
-    names = ["OI", "OJ", "DJ"]
-    arcs += [a for a in _loop_arcs(names) if (a[0], a[1]) not in base]
-    net = RoadNetwork(names, arcs)
+    net = _fixture_network(["OI", "OJ", "DJ"], base)
 
-    tariff = Tariff.from_usd(discount_factor=delta, detour_factor=detour)
+    tariff = ScenarioGrid().tariff(discount=delta, detour=detour)
     p_sol = solitary_fare(tariff, net, "OI", "DJ")
     threshold_per_min = theorem3_threshold(delta, p_sol, detour, Fraction(direct_s, 60))
     vot = ratio * threshold_per_min
@@ -285,11 +281,8 @@ def build_theorem4_fixtures(
             ("OJ", "OI"): (between_mi, detour_s),
             ("OI", "OJ"): (between_mi, detour_s),
         }
-        names = ["DD", "OI", "OJ"]
-        arcs = [(a, b, mi, s) for (a, b), (mi, s) in base.items()]
-        arcs += [a for a in _loop_arcs(names) if (a[0], a[1]) not in base]
-        net = RoadNetwork(names, arcs)
-        tariff = Tariff.from_usd(detour_factor=detour, change_fee=change_fee_usd)
+        net = _fixture_network(["DD", "OI", "OJ"], base)
+        tariff = ScenarioGrid().tariff(change_fee=mils_from_usd(change_fee_usd), detour=detour)
         first = Request(1, "OJ", "DD", 0, vot_mils_per_min, usec_from_seconds(900), True)
         second = Request(2, "OI", "DD", 0, vot_mils_per_min, usec_from_seconds(900), True)
         return TheoremFixture(
@@ -380,7 +373,7 @@ def build_weak_dominance_fixtures() -> list[TheoremFixture]:
         arcs.append((a, b, 0.2, 24))
         arcs.append((b, a, 0.2, 24))
     line = RoadNetwork(names, arcs)
-    tariff = Tariff.from_usd(change_fee=1.0)
+    tariff = ScenarioGrid().tariff(change_fee=1000)  # $1.00 in mils
 
     pair = TheoremFixture(
         name="weak-dominance-beneficial-pool",

@@ -2,16 +2,31 @@
 
 Every assignment of a saver level to each customer is enumerated; the
 lexicographically largest count vector among those that fit the run's
-budget is the optimum the goal-programming split must reach.
+budget is the optimum the goal-programming split must reach.  A split's
+own counts are derived from its fare map (`saver_counts`).
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from ridepool.costshare import RunAccount, _check_feasible, validate_thresholds
+
+
+def savings(acct: RunAccount, fares) -> dict[int, Fraction]:
+    """Each member's relative saving ``1 - (fare + a) / c`` under the fare
+    map `fares`, as `io` writes it."""
+    return {m.customer: 1 - Fraction(fares[m.customer] + m.pooled_time_cost, m.solitary_cost)
+            for m in acct.members}
+
+
+def saver_counts(acct: RunAccount, fares, thresholds: Sequence) -> tuple[int, ...]:
+    """The number of members whose saving under `fares` reaches each threshold."""
+    saved = savings(acct, fares).values()
+    return tuple(sum(1 for s in saved if s >= t) for t in thresholds)
 
 
 class TooLarge(Exception):

@@ -22,9 +22,8 @@ from ridepool.costshare import RunAccount, RunMember, goalprog_split, shapley_sp
 from ridepool.harness import ScenarioGrid, run_grid, summarize, synthetic_trips
 from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import make_grid
-from ridepool.pricing import Tariff
 from ridepool.simengine import SimConfig, run_sim
-from ridepool.units import USEC
+from ridepool.units import USEC, fraction_from
 from ridepool.verify import (
     build_theorem4_fixtures,
     build_threshold_fixture,
@@ -34,7 +33,7 @@ from ridepool.verify import (
     check_threshold_witness,
     run_fixture,
 )
-from tests._split_oracle import oracle_split
+from tests._split_oracle import oracle_split, saver_counts
 from tests.conftest import counterfactual_sro, unserved_ids
 
 THRESHOLDS = (Fraction(5, 100), Fraction(10, 100), Fraction(15, 100), Fraction(20, 100))
@@ -45,7 +44,7 @@ AUDIT_SEEDS = range(100)
 
 def audit_config(mech, seed, **kw):
     return SimConfig(
-        mechanism=mech, tariff=kw.pop("tariff", Tariff.from_usd()), fleet_size=30,
+        mechanism=mech, tariff=kw.pop("tariff", ScenarioGrid().tariff()), fleet_size=30,
         mar=Fraction(7, 10), rng_seed=seed, network=AUDIT_NET, horizon=1800 * USEC,
         max_wait_override=360 * USEC, **kw,
     )
@@ -76,7 +75,7 @@ class TestCriterion1IndividualRationality:
 class TestCriterion2DetourAudit:
     @pytest.mark.parametrize("detour", ["0.1", "0.3", "0.5"])
     def test_no_detour_violation(self, detour):
-        tariff = Tariff.from_usd(detour_factor=detour)
+        tariff = ScenarioGrid().tariff(detour=fraction_from(detour))
         pooled = 0
         for seed in AUDIT_SEEDS:
             res = run_sim(
@@ -105,14 +104,15 @@ class TestCriterion3CostShareSolver:
                 tuple(RunMember(i, c, a) for i, (c, a) in enumerate(zip(cs, aa))),
                 fare,
             )
-            res = goalprog_split(acct, THRESHOLDS)
-            assert res.counts == oracle_split(acct, THRESHOLDS), f"instance {trial}"
-            assert sum(e.fare for e in res.entries) == fare
+            fares = goalprog_split(acct, THRESHOLDS)
+            assert saver_counts(acct, fares, THRESHOLDS) == oracle_split(acct, THRESHOLDS), (
+                f"instance {trial}")
+            assert sum(fares.values()) == fare
             if n == 2:
                 split = shapley_split(acct)
                 half = Fraction(acct.budget(), 2)
-                for e, m in zip(split.entries, acct.members):
-                    saved = m.solitary_cost - m.pooled_time_cost - e.fare
+                for m in acct.members:
+                    saved = m.solitary_cost - m.pooled_time_cost - split[m.customer]
                     assert saved == half
         elapsed = time.perf_counter() - t0
         _report(3, f"{self.N_INSTANCES} random runs: goalprog == oracle exactly; "
@@ -127,7 +127,7 @@ class TestCriterion4CostSharingNeutrality:
         for seed in range(20):
             def cfg(scheme):
                 return SimConfig(
-                    mechanism=Mechanism.CCP, tariff=Tariff.from_usd(), fleet_size=20,
+                    mechanism=Mechanism.CCP, tariff=ScenarioGrid().tariff(), fleet_size=20,
                     mar=Fraction(1), rng_seed=seed, network=net, horizon=1800 * USEC,
                     max_wait_override=360 * USEC, split_scheme=scheme,
                     split_thresholds=THRESHOLDS,
@@ -204,7 +204,7 @@ def battery():
     assert elapsed < 600, f"directional battery took {elapsed:.0f}s, target 600s"
     sro_profit = {}
     for oc in outcomes:
-        sro_profit.setdefault(oc.seed, oc.baseline.profit)
+        sro_profit.setdefault(oc.result.config.rng_seed, oc.baseline.profit)
     mean_sro_profit = sum(sro_profit.values(), Fraction(0)) / len(sro_profit)
     return summarize(outcomes), mean_sro_profit, elapsed
 
@@ -268,7 +268,7 @@ class TestCriterion8MarZeroEquivalence:
         for seed in range(5):
             trips = synthetic_trips(net, 200, 1800, seed=seed)
             cfg = SimConfig(
-                mechanism=mech, tariff=Tariff.from_usd(), fleet_size=15,
+                mechanism=mech, tariff=ScenarioGrid().tariff(), fleet_size=15,
                 mar=Fraction(0), rng_seed=seed, network=net, horizon=1800 * USEC,
                 max_wait_override=360 * USEC,
             )

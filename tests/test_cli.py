@@ -328,6 +328,9 @@ class TestVerifyCommand:
         text = out.read_text()
         assert "FAIL" not in text
         assert "dichotomy" in text
+        # the fixtures' networks, tariffs and verdict details, byte for byte
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "cd25d07428ef4a85e51955721d356369d2dffe802d39ab4a4ebac0723de839d8")
 
 
 class TestSplitCommand:
@@ -516,6 +519,10 @@ class TestInputErrors:
          "edge_length_mi: cannot read 'x' as a number"),
         (lambda c: c["network"]["grid"].update(speed_mph=[30]),
          "speed_mph: cannot read [30] as a number"),
+        (lambda c: c["network"]["grid"].update(rows=1),
+         "network.grid rows must be in [2, 1000], got 1"),
+        (lambda c: c["network"]["grid"].update(edge_length_mi=0),
+         "edge_length_mi must be positive, got 0"),
         (lambda c: c["tariff"].update(base_fare_usd=-1),
          "base_fare_usd must be non-negative, got -1"),
         (lambda c: c["tariff"].update(change_fee_usd=[2.0, -0.5]),
@@ -531,9 +538,9 @@ class TestInputErrors:
          "detour_factor must be positive, got -0.1"),
         (lambda c: c["tariff"].update(detour_factor="x"),
          "detour_factor: cannot read 'x' as a number"),
-    ], ids=["edge-length-text", "speed-list", "base-fare-negative", "change-fee-negative",
-            "per-mile-zero", "provider-cost-negative", "discount-zero", "discount-above-one",
-            "detour-negative", "detour-text"])
+    ], ids=["edge-length-text", "speed-list", "rows-one", "edge-length-zero", "base-fare-negative",
+            "change-fee-negative", "per-mile-zero", "provider-cost-negative", "discount-zero",
+            "discount-above-one", "detour-negative", "detour-text"])
     def test_grid_number_or_tariff_out_of_range(self, tmp_path, capsys, edit, message):
         # the grid numbers used to reach `make_grid` unnamed, and the tariff's
         # ranges were first checked inside the run, after `--out` was made

@@ -12,7 +12,7 @@ from ridepool.costshare import (
     goalprog_split,
     shapley_split,
 )
-from tests._split_oracle import TooLarge, oracle_split
+from tests._split_oracle import TooLarge, oracle_split, saver_counts, savings
 
 USD = 1000  # mils per dollar
 
@@ -30,21 +30,24 @@ THRESHOLDS = (Fraction(5, 100), Fraction(10, 100), Fraction(15, 100), Fraction(2
 
 class TestShapley:
     def test_symmetric_pair(self):
-        res = shapley_split(account((10, 10), (1, 1), 14))
-        assert [e.fare for e in res.entries] == [7000, 7000]
-        assert [e.saving for e in res.entries] == [Fraction(1, 5), Fraction(1, 5)]
+        acct = account((10, 10), (1, 1), 14)
+        fares = shapley_split(acct)
+        assert list(fares.values()) == [7000, 7000]
+        assert list(savings(acct, fares).values()) == [Fraction(1, 5), Fraction(1, 5)]
 
     def test_zero_surplus(self):
-        res = shapley_split(account((10, 10), (1, 1), 18))
-        assert [e.fare for e in res.entries] == [9000, 9000]
-        assert all(e.saving == 0 for e in res.entries)
+        acct = account((10, 10), (1, 1), 18)
+        fares = shapley_split(acct)
+        assert list(fares.values()) == [9000, 9000]
+        assert all(s == 0 for s in savings(acct, fares).values())
 
     def test_asymmetric_pair_equal_absolute_savings(self):
-        res = shapley_split(account((20, 10), (2, 1), 23))
-        fares = {e.customer: e.fare for e in res.entries}
+        acct = account((20, 10), (2, 1), 23)
+        fares = shapley_split(acct)
         assert fares[1] == 16000 and fares[2] == 7000
         # equal absolute savings, unequal relative ones
-        assert res.entries[0].saving * 20000 == res.entries[1].saving * 10000 == 2000
+        saved = savings(acct, fares)
+        assert saved[1] * 20000 == saved[2] * 10000 == 2000
 
     def test_infeasible_run_rejected(self):
         with pytest.raises(InfeasibleRun):
@@ -57,17 +60,18 @@ class TestShapley:
 
 class TestGoalProg:
     def test_generous_budget_promotes_everyone(self):
-        res = goalprog_split(account((10, 10), (1, 1), 14), THRESHOLDS)
-        assert res.counts == (2, 2, 2, 2)
-        assert [e.fare for e in res.entries] == [7000, 7000]
+        acct = account((10, 10), (1, 1), 14)
+        fares = goalprog_split(acct, THRESHOLDS)
+        assert saver_counts(acct, fares, THRESHOLDS) == (2, 2, 2, 2)
+        assert list(fares.values()) == [7000, 7000]
 
     def test_tight_budget_single_saver_is_smaller_cost(self):
-        res = goalprog_split(account((10, 10), (1, 1), 17), (Fraction(1, 10),))
-        assert res.counts == (1,)
+        acct = account((10, 10), (1, 1), 17)
+        fares = goalprog_split(acct, (Fraction(1, 10),))
+        assert saver_counts(acct, fares, (Fraction(1, 10),)) == (1,)
         # tie on solitary cost -> lower customer id becomes the saver
-        assert res.entries[0].saving == Fraction(1, 10)
-        assert res.entries[1].saving == 0
-        assert res.entries[0].fare == 8000 and res.entries[1].fare == 9000
+        assert savings(acct, fares) == {1: Fraction(1, 10), 2: 0}
+        assert fares == {1: 8000, 2: 9000}
 
     def test_rejects_unordered_thresholds(self):
         with pytest.raises(InvalidThresholds):
@@ -79,34 +83,36 @@ class TestGoalProg:
 
     def test_fares_sum_exactly_and_nobody_loses(self):
         acct = account((12, 7, 23), (2, 1, 4), 30)
-        res = goalprog_split(acct, THRESHOLDS)
-        assert sum(e.fare for e in res.entries) == acct.run_fare
-        assert all(e.saving >= 0 for e in res.entries)
+        fares = goalprog_split(acct, THRESHOLDS)
+        assert sum(fares.values()) == acct.run_fare
+        assert all(s >= 0 for s in savings(acct, fares).values())
 
     def test_counts_monotone_and_prefix_stable(self):
         acct = account((12, 7, 23, 9), (2, 1, 4, 3), 38)
-        res = goalprog_split(acct, THRESHOLDS)
-        assert list(res.counts) == sorted(res.counts, reverse=True)
+        counts = saver_counts(acct, goalprog_split(acct, THRESHOLDS), THRESHOLDS)
+        assert list(counts) == sorted(counts, reverse=True)
         for k in range(1, len(THRESHOLDS) + 1):
             sub = goalprog_split(acct, THRESHOLDS[:k])
-            assert sub.counts == res.counts[:k]
+            assert saver_counts(acct, sub, THRESHOLDS[:k]) == counts[:k]
 
     def test_residual_spread_keeps_promised_levels(self):
         # budget between levels: promoted customers keep at least their sigma
         acct = account((10, 10), (1, 1), 15)  # budget 3.0
-        res = goalprog_split(acct, (Fraction(1, 10), Fraction(2, 10)))
-        assert res.counts == (2, 1)
-        savers = {e.customer: e.saving for e in res.entries}
+        levels = (Fraction(1, 10), Fraction(2, 10))
+        fares = goalprog_split(acct, levels)
+        assert saver_counts(acct, fares, levels) == (2, 1)
+        savers = savings(acct, fares)
         assert savers[1] >= Fraction(2, 10)
         assert savers[2] >= Fraction(1, 10)
-        assert sum(e.fare for e in res.entries) == acct.run_fare
+        assert sum(fares.values()) == acct.run_fare
 
 
 class TestOracle:
     def test_matches_goalprog_on_pairs(self):
         for fare in (14, 15, 16, 17, 18):
             acct = account((10, 10), (1, 1), fare)
-            assert oracle_split(acct, THRESHOLDS) == goalprog_split(acct, THRESHOLDS).counts
+            fares = goalprog_split(acct, THRESHOLDS)
+            assert oracle_split(acct, THRESHOLDS) == saver_counts(acct, fares, THRESHOLDS)
 
     def test_tight_pair_count(self):
         assert oracle_split(account((10, 10), (1, 1), 17), (Fraction(1, 10),)) == (1,)
@@ -138,10 +144,8 @@ class TestEquivalence:
             for i, (c, a) in enumerate(zip(cs, aa))
         )
         acct = RunAccount(run_id="x", members=members, run_fare=fare)
-        res = goalprog_split(acct, THRESHOLDS)
-        assert res.counts == oracle_split(acct, THRESHOLDS)
-        assert sum(e.fare for e in res.entries) == fare
-        assert all(e.saving >= 0 for e in res.entries)
-        # realized savings honour the reported counts exactly
-        for sigma, count in zip(THRESHOLDS, res.counts):
-            assert sum(1 for e in res.entries if e.saving >= sigma) == count
+        fares = goalprog_split(acct, THRESHOLDS)
+        # the counts that the fares' savings realize are the optimum
+        assert saver_counts(acct, fares, THRESHOLDS) == oracle_split(acct, THRESHOLDS)
+        assert sum(fares.values()) == fare
+        assert all(s >= 0 for s in savings(acct, fares).values())

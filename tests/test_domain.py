@@ -20,10 +20,9 @@ from ridepool.domain import (
     VehicleState,
     apply_assignment,
 )
-from ridepool.harness import synthetic_trips
+from ridepool.harness import ScenarioGrid, synthetic_trips
 from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import RoadNetwork
-from ridepool.pricing import Tariff
 from tests._hop_oracle import HopRoute
 from tests._scan_oracle import extract_runs, plan_stop_times, run_customers
 from tests.conftest import expand_route, line_network, plan_on, sec
@@ -328,7 +327,7 @@ class TestScheduleCommit:
 
         monkeypatch.setattr(domain, "apply_assignment", checked_commit)
         cfg = simengine.SimConfig(
-            mechanism=mech, tariff=Tariff.from_usd(), fleet_size=8, mar=Fraction(3, 4),
+            mechanism=mech, tariff=ScenarioGrid().tariff(), fleet_size=8, mar=Fraction(3, 4),
             rng_seed=3, network=grid10, horizon=sec(1800),
         )
         res = simengine.run_sim(cfg, synthetic_trips(grid10, 120, 1800, seed=3))
@@ -376,7 +375,7 @@ def ring_world(randint):
         d = (o + randint(1, n - 1)) % n
         trips.append(Request.build(i, names[o], names[d], t, randint(60, 400)))
     cfg = simengine.SimConfig(
-        mechanism=list(Mechanism)[randint(0, 2)], tariff=Tariff.from_usd(),
+        mechanism=list(Mechanism)[randint(0, 2)], tariff=ScenarioGrid().tariff(),
         fleet_size=randint(1, 4), mar=Fraction(randint(1, 2), 2), rng_seed=randint(0, 99),
         network=net, horizon=sec(3600),
     )

@@ -24,7 +24,7 @@ from ridepool.io import summary_row
 from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import make_grid
 from ridepool.simengine import SimConfig, run_sim
-from ridepool.pricing import Tariff, pcp_fare
+from ridepool.pricing import pcp_fare
 from ridepool.units import USEC
 from ridepool.verify import build_threshold_fixture, run_fixture
 from tests.conftest import assert_same_run, unserved_ids
@@ -54,7 +54,7 @@ def small_outcomes():
 class TestRunGrid:
     def test_mar_zero_cells_equal_sro_baseline(self, small_outcomes):
         for oc in small_outcomes:
-            if oc.mechanism != "SRO" and oc.params["mar"] == 0:
+            if oc.mechanism != "SRO" and oc.result.config.mar == 0:
                 assert oc.result.fleet_distance == oc.baseline.fleet_distance
                 assert oc.result.fares_total == oc.baseline.fares_total
                 assert unserved_ids(oc.result) == unserved_ids(oc.baseline)
@@ -182,7 +182,7 @@ class TestAggregate:
         for s in summarize(small_outcomes):
             for mar, means in s.per_mar.items():
                 cells = [oc.metrics() for oc in small_outcomes
-                         if oc.mechanism == s.mechanism and oc.params["mar"] == mar]
+                         if oc.mechanism == s.mechanism and oc.result.config.mar == mar]
                 assert len(cells) == 2
                 for metric in SUMMARY_METRICS:
                     values = [m[metric] for m in cells if m[metric] is not None]
@@ -192,7 +192,7 @@ class TestAggregate:
 class TestSavingsBrackets:
     def test_ccp_zero_bracket_is_full(self, grid10):
         trips = synthetic_trips(grid10, 150, 1800, seed=5)
-        cfg = SimConfig(mechanism=Mechanism.CCP, tariff=Tariff.from_usd(), fleet_size=12,
+        cfg = SimConfig(mechanism=Mechanism.CCP, tariff=ScenarioGrid().tariff(), fleet_size=12,
                         mar=Fraction(8, 10), rng_seed=5, network=grid10, horizon=1800 * USEC)
         res = run_sim(cfg, trips)
         shares = savings_brackets(res)
@@ -241,7 +241,7 @@ class TestSavingsBrackets:
 
     def test_empty_population_is_na(self, grid10):
         trips = synthetic_trips(grid10, 40, 1800, seed=5)
-        cfg = SimConfig(mechanism=Mechanism.SRO, tariff=Tariff.from_usd(), fleet_size=8,
+        cfg = SimConfig(mechanism=Mechanism.SRO, tariff=ScenarioGrid().tariff(), fleet_size=8,
                         mar=Fraction(0), rng_seed=5, network=grid10, horizon=1800 * USEC)
         res = run_sim(cfg, trips)
         assert all(v is None for v in savings_brackets(res).values())

@@ -19,7 +19,7 @@ from ridepool.domain import (
     VehicleState,
     apply_assignment,
 )
-from ridepool.harness import synthetic_trips
+from ridepool.harness import ScenarioGrid, synthetic_trips
 from ridepool.mechanisms import (
     MAX_WAIT_REASON,
     POOLED,
@@ -39,14 +39,14 @@ from ridepool.mechanisms import (
     enumerate_candidates,
 )
 from ridepool.netgraph import RoadNetwork, make_grid
-from ridepool.pricing import Tariff, solitary_fare, total_cost
-from ridepool.units import UMILE, USEC, time_cost_mils
+from ridepool.pricing import solitary_fare, total_cost
+from ridepool.units import UMILE, USEC, mils_from_usd, time_cost_mils
 from tests import _scan_oracle
 from tests._fare_oracle import PoolGeometry, ccp_pooled_fare, route_distance_umiles
 from tests._scan_oracle import PARTNER_WAIT_REASON, Commitment, _pooled_candidates_for
 from tests.conftest import ends, expand_route, line_network, plan_on, sec
 
-TARIFF = Tariff.from_usd()
+TARIFF = ScenarioGrid().tariff()
 
 
 def req(i, o, d, t=0, vot_mils_min=250, wait_s=600, poolable=True):
@@ -257,7 +257,7 @@ class TestNearestFirstWalk:
 
 class TestAssignPcp:
     def test_pooling_saves_distance_and_obeys_detour(self, line6):
-        tariff = Tariff.from_usd(detour_factor="0.3")
+        tariff = ScenarioGrid().tariff(detour=Fraction(3, 10))
         i = req(1, "A", "E")
         v0 = vehicle_with_rider(line6, 0, "A", i)
         v1 = VehicleState(1, "D", line6)
@@ -286,7 +286,7 @@ class TestAssignPcp:
     @pytest.mark.parametrize("over,expected", [(False, POOLED), (True, SOLITARY)])
     def test_detour_bound_is_sharp(self, over, expected):
         net = self._triangle(over)
-        tariff = Tariff.from_usd(detour_factor="0.3")
+        tariff = ScenarioGrid().tariff(detour=Fraction(3, 10))
         i = req(1, "A", "D")
         v0 = vehicle_with_rider(net, 0, "A", i)
         v1 = VehicleState(1, "B", net)
@@ -296,7 +296,7 @@ class TestAssignPcp:
         assert d.kind == expected
 
     def test_nonpoolable_request_rides_solo_at_full_fare(self, line6):
-        tariff = Tariff.from_usd()
+        tariff = ScenarioGrid().tariff()
         i = req(1, "A", "E")
         v0 = vehicle_with_rider(line6, 0, "A", i)
         v1 = VehicleState(1, "B", line6)
@@ -309,7 +309,7 @@ class TestAssignPcp:
 def ccp_fixture(line, change_fee_usd):
     """Rider 1 alone on vehicle 0 from A to E, vehicle 1 idle at B, and a
     request from B to E at time 0."""
-    tariff = Tariff.from_usd(change_fee=change_fee_usd)
+    tariff = ScenarioGrid().tariff(change_fee=mils_from_usd(change_fee_usd))
     i = req(1, "A", "E", vot_mils_min=250)
     v0 = vehicle_with_rider(line, 0, "A", i)
     set_run_fields(v0, tariff)
@@ -343,7 +343,7 @@ class TestAssignCcp:
         assert d.kind == SOLITARY and d.vehicle == 1
 
     def test_near_destination_pickup_detour_fails(self, line6):
-        tariff = Tariff.from_usd(change_fee=2.0)
+        tariff = ScenarioGrid().tariff(change_fee=2000)
         i = req(1, "A", "C", vot_mils_min=283)
         v0 = vehicle_with_rider(line6, 0, "A", i)
         set_run_fields(v0, tariff)
@@ -369,7 +369,7 @@ class TestAssignCcp:
 
 class TestSolitaryBaseline:
     def test_uses_best_feasible_candidate(self, line6):
-        tariff = Tariff.from_usd()
+        tariff = ScenarioGrid().tariff()
         fleet = Fleet([VehicleState(0, "C", line6)])
         r = req(9, "B", "A")
         d = assign_ccp(fleet, r, 0, line6, tariff, {9: r}, {})
@@ -378,7 +378,7 @@ class TestSolitaryBaseline:
         assert d.baseline == 3000 + 200
 
     def test_hypothetical_when_no_vehicle(self, line6):
-        tariff = Tariff.from_usd()
+        tariff = ScenarioGrid().tariff()
         r = req(9, "B", "A", wait_s=120)
         d = assign_ccp(Fleet([]), r, 0, line6, tariff, {9: r}, {})
         assert d.kind == UNSERVED
@@ -436,7 +436,7 @@ def random_world(randint, den=2, net=WORLD):
     turn = randint(0, n - 1)
     ids = ids[turn:] + ids[:turn]
     fleet = Fleet(VehicleState(i, nodes[randint(0, len(nodes) - 1)], net) for i in ids)
-    tariff = Tariff.from_usd(change_fee=(0.5, 2.0)[randint(0, 1)])
+    tariff = ScenarioGrid().tariff(change_fee=(500, 2000)[randint(0, 1)])
     requests, committed = {}, {}
     now = 0
     for cid in range(randint(0, 2 * n)):
@@ -609,7 +609,7 @@ class TestDetourLimitsPerRun:
         pooled = []
         for factor in (Fraction(1, 20), Fraction(1), Fraction(1, 20)):
             cfg = simengine.SimConfig(
-                mechanism=Mechanism.PCP, tariff=Tariff.from_usd(detour_factor=factor),
+                mechanism=Mechanism.PCP, tariff=ScenarioGrid().tariff(detour=factor),
                 fleet_size=5, mar=Fraction(1), rng_seed=2, network=net, horizon=900 * USEC,
             )
             pooled.append(simengine.run_sim(cfg, trips).pooled_customers)
@@ -623,8 +623,8 @@ class TestDetourLimitsPerRun:
             fleet, tariff, requests, committed, r, now = random_world(random.Random(seed).randint)
             decisions = []
             # a limit kept from factor 1 would reject every pooled case under 0.05
-            for factor in ("1", "0.05", "1"):
-                tariff = Tariff.from_usd(detour_factor=factor)
+            for factor in (Fraction(1), Fraction(1, 20), Fraction(1)):
+                tariff = ScenarioGrid().tariff(detour=factor)
                 d = assign_pcp(fleet, r, now, WORLD, tariff, requests)
                 assert d == _scan_oracle.assign_pcp(fleet.vehicles, r, now, WORLD, tariff,
                                                     requests)
@@ -888,7 +888,7 @@ class TestCarriedFareState:
                 for i in range(100)
             ]
             cfg = simengine.SimConfig(
-                mechanism=Mechanism.CCP, tariff=Tariff.from_usd(change_fee=0.5), fleet_size=4,
+                mechanism=Mechanism.CCP, tariff=ScenarioGrid().tariff(change_fee=500), fleet_size=4,
                 mar=Fraction(1), rng_seed=seed, network=net, horizon=1800 * USEC,
             )
             simengine.run_sim(cfg, trips)
@@ -930,8 +930,8 @@ CCP_NET = make_grid(5, 5, 0.15, 30)
 def ccp_config(seed, fee_usd, mar):
     """A small CCP simulation on `CCP_NET`: 4 vehicles over 900 s."""
     return simengine.SimConfig(
-        mechanism=Mechanism.CCP, tariff=Tariff.from_usd(change_fee=fee_usd), fleet_size=4,
-        mar=mar, rng_seed=seed, network=CCP_NET, horizon=900 * USEC,
+        mechanism=Mechanism.CCP, tariff=ScenarioGrid().tariff(change_fee=mils_from_usd(fee_usd)),
+        fleet_size=4, mar=mar, rng_seed=seed, network=CCP_NET, horizon=900 * USEC,
     )
 
 

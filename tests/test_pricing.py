@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ridepool.domain import Request
+from ridepool.harness import ScenarioGrid
 from ridepool.netgraph import make_grid
 from ridepool.pricing import (
-    Tariff,
     pcp_fare,
     provider_profit,
     solitary_fare,
@@ -23,7 +23,7 @@ from tests.conftest import line_network, sec
 
 @pytest.fixture(scope="module")
 def tariff():
-    return Tariff.from_usd()
+    return ScenarioGrid().tariff()
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +54,11 @@ class TestPcpFare:
         assert pcp_fare(tariff, 7500) == 6000
 
     def test_no_discount_factor_one(self):
-        t = Tariff.from_usd(discount_factor="1.0")
+        t = ScenarioGrid().tariff(discount=Fraction(1))
         assert pcp_fare(t, 12345) == 12345
 
     def test_085(self):
-        t = Tariff.from_usd(discount_factor="0.85")
+        t = ScenarioGrid().tariff(discount=Fraction(85, 100))
         assert pcp_fare(t, 10000) == 8500
 
 
@@ -191,7 +191,7 @@ class TestPcpProperties:
     @given(st.integers(0, 10**6), st.integers(1, 100))
     @settings(max_examples=50, deadline=None)
     def test_discount_never_exceeds_solitary(self, solitary, pct):
-        t = Tariff.from_usd(discount_factor=Fraction(pct, 100))
+        t = ScenarioGrid().tariff(discount=Fraction(pct, 100))
         assert pcp_fare(t, solitary) <= solitary
         if pct == 100:
             assert pcp_fare(t, solitary) == solitary

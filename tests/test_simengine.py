@@ -10,11 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from ridepool.costshare import shapley_split
 from ridepool.domain import Request
-from ridepool.harness import synthetic_trips
+from ridepool.harness import ScenarioGrid, synthetic_trips
 from ridepool.mechanisms import POOLED, Mechanism
 from ridepool import simengine
 from ridepool.netgraph import INF, RoadNetwork, make_grid
-from ridepool.pricing import Tariff, pcp_fare, solitary_fare
+from ridepool.pricing import pcp_fare, solitary_fare
 from ridepool.simengine import (
     ConfigError,
     SimConfig,
@@ -27,7 +27,7 @@ from ridepool.verify import check_detour_bounds, check_individual_rationality, c
 from tests import _scan_oracle
 from tests.conftest import assert_same_run, counterfactual_sro, unserved_ids
 
-TARIFF = Tariff.from_usd()
+TARIFF = ScenarioGrid().tariff()
 
 
 def grid_requests(net, seed, n, horizon_s=1800, wait_s=360):
@@ -382,7 +382,7 @@ class TestRunAccounting:
         for account in res.accounts:
             assert account.budget() >= 0
             if len(account.members) == 2:
-                expected = {e.customer: e.fare for e in shapley_split(account).entries}
+                expected = shapley_split(account)
                 got = {m.customer: res.per_customer[m.customer].fare for m in account.members}
                 assert got == expected
             else:
