@@ -28,7 +28,10 @@ from .harness import (
 from .mechanisms import Mechanism
 from .netgraph import load_network_csv, make_grid
 from .simengine import DEFAULT_THRESHOLDS, SPLIT_SCHEMES, ConfigError
-from .units import USEC, fmt4, fmt_opt, fmt_usd, fraction_from, mils_from_usd, usec_from_seconds
+from .units import (
+    UMILE, USEC, fmt4, fmt_opt, fmt_usd, fraction_from, mils_from_usd, umiles_from_miles,
+    usec_from_seconds,
+)
 from .verify import run_all_fixtures
 
 
@@ -64,10 +67,11 @@ TARIFF_TABLE = {
 }
 # network.grid key -> (name in messages, reader, rules), in `make_grid`'s argument order
 GRID_SIDE = (INTEGER, (lambda n: 2 <= n <= 1000, "in [2, 1000]"))
+WHOLE_UMILES = (lambda mi: umiles_from_miles(mi) > 0, "positive in whole micro-miles")
 GRID_TABLE = {
     "rows": ("network.grid rows", None, GRID_SIDE),
     "cols": ("network.grid cols", None, GRID_SIDE),
-    "edge_length_mi": ("edge_length_mi", fraction_from, (POSITIVE,)),
+    "edge_length_mi": ("edge_length_mi", fraction_from, (POSITIVE, WHOLE_UMILES)),
     "speed_mph": ("speed_mph", fraction_from, (POSITIVE,)),
 }
 CONFIG_KEYS = ("network", "tariff", *CONFIG_TABLE)
@@ -128,8 +132,13 @@ def _network_from_config(cfg):
         g = net_cfg["grid"]
         _check_keys("network.grid", g, GRID_TABLE)
         typed = [_required("network.grid", g, key) for key in GRID_TABLE]
-        return make_grid(*(_value(name, value, read, rules)
-                           for (name, read, rules), value in zip(GRID_TABLE.values(), typed)))
+        rows, cols, length, speed = (_value(name, v, read, rules) for (name, read, rules), v
+                                     in zip(GRID_TABLE.values(), typed))
+        # `make_grid`'s edge time: whole micro-miles at `speed`, in whole microseconds
+        if usec_from_seconds(Fraction(umiles_from_miles(length) * 3600, UMILE) / speed) == 0:
+            raise ConfigError("speed_mph must leave an edge at least 1 usec of travel, "
+                              f"got {typed[3]!r}")
+        return make_grid(rows, cols, length, speed)
     return load_network_csv(net_cfg["file"])
 
 
@@ -226,6 +235,7 @@ def cmd_analyze(args) -> int:
             bracket_rows.append((s.label, fmt4(mar), *(fmt_opt(m["brackets"][t]) for t in BRACKETS)))
 
     out = Path(args.out) if args.out else Path(args.indir)
+    out.mkdir(parents=True, exist_ok=True)  # only now, so an unreadable summary makes no directory
     rio.write_csv(out / "aggregate.csv",
                   ("setting", "mar", "unserved_pct", "distance_saving_pct",
                    "profit_usd", "mean_cost_per_poolable_usd"), agg_rows)

@@ -30,10 +30,6 @@ class InfeasibleRun(Exception):
     """The run fare exceeds the customers' combined willingness to pay."""
 
 
-class InvalidThresholds(Exception):
-    """Thresholds must be strictly increasing and inside (0, 1)."""
-
-
 @dataclass(frozen=True)
 class RunMember:
     customer: int
@@ -79,18 +75,7 @@ def shapley_split(acct: RunAccount) -> dict[int, Fraction]:
     return {m.customer: m.solitary_cost - m.pooled_time_cost - half for m in acct.members}
 
 
-def validate_thresholds(thresholds: Sequence) -> list[Fraction]:
-    sigmas = [Fraction(t) if not isinstance(t, float) else Fraction(str(t)) for t in thresholds]
-    if not sigmas:
-        raise InvalidThresholds("need at least one threshold")
-    if any(not 0 < s < 1 for s in sigmas):
-        raise InvalidThresholds(f"thresholds must lie in (0, 1): {sigmas}")
-    if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
-        raise InvalidThresholds(f"thresholds must be strictly increasing: {sigmas}")
-    return sigmas
-
-
-def goalprog_split(acct: RunAccount, thresholds: Sequence) -> dict[int, Fraction]:
+def goalprog_split(acct: RunAccount, sigmas: Sequence[Fraction]) -> dict[int, Fraction]:
     """Fare map of a lexicographic maximization of per-threshold saver counts.
 
     At each level the cheapest-to-satisfy customers (smallest solitary
@@ -98,8 +83,10 @@ def goalprog_split(acct: RunAccount, thresholds: Sequence) -> dict[int, Fraction
     preserved; leftover budget is spread over the final selected set in
     proportion to solitary cost, i.e. as a uniform bump of everyone's
     relative saving.
+
+    The thresholds `sigmas` must be exact Fractions, strictly increasing
+    and in (0, 1); `SimConfig` and `cli._thresholds` check them, not this.
     """
-    sigmas = validate_thresholds(thresholds)
     budget = Fraction(_check_feasible(acct))
 
     order = sorted(acct.members, key=lambda m: (m.solitary_cost, m.customer))

@@ -20,7 +20,6 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .netgraph import RoadNetwork
-from .units import mils_from_usd, usec_from_seconds
 
 REC = "REC"
 PU = "PU"
@@ -61,30 +60,6 @@ class Request:
             raise ValueError(f"request {self.id}: max_wait must be positive")
         if self.value_of_time is not None and self.value_of_time < 0:
             raise ValueError(f"request {self.id}: value of time must be non-negative")
-
-    @classmethod
-    def build(
-        cls,
-        id,
-        origin,
-        destination,
-        request_time_s,
-        max_wait_s,
-        value_of_time_usd_per_min=None,
-        poolable=None,
-    ) -> "Request":
-        vot = None
-        if value_of_time_usd_per_min is not None:
-            vot = mils_from_usd(value_of_time_usd_per_min)
-        return cls(
-            id=id,
-            origin=origin,
-            destination=destination,
-            request_time=usec_from_seconds(request_time_s),
-            value_of_time=vot,
-            max_wait=usec_from_seconds(max_wait_s),
-            poolable=poolable,
-        )
 
     def resolved(self, value_of_time=None, poolable=None, max_wait=None) -> "Request":
         """This request with missing value of time and poolable flag filled

@@ -350,6 +350,6 @@ def synthetic_trips(net: RoadNetwork, n: int, horizon_s: int, seed: int) -> list
         rows.append((int(rng.integers(0, horizon_s + 1)), int(o), int(d)))
     rows.sort()
     return [
-        Request.build(i, net.node_ids[o], net.node_ids[d], t, 600)
+        Request(i, net.node_ids[o], net.node_ids[d], t * USEC, None, 600 * USEC, None)
         for i, (t, o, d) in enumerate(rows)
     ]

@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple
 
 from .domain import DO, PU, Fleet, InsertionPlan, Request, Stop, VehicleState
 from .netgraph import RoadNetwork
-from .pricing import Tariff, mileage_fare, pcp_fare
+from .pricing import Tariff, mileage_fare, pcp_fare, solitary_fare
 from .units import Money, time_cost_mils
 
 MAX_WAIT_REASON = "MaxWaitExceeded"
@@ -279,7 +279,7 @@ def _priced_pass(fleet, r, now, mode, net, tariff, requests):
     o, d = net.index(r.origin), net.index(r.destination)
     cands = enumerate_candidates(fleet, r, now, mode, net, requests, o, d)
     solo = cands[0] if cands and isinstance(cands[0], InsertionCandidate) else None
-    quote = mileage_fare(tariff, net.distance_umiles(o, d), 0)  # the solitary fare
+    quote = solitary_fare(tariff, net, o, d)
     if solo is not None:
         span = solo.dropoff_times[r.id] - r.request_time
     else:

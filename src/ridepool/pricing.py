@@ -54,10 +54,9 @@ def mileage_fare(t: Tariff, dist_umiles: int, change_events: int) -> int:
     return t.base_fare + charge + change_events * t.change_fee
 
 
-def solitary_fare(t: Tariff, net: RoadNetwork, origin: str, destination: str) -> int:
-    if origin == destination:
-        raise ValueError("solitary fare needs distinct origin and destination")
-    return mileage_fare(t, net.distance_umiles(net.index(origin), net.index(destination)), 0)
+def solitary_fare(t: Tariff, net: RoadNetwork, o: int, d: int) -> int:
+    """The quote of a ride alone from node index `o` to `d`."""
+    return mileage_fare(t, net.distance_umiles(o, d), 0)
 
 
 def pcp_fare(t: Tariff, solitary: Money) -> Fraction:

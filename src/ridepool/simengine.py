@@ -66,7 +66,7 @@ class SimConfig:
     horizon: int  # usec
     max_wait_override: int | None = None  # usec, replaces per-request limits
     split_scheme: str = "shapley"  # one of SPLIT_SCHEMES
-    split_thresholds: tuple[Fraction, ...] = DEFAULT_THRESHOLDS
+    split_thresholds: tuple[Fraction, ...] = DEFAULT_THRESHOLDS  # checked here for goalprog_split
     initial_vehicle_nodes: tuple[str, ...] | None = None
     vot_values: tuple[int, ...] = DEFAULT_VOT_MILS_PER_MIN  # mils per minute
     # a PCP run of this configuration under another discount factor, which
@@ -80,6 +80,11 @@ class SimConfig:
             raise ConfigError("mar must lie in [0, 1]")
         if self.split_scheme not in SPLIT_SCHEMES:
             raise ConfigError(f"unknown split scheme {self.split_scheme!r}")
+        s = self.split_thresholds
+        if not (s and all(isinstance(t, Fraction) and 0 < t < 1 for t in s)
+                and all(a < b for a, b in zip(s, s[1:]))):
+            raise ConfigError("split_thresholds must be exact fractions in (0, 1), "
+                              f"strictly increasing: {s!r}")
 
 
 @dataclass

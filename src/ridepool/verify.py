@@ -206,7 +206,7 @@ def build_threshold_fixture(
     net = _fixture_network(["OI", "OJ", "DJ"], base)
 
     tariff = ScenarioGrid().tariff(discount=delta, detour=detour)
-    p_sol = solitary_fare(tariff, net, "OI", "DJ")
+    p_sol = solitary_fare(tariff, net, net.index("OI"), net.index("DJ"))
     threshold_per_min = theorem3_threshold(delta, p_sol, detour, Fraction(direct_s, 60))
     vot = ratio * threshold_per_min
     if vot.denominator != 1:
@@ -319,10 +319,10 @@ def _pair_coalition_surplus(fx: TheoremFixture) -> Fraction:
     def dist(a, b):
         return net.distance_umiles(net.index(a), net.index(b))
 
-    sol_first = total_cost(solitary_fare(t, net, first.origin, first.destination),
-                           first, dur(first.origin, first.destination))
-    sol_second = total_cost(solitary_fare(t, net, second.origin, second.destination),
-                            second, dur(second.origin, second.destination))
+    def solo_cost(r):
+        o, d = net.index(r.origin), net.index(r.destination)
+        return total_cost(solitary_fare(t, net, o, d), r, net.duration_usec(o, d))
+
     pooled_fare = mileage_fare(
         t, dist(first.origin, second.origin) + dist(second.origin, second.destination), 1)
     # both riders alight together at the shared destination
@@ -332,7 +332,7 @@ def _pair_coalition_surplus(fx: TheoremFixture) -> Fraction:
         + time_cost_mils(first.value_of_time, span)
         + time_cost_mils(second.value_of_time, span)
     )
-    return sol_first + sol_second - pooled_total
+    return solo_cost(first) + solo_cost(second) - pooled_total
 
 
 def check_theorem4_dichotomy(original: TheoremFixture, altered: TheoremFixture) -> Verdict:

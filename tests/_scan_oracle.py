@@ -35,6 +35,7 @@ from ridepool.netgraph import INF, Unreachable
 from ridepool.pricing import pcp_fare, solitary_fare, total_cost
 from ridepool.units import Money, time_cost_mils
 from tests._fare_oracle import route_distance_umiles, route_fare
+from tests.conftest import ends
 
 PARTNER_WAIT_REASON = "PartnerMaxWaitExceeded"
 
@@ -244,19 +245,18 @@ def best_solitary(vehicles, r, now):
 
 
 def solitary_baseline(vehicles, r, now, net, tariff):
-    quote = solitary_fare(tariff, net, r.origin, r.destination)
+    quote = solitary_fare(tariff, net, *ends(net, r))
     cand = best_solitary(vehicles, r, now)
     if cand is not None:
         span = cand.dropoff_times[r.id] - r.request_time
     else:
-        o, d = net.index(r.origin), net.index(r.destination)
-        span = r.max_wait + net.duration_usec(o, d)
+        span = r.max_wait + net.duration_usec(*ends(net, r))
     return quote + time_cost_mils(r.value_of_time, span), cand
 
 
 def assign_sro(vehicles, r, now, net, tariff):
     cand = best_solitary(vehicles, r, now)
-    quote = solitary_fare(tariff, net, r.origin, r.destination)
+    quote = solitary_fare(tariff, net, *ends(net, r))
     if cand is None:
         return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote, reason=MAX_WAIT_REASON)
     baseline = total_cost(quote, r, cand.dropoff_times[r.id])
@@ -268,7 +268,7 @@ def assign_sro(vehicles, r, now, net, tariff):
 
 def assign_pcp(vehicles, r, now, net, tariff, requests):
     baseline, _ = solitary_baseline(vehicles, r, now, net, tariff)
-    quote = solitary_fare(tariff, net, r.origin, r.destination)
+    quote = solitary_fare(tariff, net, *ends(net, r))
     fare = pcp_fare(tariff, quote) if r.poolable else quote
     feasible = []
     for c in enumerate_candidates(vehicles, r, now, Mechanism.PCP, requests):
@@ -297,7 +297,7 @@ def assign_pcp(vehicles, r, now, net, tariff, requests):
 
 
 def assign_ccp(vehicles, r, now, net, tariff, requests, committed):
-    quote = solitary_fare(tariff, net, r.origin, r.destination)
+    quote = solitary_fare(tariff, net, *ends(net, r))
     baseline, best_solo = solitary_baseline(vehicles, r, now, net, tariff)
     admissible = []
     if r.poolable:

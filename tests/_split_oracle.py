@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from ridepool.costshare import RunAccount, _check_feasible, validate_thresholds
+from ridepool.costshare import RunAccount, _check_feasible
 
 
 def savings(acct: RunAccount, fares) -> dict[int, Fraction]:
@@ -33,7 +33,7 @@ class TooLarge(Exception):
     """The enumeration oracle only handles runs of up to four customers."""
 
 
-def oracle_split(acct: RunAccount, thresholds: Sequence) -> tuple[int, ...]:
+def oracle_split(acct: RunAccount, sigmas: Sequence[Fraction]) -> tuple[int, ...]:
     """Brute-force lexicographic optimum over all per-customer saver levels.
 
     Assigning customer i the deepest threshold she reaches costs
@@ -44,7 +44,6 @@ def oracle_split(acct: RunAccount, thresholds: Sequence) -> tuple[int, ...]:
     """
     if len(acct.members) > 4:
         raise TooLarge("oracle enumerates runs of at most 4 customers")
-    sigmas = validate_thresholds(thresholds)
     budget = _check_feasible(acct)
     den = lcm(*(s.denominator for s in sigmas))
     nums = [s.numerator * (den // s.denominator) for s in sigmas]

@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +20,7 @@ from ridepool.io import (
     load_summary_csv, load_trips_csv,
 )
 from ridepool.mechanisms import Mechanism
-from ridepool.units import MILS, USEC, fmt4, fmt_opt, fmt_seconds, fmt_usd
+from ridepool.units import MILS, USEC, fmt4, fmt_opt, fmt_seconds, fmt_usd, usec_from_seconds
 
 
 CONFIG = {
@@ -128,6 +128,20 @@ class TestSimulate:
         }
         # SRO: 2 seeds; PCP: 3 discounts x 2 detours x 3 mars x 2 seeds; CCP: 3 mars x 2 seeds
         assert len((out / "summary.csv").read_text().splitlines()) == 1 + 2 + 36 + 6
+
+    def test_trip_max_wait_gives_way_to_the_config_axis(self, simulated, tmp_path):
+        # every cell replaces each trip's max_wait_s with the max_wait_s
+        # axis, so trip files that differ only there give the same outputs
+        # as the synthetic trips (600 s) behind `simulated`
+        trips = harness.synthetic_trips(cli._network_from_config(CONFIG), 100, 1200, seed=4)
+        cfg = simulated[1]
+        for wait_s in (1, 5000):
+            path = tmp_path / f"trips{wait_s}.csv"
+            save_trips_csv([replace(r, max_wait=wait_s * USEC) for r in trips], path)
+            out = tmp_path / f"out{wait_s}"
+            assert main(["simulate", "--config", str(cfg), "--trips", str(path),
+                         "--out", str(out)]) == 0
+            assert output_digests(out) == output_digests(simulated[2])
 
     def test_horizon_in_any_spelling_gives_the_same_outputs(self, tmp_path):
         # the synthetic trips re-read horizon_s with int(), which failed on
@@ -310,6 +324,24 @@ class TestAnalyze:
         path.write_text(",".join(SUMMARY_COLUMNS) + "\n")
         assert fails_cleanly(capsys, ["analyze", "--in", str(tmp_path)]) == (
             f"ridepool analyze: {path} has no rows")
+
+    def test_missing_out_directory_is_created(self, simulated, tmp_path):
+        # used to fail with "No such file or directory", while simulate
+        # creates its own --out
+        _, _, out = simulated
+        target = tmp_path / "new" / "reports"
+        assert main(["analyze", "--in", str(out), "--out", str(target), "--brackets"]) == 0
+        assert sorted(p.name for p in target.iterdir()) == ["aggregate.csv", "brackets.csv"]
+
+    @pytest.mark.parametrize("summary", ["header-only", "missing"])
+    def test_unreadable_summary_makes_no_out_directory(self, tmp_path, capsys, summary):
+        indir = tmp_path / "in"
+        indir.mkdir()
+        if summary == "header-only":
+            (indir / "summary.csv").write_text(",".join(SUMMARY_COLUMNS) + "\n")
+        target = tmp_path / "new" / "reports"
+        fails_cleanly(capsys, ["analyze", "--in", str(indir), "--out", str(target)])
+        assert not (tmp_path / "new").exists()
 
     def test_short_summary_row_names_the_line(self, simulated, tmp_path):
         _, _, out = simulated
@@ -523,6 +555,10 @@ class TestInputErrors:
          "network.grid rows must be in [2, 1000], got 1"),
         (lambda c: c["network"]["grid"].update(edge_length_mi=0),
          "edge_length_mi must be positive, got 0"),
+        (lambda c: c["network"]["grid"].update(edge_length_mi=1e-7),
+         "edge_length_mi must be positive in whole micro-miles, got 1e-07"),
+        (lambda c: c["network"]["grid"].update(speed_mph=1e12),
+         "speed_mph must leave an edge at least 1 usec of travel, got 1000000000000.0"),
         (lambda c: c["tariff"].update(base_fare_usd=-1),
          "base_fare_usd must be non-negative, got -1"),
         (lambda c: c["tariff"].update(change_fee_usd=[2.0, -0.5]),
@@ -538,7 +574,8 @@ class TestInputErrors:
          "detour_factor must be positive, got -0.1"),
         (lambda c: c["tariff"].update(detour_factor="x"),
          "detour_factor: cannot read 'x' as a number"),
-    ], ids=["edge-length-text", "speed-list", "rows-one", "edge-length-zero", "base-fare-negative",
+    ], ids=["edge-length-text", "speed-list", "rows-one", "edge-length-zero",
+            "edge-length-below-a-micro-mile", "edge-time-below-a-usec", "base-fare-negative",
             "change-fee-negative", "per-mile-zero", "provider-cost-negative", "discount-zero",
             "discount-above-one", "detour-negative", "detour-text"])
     def test_grid_number_or_tariff_out_of_range(self, tmp_path, capsys, edit, message):
@@ -700,8 +737,8 @@ def save_trips_csv(requests, path) -> None:
 class TestTripFiles:
     def test_round_trip(self, tmp_path, grid10):
         reqs = [
-            Request.build(0, "n000x000", "n003x004", 12, 300, 0.225, True),
-            Request.build(1, "n001x001", "n009x009", 40.5, 240, None, None),
+            Request(0, "n000x000", "n003x004", 12 * USEC, 225, 300 * USEC, True),
+            Request(1, "n001x001", "n009x009", usec_from_seconds(40.5), None, 240 * USEC, None),
         ]
         path = tmp_path / "trips.csv"
         save_trips_csv(reqs, path)

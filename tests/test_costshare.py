@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from ridepool.costshare import (
     InfeasibleRun,
-    InvalidThresholds,
     RunAccount,
     RunMember,
     goalprog_split,
@@ -72,14 +71,6 @@ class TestGoalProg:
         # tie on solitary cost -> lower customer id becomes the saver
         assert savings(acct, fares) == {1: Fraction(1, 10), 2: 0}
         assert fares == {1: 8000, 2: 9000}
-
-    def test_rejects_unordered_thresholds(self):
-        with pytest.raises(InvalidThresholds):
-            goalprog_split(account((10, 10), (1, 1), 14), (Fraction(1, 10), Fraction(5, 100)))
-
-    def test_rejects_out_of_range_thresholds(self):
-        with pytest.raises(InvalidThresholds):
-            goalprog_split(account((10, 10), (1, 1), 14), (Fraction(0), Fraction(1, 10)))
 
     def test_fares_sum_exactly_and_nobody_loses(self):
         acct = account((12, 7, 23), (2, 1, 4), 30)

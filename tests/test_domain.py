@@ -339,17 +339,17 @@ class TestScheduleCommit:
 class TestRequestValidation:
     def test_rejects_zero_length_trip(self):
         with pytest.raises(ValueError):
-            Request.build(1, "A", "A", 0, 300)
+            Request(1, "A", "A", 0, None, sec(300), None)
 
     def test_rejects_negative_value_of_time(self):
         with pytest.raises(ValueError):
-            Request.build(1, "A", "B", 0, 300, value_of_time_usd_per_min=-0.1)
+            Request(1, "A", "B", 0, -100, sec(300), None)
 
     def test_resolution_fills_only_missing(self):
-        r = Request.build(1, "A", "B", 0, 300)
+        r = Request(1, "A", "B", 0, None, sec(300), None)
         full = r.resolved(value_of_time=225, poolable=True)
         assert full.value_of_time == 225 and full.poolable is True
-        fixed = Request.build(2, "A", "B", 0, 300, 0.225, poolable=False)
+        fixed = Request(2, "A", "B", 0, 225, sec(300), False)
         assert fixed.resolved(value_of_time=999, poolable=True) == fixed
 
 
@@ -373,7 +373,7 @@ def ring_world(randint):
         t += randint(0, 40) * randint(0, 1)  # every other trip shares its request time
         o = randint(0, n - 1)
         d = (o + randint(1, n - 1)) % n
-        trips.append(Request.build(i, names[o], names[d], t, randint(60, 400)))
+        trips.append(Request(i, names[o], names[d], sec(t), None, sec(randint(60, 400)), None))
     cfg = simengine.SimConfig(
         mechanism=list(Mechanism)[randint(0, 2)], tariff=ScenarioGrid().tariff(),
         fleet_size=randint(1, 4), mar=Fraction(randint(1, 2), 2), rng_seed=randint(0, 99),

@@ -265,7 +265,7 @@ class TestAssignPcp:
         d = assign_pcp(Fleet([v0, v1]), r, sec(1), line6, tariff, {1: i, 2: r})
         assert d.kind == POOLED and d.vehicle == 0
         # poolable fare is the discounted solitary quote
-        assert d.fare == Fraction(8, 10) * solitary_fare(tariff, line6, "B", "E")
+        assert d.fare == Fraction(8, 10) * solitary_fare(tariff, line6, *ends(line6, r))
 
     def _triangle(self, over_by_one: bool):
         # A -> B -> D detour vs direct A -> D; pooled legs are mileage-cheaper
@@ -303,7 +303,7 @@ class TestAssignPcp:
         r = req(2, "B", "D", t=1, poolable=False)
         d = assign_pcp(Fleet([v0, v1]), r, sec(1), line6, tariff, {1: i, 2: r})
         assert d.kind == SOLITARY and d.vehicle == 1
-        assert d.fare == solitary_fare(tariff, line6, "B", "D")
+        assert d.fare == solitary_fare(tariff, line6, *ends(line6, r))
 
 
 def ccp_fixture(line, change_fee_usd):
@@ -362,7 +362,7 @@ class TestAssignCcp:
         assert d.kind == POOLED
         direct = line6.duration_usec(line6.index("B"), line6.index("E"))
         expected_baseline = total_cost(
-            solitary_fare(tariff, line6, "B", "E"), r, r.request_time + r.max_wait + direct
+            solitary_fare(tariff, line6, *ends(line6, r)), r, r.request_time + r.max_wait + direct
         )
         assert d.baseline == expected_baseline
 
@@ -456,7 +456,7 @@ def random_world(randint, den=2, net=WORLD):
             continue
         fleet.commit(v, plan, now)
         requests[cid] = k
-        quote = solitary_fare(tariff, net, k.origin, k.destination)
+        quote = solitary_fare(tariff, net, *ends(net, k))
         # CCP pooling leaves guarantees on half mils
         guaranteed = Fraction(den * (quote + randint(0, 40) * 100) - randint(0, den - 1), den)
         committed[cid] = Commitment(guaranteed, None)  # its fare is set just below
@@ -699,8 +699,8 @@ class TestClockedFleet:
             monkeypatch.setattr(simengine, name, checked(getattr(simengine, name)))
         rng = np.random.default_rng(5)
         trips = [
-            Request.build(i, *(grid10.node_ids[int(x)] for x in rng.choice(100, 2, replace=False)),
-                          10 * i, 300)
+            Request(i, *(grid10.node_ids[int(x)] for x in rng.choice(100, 2, replace=False)),
+                    sec(10 * i), None, sec(300), None)
             for i in range(120)
         ]
         served = pooled = 0
@@ -819,8 +819,8 @@ class TestCarriedLeg:
         monkeypatch.setattr(VehicleState, "busy_anchor", checked)
         rng = np.random.default_rng(11)
         trips = [
-            Request.build(i, *(grid10.node_ids[int(x)] for x in rng.choice(100, 2, replace=False)),
-                          8 * i, 300)
+            Request(i, *(grid10.node_ids[int(x)] for x in rng.choice(100, 2, replace=False)),
+                    sec(8 * i), None, sec(300), None)
             for i in range(150)
         ]
         for seed in (1, 2):
@@ -883,8 +883,8 @@ class TestCarriedFareState:
         for seed in range(3):
             # request times on the arc lattice, so waypoints fall exactly at `now`
             trips = [
-                Request.build(i, *(net.node_ids[int(x)] for x in rng.choice(25, 2, replace=False)),
-                              18 * (i // 2), 240)
+                Request(i, *(net.node_ids[int(x)] for x in rng.choice(25, 2, replace=False)),
+                        sec(18 * (i // 2)), None, sec(240), None)
                 for i in range(100)
             ]
             cfg = simengine.SimConfig(

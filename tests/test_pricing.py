@@ -18,7 +18,7 @@ from ridepool.units import MILS, UMILE, USEC, Money, distance_charge_mils
 from tests._fare_oracle import (
     InvalidGeometry, PoolGeometry, ccp_pooled_fare, route_distance_umiles,
 )
-from tests.conftest import line_network, sec
+from tests.conftest import ends, line_network, sec
 
 
 @pytest.fixture(scope="module")
@@ -31,22 +31,18 @@ def line():
     return line_network(8)
 
 
-def req(i, o, d, t=0, vot=0.225, wait=600, poolable=True):
-    return Request.build(i, o, d, t, wait, vot, poolable)
+def req(i, o, d, t=0, vot_mils_min=225, wait_s=600, poolable=True):
+    return Request(i, o, d, sec(t), vot_mils_min, sec(wait_s), poolable)
 
 
 class TestSolitaryFare:
     def test_two_mile_trip(self, tariff):
         # 2.50 base + 2.50/mi ($0.50 per fifth of a mile) on 2 miles
         net = line_network(12)  # 0.2 mi edges
-        assert solitary_fare(tariff, net, "A", "K") == 7500
+        assert solitary_fare(tariff, net, net.index("A"), net.index("K")) == 7500
 
     def test_single_edge(self, tariff, line):
-        assert solitary_fare(tariff, line, "A", "B") == 3000
-
-    def test_rejects_identity_trip(self, tariff, line):
-        with pytest.raises(ValueError):
-            solitary_fare(tariff, line, "A", "A")
+        assert solitary_fare(tariff, line, line.index("A"), line.index("B")) == 3000
 
 
 class TestPcpFare:
@@ -75,7 +71,7 @@ class TestPooledFare:
         j = req(2, "B", "E", t=1)
         geom = PoolGeometry(case=4, request_time_j=sec(1), pickup_time_i=sec(2))
         fare = ccp_pooled_fare(tariff, line, i, j, geom)
-        assert fare == solitary_fare(tariff, line, "B", "E") + tariff.change_fee
+        assert fare == solitary_fare(tariff, line, *ends(line, i)) + tariff.change_fee
 
     def test_case1_zero_leg_when_vehicle_at_new_origin(self, tariff, line):
         i = req(1, "A", "E")
@@ -129,26 +125,26 @@ class TestPooledFare:
 
 class TestTotalCost:
     def test_ten_minute_ride(self):
-        r = req(1, "A", "B", t=0, vot=0.225)
+        r = req(1, "A", "B", t=0, vot_mils_min=225)
         assert total_cost(7500, r, sec(600)) == 9750
 
     def test_zero_duration(self):
-        r = req(1, "A", "B", t=5, vot=0.225)
+        r = req(1, "A", "B", t=5, vot_mils_min=225)
         assert total_cost(7500, r, sec(5)) == 7500
 
     def test_zero_value_of_time(self):
-        r = req(1, "A", "B", t=0, vot=0)
+        r = req(1, "A", "B", t=0, vot_mils_min=0)
         assert total_cost(4200, r, sec(86400)) == 4200
 
     def test_monotone_in_dropoff_and_affine_in_fare(self):
-        r = req(1, "A", "B", t=0, vot=0.195)
+        r = req(1, "A", "B", t=0, vot_mils_min=195)
         costs = [total_cost(5000, r, sec(s)) for s in range(0, 1200, 60)]
         assert costs == sorted(costs)
         assert total_cost(6000, r, sec(300)) - total_cost(5000, r, sec(300)) == 1000
 
     def test_scaling_value_of_time_scales_only_time_component(self):
-        lo = req(1, "A", "B", t=0, vot=0.1)
-        hi = req(2, "A", "B", t=0, vot=0.3)
+        lo = req(1, "A", "B", t=0, vot_mils_min=100)
+        hi = req(2, "A", "B", t=0, vot_mils_min=300)
         fare = 5000
         t_lo = total_cost(fare, lo, sec(600)) - fare
         t_hi = total_cost(fare, hi, sec(600)) - fare
@@ -170,7 +166,7 @@ def quote(fare: Money, r: Request, dropoff: int) -> CostQuote:
 
 class TestQuote:
     def test_quote_bundles_the_cost_identity(self):
-        r = req(1, "A", "B", t=0, vot=0.225)
+        r = req(1, "A", "B", t=0, vot_mils_min=225)
         q = quote(7500, r, sec(600))
         assert q.fare == 7500 and q.dropoff_time == sec(600)
         assert q.total_cost == total_cost(q.fare, r, q.dropoff_time)

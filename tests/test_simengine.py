@@ -25,7 +25,7 @@ from ridepool.simengine import (
 from ridepool.units import UMILE, USEC
 from ridepool.verify import check_detour_bounds, check_individual_rationality, check_replay
 from tests import _scan_oracle
-from tests.conftest import assert_same_run, counterfactual_sro, unserved_ids
+from tests.conftest import assert_same_run, counterfactual_sro, ends, sec, unserved_ids
 
 TARIFF = ScenarioGrid().tariff()
 
@@ -37,7 +37,7 @@ def grid_requests(net, seed, n, horizon_s=1800, wait_s=360):
         for o, d in (rng.choice(net.n_nodes, 2, replace=False) for _ in range(n))
     )
     return [
-        Request.build(i, net.node_ids[o], net.node_ids[d], t, wait_s)
+        Request(i, net.node_ids[o], net.node_ids[d], sec(t), None, sec(wait_s), None)
         for i, (t, o, d) in enumerate(rows)
     ]
 
@@ -57,13 +57,13 @@ class TestBasics:
 
     def test_single_request_hand_trace(self, grid10):
         # one vehicle one edge away: distance = access + trip, profit exact
-        r = Request.build(0, "n000x001", "n000x003", 10, 360)
+        r = Request(0, "n000x001", "n000x003", sec(10), None, sec(360), None)
         cfg = config(grid10, Mechanism.SRO, fleet=1,
                      initial_vehicle_nodes=("n000x000",))
         res = run_sim(cfg, [r])
         assert res.served == 1
         assert res.fleet_distance == 3 * 200_000  # 0.6 mi
-        quote = solitary_fare(TARIFF, grid10, "n000x001", "n000x003")
+        quote = solitary_fare(TARIFF, grid10, *ends(grid10, r))
         assert quote == 2500 + 1000
         assert res.fares_total == quote
         # provider cost 2.945/mi over 0.6 mi = 1767 mils
@@ -79,7 +79,7 @@ class TestBasics:
 
     def test_requests_after_horizon_ignored(self, grid10):
         reqs = grid_requests(grid10, 1, 20, horizon_s=1800)
-        late = Request.build(99, "n000x000", "n005x005", 4000, 360)
+        late = Request(99, "n000x000", "n005x005", sec(4000), None, sec(360), None)
         res = run_sim(config(grid10, Mechanism.SRO), reqs + [late])
         assert res.n_requests == 20
 
@@ -104,32 +104,44 @@ class TestRelease:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("thresholds", [
+        (Fraction(1, 10), Fraction(5, 100)),
+        (Fraction(0), Fraction(1, 10)),
+        (Fraction(1, 10), Fraction(1)),
+        (),
+        (0.05, 0.1),
+    ], ids=["unordered", "out-of-range", "one", "empty", "float"])
+    def test_split_thresholds_rejected(self, grid10, thresholds):
+        # checked once here; goalprog_split takes them as given
+        with pytest.raises(ConfigError, match="^split_thresholds must be exact fractions in"):
+            config(grid10, Mechanism.CCP, split_scheme="goalprog", split_thresholds=thresholds)
+
     def test_unsorted_rejected(self, grid10):
         reqs = grid_requests(grid10, 2, 10)
         with pytest.raises(ConfigError):
             run_sim(config(grid10, Mechanism.SRO), list(reversed(reqs)))
 
     def test_duplicate_ids_rejected(self, grid10):
-        r = Request.build(7, "n000x000", "n001x001", 0, 300)
+        r = Request(7, "n000x000", "n001x001", 0, None, sec(300), None)
         with pytest.raises(ConfigError):
             run_sim(config(grid10, Mechanism.SRO), [r, r])
 
     def test_negative_request_time_rejected(self, grid10):
-        reqs = [Request.build(0, "n000x000", "n001x001", -1, 300),
-                Request.build(1, "n000x000", "n001x001", 0, 300)]
+        reqs = [Request(0, "n000x000", "n001x001", sec(-1), None, sec(300), None),
+                Request(1, "n000x000", "n001x001", 0, None, sec(300), None)]
         with pytest.raises(ConfigError, match=r"request 0: request time -1.0000 s is negative"):
             run_sim(config(grid10, Mechanism.SRO), reqs)
 
     def test_off_network_rejected(self, grid10):
-        r = Request.build(0, "n000x000", "n001x001", 0, 300)
+        r = Request(0, "n000x000", "n001x001", 0, None, sec(300), None)
         bad = replace(r, destination="nowhere")
         with pytest.raises(ConfigError, match="^request 0: node 'nowhere' is not on the network$"):
             run_sim(config(grid10, Mechanism.SRO), [bad])
 
     def test_off_network_origin_is_named(self, grid10):
         # the message used to name neither the node nor which end it was
-        reqs = [Request.build(0, "n000x000", "n001x001", 0, 300),
-                Request.build(1, "zzz", "n001x001", 5, 300)]
+        reqs = [Request(0, "n000x000", "n001x001", 0, None, sec(300), None),
+                Request(1, "zzz", "n001x001", sec(5), None, sec(300), None)]
         with pytest.raises(ConfigError, match="^request 1: node 'zzz' is not on the network$"):
             run_sim(config(grid10, Mechanism.CCP), reqs)
 
@@ -139,7 +151,7 @@ class TestValidation:
             ["a", "b", "c", "d"],
             [("a", "b", 0.1, 10), ("b", "a", 0.1, 10), ("c", "d", 0.1, 10), ("d", "c", 0.1, 10)],
         )
-        r = Request.build(0, "b", "c", 0, 300)
+        r = Request(0, "b", "c", 0, None, sec(300), None)
         cfg = SimConfig(
             mechanism=Mechanism.SRO, tariff=TARIFF, fleet_size=1, mar=Fraction(0),
             rng_seed=0, network=net, horizon=1800 * USEC, initial_vehicle_nodes=("b",),
@@ -157,9 +169,9 @@ class TestValidation:
             rng_seed=0, network=net, horizon=1800 * USEC, initial_vehicle_nodes=("a",),
         )
         with pytest.raises(ConfigError, match="nodes 'b' and 'a' are not mutually reachable"):
-            run_sim(cfg, [Request.build(0, "b", "c", 0, 300)])
+            run_sim(cfg, [Request(0, "b", "c", 0, None, sec(300), None)])
         cfg = replace(cfg, initial_vehicle_nodes=("b",))
-        assert run_sim(cfg, [Request.build(0, "b", "c", 0, 300)]).served == 1
+        assert run_sim(cfg, [Request(0, "b", "c", 0, None, sec(300), None)]).served == 1
 
 
 def grid_with_sink(n=4):
@@ -209,8 +221,8 @@ class TestReachabilityCheckedOnce:
                         initial_vehicle_nodes=("n00", "n03", "n30", "n33"))
         grid = [i for i in net.node_ids if i != "sink"]
         rng = np.random.default_rng(3)
-        reqs = [Request.build(i, *(grid[int(x)] for x in rng.choice(len(grid), 2, replace=False)),
-                              10 * i, 300) for i in range(60)]
+        reqs = [Request(i, *(grid[int(x)] for x in rng.choice(len(grid), 2, replace=False)),
+                        sec(10 * i), None, sec(300), None) for i in range(60)]
         res = run_sim(cfg, reqs)
         assert res.served > 0
         assert (res.pooled_customers > 0) == (mech != Mechanism.SRO)
@@ -221,8 +233,8 @@ class TestReachabilityCheckedOnce:
         cfg = SimConfig(mechanism=mech, tariff=TARIFF, fleet_size=2, mar=Fraction(1),
                         rng_seed=3, network=net, horizon=1800 * USEC,
                         initial_vehicle_nodes=("n00", "n33"))
-        reqs = [Request.build(0, "n01", "sink", 0, 300), Request.build(1, "n10", "n33", 5, 300),
-                Request.build(2, "n32", "n11", 60, 300), Request.build(3, "n02", "n20", 90, 300)]
+        reqs = [Request(i, o, d, sec(t), None, sec(300), None) for i, (o, d, t) in enumerate(
+            [("n01", "sink", 0), ("n10", "n33", 5), ("n32", "n11", 60), ("n02", "n20", 90)])]
         with pytest.raises(ConfigError, match="'sink' .* are not mutually reachable"):
             run_sim(cfg, reqs)
 

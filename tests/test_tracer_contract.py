@@ -57,6 +57,8 @@ print(json.dumps({
     "enumerate_calls": taken["calls"].get("mechanisms.enumerate_candidates", 0),
     "candidates": taken["extra"].get("candidates", 0),
     "pooled": sum(o.result.pooled_customers for o in outcomes),
+    "quotes": taken["calls"].get("pricing.solitary_fare", 0),
+    "requests": taken["extra"].get("requests", 0),
 }))
 """
 
@@ -73,3 +75,5 @@ def test_traced_grid_runs_every_mechanism():
     counts = json.loads(proc.stdout.splitlines()[-1])
     assert counts["enumerate_calls"] > 0
     assert counts["candidates"] > 0 and counts["pooled"] > 0
+    # one solitary quote per decided request: one discount, so no cell is re-priced
+    assert counts["requests"] > 0 and counts["quotes"] == counts["requests"]
