@@ -2,10 +2,13 @@
 
 A vehicle schedule is an ordered list of (location, time, op, customer)
 entries where op is REC (request received / rerouting point), PU (pickup)
-or DO (dropoff).  Assigning a request rewrites the future part of the
-schedule: a REC entry is recorded at the vehicle's anchor (the next node it
-can reroute from) and all downstream pickup/dropoff times are recomputed
-from shortest paths.  Vehicles carry at most two riders at once.
+or DO (dropoff).  Vehicles carry at most two riders at once, so a request
+joins a vehicle in one of seven ways, its case: alone on an idle vehicle
+(None), or one of the six pooled-fare cases beside the vehicle's one rider
+(`_case_stops`).  Committing a request in its case rewrites the future part
+of the schedule: a REC entry is recorded at the vehicle's anchor (the next
+node it can reroute from) and all downstream pickup/dropoff times are
+recomputed from shortest paths.
 
 Times are integer microseconds, distances integer micro-miles; see `units`.
 """
@@ -13,7 +16,7 @@ Times are integer microseconds, distances integer micro-miles; see `units`.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import inf
 from operator import attrgetter
@@ -24,17 +27,6 @@ from .netgraph import RoadNetwork
 REC = "REC"
 PU = "PU"
 DO = "DO"
-
-CAPACITY = 2  # concurrent riders per vehicle
-
-
-class CapacityViolation(Exception):
-    """A plan would put more than two riders in the vehicle at once."""
-
-
-class OrderingViolation(Exception):
-    """A plan breaks the REC -> PU -> DO ordering for some customer."""
-
 
 @dataclass(frozen=True)
 class Request:
@@ -84,24 +76,32 @@ class ScheduleEntry(NamedTuple):
 _entry_time = attrgetter("time")
 
 
+CASES = (None, 1, 2, 3, 4, 5, 6)  # a commit's case: solitary, or a pooled-fare case
+
+
 class Stop(NamedTuple):
-    """One future pickup or dropoff in an insertion plan."""
+    """One future pickup or dropoff of a commit."""
 
     op: str
     customer: int
-    location: str
+    node: int  # node index
 
 
-@dataclass(frozen=True)
-class InsertionPlan:
-    """Ordered interleaving of the new customer's PU/DO with the active stops;
-    `nodes` holds each stop's node index and `poolable` the new customer's
-    flag (a pooled plan only ever carries poolable customers)."""
-
-    new_customer: int
-    stops: tuple[Stop, ...]
-    nodes: tuple[int, ...] = field(compare=False, repr=False)
-    poolable: bool = field(default=True, compare=False, repr=False)
+def _case_stops(case: int | None, r: tuple[int, int, int],
+                k: tuple[int, int, int] | None = None) -> tuple[Stop, ...]:
+    """The stops of a commit, each rider given as (customer, origin index,
+    destination index): the new rider `r` alone in case None; beside the
+    partner `k`, odd cases drop `k` off first and cases 3-4 pick `k` up
+    first (in cases 1-2 `k` is on board)."""
+    pu_r, do_r = Stop(PU, r[0], r[1]), Stop(DO, r[0], r[2])
+    if case is None:
+        return pu_r, do_r
+    do_k = Stop(DO, k[0], k[2])
+    drops = (do_k, do_r) if case % 2 else (do_r, do_k)
+    if case <= 2:
+        return (pu_r, *drops)
+    pu_k = Stop(PU, k[0], k[1])
+    return ((pu_k, pu_r) if case <= 4 else (pu_r, pu_k)) + drops
 
 
 @dataclass
@@ -231,10 +231,10 @@ class Fleet:
             else:
                 self.lone[slot] = rider
 
-    def commit(self, v: VehicleState, plan: InsertionPlan, now: int) -> None:
+    def commit(self, v: VehicleState, r: Request, case: int | None, now: int) -> None:
         """`apply_assignment` on one of these vehicles; `advance` applies its new events."""
         slot, old = v.slot, v.way_nodes[-1]
-        apply_assignment(v, plan, now)
+        apply_assignment(v, r, case, now)
         here = self.idle_at.get(old)
         if here is not None and slot in here:
             here.remove(slot)
@@ -244,16 +244,27 @@ class Fleet:
         self._track(v)
 
 
-def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> None:
-    """Commit an insertion plan: rewrite the future schedule from the anchor.
+def apply_assignment(v: VehicleState, r: Request, case: int | None, now: int) -> None:
+    """Commit request `r` in `case`: rewrite the future schedule from the anchor.
 
-    The new customer gets a REC entry at (anchor, now); every downstream stop
-    time is recomputed from shortest paths.  Raises CapacityViolation or
-    OrderingViolation if the plan is malformed.  Past entries and committed
-    REC entries are untouched.
+    Case None puts `r` alone on an idle vehicle; cases 1-6 pool it with the
+    vehicle's one rider, on board in cases 1-2 and waiting in cases 3-6
+    (`_case_stops`).  Raises ValueError, before any change, when the
+    vehicle's riders at `now` do not fit the case.  The new customer gets a
+    REC entry at (anchor, now); every downstream stop time is recomputed
+    from shortest paths.  Past entries and committed REC entries are
+    untouched.
     """
     anchor_idx, t, cum = v.anchor_at(now)  # also prunes finished rides
-    _validate_plan(v, plan, now)
+    on_board = {c: ride.pickup_time <= now for c, ride in v.active.items()}
+    if case not in CASES or list(on_board.values()) != ([] if case is None else [case <= 2]):
+        riders = {c: "on board" if b else "waiting" for c, b in on_board.items()}
+        raise ValueError(f"vehicle {v.id} cannot take customer {r.id} in case {case}: "
+                         f"its riders at {now} usec are {riders}")
+    net = v.net
+    o, d = net.index(r.origin), net.index(r.destination)
+    k = next(((c, ride.origin_idx, ride.dest_idx) for c, ride in v.active.items()), None)
+    stops = _case_stops(case, (r.id, o, d), k)
     v.leg_from = -1  # the waypoints change below
 
     # the waypoints reached by `now` are driven, then the route turns at the anchor
@@ -265,13 +276,14 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> None:
         v.way_cum.append(cum)
 
     # schedule times never decrease, so the entries up to `now` are a prefix
-    entries = v.schedule
+    entries, node_ids = v.schedule, net.node_ids
     del entries[bisect_right(entries, now, key=_entry_time) :]
-    entries.append(ScheduleEntry(v.net.node_ids[anchor_idx], now, REC, plan.new_customer))
+    entries.append(ScheduleEntry(node_ids[anchor_idx], now, REC, r.id))
 
-    dur, lex = v.net.rows()
+    v.active[r.id] = ActiveRide(now, now, o, d, r.poolable)  # its times are set below
+    dur, lex = net.rows()
     cur = anchor_idx
-    for stop, j in zip(plan.stops, plan.nodes):
+    for op, c, j in stops:
         if j != cur:
             t += dur[cur][j]
             cum += lex[cur][j]
@@ -279,42 +291,8 @@ def apply_assignment(v: VehicleState, plan: InsertionPlan, now: int) -> None:
             v.way_times.append(t)
             v.way_cum.append(cum)
             cur = j
-        entries.append(ScheduleEntry(stop.location, t, stop.op, stop.customer))
-        if stop.op == PU:
-            ride = v.active.get(stop.customer)
-            if ride is None:
-                v.active[stop.customer] = ActiveRide(t, t, j, -1, plan.poolable)
-            else:
-                ride.pickup_time = t
+        entries.append(ScheduleEntry(node_ids[j], t, op, c))
+        if op == PU:
+            v.active[c].pickup_time = t
         else:
-            ride = v.active[stop.customer]
-            ride.dropoff_time = t
-            ride.dest_idx = j
-
-
-def _validate_plan(v: VehicleState, plan: InsertionPlan, now: int) -> None:
-    seen: dict[int, list[str]] = {}
-    for stop in plan.stops:
-        seen.setdefault(stop.customer, []).append(stop.op)
-
-    new_ops = seen.pop(plan.new_customer, [])
-    if new_ops != [PU, DO]:
-        raise OrderingViolation(
-            f"new customer {plan.new_customer} needs exactly PU then DO, got {new_ops}"
-        )
-    for cust, ride in v.active.items():
-        expected = [DO] if ride.pickup_time <= now else [PU, DO]
-        if seen.pop(cust, None) != expected:
-            raise OrderingViolation(f"plan must keep {expected} for committed customer {cust}")
-    if seen:
-        raise OrderingViolation(f"plan references unknown customers {sorted(seen)}")
-
-    onboard = sum(1 for ride in v.active.values() if ride.pickup_time <= now)
-    for stop in plan.stops:
-        if stop.op == PU:
-            onboard += 1
-            if onboard > CAPACITY:
-                raise CapacityViolation(f"plan exceeds capacity {CAPACITY}")
-        else:
-            onboard -= 1
-
+            v.active[c].dropoff_time = t

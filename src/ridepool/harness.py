@@ -144,37 +144,35 @@ class CellOutcome:
             ),
         }
         served_poolable = [o for o in res.per_customer.values() if o.poolable]
-        if served_poolable:
-            m["mean_cost_per_poolable"] = Fraction(
-                sum(o.total_cost for o in served_poolable), 1
-            ) / len(served_poolable)
-            m["cost_reduction_pct"] = (
-                sum(
-                    1 - Fraction(o.total_cost) / o.baseline_solitary_cost
-                    for o in served_poolable
-                )
-                / len(served_poolable)
-                * 100
-            )
-        else:
-            m["mean_cost_per_poolable"] = None
-            m["cost_reduction_pct"] = None
+        m["mean_cost_per_poolable"] = (
+            Fraction(sum(o.total_cost for o in served_poolable), 1) / len(served_poolable)
+            if served_poolable else None
+        )
+        priced = _priced(res)
+        m["cost_reduction_pct"] = (
+            sum(1 - Fraction(o.total_cost) / o.baseline_solitary_cost for o in priced)
+            / len(priced) * 100 if priced else None
+        )
         m["brackets"] = savings_brackets(res)
         return m
 
 
+def _priced(result: SimResult) -> list:
+    """The served poolable customers with a positive solitary baseline: a
+    saving relative to a zero baseline is undefined."""
+    return [o for o in result.per_customer.values() if o.poolable and o.baseline_solitary_cost > 0]
+
+
 def savings_brackets(result: SimResult, thresholds=BRACKETS):
     """Share of served poolable customers saving at least each threshold
-    relative to their frozen solitary baselines; None when there are none.
+    relative to their frozen solitary baselines, over those whose baseline
+    is positive (`_priced`); None when there are none.
 
     With threshold p/q, baseline b and total cost n/d, the saving test
     b - n/d >= (p/q) * b is q * (b*d - n) >= p * b * d, in integers.
     """
-    costs = [
-        (o.baseline_solitary_cost, o.total_cost.numerator, o.total_cost.denominator)
-        for o in result.per_customer.values()
-        if o.poolable
-    ]
+    costs = [(o.baseline_solitary_cost, o.total_cost.numerator, o.total_cost.denominator)
+             for o in _priced(result)]
     if not costs:
         return {t: None for t in thresholds}
     out = {}

@@ -3,7 +3,8 @@
 Every incoming request triggers an immediate decision.  Candidates are
 either a solitary ride on an empty vehicle or, in pooling modes, an
 insertion into the schedule of a vehicle that currently serves exactly one
-poolable customer (the stop orderings mirror the six pooled-fare cases).
+poolable customer, in one of the six pooled-fare cases; a decision commits
+the request in its candidate's case (`domain.apply_assignment`).
 
 * SRO  -- solitary rides only, minimal added driving distance.
 * PCP  -- poolable customers always pay the discounted fare; pooling picks
@@ -14,7 +15,7 @@ poolable customer (the stop orderings mirror the six pooled-fare cases).
           maximizes that surplus, and both riders' guarantees tighten.
 
 All selections are deterministic: added distance, then vehicle id, then the
-plan layout break ties.
+case's stop order break ties.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .domain import DO, PU, Fleet, InsertionPlan, Request, Stop, VehicleState
+from .domain import Fleet, Request, VehicleState
 from .netgraph import RoadNetwork
 from .pricing import Tariff, mileage_fare, pcp_fare, solitary_fare
 from .units import Money, time_cost_mils
@@ -41,16 +42,15 @@ class Mechanism(str, Enum):
 @dataclass
 class InsertionCandidate:
     vehicle: int
-    plan: InsertionPlan
     added_distance: int  # umiles
     pickup_times: dict[int, int]
     dropoff_times: dict[int, int]
-    feasible: bool
-    reason: str | None = None
-    case: int | None = None  # pooled stop-ordering case, None for solitary
+    case: int | None = None  # the commit's case: None for solitary, 1-6 pooled
     partner: int | None = None
-    new_run_fare: int | None = None
+    new_run_fare: int | None = None  # pooled CCP candidates only
     new_run_umiles: int | None = None  # the run's planned mileage after the insertion
+
+    feasible = True  # the pass returns feasible candidates only
 
 
 @dataclass
@@ -101,42 +101,21 @@ class PooledVehicle(NamedTuple):
     feasible = True  # only vehicles with a wait-feasible case get a record
 
 
-def _case_stops(case: int, r: Request, k: Request) -> tuple[Stop, ...]:
-    """The stops of a pooled case: odd cases drop the partner `k` off first,
-    cases 3-4 pick `k` up first."""
-    pu_r, do_r = Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination)
-    do_k = Stop(DO, k.id, k.destination)
-    drops = (do_k, do_r) if case % 2 else (do_r, do_k)
-    if case <= 2:
-        return (pu_r, *drops)
-    pu_k = Stop(PU, k.id, k.origin)
-    return ((pu_k, pu_r) if case <= 4 else (pu_r, pu_k)) + drops
-
-
 def _case_rank(case: int, r: Request, k: Request) -> int:
-    """Orders one vehicle's cases like their plans' stop tuples of (op,
-    customer, location): the plans first differ at a stop of `r` against the
-    same stop of `k`, so the cases order by number when k's id is the
-    smaller one and in reverse otherwise."""
+    """Orders one vehicle's cases like their stop tuples of (op, customer,
+    location) (`domain._case_stops`): the stops first differ at a stop of
+    `r` against the same stop of `k`, so the cases order by number when k's
+    id is the smaller one and in reverse otherwise."""
     return case if k.id < r.id else -case
 
 
-def _pooled_candidate(
-    p: PooledVehicle, row: tuple, r: Request, o: int, d: int, **economics
-) -> InsertionCandidate:
-    """The full candidate record of a winning case row; `o` and `d` are r's
-    origin and destination node indices."""
+def _pooled_candidate(p: PooledVehicle, row: tuple, r: Request, **economics) -> InsertionCandidate:
+    """The full candidate record of a winning case row."""
     case, added, r_pick, r_drop, k_pick, k_drop = row
-    v, k = p.vehicle, p.partner
-    stops = _case_stops(case, r, k)
-    ride = v.active[k.id]
-    at = {r.origin: o, r.destination: d, k.origin: ride.origin_idx, k.destination: ride.dest_idx}
+    k = p.partner
     return InsertionCandidate(
-        vehicle=v.id, plan=InsertionPlan(r.id, stops, tuple(at[s.location] for s in stops),
-                                         r.poolable),
-        added_distance=added, pickup_times={r.id: r_pick, k.id: k_pick},
-        dropoff_times={r.id: r_drop, k.id: k_drop}, feasible=True, case=case, partner=k.id,
-        **economics,
+        vehicle=p.vehicle.id, added_distance=added, pickup_times={r.id: r_pick, k.id: k_pick},
+        dropoff_times={r.id: r_drop, k.id: k_drop}, case=case, partner=k.id, **economics,
     )
 
 
@@ -224,7 +203,8 @@ def enumerate_candidates(
     (the request-vehicle pruning of Alonso-Mora et al., PNAS 2017, over
     per-target travel orders like T-Share's, Ma et al., ICDE 2013).  Only
     the winner is built, from the walk's reads: an idle vehicle
-    leaves its last waypoint at `now` and abandons no planned mileage.
+    leaves its last waypoint at `now` and abandons no planned mileage, and
+    its run drives o -> d (`new_run_umiles`).
     Then, for a poolable request in a pooling mode, one `PooledVehicle` per
     vehicle with a wait-feasible pooled interleaving (see
     `_pooled_vehicles`), in fleet order.  Every item is feasible.
@@ -255,11 +235,9 @@ def enumerate_candidates(
     out = []
     if best is not None:
         m, vid, t = best
-        stops = (Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination))
         out.append(InsertionCandidate(
-            vehicle=vid, plan=InsertionPlan(r.id, stops, (o, d), r.poolable),
-            added_distance=m + lex[o][d], pickup_times={r.id: now + t},
-            dropoff_times={r.id: now + t + dur[o][d]}, feasible=True,
+            vehicle=vid, added_distance=m + lex[o][d], pickup_times={r.id: now + t},
+            dropoff_times={r.id: now + t + dur[o][d]}, new_run_umiles=lex[o][d],
         ))
     if mode != Mechanism.SRO and r.poolable:
         out.extend(_pooled_vehicles(fleet, r, o, d, now, net, requests))
@@ -328,7 +306,7 @@ def assign_pcp(
     A pooled candidate is feasible only if every affected rider's planned
     pickup respects her wait limit and her pickup-to-dropoff span stays
     within (1 + detour_factor) of her direct ride time.  Candidates order by
-    (added distance, vehicle id, plan key); a case that cannot beat the best
+    (added distance, vehicle id, case rank); a case that cannot beat the best
     so far skips the detour test.
 
     `r`'s endpoints and the fleet's routes must be mutually reachable, as
@@ -370,7 +348,7 @@ def assign_pcp(
             customer=r.id, kind=SOLITARY, candidate=solo, fare=fare, baseline=baseline, quote=quote
         )
     return AssignmentDecision(
-        customer=r.id, kind=POOLED, candidate=_pooled_candidate(*best, r, o, d), fare=fare,
+        customer=r.id, kind=POOLED, candidate=_pooled_candidate(*best, r), fare=fare,
         baseline=baseline, quote=quote,
     )
 
@@ -437,8 +415,7 @@ def assign_ccp(
 
     if best is not None:
         rank, p, row, new_run_fare, umiles, tc_r, tc_k, spare = best
-        cand = _pooled_candidate(p, row, r, o, d, new_run_fare=new_run_fare,
-                                 new_run_umiles=umiles)
+        cand = _pooled_candidate(p, row, r, new_run_fare=new_run_fare, new_run_umiles=umiles)
         half = Fraction(-rank[0], 2)
         g_r = baseline - half
         return AssignmentDecision(

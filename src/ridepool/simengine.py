@@ -1,11 +1,11 @@
 """Deterministic event-driven fleet simulation.
 
 Requests are processed strictly in arrival order; each one triggers an
-immediate assignment under the configured mechanism and the chosen plan is
-committed to the vehicle's schedule.  Vehicle motion is implicit: schedules
-carry exact node arrival times and a rerouted vehicle continues from its
-anchor node.  Identical configuration and request streams produce
-byte-identical results.
+immediate assignment under the configured mechanism and the request is
+committed to the chosen vehicle's schedule in its candidate's case.
+Vehicle motion is implicit: schedules carry exact node arrival times and a
+rerouted vehicle continues from its anchor node.  Identical configuration
+and request streams produce byte-identical results.
 
 Poolable flags and values of time left unset on requests are drawn from
 independent seeded streams; the poolable draw thresholds one uniform per
@@ -238,7 +238,7 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
 
         v = fleet.by_id[cand.vehicle]
         pooled = decision.kind == POOLED
-        fleet.commit(v, cand.plan, now)
+        fleet.commit(v, r, cand.case, now)
         if pooled:
             k = cand.partner
             kb = book[k]
@@ -262,10 +262,10 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                 kb.fare = decision.partner_fare
                 run = v.runs[-1]
                 run.insert(len(run) - 1 if cand.case >= 5 else len(run), r.id)
-                v.run_fare, v.run_umiles = cand.new_run_fare, cand.new_run_umiles
             else:  # a solitary rider lands on an idle vehicle and opens its next run
                 v.runs.append([r.id])
-                v.run_fare, v.run_umiles = decision.quote, net.distance_umiles(*cand.plan.nodes)
+            v.run_fare = cand.new_run_fare if pooled else decision.quote
+            v.run_umiles = cand.new_run_umiles
 
     # pooled CCP runs and their ex-post splits; a run's id counts every run
     # of its vehicle

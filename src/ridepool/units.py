@@ -42,9 +42,12 @@ def div_half_even(num: int, den: int) -> int:
 def fraction_from(value: int | float | str | Fraction | Decimal) -> Fraction:
     """Exact fraction from a decimal literal, float repr, int or Fraction.
 
-    Raises ValueError naming the value when it is not a number, not finite,
-    or nonzero with a decimal exponent beyond +-30 (an exact conversion of a
-    huge exponent would not finish)."""
+    Raises ValueError naming the value when it is not a number (a bool is
+    not one, though Python counts it an int), not finite, or nonzero with a
+    decimal exponent beyond +-30 (an exact conversion of a huge exponent
+    would not finish)."""
+    if isinstance(value, bool):
+        raise ValueError(f"cannot read {value!r} as a number")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

@@ -5,7 +5,7 @@ node of every leg, with the arrival time and cumulative mileage at each,
 history included.  The anchor is the first node reached at or after `now`,
 searched from the last anchor on (an idle vehicle's anchor is its last node,
 at `now`).  A commit keeps the nodes up to the anchor and walks each leg to
-the plan's stops hop by hop, through the next-hop table and the arcs.
+the commit's stops hop by hop, through the next-hop table and the arcs.
 Tests replay simulations with one of these beside each vehicle.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from ridepool.domain import InsertionPlan
 from ridepool.netgraph import RoadNetwork
 
 
@@ -30,14 +29,14 @@ class HopRoute:
         pos = bisect_left(self.times, now, self.pos)
         return pos, self.nodes[pos], self.times[pos], self.cum[pos]
 
-    def commit(self, net: RoadNetwork, plan: InsertionPlan, now: int, idle: bool) -> None:
-        """Reroute from the anchor through the plan's stops; `idle` tells
-        whether the vehicle had no committed ride left at `now`."""
+    def commit(self, net: RoadNetwork, stops: list[int], now: int, idle: bool) -> None:
+        """Reroute from the anchor through the stops' node indices; `idle`
+        tells whether the vehicle had no committed ride left at `now`."""
         pos, cur, t, _ = self.anchor(now, idle)
         del self.nodes[pos + 1 :], self.times[pos + 1 :], self.cum[pos + 1 :]
         self.pos = pos
         nxt = net.tables()[1]
-        for j in plan.nodes:
+        for j in stops:
             while cur != j:
                 hop = nxt.item(cur, j)
                 length, duration = net.arc_attrs(cur, hop)

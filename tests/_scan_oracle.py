@@ -5,11 +5,13 @@ the fleet kept its state in arrays and before pooled insertions became
 integer-priced offers: every vehicle is asked `is_idle`, every idle vehicle
 gets a solitary candidate built in full, every stop interleaving on a busy
 single-rider vehicle is built through `plan_stop_times`, the preview of a
-commit that `apply_assignment` would make (infeasible ones included), the solitary baseline scans the fleet a second time, the SRO fare
-is priced after the decision, the PCP detour bound is checked in `Fraction`
-arithmetic and CCP prices every wait-feasible pooled candidate's whole
-run itinerary, read from the schedule, with `route_fare`, against each
-partner's guarantee kept in a ledger of `Commitment`s.  Tests compare the
+commit that `apply_assignment` would make (infeasible ones included, each
+with its stops and the scan's verdict: `Scanned`), the solitary baseline
+scans the fleet a second time, the SRO fare is priced after the decision,
+the PCP detour bound is checked in `Fraction` arithmetic and CCP prices
+every wait-feasible pooled candidate's whole run itinerary, read from the
+schedule, with `route_fare`, against each partner's guarantee kept in a
+ledger of `Commitment`s.  Tests compare the
 single pass against it decision by decision, and the runs `run_sim`
 records at its commits against `extract_runs`, a partition of the
 realized schedule.
@@ -17,11 +19,11 @@ realized schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from ridepool.domain import DO, PU, InsertionPlan, Request, ScheduleEntry, Stop, VehicleState
+from ridepool.domain import DO, PU, Request, ScheduleEntry, VehicleState
 from ridepool.mechanisms import (
     MAX_WAIT_REASON,
     POOLED,
@@ -49,15 +51,40 @@ class Commitment:
     fare: Money
 
 
-def plan_key(plan: InsertionPlan) -> tuple:
-    """The plan's stops as (op, customer, location) rows, the last place of
-    the candidate order."""
-    return tuple((s.op, s.customer, s.location) for s in plan.stops)
+class Stop(NamedTuple):
+    """One future pickup or dropoff of a scanned candidate, at a node id."""
+
+    op: str
+    customer: int
+    location: str
 
 
-def sort_key(c: InsertionCandidate) -> tuple:
-    """The candidate order: added distance, then vehicle id, then plan."""
-    return (c.added_distance, c.vehicle, plan_key(c.plan))
+@dataclass
+class Scanned(InsertionCandidate):
+    """A candidate as the scan builds it: the record the single pass builds,
+    plus its stops and the scan's verdict on it, infeasible ones included."""
+
+    stops: tuple[Stop, ...] = ()
+    feasible: bool = True
+    reason: str | None = None
+
+
+def record(c: Scanned | None) -> InsertionCandidate | None:
+    """The candidate without the scan's own fields, as the single pass builds it."""
+    if c is None:
+        return None
+    return InsertionCandidate(**{f.name: getattr(c, f.name) for f in fields(InsertionCandidate)})
+
+
+def plan_key(stops: Iterable[Stop]) -> tuple:
+    """The stops as (op, customer, location) rows, the last place of the
+    candidate order."""
+    return tuple((s.op, s.customer, s.location) for s in stops)
+
+
+def sort_key(c: Scanned) -> tuple:
+    """The candidate order: added distance, then vehicle id, then stops."""
+    return (c.added_distance, c.vehicle, plan_key(c.stops))
 
 
 def extract_runs(v: VehicleState) -> list[list[ScheduleEntry]]:
@@ -126,17 +153,18 @@ def plan_stop_times(
     return times, anchor_idx, anchor_time, new_dist - old_tail
 
 
-def _solitary_candidate(v: VehicleState, r: Request, now: int) -> InsertionCandidate:
+def _solitary_candidate(v: VehicleState, r: Request, now: int) -> Scanned:
     stops = (Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination))
     times, _, _, added = plan_stop_times(v, stops, now)
     pickup, dropoff = times
     ok = pickup - r.request_time <= r.max_wait
-    return InsertionCandidate(
+    return Scanned(
         vehicle=v.id,
-        plan=InsertionPlan(r.id, stops, tuple(v.net.index(s.location) for s in stops)),
         added_distance=added,
         pickup_times={r.id: pickup},
         dropoff_times={r.id: dropoff},
+        new_run_umiles=route_distance_umiles(v.net, [r.origin, r.destination]),
+        stops=stops,
         feasible=ok,
         reason=None if ok else MAX_WAIT_REASON,
     )
@@ -175,19 +203,30 @@ def _pooled_candidates_for(v, r, k, now):
         elif not onboard and pickups[k.id] - k.request_time > k.max_wait:
             feasible, reason = False, PARTNER_WAIT_REASON
         out.append(
-            InsertionCandidate(
+            Scanned(
                 vehicle=v.id,
-                plan=InsertionPlan(r.id, stops, tuple(v.net.index(s.location) for s in stops)),
                 added_distance=added,
                 pickup_times=pickups,
                 dropoff_times=dropoffs,
-                feasible=feasible,
-                reason=reason,
                 case=case,
                 partner=k.id,
+                stops=stops,
+                feasible=feasible,
+                reason=reason,
             )
         )
     return out
+
+
+def commit_stops(v: VehicleState, r: Request, case: int | None, now: int, requests) -> tuple:
+    """The stops of committing `r` to `v` in `case` at `now`, from the scan's
+    own stop orders: r's alone, or the pooled case's interleaving with the
+    vehicle's one rider, whose request `requests` holds."""
+    if case is None:
+        return (Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination))
+    v.prune(now)
+    (kid,) = v.active
+    return dict(_pooled_stop_orders(r, requests[kid], v.active[kid].pickup_time <= now))[case]
 
 
 def pooled_pair_economics(v, c, r, k, now, net, tariff, baseline_r, committed_k):
@@ -204,7 +243,7 @@ def pooled_pair_economics(v, c, r, k, now, net, tariff, baseline_r, committed_k)
     new_wp = [e.location for e in run_entries(v) if e.time <= now]
     if new_wp:
         new_wp.append(net.node_ids[v.anchor_at(now)[0]])
-    new_wp += [s.location for s in c.plan.stops]
+    new_wp += [s.location for s in c.stops]
     new_run_fare = route_fare(tariff, net, new_wp, len(v.runs[-1]))
     marginal = new_run_fare - v.run_fare
     pair_fare = committed_k.fare + marginal
@@ -261,7 +300,7 @@ def assign_sro(vehicles, r, now, net, tariff):
         return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote, reason=MAX_WAIT_REASON)
     baseline = total_cost(quote, r, cand.dropoff_times[r.id])
     return AssignmentDecision(
-        customer=r.id, kind=SOLITARY, candidate=cand, fare=quote, baseline=baseline,
+        customer=r.id, kind=SOLITARY, candidate=record(cand), fare=quote, baseline=baseline,
         guaranteed=baseline, quote=quote,
     )
 
@@ -292,7 +331,8 @@ def assign_pcp(vehicles, r, now, net, tariff, requests):
         )
     kind = POOLED if chosen.case is not None else SOLITARY
     return AssignmentDecision(
-        customer=r.id, kind=kind, candidate=chosen, fare=fare, baseline=baseline, quote=quote
+        customer=r.id, kind=kind, candidate=record(chosen), fare=fare, baseline=baseline,
+        quote=quote,
     )
 
 
@@ -320,13 +360,13 @@ def assign_ccp(vehicles, r, now, net, tariff, requests, committed):
         tc_r = time_cost_mils(r.value_of_time, chosen.dropoff_times[r.id] - r.request_time)
         tc_k = time_cost_mils(k.value_of_time, chosen.dropoff_times[k.id] - k.request_time)
         return AssignmentDecision(
-            customer=r.id, kind=POOLED, candidate=chosen, fare=g_r - tc_r, baseline=baseline,
-            guaranteed=g_r, partner_fare=g_k - tc_k, quote=quote,
+            customer=r.id, kind=POOLED, candidate=record(chosen), fare=g_r - tc_r,
+            baseline=baseline, guaranteed=g_r, partner_fare=g_k - tc_k, quote=quote,
         )
     if best_solo is not None:
         return AssignmentDecision(
-            customer=r.id, kind=SOLITARY, candidate=best_solo, fare=quote, baseline=baseline,
-            guaranteed=baseline, quote=quote,
+            customer=r.id, kind=SOLITARY, candidate=record(best_solo), fare=quote,
+            baseline=baseline, guaranteed=baseline, quote=quote,
         )
     return AssignmentDecision(
         customer=r.id, kind=UNSERVED, baseline=baseline, quote=quote, reason=MAX_WAIT_REASON

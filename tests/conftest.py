@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import pytest
 
-from ridepool.domain import InsertionPlan
 from ridepool.mechanisms import UNSERVED, Mechanism
 from ridepool.netgraph import RoadNetwork, make_grid
 from ridepool.simengine import run_sim
@@ -26,12 +25,6 @@ def sec(x):
 def ends(net, r):
     """r's (origin, destination) node indices on `net`."""
     return net.index(r.origin), net.index(r.destination)
-
-
-def plan_on(net, cust, stops, poolable=True):
-    """An insertion plan for `cust` carrying its stops' node indices on `net`."""
-    return InsertionPlan(cust, tuple(stops), tuple(net.index(s.location) for s in stops),
-                         poolable)
 
 
 def expand_route(v):

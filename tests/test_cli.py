@@ -16,8 +16,8 @@ from ridepool.cli import main
 from ridepool.domain import Request
 from ridepool.harness import ScenarioGrid, run_grid, summarize
 from ridepool.io import (
-    CELL_COLUMNS, SPLIT_COLUMNS, SUMMARY_COLUMNS, TRIP_COLUMNS, load_run_accounts_csv,
-    load_summary_csv, load_trips_csv,
+    BRACKET_COLUMNS, CELL_COLUMNS, SPLIT_COLUMNS, SUMMARY_COLUMNS, TRIP_COLUMNS,
+    load_run_accounts_csv, load_summary_csv, load_trips_csv,
 )
 from ridepool.mechanisms import Mechanism
 from ridepool.units import MILS, USEC, fmt4, fmt_opt, fmt_seconds, fmt_usd, usec_from_seconds
@@ -289,6 +289,29 @@ class TestAnalyze:
         assert len(rows) == 3
         assert all(row.split(",")[2] == "n/a" for row in rows)
 
+    @pytest.mark.parametrize("edge_mi,priced", [(0.1, False), (0.2, True)])
+    def test_zero_baselines_are_left_out_of_relative_savings(self, tmp_path, edge_mi, priced):
+        # no base fare, no value of time and a mil per mile: a trip shorter
+        # than half a mile has a zero baseline, against which a relative
+        # saving is undefined (the metrics used to divide by it)
+        grid = {"rows": 3, "cols": 3, "edge_length_mi": edge_mi, "speed_mph": 30}
+        cfg = {"network": {"grid": grid}, "mechanisms": ["SRO", "CCP"],
+               "value_of_time_usd_per_min": 0,
+               "tariff": {"base_fare_usd": 0, "per_mile_usd": 0.001}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--trips", "synthetic:n=20",
+                     "--out", str(out)]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["mechanism"] == "CCP"]
+        assert rows and all(int(row["poolable"]) > 0 for row in rows)
+        for row in rows:
+            assert row["mean_cost_per_poolable_usd"] != "n/a"
+            relative = [row[c] for c in ("cost_reduction_pct", *BRACKET_COLUMNS)]
+            assert all((value != "n/a") == priced for value in relative)
+        assert main(["analyze", "--in", str(out), "--brackets"]) == 0
+
     def test_missing_summary_columns_named(self, simulated, tmp_path, capsys):
         _, _, out = simulated
         with open(out / "summary.csv", newline="") as fh:
@@ -523,6 +546,9 @@ class TestInputErrors:
         (lambda c: c.update(mar="abc"), "mar: cannot read 'abc' as a number"),
         (lambda c: c.update(max_wait_s="inf"), "max_wait_s: 'inf' is not a finite number"),
         (lambda c: c.update(mar="1e400"), "mar: '1e400' has a decimal exponent beyond +-30"),
+        # a JSON boolean used to read as the number 1
+        (lambda c: c.update(mar=True), "mar: cannot read True as a number"),
+        (lambda c: c.update(max_wait_s=[240, True]), "max_wait_s: cannot read True as a number"),
         # these six used to name the value alone, or blame the first request
         (lambda c: c.update(horizon_s="abc"), "horizon_s: cannot read 'abc' as a number"),
         (lambda c: c.update(max_wait_s="x"), "max_wait_s: cannot read 'x' as a number"),
@@ -539,7 +565,8 @@ class TestInputErrors:
         (lambda c: c.update(seeds=[1, -3]), "seeds must be at least 0, got -3"),
     ], ids=["no-network", "empty-network", "grid-and-file", "no-edge-length", "fleet-size-text",
             "seed-float", "rows-text", "tariff-list", "fractional-percent", "mar-text", "wait-inf",
-            "mar-exponent", "horizon-text", "wait-text", "mar-list-text", "base-fare-text",
+            "mar-exponent", "mar-true", "wait-true", "horizon-text", "wait-text", "mar-list-text",
+            "base-fare-text",
             "vot-text", "vot-negative", "horizon-negative", "wait-zero", "seed-negative"])
     def test_bad_config(self, tmp_path, capsys, edit, message):
         config = copy.deepcopy(CONFIG)
@@ -574,10 +601,18 @@ class TestInputErrors:
          "detour_factor must be positive, got -0.1"),
         (lambda c: c["tariff"].update(detour_factor="x"),
          "detour_factor: cannot read 'x' as a number"),
+        # a JSON boolean used to read as the number 1
+        (lambda c: c["network"]["grid"].update(edge_length_mi=True),
+         "edge_length_mi: cannot read True as a number"),
+        (lambda c: c["tariff"].update(base_fare_usd=True),
+         "base_fare_usd: cannot read True as a number"),
+        (lambda c: c["tariff"].update(discount_factor=[True]),
+         "discount_factor: cannot read True as a number"),
     ], ids=["edge-length-text", "speed-list", "rows-one", "edge-length-zero",
             "edge-length-below-a-micro-mile", "edge-time-below-a-usec", "base-fare-negative",
             "change-fee-negative", "per-mile-zero", "provider-cost-negative", "discount-zero",
-            "discount-above-one", "detour-negative", "detour-text"])
+            "discount-above-one", "detour-negative", "detour-text", "edge-length-true",
+            "base-fare-true", "discount-true"])
     def test_grid_number_or_tariff_out_of_range(self, tmp_path, capsys, edit, message):
         # the grid numbers used to reach `make_grid` unnamed, and the tariff's
         # ranges were first checked inside the run, after `--out` was made

@@ -12,20 +12,26 @@ from ridepool.domain import (
     DO,
     PU,
     REC,
-    CapacityViolation,
-    OrderingViolation,
     Request,
     ScheduleEntry,
-    Stop,
     VehicleState,
+    _case_stops,
     apply_assignment,
 )
 from ridepool.harness import ScenarioGrid, synthetic_trips
 from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import RoadNetwork
 from tests._hop_oracle import HopRoute
-from tests._scan_oracle import extract_runs, plan_stop_times, run_customers
-from tests.conftest import expand_route, line_network, plan_on, sec
+from tests._scan_oracle import (
+    Stop,
+    _pooled_stop_orders,
+    commit_stops,
+    extract_runs,
+    plan_key,
+    plan_stop_times,
+    run_customers,
+)
+from tests.conftest import expand_route, line_network, sec
 
 
 def active_schedule(v, t):
@@ -33,8 +39,9 @@ def active_schedule(v, t):
     return [e for e in v.schedule if e.time >= t]
 
 
-def solo_plan(net, cust, origin, dest):
-    return plan_on(net, cust, (Stop(PU, cust, origin), Stop(DO, cust, dest)))
+def rider(cust, origin, dest):
+    """A poolable request from `origin` to `dest`, as a commit reads it."""
+    return Request(cust, origin, dest, 0, 250, sec(600), True)
 
 
 class TestActiveSchedule:
@@ -53,12 +60,8 @@ class TestActiveSchedule:
     def test_insertion_keeps_future_from_new_pickup(self, line6):
         # vehicle heading to pick up j; i inserted mid-way
         v = VehicleState(2, "A", line6)
-        apply_assignment(v, solo_plan(line6, 7, "C", "F"), sec(0))
-        plan = plan_on(
-            line6, 8,
-            (Stop(PU, 7, "C"), Stop(PU, 8, "D"), Stop(DO, 8, "E"), Stop(DO, 7, "F")),
-        )
-        apply_assignment(v, plan, sec(24))
+        apply_assignment(v, rider(7, "C", "F"), None, sec(0))
+        apply_assignment(v, rider(8, "D", "E"), 4, sec(24))  # 7 is picked up first, 8 dropped
         act = active_schedule(v, sec(24))
         assert [(e.op, e.customer) for e in act] == [
             (REC, 8),
@@ -80,7 +83,7 @@ class TestActiveSchedule:
 class TestApplyAssignment:
     def test_empty_vehicle_rec_pu_do(self, line6):
         v = VehicleState(1, "A", line6)
-        apply_assignment(v, solo_plan(line6, 5, "B", "D"), sec(0))
+        apply_assignment(v, rider(5, "B", "D"), None, sec(0))
         assert v.schedule == [
             ScheduleEntry("A", 0, REC, 5),
             ScheduleEntry("B", sec(24), PU, 5),
@@ -101,69 +104,64 @@ class TestApplyAssignment:
         monkeypatch.setattr(RoadNetwork, "arc_attrs", arc_by_arc)
         monkeypatch.setattr(RoadNetwork, "leg", recorded_leg)
         v = VehicleState(2, "A", line6)
-        apply_assignment(v, solo_plan(line6, 7, "C", "F"), sec(0))
+        apply_assignment(v, rider(7, "C", "F"), None, sec(0))
         assert (v.way_nodes, legs_read) == ([0, 2, 5], [])  # the start and the two stops
-        plan = plan_on(
-            line6, 8,
-            (Stop(PU, 7, "C"), Stop(PU, 8, "D"), Stop(DO, 8, "E"), Stop(DO, 7, "F")),
-        )
-        apply_assignment(v, plan, sec(24))  # turns at B, inside the leg to C
-        assert legs_read == [(0, 2)]  # the anchor's leg, and no leg of the plan
+        apply_assignment(v, rider(8, "D", "E"), 4, sec(24))  # turns at B, inside the leg to C
+        assert legs_read == [(0, 2)]  # the anchor's leg, and no leg of the new stops
         assert v.way_nodes == [0, 1, 2, 3, 4, 5]
         assert v.way_times == [sec(24 * k) for k in range(6)]
         assert v.way_cum == [200_000 * k for k in range(6)]
 
     def test_insertion_recomputes_downstream_times(self, line6):
         v = VehicleState(2, "A", line6)
-        apply_assignment(v, solo_plan(line6, 7, "C", "F"), sec(0))
+        apply_assignment(v, rider(7, "C", "F"), None, sec(0))
         assert [e.time for e in v.schedule] == [0, sec(48), sec(120)]
-        plan = plan_on(
-            line6, 8,
-            (Stop(PU, 7, "C"), Stop(PU, 8, "D"), Stop(DO, 8, "E"), Stop(DO, 7, "F")),
-        )
-        apply_assignment(v, plan, sec(24))
+        apply_assignment(v, rider(8, "D", "E"), 4, sec(24))
         # anchor is B (next node at t=24); committed REC of 7 is untouched
         assert v.schedule[0] == ScheduleEntry("A", 0, REC, 7)
         assert v.schedule[1] == ScheduleEntry("B", sec(24), REC, 8)
         assert [e.time for e in v.schedule[2:]] == [sec(48), sec(72), sec(96), sec(120)]
 
+    @staticmethod
+    def rejected(v, r, case, now, riders):
+        """Commit `r` in `case`, expecting the precondition to refuse it and
+        leave the vehicle as it was."""
+        before = (list(v.schedule), list(v.way_nodes), list(v.way_times), list(v.way_cum))
+        with pytest.raises(ValueError, match=(
+            rf"^vehicle {v.id} cannot take customer {r.id} in case {case}: "
+            rf"its riders at {now} usec are \{{{riders}\}}$"
+        )):
+            apply_assignment(v, r, case, now)
+        assert (v.schedule, v.way_nodes, v.way_times, v.way_cum) == before
+
     def test_third_concurrent_rider_rejected(self, line6):
         v = VehicleState(0, "A", line6)
-        apply_assignment(v, solo_plan(line6, 1, "B", "F"), sec(0))
-        pooled = plan_on(
-            line6, 2, (Stop(PU, 1, "B"), Stop(PU, 2, "C"), Stop(DO, 2, "E"), Stop(DO, 1, "F"))
-        )
-        apply_assignment(v, pooled, sec(0))
-        third = plan_on(
-            line6, 3,
-            (
-                Stop(PU, 1, "B"),
-                Stop(PU, 2, "C"),
-                Stop(PU, 3, "D"),
-                Stop(DO, 3, "E"),
-                Stop(DO, 2, "E"),
-                Stop(DO, 1, "F"),
-            ),
-        )
-        with pytest.raises(CapacityViolation):
-            apply_assignment(v, third, sec(0))
+        apply_assignment(v, rider(1, "B", "F"), None, sec(0))
+        apply_assignment(v, rider(2, "C", "E"), 4, sec(0))
+        self.rejected(v, rider(3, "D", "E"), 3, sec(0), "1: 'waiting', 2: 'waiting'")
+        self.rejected(v, rider(3, "D", "E"), 1, sec(48), "1: 'on board', 2: 'on board'")
 
-    def test_plan_must_cover_committed_customers(self, line6):
+    def test_solitary_commit_needs_an_idle_vehicle(self, line6):
         v = VehicleState(0, "A", line6)
-        apply_assignment(v, solo_plan(line6, 1, "B", "F"), sec(0))
-        dropped = plan_on(line6, 2, (Stop(PU, 2, "C"), Stop(DO, 2, "E")))
-        with pytest.raises(OrderingViolation):
-            apply_assignment(v, dropped, sec(0))
+        apply_assignment(v, rider(1, "B", "F"), None, sec(0))
+        self.rejected(v, rider(2, "C", "E"), None, sec(0), "1: 'waiting'")
+        self.rejected(v, rider(2, "C", "E"), None, sec(24), "1: 'on board'")
+        apply_assignment(v, rider(2, "C", "E"), None, sec(120))  # 1 is dropped off at F at 120 s
 
-    def test_new_customer_needs_pu_then_do(self, line6):
+    def test_case_needs_its_rider_on_board_or_waiting(self, line6):
         v = VehicleState(0, "A", line6)
-        backwards = plan_on(line6, 1, (Stop(DO, 1, "C"), Stop(PU, 1, "B")))
-        with pytest.raises(OrderingViolation):
-            apply_assignment(v, backwards, sec(0))
+        self.rejected(v, rider(1, "B", "F"), 1, sec(0), "")  # a pooled case needs a rider
+        apply_assignment(v, rider(1, "B", "F"), None, sec(0))
+        self.rejected(v, rider(2, "C", "E"), 1, sec(0), "1: 'waiting'")
+        self.rejected(v, rider(2, "C", "E"), 3, sec(24), "1: 'on board'")
+        for case in (0, 7):
+            self.rejected(v, rider(2, "C", "E"), case, sec(24), "1: 'on board'")
+        apply_assignment(v, rider(2, "C", "E"), 2, sec(24))
+        assert [(e.op, e.customer) for e in v.schedule[-3:]] == [(PU, 2), (DO, 2), (DO, 1)]
 
     def test_idle_vehicle_parks_at_last_dropoff(self, line6):
         v = VehicleState(0, "A", line6)
-        apply_assignment(v, solo_plan(line6, 1, "B", "D"), sec(0))
+        apply_assignment(v, rider(1, "B", "D"), None, sec(0))
         assert v.is_idle(sec(72))
         anchor, t, _ = v.anchor_at(sec(100))
         assert line6.node_ids[anchor] == "D"
@@ -171,15 +169,35 @@ class TestApplyAssignment:
 
     def test_preview_matches_commit(self, line6):
         v = VehicleState(0, "A", line6)
-        apply_assignment(v, solo_plan(line6, 1, "C", "F"), sec(0))
+        apply_assignment(v, rider(1, "C", "F"), None, sec(0))
         # backward-going rider D->C forces a real detour
         stops = (Stop(PU, 1, "C"), Stop(PU, 2, "D"), Stop(DO, 2, "C"), Stop(DO, 1, "F"))
         times, _, _, added = plan_stop_times(v, stops, sec(24))
-        apply_assignment(v, plan_on(line6, 2, stops), sec(24))
+        apply_assignment(v, rider(2, "D", "C"), 4, sec(24))
         scheduled = [e.time for e in v.schedule if e.op != REC]
         assert times == scheduled
         # old tail from anchor B is 4 edges; new route B,C,D,C,F is 6 edges
         assert added == 400_000
+
+
+class TestCaseStops:
+    """`_case_stops` against the scan's own stop orders of the seven cases."""
+
+    def test_each_case_lays_out_the_scan_stop_order(self, line6):
+        def ends(x):
+            return x.id, line6.index(x.origin), line6.index(x.destination)
+
+        def laid_out(stops):
+            return [(s.op, s.customer, line6.node_ids[s.node]) for s in stops]
+
+        r, k = rider(2, "B", "E"), rider(1, "C", "F")
+        assert laid_out(_case_stops(None, ends(r))) == [(PU, 2, "B"), (DO, 2, "E")]
+        cases = []
+        for onboard in (True, False):
+            for case, stops in _pooled_stop_orders(r, k, onboard):
+                assert laid_out(_case_stops(case, ends(r), ends(k))) == list(plan_key(stops))
+                cases.append(case)
+        assert cases == [1, 2, 3, 4, 5, 6]
 
 
 class TestExtractRuns:
@@ -260,24 +278,12 @@ class TestInvariantsUnderRandomAssignments:
             cid += 1
             if not actives:
                 o, d = rng.choice(len(names), size=2, replace=False)
-                apply_assignment(v, solo_plan(net, cid, names[o], names[d]), now)
+                apply_assignment(v, rider(cid, names[o], names[d]), None, now)
             elif len(actives) == 1:
-                k = actives[0]
-                ride = v.active[k]
                 o, d = rng.choice(len(names), size=2, replace=False)
-                o_id, d_id = names[o], names[d]
-                k_dest = net.node_ids[ride.dest_idx]
-                if ride.pickup_time <= now:
-                    stops = (Stop(PU, cid, o_id), Stop(DO, cid, d_id), Stop(DO, k, k_dest))
-                else:
-                    k_origin = net.node_ids[ride.origin_idx]
-                    stops = (
-                        Stop(PU, k, k_origin),
-                        Stop(PU, cid, o_id),
-                        Stop(DO, cid, d_id),
-                        Stop(DO, k, k_dest),
-                    )
-                apply_assignment(v, plan_on(net, cid, stops), now)
+                # the new rider is dropped off first, before or after the other's pickup
+                case = 2 if v.active[actives[0]].pickup_time <= now else 4
+                apply_assignment(v, rider(cid, names[o], names[d]), case, now)
             else:
                 continue
 
@@ -310,15 +316,17 @@ class TestScheduleCommit:
         # `Fleet.commit` looks `apply_assignment` up on the domain module
         commit = domain.apply_assignment
         commits = []
+        trips = synthetic_trips(grid10, 120, 1800, seed=3)
+        requests = {r.id: r for r in trips}
 
-        def checked_commit(v, plan, now):
-            # the candidate pass hands over each stop's node index
-            assert plan.nodes == tuple(grid10.index(s.location) for s in plan.stops)
+        def checked_commit(v, r, case, now):
+            # the case lays out the scan's own stop order of its riders
             before = list(v.schedule)
-            times, anchor, _, _ = plan_stop_times(v, plan.stops, now)
-            out = commit(v, plan, now)
-            new = [ScheduleEntry(grid10.node_ids[anchor], now, REC, plan.new_customer)] + [
-                ScheduleEntry(s.location, t, s.op, s.customer) for s, t in zip(plan.stops, times)
+            stops = commit_stops(v, r, case, now, requests)
+            times, anchor, _, _ = plan_stop_times(v, stops, now)
+            out = commit(v, r, case, now)
+            new = [ScheduleEntry(grid10.node_ids[anchor], now, REC, r.id)] + [
+                ScheduleEntry(s.location, t, s.op, s.customer) for s, t in zip(stops, times)
             ]
             assert v.schedule == [e for e in before if e.time <= now] + new
             assert [e.time for e in v.schedule] == sorted(e.time for e in v.schedule)
@@ -330,7 +338,7 @@ class TestScheduleCommit:
             mechanism=mech, tariff=ScenarioGrid().tariff(), fleet_size=8, mar=Fraction(3, 4),
             rng_seed=3, network=grid10, horizon=sec(1800),
         )
-        res = simengine.run_sim(cfg, synthetic_trips(grid10, 120, 1800, seed=3))
+        res = simengine.run_sim(cfg, trips)
         assert len(commits) == res.served > 0
         # some commits dropped planned entries, not only past ones
         assert any(dropped > 0 for dropped in commits) == (mech != Mechanism.SRO)
@@ -393,8 +401,9 @@ def replay_against_hops(cfg, trips):
     commit = domain.Fleet.commit
     hops: dict[int, HopRoute] = {}
     counts = Counter()
+    requests = {r.id: r for r in trips}
 
-    def checked_commit(fleet, v, plan, now):
+    def checked_commit(fleet, v, r, case, now):
         for w in fleet.vehicles:
             ref = hops.setdefault(w.id, HopRoute(w.way_nodes[0]))
             idle = w.is_idle(now)
@@ -405,8 +414,9 @@ def replay_against_hops(cfg, trips):
                 j = bisect_right(w.way_times, now) - 1
                 depart = w.way_times[j + 1] - dur.item(w.way_nodes[j], w.way_nodes[j + 1])
                 counts["departs_now"] += depart == now > w.way_times[j]
-        hops[v.id].commit(net, plan, now, v.is_idle(now))
-        out = commit(fleet, v, plan, now)
+        stops = commit_stops(v, r, case, now, requests)
+        hops[v.id].commit(net, [net.index(s.location) for s in stops], now, v.is_idle(now))
+        out = commit(fleet, v, r, case, now)
         ref = hops[v.id]
         assert expand_route(v) == (ref.nodes, ref.times, ref.cum)
         counts["commits"] += 1

@@ -222,6 +222,7 @@ class TestSavingsBrackets:
     # on the 5 % boundary, half a mil inside it and half a mil outside it
     @example(customers=[(True, 100, 95), (True, 1000, Fraction(1899, 2)),
                         (True, 1000, Fraction(1901, 2))], extra=[])
+    @example(customers=[(True, 0, 0), (True, 0, 5), (False, 100, 90)], extra=[])  # none priced
     @settings(max_examples=300, deadline=None)
     def test_integer_form_matches_fraction_form(self, customers, extra):
         # total costs are whole mils or, after CCP pooling, exact fractions
@@ -230,7 +231,9 @@ class TestSavingsBrackets:
             for i, (p, b, c) in enumerate(customers)
         })
         thresholds = BRACKETS + tuple(extra)
-        poolable = [o for o in res.per_customer.values() if o.poolable]
+        # a saving relative to a zero baseline is undefined, so those riders are left out
+        poolable = [o for o in res.per_customer.values()
+                    if o.poolable and o.baseline_solitary_cost > 0]
         expected = {t: None for t in thresholds} if not poolable else {
             t: Fraction(sum(1 for o in poolable
                             if o.baseline_solitary_cost - o.total_cost

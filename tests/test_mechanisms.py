@@ -1,7 +1,6 @@
 import math
 import random
 from bisect import bisect_right
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from ridepool import simengine
 from ridepool.domain import (
     DO,
-    PU,
     REC,
     Fleet,
     Request,
-    Stop,
     VehicleState,
     apply_assignment,
 )
@@ -29,7 +26,6 @@ from ridepool.mechanisms import (
     Mechanism,
     PooledVehicle,
     _case_rank,
-    _case_stops,
     _detour_limit,
     _pooled_candidate,
     _pooled_vehicles,
@@ -43,8 +39,8 @@ from ridepool.pricing import solitary_fare, total_cost
 from ridepool.units import UMILE, USEC, mils_from_usd, time_cost_mils
 from tests import _scan_oracle
 from tests._fare_oracle import PoolGeometry, ccp_pooled_fare, route_distance_umiles
-from tests._scan_oracle import PARTNER_WAIT_REASON, Commitment, _pooled_candidates_for
-from tests.conftest import ends, expand_route, line_network, plan_on, sec
+from tests._scan_oracle import PARTNER_WAIT_REASON, Commitment, _pooled_stop_orders
+from tests.conftest import ends, expand_route, line_network, sec
 
 TARIFF = ScenarioGrid().tariff()
 
@@ -64,9 +60,7 @@ def pooled_rows(cands):
 def vehicle_with_rider(net, vid, start, rider, now=0):
     """Vehicle standing at `start` that just committed to `rider` solo."""
     v = VehicleState(vid, start, net)
-    plan = plan_on(net, rider.id, (Stop(PU, rider.id, rider.origin),
-                                   Stop(DO, rider.id, rider.destination)), rider.poolable)
-    apply_assignment(v, plan, sec(now))
+    apply_assignment(v, rider, None, sec(now))
     return v
 
 
@@ -445,16 +439,14 @@ def random_world(randint, den=2, net=WORLD):
         v = fleet.vehicles[randint(0, n - 1)]
         v.prune(now)
         if not v.active:
-            plan = plan_on(net, cid, (Stop(PU, cid, k.origin), Stop(DO, cid, k.destination)),
-                           k.poolable)
+            case = None
         elif len(v.active) == 1:
             (j,) = v.active
-            plans = _pooled_candidates_for(v, k, requests[j], now)
-            # this world pools riders whatever their flags; the plan keeps k's
-            plan = replace(plans[randint(0, len(plans) - 1)].plan, poolable=k.poolable)
+            cases = (1, 2) if v.active[j].pickup_time <= now else (3, 4, 5, 6)
+            case = cases[randint(0, len(cases) - 1)]  # whatever the riders' flags
         else:
             continue
-        fleet.commit(v, plan, now)
+        fleet.commit(v, k, case, now)
         requests[cid] = k
         quote = solitary_fare(tariff, net, *ends(net, k))
         # CCP pooling leaves guarantees on half mils
@@ -478,7 +470,8 @@ def compare_with_scan(world, net=WORLD):
     scanned = _scan_oracle.enumerate_candidates(vehicles, r, now, Mechanism.CCP, requests)
     got = enumerate_candidates(fleet, r, now, Mechanism.CCP, net, requests, *ends(net, r))
     solo = got[0] if got and isinstance(got[0], InsertionCandidate) else None
-    assert solo == _scan_oracle.best([c for c in scanned if c.case is None and c.feasible])
+    assert solo == _scan_oracle.record(
+        _scan_oracle.best([c for c in scanned if c.case is None and c.feasible]))
     # one record per vehicle with a wait-feasible interleaving, whose case
     # rows are the scan's wait-feasible pooled candidates, in order
     records = got[solo is not None:]
@@ -492,12 +485,12 @@ def compare_with_scan(world, net=WORLD):
          c.dropoff_times[r.id], c.pickup_times[c.partner], c.dropoff_times[c.partner])
         for c in expected
     ]
-    assert [_pooled_candidate(p, row, r, *ends(net, r)) for p, row in rows] == expected
-    # the case rank orders one vehicle's cases like their plan keys
+    assert [_pooled_candidate(p, row, r) for p, row in rows] == [_scan_oracle.record(c) for c in expected]
+    # the case rank orders one vehicle's cases like the scan's stop orders
     for p in records:
         ranked = sorted(p.cases, key=lambda row: _case_rank(row[0], r, p.partner))
-        assert ranked == sorted(p.cases, key=lambda row: _scan_oracle.plan_key(plan_on(
-            net, r.id, _case_stops(row[0], r, p.partner))))
+        orders = dict(_pooled_stop_orders(r, p.partner, p.cases[0][0] <= 2))
+        assert ranked == sorted(p.cases, key=lambda row: _scan_oracle.plan_key(orders[row[0]]))
     assert all(c.feasible for c in got)
     decisions = (
         assign_sro(fleet, r, now, net, tariff),
@@ -679,12 +672,12 @@ class TestClockedFleet:
         seen = np.zeros(3, dtype=int)
         poolable = {}  # every customer's flag in the current run
 
-        def checked_commit(fleet, v, plan, now):
-            out = commit(fleet, v, plan, now)
+        def checked_commit(fleet, v, r, case, now):
+            out = commit(fleet, v, r, case, now)
             seen[2] += stale_events(fleet)
             fleet.advance(now)  # as every reader does
             seen[:2] += check_fleet_state(fleet, now, poolable)
-            commits.append(plan.new_customer)
+            commits.append(r.id)
             return out
 
         def checked(assign):
@@ -723,10 +716,10 @@ class TestClockedFleet:
         k = req(1, "A", "E")
         v = vehicle_with_rider(line6, 0, "A", k)  # k on board, at E at 96 s
         fleet = Fleet([v])
-        plan = plan_on(line6, 2, (Stop(PU, 2, "B"), Stop(DO, 1, "E"), Stop(DO, 2, "E")))
-        fleet.commit(v, plan, sec(1))
+        r = req(2, "B", "E", t=1)
+        fleet.commit(v, r, 1, sec(1))  # k is dropped off first, where r is
         rebuilt = Fleet([v])  # derived from the vehicle's rides alone
-        requests = {1: k, 2: req(2, "B", "E", t=1)}
+        requests = {1: k, 2: r}
         for f in (fleet, rebuilt):
             for now in range(0, sec(120), sec(2)):
                 f.advance(now)
@@ -745,8 +738,7 @@ class TestClockedFleet:
         fleet.advance(sec(1))
         assert fleet.lone == {0: 1}
         # r rides on to F, so k is dropped off at E on the way back, at 144 s
-        plan = plan_on(line6, 2, (Stop(PU, 2, "B"), Stop(DO, 2, "F"), Stop(DO, 1, "E")))
-        fleet.commit(v, plan, sec(1))
+        fleet.commit(v, req(2, "B", "F", t=1), 2, sec(1))
         assert stale_events(fleet) == 1  # the vehicle's old end at 96 s
         flags = {1: True, 2: True}
         for now, lone in ((sec(96), {}), (sec(100), {}), (sec(120), {0: 1}), (sec(144), {})):
@@ -783,8 +775,8 @@ class TestCarriedLeg:
             legs_read.append((i, j))
             return leg(net, i, j)
 
-        def versioned_commit(fleet, v, plan, now):
-            out = commit(fleet, v, plan, now)  # its anchor is read on the route it replaces
+        def versioned_commit(fleet, v, r, case, now):
+            out = commit(fleet, v, r, case, now)  # its anchor is read on the route it replaces
             version[run, v.id] = version.get((run, v.id), 0) + 1
             return out
 

@@ -53,12 +53,16 @@ grid = harness.ScenarioGrid(
 )
 outcomes = harness.run_grid(grid, harness.synthetic_trips(net, 40, 600, seed=1), net)
 taken = tracer.take()
+# a re-priced run shares its vehicles with the run it re-prices
+served = {id(res.vehicles): res.served for o in outcomes for res in (o.result, o.baseline)}
 print(json.dumps({
     "enumerate_calls": taken["calls"].get("mechanisms.enumerate_candidates", 0),
     "candidates": taken["extra"].get("candidates", 0),
     "pooled": sum(o.result.pooled_customers for o in outcomes),
     "quotes": taken["calls"].get("pricing.solitary_fare", 0),
     "requests": taken["extra"].get("requests", 0),
+    "commits": taken["calls"].get("domain.apply_assignment", 0),
+    "served": sum(served.values()),
 }))
 """
 
@@ -77,3 +81,5 @@ def test_traced_grid_runs_every_mechanism():
     assert counts["candidates"] > 0 and counts["pooled"] > 0
     # one solitary quote per decided request: one discount, so no cell is re-priced
     assert counts["requests"] > 0 and counts["quotes"] == counts["requests"]
+    # one traced commit per rider served in each distinct simulation (`domain.commits`)
+    assert counts["served"] > 0 and counts["commits"] == counts["served"]

@@ -74,6 +74,9 @@ class TestFractionFrom:
     @pytest.mark.parametrize("value,message", [
         ("abc", "cannot read 'abc' as a number"),
         (None, "cannot read None as a number"),
+        # Python counts a bool an int, but a JSON `true` is no number
+        (True, "cannot read True as a number"),
+        (False, "cannot read False as a number"),
         ("nan", "'nan' is not a finite number"),
         (float("inf"), "inf is not a finite number"),
         ("1e31", "'1e31' has a decimal exponent beyond +-30"),
