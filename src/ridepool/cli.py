@@ -313,7 +313,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("verify", help="run theorem fixtures")
-    p.add_argument("--fixtures", default="all", choices=["all"])
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 

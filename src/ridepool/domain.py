@@ -106,13 +106,15 @@ def _case_stops(case: int | None, r: tuple[int, int, int],
 
 @dataclass
 class ActiveRide:
-    """Currently committed, not yet completed ride on a vehicle."""
+    """Currently committed, not yet completed ride on a vehicle: its times,
+    its endpoints' node indices and the committed request, which is where
+    the pooled pass reads a partner's request."""
 
     pickup_time: int
     dropoff_time: int
     origin_idx: int
     dest_idx: int
-    poolable: bool
+    request: Request
 
 
 class VehicleState:
@@ -213,7 +215,7 @@ class Fleet:
         last, rider = drops[-1] if drops else (-inf, None)
         second = drops[-2][0] if len(drops) > 1 else -inf
         heappush(self._events, (last, v.slot, version, None))
-        if second < last and v.active[rider].poolable:
+        if second < last and v.active[rider].request.poolable:
             heappush(self._events, (second, v.slot, version, rider))
 
     def advance(self, now: int) -> None:
@@ -280,7 +282,7 @@ def apply_assignment(v: VehicleState, r: Request, case: int | None, now: int) ->
     del entries[bisect_right(entries, now, key=_entry_time) :]
     entries.append(ScheduleEntry(node_ids[anchor_idx], now, REC, r.id))
 
-    v.active[r.id] = ActiveRide(now, now, o, d, r.poolable)  # its times are set below
+    v.active[r.id] = ActiveRide(now, now, o, d, r)  # its times are set below
     dur, lex = net.rows()
     cur = anchor_idx
     for op, c, j in stops:

@@ -3,8 +3,12 @@
 Every incoming request triggers an immediate decision.  Candidates are
 either a solitary ride on an empty vehicle or, in pooling modes, an
 insertion into the schedule of a vehicle that currently serves exactly one
-poolable customer, in one of the six pooled-fare cases; a decision commits
-the request in its candidate's case (`domain.apply_assignment`).
+poolable customer, in one of the six pooled-fare cases.  The three rules
+share one signature, `assign_*(fleet, r, now, net, tariff)`, and return one
+flat `AssignmentDecision`: the winner's vehicle, case, partner, added
+distance and the riders' new pickup and dropoff times, which `run_sim`
+commits (`domain.apply_assignment`).  A partner's request is the one her
+vehicle holds (`ActiveRide.request`).
 
 * SRO  -- solitary rides only, minimal added driving distance.
 * PCP  -- poolable customers always pay the discounted fare; pooling picks
@@ -23,14 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .domain import Fleet, Request, VehicleState
 from .netgraph import RoadNetwork
 from .pricing import Tariff, mileage_fare, pcp_fare, solitary_fare
 from .units import Money, time_cost_mils
-
-MAX_WAIT_REASON = "MaxWaitExceeded"
 
 
 class Mechanism(str, Enum):
@@ -40,38 +42,34 @@ class Mechanism(str, Enum):
 
 
 @dataclass
-class InsertionCandidate:
-    vehicle: int
-    added_distance: int  # umiles
-    pickup_times: dict[int, int]
-    dropoff_times: dict[int, int]
-    case: int | None = None  # the commit's case: None for solitary, 1-6 pooled
-    partner: int | None = None
-    new_run_fare: int | None = None  # pooled CCP candidates only
-    new_run_umiles: int | None = None  # the run's planned mileage after the insertion
-
-    feasible = True  # the pass returns feasible candidates only
-
-
-@dataclass
 class AssignmentDecision:
+    """One request's decision, the winner's commit as plain fields.
+
+    A served request rides `vehicle` in `case` (None alone, 1-6 beside
+    `partner`), with the pickup and dropoff times (usec) of both riders that
+    the commit schedules.  CCP also sets the vehicle's run fare and planned
+    run mileage after the commit and, on a pooling, the change of the
+    partner's fare: her guarantee drops by half the surplus and her fare
+    absorbs her time-cost change.
+    """
+
     customer: int
     kind: str  # "solitary" | "pooled" | "unserved"
-    candidate: InsertionCandidate | None = None
+    quote: int  # mils, the request's solitary fare
     fare: Money | None = None
     baseline: int | None = None
     guaranteed: Money | None = None
-    partner_fare: Money | None = None
-    reason: str | None = None
-    quote: int | None = None  # mils, the request's solitary fare
-
-    @property
-    def vehicle(self):
-        return self.candidate.vehicle if self.candidate else None
-
-    @property
-    def partner(self):
-        return self.candidate.partner if self.candidate else None
+    vehicle: int | None = None
+    case: int | None = None
+    partner: int | None = None
+    added_distance: int | None = None  # umiles
+    pickup: int | None = None
+    dropoff: int | None = None
+    partner_pickup: int | None = None
+    partner_dropoff: int | None = None
+    partner_fare_change: Money | None = None  # CCP poolings only
+    run_fare: int | None = None  # CCP only
+    run_umiles: int | None = None  # CCP only
 
 
 UNSERVED = "unserved"
@@ -82,6 +80,18 @@ POOLED = "pooled"
 # ---------------------------------------------------------------------------
 # candidate generation
 # ---------------------------------------------------------------------------
+
+class SolitaryRide(NamedTuple):
+    """The best solitary candidate: an idle vehicle (by id) taking the
+    request alone, with its added umiles and the request's times."""
+
+    vehicle: int
+    added_distance: int
+    pickup: int
+    dropoff: int
+
+    feasible = True  # the pass returns feasible candidates only
+
 
 class PooledVehicle(NamedTuple):
     """The wait-feasible pooled interleavings of a request on one vehicle
@@ -109,19 +119,8 @@ def _case_rank(case: int, r: Request, k: Request) -> int:
     return case if k.id < r.id else -case
 
 
-def _pooled_candidate(p: PooledVehicle, row: tuple, r: Request, **economics) -> InsertionCandidate:
-    """The full candidate record of a winning case row."""
-    case, added, r_pick, r_drop, k_pick, k_drop = row
-    k = p.partner
-    return InsertionCandidate(
-        vehicle=p.vehicle.id, added_distance=added, pickup_times={r.id: r_pick, k.id: k_pick},
-        dropoff_times={r.id: r_drop, k.id: k_drop}, case=case, partner=k.id, **economics,
-    )
-
-
 def _pooled_vehicles(
-    fleet: Fleet, r: Request, o: int, d: int, now: int, net: RoadNetwork,
-    requests: Mapping[int, Request],
+    fleet: Fleet, r: Request, o: int, d: int, now: int, net: RoadNetwork
 ) -> list[PooledVehicle]:
     """Every wait-feasible insertion of `r`, from node `o` to node `d`, into
     a vehicle serving one poolable `k`, in fleet order.
@@ -141,7 +140,6 @@ def _pooled_vehicles(
     latest = r.request_time + r.max_wait
     out = []
     for slot, kid in sorted(fleet.lone.items()):
-        k = requests[kid]
         v = fleet.vehicles[slot]
         a, t_a, a_cum = v.busy_anchor(now)
         pick = t_a + dur[a][o]  # r's earliest pickup
@@ -150,6 +148,7 @@ def _pooled_vehicles(
         m_ao = lex[a][o]
         tail = v.way_cum[-1] - a_cum  # mileage of the abandoned plan
         ride = v.active[kid]
+        k = ride.request
         ok, dk = ride.origin_idx, ride.dest_idx
         t_kr, t_rk = dur[dk][d], dur[d][dk]
         m_kr, m_rk = lex[dk][d], lex[d][dk]
@@ -186,10 +185,9 @@ def enumerate_candidates(
     now: int,
     mode: Mechanism,
     net: RoadNetwork,
-    requests: Mapping[int, Request],
     o: int,
     d: int,
-) -> list[InsertionCandidate | PooledVehicle]:
+) -> list[SolitaryRide | PooledVehicle]:
     """The one candidate pass for a request from node `o` to node `d`, over
     the fleet advanced to `now`.
 
@@ -203,8 +201,7 @@ def enumerate_candidates(
     (the request-vehicle pruning of Alonso-Mora et al., PNAS 2017, over
     per-target travel orders like T-Share's, Ma et al., ICDE 2013).  Only
     the winner is built, from the walk's reads: an idle vehicle
-    leaves its last waypoint at `now` and abandons no planned mileage, and
-    its run drives o -> d (`new_run_umiles`).
+    leaves its last waypoint at `now` and abandons no planned mileage.
     Then, for a poolable request in a pooling mode, one `PooledVehicle` per
     vehicle with a wait-feasible pooled interleaving (see
     `_pooled_vehicles`), in fleet order.  Every item is feasible.
@@ -235,16 +232,13 @@ def enumerate_candidates(
     out = []
     if best is not None:
         m, vid, t = best
-        out.append(InsertionCandidate(
-            vehicle=vid, added_distance=m + lex[o][d], pickup_times={r.id: now + t},
-            dropoff_times={r.id: now + t + dur[o][d]}, new_run_umiles=lex[o][d],
-        ))
+        out.append(SolitaryRide(vid, m + lex[o][d], now + t, now + t + dur[o][d]))
     if mode != Mechanism.SRO and r.poolable:
-        out.extend(_pooled_vehicles(fleet, r, o, d, now, net, requests))
+        out.extend(_pooled_vehicles(fleet, r, o, d, now, net))
     return out
 
 
-def _priced_pass(fleet, r, now, mode, net, tariff, requests):
+def _priced_pass(fleet, r, now, mode, net, tariff):
     """(r's origin and destination node indices, quote, baseline, best
     solitary candidate or None, pooled vehicles).
 
@@ -255,11 +249,11 @@ def _priced_pass(fleet, r, now, mode, net, tariff, requests):
     the hypothetical ride with maximal wait.
     """
     o, d = net.index(r.origin), net.index(r.destination)
-    cands = enumerate_candidates(fleet, r, now, mode, net, requests, o, d)
-    solo = cands[0] if cands and isinstance(cands[0], InsertionCandidate) else None
+    cands = enumerate_candidates(fleet, r, now, mode, net, o, d)
+    solo = cands[0] if cands and isinstance(cands[0], SolitaryRide) else None
     quote = solitary_fare(tariff, net, o, d)
     if solo is not None:
-        span = solo.dropoff_times[r.id] - r.request_time
+        span = solo.dropoff - r.request_time
     else:
         span = r.max_wait + net.duration_usec(o, d)
     baseline = quote + time_cost_mils(r.value_of_time, span)
@@ -270,6 +264,16 @@ def _priced_pass(fleet, r, now, mode, net, tariff, requests):
 # the three mechanisms
 # ---------------------------------------------------------------------------
 
+def _pooled_decision(p: PooledVehicle, row: tuple, r: Request, **fields) -> AssignmentDecision:
+    """The decision to commit `r` in a winning case row of `p`."""
+    case, added, r_pick, r_drop, k_pick, k_drop = row
+    return AssignmentDecision(
+        customer=r.id, kind=POOLED, vehicle=p.vehicle.id, case=case, partner=p.partner.id,
+        added_distance=added, pickup=r_pick, dropoff=r_drop, partner_pickup=k_pick,
+        partner_dropoff=k_drop, **fields,
+    )
+
+
 def assign_sro(
     fleet: Fleet, r: Request, now: int, net: RoadNetwork, tariff: Tariff
 ) -> AssignmentDecision:
@@ -278,12 +282,12 @@ def assign_sro(
     `r`'s endpoints and the fleet's routes must be mutually reachable, as
     `run_sim` checks at entry (see `enumerate_candidates`).
     """
-    *_, quote, baseline, solo, _ = _priced_pass(fleet, r, now, Mechanism.SRO, net, tariff, {})
+    *_, quote, baseline, solo, _ = _priced_pass(fleet, r, now, Mechanism.SRO, net, tariff)
     if solo is None:
-        return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote, reason=MAX_WAIT_REASON)
+        return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote)
     return AssignmentDecision(
-        customer=r.id, kind=SOLITARY, candidate=solo, fare=quote, baseline=baseline,
-        guaranteed=baseline, quote=quote,
+        customer=r.id, kind=SOLITARY, quote=quote, fare=quote, baseline=baseline,
+        guaranteed=baseline, **solo._asdict(),
     )
 
 
@@ -294,12 +298,7 @@ def _detour_limit(direct_usec: int, detour_factor: Fraction) -> int:
 
 
 def assign_pcp(
-    fleet,
-    r: Request,
-    now: int,
-    net: RoadNetwork,
-    tariff: Tariff,
-    requests: Mapping[int, Request],
+    fleet: Fleet, r: Request, now: int, net: RoadNetwork, tariff: Tariff
 ) -> AssignmentDecision:
     """Distance-minimal candidate subject to per-rider detour bounds.
 
@@ -312,9 +311,7 @@ def assign_pcp(
     `r`'s endpoints and the fleet's routes must be mutually reachable, as
     `run_sim` checks at entry (see `enumerate_candidates`).
     """
-    o, d, quote, baseline, solo, pooled = _priced_pass(
-        fleet, r, now, Mechanism.PCP, net, tariff, requests
-    )
+    o, d, quote, baseline, solo, pooled = _priced_pass(fleet, r, now, Mechanism.PCP, net, tariff)
     fare = pcp_fare(tariff, quote) if r.poolable else quote
     # a solitary and a pooled candidate never share a vehicle, so the third
     # key place only ever orders cases of one vehicle
@@ -340,51 +337,42 @@ def assign_pcp(
                 if (k_drop - k_pick) * den <= lim_k:
                     best, best_key = (p, row), (added, vid, _case_rank(case, r, k))
     if best is None:
-        return AssignmentDecision(
-            customer=r.id, kind=UNSERVED, baseline=baseline, quote=quote, reason=MAX_WAIT_REASON
-        )
+        return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote, baseline=baseline)
     if best is solo:
         return AssignmentDecision(
-            customer=r.id, kind=SOLITARY, candidate=solo, fare=fare, baseline=baseline, quote=quote
+            customer=r.id, kind=SOLITARY, quote=quote, fare=fare, baseline=baseline,
+            **solo._asdict(),
         )
-    return AssignmentDecision(
-        customer=r.id, kind=POOLED, candidate=_pooled_candidate(*best, r), fare=fare,
-        baseline=baseline, quote=quote,
-    )
+    return _pooled_decision(*best, r, quote=quote, fare=fare, baseline=baseline)
 
 
 def assign_ccp(
-    fleet,
-    r: Request,
-    now: int,
-    net: RoadNetwork,
-    tariff: Tariff,
-    requests: Mapping[int, Request],
-    book: Mapping,
+    fleet: Fleet, r: Request, now: int, net: RoadNetwork, tariff: Tariff
 ) -> AssignmentDecision:
     """Pool when the coalition strictly gains; otherwise ride solitary.
 
-    `book` holds each committed customer's current fare in `.fare`.  A
-    partner's guarantee is her fare plus her time cost at the dropoff her
+    A partner's guarantee is her fare plus her time cost at the dropoff her
     vehicle holds: every commitment sets her fare to her guarantee less that
     time cost, and her dropoff moves only at a pooling on her vehicle, which
-    rewrites her fare.  With the partner on board, her run goes on and its
-    planned mileage grows by the offer's added mileage; with her waiting, a
-    new run starts at the offer's first pickup and drives the rest of its
-    plan.  The new run fare charges a change fee for each rider the request
-    joins in the vehicle's last run (`v.runs[-1]`), and the pair fare is the
-    partner's current fare plus the run-fare increment.  An offer is
-    admissible when the pair's new total cost is strictly below the sum of
-    the request's baseline and the partner's guarantee.  The admissible
-    offer with maximal surplus wins and both riders' guarantees drop by half
-    the surplus.  Cost sharing later re-divides run fares but cannot change
-    these decisions.
+    changes her fare by `partner_fare_change`.  With the partner on board,
+    her run goes on and its planned mileage grows by the offer's added
+    mileage; with her waiting, a new run starts at the offer's first pickup
+    and drives the rest of its plan.  The new run fare charges a change fee
+    for each rider the request joins in the vehicle's last run
+    (`v.runs[-1]`), and the pair fare is the partner's current fare plus the
+    run-fare increment.  An offer is admissible when the pair's new total
+    cost is strictly below the sum of the request's baseline and the
+    partner's guarantee.  The admissible offer with maximal surplus wins and
+    both riders' guarantees drop by half the surplus: the partner's fare
+    changes by her held time cost less that half and her new time cost.
+    Cost sharing later re-divides run fares but cannot change these
+    decisions.
 
     `r`'s endpoints and the fleet's routes must be mutually reachable, as
     `run_sim` checks at entry (see `enumerate_candidates`).
     """
     o, d, quote, baseline, best_solo, pooled = _priced_pass(
-        fleet, r, now, Mechanism.CCP, net, tariff, requests
+        fleet, r, now, Mechanism.CCP, net, tariff
     )
     lex = net.rows()[1]
     best = None  # (rank, vehicle record, case row, new run fare, umiles, tc_r, tc_k, spare)
@@ -415,19 +403,15 @@ def assign_ccp(
 
     if best is not None:
         rank, p, row, new_run_fare, umiles, tc_r, tc_k, spare = best
-        cand = _pooled_candidate(p, row, r, new_run_fare=new_run_fare, new_run_umiles=umiles)
         half = Fraction(-rank[0], 2)
         g_r = baseline - half
-        return AssignmentDecision(
-            customer=r.id, kind=POOLED, candidate=cand, fare=g_r - tc_r, baseline=baseline,
-            guaranteed=g_r, partner_fare=book[p.partner.id].fare + spare - half - tc_k,
-            quote=quote,
+        return _pooled_decision(
+            p, row, r, quote=quote, fare=g_r - tc_r, baseline=baseline, guaranteed=g_r,
+            partner_fare_change=spare - half - tc_k, run_fare=new_run_fare, run_umiles=umiles,
         )
     if best_solo is not None:
         return AssignmentDecision(
-            customer=r.id, kind=SOLITARY, candidate=best_solo, fare=quote, baseline=baseline,
-            guaranteed=baseline, quote=quote,
+            customer=r.id, kind=SOLITARY, quote=quote, fare=quote, baseline=baseline,
+            guaranteed=baseline, run_fare=quote, run_umiles=lex[o][d], **best_solo._asdict(),
         )
-    return AssignmentDecision(
-        customer=r.id, kind=UNSERVED, baseline=baseline, quote=quote, reason=MAX_WAIT_REASON
-    )
+    return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote, baseline=baseline)

@@ -38,6 +38,15 @@ class Tariff:
     provider_cost_per_mile: int
 
     def __post_init__(self):
+        # exact inputs only: an inexact one would fail late, in the run or its output
+        for name in ("base_fare", "per_mile", "change_fee", "provider_cost_per_mile"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"tariff {name} must be an int of mils, "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("discount_factor", "detour_factor"):
+            if type(getattr(self, name)) not in (int, Fraction):
+                raise ValueError(f"tariff {name} must be an int or a Fraction, "
+                                 f"got {getattr(self, name)!r}")
         if self.base_fare < 0 or self.change_fee < 0:
             raise ValueError("base fare and change fee must be non-negative")
         if self.per_mile <= 0 or self.provider_cost_per_mile <= 0:

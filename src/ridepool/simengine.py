@@ -1,8 +1,8 @@
 """Deterministic event-driven fleet simulation.
 
 Requests are processed strictly in arrival order; each one triggers an
-immediate assignment under the configured mechanism and the request is
-committed to the chosen vehicle's schedule in its candidate's case.
+immediate assignment under the configured mechanism, and the decision's
+vehicle, case and times are committed to the fleet and the customer book.
 Vehicle motion is implicit: schedules carry exact node arrival times and a
 rerouted vehicle continues from its anchor node.  Identical configuration
 and request streams produce byte-identical results.
@@ -76,6 +76,11 @@ class SimConfig:
     def __post_init__(self):
         if self.fleet_size < 1:
             raise ConfigError("fleet_size must be at least 1")
+        if type(self.mar) not in (int, Fraction):
+            raise ConfigError(f"mar must be an int or a Fraction, got {self.mar!r}")
+        if not (self.vot_values and all(type(v) is int and v >= 0 for v in self.vot_values)):
+            raise ConfigError("vot_values must be non-negative ints of mils per minute, "
+                              f"at least one: {self.vot_values!r}")
         if not 0 <= self.mar <= 1:
             raise ConfigError("mar must lie in [0, 1]")
         if self.split_scheme not in SPLIT_SCHEMES:
@@ -212,13 +217,12 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     log: list[DecisionRow] = []
 
     mechanism, ccp = cfg.mechanism.value, cfg.mechanism == Mechanism.CCP
-    assign, extra = {Mechanism.SRO: (assign_sro, ()), Mechanism.PCP: (assign_pcp, (by_id,)),
-                     Mechanism.CCP: (assign_ccp, (by_id, book))}[cfg.mechanism]
+    assign = {Mechanism.SRO: assign_sro, Mechanism.PCP: assign_pcp,
+              Mechanism.CCP: assign_ccp}[cfg.mechanism]
     for r in stream:
         now = r.request_time
-        decision = assign(fleet, r, now, net, tariff, *extra)
+        decision = assign(fleet, r, now, net, tariff)
 
-        cand = decision.candidate
         log.append(
             DecisionRow(
                 time=now,
@@ -230,42 +234,40 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                 fare=decision.fare,
                 baseline_cost=decision.baseline,
                 guaranteed_cost=decision.guaranteed,
-                added_distance=cand.added_distance if cand else None,
+                added_distance=decision.added_distance,
             )
         )
         if decision.kind == UNSERVED:
             continue
 
-        v = fleet.by_id[cand.vehicle]
+        v = fleet.by_id[decision.vehicle]
         pooled = decision.kind == POOLED
-        fleet.commit(v, r, cand.case, now)
+        fleet.commit(v, r, decision.case, now)
         if pooled:
-            k = cand.partner
-            kb = book[k]
+            kb = book[decision.partner]
             kb.pooled = True
-            kb.pickup_time = cand.pickup_times[k]
-            kb.dropoff_time = cand.dropoff_times[k]
+            kb.pickup_time = decision.partner_pickup
+            kb.dropoff_time = decision.partner_dropoff
         book[r.id] = CustomerOutcome(
             customer=r.id,
             poolable=bool(r.poolable),
             pooled=pooled,
             vehicle=v.id,
             fare=decision.fare,
-            pickup_time=cand.pickup_times[r.id],
-            dropoff_time=cand.dropoff_times[r.id],
+            pickup_time=decision.pickup,
+            dropoff_time=decision.dropoff,
             total_cost=0,
             baseline_solitary_cost=decision.baseline,
             solitary_quote=decision.quote,
         )
         if ccp:
             if pooled:  # r joins k's run, ahead of k in cases 5-6, where r is picked up first
-                kb.fare = decision.partner_fare
+                kb.fare += decision.partner_fare_change  # a Fraction, as the change is
                 run = v.runs[-1]
-                run.insert(len(run) - 1 if cand.case >= 5 else len(run), r.id)
+                run.insert(len(run) - 1 if decision.case >= 5 else len(run), r.id)
             else:  # a solitary rider lands on an idle vehicle and opens its next run
                 v.runs.append([r.id])
-            v.run_fare = cand.new_run_fare if pooled else decision.quote
-            v.run_umiles = cand.new_run_umiles
+            v.run_fare, v.run_umiles = decision.run_fare, decision.run_umiles
 
     # pooled CCP runs and their ex-post splits; a run's id counts every run
     # of its vehicle

@@ -11,34 +11,27 @@ scans the fleet a second time, the SRO fare is priced after the decision,
 the PCP detour bound is checked in `Fraction` arithmetic and CCP prices
 every wait-feasible pooled candidate's whole run itinerary, read from the
 schedule, with `route_fare`, against each partner's guarantee kept in a
-ledger of `Commitment`s.  Tests compare the
-single pass against it decision by decision, and the runs `run_sim`
-records at its commits against `extract_runs`, a partition of the
+ledger of `Commitment`s, from which it derives her fare change.  Tests
+compare the single pass against it decision by decision, and the runs
+`run_sim` records at its commits against `extract_runs`, a partition of the
 realized schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from ridepool.domain import DO, PU, Request, ScheduleEntry, VehicleState
-from ridepool.mechanisms import (
-    MAX_WAIT_REASON,
-    POOLED,
-    SOLITARY,
-    UNSERVED,
-    AssignmentDecision,
-    InsertionCandidate,
-    Mechanism,
-)
+from ridepool.mechanisms import POOLED, SOLITARY, UNSERVED, AssignmentDecision, Mechanism
 from ridepool.netgraph import INF, Unreachable
 from ridepool.pricing import pcp_fare, solitary_fare, total_cost
 from ridepool.units import Money, time_cost_mils
 from tests._fare_oracle import route_distance_umiles, route_fare
 from tests.conftest import ends
 
+MAX_WAIT_REASON = "MaxWaitExceeded"
 PARTNER_WAIT_REASON = "PartnerMaxWaitExceeded"
 
 
@@ -60,20 +53,31 @@ class Stop(NamedTuple):
 
 
 @dataclass
-class Scanned(InsertionCandidate):
-    """A candidate as the scan builds it: the record the single pass builds,
-    plus its stops and the scan's verdict on it, infeasible ones included."""
+class Scanned:
+    """A candidate as the scan builds it, infeasible ones included: its
+    vehicle, added umiles, each rider's pickup and dropoff time, its case
+    and partner (None for a solitary ride), the run fare and mileage after
+    the insertion where priced, its stops and the scan's verdict on it."""
 
+    vehicle: int
+    added_distance: int  # umiles
+    pickup_times: dict[int, int]
+    dropoff_times: dict[int, int]
+    case: int | None = None
+    partner: int | None = None
+    new_run_fare: int | None = None
+    new_run_umiles: int | None = None
     stops: tuple[Stop, ...] = ()
     feasible: bool = True
     reason: str | None = None
 
 
-def record(c: Scanned | None) -> InsertionCandidate | None:
-    """The candidate without the scan's own fields, as the single pass builds it."""
-    if c is None:
-        return None
-    return InsertionCandidate(**{f.name: getattr(c, f.name) for f in fields(InsertionCandidate)})
+def commit_fields(c: Scanned, r: Request) -> dict:
+    """The decision fields of committing `r` as candidate `c` plans it."""
+    k = c.partner
+    return dict(vehicle=c.vehicle, case=c.case, partner=k, added_distance=c.added_distance,
+                pickup=c.pickup_times[r.id], dropoff=c.dropoff_times[r.id],
+                partner_pickup=c.pickup_times.get(k), partner_dropoff=c.dropoff_times.get(k))
 
 
 def plan_key(stops: Iterable[Stop]) -> tuple:
@@ -297,11 +301,11 @@ def assign_sro(vehicles, r, now, net, tariff):
     cand = best_solitary(vehicles, r, now)
     quote = solitary_fare(tariff, net, *ends(net, r))
     if cand is None:
-        return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote, reason=MAX_WAIT_REASON)
+        return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote)
     baseline = total_cost(quote, r, cand.dropoff_times[r.id])
     return AssignmentDecision(
-        customer=r.id, kind=SOLITARY, candidate=record(cand), fare=quote, baseline=baseline,
-        guaranteed=baseline, quote=quote,
+        customer=r.id, kind=SOLITARY, quote=quote, fare=quote, baseline=baseline,
+        guaranteed=baseline, **commit_fields(cand, r),
     )
 
 
@@ -326,13 +330,11 @@ def assign_pcp(vehicles, r, now, net, tariff, requests):
         feasible.append(c)
     chosen = best(feasible)
     if chosen is None:
-        return AssignmentDecision(
-            customer=r.id, kind=UNSERVED, baseline=baseline, quote=quote, reason=MAX_WAIT_REASON
-        )
+        return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote, baseline=baseline)
     kind = POOLED if chosen.case is not None else SOLITARY
     return AssignmentDecision(
-        customer=r.id, kind=kind, candidate=record(chosen), fare=fare, baseline=baseline,
-        quote=quote,
+        customer=r.id, kind=kind, quote=quote, fare=fare, baseline=baseline,
+        **commit_fields(chosen, r),
     )
 
 
@@ -359,15 +361,17 @@ def assign_ccp(vehicles, r, now, net, tariff, requests, committed):
         g_k = committed[k.id].guaranteed - half
         tc_r = time_cost_mils(r.value_of_time, chosen.dropoff_times[r.id] - r.request_time)
         tc_k = time_cost_mils(k.value_of_time, chosen.dropoff_times[k.id] - k.request_time)
+        # her fare becomes her new guarantee less her new time cost
         return AssignmentDecision(
-            customer=r.id, kind=POOLED, candidate=record(chosen), fare=g_r - tc_r,
-            baseline=baseline, guaranteed=g_r, partner_fare=g_k - tc_k, quote=quote,
+            customer=r.id, kind=POOLED, quote=quote, fare=g_r - tc_r, baseline=baseline,
+            guaranteed=g_r, partner_fare_change=g_k - tc_k - committed[k.id].fare,
+            run_fare=chosen.new_run_fare, run_umiles=chosen.new_run_umiles,
+            **commit_fields(chosen, r),
         )
     if best_solo is not None:
         return AssignmentDecision(
-            customer=r.id, kind=SOLITARY, candidate=record(best_solo), fare=quote,
-            baseline=baseline, guaranteed=baseline, quote=quote,
+            customer=r.id, kind=SOLITARY, quote=quote, fare=quote, baseline=baseline,
+            guaranteed=baseline, run_fare=quote, run_umiles=best_solo.new_run_umiles,
+            **commit_fields(best_solo, r),
         )
-    return AssignmentDecision(
-        customer=r.id, kind=UNSERVED, baseline=baseline, quote=quote, reason=MAX_WAIT_REASON
-    )
+    return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote, baseline=baseline)

@@ -378,7 +378,7 @@ class TestAnalyze:
 class TestVerifyCommand:
     def test_verify_passes(self, tmp_path, capsys):
         out = tmp_path / "verdicts.csv"
-        rc = main(["verify", "--fixtures", "all", "--out", str(out)])
+        rc = main(["verify", "--out", str(out)])
         assert rc == 0
         text = out.read_text()
         assert "FAIL" not in text
@@ -836,7 +836,7 @@ class TestTripFiles:
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "ridepool.cli", "verify", "--fixtures", "all"],
+            [sys.executable, "-m", "ridepool.cli", "verify"],
             capture_output=True, text=True,
             # the package imports as it does here, installed or from the checkout
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},

@@ -18,16 +18,14 @@ from ridepool.domain import (
 )
 from ridepool.harness import ScenarioGrid, synthetic_trips
 from ridepool.mechanisms import (
-    MAX_WAIT_REASON,
     POOLED,
     SOLITARY,
     UNSERVED,
-    InsertionCandidate,
     Mechanism,
     PooledVehicle,
+    SolitaryRide,
     _case_rank,
     _detour_limit,
-    _pooled_candidate,
     _pooled_vehicles,
     assign_ccp,
     assign_pcp,
@@ -39,7 +37,12 @@ from ridepool.pricing import solitary_fare, total_cost
 from ridepool.units import UMILE, USEC, mils_from_usd, time_cost_mils
 from tests import _scan_oracle
 from tests._fare_oracle import PoolGeometry, ccp_pooled_fare, route_distance_umiles
-from tests._scan_oracle import PARTNER_WAIT_REASON, Commitment, _pooled_stop_orders
+from tests._scan_oracle import (
+    MAX_WAIT_REASON,
+    PARTNER_WAIT_REASON,
+    Commitment,
+    _pooled_stop_orders,
+)
 from tests.conftest import ends, expand_route, line_network, sec
 
 TARIFF = ScenarioGrid().tariff()
@@ -125,29 +128,26 @@ class TestEnumerateCandidates:
         cands = _scan_oracle.enumerate_candidates(fleet, r, 0, Mechanism.SRO, {})
         assert cands and all(not c.feasible for c in cands)
         assert all(c.reason == MAX_WAIT_REASON for c in cands)
-        assert enumerate_candidates(Fleet(fleet), r, 0, Mechanism.SRO, line6, {},
-            *ends(line6, r)) == []
+        assert enumerate_candidates(Fleet(fleet), r, 0, Mechanism.SRO, line6, *ends(line6, r)) == []
 
     def test_single_adjacent_vehicle_single_candidate(self, line6):
         fleet = Fleet([VehicleState(0, "B", line6)])
         r = req(1, "A", "C")
-        cands = enumerate_candidates(fleet, r, 0, Mechanism.SRO, line6, {}, *ends(line6, r))
+        cands = enumerate_candidates(fleet, r, 0, Mechanism.SRO, line6, *ends(line6, r))
         assert len(cands) == 1 and cands[0].feasible
 
     def test_onboard_partner_restricts_to_two_orderings(self, line6):
         i = req(1, "A", "E")
         v = vehicle_with_rider(line6, 0, "A", i)  # picked up immediately
         r = req(2, "B", "D", t=1)
-        cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i},
-            *ends(line6, r))
+        cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, *ends(line6, r))
         assert [row[0] for row in pooled_rows(cands)] == [1, 2]
 
     def test_waiting_partner_gives_four_orderings(self, line6):
         i = req(1, "C", "E")
         v = vehicle_with_rider(line6, 0, "A", i)  # 48s away from pickup
         r = req(2, "B", "D", t=1)
-        cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i},
-            *ends(line6, r))
+        cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, *ends(line6, r))
         assert [row[0] for row in pooled_rows(cands)] == [3, 4, 5, 6]
 
     @pytest.mark.parametrize("slack,cases", [(0, [1, 2]), (-1, [])])
@@ -156,8 +156,7 @@ class TestEnumerateCandidates:
         v = vehicle_with_rider(line6, 0, "A", i)  # on board; anchor B at 24 s
         # r can be picked up at C at 48 s at the earliest: 47 s after its request
         r = Request(2, "C", "D", sec(1), 250, sec(47) + slack, True)
-        cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i},
-            *ends(line6, r))
+        cands = enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, *ends(line6, r))
         rows = pooled_rows(cands)
         assert [row[0] for row in rows] == cases and len(cands) == len(rows) // 2
         assert all(row[2] == sec(48) for row in rows)
@@ -176,14 +175,14 @@ class TestEnumerateCandidates:
         monkeypatch.setattr(VehicleState, "is_idle", per_vehicle)
         r = req(2, "B", "D", t=1)
         fleet.advance(sec(1))  # the pass reads a fleet already advanced to `now`
-        records = _pooled_vehicles(fleet, r, *ends(line6, r), sec(1), line6, {1: i})
+        records = _pooled_vehicles(fleet, r, *ends(line6, r), sec(1), line6)
         assert [row[0] for row in pooled_rows(records)] == [1, 2]
 
     def test_nonpoolable_partner_blocks_pooling(self, line6):
         i = req(1, "A", "E", poolable=False)
         v = vehicle_with_rider(line6, 0, "A", i)
         r = req(2, "B", "D", t=1)
-        assert enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6, {1: i},
+        assert enumerate_candidates(Fleet([v]), r, sec(1), Mechanism.CCP, line6,
             *ends(line6, r)) == []
 
 
@@ -210,7 +209,7 @@ class TestNearestFirstWalk:
                        VehicleState(0, "A", line6)])
         r = req(1, "C", "A")
         visited = counted_walk(monkeypatch, line6)
-        (solo,) = enumerate_candidates(fleet, r, 0, Mechanism.SRO, line6, {}, *ends(line6, r))
+        (solo,) = enumerate_candidates(fleet, r, 0, Mechanism.SRO, line6, *ends(line6, r))
         assert solo.vehicle == 2 and solo.added_distance == 3 * UMILE // 5
         # the walk checks D's tie, then stops at A's farther vehicle
         assert visited == [c, b, d, a]
@@ -218,8 +217,7 @@ class TestNearestFirstWalk:
     def test_empty_fleet_visits_no_node(self, line6, monkeypatch):
         r = req(1, "C", "A")
         visited = counted_walk(monkeypatch, line6)
-        assert enumerate_candidates(Fleet([]), r, 0, Mechanism.CCP, line6, {},
-                                    *ends(line6, r)) == []
+        assert enumerate_candidates(Fleet([]), r, 0, Mechanism.CCP, line6, *ends(line6, r)) == []
         assert visited == []
 
     def test_every_vehicle_busy(self, line6, monkeypatch):
@@ -227,25 +225,23 @@ class TestNearestFirstWalk:
         fleet = Fleet([vehicle_with_rider(line6, i, k.origin, k) for i, k in enumerate(riders)])
         r = req(3, "C", "D", t=1)
         visited = counted_walk(monkeypatch, line6)
-        assert enumerate_candidates(fleet, r, sec(1), Mechanism.CCP, line6,
-                                    {k.id: k for k in riders}, *ends(line6, r)) == []
+        assert enumerate_candidates(fleet, r, sec(1), Mechanism.CCP, line6, *ends(line6, r)) == []
         assert visited == []
         # both drop their riders off at 96 s, at E and B; the walk stops at E, past B
         r = req(4, "C", "D", t=96)
-        (solo,) = enumerate_candidates(fleet, r, sec(96), Mechanism.CCP, line6,
-                                       {k.id: k for k in riders}, *ends(line6, r))
+        (solo,) = enumerate_candidates(fleet, r, sec(96), Mechanism.CCP, line6, *ends(line6, r))
         assert solo.vehicle == 1 and visited == [line6.index(x) for x in "CBDAE"]
 
     def test_no_idle_vehicle_within_the_wait_walks_every_node(self, line6, monkeypatch):
         fleet = Fleet([VehicleState(0, "E", line6), VehicleState(1, "D", line6)])
         r = Request(1, "A", "B", 0, 250, sec(71), True)  # D->A takes 72 s
         visited = counted_walk(monkeypatch, line6)
-        assert enumerate_candidates(fleet, r, 0, Mechanism.SRO, line6, {}, *ends(line6, r)) == []
+        assert enumerate_candidates(fleet, r, 0, Mechanism.SRO, line6, *ends(line6, r)) == []
         assert len(visited) == line6.n_nodes
         # one second more and D's vehicle wins; the walk stops at E's, short of F
         r = Request(1, "A", "B", 0, 250, sec(72), True)
         visited.clear()
-        (solo,) = enumerate_candidates(fleet, r, 0, Mechanism.SRO, line6, {}, *ends(line6, r))
+        (solo,) = enumerate_candidates(fleet, r, 0, Mechanism.SRO, line6, *ends(line6, r))
         assert solo.vehicle == 1 and visited == [line6.index(x) for x in "ABCDE"]
 
 
@@ -256,7 +252,7 @@ class TestAssignPcp:
         v0 = vehicle_with_rider(line6, 0, "A", i)
         v1 = VehicleState(1, "D", line6)
         r = req(2, "B", "E", t=1)
-        d = assign_pcp(Fleet([v0, v1]), r, sec(1), line6, tariff, {1: i, 2: r})
+        d = assign_pcp(Fleet([v0, v1]), r, sec(1), line6, tariff)
         assert d.kind == POOLED and d.vehicle == 0
         # poolable fare is the discounted solitary quote
         assert d.fare == Fraction(8, 10) * solitary_fare(tariff, line6, *ends(line6, r))
@@ -285,7 +281,7 @@ class TestAssignPcp:
         v0 = vehicle_with_rider(net, 0, "A", i)
         v1 = VehicleState(1, "B", net)
         r = req(2, "B", "D", t=0)
-        d = assign_pcp(Fleet([v0, v1]), r, 0, net, tariff, {1: i, 2: r})
+        d = assign_pcp(Fleet([v0, v1]), r, 0, net, tariff)
         # ride A->B->D is 130s vs bound 1.3*100s; 131s breaches it
         assert d.kind == expected
 
@@ -295,7 +291,7 @@ class TestAssignPcp:
         v0 = vehicle_with_rider(line6, 0, "A", i)
         v1 = VehicleState(1, "B", line6)
         r = req(2, "B", "D", t=1, poolable=False)
-        d = assign_pcp(Fleet([v0, v1]), r, sec(1), line6, tariff, {1: i, 2: r})
+        d = assign_pcp(Fleet([v0, v1]), r, sec(1), line6, tariff)
         assert d.kind == SOLITARY and d.vehicle == 1
         assert d.fare == solitary_fare(tariff, line6, *ends(line6, r))
 
@@ -319,21 +315,23 @@ class TestAssignCcp:
     def test_surplus_pooling_exact_arithmetic(self, line6):
         # solitary sum 9200 mils vs pooled 7200 mils: surplus is exactly $2
         tariff, fleet, r, i, committed = ccp_fixture(line6, 1.9)
-        d = assign_ccp(fleet, r, 0, line6, tariff, {1: i, 2: r}, committed)
-        assert d.kind == POOLED
+        d = assign_ccp(fleet, r, 0, line6, tariff)
+        assert d.kind == POOLED and d.partner == 1
         assert d.baseline == 4300
         # both guarantees drop by half the surplus
         assert d.guaranteed == 4300 - 1000
-        tc_i = time_cost_mils(i.value_of_time, d.candidate.dropoff_times[1] - i.request_time)
-        assert d.partner_fare + tc_i == 4900 - 1000
-        assert d.fare + d.partner_fare == 4500 + 1900
+        partner_fare = committed[1].fare + d.partner_fare_change
+        tc_i = time_cost_mils(i.value_of_time, d.partner_dropoff - i.request_time)
+        assert partner_fare + tc_i == 4900 - 1000
+        assert d.fare + partner_fare == 4500 + 1900 == d.run_fare
+        assert isinstance(d.partner_fare_change, Fraction)
         assert d == _scan_oracle.assign_ccp(fleet.vehicles, r, 0, line6, tariff, {1: i, 2: r},
                                             committed)
 
     def test_zero_surplus_boundary_not_pooled(self, line6):
         # change fee consumes the whole gain: equality fails the strict test
         tariff, fleet, r, i, committed = ccp_fixture(line6, 3.9)
-        d = assign_ccp(fleet, r, 0, line6, tariff, {1: i, 2: r}, committed)
+        d = assign_ccp(fleet, r, 0, line6, tariff)
         assert d.kind == SOLITARY and d.vehicle == 1
 
     def test_near_destination_pickup_detour_fails(self, line6):
@@ -345,14 +343,14 @@ class TestAssignCcp:
         committed = {1: commitment(i, v0, 3726)}
         assert committed[1].fare == v0.run_fare == 3500
         r = req(2, "B", "E", t=40, vot_mils_min=283)
-        d = assign_ccp(Fleet([v0, v1]), r, sec(40), line6, tariff, {1: i, 2: r}, committed)
+        d = assign_ccp(Fleet([v0, v1]), r, sec(40), line6, tariff)
         assert d.kind == SOLITARY and d.vehicle == 1
 
     def test_no_solo_but_admissible_pool_serves_pooled(self, line6):
         # only vehicle is busy: baseline falls back to the max-wait hypothetical
         tariff, fleet, r, i, committed = ccp_fixture(line6, 1.9)
         fleet = Fleet(fleet.vehicles[:1])
-        d = assign_ccp(fleet, r, 0, line6, tariff, {1: i, 2: r}, committed)
+        d = assign_ccp(fleet, r, 0, line6, tariff)
         assert d.kind == POOLED
         direct = line6.duration_usec(line6.index("B"), line6.index("E"))
         expected_baseline = total_cost(
@@ -366,7 +364,7 @@ class TestSolitaryBaseline:
         tariff = ScenarioGrid().tariff()
         fleet = Fleet([VehicleState(0, "C", line6)])
         r = req(9, "B", "A")
-        d = assign_ccp(fleet, r, 0, line6, tariff, {9: r}, {})
+        d = assign_ccp(fleet, r, 0, line6, tariff)
         assert d.kind == SOLITARY
         # C->B access 24s, ride 24s: quote 3000 + 250 mils/min * 0.8 min
         assert d.baseline == 3000 + 200
@@ -374,7 +372,7 @@ class TestSolitaryBaseline:
     def test_hypothetical_when_no_vehicle(self, line6):
         tariff = ScenarioGrid().tariff()
         r = req(9, "B", "A", wait_s=120)
-        d = assign_ccp(Fleet([]), r, 0, line6, tariff, {9: r}, {})
+        d = assign_ccp(Fleet([]), r, 0, line6, tariff)
         assert d.kind == UNSERVED
         assert d.baseline == 3000 + 250 * (120 + 24) // 60
 
@@ -468,10 +466,11 @@ def compare_with_scan(world, net=WORLD):
     fleet, tariff, requests, committed, r, now = world
     vehicles = fleet.vehicles
     scanned = _scan_oracle.enumerate_candidates(vehicles, r, now, Mechanism.CCP, requests)
-    got = enumerate_candidates(fleet, r, now, Mechanism.CCP, net, requests, *ends(net, r))
-    solo = got[0] if got and isinstance(got[0], InsertionCandidate) else None
-    assert solo == _scan_oracle.record(
-        _scan_oracle.best([c for c in scanned if c.case is None and c.feasible]))
+    got = enumerate_candidates(fleet, r, now, Mechanism.CCP, net, *ends(net, r))
+    solo = got[0] if got and isinstance(got[0], SolitaryRide) else None
+    best = _scan_oracle.best([c for c in scanned if c.case is None and c.feasible])
+    assert solo == (None if best is None else (
+        best.vehicle, best.added_distance, best.pickup_times[r.id], best.dropoff_times[r.id]))
     # one record per vehicle with a wait-feasible interleaving, whose case
     # rows are the scan's wait-feasible pooled candidates, in order
     records = got[solo is not None:]
@@ -485,7 +484,6 @@ def compare_with_scan(world, net=WORLD):
          c.dropoff_times[r.id], c.pickup_times[c.partner], c.dropoff_times[c.partner])
         for c in expected
     ]
-    assert [_pooled_candidate(p, row, r) for p, row in rows] == [_scan_oracle.record(c) for c in expected]
     # the case rank orders one vehicle's cases like the scan's stop orders
     for p in records:
         ranked = sorted(p.cases, key=lambda row: _case_rank(row[0], r, p.partner))
@@ -494,8 +492,8 @@ def compare_with_scan(world, net=WORLD):
     assert all(c.feasible for c in got)
     decisions = (
         assign_sro(fleet, r, now, net, tariff),
-        assign_pcp(fleet, r, now, net, tariff, requests),
-        assign_ccp(fleet, r, now, net, tariff, requests, committed),
+        assign_pcp(fleet, r, now, net, tariff),
+        assign_ccp(fleet, r, now, net, tariff),
     )
     assert decisions == (
         _scan_oracle.assign_sro(vehicles, r, now, net, tariff),
@@ -570,12 +568,12 @@ class TestSinglePass:
                 shortest = min(c.added_distance for c in solos)
                 tied = [c.vehicle for c in solos if c.added_distance == shortest]
                 id_breaks_tie += tied[0] != min(tied)
-            winner = decisions[1].candidate
-            if winner is not None:
+            winner = decisions[1]
+            if winner.kind != UNSERVED:
                 tie = sum(c.added_distance == winner.added_distance
                           for c in scanned if within_detour(c, tariff, requests)) > 1
                 pcp_ties += tie
-                pcp_pooled_ties += tie and winner.case is not None
+                pcp_pooled_ties += tie and winner.kind == POOLED
         assert outcomes == {
             (m, kind) for m in ("SRO", "PCP", "CCP") for kind in (SOLITARY, POOLED, UNSERVED)
         } - {("SRO", POOLED)}
@@ -590,10 +588,11 @@ class TestDetourLimitsPerRun:
         net = make_grid(5, 5, 0.15, 30)
         trips = synthetic_trips(net, 120, 900, seed=4)
         assign = simengine.assign_pcp
-        checked = []
+        checked, requests = [], {}
 
-        def against_scan(fleet, r, now, net, tariff, requests):
-            d = assign(fleet, r, now, net, tariff, requests)
+        def against_scan(fleet, r, now, net, tariff):
+            d = assign(fleet, r, now, net, tariff)
+            requests[r.id] = r  # the scan reads partners' requests here
             assert d == _scan_oracle.assign_pcp(fleet.vehicles, r, now, net, tariff, requests)
             checked.append(d.kind)
             return d
@@ -618,7 +617,7 @@ class TestDetourLimitsPerRun:
             # a limit kept from factor 1 would reject every pooled case under 0.05
             for factor in (Fraction(1), Fraction(1, 20), Fraction(1)):
                 tariff = ScenarioGrid().tariff(detour=factor)
-                d = assign_pcp(fleet, r, now, WORLD, tariff, requests)
+                d = assign_pcp(fleet, r, now, WORLD, tariff)
                 assert d == _scan_oracle.assign_pcp(fleet.vehicles, r, now, WORLD, tariff,
                                                     requests)
                 decisions.append(d)
@@ -719,16 +718,14 @@ class TestClockedFleet:
         r = req(2, "B", "E", t=1)
         fleet.commit(v, r, 1, sec(1))  # k is dropped off first, where r is
         rebuilt = Fleet([v])  # derived from the vehicle's rides alone
-        requests = {1: k, 2: r}
         for f in (fleet, rebuilt):
             for now in range(0, sec(120), sec(2)):
                 f.advance(now)
                 assert f.lone == {}
                 assert check_fleet_state(f, now, {1: True, 2: True}) == (0, 0)
                 r = req(3, "C", "D", t=now / USEC)
-                cands = enumerate_candidates(f, r, now, Mechanism.CCP, line6, requests,
-                                             *ends(line6, r))
-                assert all(isinstance(c, InsertionCandidate) for c in cands)
+                cands = enumerate_candidates(f, r, now, Mechanism.CCP, line6, *ends(line6, r))
+                assert all(isinstance(c, SolitaryRide) for c in cands)
             assert f.idle_at == {line6.index("E"): [0]}
 
     def test_pooled_recommit_skips_the_replaced_events(self, line6):
@@ -753,7 +750,7 @@ class TestClockedFleet:
         fleet.advance(sec(5))
         r = req(1, "B", "C", t=4)
         with pytest.raises(ValueError, match="cannot run back"):
-            enumerate_candidates(fleet, r, sec(4), Mechanism.SRO, line6, {}, *ends(line6, r))
+            enumerate_candidates(fleet, r, sec(4), Mechanism.SRO, line6, *ends(line6, r))
         with pytest.raises(ValueError, match="cannot run back"):
             fleet.advance(sec(5) - 1)
 
@@ -850,12 +847,14 @@ class TestCarriedFareState:
                               "changed_guarantee"), 0)
         pooled_runs = set()
         baselines = {}  # each committed rider's frozen baseline
+        requests, fares = {}, {}  # each rider's request, and her fare as the decisions set it
 
-        def checked(fleet, r, now, net, tariff, requests, book):
-            d = assign(fleet, r, now, net, tariff, requests, book)
+        def checked(fleet, r, now, net, tariff):
+            d = assign(fleet, r, now, net, tariff)
+            requests[r.id] = r
             for v in check_fare_state(fleet, now, tariff):
                 # fare conservation: the run's riders pay its run fare between them
-                assert sum(book[c].fare for c in v.runs[-1]) == v.run_fare
+                assert sum(fares[c] for c in v.runs[-1]) == v.run_fare
                 pooled = len(v.runs[-1]) > 1
                 seen["vehicles"] += 1
                 seen["at_now"] += any(e.time == now for e in _scan_oracle.run_entries(v))
@@ -863,11 +862,12 @@ class TestCarriedFareState:
                 seen["fresh_after_pool"] += not pooled and v.id in pooled_runs
                 # tightened by the pooling that was the vehicle's last commit
                 k = requests[fleet.lone[v.slot]]
-                guaranteed = book[k.id].fare + held_time_cost(k, v)
+                guaranteed = fares[k.id] + held_time_cost(k, v)
                 seen["changed_guarantee"] += guaranteed != baselines[k.id]
                 if pooled:
                     pooled_runs.add(v.id)
             baselines[r.id] = d.baseline
+            record_fares(fares, d)
             return d
 
         monkeypatch.setattr(simengine, "assign_ccp", checked)
@@ -927,6 +927,15 @@ def ccp_config(seed, fee_usd, mar):
     )
 
 
+def record_fares(fares, d):
+    """Book decision `d` into the fare ledger `fares`, as `run_sim` books it:
+    the request's fare, and a partner's fare moved by its change."""
+    if d.kind != UNSERVED:
+        fares[d.customer] = d.fare
+    if d.kind == POOLED:
+        fares[d.partner] += d.partner_fare_change
+
+
 def committed_money(seed, fee_usd, mar):
     """Run a small CCP simulation and replay the guarantee ledger from its
     decisions: a commitment guarantees the request its decision's
@@ -937,21 +946,23 @@ def committed_money(seed, fee_usd, mar):
     half mils; return the number of riders checked and how many of them had
     a guarantee on half mils."""
     assign = simengine.assign_ccp
-    ledger = {}
+    ledger, fares, requests = {}, {}, {}
     counts = [0, 0]
 
-    def checked(fleet, r, now, net, tariff, requests, book):
+    def checked(fleet, r, now, net, tariff):
         assert all(g.denominator in (1, 2) for g in ledger.values())
         for v in fleet.vehicles:
             for cid in v.active:
-                assert ledger[cid] - book[cid].fare == held_time_cost(requests[cid], v)
+                assert ledger[cid] - fares[cid] == held_time_cost(requests[cid], v)
                 counts[0] += 1
                 counts[1] += ledger[cid].denominator == 2
-        d = assign(fleet, r, now, net, tariff, requests, book)
+        d = assign(fleet, r, now, net, tariff)
+        requests[r.id] = r
         if d.kind != UNSERVED:
             ledger[r.id] = d.guaranteed
         if d.kind == POOLED:
             ledger[d.partner] -= d.baseline - d.guaranteed
+        record_fares(fares, d)
         return d
 
     with pytest.MonkeyPatch.context() as mp:
@@ -980,18 +991,19 @@ def first_pooling_cases(seed, fee_usd):
     event on a run without earlier ones against the six-case formula; return
     the cases checked."""
     assign = simengine.assign_ccp
-    cases = []
+    cases, requests = [], {}
 
-    def checked_assign(fleet, r, now, net, tariff, requests, book):
-        d = assign(fleet, r, now, net, tariff, requests, book)
+    def checked_assign(fleet, r, now, net, tariff):
+        d = assign(fleet, r, now, net, tariff)
+        requests[r.id] = r
         v = fleet.by_id.get(d.vehicle)
         if d.kind == POOLED and len(v.runs[-1]) == 1:
-            c, k = d.candidate, requests[d.candidate.partner]
+            k = requests[d.partner]
             anchor, _, _ = v.anchor_at(now)
-            geometry = PoolGeometry(c.case, now, v.active[k.id].pickup_time,
-                                    net.node_ids[anchor] if c.case <= 2 else None)
-            assert c.new_run_fare == ccp_pooled_fare(tariff, net, k, r, geometry)
-            cases.append(c.case)
+            geometry = PoolGeometry(d.case, now, v.active[k.id].pickup_time,
+                                    net.node_ids[anchor] if d.case <= 2 else None)
+            assert d.run_fare == ccp_pooled_fare(tariff, net, k, r, geometry)
+            cases.append(d.case)
         return d
 
     with pytest.MonkeyPatch.context() as mp:

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ridepool.costshare import shapley_split
 from ridepool.domain import Request
-from ridepool.harness import ScenarioGrid, synthetic_trips
+from ridepool import harness
+from ridepool.harness import ScenarioGrid, run_grid, synthetic_trips
 from ridepool.mechanisms import POOLED, Mechanism
 from ridepool import simengine
 from ridepool.netgraph import INF, RoadNetwork, make_grid
@@ -115,6 +117,37 @@ class TestValidation:
         # checked once here; goalprog_split takes them as given
         with pytest.raises(ConfigError, match="^split_thresholds must be exact fractions in"):
             config(grid10, Mechanism.CCP, split_scheme="goalprog", split_thresholds=thresholds)
+
+    @pytest.mark.parametrize("axes,message", [
+        (dict(discount_factors=(0.8,)),
+         "tariff discount_factor must be an int or a Fraction, got 0.8"),
+        (dict(detour_factors=(0.3,)), "tariff detour_factor must be an int or a Fraction, got 0.3"),
+        (dict(base_fare=2.5), "tariff base_fare must be an int of mils, got 2.5"),
+        (dict(mars=(0.5,)), "mar must be an int or a Fraction, got 0.5"),
+        (dict(vot_values=()),
+         "vot_values must be non-negative ints of mils per minute, at least one: ()"),
+        (dict(change_fees=(True,)), "tariff change_fee must be an int of mils, got True"),
+        (dict(discount_factors=(True,)),
+         "tariff discount_factor must be an int or a Fraction, got True"),
+        (dict(mars=(True,)), "mar must be an int or a Fraction, got True"),
+        (dict(vot_values=(200, True)),
+         "vot_values must be non-negative ints of mils per minute, at least one: (200, True)"),
+    ], ids=["discount-float", "detour-float", "base-fare-float", "mar-float", "vot-empty",
+            "fee-bool", "discount-bool", "mar-bool", "vot-bool"])
+    def test_inexact_grid_input_fails_before_its_cell_runs(self, monkeypatch, axes, message):
+        # unchecked, a float would simulate and fail late (float fares in
+        # summary.csv, a float detour factor in `assign_pcp`, a float MAR in
+        # `units.fmt4`), and no value of time would fail in the draw
+        net = make_grid(4, 4, 0.1, 30)
+        calls, real = [], harness.run_sim
+        monkeypatch.setattr(harness, "run_sim",
+                            lambda cfg, trips: calls.append(cfg) or real(cfg, trips))
+        grid = ScenarioGrid(mechanisms=(Mechanism.PCP, Mechanism.CCP), fleet_sizes=(3,),
+                            horizon=300 * USEC, **axes)
+        with pytest.raises((ValueError, ConfigError), match=f"^{re.escape(message)}$"):
+            run_grid(grid, synthetic_trips(net, 20, 300, seed=1), net)
+        # at most the SRO baseline ran, whose configuration is exact
+        assert all(cfg.mechanism == Mechanism.SRO for cfg in calls)
 
     def test_unsorted_rejected(self, grid10):
         reqs = grid_requests(grid10, 2, 10)
@@ -370,7 +403,7 @@ class TestRunsAtCommits:
         def counted(*args):
             d = real(*args)
             if d.kind == POOLED:
-                cases[d.candidate.case] += 1
+                cases[d.case] += 1
             return d
 
         monkeypatch.setattr(simengine, "assign_ccp", counted)
@@ -423,7 +456,7 @@ class TestRunAccounting:
             # half a mil on a partner's fare leaves her pair's run fare off whole mils
             d = real(*args)
             if d.kind == POOLED:
-                d = replace(d, partner_fare=d.partner_fare + Fraction(1, 2))
+                d = replace(d, partner_fare_change=d.partner_fare_change + Fraction(1, 2))
             return d
 
         monkeypatch.setattr(simengine, "assign_ccp", halved)

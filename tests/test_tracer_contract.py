@@ -58,6 +58,7 @@ served = {id(res.vehicles): res.served for o in outcomes for res in (o.result, o
 print(json.dumps({
     "enumerate_calls": taken["calls"].get("mechanisms.enumerate_candidates", 0),
     "candidates": taken["extra"].get("candidates", 0),
+    "feasible": taken["extra"].get("feasible", 0),
     "pooled": sum(o.result.pooled_customers for o in outcomes),
     "quotes": taken["calls"].get("pricing.solitary_fare", 0),
     "requests": taken["extra"].get("requests", 0),
@@ -79,6 +80,8 @@ def test_traced_grid_runs_every_mechanism():
     counts = json.loads(proc.stdout.splitlines()[-1])
     assert counts["enumerate_calls"] > 0
     assert counts["candidates"] > 0 and counts["pooled"] > 0
+    # every item of the pass is feasible (`mechanisms.feasible_ratio` 1)
+    assert counts["feasible"] == counts["candidates"]
     # one solitary quote per decided request: one discount, so no cell is re-priced
     assert counts["requests"] > 0 and counts["quotes"] == counts["requests"]
     # one traced commit per rider served in each distinct simulation (`domain.commits`)
