@@ -143,36 +143,30 @@ class CellOutcome:
                 Fraction(res.profit - sro.profit) / sro.profit * 100 if sro.profit > 0 else None
             ),
         }
-        served_poolable = [o for o in res.per_customer.values() if o.poolable]
+        # closed forms over the run's sums: a poolable rider pays scale * base + time cost
+        s = res.sums
         m["mean_cost_per_poolable"] = (
-            Fraction(sum(o.total_cost for o in served_poolable), 1) / len(served_poolable)
-            if served_poolable else None
+            Fraction(s.scale * s.bases + s.time_costs) / s.poolable if s.poolable else None
         )
-        priced = _priced(res)
         m["cost_reduction_pct"] = (
-            sum(1 - Fraction(o.total_cost) / o.baseline_solitary_cost for o in priced)
-            / len(priced) * 100 if priced else None
+            (s.priced - s.scale * s.base_ratio - s.time_ratio) / s.priced * 100
+            if s.priced else None
         )
         m["brackets"] = savings_brackets(res)
         return m
 
 
-def _priced(result: SimResult) -> list:
-    """The served poolable customers with a positive solitary baseline: a
-    saving relative to a zero baseline is undefined."""
-    return [o for o in result.per_customer.values() if o.poolable and o.baseline_solitary_cost > 0]
-
-
 def savings_brackets(result: SimResult, thresholds=BRACKETS):
     """Share of served poolable customers saving at least each threshold
     relative to their frozen solitary baselines, over those whose baseline
-    is positive (`_priced`); None when there are none.
+    is positive (a saving relative to a zero baseline is undefined); None
+    when there are none.
 
     With threshold p/q, baseline b and total cost n/d, the saving test
     b - n/d >= (p/q) * b is q * (b*d - n) >= p * b * d, in integers.
     """
     costs = [(o.baseline_solitary_cost, o.total_cost.numerator, o.total_cost.denominator)
-             for o in _priced(result)]
+             for o in result.per_customer.values() if o.poolable and o.baseline_solitary_cost > 0]
     if not costs:
         return {t: None for t in thresholds}
     out = {}
@@ -190,7 +184,7 @@ def run_grid(grid: ScenarioGrid, trips: list[Request], net: RoadNetwork) -> list
     configuration has not run yet.  A PCP cell whose (wait, fleet, MAR,
     detour, seed) group already ran under another discount hands that run
     over as `SimConfig.decided`, so `run_sim` re-prices it rather than
-    deciding every request again.
+    deciding every request again, and `metrics` reads its decided run's sums.
     """
     sro_cache: dict[SimConfig, SimResult] = {}
     pcp_decided: dict[tuple, SimResult] = {}

@@ -13,12 +13,14 @@ customer so the poolable populations at increasing MAR levels are nested.
 
 Provider-centered pooling decides without reading the discount factor, so a
 PCP run under another discount is its decisions re-priced (`reprice`); a
-configuration's `decided` field hands such a run to `run_sim`.
+configuration's `decided` field hands such a run to `run_sim`, and its fares,
+profit and cell metrics follow from the decided run's `RiderSums`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -120,6 +122,21 @@ class DecisionRow:
     added_distance: int | None  # umiles
 
 
+@dataclass(frozen=True)
+class RiderSums:
+    """Sums over a run's served riders; a poolable one pays `scale` times her base
+    (her quote under PCP, else her fare) plus her time cost, at any discount."""
+
+    scale: int | Fraction  # the discount factor under PCP, else 1
+    fixed_fares: Money  # the non-poolable riders' fares
+    poolable: int
+    bases: Money
+    time_costs: int
+    priced: int  # the poolable riders with a positive baseline b
+    base_ratio: Fraction  # sum of base / b over them
+    time_ratio: Fraction  # sum of time cost / b over them
+
+
 @dataclass
 class SimResult:
     mechanism: str
@@ -140,6 +157,21 @@ class SimResult:
     @property
     def n_requests(self) -> int:
         return self.served + self.unserved
+
+    @cached_property
+    def sums(self) -> RiderSums:
+        """Taken on first read; `reprice` hands a re-priced run those of its decided run."""
+        pcp, by_id = self.mechanism == Mechanism.PCP.value, self.requests
+        rows = [(o.baseline_solitary_cost, o.solitary_quote if pcp else o.fare,
+                 time_cost_mils(by_id[c].value_of_time, o.dropoff_time - by_id[c].request_time))
+                for c, o in self.per_customer.items() if o.poolable]
+        priced = [row for row in rows if row[0] > 0]
+        return RiderSums(
+            self.config.tariff.discount_factor if pcp else 1,
+            sum(o.fare for o in self.per_customer.values() if not o.poolable), len(rows),
+            sum(u for _, u, _ in rows), sum(tc for *_, tc in rows), len(priced),
+            sum(Fraction(u, b) for b, u, _ in priced), sum(Fraction(tc, b) for b, _, tc in priced),
+        )
 
 
 def _stream(seed: int, label: int) -> np.random.Generator:
@@ -300,17 +332,9 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                     for cid, split_fare in goalprog_split(account, cfg.split_thresholds).items():
                         book[cid].fare = split_fare
 
-    return _settle(cfg, book, log, accounts, by_id, fleet.vehicles)
-
-
-def _settle(cfg: SimConfig, book: dict[int, CustomerOutcome], log: list[DecisionRow],
-            accounts: list[RunAccount], by_id: dict[int, Request],
-            vehicles: list[VehicleState]) -> SimResult:
-    """The run's result: each served customer's total cost from her final
-    fare, the fleet's distance, the fares collected and the profit."""
     for cid, o in book.items():
         o.total_cost = total_cost(o.fare, by_id[cid], o.dropoff_time)
-    fleet_umi = sum(v.way_cum[-1] for v in vehicles)
+    fleet_umi = sum(v.way_cum[-1] for v in fleet.vehicles)
     fares_total: Money = sum(o.fare for o in book.values())
     return SimResult(
         mechanism=cfg.mechanism.value,
@@ -325,7 +349,7 @@ def _settle(cfg: SimConfig, book: dict[int, CustomerOutcome], log: list[Decision
         accounts=accounts,
         decision_log=log,
         requests=by_id,
-        vehicles=vehicles,
+        vehicles=fleet.vehicles,
         config=cfg,
     )
 
@@ -350,18 +374,34 @@ def reprice(decided: SimResult, tariff: Tariff) -> SimResult:
     """The PCP run `decided` under `tariff`'s discount factor.
 
     PCP reads the discount only to price each decision, so the decisions,
-    vehicles and requests stay (and are shared with `decided`): every
-    poolable customer's fare, in the outcomes and in the decision log,
-    becomes `pcp_fare` of her quote, and `_settle` prices the run again.
+    vehicles and requests stay, shared with `decided`, and so do its
+    `RiderSums`, at the new discount: the fares and profit follow from them.
+    The outcomes and decision log are built anew in `decided`'s order, each
+    poolable customer's fare `pcp_fare` of her quote, priced once per quote.
     """
-    book = {
-        cid: replace(o, fare=pcp_fare(tariff, o.solitary_quote)) if o.poolable else replace(o)
-        for cid, o in decided.per_customer.items()
-    }
+    s = replace(decided.sums, scale=tariff.discount_factor)
+    # an int, as a simulated run's sum of fares, unless a fare is a Fraction
+    fares_total = s.fixed_fares + s.scale * s.bases if s.poolable else s.fixed_fares
+    outcomes = decided.per_customer
+    fares = {q: pcp_fare(tariff, q)
+             for q in {o.solitary_quote for o in outcomes.values() if o.poolable}}
+    book = {}
+    for cid, o in outcomes.items():
+        fare, cost = o.fare, o.total_cost
+        if o.poolable:
+            fare = fares[o.solitary_quote]
+            cost = total_cost(fare, decided.requests[cid], o.dropoff_time)
+        book[cid] = CustomerOutcome(cid, o.poolable, o.pooled, o.vehicle, fare, o.pickup_time,
+                                    o.dropoff_time, cost, o.baseline_solitary_cost,
+                                    o.solitary_quote)
     log = [
-        replace(row, fare=book[row.customer].fare)
-        if row.fare is not None and book[row.customer].poolable else row
-        for row in decided.decision_log
+        DecisionRow(d.time, d.customer, d.mechanism, d.decision, d.vehicle, d.partner,
+                    book[d.customer].fare, d.baseline_cost, d.guaranteed_cost, d.added_distance)
+        if d.fare is not None and book[d.customer].poolable else d
+        for d in decided.decision_log
     ]
-    return _settle(replace(decided.config, tariff=tariff), book, log, [], decided.requests,
-                   decided.vehicles)
+    result = replace(decided, fares_total=fares_total, per_customer=book, decision_log=log,
+                     profit=provider_profit(fares_total, decided.fleet_distance, tariff),
+                     accounts=[], config=replace(decided.config, tariff=tariff))
+    result.sums = s
+    return result

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -5,10 +6,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ridepool import harness
+from ridepool import harness, simengine
 from ridepool.harness import (
     BRACKETS,
     SUMMARY_METRICS,
+    CellOutcome,
     DominanceResult,
     MechanismSummary,
     MismatchedGrids,
@@ -23,10 +25,11 @@ from ridepool.harness import (
 from ridepool.io import summary_row
 from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import make_grid
-from ridepool.simengine import SimConfig, run_sim
+from ridepool.simengine import CustomerOutcome, DecisionRow, SimConfig, run_sim
 from ridepool.pricing import pcp_fare
 from ridepool.units import USEC
 from ridepool.verify import build_threshold_fixture, run_fixture
+from tests._metrics_oracle import cost_metrics, totals
 from tests.conftest import assert_same_run, unserved_ids
 
 
@@ -151,6 +154,138 @@ class TestSharedPcpDecisions:
                                 for o in served if o.poolable and not o.pooled))
         assert unpooled_ccp > 0 and len(sunk) == 24
         assert max(sunk) > 0
+
+
+def assert_typed_equal(a, b):
+    # digests render a value through its type: 5 and Fraction(5) differ there
+    assert (type(a), a) == (type(b), b)
+
+
+def assert_matches_oracle(oc: CellOutcome) -> dict:
+    """`oc`'s metrics, taken from its run's sums, against the per-customer
+    oracle over its records."""
+    m = oc.metrics()
+    want = cost_metrics(oc.result)
+    for key in ("mean_cost_per_poolable", "cost_reduction_pct"):
+        assert_typed_equal(m[key], want[key])
+    assert m["brackets"].keys() == want["brackets"].keys()
+    for t, share in want["brackets"].items():
+        assert_typed_equal(m["brackets"][t], share)
+    fares, profit = totals(oc.result)
+    assert_typed_equal(oc.result.fares_total, fares)
+    assert_typed_equal(oc.result.profit, profit)
+    assert_typed_equal(m["fares"], fares)
+    assert_typed_equal(m["profit"], profit)
+    return m
+
+
+@pytest.fixture(scope="module")
+def pcp_world():
+    """A PCP configuration at discount 0.7, its trips, its run and their
+    solitary baseline: MAR 0.6 leaves poolable and non-poolable riders,
+    pooled and not."""
+    net = make_grid(6, 6, 0.15, 30)
+    trips = synthetic_trips(net, 120, 1200, seed=4)
+    cfg = SimConfig(mechanism=Mechanism.PCP, tariff=ScenarioGrid().tariff(discount=Fraction(7, 10)),
+                    fleet_size=8, mar=Fraction(6, 10), rng_seed=1, network=net,
+                    horizon=1200 * USEC, max_wait_override=240 * USEC)
+    baseline = run_sim(replace(cfg, mechanism=Mechanism.SRO, mar=Fraction(0)), trips)
+    return cfg, trips, run_sim(cfg, trips), baseline
+
+
+def at_discount(cfg, discount, **kw):
+    return replace(cfg, tariff=replace(cfg.tariff, discount_factor=discount), **kw)
+
+
+class TestClosedForms:
+    def test_world_has_every_kind_of_rider(self, pcp_world):
+        _, _, decided, _ = pcp_world
+        kinds = {(o.poolable, o.pooled) for o in decided.per_customer.values()}
+        assert kinds == {(False, False), (True, False), (True, True)}
+
+    @given(discount=st.fractions(0, 1, max_denominator=10**4).filter(lambda f: f > 0))
+    @example(discount=1)  # an int: every fare, and so every total, stays an int
+    @example(discount=Fraction(1))
+    @example(discount=Fraction(997, 1000))
+    @example(discount=Fraction(7, 10))
+    @settings(max_examples=30, deadline=None)
+    def test_every_pcp_cell_matches_the_oracle(self, pcp_world, discount):
+        cfg, trips, decided, baseline = pcp_world
+        assert_matches_oracle(CellOutcome(decided, baseline))
+        assert_matches_oracle(CellOutcome(run_sim(at_discount(cfg, discount), trips), baseline))
+        # a re-priced cell reads its decided run's sums at its own discount,
+        # the sums its own records give
+        res = run_sim(at_discount(cfg, discount, decided=decided), trips)
+        assert_matches_oracle(CellOutcome(res, baseline))
+        assert res.sums == type(res).sums.func(res)
+
+    def test_a_world_without_poolable_riders(self, pcp_world):
+        cfg, trips, _, baseline = pcp_world
+        cfg = replace(cfg, mar=Fraction(0))
+        decided = run_sim(cfg, trips)
+        assert decided.served > 0 and decided.poolable_customers == 0
+        for discount in (Fraction(7, 10), Fraction(9, 10), 1):
+            res = run_sim(at_discount(cfg, discount, decided=decided), trips)
+            m = assert_matches_oracle(CellOutcome(res, baseline))
+            assert type(res.fares_total) is int and m["mean_cost_per_poolable"] is None
+            assert m["brackets"] == dict.fromkeys(BRACKETS)
+
+    @pytest.mark.parametrize("split_scheme", ["shapley", "goalprog"])
+    def test_ccp_cells_match_the_oracle(self, pcp_world, split_scheme):
+        cfg, trips, _, baseline = pcp_world
+        res = run_sim(replace(cfg, mechanism=Mechanism.CCP, split_scheme=split_scheme), trips)
+        assert res.pooled_customers > 0
+        assert_matches_oracle(CellOutcome(res, baseline))
+
+    def test_every_grid_cell_matches_the_oracle(self, discount_calls):
+        outcomes, _, _ = discount_calls
+        for oc in outcomes:
+            assert_matches_oracle(oc)
+
+
+class TestRepricedRecords:
+    def test_a_re_priced_cell_builds_its_records_once_without_copying(self, monkeypatch):
+        built, copied = Counter(), Counter()
+
+        def counting(cls):
+            def build(*args, **kwargs):
+                built[cls.__name__] += 1
+                return cls(*args, **kwargs)
+            return build
+
+        def counting_replace(obj, **changes):
+            copied[type(obj).__name__] += 1
+            return replace(obj, **changes)
+
+        for cls in (CustomerOutcome, DecisionRow):
+            monkeypatch.setattr(simengine, cls.__name__, counting(cls))
+        monkeypatch.setattr(simengine, "replace", counting_replace)
+        net = make_grid(6, 6, 0.15, 30)
+        trips = synthetic_trips(net, 120, 1200, seed=4)
+        grid = replace(small_grid(seeds=(1,), mars=(Fraction(1, 2),)),
+                       mechanisms=(Mechanism.PCP,), discount_factors=DISCOUNTS)
+        outcomes = run_grid(grid, trips, net)
+        decided, *repriced = (oc.result for oc in outcomes)
+        baseline = outcomes[0].baseline
+        assert len(repriced) == 2 and all(oc.baseline is baseline for oc in outcomes)
+        # each re-priced cell builds a new outcome per served rider and a new
+        # row per priced poolable decision, by construction: no record is copied
+        priced = sum(1 for d in decided.decision_log
+                     if d.fare is not None and decided.per_customer[d.customer].poolable)
+        assert 0 < priced < decided.n_requests
+        assert built == {
+            "CustomerOutcome": decided.served + baseline.served + 2 * decided.served,
+            "DecisionRow": decided.n_requests + baseline.n_requests + 2 * priced,
+        }
+        assert not copied.keys() & {"CustomerOutcome", "DecisionRow"}
+        for res in repriced:
+            # new, re-priced records, in the decided run's order
+            assert list(res.per_customer) == list(decided.per_customer)
+            assert [d.customer for d in res.decision_log] == [
+                d.customer for d in decided.decision_log]
+            assert all(a is not b for a, b in
+                       zip(res.per_customer.values(), decided.per_customer.values()))
+            assert repr(res.per_customer) != repr(decided.per_customer)
 
 
 class TestAggregate:

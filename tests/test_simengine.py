@@ -516,9 +516,12 @@ class TestReprice:
         res = run_sim(cfg, reqs)
         assert res.config == cfg and res.config.decided is None
         assert res.vehicles is decided.vehicles and res.requests is decided.requests
-        assert [repr(decided.decision_log), repr(decided.per_customer), decided.profit] == before
         poolable = [o for o in res.per_customer.values() if o.poolable]
         assert poolable and all(o.fare == pcp_fare(cfg.tariff, o.solitary_quote) for o in poolable)
+        assert {d.fare for d in res.decision_log if d.customer == poolable[0].customer} == {
+            poolable[0].fare}
+        # re-pricing leaves the decided run as it was
+        assert [repr(decided.decision_log), repr(decided.per_customer), decided.profit] == before
 
     def test_decided_is_outside_equality_and_repr(self, pcp_run):
         cfg, _, decided = pcp_run
