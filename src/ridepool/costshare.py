@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 
@@ -78,49 +79,34 @@ def shapley_split(acct: RunAccount) -> dict[int, Fraction]:
 def goalprog_split(acct: RunAccount, sigmas: Sequence[Fraction]) -> dict[int, Fraction]:
     """Fare map of a lexicographic maximization of per-threshold saver counts.
 
-    At each level the cheapest-to-satisfy customers (smallest solitary
-    cost, then lowest id) are promoted while earlier levels' counts are
-    preserved; leftover budget is spread over the final selected set in
-    proportion to solitary cost, i.e. as a uniform bump of everyone's
-    relative saving.
+    One pass over the thresholds: each level keeps the longest
+    cheapest-first prefix (smallest solitary cost, then lowest id) of the
+    previous level's members whose step to the threshold the remaining
+    budget pays, and sets their saving to it.  What is left goes to the last
+    non-empty level, or to everyone when nobody reached the first
+    threshold, in proportion to solitary cost, i.e. as a uniform bump of
+    their relative saving.
 
     The thresholds `sigmas` must be exact Fractions, strictly increasing
     and in (0, 1); `SimConfig` and `cli._thresholds` check them, not this.
     """
     budget = Fraction(_check_feasible(acct))
-
     order = sorted(acct.members, key=lambda m: (m.solitary_cost, m.customer))
-    prefix = [0]
-    for m in order:
-        prefix.append(prefix[-1] + m.solitary_cost)
-
-    counts: list[int] = []
-    consumed = Fraction(0)
+    prefix = list(accumulate((m.solitary_cost for m in order), initial=0))
+    saving = dict.fromkeys((m.customer for m in order), Fraction(0))
+    reached = recipients = len(order)
     prev_sigma = Fraction(0)
-    prev_count = len(order)
     for sigma in sigmas:
         step = sigma - prev_sigma
-        m_level = prev_count
-        while m_level > 0 and consumed + step * prefix[m_level] > budget:
-            m_level -= 1
-        consumed += step * prefix[m_level]
-        counts.append(m_level)
+        while reached and step * prefix[reached] > budget:
+            reached -= 1
+        budget -= step * prefix[reached]
+        for m in order[:reached]:
+            saving[m.customer] = sigma
+        recipients = reached or recipients
         prev_sigma = sigma
-        prev_count = m_level
-
-    level_of = [-1] * len(order)
-    for lvl, cnt in enumerate(counts):
-        for idx in range(cnt):
-            level_of[idx] = lvl
-
-    savings = [sigmas[lvl] if lvl >= 0 else Fraction(0) for lvl in level_of]
-    residual = budget - sum(s * m.solitary_cost for s, m in zip(savings, order))
-    if residual:
-        recipients = next((c for c in reversed(counts) if c), 0) or len(order)
-        bump = residual / prefix[recipients]
-        for idx in range(recipients):
-            savings[idx] += bump
-
-    saving = {m.customer: s for m, s in zip(order, savings)}
+    if budget:  # left over after the levels
+        for m in order[:recipients]:
+            saving[m.customer] += budget / prefix[recipients]
     return {m.customer: m.solitary_cost - m.pooled_time_cost - saving[m.customer] * m.solitary_cost
             for m in acct.members}

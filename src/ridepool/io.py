@@ -210,7 +210,7 @@ SPLIT_COLUMNS = (
 )
 
 
-def run_split_rows(account: RunAccount, fares, cell: tuple = ()):
+def run_split_rows(account: RunAccount, fares, cell: tuple):
     """One row per member of a run divided into `fares` (customer -> mils),
     each led by `cell`."""
     for m in account.members:

@@ -61,7 +61,7 @@ class TheoremFixture:
     expect: str | None = None  # relation of poolable vs non-poolable cost
 
 
-def run_fixture(fx: TheoremFixture, mechanism: Mechanism, **overrides) -> SimResult:
+def run_fixture(fx: TheoremFixture, mechanism: Mechanism) -> SimResult:
     cfg = SimConfig(
         mechanism=mechanism,
         tariff=fx.tariff,
@@ -71,7 +71,6 @@ def run_fixture(fx: TheoremFixture, mechanism: Mechanism, **overrides) -> SimRes
         network=fx.network,
         horizon=max(r.request_time for r in fx.requests) + usec_from_seconds(3600),
         initial_vehicle_nodes=fx.vehicle_nodes,
-        **overrides,
     )
     return run_sim(cfg, list(fx.requests))
 
@@ -104,7 +103,7 @@ def check_individual_rationality(result: SimResult) -> Verdict:
 
 def check_detour_bounds(result: SimResult, detour_factor: Fraction) -> Verdict:
     """Every pooled rider's pickup-to-dropoff span obeys (1+detour)*direct."""
-    net = result.vehicles[0].net
+    net = result.config.network
     for cid, o in sorted(result.per_customer.items()):
         if not o.pooled:
             continue
@@ -185,30 +184,25 @@ def _fixture_network(names, base) -> RoadNetwork:
                                for a in names for b in names if a != b])
 
 
-def build_threshold_fixture(
-    delta="0.8", detour_factor="0.3", vot_ratio="1.1", direct_s=600, direct_mi=2.0
-) -> TheoremFixture:
+def build_threshold_fixture(delta="0.8", vot_ratio="1.1") -> TheoremFixture:
     """Forced-maximal-detour instance for the value-of-time threshold.
 
     One vehicle waits at the first rider's origin, so her baseline has zero
     wait; the only way to serve the second rider is the detour that stretches
-    the first ride to exactly (1 + detour) times its direct duration.
+    the first ride (600 s, 2 mi direct) to exactly 1.3 times its direct
+    duration, the bound of detour factor 3/10.
     `vot_ratio` scales the first rider's value of time against the threshold.
     """
     delta = fraction_from(delta)
-    detour = fraction_from(detour_factor)
     ratio = fraction_from(vot_ratio)
-    detour_s = detour * direct_s
-    if detour_s.denominator != 1:
-        raise DomainError("detour_factor * direct_s must be an integer second count")
-    base = {("OI", "DJ"): (direct_mi, direct_s), ("OI", "OJ"): (0.5, int(detour_s)),
+    detour, direct_s, direct_mi = Fraction(3, 10), 600, 2.0
+    base = {("OI", "DJ"): (direct_mi, direct_s), ("OI", "OJ"): (0.5, int(detour * direct_s)),
             ("OJ", "DJ"): (direct_mi, direct_s)}
     net = _fixture_network(["OI", "OJ", "DJ"], base)
 
     tariff = ScenarioGrid().tariff(discount=delta, detour=detour)
     p_sol = solitary_fare(tariff, net, net.index("OI"), net.index("DJ"))
-    threshold_per_min = theorem3_threshold(delta, p_sol, detour, Fraction(direct_s, 60))
-    vot = ratio * threshold_per_min
+    vot = ratio * theorem3_threshold(delta, p_sol, detour, Fraction(direct_s, 60))
     if vot.denominator != 1:
         raise DomainError("chosen ratio must give an integer mils-per-minute value of time")
     rider = Request(1, "OI", "DJ", 0, int(vot), usec_from_seconds(600), True)
@@ -244,29 +238,24 @@ def check_threshold_witness(fx: TheoremFixture) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def build_theorem4_fixtures(
-    detour_factor,
-    epsilon_t,
-    epsilon_d,
-    base_s=600,
-    base_mi=2.0,
-    between_mi=1.0,
-    vot_mils_per_min=225,
-    change_fee_usd=2.0,
+    detour_factor, epsilon_t, epsilon_d, vot_mils_per_min=225, change_fee_usd=2.0
 ) -> tuple[TheoremFixture, TheoremFixture]:
     """Original and perturbed instances of the shared-destination geometry.
 
-    Two riders head to the same destination from origins a detour-bound
-    travel time apart; in the original both direct rides are identical and
-    pooling sits exactly on the detour bound.  The perturbation moves the
-    first rider `epsilon` closer and the second `epsilon` farther, keeping
-    the solitary totals fixed while pushing the pooled ride past the bound.
+    Two riders head to the same destination from origins 1 mi and a
+    detour-bound travel time apart; in the original both direct rides are
+    600 s, 2 mi and pooling sits exactly on the detour bound.  The
+    perturbation moves the first rider `epsilon` closer and the second
+    `epsilon` farther, keeping the solitary totals fixed while pushing the
+    pooled ride past the bound.
     """
+    base_s, base_mi, between_mi = 600, Fraction(2), Fraction(1)
     detour = fraction_from(detour_factor)
     eps_t = int(epsilon_t)
     eps_d = fraction_from(epsilon_d)
     if eps_t <= 0 or eps_d <= 0:
         raise InvalidEpsilon("perturbations must be strictly positive")
-    if eps_t >= base_s or eps_d >= fraction_from(base_mi) - fraction_from(between_mi):
+    if eps_t >= base_s or eps_d >= base_mi - between_mi:
         raise InvalidEpsilon("perturbations must stay small against the base geometry")
     detour_s = detour * base_s
     if detour_s.denominator != 1:
@@ -296,8 +285,8 @@ def build_theorem4_fixtures(
     original = make("two-scenario-original", (base_mi, base_s), (base_mi, base_s))
     altered = make(
         "two-scenario-altered",
-        (fraction_from(base_mi) - eps_d, base_s - eps_t),
-        (fraction_from(base_mi) + eps_d, base_s + eps_t),
+        (base_mi - eps_d, base_s - eps_t),
+        (base_mi + eps_d, base_s + eps_t),
     )
 
     # the perturbed pooled span breaches the bound measured at the shortened ride
@@ -432,7 +421,7 @@ def check_weak_dominance_fixture(
 
 def run_all_fixtures() -> list[Verdict]:
     verdicts = []
-    for ratio, in (("1.1",), ("0.9",)):
+    for ratio in ("1.1", "0.9"):
         fx = build_threshold_fixture(vot_ratio=ratio)
         verdicts.append(check_threshold_witness(fx))
         verdicts.append(check_weak_dominance_fixture(fx, Mechanism.PCP))

@@ -97,6 +97,33 @@ class TestGoalProg:
         assert savers[2] >= Fraction(1, 10)
         assert sum(fares.values()) == acct.run_fare
 
+    # costs (10, 20, 40), pooled time (1, 2, 4): willingness 63, so the fare
+    # sets the budget; thresholds 1/10 then 3/10 cost 1, 3, 7 and 2, 6, 14
+    # for the cheapest one, two and three riders
+    LEVELS = (Fraction(1, 10), Fraction(3, 10))
+
+    @staticmethod
+    def assert_exact(fares, expected):
+        assert fares == expected
+        assert all(type(f) is Fraction for f in fares.values())
+
+    def test_leftover_goes_to_previous_level_when_last_keeps_nobody(self):
+        # budget 4: riders 1, 2 reach 1/10 (3), nobody can take the step to
+        # 3/10 (2 > 1), so the 1 left is spread over riders 1, 2 (cost 30)
+        fares = goalprog_split(account((10, 20, 40), (1, 2, 4), 59), self.LEVELS)
+        self.assert_exact(fares, {1: Fraction(23000, 3), 2: Fraction(46000, 3), 3: Fraction(36000)})
+
+    def test_leftover_goes_to_everyone_when_nobody_reaches_first(self):
+        # budget 1 < 2, the cheapest rider's step to 1/5: all save 1/70
+        fares = goalprog_split(account((10, 20, 40), (1, 2, 4), 62), (Fraction(1, 5), Fraction(3, 10)))
+        self.assert_exact(fares, {1: Fraction(62000, 7), 2: Fraction(124000, 7),
+                                  3: Fraction(248000, 7)})
+
+    def test_levels_spend_budget_exactly(self):
+        # budget 5: riders 1, 2 reach 1/10 (3), rider 1 then 3/10 (2)
+        fares = goalprog_split(account((10, 20, 40), (1, 2, 4), 58), self.LEVELS)
+        self.assert_exact(fares, {1: Fraction(6000), 2: Fraction(16000), 3: Fraction(36000)})
+
 
 class TestOracle:
     def test_matches_goalprog_on_pairs(self):

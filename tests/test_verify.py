@@ -58,6 +58,11 @@ class TestThresholdWitness:
         v = check_weak_dominance_fixture(fx, Mechanism.PCP)
         assert v.passed and "poolable" in v.check
 
+    def test_ratio_off_the_integer_grid_is_rejected(self):
+        # 1.001 times the 500 mils-per-minute threshold is 500.5
+        with pytest.raises(DomainError, match="integer mils-per-minute"):
+            build_threshold_fixture(vot_ratio="1.001")
+
 
 class TestTheorem4:
     def test_rejects_degenerate_epsilon(self):
