@@ -5,8 +5,8 @@ either a solitary ride on an empty vehicle or, in pooling modes, an
 insertion into the schedule of a vehicle that currently serves exactly one
 poolable customer, in one of the six pooled-fare cases.  The three rules
 share one signature, `assign_*(fleet, r, now, net, tariff)`, and return one
-flat `AssignmentDecision`: the winner's vehicle, case, partner, added
-distance and the riders' new pickup and dropoff times, which `run_sim`
+`DecisionRow`: the logged decision and, out of its repr, the winner's case
+and both riders' new pickup and dropoff times, which `run_sim` logs and
 commits (`domain.apply_assignment`).  A partner's request is the one her
 vehicle holds (`ActiveRide.request`).
 
@@ -24,7 +24,7 @@ case's stop order break ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -41,35 +41,39 @@ class Mechanism(str, Enum):
     CCP = "CCP"
 
 
-@dataclass
-class AssignmentDecision:
-    """One request's decision, the winner's commit as plain fields.
+@dataclass(slots=True)
+class DecisionRow:
+    """One request's decision, as a rule returns it and `run_sim` logs it.
 
-    A served request rides `vehicle` in `case` (None alone, 1-6 beside
-    `partner`), with the pickup and dropoff times (usec) of both riders that
-    the commit schedules.  CCP also sets the vehicle's run fare and planned
-    run mileage after the commit and, on a pooling, the change of the
-    partner's fare: her guarantee drops by half the surplus and her fare
-    absorbs her time-cost change.
+    The logged fields alone make up the repr.  The keyword-only rest is the
+    commit: a served request rides `vehicle` in `case` (None alone, 1-6
+    beside `partner`), with both riders' pickup and dropoff times (usec).
+    CCP also sets the vehicle's run fare and planned run mileage after the
+    commit and, on a pooling, the change of the partner's fare: her
+    guarantee drops by half the surplus and her fare absorbs her time-cost
+    change.
     """
 
+    time: int  # usec, the decision's time
     customer: int
-    kind: str  # "solitary" | "pooled" | "unserved"
-    quote: int  # mils, the request's solitary fare
-    fare: Money | None = None
-    baseline: int | None = None
-    guaranteed: Money | None = None
+    mechanism: str  # "SRO" | "PCP" | "CCP", a plain str
+    decision: str  # "solitary" | "pooled" | "unserved"
     vehicle: int | None = None
-    case: int | None = None
     partner: int | None = None
+    fare: Money | None = None
+    baseline_cost: int | None = None
+    guaranteed_cost: Money | None = None
     added_distance: int | None = None  # umiles
-    pickup: int | None = None
-    dropoff: int | None = None
-    partner_pickup: int | None = None
-    partner_dropoff: int | None = None
-    partner_fare_change: Money | None = None  # CCP poolings only
-    run_fare: int | None = None  # CCP only
-    run_umiles: int | None = None  # CCP only
+    _: KW_ONLY
+    quote: int = field(repr=False)  # mils, the request's solitary fare
+    case: int | None = field(default=None, repr=False)
+    pickup: int | None = field(default=None, repr=False)
+    dropoff: int | None = field(default=None, repr=False)
+    partner_pickup: int | None = field(default=None, repr=False)
+    partner_dropoff: int | None = field(default=None, repr=False)
+    partner_fare_change: Money | None = field(default=None, repr=False)  # CCP poolings only
+    run_fare: int | None = field(default=None, repr=False)  # CCP only
+    run_umiles: int | None = field(default=None, repr=False)  # CCP only
 
 
 UNSERVED = "unserved"
@@ -264,19 +268,20 @@ def _priced_pass(fleet, r, now, mode, net, tariff):
 # the three mechanisms
 # ---------------------------------------------------------------------------
 
-def _pooled_decision(p: PooledVehicle, row: tuple, r: Request, **fields) -> AssignmentDecision:
-    """The decision to commit `r` in a winning case row of `p`."""
+def _pooled_decision(p, row, r, now, mechanism, **fields) -> DecisionRow:
+    """`mechanism`'s decision at `now` to commit `r` in a winning case row of
+    the `PooledVehicle` `p`."""
     case, added, r_pick, r_drop, k_pick, k_drop = row
-    return AssignmentDecision(
-        customer=r.id, kind=POOLED, vehicle=p.vehicle.id, case=case, partner=p.partner.id,
-        added_distance=added, pickup=r_pick, dropoff=r_drop, partner_pickup=k_pick,
+    return DecisionRow(
+        now, r.id, mechanism, POOLED, vehicle=p.vehicle.id, partner=p.partner.id,
+        added_distance=added, case=case, pickup=r_pick, dropoff=r_drop, partner_pickup=k_pick,
         partner_dropoff=k_drop, **fields,
     )
 
 
 def assign_sro(
     fleet: Fleet, r: Request, now: int, net: RoadNetwork, tariff: Tariff
-) -> AssignmentDecision:
+) -> DecisionRow:
     """Distance-minimal empty vehicle within the wait limit, else unserved.
 
     `r`'s endpoints and the fleet's routes must be mutually reachable, as
@@ -284,10 +289,10 @@ def assign_sro(
     """
     *_, quote, baseline, solo, _ = _priced_pass(fleet, r, now, Mechanism.SRO, net, tariff)
     if solo is None:
-        return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote)
-    return AssignmentDecision(
-        customer=r.id, kind=SOLITARY, quote=quote, fare=quote, baseline=baseline,
-        guaranteed=baseline, **solo._asdict(),
+        return DecisionRow(now, r.id, "SRO", UNSERVED, quote=quote)
+    return DecisionRow(
+        now, r.id, "SRO", SOLITARY, fare=quote, baseline_cost=baseline,
+        guaranteed_cost=baseline, quote=quote, **solo._asdict(),
     )
 
 
@@ -299,7 +304,7 @@ def _detour_limit(direct_usec: int, detour_factor: Fraction) -> int:
 
 def assign_pcp(
     fleet: Fleet, r: Request, now: int, net: RoadNetwork, tariff: Tariff
-) -> AssignmentDecision:
+) -> DecisionRow:
     """Distance-minimal candidate subject to per-rider detour bounds.
 
     A pooled candidate is feasible only if every affected rider's planned
@@ -337,18 +342,18 @@ def assign_pcp(
                 if (k_drop - k_pick) * den <= lim_k:
                     best, best_key = (p, row), (added, vid, _case_rank(case, r, k))
     if best is None:
-        return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote, baseline=baseline)
+        return DecisionRow(now, r.id, "PCP", UNSERVED, baseline_cost=baseline, quote=quote)
     if best is solo:
-        return AssignmentDecision(
-            customer=r.id, kind=SOLITARY, quote=quote, fare=fare, baseline=baseline,
+        return DecisionRow(
+            now, r.id, "PCP", SOLITARY, fare=fare, baseline_cost=baseline, quote=quote,
             **solo._asdict(),
         )
-    return _pooled_decision(*best, r, quote=quote, fare=fare, baseline=baseline)
+    return _pooled_decision(*best, r, now, "PCP", fare=fare, baseline_cost=baseline, quote=quote)
 
 
 def assign_ccp(
     fleet: Fleet, r: Request, now: int, net: RoadNetwork, tariff: Tariff
-) -> AssignmentDecision:
+) -> DecisionRow:
     """Pool when the coalition strictly gains; otherwise ride solitary.
 
     A partner's guarantee is her fare plus her time cost at the dropoff her
@@ -406,12 +411,14 @@ def assign_ccp(
         half = Fraction(-rank[0], 2)
         g_r = baseline - half
         return _pooled_decision(
-            p, row, r, quote=quote, fare=g_r - tc_r, baseline=baseline, guaranteed=g_r,
-            partner_fare_change=spare - half - tc_k, run_fare=new_run_fare, run_umiles=umiles,
+            p, row, r, now, "CCP", fare=g_r - tc_r, baseline_cost=baseline, guaranteed_cost=g_r,
+            quote=quote, partner_fare_change=spare - half - tc_k, run_fare=new_run_fare,
+            run_umiles=umiles,
         )
     if best_solo is not None:
-        return AssignmentDecision(
-            customer=r.id, kind=SOLITARY, quote=quote, fare=quote, baseline=baseline,
-            guaranteed=baseline, run_fare=quote, run_umiles=lex[o][d], **best_solo._asdict(),
+        return DecisionRow(
+            now, r.id, "CCP", SOLITARY, fare=quote, baseline_cost=baseline,
+            guaranteed_cost=baseline, quote=quote, run_fare=quote, run_umiles=lex[o][d],
+            **best_solo._asdict(),
         )
-    return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote, baseline=baseline)
+    return DecisionRow(now, r.id, "CCP", UNSERVED, baseline_cost=baseline, quote=quote)

@@ -12,6 +12,7 @@ Distances are miles, durations seconds, stored as exact micro-units.
 from __future__ import annotations
 
 import csv
+import os
 import threading
 from array import array
 from dataclasses import dataclass
@@ -26,6 +27,17 @@ from .units import UMILE, USEC, umiles_from_miles, usec_from_seconds, fraction_f
 
 class InvalidParameter(ValueError):
     """A network construction parameter is out of range or inconsistent."""
+
+
+_PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes
+
+
+def _check_tables_fit(n: int) -> None:
+    """Refuse `n` nodes when the shortest-path tables (int64 duration and
+    mileage, int32 next hop: 20 bytes per pair) exceed physical memory."""
+    if 20 * n * n > _PHYSICAL_MEMORY:
+        raise InvalidParameter(f"a network of {n} nodes needs {20 * n * n} bytes of shortest-path "
+                               f"tables, more than the {_PHYSICAL_MEMORY} bytes of physical memory")
 
 
 class Unreachable(Exception):
@@ -60,6 +72,7 @@ class RoadNetwork:
         node_ids = sorted(set(nodes))
         if not node_ids:
             raise InvalidParameter("network needs at least one node")
+        _check_tables_fit(len(node_ids))
         self.node_ids: tuple[str, ...] = tuple(node_ids)
         self._index: dict[str, int] = {nid: i for i, nid in enumerate(self.node_ids)}
 
@@ -249,6 +262,7 @@ def make_grid(rows: int, cols: int, edge_length: float, speed: float) -> RoadNet
     dur_us = round_fraction(Fraction(len_umi * 3600, 1) / speed_frac)
     if dur_us <= 0:
         raise InvalidParameter("edge travel time rounds to zero")
+    _check_tables_fit(rows * cols)  # before the arcs are built
 
     ids = [[f"n{r:03d}x{c:03d}" for c in range(cols)] for r in range(rows)]
     length = Fraction(len_umi, UMILE)
@@ -267,7 +281,8 @@ def make_grid(rows: int, cols: int, edge_length: float, speed: float) -> RoadNet
 
 
 def load_network_csv(path) -> RoadNetwork:
-    """Read a network file with `node,id,x,y` and `arc,from,to,length_mi,time_s` rows."""
+    """Read a network file of `node,<id>` or `node,<id>,<x>,<y>` rows and
+    `arc,<from>,<to>,<length_mi>,<time_s>` rows; a malformed row names its line."""
     nodes = []
     arcs = []
     with open(path, newline="") as fh:
@@ -276,10 +291,11 @@ def load_network_csv(path) -> RoadNetwork:
                 continue
             kind = row[0].strip().lower()
             if kind == "node":
-                if len(row) < 2:
-                    raise InvalidParameter(f"line {lineno}: node row needs an id")
+                if len(row) not in (2, 4) or not row[1].strip():
+                    raise InvalidParameter(f"line {lineno}: node row needs node,<id> or "
+                                           "node,<id>,<x>,<y> with a non-empty id")
                 nodes.append(row[1].strip())
-                if len(row) >= 4:
+                if len(row) == 4:
                     try:
                         float(row[2]), float(row[3])  # checked, not kept
                     except ValueError:
@@ -287,8 +303,9 @@ def load_network_csv(path) -> RoadNetwork:
                             f"line {lineno}: cannot read coordinates {row[2]!r}, {row[3]!r}"
                         ) from None
             elif kind == "arc":
-                if len(row) < 5:
-                    raise InvalidParameter(f"line {lineno}: arc row needs from,to,length_mi,time_s")
+                if len(row) != 5:
+                    raise InvalidParameter(f"line {lineno}: arc row needs exactly "
+                                           "arc,<from>,<to>,<length_mi>,<time_s>")
                 arcs.append((row[1].strip(), row[2].strip(), row[3].strip(), row[4].strip()))
             else:
                 raise InvalidParameter(f"line {lineno}: unknown row kind {row[0]!r}")

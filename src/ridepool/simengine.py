@@ -1,8 +1,9 @@
 """Deterministic event-driven fleet simulation.
 
 Requests are processed strictly in arrival order; each one triggers an
-immediate assignment under the configured mechanism, and the decision's
-vehicle, case and times are committed to the fleet and the customer book.
+immediate assignment under the configured mechanism, whose `DecisionRow` is
+logged as returned and whose vehicle, case and times are committed to the
+fleet and the customer book.
 Vehicle motion is implicit: schedules carry exact node arrival times and a
 rerouted vehicle continues from its anchor node.  Identical configuration
 and request streams produce byte-identical results.
@@ -28,12 +29,7 @@ import numpy as np
 from .costshare import RunAccount, RunMember, goalprog_split
 from .domain import Fleet, Request, VehicleState
 from .mechanisms import (
-    POOLED,
-    UNSERVED,
-    Mechanism,
-    assign_ccp,
-    assign_pcp,
-    assign_sro,
+    POOLED, UNSERVED, DecisionRow, Mechanism, assign_ccp, assign_pcp, assign_sro,
 )
 from .netgraph import INF, RoadNetwork
 from .pricing import Tariff, pcp_fare, provider_profit, total_cost
@@ -106,20 +102,6 @@ class CustomerOutcome:
     total_cost: Money
     baseline_solitary_cost: int
     solitary_quote: int
-
-
-@dataclass(frozen=True)
-class DecisionRow:
-    time: int
-    customer: int
-    mechanism: str
-    decision: str
-    vehicle: int | None
-    partner: int | None
-    fare: Money | None
-    baseline_cost: Money | None
-    guaranteed_cost: Money | None
-    added_distance: int | None  # umiles
 
 
 @dataclass(frozen=True)
@@ -248,58 +230,44 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     book: dict[int, CustomerOutcome] = {}
     log: list[DecisionRow] = []
 
-    mechanism, ccp = cfg.mechanism.value, cfg.mechanism == Mechanism.CCP
+    ccp = cfg.mechanism == Mechanism.CCP
     assign = {Mechanism.SRO: assign_sro, Mechanism.PCP: assign_pcp,
               Mechanism.CCP: assign_ccp}[cfg.mechanism]
     for r in stream:
         now = r.request_time
-        decision = assign(fleet, r, now, net, tariff)
-
-        log.append(
-            DecisionRow(
-                time=now,
-                customer=r.id,
-                mechanism=mechanism,
-                decision=decision.kind,
-                vehicle=decision.vehicle,
-                partner=decision.partner,
-                fare=decision.fare,
-                baseline_cost=decision.baseline,
-                guaranteed_cost=decision.guaranteed,
-                added_distance=decision.added_distance,
-            )
-        )
-        if decision.kind == UNSERVED:
+        d = assign(fleet, r, now, net, tariff)
+        log.append(d)
+        if d.decision == UNSERVED:
             continue
 
-        v = fleet.by_id[decision.vehicle]
-        pooled = decision.kind == POOLED
-        fleet.commit(v, r, decision.case, now)
+        v = fleet.by_id[d.vehicle]
+        pooled = d.decision == POOLED
+        fleet.commit(v, r, d.case, now)
         if pooled:
-            kb = book[decision.partner]
+            kb = book[d.partner]
             kb.pooled = True
-            kb.pickup_time = decision.partner_pickup
-            kb.dropoff_time = decision.partner_dropoff
+            kb.pickup_time = d.partner_pickup
+            kb.dropoff_time = d.partner_dropoff
         book[r.id] = CustomerOutcome(
             customer=r.id,
             poolable=bool(r.poolable),
             pooled=pooled,
             vehicle=v.id,
-            fare=decision.fare,
-            pickup_time=decision.pickup,
-            dropoff_time=decision.dropoff,
+            fare=d.fare,
+            pickup_time=d.pickup,
+            dropoff_time=d.dropoff,
             total_cost=0,
-            baseline_solitary_cost=decision.baseline,
-            solitary_quote=decision.quote,
+            baseline_solitary_cost=d.baseline_cost,
+            solitary_quote=d.quote,
         )
         if ccp:
             if pooled:  # r joins k's run, ahead of k in cases 5-6, where r is picked up first
-                kb.fare += decision.partner_fare_change  # a Fraction, as the change is
+                kb.fare += d.partner_fare_change  # a Fraction, as the change is
                 run = v.runs[-1]
-                run.insert(len(run) - 1 if decision.case >= 5 else len(run), r.id)
+                run.insert(len(run) - 1 if d.case >= 5 else len(run), r.id)
             else:  # a solitary rider lands on an idle vehicle and opens its next run
                 v.runs.append([r.id])
-            v.run_fare, v.run_umiles = decision.run_fare, decision.run_umiles
+            v.run_fare, v.run_umiles = d.run_fare, d.run_umiles
 
     # pooled CCP runs and their ex-post splits; a run's id counts every run
     # of its vehicle
@@ -376,8 +344,10 @@ def reprice(decided: SimResult, tariff: Tariff) -> SimResult:
     PCP reads the discount only to price each decision, so the decisions,
     vehicles and requests stay, shared with `decided`, and so do its
     `RiderSums`, at the new discount: the fares and profit follow from them.
-    The outcomes and decision log are built anew in `decided`'s order, each
-    poolable customer's fare `pcp_fare` of her quote, priced once per quote.
+    The outcomes are built anew in `decided`'s order, each poolable
+    customer's fare `pcp_fare` of her quote, priced once per quote; the
+    decision log shares `decided`'s rows but for the priced poolable ones,
+    each rebuilt with its new fare.
     """
     s = replace(decided.sums, scale=tariff.discount_factor)
     # an int, as a simulated run's sum of fares, unless a fare is a Fraction
@@ -396,7 +366,11 @@ def reprice(decided: SimResult, tariff: Tariff) -> SimResult:
                                     o.solitary_quote)
     log = [
         DecisionRow(d.time, d.customer, d.mechanism, d.decision, d.vehicle, d.partner,
-                    book[d.customer].fare, d.baseline_cost, d.guaranteed_cost, d.added_distance)
+                    book[d.customer].fare, d.baseline_cost, d.guaranteed_cost, d.added_distance,
+                    quote=d.quote, case=d.case, pickup=d.pickup, dropoff=d.dropoff,
+                    partner_pickup=d.partner_pickup, partner_dropoff=d.partner_dropoff,
+                    partner_fare_change=d.partner_fare_change, run_fare=d.run_fare,
+                    run_umiles=d.run_umiles)
         if d.fare is not None and book[d.customer].poolable else d
         for d in decided.decision_log
     ]

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from ridepool.domain import DO, PU, Request, ScheduleEntry, VehicleState
-from ridepool.mechanisms import POOLED, SOLITARY, UNSERVED, AssignmentDecision, Mechanism
+from ridepool.mechanisms import POOLED, SOLITARY, UNSERVED, DecisionRow, Mechanism
 from ridepool.netgraph import INF, Unreachable
 from ridepool.pricing import pcp_fare, solitary_fare, total_cost
 from ridepool.units import Money, time_cost_mils
@@ -301,11 +301,11 @@ def assign_sro(vehicles, r, now, net, tariff):
     cand = best_solitary(vehicles, r, now)
     quote = solitary_fare(tariff, net, *ends(net, r))
     if cand is None:
-        return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote)
+        return DecisionRow(now, r.id, "SRO", UNSERVED, quote=quote)
     baseline = total_cost(quote, r, cand.dropoff_times[r.id])
-    return AssignmentDecision(
-        customer=r.id, kind=SOLITARY, quote=quote, fare=quote, baseline=baseline,
-        guaranteed=baseline, **commit_fields(cand, r),
+    return DecisionRow(
+        now, r.id, "SRO", SOLITARY, fare=quote, baseline_cost=baseline,
+        guaranteed_cost=baseline, quote=quote, **commit_fields(cand, r),
     )
 
 
@@ -330,10 +330,10 @@ def assign_pcp(vehicles, r, now, net, tariff, requests):
         feasible.append(c)
     chosen = best(feasible)
     if chosen is None:
-        return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote, baseline=baseline)
+        return DecisionRow(now, r.id, "PCP", UNSERVED, baseline_cost=baseline, quote=quote)
     kind = POOLED if chosen.case is not None else SOLITARY
-    return AssignmentDecision(
-        customer=r.id, kind=kind, quote=quote, fare=fare, baseline=baseline,
+    return DecisionRow(
+        now, r.id, "PCP", kind, fare=fare, baseline_cost=baseline, quote=quote,
         **commit_fields(chosen, r),
     )
 
@@ -362,16 +362,17 @@ def assign_ccp(vehicles, r, now, net, tariff, requests, committed):
         tc_r = time_cost_mils(r.value_of_time, chosen.dropoff_times[r.id] - r.request_time)
         tc_k = time_cost_mils(k.value_of_time, chosen.dropoff_times[k.id] - k.request_time)
         # her fare becomes her new guarantee less her new time cost
-        return AssignmentDecision(
-            customer=r.id, kind=POOLED, quote=quote, fare=g_r - tc_r, baseline=baseline,
-            guaranteed=g_r, partner_fare_change=g_k - tc_k - committed[k.id].fare,
+        return DecisionRow(
+            now, r.id, "CCP", POOLED, fare=g_r - tc_r, baseline_cost=baseline,
+            guaranteed_cost=g_r, quote=quote,
+            partner_fare_change=g_k - tc_k - committed[k.id].fare,
             run_fare=chosen.new_run_fare, run_umiles=chosen.new_run_umiles,
             **commit_fields(chosen, r),
         )
     if best_solo is not None:
-        return AssignmentDecision(
-            customer=r.id, kind=SOLITARY, quote=quote, fare=quote, baseline=baseline,
-            guaranteed=baseline, run_fare=quote, run_umiles=best_solo.new_run_umiles,
-            **commit_fields(best_solo, r),
+        return DecisionRow(
+            now, r.id, "CCP", SOLITARY, fare=quote, baseline_cost=baseline,
+            guaranteed_cost=baseline, quote=quote, run_fare=quote,
+            run_umiles=best_solo.new_run_umiles, **commit_fields(best_solo, r),
         )
-    return AssignmentDecision(customer=r.id, kind=UNSERVED, quote=quote, baseline=baseline)
+    return DecisionRow(now, r.id, "CCP", UNSERVED, baseline_cost=baseline, quote=quote)

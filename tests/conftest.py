@@ -49,6 +49,7 @@ def unserved_ids(result):
 def assert_same_run(a, b):
     """Results `a` and `b` agree in every decision, outcome and economic total."""
     assert [repr(row) for row in a.decision_log] == [repr(row) for row in b.decision_log]
+    assert a.decision_log == b.decision_log  # the commit fields too, which the repr leaves out
     assert repr(a.per_customer) == repr(b.per_customer)
     assert (repr(a.fares_total), repr(a.profit)) == (repr(b.fares_total), repr(b.profit))
     assert a.fleet_distance == b.fleet_distance

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ridepool import cli, harness
+from ridepool import cli, harness, netgraph
 from ridepool.cli import main
 from ridepool.domain import Request
 from ridepool.harness import ScenarioGrid, run_grid, summarize
@@ -715,6 +715,15 @@ class TestInputErrors:
         assert fails_cleanly(capsys, argv) == (
             "ridepool simulate: arc ('a', 'b') is too long for exact path sums: "
             "'1e30' mi, '30' s")
+
+    def test_grid_too_large_for_memory(self, tmp_path, capsys, monkeypatch):
+        # a 3x3 grid stands in for one whose tables outgrow the machine
+        monkeypatch.setattr(netgraph, "_PHYSICAL_MEMORY", 20 * 81 - 1)
+        config = copy.deepcopy(CONFIG)
+        config["network"]["grid"].update(rows=3, cols=3)
+        assert config_error(tmp_path, capsys, config) == (
+            "ridepool simulate: a network of 9 nodes needs 1620 bytes of shortest-path tables, "
+            "more than the 1619 bytes of physical memory")
 
     def test_thresholds_checked_only_for_goalprog_before_the_runs(self, tmp_path, capsys):
         empty = tmp_path / "runs.csv"

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ridepool import harness, simengine
+from ridepool import harness, mechanisms, simengine
 from ridepool.harness import (
     BRACKETS,
     SUMMARY_METRICS,
@@ -23,9 +23,9 @@ from ridepool.harness import (
     synthetic_trips,
 )
 from ridepool.io import summary_row
-from ridepool.mechanisms import Mechanism
+from ridepool.mechanisms import DecisionRow, Mechanism
 from ridepool.netgraph import make_grid
-from ridepool.simengine import CustomerOutcome, DecisionRow, SimConfig, run_sim
+from ridepool.simengine import CustomerOutcome, SimConfig, run_sim
 from ridepool.pricing import pcp_fare
 from ridepool.units import USEC
 from ridepool.verify import build_threshold_fixture, run_fixture
@@ -257,8 +257,10 @@ class TestRepricedRecords:
             copied[type(obj).__name__] += 1
             return replace(obj, **changes)
 
-        for cls in (CustomerOutcome, DecisionRow):
-            monkeypatch.setattr(simengine, cls.__name__, counting(cls))
+        # the rules build the decided rows, `reprice` the re-priced ones
+        for module, cls in ((simengine, CustomerOutcome), (simengine, DecisionRow),
+                            (mechanisms, DecisionRow)):
+            monkeypatch.setattr(module, cls.__name__, counting(cls))
         monkeypatch.setattr(simengine, "replace", counting_replace)
         net = make_grid(6, 6, 0.15, 30)
         trips = synthetic_trips(net, 120, 1200, seed=4)

@@ -97,21 +97,21 @@ class TestAssignSro:
         fleet = Fleet([VehicleState(0, "C", line6), VehicleState(1, "D", line6)])
         r = req(10, "B", "A")
         d = assign_sro(fleet, r, 0, line6, TARIFF)
-        assert d.kind == SOLITARY and d.vehicle == 0
+        assert d.decision == SOLITARY and d.vehicle == 0
 
     def test_feasibility_filter_before_argmin(self, line6):
         # nearest vehicle misses the wait limit by one second, farther makes it
         fleet = Fleet([VehicleState(0, "C", line6), VehicleState(1, "D", line6)])
         r = Request(10, "B", "A", 0, 250, 24 * USEC - 1, True)
         d = assign_sro(fleet, r, 0, line6, TARIFF)
-        assert d.kind == UNSERVED
+        assert d.decision == UNSERVED
         fleet = Fleet([VehicleState(0, "D", line6), VehicleState(1, "C", line6)])
         r = Request(10, "B", "A", 0, 250, 48 * USEC + USEC, True)
         d = assign_sro(fleet, r, 0, line6, TARIFF)
-        assert d.kind == SOLITARY and d.vehicle == 1
+        assert d.decision == SOLITARY and d.vehicle == 1
 
     def test_empty_fleet_unserved(self, line6):
-        assert assign_sro(Fleet([]), req(1, "A", "B"), 0, line6, TARIFF).kind == UNSERVED
+        assert assign_sro(Fleet([]), req(1, "A", "B"), 0, line6, TARIFF).decision == UNSERVED
 
     def test_tie_breaks_on_lower_vehicle_id(self, line6):
         fleet = Fleet([VehicleState(3, "C", line6), VehicleState(1, "C", line6)])
@@ -253,7 +253,7 @@ class TestAssignPcp:
         v1 = VehicleState(1, "D", line6)
         r = req(2, "B", "E", t=1)
         d = assign_pcp(Fleet([v0, v1]), r, sec(1), line6, tariff)
-        assert d.kind == POOLED and d.vehicle == 0
+        assert d.decision == POOLED and d.vehicle == 0
         # poolable fare is the discounted solitary quote
         assert d.fare == Fraction(8, 10) * solitary_fare(tariff, line6, *ends(line6, r))
 
@@ -283,7 +283,7 @@ class TestAssignPcp:
         r = req(2, "B", "D", t=0)
         d = assign_pcp(Fleet([v0, v1]), r, 0, net, tariff)
         # ride A->B->D is 130s vs bound 1.3*100s; 131s breaches it
-        assert d.kind == expected
+        assert d.decision == expected
 
     def test_nonpoolable_request_rides_solo_at_full_fare(self, line6):
         tariff = ScenarioGrid().tariff()
@@ -292,7 +292,7 @@ class TestAssignPcp:
         v1 = VehicleState(1, "B", line6)
         r = req(2, "B", "D", t=1, poolable=False)
         d = assign_pcp(Fleet([v0, v1]), r, sec(1), line6, tariff)
-        assert d.kind == SOLITARY and d.vehicle == 1
+        assert d.decision == SOLITARY and d.vehicle == 1
         assert d.fare == solitary_fare(tariff, line6, *ends(line6, r))
 
 
@@ -316,10 +316,10 @@ class TestAssignCcp:
         # solitary sum 9200 mils vs pooled 7200 mils: surplus is exactly $2
         tariff, fleet, r, i, committed = ccp_fixture(line6, 1.9)
         d = assign_ccp(fleet, r, 0, line6, tariff)
-        assert d.kind == POOLED and d.partner == 1
-        assert d.baseline == 4300
+        assert d.decision == POOLED and d.partner == 1
+        assert d.baseline_cost == 4300
         # both guarantees drop by half the surplus
-        assert d.guaranteed == 4300 - 1000
+        assert d.guaranteed_cost == 4300 - 1000
         partner_fare = committed[1].fare + d.partner_fare_change
         tc_i = time_cost_mils(i.value_of_time, d.partner_dropoff - i.request_time)
         assert partner_fare + tc_i == 4900 - 1000
@@ -332,7 +332,7 @@ class TestAssignCcp:
         # change fee consumes the whole gain: equality fails the strict test
         tariff, fleet, r, i, committed = ccp_fixture(line6, 3.9)
         d = assign_ccp(fleet, r, 0, line6, tariff)
-        assert d.kind == SOLITARY and d.vehicle == 1
+        assert d.decision == SOLITARY and d.vehicle == 1
 
     def test_near_destination_pickup_detour_fails(self, line6):
         tariff = ScenarioGrid().tariff(change_fee=2000)
@@ -344,19 +344,19 @@ class TestAssignCcp:
         assert committed[1].fare == v0.run_fare == 3500
         r = req(2, "B", "E", t=40, vot_mils_min=283)
         d = assign_ccp(Fleet([v0, v1]), r, sec(40), line6, tariff)
-        assert d.kind == SOLITARY and d.vehicle == 1
+        assert d.decision == SOLITARY and d.vehicle == 1
 
     def test_no_solo_but_admissible_pool_serves_pooled(self, line6):
         # only vehicle is busy: baseline falls back to the max-wait hypothetical
         tariff, fleet, r, i, committed = ccp_fixture(line6, 1.9)
         fleet = Fleet(fleet.vehicles[:1])
         d = assign_ccp(fleet, r, 0, line6, tariff)
-        assert d.kind == POOLED
+        assert d.decision == POOLED
         direct = line6.duration_usec(line6.index("B"), line6.index("E"))
         expected_baseline = total_cost(
             solitary_fare(tariff, line6, *ends(line6, r)), r, r.request_time + r.max_wait + direct
         )
-        assert d.baseline == expected_baseline
+        assert d.baseline_cost == expected_baseline
 
 
 class TestSolitaryBaseline:
@@ -365,16 +365,16 @@ class TestSolitaryBaseline:
         fleet = Fleet([VehicleState(0, "C", line6)])
         r = req(9, "B", "A")
         d = assign_ccp(fleet, r, 0, line6, tariff)
-        assert d.kind == SOLITARY
+        assert d.decision == SOLITARY
         # C->B access 24s, ride 24s: quote 3000 + 250 mils/min * 0.8 min
-        assert d.baseline == 3000 + 200
+        assert d.baseline_cost == 3000 + 200
 
     def test_hypothetical_when_no_vehicle(self, line6):
         tariff = ScenarioGrid().tariff()
         r = req(9, "B", "A", wait_s=120)
         d = assign_ccp(Fleet([]), r, 0, line6, tariff)
-        assert d.kind == UNSERVED
-        assert d.baseline == 3000 + 250 * (120 + 24) // 60
+        assert d.decision == UNSERVED
+        assert d.baseline_cost == 3000 + 250 * (120 + 24) // 60
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +539,7 @@ class TestSinglePass:
             world = random_world(random.Random(seed).randint, net=ONE_WAY)
             fleet, tariff, requests, committed, r, now = world
             _, (sro, _, _) = compare_with_scan(world, ONE_WAY)
-            if sro.kind != SOLITARY:
+            if sro.decision != SOLITARY:
                 continue
             o = ONE_WAY.index(r.origin)
             idle = [(v.way_nodes[-1], v.id) for v in fleet.vehicles if v.is_idle(now)]
@@ -561,7 +561,7 @@ class TestSinglePass:
             world = random_world(random.Random(seed).randint)
             fleet, tariff, requests, committed, r, now = world
             scanned, decisions = compare_with_scan(world)
-            outcomes |= {(m, d.kind) for m, d in zip(("SRO", "PCP", "CCP"), decisions)}
+            outcomes |= {(m, d.decision) for m, d in zip(("SRO", "PCP", "CCP"), decisions)}
             reasons |= {c.reason for c in scanned if c.case is not None}
             solos = [c for c in scanned if c.case is None and c.feasible]
             if solos:
@@ -569,11 +569,11 @@ class TestSinglePass:
                 tied = [c.vehicle for c in solos if c.added_distance == shortest]
                 id_breaks_tie += tied[0] != min(tied)
             winner = decisions[1]
-            if winner.kind != UNSERVED:
+            if winner.decision != UNSERVED:
                 tie = sum(c.added_distance == winner.added_distance
                           for c in scanned if within_detour(c, tariff, requests)) > 1
                 pcp_ties += tie
-                pcp_pooled_ties += tie and winner.kind == POOLED
+                pcp_pooled_ties += tie and winner.decision == POOLED
         assert outcomes == {
             (m, kind) for m in ("SRO", "PCP", "CCP") for kind in (SOLITARY, POOLED, UNSERVED)
         } - {("SRO", POOLED)}
@@ -594,7 +594,7 @@ class TestDetourLimitsPerRun:
             d = assign(fleet, r, now, net, tariff)
             requests[r.id] = r  # the scan reads partners' requests here
             assert d == _scan_oracle.assign_pcp(fleet.vehicles, r, now, net, tariff, requests)
-            checked.append(d.kind)
+            checked.append(d.decision)
             return d
 
         monkeypatch.setattr(simengine, "assign_pcp", against_scan)
@@ -622,7 +622,7 @@ class TestDetourLimitsPerRun:
                                                     requests)
                 decisions.append(d)
             changed += decisions[0] != decisions[1]
-            pooled_strict += decisions[1].kind == POOLED
+            pooled_strict += decisions[1].decision == POOLED
         assert changed > 0 and pooled_strict > 0
 
 
@@ -866,7 +866,7 @@ class TestCarriedFareState:
                 seen["changed_guarantee"] += guaranteed != baselines[k.id]
                 if pooled:
                     pooled_runs.add(v.id)
-            baselines[r.id] = d.baseline
+            baselines[r.id] = d.baseline_cost
             record_fares(fares, d)
             return d
 
@@ -912,7 +912,8 @@ class TestCarriedFareState:
             _, decisions = compare_with_scan(world)
             d = decisions[2]
             check_fare_state(fleet, now, tariff)
-            pooled_quarters += d.kind == POOLED and committed[d.partner].guaranteed.denominator == 4
+            pooled_quarters += (d.decision == POOLED
+                                and committed[d.partner].guaranteed.denominator == 4)
         assert pooled_quarters >= 10
 
 
@@ -930,9 +931,9 @@ def ccp_config(seed, fee_usd, mar):
 def record_fares(fares, d):
     """Book decision `d` into the fare ledger `fares`, as `run_sim` books it:
     the request's fare, and a partner's fare moved by its change."""
-    if d.kind != UNSERVED:
+    if d.decision != UNSERVED:
         fares[d.customer] = d.fare
-    if d.kind == POOLED:
+    if d.decision == POOLED:
         fares[d.partner] += d.partner_fare_change
 
 
@@ -958,10 +959,10 @@ def committed_money(seed, fee_usd, mar):
                 counts[1] += ledger[cid].denominator == 2
         d = assign(fleet, r, now, net, tariff)
         requests[r.id] = r
-        if d.kind != UNSERVED:
-            ledger[r.id] = d.guaranteed
-        if d.kind == POOLED:
-            ledger[d.partner] -= d.baseline - d.guaranteed
+        if d.decision != UNSERVED:
+            ledger[r.id] = d.guaranteed_cost
+        if d.decision == POOLED:
+            ledger[d.partner] -= d.baseline_cost - d.guaranteed_cost
         record_fares(fares, d)
         return d
 
@@ -997,7 +998,7 @@ def first_pooling_cases(seed, fee_usd):
         d = assign(fleet, r, now, net, tariff)
         requests[r.id] = r
         v = fleet.by_id.get(d.vehicle)
-        if d.kind == POOLED and len(v.runs[-1]) == 1:
+        if d.decision == POOLED and len(v.runs[-1]) == 1:
             k = requests[d.partner]
             anchor, _, _ = v.anchor_at(now)
             geometry = PoolGeometry(d.case, now, v.active[k.id].pickup_time,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ridepool import netgraph
 from ridepool.netgraph import (
     INF,
     InvalidParameter,
@@ -140,6 +141,25 @@ class TestGridGenerator:
     def test_rejects_nonpositive_parameters(self, edge, speed):
         with pytest.raises(InvalidParameter):
             make_grid(2, 2, edge, speed)
+
+
+class TestTableMemory:
+    def test_refuses_tables_beyond_physical_memory(self, monkeypatch):
+        # 9 nodes need 20 * 81 = 1620 bytes of tables
+        monkeypatch.setattr(netgraph, "_PHYSICAL_MEMORY", 1619)
+        message = ("a network of 9 nodes needs 1620 bytes of shortest-path tables, "
+                   "more than the 1619 bytes of physical memory")
+        with pytest.raises(InvalidParameter) as err:
+            make_grid(3, 3, 0.2, 30)
+        assert str(err.value) == message
+        names = [f"n{i}" for i in range(9)]
+        with pytest.raises(InvalidParameter) as err:
+            RoadNetwork(names, [(a, b, 0.1, 12) for a, b in zip(names, names[1:])])
+        assert str(err.value) == message
+
+    def test_builds_tables_that_fit(self, monkeypatch):
+        monkeypatch.setattr(netgraph, "_PHYSICAL_MEMORY", 1620)
+        assert make_grid(3, 3, 0.2, 30).duration_usec(0, 8) == 4 * 24 * USEC
 
 
 class TestOracleAgreement:
@@ -364,6 +384,18 @@ class TestNetworkFile:
         path.write_text("node,a,0,0\nnode,b,x,0\narc,a,b,0.1,12\n")
         with pytest.raises(InvalidParameter, match=r"line 2: cannot read coordinates 'x', '0'"):
             load_network_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("node,c,abc", "line 3: node row needs node,<id> or node,<id>,<x>,<y> with a non-empty id"),
+        ("node,,1,2", "line 3: node row needs node,<id> or node,<id>,<x>,<y> with a non-empty id"),
+        ("arc,a,b,1,60,junk", "line 3: arc row needs exactly arc,<from>,<to>,<length_mi>,<time_s>"),
+    ], ids=["one-coordinate", "empty-id", "extra-arc-column"])
+    def test_rejects_a_malformed_row_naming_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"node,a,0,0\nnode,b\n{row}\narc,b,a,1,60\n")
+        with pytest.raises(InvalidParameter) as err:
+            load_network_csv(path)
+        assert str(err.value) == message
 
     def test_rejects_duplicate_arc(self):
         with pytest.raises(InvalidParameter):

@@ -2,7 +2,7 @@ import gc
 import re
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +13,7 @@ from ridepool.costshare import shapley_split
 from ridepool.domain import Request
 from ridepool import harness
 from ridepool.harness import ScenarioGrid, run_grid, synthetic_trips
-from ridepool.mechanisms import POOLED, Mechanism
+from ridepool.mechanisms import POOLED, DecisionRow, Mechanism
 from ridepool import simengine
 from ridepool.netgraph import INF, RoadNetwork, make_grid
 from ridepool.pricing import pcp_fare, solitary_fare
@@ -402,7 +402,7 @@ class TestRunsAtCommits:
 
         def counted(*args):
             d = real(*args)
-            if d.kind == POOLED:
+            if d.decision == POOLED:
                 cases[d.case] += 1
             return d
 
@@ -455,7 +455,7 @@ class TestRunAccounting:
         def halved(*args):
             # half a mil on a partner's fare leaves her pair's run fare off whole mils
             d = real(*args)
-            if d.kind == POOLED:
+            if d.decision == POOLED:
                 d = replace(d, partner_fare_change=d.partner_fare_change + Fraction(1, 2))
             return d
 
@@ -474,6 +474,11 @@ class TestRunAccounting:
 
 def with_discount(cfg, discount, **kw):
     return replace(cfg, tariff=replace(cfg.tariff, discount_factor=discount), **kw)
+
+
+def row_values(row, *skip):
+    """Every field of a decision row, in order, but those named in `skip`."""
+    return [getattr(row, f.name) for f in fields(row) if f.name not in skip]
 
 
 @pytest.fixture(scope="module")
@@ -523,6 +528,24 @@ class TestReprice:
         # re-pricing leaves the decided run as it was
         assert [repr(decided.decision_log), repr(decided.per_customer), decided.profit] == before
 
+    def test_re_pricing_changes_only_fares(self, pcp_run):
+        cfg, _, decided = pcp_run
+        before = [row_values(d) for d in decided.decision_log]
+        tariff = with_discount(cfg, Fraction(9, 10)).tariff
+        res = reprice(decided, tariff)
+        rebuilt = 0
+        for new, old in zip(res.decision_log, decided.decision_log, strict=True):
+            # a priced poolable row is rebuilt with its new fare; every other row is shared
+            if old.fare is not None and decided.per_customer[old.customer].poolable:
+                assert new is not old and new.fare == pcp_fare(tariff, old.quote) != old.fare
+                rebuilt += 1
+            else:
+                assert new is old
+            assert row_values(new, "fare") == row_values(old, "fare")
+        assert 0 < rebuilt < len(before)
+        # the decided run's rows, shared and mutable, are left as they were
+        assert [row_values(d) for d in decided.decision_log] == before
+
     def test_decided_is_outside_equality_and_repr(self, pcp_run):
         cfg, _, decided = pcp_run
         assert replace(cfg, decided=decided) == cfg
@@ -552,3 +575,50 @@ class TestReprice:
         for mech in (Mechanism.PCP, Mechanism.CCP):
             with pytest.raises(ConfigError, match="decided: mechanism CCP .* only a PCP run"):
                 run_sim(replace(cfg, mechanism=mech, decided=ccp), reqs)
+
+
+LOGGED_FIELDS = ["time", "customer", "mechanism", "decision", "vehicle", "partner", "fare",
+                 "baseline_cost", "guaranteed_cost", "added_distance"]
+PINNED_ROWS = {
+    ("SRO", "solitary"): "DecisionRow(time=22000000, customer=0, mechanism='SRO', "
+    "decision='solitary', vehicle=5, partner=None, fare=6500, baseline_cost=7098, "
+    "guaranteed_cost=7098, added_distance=1800000)",
+    ("SRO", "unserved"): "DecisionRow(time=204000000, customer=8, mechanism='SRO', "
+    "decision='unserved', vehicle=None, partner=None, fare=None, baseline_cost=None, "
+    "guaranteed_cost=None, added_distance=None)",
+    ("PCP", "solitary"): "DecisionRow(time=22000000, customer=0, mechanism='PCP', "
+    "decision='solitary', vehicle=5, partner=None, fare=Fraction(5200, 1), baseline_cost=7098, "
+    "guaranteed_cost=None, added_distance=1800000)",
+    ("PCP", "unserved"): "DecisionRow(time=204000000, customer=8, mechanism='PCP', "
+    "decision='unserved', vehicle=None, partner=None, fare=None, baseline_cost=7877, "
+    "guaranteed_cost=None, added_distance=None)",
+    ("PCP", "pooled"): "DecisionRow(time=225000000, customer=10, mechanism='PCP', "
+    "decision='pooled', vehicle=0, partner=2, fare=Fraction(6000, 1), baseline_cost=9450, "
+    "guaranteed_cost=None, added_distance=800000)",
+    ("CCP", "solitary"): "DecisionRow(time=22000000, customer=0, mechanism='CCP', "
+    "decision='solitary', vehicle=5, partner=None, fare=6500, baseline_cost=7098, "
+    "guaranteed_cost=7098, added_distance=1800000)",
+    ("CCP", "pooled"): "DecisionRow(time=204000000, customer=8, mechanism='CCP', "
+    "decision='pooled', vehicle=5, partner=0, fare=Fraction(6665, 1), baseline_cost=7877, "
+    "guaranteed_cost=Fraction(7844, 1), added_distance=1800000)",
+    ("CCP", "unserved"): "DecisionRow(time=207000000, customer=9, mechanism='CCP', "
+    "decision='unserved', vehicle=None, partner=None, fare=None, baseline_cost=6800, "
+    "guaranteed_cost=None, added_distance=None)",
+}
+
+
+class TestDecisionRow:
+    def test_each_kind_has_a_pinned_repr_of_the_logged_fields(self, grid10):
+        # the first row of each decision kind under each mechanism; the repr,
+        # which the benchmark's digests hash, leaves the commit fields out
+        reqs = grid_requests(grid10, 3, 150)
+        first = {}
+        for mech in Mechanism:
+            res = run_sim(config(grid10, mech, seed=3, fleet=8, mar=Fraction(6, 10)), reqs)
+            for d in res.decision_log:
+                assert type(d) is DecisionRow and type(d.mechanism) is str
+                first.setdefault((d.mechanism, d.decision), d)
+        assert {key: repr(d) for key, d in first.items()} == PINNED_ROWS
+        for d in first.values():
+            assert re.findall(r"(\w+)=", repr(d)) == LOGGED_FIELDS
+            assert d.quote > 0  # the commit fields are there, out of the repr
