@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .domain import Fleet, Request, VehicleState
 from .netgraph import RoadNetwork
 from .pricing import Tariff, mileage_fare, pcp_fare, solitary_fare
-from .units import Money, time_cost_mils
+from .units import SECONDS_PER_MINUTE, UMILE, USEC, Money, time_cost_mils
 
 
 class Mechanism(str, Enum):
@@ -370,8 +370,16 @@ def assign_ccp(
     partner's guarantee.  The admissible offer with maximal surplus wins and
     both riders' guarantees drop by half the surplus: the partner's fare
     changes by her held time cost less that half and her new time cost.
-    Cost sharing later re-divides run fares but cannot change these
-    decisions.
+    The surplus is whole mils, so the pooled money is built in half-mils,
+    one `Fraction(n, 2)` per amount.  Cost sharing later re-divides run
+    fares but cannot change these decisions.
+
+    Before rounding anything, an offer is dropped when the floors of its
+    three rounded amounts (the distance charge and both time costs) plus the
+    run's base fare and change fees already reach the cap.  Each amount
+    rounds half to even, never below its floor, so the new total cost is at
+    least that sum and no admissible offer is dropped; every other offer
+    takes the exact test.
 
     `r`'s endpoints and the fleet's routes must be mutually reachable, as
     `run_sim` checks at entry (see `enumerate_candidates`).
@@ -380,25 +388,35 @@ def assign_ccp(
         fleet, r, now, Mechanism.CCP, net, tariff
     )
     lex = net.rows()[1]
+    vot_r, t_r = r.value_of_time, r.request_time
+    per_mile, minute = tariff.per_mile, SECONDS_PER_MINUTE * USEC
     best = None  # (rank, vehicle record, case row, new run fare, umiles, tc_r, tc_k, spare)
     for p in pooled:
         v, k = p.vehicle, p.partner
         ride = v.active[k.id]
-        spare = time_cost_mils(k.value_of_time, ride.dropoff_time - k.request_time)
+        vot_k, t_k = k.value_of_time, k.request_time
+        spare = time_cost_mils(vot_k, ride.dropoff_time - t_k)
         # the pair's new total cost, k's fare plus the run-fare increment
         # plus both time costs, is below baseline + k's guarantee (her fare
         # plus `spare`) exactly when the new run fare plus both time costs
         # is below this cap
         cap = baseline + v.run_fare + spare
+        changes = len(v.runs[-1])
+        # the cap less the run fare's base fare and change fees
+        room = cap - tariff.base_fare - changes * tariff.change_fee
         for row in p.cases:
             case, added, r_pick, r_drop, k_pick, k_drop = row
             if case <= 2:  # k on board: her run goes on, `added` umiles longer
                 umiles = v.run_umiles + added
             else:  # the plan (added + tail) less its leg to the first pickup, k's in cases 3-4
                 umiles = added + p.tail - lex[p.anchor][ride.origin_idx if case <= 4 else o]
-            new_run_fare = mileage_fare(tariff, umiles, len(v.runs[-1]))
-            tc_r = time_cost_mils(r.value_of_time, r_drop - r.request_time)
-            tc_k = time_cost_mils(k.value_of_time, k_drop - k.request_time)
+            # floors of the three rounded amounts: no offer they rule out can gain
+            if (per_mile * umiles // UMILE + vot_r * (r_drop - t_r) // minute
+                    + vot_k * (k_drop - t_k) // minute >= room):
+                continue
+            new_run_fare = mileage_fare(tariff, umiles, changes)
+            tc_r = time_cost_mils(vot_r, r_drop - t_r)
+            tc_k = time_cost_mils(vot_k, k_drop - t_k)
             total = new_run_fare + tc_r + tc_k
             if total < cap:
                 # maximal surplus cap - total, then the candidate key
@@ -407,13 +425,13 @@ def assign_ccp(
                     best = (rank, p, row, new_run_fare, umiles, tc_r, tc_k, spare)
 
     if best is not None:
+        # each guarantee drops by half the surplus -rank[0]: money in half-mils
         rank, p, row, new_run_fare, umiles, tc_r, tc_k, spare = best
-        half = Fraction(-rank[0], 2)
-        g_r = baseline - half
         return _pooled_decision(
-            p, row, r, now, "CCP", fare=g_r - tc_r, baseline_cost=baseline, guaranteed_cost=g_r,
-            quote=quote, partner_fare_change=spare - half - tc_k, run_fare=new_run_fare,
-            run_umiles=umiles,
+            p, row, r, now, "CCP", fare=Fraction(2 * (baseline - tc_r) + rank[0], 2),
+            baseline_cost=baseline, guaranteed_cost=Fraction(2 * baseline + rank[0], 2),
+            quote=quote, partner_fare_change=Fraction(2 * (spare - tc_k) + rank[0], 2),
+            run_fare=new_run_fare, run_umiles=umiles,
         )
     if best_solo is not None:
         return DecisionRow(

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .mechanisms import (
 )
 from .netgraph import INF, RoadNetwork
 from .pricing import Tariff, pcp_fare, provider_profit, total_cost
-from .units import Money, fmt_seconds, time_cost_mils
+from .units import Money, fmt_seconds, money_sum, time_cost_mils
 
 DEFAULT_VOT_MILS_PER_MIN = (166, 195, 225, 254, 283)
 DEFAULT_THRESHOLDS = (
@@ -150,10 +151,32 @@ class SimResult:
         priced = [row for row in rows if row[0] > 0]
         return RiderSums(
             self.config.tariff.discount_factor if pcp else 1,
-            sum(o.fare for o in self.per_customer.values() if not o.poolable), len(rows),
-            sum(u for _, u, _ in rows), sum(tc for *_, tc in rows), len(priced),
-            sum(Fraction(u, b) for b, u, _ in priced), sum(Fraction(tc, b) for b, _, tc in priced),
+            money_sum([o.fare for o in self.per_customer.values() if not o.poolable]), len(rows),
+            money_sum([u for _, u, _ in rows]), sum(tc for *_, tc in rows), len(priced),
+            *_ratio_sums(priced),
         )
+
+
+def _ratio_sums(priced: list[tuple[int, Money, int]]) -> tuple[Money, Money]:
+    """`sum(Fraction(u, b))` and `sum(Fraction(tc, b))` over the rows (b, u,
+    tc), of their values and types, over one common denominator: each u
+    scaled by the lcm of the u's own denominators, both numerators added per
+    positive int b, then one lcm of the b and one Fraction per sum."""
+    if not priced:
+        return 0, 0
+    scale = lcm(*{u.denominator for _, u, _ in priced})
+    nums: dict[int, list[int]] = {}
+    for b, u, tc in priced:
+        acc = nums.setdefault(b, [0, 0])
+        acc[0] += u.numerator * (scale // u.denominator)
+        acc[1] += tc
+    den = lcm(*nums)
+    bases = time_costs = 0
+    for b, (u, tc) in nums.items():
+        m = den // b
+        bases += u * m
+        time_costs += tc * m
+    return Fraction(bases, den * scale), Fraction(time_costs, den)
 
 
 def _stream(seed: int, label: int) -> np.random.Generator:
@@ -289,7 +312,7 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                     )
                     for c in run
                 )
-                fare = sum(book[c].fare for c in run)  # int or Fraction mils
+                fare = money_sum([book[c].fare for c in run])  # int or Fraction mils
                 if fare.denominator != 1:
                     raise ValueError(
                         f"run {run_id}: fare {fare} mils is not a whole number of mils"
@@ -303,7 +326,7 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     for cid, o in book.items():
         o.total_cost = total_cost(o.fare, by_id[cid], o.dropoff_time)
     fleet_umi = sum(v.way_cum[-1] for v in fleet.vehicles)
-    fares_total: Money = sum(o.fare for o in book.values())
+    fares_total = money_sum([o.fare for o in book.values()])
     return SimResult(
         mechanism=cfg.mechanism.value,
         served=len(book),

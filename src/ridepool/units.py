@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 USEC = 10**6
 UMILE = 10**6
@@ -37,6 +38,20 @@ def div_half_even(num: int, den: int) -> int:
     if twice > den or (twice == den and q % 2):
         q += 1
     return q
+
+
+def money_sum(values: list[Money]) -> Money:
+    """`sum(values)`, of its value and type: an int when every value is one,
+    otherwise a Fraction, even an integral one.  With a Fraction among them,
+    the numerators of each denominator add as ints and one Fraction is built
+    over the denominators' lcm."""
+    if Fraction not in set(map(type, values)):
+        return sum(values)
+    nums: dict[int, int] = {}
+    for x in values:
+        nums[x.denominator] = nums.get(x.denominator, 0) + x.numerator
+    den = lcm(*nums)
+    return Fraction(sum(n * (den // q) for q, n in nums.items()), den)
 
 
 def fraction_from(value: int | float | str | Fraction | Decimal) -> Fraction:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ridepool import simengine
+from ridepool import mechanisms, simengine
 from ridepool.domain import (
     DO,
     REC,
@@ -33,7 +33,7 @@ from ridepool.mechanisms import (
     enumerate_candidates,
 )
 from ridepool.netgraph import RoadNetwork, make_grid
-from ridepool.pricing import solitary_fare, total_cost
+from ridepool.pricing import Tariff, mileage_fare, solitary_fare, total_cost
 from ridepool.units import UMILE, USEC, mils_from_usd, time_cost_mils
 from tests import _scan_oracle
 from tests._fare_oracle import PoolGeometry, ccp_pooled_fare, route_distance_umiles
@@ -985,6 +985,73 @@ class TestMoneyInvariant:
         # requests' guarantees after a pooling moved or set their dropoffs
         checked, halves = committed_money(1, 0.5, Fraction(1))
         assert checked >= 500 and halves >= 300
+
+
+@st.composite
+def rated(draw, den):
+    """(rate, quantity) for an amount rate * quantity / den that rounds half
+    to even: any, or one ending in exactly one half."""
+    if draw(st.booleans()):
+        return 1, (2 * draw(st.integers(0, 10**4)) + 1) * den // 2
+    return draw(st.integers(1, 5000)), draw(st.integers(0, 10**9))
+
+
+class _NoFloor:
+    """A divisor by which every floor reads minus infinity: as `UMILE` in
+    `mechanisms`, the floor pre-test of `assign_ccp` never reaches its cap."""
+
+    def __rfloordiv__(self, n):
+        return -math.inf
+
+
+def coalition_tests(monkeypatch, cfg, trips, pretest=True):
+    """Run `cfg` on `trips`; return its decision log and, for each offer that
+    took CCP's exact coalition test, in order, whether it passed."""
+    passed = []
+
+    class RunFare(int):
+        # a new run fare: its sum with both time costs records the exact test
+        def __add__(self, other):
+            return RunFare(int(self) + other)
+
+        def __lt__(self, cap):
+            passed.append(int(self) < cap)
+            return passed[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(mechanisms, "mileage_fare", lambda *args: RunFare(mileage_fare(*args)))
+        if not pretest:
+            m.setattr(mechanisms, "UMILE", _NoFloor())
+        log = simengine.run_sim(cfg, trips).decision_log
+    return log, passed
+
+
+class TestFloorPretest:
+    @given(per_mile_umiles=rated(UMILE), r_time=rated(60 * USEC), k_time=rated(60 * USEC),
+           base=st.integers(0, 5000), fee=st.integers(0, 5000), changes=st.integers(0, 4))
+    @example(per_mile_umiles=(1, UMILE // 2), r_time=(1, 30 * USEC), k_time=(3, 30 * USEC),
+             base=0, fee=0, changes=0)  # 0.5, 0.5 and 1.5 round to 0, 0 and 2
+    @settings(max_examples=300)
+    def test_floor_bound_is_at_most_the_rounded_cost(self, per_mile_umiles, r_time, k_time,
+                                                     base, fee, changes):
+        (per_mile, umiles), (vot_r, span_r), (vot_k, span_k) = per_mile_umiles, r_time, k_time
+        tariff = Tariff(base, per_mile, fee, Fraction(1), Fraction(1), 1)
+        minute = 60 * USEC
+        bound = (base + changes * fee + per_mile * umiles // UMILE + vot_r * span_r // minute
+                 + vot_k * span_k // minute)
+        assert bound <= (mileage_fare(tariff, umiles, changes) + time_cost_mils(vot_r, span_r)
+                         + time_cost_mils(vot_k, span_k))
+
+    def test_a_seeded_run_skips_offers_and_keeps_every_admissible_one(self, monkeypatch):
+        cfg = ccp_config(1, 2.0, Fraction(1))
+        trips = synthetic_trips(CCP_NET, 80, 900, 1)
+        log, tested = coalition_tests(monkeypatch, cfg, trips)
+        full_log, every = coalition_tests(monkeypatch, cfg, trips, pretest=False)
+        assert log == full_log and sum(d.decision == POOLED for d in log) > 0
+        # the pre-test spared some offers the exact test, and none it spared
+        # was admissible
+        assert len(tested) < len(every)
+        assert tested.count(True) == every.count(True) > 0
 
 
 def first_pooling_cases(seed, fee_usd):

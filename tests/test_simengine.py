@@ -18,13 +18,14 @@ from ridepool import simengine
 from ridepool.netgraph import INF, RoadNetwork, make_grid
 from ridepool.pricing import pcp_fare, solitary_fare
 from ridepool.simengine import (
+    SPLIT_SCHEMES,
     ConfigError,
     SimConfig,
     reprice,
     resolve_requests,
     run_sim,
 )
-from ridepool.units import UMILE, USEC
+from ridepool.units import UMILE, USEC, money_sum, time_cost_mils
 from ridepool.verify import check_detour_bounds, check_individual_rationality, check_replay
 from tests import _scan_oracle
 from tests.conftest import assert_same_run, counterfactual_sro, ends, sec, unserved_ids
@@ -470,6 +471,63 @@ class TestRunAccounting:
         for o in res.per_customer.values():
             assert isinstance(o.fare, (int, Fraction))
             assert isinstance(o.total_cost, (int, Fraction))
+
+
+
+def typed(value):
+    # digests render a value through its type: 5 and Fraction(5) differ there
+    return type(value), value
+
+
+def sum_world(net, mech, split_scheme, seed, mar, discount, n):
+    """A run of `mech` with `n` requests on `net`, split and priced as given."""
+    cfg = with_discount(config(net, mech, seed=seed, fleet=6, mar=mar,
+                               split_scheme=split_scheme), discount)
+    return run_sim(cfg, grid_requests(net, seed, n, horizon_s=900))
+
+
+class TestSumTypes:
+    """Every money sum a run takes has the value and the type of builtin
+    `sum` over the same records."""
+
+    @given(mech=st.sampled_from(list(Mechanism)), split_scheme=st.sampled_from(SPLIT_SCHEMES),
+           seed=st.integers(0, 10**6), mar=st.sampled_from([Fraction(0), Fraction(1, 2), 1]),
+           discount=st.sampled_from([Fraction(7, 10), Fraction(1), 1]), n=st.integers(0, 80))
+    @example(mech=Mechanism.CCP, split_scheme="goalprog", seed=6, mar=1, discount=1, n=80)
+    @example(mech=Mechanism.PCP, split_scheme="shapley", seed=3, mar=Fraction(1, 2), discount=1,
+             n=80)
+    @settings(max_examples=40, deadline=None)
+    def test_sums_match_builtin_sum(self, grid10, mech, split_scheme, seed, mar, discount, n):
+        res = sum_world(grid10, mech, split_scheme, seed, mar, discount, n)
+        book, pcp = res.per_customer, mech == Mechanism.PCP
+        assert typed(res.fares_total) == typed(sum(o.fare for o in book.values()))
+        for account in res.accounts:
+            fares = [book[m.customer].fare for m in account.members]
+            assert typed(money_sum(fares)) == typed(sum(fares))
+            assert account.run_fare == sum(fares)
+        s, poolable = res.sums, [(c, o) for c, o in book.items() if o.poolable]
+        assert typed(s.fixed_fares) == typed(sum(o.fare for o in book.values() if not o.poolable))
+        assert typed(s.bases) == typed(sum(o.solitary_quote if pcp else o.fare
+                                           for _, o in poolable))
+        priced = [(c, o) for c, o in poolable if o.baseline_solitary_cost > 0]
+        assert typed(s.base_ratio) == typed(sum(
+            Fraction(o.solitary_quote if pcp else o.fare, o.baseline_solitary_cost)
+            for _, o in priced))
+        r = res.requests
+        assert typed(s.time_ratio) == typed(sum(
+            Fraction(time_cost_mils(r[c].value_of_time, o.dropoff_time - r[c].request_time),
+                     o.baseline_solitary_cost)
+            for c, o in priced))
+
+    def test_worlds_reach_int_and_fraction_sums(self, grid10):
+        seen = set()
+        for mech, discount in [(Mechanism.SRO, 1), (Mechanism.PCP, 1),
+                               (Mechanism.PCP, Fraction(7, 10)), (Mechanism.CCP, 1)]:
+            res = sum_world(grid10, mech, "goalprog", 6, 1, discount, 80)
+            seen.add((mech, type(res.fares_total), type(res.sums.bases)))
+            assert bool(res.accounts) == (mech == Mechanism.CCP)
+        assert seen == {(Mechanism.SRO, int, int), (Mechanism.PCP, int, int),
+                        (Mechanism.PCP, Fraction, int), (Mechanism.CCP, Fraction, Fraction)}
 
 
 def with_discount(cfg, discount, **kw):

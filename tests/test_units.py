@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ridepool.units import MILS, UMILE, USEC, div_half_even, fmt4, fraction_from
+from ridepool.units import MILS, UMILE, USEC, div_half_even, fmt4, fraction_from, money_sum
 
 # ints with value * 10**4 / 10**6 ending in exactly one half
 HALF_EVEN_TIES = st.integers(-10**9, 10**9).map(lambda k: 100 * k + 50)
@@ -95,3 +95,23 @@ class TestFractionFrom:
     ])
     def test_reads_exactly(self, value, exact):
         assert fraction_from(value) == exact
+
+
+MONEY = st.one_of(
+    st.integers(-10**9, 10**9),
+    st.fractions(max_denominator=10**4),
+    st.integers(-10**9, 10**9).map(Fraction),  # integral, yet a Fraction
+    st.integers(-10**9, 10**9).map(lambda n: Fraction(n, 2)),
+)
+
+
+class TestMoneySum:
+    @given(st.lists(MONEY, max_size=40))
+    @example([])
+    @example([3500, 1500])
+    @example([Fraction(7001, 2), Fraction(4999, 2)])  # integral total, still a Fraction
+    @example([2, Fraction(5, 1)])
+    def test_value_and_type_of_builtin_sum(self, values):
+        # digests render a value through its type: 5 and Fraction(5) differ there
+        got, want = money_sum(values), sum(values)
+        assert (type(got), got) == (type(want), want)
