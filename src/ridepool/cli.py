@@ -22,15 +22,13 @@ from pathlib import Path
 from . import io as rio
 from .costshare import InfeasibleRun, goalprog_split, shapley_split
 from .harness import (
-    BRACKETS, MechanismSummary, ScenarioGrid, aggregate, pareto_dominance, run_grid,
-    synthetic_trips,
+    MechanismSummary, ScenarioGrid, aggregate, pareto_dominance, run_grid, synthetic_trips,
 )
 from .mechanisms import Mechanism
 from .netgraph import load_network_csv, make_grid
 from .simengine import DEFAULT_THRESHOLDS, SPLIT_SCHEMES, ConfigError
 from .units import (
-    UMILE, USEC, fmt4, fmt_opt, fmt_usd, fraction_from, mils_from_usd, umiles_from_miles,
-    usec_from_seconds,
+    UMILE, USEC, fmt4, fraction_from, mils_from_usd, umiles_from_miles, usec_from_seconds,
 )
 from .verify import run_all_fixtures
 
@@ -212,15 +210,11 @@ def cmd_analyze(args) -> int:
     if not cells:
         raise ValueError(f"{path} has no rows")
 
-    # a setting is a cell without its MAR and seed
-    n = rio.CELL_COLUMNS.index("mar")
-    settings = aggregate(
-        (cell[:n], Fraction(cell[n]), metrics)
-        for cell, metrics in cells
-        if cell[0] != Mechanism.SRO.value
-    )
+    # a setting's text leads with its mechanism
+    settings = aggregate((setting, mar, m) for setting, mar, m in cells
+                         if setting[0] != Mechanism.SRO.value)
     summaries = [
-        MechanismSummary("|".join(key), key[0], dict(zip(rio.CELL_COLUMNS, key)), settings[key])
+        MechanismSummary("|".join(key), key[0], dict(zip(rio.SETTING_COLUMNS, key)), settings[key])
         for key in sorted(settings)
     ]
 
@@ -228,17 +222,13 @@ def cmd_analyze(args) -> int:
     for s in summaries:
         for mar in s.mars():
             m = s.per_mar[mar]
-            agg_rows.append(
-                (s.label, fmt4(mar), fmt_opt(m["unserved_pct"]), fmt_opt(m["distance_saving_pct"]),
-                 fmt_opt(m["profit"], fmt_usd), fmt_opt(m["mean_cost_per_poolable"], fmt_usd))
-            )
-            bracket_rows.append((s.label, fmt4(mar), *(fmt_opt(m["brackets"][t]) for t in BRACKETS)))
+            agg_rows.append((s.label, fmt4(mar), *rio.metric_texts(rio.AGGREGATE_FIELDS, m)))
+            bracket_rows.append((s.label, fmt4(mar), *rio.metric_texts(rio.BRACKET_FIELDS, m)))
 
     out = Path(args.out) if args.out else Path(args.indir)
     out.mkdir(parents=True, exist_ok=True)  # only now, so an unreadable summary makes no directory
     rio.write_csv(out / "aggregate.csv",
-                  ("setting", "mar", "unserved_pct", "distance_saving_pct",
-                   "profit_usd", "mean_cost_per_poolable_usd"), agg_rows)
+                  ("setting", "mar", *(col for col, _, _ in rio.AGGREGATE_FIELDS)), agg_rows)
     if args.brackets:
         rio.write_csv(out / "brackets.csv", ("setting", "mar", *rio.BRACKET_COLUMNS), bracket_rows)
         print(f"wrote {out / 'brackets.csv'}")

@@ -105,6 +105,11 @@ def coordinates(cfg: SimConfig) -> tuple:
             t.detour_factor if pcp else None, cfg.mar, cfg.rng_seed)
 
 
+def share_pct(part: int, whole: int) -> Fraction | None:
+    """`part` in percent of `whole`, exact; None when `whole` is 0."""
+    return Fraction(part, whole) * 100 if whole else None
+
+
 @dataclass
 class CellOutcome:
     """One simulation plus its paired solitary baseline, with derived metrics;
@@ -125,11 +130,8 @@ class CellOutcome:
             "unserved": res.unserved,
             "poolable": res.poolable_customers,
             "pooled": res.pooled_customers,
-            "unserved_pct": Fraction(res.unserved, res.n_requests) * 100 if res.n_requests else None,
-            "pooled_share_pct": (
-                Fraction(res.pooled_customers, res.poolable_customers) * 100
-                if res.poolable_customers else None
-            ),
+            "unserved_pct": share_pct(res.unserved, res.n_requests),
+            "pooled_share_pct": share_pct(res.pooled_customers, res.poolable_customers),
             "fleet_distance": res.fleet_distance,
             "fares": res.fares_total,
             "profit": res.profit,

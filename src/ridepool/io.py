@@ -1,5 +1,8 @@
 """File formats: the trip, summary and run-account readers and the CSVs of
-`simulate` (`SIMULATE_OUTPUTS`) and `split` (`run_split_rows`, as in `splits.csv`).
+`simulate` (`SIMULATE_OUTPUTS`), `analyze` and `split` (`run_split_rows`, as
+in `splits.csv`), each CSV's columns declared once: a metric column is a
+`SUMMARY_FIELDS` entry, which renders it and reads it back, and
+`run_accounts.csv` and `splits.csv` share `MEMBER_COLUMNS`.
 
 All floating outputs are rendered with exactly four decimals, rounded half
 to even from the exact internal integers, so rewriting the same results
@@ -10,12 +13,14 @@ from __future__ import annotations
 
 import csv
 from fractions import Fraction
+from functools import partial
 
 from .costshare import RunAccount, RunMember
 from .domain import Request
-from .harness import BRACKETS, CellOutcome, coordinates
+from .harness import BRACKETS, CellOutcome, coordinates, share_pct
 from .units import (
-    MILS, USEC, fmt4, fmt_miles, fmt_opt, fmt_seconds, fmt_usd, mils_from_usd, usec_from_seconds,
+    MILS, UMILE, USEC, fmt4, fmt_miles, fmt_opt, fmt_seconds, fmt_usd, mils_from_usd,
+    usec_from_seconds,
 )
 
 TRIP_COLUMNS = (
@@ -30,21 +35,49 @@ TRIP_COLUMNS = (
 
 POOLABLE_FLAGS = {"": None, "0": False, "false": False, "1": True, "true": True}
 
-# the coordinates of one simulation, leading every per-cell CSV row
-CELL_COLUMNS = (
-    "mechanism", "change_fee_usd", "discount_factor", "detour_factor",
-    "max_wait_s", "fleet_size", "mar", "seed",
+# the coordinates of one simulation, leading every per-cell CSV row; a
+# setting is a cell without its MAR and seed
+SETTING_COLUMNS = (
+    "mechanism", "change_fee_usd", "discount_factor", "detour_factor", "max_wait_s", "fleet_size",
 )
+CELL_COLUMNS = SETTING_COLUMNS + ("mar", "seed")
 BRACKET_COLUMNS = tuple(f"br{t * 100}" for t in BRACKETS)  # br0, br5, ..., br20
-SUMMARY_COLUMNS = CELL_COLUMNS + (
-    "split_scheme",
-    "requests", "served", "unserved", "poolable", "pooled",
-    "fleet_distance_mi", "fares_usd", "profit_usd",
-    "sro_distance_mi", "sro_profit_usd",
-    "distance_saving_pct", "profit_delta_pct",
-    "mean_cost_per_poolable_usd", "cost_reduction_pct",
-    *BRACKET_COLUMNS,
+# (column, `CellOutcome.metrics` key, unit) of each value after a summary
+# row's cell and split scheme: a count (unit None) is written as is, any
+# other value as value / unit to four decimals, or "n/a" when it is None; a
+# bracket's key is ("brackets", threshold)
+SUMMARY_FIELDS = (
+    *((count, count, None) for count in ("requests", "served", "unserved", "poolable", "pooled")),
+    ("fleet_distance_mi", "fleet_distance", UMILE), ("fares_usd", "fares", MILS),
+    ("profit_usd", "profit", MILS), ("sro_distance_mi", "sro_distance", UMILE),
+    ("sro_profit_usd", "sro_profit", MILS),
+    ("distance_saving_pct", "distance_saving_pct", 1), ("profit_delta_pct", "profit_delta_pct", 1),
+    ("mean_cost_per_poolable_usd", "mean_cost_per_poolable", MILS),
+    ("cost_reduction_pct", "cost_reduction_pct", 1),
+    *((col, ("brackets", t), 1) for col, t in zip(BRACKET_COLUMNS, BRACKETS)),
 )
+SUMMARY_COLUMNS = CELL_COLUMNS + ("split_scheme", *(col for col, _, _ in SUMMARY_FIELDS))
+# the seed means `analyze` writes after each row's setting label and MAR
+# to aggregate.csv and brackets.csv
+AGGREGATE_FIELDS = (("unserved_pct", "unserved_pct", 1), *(
+    next(f for f in SUMMARY_FIELDS if f[1] == key)
+    for key in ("distance_saving_pct", "profit", "mean_cost_per_poolable")
+))
+BRACKET_FIELDS = SUMMARY_FIELDS[-len(BRACKETS):]
+
+
+def metric_texts(fields, m: dict):
+    """The text of each of `fields` in metrics `m`."""
+    for _, key, unit in fields:
+        value = m[key] if isinstance(key, str) else m["brackets"][key[1]]
+        yield value if unit is None else fmt_opt(value, partial(fmt4, per=unit))
+
+
+def _metric_reader(unit):
+    """The reader of a `SUMMARY_FIELDS` value in `unit` from its text."""
+    if unit is None:
+        return int
+    return lambda text: None if text == "n/a" else Fraction(text) * unit
 
 
 class Rejected(ValueError):
@@ -107,31 +140,20 @@ def load_trips_csv(path) -> list[Request]:
     return out
 
 
-def load_summary_csv(path) -> list[tuple[tuple[str, ...], dict]]:
-    """One (`CELL_COLUMNS` text, metrics) pair per summary row, the metrics
-    exact and in `CellOutcome.metrics` units: the two shares from the integer
-    counts, the others from their four decimals, "n/a" as None.  A short row
-    or unreadable text raises a ValueError naming the line and the column."""
+def load_summary_csv(path) -> list[tuple[tuple[str, ...], Fraction, dict]]:
+    """One (`SETTING_COLUMNS` text, MAR, metrics) triple per summary row, as
+    `harness.aggregate` takes them: the MAR exact, the metrics exact and in
+    `CellOutcome.metrics` units, each `SUMMARY_FIELDS` value read from its
+    text ("n/a" as None) and the two shares from the counts.  A short row or
+    unreadable text raises a ValueError naming the line and the column."""
     out = []
     for row, field in _read(path, "summary", SUMMARY_COLUMNS):
-        def value(col, scale=1):
-            return field(col, lambda text: None if text == "n/a" else Fraction(text) * scale)
-
-        def share(part, whole):
-            whole = field(whole, int)
-            return Fraction(field(part, int), whole) * 100 if whole else None
-
-        metrics = {
-            "unserved_pct": share("unserved", "requests"),
-            "pooled_share_pct": share("pooled", "poolable"),
-            "distance_saving_pct": value("distance_saving_pct"),
-            "profit_delta_pct": value("profit_delta_pct"),
-            "profit": value("profit_usd", MILS),
-            "mean_cost_per_poolable": value("mean_cost_per_poolable_usd", MILS),
-            "cost_reduction_pct": value("cost_reduction_pct"),
-            "brackets": {t: value(c) for t, c in zip(BRACKETS, BRACKET_COLUMNS)},
-        }
-        out.append((tuple(row[c] for c in CELL_COLUMNS), metrics))
+        mar = field("mar", Fraction)
+        m = {key: field(col, _metric_reader(unit)) for col, key, unit in SUMMARY_FIELDS}
+        m["brackets"] = {t: m.pop(("brackets", t)) for t in BRACKETS}
+        m["unserved_pct"] = share_pct(m["unserved"], m["requests"])
+        m["pooled_share_pct"] = share_pct(m["pooled"], m["poolable"])
+        out.append((tuple(row[c] for c in SETTING_COLUMNS), mar, m))
     return out
 
 
@@ -151,22 +173,8 @@ def cell_fields(oc: CellOutcome) -> tuple:
 
 
 def summary_row(oc: CellOutcome) -> tuple:
-    m = oc.metrics()
-    return (
-        *cell_fields(oc),
-        oc.result.config.split_scheme,
-        m["requests"], m["served"], m["unserved"], m["poolable"], m["pooled"],
-        fmt_miles(m["fleet_distance"]),
-        fmt_usd(m["fares"]),
-        fmt_usd(m["profit"]),
-        fmt_miles(m["sro_distance"]),
-        fmt_usd(m["sro_profit"]),
-        fmt_opt(m["distance_saving_pct"]),
-        fmt_opt(m["profit_delta_pct"]),
-        fmt_opt(m["mean_cost_per_poolable"], fmt_usd),
-        fmt_opt(m["cost_reduction_pct"]),
-        *(fmt_opt(m["brackets"][t]) for t in BRACKETS),
-    )
+    return (*cell_fields(oc), oc.result.config.split_scheme,
+            *metric_texts(SUMMARY_FIELDS, oc.metrics()))
 
 
 DECISION_COLUMNS = (
@@ -200,14 +208,15 @@ def decision_rows(oc: CellOutcome):
         )
 
 
-SPLIT_COLUMNS = (
-    "run_id",
-    "customer",
-    "c_solitary_usd",
-    "a_pooled_time_usd",
-    "fare_usd",
-    "relative_saving",
-)
+# the run member each row of `run_accounts.csv` and `splits.csv` describes
+MEMBER_COLUMNS = ("run_id", "customer", "c_solitary_usd", "a_pooled_time_usd")
+SPLIT_COLUMNS = MEMBER_COLUMNS + ("fare_usd", "relative_saving")
+RUN_ACCOUNT_COLUMNS = MEMBER_COLUMNS + ("run_fare_usd",)
+
+
+def _member_fields(account: RunAccount, m: RunMember) -> tuple:
+    """The `MEMBER_COLUMNS` values of member `m` of run `account`."""
+    return account.run_id, m.customer, fmt_usd(m.solitary_cost), fmt_usd(m.pooled_time_cost)
 
 
 def run_split_rows(account: RunAccount, fares, cell: tuple):
@@ -216,8 +225,7 @@ def run_split_rows(account: RunAccount, fares, cell: tuple):
     for m in account.members:
         fare = fares[m.customer]
         saving = 1 - Fraction(fare + m.pooled_time_cost, m.solitary_cost)
-        yield cell + (account.run_id, m.customer, fmt_usd(m.solitary_cost),
-                      fmt_usd(m.pooled_time_cost), fmt_usd(fare), fmt4(saving))
+        yield cell + _member_fields(account, m) + (fmt_usd(fare), fmt4(saving))
 
 
 def split_rows(oc: CellOutcome):
@@ -228,21 +236,11 @@ def split_rows(oc: CellOutcome):
                                             for m in account.members}, cell)
 
 
-RUN_ACCOUNT_COLUMNS = (
-    "run_id",
-    "customer",
-    "c_solitary_usd",
-    "a_pooled_time_usd",
-    "run_fare_usd",
-)
-
-
 def run_account_rows(oc: CellOutcome):
     cell = cell_fields(oc)
     for account in oc.result.accounts:
         for m in account.members:
-            yield cell + (account.run_id, m.customer, fmt_usd(m.solitary_cost),
-                          fmt_usd(m.pooled_time_cost), fmt_usd(account.run_fare))
+            yield cell + _member_fields(account, m) + (fmt_usd(account.run_fare),)
 
 
 # (file name, header, rows of one simulation) of every file `simulate` writes
@@ -280,14 +278,15 @@ def _positive_usec(text: str) -> int:
 def load_run_accounts_csv(path):
     """The leading cell columns of a run-account file, one row per run member with the
     run fare repeated, and one (cell, account) pair per run.  Runs are keyed by cell and
-    run id; without `CELL_COLUMNS` every cell is ().  A short row, unreadable text, a
+    run id; a file with none of `CELL_COLUMNS` has every cell (), and one with only some
+    of them raises a ValueError naming those it lacks.  A short row, unreadable text, a
     negative amount, a run fare that differs within a run or a customer listed twice in
     one run raises a ValueError naming the line and the column."""
     with open(path, newline="") as fh:
-        cells = CELL_COLUMNS if set(CELL_COLUMNS) <= set(next(csv.reader(fh), ())) else ()
+        cells = CELL_COLUMNS if set(CELL_COLUMNS) & set(next(csv.reader(fh), ())) else ()
     members: dict[tuple, list] = {}
     fares: dict[tuple, int] = {}
-    for row, field in _read(path, "run", RUN_ACCOUNT_COLUMNS):
+    for row, field in _read(path, "run", cells + RUN_ACCOUNT_COLUMNS):
         rid = field("run_id")
         key = (tuple(row[c] for c in cells), rid)
         group = members.setdefault(key, [])

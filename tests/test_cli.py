@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import astuple, replace
@@ -14,10 +15,10 @@ import pytest
 from ridepool import cli, harness, netgraph
 from ridepool.cli import main
 from ridepool.domain import Request
-from ridepool.harness import ScenarioGrid, run_grid, summarize
+from ridepool.harness import SUMMARY_METRICS, ScenarioGrid, run_grid, summarize
 from ridepool.io import (
-    BRACKET_COLUMNS, CELL_COLUMNS, SPLIT_COLUMNS, SUMMARY_COLUMNS, TRIP_COLUMNS,
-    load_run_accounts_csv, load_summary_csv, load_trips_csv,
+    BRACKET_COLUMNS, CELL_COLUMNS, SPLIT_COLUMNS, SUMMARY_COLUMNS, SUMMARY_FIELDS, TRIP_COLUMNS,
+    cell_fields, load_run_accounts_csv, load_summary_csv, load_trips_csv,
 )
 from ridepool.mechanisms import Mechanism
 from ridepool.units import MILS, USEC, fmt4, fmt_opt, fmt_seconds, fmt_usd, usec_from_seconds
@@ -57,6 +58,14 @@ def simulate(base, config):
 @pytest.fixture(scope="module")
 def simulated(tmp_path_factory):
     return simulate(tmp_path_factory.mktemp("cli"), CONFIG)
+
+
+@pytest.fixture(scope="module")
+def outcomes():
+    """The cells `simulated` wrote, simulated again through `run_grid`."""
+    net = cli._network_from_config(CONFIG)
+    grid = cli._grid_from_config(CONFIG)
+    return run_grid(grid, cli._load_trips("synthetic:n=100,seed=4", net, grid.horizon // USEC), net)
 
 
 def output_digests(out):
@@ -230,6 +239,12 @@ class TestStrictConfig:
         assert (grid.change_fees, grid.max_waits) == ((2000, 2500), (240 * USEC, 360 * USEC))
 
 
+def flat_metrics(m: dict) -> dict:
+    """Cell metrics `m`, each bracket keyed ("brackets", threshold) as in `SUMMARY_FIELDS`."""
+    return {key: value for key, value in m.items() if key != "brackets"} | {
+        ("brackets", t): value for t, value in m["brackets"].items()}
+
+
 class TestAnalyze:
     def test_analyze_writes_reports(self, simulated):
         _, _, out = simulated
@@ -252,7 +267,7 @@ class TestAnalyze:
             "pareto.csv": "126cb3aee5a05ba80440a06ae3631b3645c53cf637cf5aaa71d1771e8a55b64f",
         }
 
-    def test_unserved_share_matches_summarize(self, simulated, tmp_path):
+    def test_unserved_share_matches_summarize(self, simulated, outcomes, tmp_path):
         # both sides are exact: analyze takes the share from the integer
         # counts, so its mean renders as summarize's exact mean does
         _, _, out = simulated
@@ -260,11 +275,8 @@ class TestAnalyze:
         with open(tmp_path / "aggregate.csv", newline="") as fh:
             analyzed = {(row["setting"], row["mar"]): row["unserved_pct"]
                         for row in csv.DictReader(fh)}
-        net = cli._network_from_config(CONFIG)
-        grid = cli._grid_from_config(CONFIG)
-        trips = cli._load_trips("synthetic:n=100,seed=4", net, grid.horizon // USEC)
         expected = {}
-        for s in summarize(run_grid(grid, trips, net)):
+        for s in summarize(outcomes):
             p = s.params
             setting = "|".join((s.mechanism, fmt_opt(p["fee"], fmt_usd), fmt_opt(p["discount"]),
                                 fmt_opt(p["detour"]), str(p["max_wait"] // USEC), str(p["fleet"])))
@@ -312,6 +324,27 @@ class TestAnalyze:
             assert all((value != "n/a") == priced for value in relative)
         assert main(["analyze", "--in", str(out), "--brackets"]) == 0
 
+    def test_summary_reads_back_each_cells_metrics(self, simulated, outcomes):
+        # every metric `aggregate` means, other than the two shares taken
+        # from the counts, is a summary column
+        assert set(SUMMARY_METRICS) - {key for _, key, _ in SUMMARY_FIELDS} == {
+            "unserved_pct", "pooled_share_pct"}
+        _, _, out = simulated
+        loaded = load_summary_csv(out / "summary.csv")
+        assert len(loaded) == len(outcomes) == 14
+        units = {key: unit for _, key, unit in SUMMARY_FIELDS}
+        for (setting, mar, got), oc in zip(loaded, outcomes):
+            assert setting + (fmt4(mar),) == tuple(map(str, cell_fields(oc)[:-1]))
+            assert mar == oc.result.config.mar
+            want, got = flat_metrics(oc.metrics()), flat_metrics(got)
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                unit = units.get(key)
+                if unit is None or value is None:  # a count, a share or n/a: exact
+                    assert got[key] == value and type(got[key]) is type(value), key
+                else:
+                    assert got[key] == Fraction(fmt4(value, unit)) * unit, key
+
     def test_missing_summary_columns_named(self, simulated, tmp_path, capsys):
         _, _, out = simulated
         with open(out / "summary.csv", newline="") as fh:
@@ -327,9 +360,11 @@ class TestAnalyze:
         assert len(load_summary_csv(out / "summary.csv")) == len(rows) - 1
         assert tuple(rows[0]) == SUMMARY_COLUMNS
 
+    # a bad MAR used to stop analyze with only "Invalid literal for Fraction: 'abc'"
     @pytest.mark.parametrize("column,text", [("profit_usd", "abc"), ("requests", "1.5"),
-                                             ("br5", "")])
-    def test_unreadable_summary_value_names_the_line(self, simulated, tmp_path, column, text):
+                                             ("br5", ""), ("mar", "abc")])
+    def test_unreadable_summary_value_names_the_line(self, simulated, tmp_path, capsys,
+                                                     column, text):
         _, _, out = simulated
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -337,9 +372,11 @@ class TestAnalyze:
         bad = tmp_path / "summary.csv"
         with open(bad, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
-        with pytest.raises(ValueError,
-                           match=rf"summary file line 4, column '{column}': cannot read '{text}'"):
+        message = f"summary file line 4, column '{column}': cannot read '{text}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_summary_csv(bad)
+        assert fails_cleanly(capsys, ["analyze", "--in", str(tmp_path)]) == (
+            f"ridepool analyze: {message}")
 
     def test_header_only_summary_fails_cleanly(self, tmp_path, capsys):
         # used to print an unprefixed line and exit 1
@@ -401,6 +438,19 @@ class TestSplitCommand:
                    "--out", str(target)])
         assert rc == 0
         assert target.read_bytes() == (out / "splits.csv").read_bytes()
+
+    def test_run_file_with_some_cell_columns_fails(self, simulated, tmp_path, capsys):
+        # used to key runs by run id alone, merging same-id runs of different
+        # cells, and to fail on their run fares
+        _, _, out = simulated
+        with open(out / "run_accounts.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        drop = rows[0].index("seed")
+        bad = tmp_path / "runs.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows(row[:drop] + row[drop + 1:] for row in rows)
+        assert fails_cleanly(capsys, ["split", "--runs", str(bad), "--scheme", "goalprog"]) == (
+            "ridepool split: run file lacks columns: ['seed']")
 
     def test_shapley_on_pairs_and_clean_error_on_chains(self, tmp_path, capsys):
         pair = tmp_path / "pair.csv"

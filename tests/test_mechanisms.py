@@ -1026,6 +1026,35 @@ def coalition_tests(monkeypatch, cfg, trips, pretest=True):
     return log, passed
 
 
+def scanned_ccp_run(cfg, trips):
+    """Run `cfg` on `trips`, asserting that every CCP decision equals the
+    scan's, which reads the riders' guarantees and fares from a ledger kept
+    from the decisions as `run_sim` books them; return the surplus of each
+    pooling, in mils, in order."""
+    assign = simengine.assign_ccp
+    requests, committed, surpluses = {}, {}, []
+
+    def checked(fleet, r, now, net, tariff):
+        d = assign(fleet, r, now, net, tariff)
+        requests[r.id] = r
+        assert d == _scan_oracle.assign_ccp(fleet.vehicles, r, now, net, tariff, requests,
+                                            committed)
+        if d.decision != UNSERVED:
+            committed[r.id] = Commitment(d.guaranteed_cost, d.fare)
+        if d.decision == POOLED:
+            # both guarantees drop by half the surplus
+            half = d.baseline_cost - d.guaranteed_cost
+            k = committed[d.partner]
+            committed[d.partner] = Commitment(k.guaranteed - half, k.fare + d.partner_fare_change)
+            surpluses.append(2 * half)
+        return d
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simengine, "assign_ccp", checked)
+        simengine.run_sim(cfg, trips)
+    return surpluses
+
+
 class TestFloorPretest:
     @given(per_mile_umiles=rated(UMILE), r_time=rated(60 * USEC), k_time=rated(60 * USEC),
            base=st.integers(0, 5000), fee=st.integers(0, 5000), changes=st.integers(0, 4))
@@ -1052,6 +1081,19 @@ class TestFloorPretest:
         # was admissible
         assert len(tested) < len(every)
         assert tested.count(True) == every.count(True) > 0
+
+    def test_whole_runs_match_the_scan_with_winners_near_the_cap(self):
+        # before a run's first pooling every run holds one rider, so a
+        # change fee of f mils lowers each offer's surplus there by f: a fee
+        # of S - k leaves a first pooling of surplus S without a fee one of k
+        # mils, within a rounding of the cap, where a pre-test that rounded
+        # any amount up would drop the winner
+        for seed in range(8):
+            trips = synthetic_trips(CCP_NET, 80, 900, seed)
+            first = scanned_ccp_run(ccp_config(seed, 0, Fraction(1)), trips)[0]
+            for k in (1, 2, 3):
+                fee_usd = Fraction(first - k, 1000)
+                assert scanned_ccp_run(ccp_config(seed, fee_usd, Fraction(1)), trips)[0] == k
 
 
 def first_pooling_cases(seed, fee_usd):
