@@ -1,14 +1,15 @@
-"""Core entities: trip requests, vehicle schedules, stop-level routes and the fleet.
+"""Core entities: trip requests, decisions, vehicle schedules, stop-level routes and the fleet.
 
 A vehicle schedule is an ordered list of (location, time, op, customer)
 entries where op is REC (request received / rerouting point), PU (pickup)
 or DO (dropoff).  Vehicles carry at most two riders at once, so a request
 joins a vehicle in one of seven ways, its case: alone on an idle vehicle
 (None), or one of the six pooled-fare cases beside the vehicle's one rider
-(`_case_stops`).  Committing a request in its case rewrites the future part
-of the schedule: a REC entry is recorded at the vehicle's anchor (the next
-node it can reroute from) and all downstream pickup/dropoff times are
-recomputed from shortest paths.
+(`_decision_stops`).  A rule's `DecisionRow` names the case and both
+riders' new pickup and dropoff times, and committing it rewrites the future
+part of the schedule: a REC entry is recorded at the vehicle's anchor (the
+next node it can reroute from) and the case's stops follow at the
+decision's times.
 
 Times are integer microseconds, distances integer micro-miles; see `units`.
 """
@@ -16,13 +17,14 @@ Times are integer microseconds, distances integer micro-miles; see `units`.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, field
 from heapq import heappop, heappush
 from math import inf
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .netgraph import RoadNetwork
+from .units import Money
 
 REC = "REC"
 PU = "PU"
@@ -76,31 +78,60 @@ class ScheduleEntry(NamedTuple):
 _entry_time = attrgetter("time")
 
 
-CASES = (None, 1, 2, 3, 4, 5, 6)  # a commit's case: solitary, or a pooled-fare case
+POOLED_CASES = (1, 2, 3, 4, 5, 6)  # the pooled-fare cases; a solitary commit's case is None
 
 
-class Stop(NamedTuple):
-    """One future pickup or dropoff of a commit."""
+@dataclass(slots=True)
+class DecisionRow:
+    """One request's decision, as a rule returns it, `run_sim` logs it and
+    `apply_assignment` commits it.
 
-    op: str
+    The logged fields alone make up the repr.  The keyword-only rest is the
+    commit: a served request rides `vehicle` in `case` (None alone, 1-6
+    beside `partner`), with both riders' pickup and dropoff times (usec).
+    CCP also sets the vehicle's run fare and planned run mileage after the
+    commit and, on a pooling, the change of the partner's fare: her
+    guarantee drops by half the surplus and her fare absorbs her time-cost
+    change.
+    """
+
+    time: int  # usec, the decision's time
     customer: int
-    node: int  # node index
+    mechanism: str  # "SRO" | "PCP" | "CCP", a plain str
+    decision: str  # "solitary" | "pooled" | "unserved"
+    vehicle: int | None = None
+    partner: int | None = None
+    fare: Money | None = None
+    baseline_cost: int | None = None
+    guaranteed_cost: Money | None = None
+    added_distance: int | None = None  # umiles
+    _: KW_ONLY
+    quote: int = field(repr=False)  # mils, the request's solitary fare
+    case: int | None = field(default=None, repr=False)
+    pickup: int | None = field(default=None, repr=False)
+    dropoff: int | None = field(default=None, repr=False)
+    partner_pickup: int | None = field(default=None, repr=False)
+    partner_dropoff: int | None = field(default=None, repr=False)
+    partner_fare_change: Money | None = field(default=None, repr=False)  # CCP poolings only
+    run_fare: int | None = field(default=None, repr=False)  # CCP only
+    run_umiles: int | None = field(default=None, repr=False)  # CCP only
 
 
-def _case_stops(case: int | None, r: tuple[int, int, int],
-                k: tuple[int, int, int] | None = None) -> tuple[Stop, ...]:
-    """The stops of a commit, each rider given as (customer, origin index,
-    destination index): the new rider `r` alone in case None; beside the
-    partner `k`, odd cases drop `k` off first and cases 3-4 pick `k` up
-    first (in cases 1-2 `k` is on board)."""
-    pu_r, do_r = Stop(PU, r[0], r[1]), Stop(DO, r[0], r[2])
+def _decision_stops(d: DecisionRow, o: int, dest: int,
+                    k: ActiveRide | None) -> tuple[tuple[str, int, int, int], ...]:
+    """The stops of committing `d`, each (op, customer, node index, time), at
+    the decision's times: its rider's, from node `o` to node `dest`, alone in
+    case None; beside the partner on her ride `k`, odd cases drop her off
+    first and cases 3-4 pick her up first (in cases 1-2 she is on board)."""
+    case = d.case
+    pu_r, do_r = (PU, d.customer, o, d.pickup), (DO, d.customer, dest, d.dropoff)
     if case is None:
         return pu_r, do_r
-    do_k = Stop(DO, k[0], k[2])
+    do_k = (DO, d.partner, k.dest_idx, d.partner_dropoff)
     drops = (do_k, do_r) if case % 2 else (do_r, do_k)
     if case <= 2:
         return (pu_r, *drops)
-    pu_k = Stop(PU, k[0], k[1])
+    pu_k = (PU, d.partner, k.origin_idx, d.partner_pickup)
     return ((pu_k, pu_r) if case <= 4 else (pu_r, pu_k)) + drops
 
 
@@ -124,12 +155,13 @@ class VehicleState:
     stop off the previous waypoint) with the arrival time and cumulative mileage at each.
     Canonical paths join them; a vehicle waits only at its last waypoint, while idle.
     `busy_anchor` carries the leg being driven: the index of the waypoint it leaves, the
-    memoized leg and its departure time; `apply_assignment`, which rewrites the route,
-    clears it.
+    memoized leg and its departure time.  A commit keeps the waypoints reached by its time
+    and cuts the leg being driven at its anchor, whose canonical path is the carried leg's
+    prefix, so the carried leg stays valid across commits.
     Customer-centered pooling also keeps `runs`, each run's customers in first-pickup order
     (a run is a maximal occupied interval), plus the last run's fare and `run_umiles`, the
-    route's planned mileage from that run's first pickup; `run_sim` sets them at every CCP
-    commit.
+    route's planned mileage from that run's first pickup; `apply_assignment` sets them from
+    every CCP decision.
     """
 
     def __init__(self, vid: int, start_node: str, net: RoadNetwork):
@@ -159,15 +191,10 @@ class VehicleState:
         self.prune(now)
         return not self.active
 
-    def anchor_at(self, now: int) -> tuple[int, int, int]:
-        """(node index, time, cumulative umiles) of the next node it can turn at."""
-        if self.is_idle(now):
-            return self.way_nodes[-1], now, self.way_cum[-1]
-        return self.busy_anchor(now)
-
     def busy_anchor(self, now: int) -> tuple[int, int, int]:
-        """`anchor_at` for a vehicle known to be busy at `now`, without
-        pruning: the first node of its route reached at or after `now`."""
+        """(node index, time, cumulative umiles) of the next node a vehicle known to be busy
+        at `now` can turn at, without pruning: the first node of its route reached at or
+        after `now`.  An idle vehicle turns where it stands, at `now`."""
         j = bisect_right(self.way_times, now) - 1
         if self.way_times[j] == now:
             return self.way_nodes[j], now, self.way_cum[j]
@@ -210,13 +237,17 @@ class Fleet:
     def _track(self, v: VehicleState) -> None:
         """Queue the events of the vehicle's next version: idle from its last committed dropoff
         (at once without one) and, for a poolable last rider, alone from the dropoff before."""
-        version = self._version[v.slot] = self._version[v.slot] + 1
-        drops = sorted([(ride.dropoff_time, c) for c, ride in v.active.items()])
-        last, rider = drops[-1] if drops else (-inf, None)
-        second = drops[-2][0] if len(drops) > 1 else -inf
-        heappush(self._events, (last, v.slot, version, None))
+        slot = v.slot
+        version = self._version[slot] = self._version[slot] + 1
+        last = second = -inf
+        for c, ride in v.active.items():
+            if ride.dropoff_time >= last:
+                last, second, rider = ride.dropoff_time, last, c
+            elif ride.dropoff_time > second:
+                second = ride.dropoff_time
+        heappush(self._events, (last, slot, version, None))
         if second < last and v.active[rider].request.poolable:
-            heappush(self._events, (second, v.slot, version, rider))
+            heappush(self._events, (second, slot, version, rider))
 
     def advance(self, now: int) -> None:
         """Apply every event due by `now`; the clock never runs backwards."""
@@ -233,10 +264,10 @@ class Fleet:
             else:
                 self.lone[slot] = rider
 
-    def commit(self, v: VehicleState, r: Request, case: int | None, now: int) -> None:
+    def commit(self, v: VehicleState, r: Request, d: DecisionRow, now: int) -> None:
         """`apply_assignment` on one of these vehicles; `advance` applies its new events."""
         slot, old = v.slot, v.way_nodes[-1]
-        apply_assignment(v, r, case, now)
+        apply_assignment(v, r, d, now)
         here = self.idle_at.get(old)
         if here is not None and slot in here:
             here.remove(slot)
@@ -246,55 +277,68 @@ class Fleet:
         self._track(v)
 
 
-def apply_assignment(v: VehicleState, r: Request, case: int | None, now: int) -> None:
-    """Commit request `r` in `case`: rewrite the future schedule from the anchor.
+def apply_assignment(v: VehicleState, r: Request, d: DecisionRow, now: int) -> None:
+    """Commit decision `d` on request `r`: rewrite the future schedule from the anchor.
 
     Case None puts `r` alone on an idle vehicle; cases 1-6 pool it with the
-    vehicle's one rider, on board in cases 1-2 and waiting in cases 3-6
-    (`_case_stops`).  Raises ValueError, before any change, when the
-    vehicle's riders at `now` do not fit the case.  The new customer gets a
-    REC entry at (anchor, now); every downstream stop time is recomputed
-    from shortest paths.  Past entries and committed REC entries are
-    untouched.
+    vehicle's one rider, `d.partner`, on board in cases 1-2 and waiting in
+    cases 3-6 (`_decision_stops`).  Raises ValueError, before any change,
+    when `d` is not for `r` and `v` or their riders at `now` do not fit it.
+    The new customer gets a REC entry at (anchor, now), and the stops and
+    the waypoints follow at the decision's times, the waypoints' mileage read
+    from `lex`.  A CCP decision also sets the vehicle's runs and run fields.
     """
-    anchor_idx, t, cum = v.anchor_at(now)  # also prunes finished rides
-    on_board = {c: ride.pickup_time <= now for c, ride in v.active.items()}
-    if case not in CASES or list(on_board.values()) != ([] if case is None else [case <= 2]):
-        riders = {c: "on board" if b else "waiting" for c, b in on_board.items()}
-        raise ValueError(f"vehicle {v.id} cannot take customer {r.id} in case {case}: "
-                         f"its riders at {now} usec are {riders}")
+    idle = v.is_idle(now)  # also prunes the finished rides
+    active, case = v.active, d.case
+    k = active.get(d.partner)
+    # alone on an idle vehicle, or beside its one rider, on board exactly in cases 1-2
+    fits = case is None if idle else (case in POOLED_CASES and k is not None and len(active) == 1
+                                      and (k.pickup_time <= now) == (case <= 2))
+    if not fits or d.customer != r.id or d.vehicle != v.id:
+        riders = {c: "on board" if ride.pickup_time <= now else "waiting"
+                  for c, ride in active.items()}
+        raise ValueError(f"vehicle {v.id} cannot take customer {r.id} in case {case} beside "
+                         f"{d.partner}, decided for vehicle {d.vehicle}: its riders at {now} "
+                         f"usec are {riders}")
     net = v.net
-    o, d = net.index(r.origin), net.index(r.destination)
-    k = next(((c, ride.origin_idx, ride.dest_idx) for c, ride in v.active.items()), None)
-    stops = _case_stops(case, (r.id, o, d), k)
-    v.leg_from = -1  # the waypoints change below
-
-    # the waypoints reached by `now` are driven, then the route turns at the anchor
-    kept = bisect_right(v.way_times, now)
-    del v.way_nodes[kept:], v.way_times[kept:], v.way_cum[kept:]
-    if anchor_idx != v.way_nodes[-1]:
-        v.way_nodes.append(anchor_idx)
-        v.way_times.append(t)
-        v.way_cum.append(cum)
+    way_nodes, way_times, way_cum = v.way_nodes, v.way_times, v.way_cum
+    if idle:  # the route ends where the vehicle stands
+        a, cum = way_nodes[-1], way_cum[-1]
+    else:
+        a, t, cum = v.busy_anchor(now)
+        # the waypoints reached by `now` are driven, then the route turns at the anchor
+        kept = bisect_right(way_times, now)
+        del way_nodes[kept:], way_times[kept:], way_cum[kept:]
+        if a != way_nodes[-1]:
+            way_nodes.append(a)
+            way_times.append(t)
+            way_cum.append(cum)
 
     # schedule times never decrease, so the entries up to `now` are a prefix
     entries, node_ids = v.schedule, net.node_ids
-    del entries[bisect_right(entries, now, key=_entry_time) :]
-    entries.append(ScheduleEntry(node_ids[anchor_idx], now, REC, r.id))
+    if entries and entries[-1].time > now:
+        del entries[bisect_right(entries, now, key=_entry_time) :]
+    entries.append(ScheduleEntry(node_ids[a], now, REC, r.id))
 
-    v.active[r.id] = ActiveRide(now, now, o, d, r)  # its times are set below
-    dur, lex = net.rows()
-    cur = anchor_idx
-    for op, c, j in stops:
+    o, dest = net.index(r.origin), net.index(r.destination)
+    active[r.id] = ActiveRide(d.pickup, d.dropoff, o, dest, r)
+    if k is not None:
+        k.pickup_time, k.dropoff_time = d.partner_pickup, d.partner_dropoff
+    lex = net.rows()[1]
+    cur = a
+    for op, c, j, t in _decision_stops(d, o, dest, k):
         if j != cur:
-            t += dur[cur][j]
             cum += lex[cur][j]
-            v.way_nodes.append(j)
-            v.way_times.append(t)
-            v.way_cum.append(cum)
+            way_nodes.append(j)
+            way_times.append(t)
+            way_cum.append(cum)
             cur = j
         entries.append(ScheduleEntry(node_ids[j], t, op, c))
-        if op == PU:
-            v.active[c].pickup_time = t
-        else:
-            v.active[c].dropoff_time = t
+
+    if d.run_fare is not None:  # CCP
+        if k is None:  # a solitary rider opens the vehicle's next run
+            v.runs.append([r.id])
+        else:  # r joins k's run, ahead of k in cases 5-6, where r is picked up first
+            run = v.runs[-1]
+            run.insert(len(run) - 1 if case >= 5 else len(run), r.id)
+        v.run_fare, v.run_umiles = d.run_fare, d.run_umiles

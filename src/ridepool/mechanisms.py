@@ -5,10 +5,11 @@ either a solitary ride on an empty vehicle or, in pooling modes, an
 insertion into the schedule of a vehicle that currently serves exactly one
 poolable customer, in one of the six pooled-fare cases.  The three rules
 share one signature, `assign_*(fleet, r, now, net, tariff)`, and return one
-`DecisionRow`: the logged decision and, out of its repr, the winner's case
-and both riders' new pickup and dropoff times, which `run_sim` logs and
-commits (`domain.apply_assignment`).  A partner's request is the one her
-vehicle holds (`ActiveRide.request`).
+`domain.DecisionRow`: the logged decision and, out of its repr, the
+winner's case and both riders' new pickup and dropoff times (and CCP's run
+fare and mileage), which `run_sim` logs and commits as they are: the commit
+(`domain.apply_assignment`) lays the winner's stops out at these times.  A
+partner's request is the one her vehicle holds (`ActiveRide.request`).
 
 * SRO  -- solitary rides only, minimal added driving distance.
 * PCP  -- poolable customers always pay the discounted fare; pooling picks
@@ -24,56 +25,20 @@ case's stop order break ties.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .domain import Fleet, Request, VehicleState
+from .domain import DecisionRow, Fleet, Request, VehicleState
 from .netgraph import RoadNetwork
 from .pricing import Tariff, mileage_fare, pcp_fare, solitary_fare
-from .units import SECONDS_PER_MINUTE, UMILE, USEC, Money, time_cost_mils
+from .units import SECONDS_PER_MINUTE, UMILE, USEC, time_cost_mils
 
 
 class Mechanism(str, Enum):
     SRO = "SRO"
     PCP = "PCP"
     CCP = "CCP"
-
-
-@dataclass(slots=True)
-class DecisionRow:
-    """One request's decision, as a rule returns it and `run_sim` logs it.
-
-    The logged fields alone make up the repr.  The keyword-only rest is the
-    commit: a served request rides `vehicle` in `case` (None alone, 1-6
-    beside `partner`), with both riders' pickup and dropoff times (usec).
-    CCP also sets the vehicle's run fare and planned run mileage after the
-    commit and, on a pooling, the change of the partner's fare: her
-    guarantee drops by half the surplus and her fare absorbs her time-cost
-    change.
-    """
-
-    time: int  # usec, the decision's time
-    customer: int
-    mechanism: str  # "SRO" | "PCP" | "CCP", a plain str
-    decision: str  # "solitary" | "pooled" | "unserved"
-    vehicle: int | None = None
-    partner: int | None = None
-    fare: Money | None = None
-    baseline_cost: int | None = None
-    guaranteed_cost: Money | None = None
-    added_distance: int | None = None  # umiles
-    _: KW_ONLY
-    quote: int = field(repr=False)  # mils, the request's solitary fare
-    case: int | None = field(default=None, repr=False)
-    pickup: int | None = field(default=None, repr=False)
-    dropoff: int | None = field(default=None, repr=False)
-    partner_pickup: int | None = field(default=None, repr=False)
-    partner_dropoff: int | None = field(default=None, repr=False)
-    partner_fare_change: Money | None = field(default=None, repr=False)  # CCP poolings only
-    run_fare: int | None = field(default=None, repr=False)  # CCP only
-    run_umiles: int | None = field(default=None, repr=False)  # CCP only
 
 
 UNSERVED = "unserved"
@@ -117,7 +82,7 @@ class PooledVehicle(NamedTuple):
 
 def _case_rank(case: int, r: Request, k: Request) -> int:
     """Orders one vehicle's cases like their stop tuples of (op, customer,
-    location) (`domain._case_stops`): the stops first differ at a stop of
+    location) (`domain._decision_stops`): the stops first differ at a stop of
     `r` against the same stop of `k`, so the cases order by number when k's
     id is the smaller one and in reverse otherwise."""
     return case if k.id < r.id else -case

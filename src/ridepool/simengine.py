@@ -2,8 +2,8 @@
 
 Requests are processed strictly in arrival order; each one triggers an
 immediate assignment under the configured mechanism, whose `DecisionRow` is
-logged as returned and whose vehicle, case and times are committed to the
-fleet and the customer book.
+logged as returned, committed as it is to its vehicle (`Fleet.commit`, which
+also keeps CCP's runs) and booked in the customer book.
 Vehicle motion is implicit: schedules carry exact node arrival times and a
 rerouted vehicle continues from its anchor node.  Identical configuration
 and request streams produce byte-identical results.
@@ -28,10 +28,8 @@ from math import lcm
 import numpy as np
 
 from .costshare import RunAccount, RunMember, goalprog_split
-from .domain import Fleet, Request, VehicleState
-from .mechanisms import (
-    POOLED, UNSERVED, DecisionRow, Mechanism, assign_ccp, assign_pcp, assign_sro,
-)
+from .domain import DecisionRow, Fleet, Request, VehicleState
+from .mechanisms import POOLED, UNSERVED, Mechanism, assign_ccp, assign_pcp, assign_sro
 from .netgraph import INF, RoadNetwork
 from .pricing import Tariff, pcp_fare, provider_profit, total_cost
 from .units import Money, fmt_seconds, money_sum, time_cost_mils
@@ -253,7 +251,6 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
     book: dict[int, CustomerOutcome] = {}
     log: list[DecisionRow] = []
 
-    ccp = cfg.mechanism == Mechanism.CCP
     assign = {Mechanism.SRO: assign_sro, Mechanism.PCP: assign_pcp,
               Mechanism.CCP: assign_ccp}[cfg.mechanism]
     for r in stream:
@@ -263,34 +260,15 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
         if d.decision == UNSERVED:
             continue
 
-        v = fleet.by_id[d.vehicle]
+        fleet.commit(fleet.by_id[d.vehicle], r, d, now)
         pooled = d.decision == POOLED
-        fleet.commit(v, r, d.case, now)
         if pooled:
             kb = book[d.partner]
-            kb.pooled = True
-            kb.pickup_time = d.partner_pickup
-            kb.dropoff_time = d.partner_dropoff
-        book[r.id] = CustomerOutcome(
-            customer=r.id,
-            poolable=bool(r.poolable),
-            pooled=pooled,
-            vehicle=v.id,
-            fare=d.fare,
-            pickup_time=d.pickup,
-            dropoff_time=d.dropoff,
-            total_cost=0,
-            baseline_solitary_cost=d.baseline_cost,
-            solitary_quote=d.quote,
-        )
-        if ccp:
-            if pooled:  # r joins k's run, ahead of k in cases 5-6, where r is picked up first
-                kb.fare += d.partner_fare_change  # a Fraction, as the change is
-                run = v.runs[-1]
-                run.insert(len(run) - 1 if d.case >= 5 else len(run), r.id)
-            else:  # a solitary rider lands on an idle vehicle and opens its next run
-                v.runs.append([r.id])
-            v.run_fare, v.run_umiles = d.run_fare, d.run_umiles
+            kb.pooled, kb.pickup_time, kb.dropoff_time = True, d.partner_pickup, d.partner_dropoff
+            if d.partner_fare_change is not None:  # CCP: a Fraction, as the change is
+                kb.fare += d.partner_fare_change
+        book[r.id] = CustomerOutcome(r.id, bool(r.poolable), pooled, d.vehicle, d.fare, d.pickup,
+                                     d.dropoff, 0, d.baseline_cost, d.quote)
 
     # pooled CCP runs and their ex-post splits; a run's id counts every run
     # of its vehicle

@@ -119,27 +119,40 @@ def check_detour_bounds(result: SimResult, detour_factor: Fraction) -> Verdict:
 
 
 def check_replay(result: SimResult) -> Verdict:
-    """Schedules, customer records and mileage must agree when replayed: each
-    served customer's last pickup and dropoff match her times and endpoints."""
+    """Schedules, routes, customer records and mileage must agree when
+    replayed: each waypoint is reached `dur` of its leg after the previous
+    one, unless the vehicle stood empty there until it left at a REC entry's
+    time, and each served customer's last pickup and dropoff match her times
+    and endpoints."""
     pickups, dropoffs = {}, {}  # each customer's last, as (time, node)
     fleet_dist = 0
     for v in result.vehicles:
-        onboard = 0
+        onboard = committed = 0  # riders on board, and riders not yet dropped off
         last_t = None
+        waits = set()  # (time, node) of the REC entries that found the vehicle empty
         for e in v.schedule:
             if last_t is not None and e.time < last_t:
                 return Verdict("replay", "times-nondecreasing", False, f"vehicle {v.id}")
             last_t = e.time
-            if e.op == "PU":
+            if e.op == "REC":
+                if not committed:
+                    waits.add((e.time, e.location))
+                committed += 1
+            elif e.op == "PU":
                 onboard += 1
                 if onboard > 2:
                     return Verdict("replay", "capacity", False, f"vehicle {v.id} at t={e.time}")
                 pickups[e.customer] = (e.time, e.location)
             elif e.op == "DO":
                 onboard -= 1
+                committed -= 1
                 dropoffs[e.customer] = (e.time, e.location)
-        for w, x in zip(v.way_nodes, v.way_nodes[1:]):
-            hops = v.net.leg(w, x)[0]
+        for k in range(1, len(v.way_nodes)):
+            w, t = v.way_nodes[k - 1], v.way_times[k - 1]
+            hops, usec, _ = v.net.leg(w, v.way_nodes[k])
+            depart = v.way_times[k] - usec[-1]
+            if depart != t and not (depart > t and (depart, v.net.node_ids[w]) in waits):
+                return Verdict("replay", "leg-times", False, f"vehicle {v.id} at waypoint {k}")
             fleet_dist += sum(v.net.arc_attrs(a, b)[0] for a, b in zip(hops, hops[1:]))
     for cid, o in result.per_customer.items():
         r = result.requests[cid]

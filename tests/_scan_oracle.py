@@ -4,17 +4,18 @@ This is the candidate generation and selection the mechanisms used before
 the fleet kept its state in arrays and before pooled insertions became
 integer-priced offers: every vehicle is asked `is_idle`, every idle vehicle
 gets a solitary candidate built in full, every stop interleaving on a busy
-single-rider vehicle is built through `plan_stop_times`, the preview of a
-commit that `apply_assignment` would make (infeasible ones included, each
-with its stops and the scan's verdict: `Scanned`), the solitary baseline
+single-rider vehicle is built through `plan_stop_times`, which plans each
+stop's time from the anchor along shortest paths (infeasible ones included,
+each with its stops and the scan's verdict: `Scanned`), the solitary baseline
 scans the fleet a second time, the SRO fare is priced after the decision,
 the PCP detour bound is checked in `Fraction` arithmetic and CCP prices
 every wait-feasible pooled candidate's whole run itinerary, read from the
 schedule, with `route_fare`, against each partner's guarantee kept in a
 ledger of `Commitment`s, from which it derives her fare change.  Tests
 compare the single pass against it decision by decision, and the runs
-`run_sim` records at its commits against `extract_runs`, a partition of the
-realized schedule.
+the commits record against `extract_runs`, a partition of the realized
+schedule.  Tests that commit a case directly commit the decision that
+`commit_decision` builds from the planned times.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def extract_runs(v: VehicleState) -> list[list[ScheduleEntry]]:
     """Partition a realized schedule into runs, the maximal intervals during
     which the vehicle is occupied: each run's entries from the pickup that
     finds the vehicle empty to the dropoff that empties it, REC anchors
-    included.  The reference for the runs `run_sim` records at its commits."""
+    included.  The reference for the runs that CCP's commits record."""
     runs: list[list[ScheduleEntry]] = []
     start = onboard = 0
     for i, e in enumerate(v.schedule):
@@ -128,17 +129,26 @@ def run_entries(v: VehicleState) -> list[ScheduleEntry]:
     return runs[-1] if runs else []
 
 
+def anchor_at(v: VehicleState, now: int) -> tuple[int, int, int]:
+    """(node index, time, cumulative umiles) of the next node the vehicle can
+    turn at: where it stands, at `now`, when idle."""
+    if v.is_idle(now):
+        return v.way_nodes[-1], now, v.way_cum[-1]
+    return v.busy_anchor(now)
+
+
 def plan_stop_times(
     v: VehicleState, stops: Iterable[Stop], now: int
 ) -> tuple[list[int], int, int, int]:
     """Arrival times for each stop plus (anchor node, anchor time, added mileage).
 
-    Pure preview of what `apply_assignment` would schedule; used for
-    candidate evaluation without mutating the vehicle.
+    Each stop is reached the shortest-path duration after the one before,
+    from the anchor; used for candidate evaluation without mutating the
+    vehicle.
     """
     net = v.net
     dur, _, lex = net.tables()
-    anchor_idx, anchor_time, anchor_cum = v.anchor_at(now)
+    anchor_idx, anchor_time, anchor_cum = anchor_at(v, now)
     times = []
     cur = anchor_idx
     t = anchor_time
@@ -222,15 +232,33 @@ def _pooled_candidates_for(v, r, k, now):
     return out
 
 
-def commit_stops(v: VehicleState, r: Request, case: int | None, now: int, requests) -> tuple:
+def commit_stops(v: VehicleState, r: Request, case: int | None, now: int) -> tuple:
     """The stops of committing `r` to `v` in `case` at `now`, from the scan's
     own stop orders: r's alone, or the pooled case's interleaving with the
-    vehicle's one rider, whose request `requests` holds."""
+    vehicle's one rider, whose request her ride holds."""
     if case is None:
         return (Stop(PU, r.id, r.origin), Stop(DO, r.id, r.destination))
     v.prune(now)
-    (kid,) = v.active
-    return dict(_pooled_stop_orders(r, requests[kid], v.active[kid].pickup_time <= now))[case]
+    (ride,) = v.active.values()
+    return dict(_pooled_stop_orders(r, ride.request, ride.pickup_time <= now))[case]
+
+
+def commit_decision(v: VehicleState, r: Request, case: int | None, now: int) -> DecisionRow:
+    """The decision that commits `r` to `v` in `case` at `now`, with the
+    times and added mileage that `plan_stop_times` plans for the scan's stop
+    order (`commit_stops`).  It is a PCP decision, so the commit keeps no
+    CCP runs."""
+    stops = commit_stops(v, r, case, now)
+    times, _, _, added = plan_stop_times(v, stops, now)
+    at = {(s.op, s.customer): t for s, t in zip(stops, times)}
+    k = next(iter(v.active)) if case is not None else None
+    # a partner on board keeps her pickup time
+    k_pick = None if k is None else at.get((PU, k), v.active[k].pickup_time)
+    return DecisionRow(
+        now, r.id, "PCP", SOLITARY if k is None else POOLED, vehicle=v.id, partner=k,
+        added_distance=added, quote=0, case=case, pickup=at[PU, r.id], dropoff=at[DO, r.id],
+        partner_pickup=k_pick, partner_dropoff=at.get((DO, k)),
+    )
 
 
 def pooled_pair_economics(v, c, r, k, now, net, tariff, baseline_r, committed_k):
@@ -246,7 +274,7 @@ def pooled_pair_economics(v, c, r, k, now, net, tariff, baseline_r, committed_k)
     """
     new_wp = [e.location for e in run_entries(v) if e.time <= now]
     if new_wp:
-        new_wp.append(net.node_ids[v.anchor_at(now)[0]])
+        new_wp.append(net.node_ids[anchor_at(v, now)[0]])
     new_wp += [s.location for s in c.stops]
     new_run_fare = route_fare(tariff, net, new_wp, len(v.runs[-1]))
     marginal = new_run_fare - v.run_fare

@@ -1,7 +1,9 @@
 import random
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -12,10 +14,12 @@ from ridepool.domain import (
     DO,
     PU,
     REC,
+    ActiveRide,
+    DecisionRow,
     Request,
     ScheduleEntry,
     VehicleState,
-    _case_stops,
+    _decision_stops,
     apply_assignment,
 )
 from ridepool.harness import ScenarioGrid, synthetic_trips
@@ -25,13 +29,15 @@ from tests._hop_oracle import HopRoute
 from tests._scan_oracle import (
     Stop,
     _pooled_stop_orders,
+    anchor_at,
+    commit_decision,
     commit_stops,
     extract_runs,
     plan_key,
     plan_stop_times,
     run_customers,
 )
-from tests.conftest import expand_route, line_network, sec
+from tests.conftest import ends, expand_route, line_network, sec
 
 
 def active_schedule(v, t):
@@ -42,6 +48,11 @@ def active_schedule(v, t):
 def rider(cust, origin, dest):
     """A poolable request from `origin` to `dest`, as a commit reads it."""
     return Request(cust, origin, dest, 0, 250, sec(600), True)
+
+
+def commit_case(v, r, case, now):
+    """Commit `r` to `v` in `case` at `now`, at the oracle's planned times."""
+    apply_assignment(v, r, commit_decision(v, r, case, now), now)
 
 
 class TestActiveSchedule:
@@ -60,8 +71,8 @@ class TestActiveSchedule:
     def test_insertion_keeps_future_from_new_pickup(self, line6):
         # vehicle heading to pick up j; i inserted mid-way
         v = VehicleState(2, "A", line6)
-        apply_assignment(v, rider(7, "C", "F"), None, sec(0))
-        apply_assignment(v, rider(8, "D", "E"), 4, sec(24))  # 7 is picked up first, 8 dropped
+        commit_case(v, rider(7, "C", "F"), None, sec(0))
+        commit_case(v, rider(8, "D", "E"), 4, sec(24))  # 7 is picked up first, 8 dropped
         act = active_schedule(v, sec(24))
         assert [(e.op, e.customer) for e in act] == [
             (REC, 8),
@@ -83,7 +94,7 @@ class TestActiveSchedule:
 class TestApplyAssignment:
     def test_empty_vehicle_rec_pu_do(self, line6):
         v = VehicleState(1, "A", line6)
-        apply_assignment(v, rider(5, "B", "D"), None, sec(0))
+        commit_case(v, rider(5, "B", "D"), None, sec(0))
         assert v.schedule == [
             ScheduleEntry("A", 0, REC, 5),
             ScheduleEntry("B", sec(24), PU, 5),
@@ -104,9 +115,9 @@ class TestApplyAssignment:
         monkeypatch.setattr(RoadNetwork, "arc_attrs", arc_by_arc)
         monkeypatch.setattr(RoadNetwork, "leg", recorded_leg)
         v = VehicleState(2, "A", line6)
-        apply_assignment(v, rider(7, "C", "F"), None, sec(0))
+        commit_case(v, rider(7, "C", "F"), None, sec(0))
         assert (v.way_nodes, legs_read) == ([0, 2, 5], [])  # the start and the two stops
-        apply_assignment(v, rider(8, "D", "E"), 4, sec(24))  # turns at B, inside the leg to C
+        commit_case(v, rider(8, "D", "E"), 4, sec(24))  # turns at B, inside the leg to C
         assert legs_read == [(0, 2)]  # the anchor's leg, and no leg of the new stops
         assert v.way_nodes == [0, 1, 2, 3, 4, 5]
         assert v.way_times == [sec(24 * k) for k in range(6)]
@@ -114,88 +125,118 @@ class TestApplyAssignment:
 
     def test_insertion_recomputes_downstream_times(self, line6):
         v = VehicleState(2, "A", line6)
-        apply_assignment(v, rider(7, "C", "F"), None, sec(0))
+        commit_case(v, rider(7, "C", "F"), None, sec(0))
         assert [e.time for e in v.schedule] == [0, sec(48), sec(120)]
-        apply_assignment(v, rider(8, "D", "E"), 4, sec(24))
+        commit_case(v, rider(8, "D", "E"), 4, sec(24))
         # anchor is B (next node at t=24); committed REC of 7 is untouched
         assert v.schedule[0] == ScheduleEntry("A", 0, REC, 7)
         assert v.schedule[1] == ScheduleEntry("B", sec(24), REC, 8)
         assert [e.time for e in v.schedule[2:]] == [sec(48), sec(72), sec(96), sec(120)]
 
     @staticmethod
-    def rejected(v, r, case, now, riders):
-        """Commit `r` in `case`, expecting the precondition to refuse it and
-        leave the vehicle as it was."""
-        before = (list(v.schedule), list(v.way_nodes), list(v.way_times), list(v.way_cum))
+    def rejected(v, r, case, now, riders, **changes):
+        """Commit a decision of `r` in `case` beside the vehicle's first rider,
+        with `changes`, expecting the precondition to refuse it and leave the
+        vehicle as it was."""
+        d = DecisionRow(now, r.id, "PCP", "pooled", vehicle=v.id, partner=next(iter(v.active), None),
+                        quote=0, case=case)
+        d = replace(d, **changes)
+
+        def state():
+            return (list(v.schedule), list(v.way_nodes), list(v.way_times), list(v.way_cum),
+                    repr(v.active), repr(v.runs))
+
+        before = state()
         with pytest.raises(ValueError, match=(
-            rf"^vehicle {v.id} cannot take customer {r.id} in case {case}: "
+            rf"^vehicle {v.id} cannot take customer {r.id} in case {d.case} beside "
+            rf"{d.partner}, decided for vehicle {d.vehicle}: "
             rf"its riders at {now} usec are \{{{riders}\}}$"
         )):
-            apply_assignment(v, r, case, now)
-        assert (v.schedule, v.way_nodes, v.way_times, v.way_cum) == before
+            apply_assignment(v, r, d, now)
+        assert state() == before
 
     def test_third_concurrent_rider_rejected(self, line6):
         v = VehicleState(0, "A", line6)
-        apply_assignment(v, rider(1, "B", "F"), None, sec(0))
-        apply_assignment(v, rider(2, "C", "E"), 4, sec(0))
+        commit_case(v, rider(1, "B", "F"), None, sec(0))
+        commit_case(v, rider(2, "C", "E"), 4, sec(0))
         self.rejected(v, rider(3, "D", "E"), 3, sec(0), "1: 'waiting', 2: 'waiting'")
         self.rejected(v, rider(3, "D", "E"), 1, sec(48), "1: 'on board', 2: 'on board'")
 
     def test_solitary_commit_needs_an_idle_vehicle(self, line6):
         v = VehicleState(0, "A", line6)
-        apply_assignment(v, rider(1, "B", "F"), None, sec(0))
+        commit_case(v, rider(1, "B", "F"), None, sec(0))
         self.rejected(v, rider(2, "C", "E"), None, sec(0), "1: 'waiting'")
         self.rejected(v, rider(2, "C", "E"), None, sec(24), "1: 'on board'")
-        apply_assignment(v, rider(2, "C", "E"), None, sec(120))  # 1 is dropped off at F at 120 s
+        commit_case(v, rider(2, "C", "E"), None, sec(120))  # 1 is dropped off at F at 120 s
 
     def test_case_needs_its_rider_on_board_or_waiting(self, line6):
         v = VehicleState(0, "A", line6)
         self.rejected(v, rider(1, "B", "F"), 1, sec(0), "")  # a pooled case needs a rider
-        apply_assignment(v, rider(1, "B", "F"), None, sec(0))
+        commit_case(v, rider(1, "B", "F"), None, sec(0))
         self.rejected(v, rider(2, "C", "E"), 1, sec(0), "1: 'waiting'")
         self.rejected(v, rider(2, "C", "E"), 3, sec(24), "1: 'on board'")
         for case in (0, 7):
             self.rejected(v, rider(2, "C", "E"), case, sec(24), "1: 'on board'")
-        apply_assignment(v, rider(2, "C", "E"), 2, sec(24))
+        commit_case(v, rider(2, "C", "E"), 2, sec(24))
         assert [(e.op, e.customer) for e in v.schedule[-3:]] == [(PU, 2), (DO, 2), (DO, 1)]
+
+    def test_decision_must_fit_the_vehicle(self, line6):
+        v = VehicleState(0, "A", line6)
+        commit_case(v, rider(1, "B", "F"), None, sec(0))
+        r = rider(2, "C", "E")
+        d = commit_decision(v, r, 4, sec(12))
+        self.rejected(v, r, 4, sec(12), "1: 'waiting'", vehicle=1)  # decided for another vehicle
+        self.rejected(v, r, 4, sec(12), "1: 'waiting'", partner=3)  # beside another rider
+        self.rejected(v, r, None, sec(12), "1: 'waiting'", partner=None)
+        self.rejected(v, rider(3, "C", "E"), 4, sec(12), "1: 'waiting'", customer=2)
+        apply_assignment(v, r, d, sec(12))
+        assert [(e.op, e.customer) for e in v.schedule[-4:]] == [(PU, 1), (PU, 2), (DO, 2), (DO, 1)]
 
     def test_idle_vehicle_parks_at_last_dropoff(self, line6):
         v = VehicleState(0, "A", line6)
-        apply_assignment(v, rider(1, "B", "D"), None, sec(0))
+        commit_case(v, rider(1, "B", "D"), None, sec(0))
         assert v.is_idle(sec(72))
-        anchor, t, _ = v.anchor_at(sec(100))
+        anchor, t, _ = anchor_at(v, sec(100))
         assert line6.node_ids[anchor] == "D"
         assert t == sec(100)
 
     def test_preview_matches_commit(self, line6):
         v = VehicleState(0, "A", line6)
-        apply_assignment(v, rider(1, "C", "F"), None, sec(0))
+        commit_case(v, rider(1, "C", "F"), None, sec(0))
         # backward-going rider D->C forces a real detour
         stops = (Stop(PU, 1, "C"), Stop(PU, 2, "D"), Stop(DO, 2, "C"), Stop(DO, 1, "F"))
         times, _, _, added = plan_stop_times(v, stops, sec(24))
-        apply_assignment(v, rider(2, "D", "C"), 4, sec(24))
-        scheduled = [e.time for e in v.schedule if e.op != REC]
-        assert times == scheduled
-        # old tail from anchor B is 4 edges; new route B,C,D,C,F is 6 edges
-        assert added == 400_000
+        tail = v.way_cum[-1] - anchor_at(v, sec(24))[2]
+        d = commit_decision(v, rider(2, "D", "C"), 4, sec(24))
+        assert (d.partner_pickup, d.pickup, d.dropoff, d.partner_dropoff) == tuple(times)
+        apply_assignment(v, rider(2, "D", "C"), d, sec(24))
+        assert [e.time for e in v.schedule if e.op != REC] == times
+        # old tail from anchor B is 4 edges; new route B,C,D,C,F is 6 edges, read from `lex`
+        assert added == 400_000 == v.way_cum[-1] - v.way_cum[1] - tail
 
 
 class TestCaseStops:
-    """`_case_stops` against the scan's own stop orders of the seven cases."""
+    """`_decision_stops` against the scan's own stop orders of the seven
+    cases, each stop at its decided time."""
 
     def test_each_case_lays_out_the_scan_stop_order(self, line6):
-        def ends(x):
-            return x.id, line6.index(x.origin), line6.index(x.destination)
-
         def laid_out(stops):
-            return [(s.op, s.customer, line6.node_ids[s.node]) for s in stops]
+            return [(op, c, line6.node_ids[j]) for op, c, j, _ in stops]
 
         r, k = rider(2, "B", "E"), rider(1, "C", "F")
-        assert laid_out(_case_stops(None, ends(r))) == [(PU, 2, "B"), (DO, 2, "E")]
+        ride = ActiveRide(0, 0, *ends(line6, k), k)
+        times = {(PU, 2): 10, (DO, 2): 20, (PU, 1): 30, (DO, 1): 40}
+        d = DecisionRow(0, 2, "PCP", "solitary", quote=0, pickup=10, dropoff=20)
+        stops = _decision_stops(d, *ends(line6, r), None)
+        assert laid_out(stops) == [(PU, 2, "B"), (DO, 2, "E")]
+        assert [t for *_, t in stops] == [10, 20]
         cases = []
         for onboard in (True, False):
-            for case, stops in _pooled_stop_orders(r, k, onboard):
-                assert laid_out(_case_stops(case, ends(r), ends(k))) == list(plan_key(stops))
+            for case, order in _pooled_stop_orders(r, k, onboard):
+                d = replace(d, case=case, partner=1, partner_pickup=30, partner_dropoff=40)
+                stops = _decision_stops(d, *ends(line6, r), ride)
+                assert laid_out(stops) == list(plan_key(order))
+                assert [t for *_, t in stops] == [times[op, c] for op, c, *_ in stops]
                 cases.append(case)
         assert cases == [1, 2, 3, 4, 5, 6]
 
@@ -278,12 +319,12 @@ class TestInvariantsUnderRandomAssignments:
             cid += 1
             if not actives:
                 o, d = rng.choice(len(names), size=2, replace=False)
-                apply_assignment(v, rider(cid, names[o], names[d]), None, now)
+                commit_case(v, rider(cid, names[o], names[d]), None, now)
             elif len(actives) == 1:
                 o, d = rng.choice(len(names), size=2, replace=False)
                 # the new rider is dropped off first, before or after the other's pickup
                 case = 2 if v.active[actives[0]].pickup_time <= now else 4
-                apply_assignment(v, rider(cid, names[o], names[d]), case, now)
+                commit_case(v, rider(cid, names[o], names[d]), case, now)
             else:
                 continue
 
@@ -317,14 +358,17 @@ class TestScheduleCommit:
         commit = domain.apply_assignment
         commits = []
         trips = synthetic_trips(grid10, 120, 1800, seed=3)
-        requests = {r.id: r for r in trips}
+        fields = attrgetter("vehicle", "partner", "added_distance", "pickup", "dropoff",
+                            "partner_pickup", "partner_dropoff")
 
-        def checked_commit(v, r, case, now):
-            # the case lays out the scan's own stop order of its riders
+        def checked_commit(v, r, d, now):
+            # the rule decided what the oracle plans for the scan's own stop
+            # order of the case's riders, and the commit lays that plan out
             before = list(v.schedule)
-            stops = commit_stops(v, r, case, now, requests)
+            assert fields(d) == fields(commit_decision(v, r, d.case, now))
+            stops = commit_stops(v, r, d.case, now)
             times, anchor, _, _ = plan_stop_times(v, stops, now)
-            out = commit(v, r, case, now)
+            out = commit(v, r, d, now)
             new = [ScheduleEntry(grid10.node_ids[anchor], now, REC, r.id)] + [
                 ScheduleEntry(s.location, t, s.op, s.customer) for s, t in zip(stops, times)
             ]
@@ -401,22 +445,21 @@ def replay_against_hops(cfg, trips):
     commit = domain.Fleet.commit
     hops: dict[int, HopRoute] = {}
     counts = Counter()
-    requests = {r.id: r for r in trips}
 
-    def checked_commit(fleet, v, r, case, now):
+    def checked_commit(fleet, v, r, d, now):
         for w in fleet.vehicles:
             ref = hops.setdefault(w.id, HopRoute(w.way_nodes[0]))
             idle = w.is_idle(now)
             _, node, t, cum = ref.anchor(now, idle)
-            assert w.anchor_at(now) == (node, t, cum)
+            assert anchor_at(w, now) == (node, t, cum)
             if not idle:
                 counts["inside"] += t not in w.way_times
                 j = bisect_right(w.way_times, now) - 1
                 depart = w.way_times[j + 1] - dur.item(w.way_nodes[j], w.way_nodes[j + 1])
                 counts["departs_now"] += depart == now > w.way_times[j]
-        stops = commit_stops(v, r, case, now, requests)
+        stops = commit_stops(v, r, d.case, now)
         hops[v.id].commit(net, [net.index(s.location) for s in stops], now, v.is_idle(now))
-        out = commit(fleet, v, r, case, now)
+        out = commit(fleet, v, r, d, now)
         ref = hops[v.id]
         assert expand_route(v) == (ref.nodes, ref.times, ref.cum)
         counts["commits"] += 1
@@ -447,3 +490,65 @@ class TestRouteAgainstHops:
         assert mechanisms == set(Mechanism)
         assert counts["commits"] > 800
         assert counts["inside"] > 400 and counts["departs_now"] > 100
+
+
+def carried_legs(cfg, trips):
+    """Run one simulation with the leg each vehicle carries checked across
+    commits: after a commit, the carried leg cut at the waypoint after the
+    one it leaves is the canonical path there (`net.leg`), departing when it
+    did, so the commit need not drop it; and every `busy_anchor` answer is
+    the same with the carried leg and with none.  After each commit that
+    leaves the vehicle inside its carried leg, also ask for its anchor there,
+    at the commit's time and just before the leg's end.  Return counts of the
+    commits that cut a carried leg short and of those answers."""
+    net = cfg.network
+    busy_anchor, commit = VehicleState.busy_anchor, domain.Fleet.commit
+    counts = Counter()
+
+    def checked_anchor(v, now):
+        got = busy_anchor(v, now)
+        kept = (v.leg_from, v.leg, v.leg_start)
+        v.leg_from = -1
+        assert busy_anchor(v, now) == got
+        v.leg_from, v.leg, v.leg_start = kept
+        return got
+
+    def checked_commit(fleet, v, r, d, now):
+        out = commit(fleet, v, r, d, now)
+        j, leg = v.leg_from, v.leg
+        if j >= 0:
+            cut = net.leg(v.way_nodes[j], v.way_nodes[j + 1])
+            n = len(cut[0])
+            assert cut == tuple(x[:n] for x in leg)
+            assert v.way_times[j + 1] - cut[1][-1] == v.leg_start
+            counts["cut"] += n < len(leg[0])
+            for t in (now, v.way_times[j + 1] - 1):
+                if v.way_times[j] < t < v.way_times[j + 1]:
+                    checked_anchor(v, t)
+                    assert v.leg_from == j  # answered from the carried leg
+                    counts["asked"] += 1
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(domain.Fleet, "commit", checked_commit)
+        mp.setattr(VehicleState, "busy_anchor", checked_anchor)
+        simengine.run_sim(cfg, trips)
+    return counts
+
+
+class TestCarriedLegAcrossCommits:
+    """A commit keeps the leg a vehicle carries: its prefix to the anchor the
+    commit turns at is the canonical path there."""
+
+    def test_a_cut_carried_leg_is_the_canonical_path_to_the_anchor(self, grid10):
+        counts = Counter()
+        for seed in range(200):
+            counts += carried_legs(*ring_world(random.Random(seed).randint))
+        trips = synthetic_trips(grid10, 150, 1800, seed=5)
+        for mech in (Mechanism.PCP, Mechanism.CCP):
+            cfg = simengine.SimConfig(
+                mechanism=mech, tariff=ScenarioGrid().tariff(), fleet_size=8,
+                mar=Fraction(3, 4), rng_seed=5, network=grid10, horizon=sec(1800),
+            )
+            counts += carried_legs(cfg, trips)
+        assert counts["cut"] > 150 and counts["asked"] > 500, counts

@@ -42,6 +42,8 @@ from tests._scan_oracle import (
     PARTNER_WAIT_REASON,
     Commitment,
     _pooled_stop_orders,
+    anchor_at,
+    commit_decision,
 )
 from tests.conftest import ends, expand_route, line_network, sec
 
@@ -63,7 +65,7 @@ def pooled_rows(cands):
 def vehicle_with_rider(net, vid, start, rider, now=0):
     """Vehicle standing at `start` that just committed to `rider` solo."""
     v = VehicleState(vid, start, net)
-    apply_assignment(v, rider, None, sec(now))
+    apply_assignment(v, rider, commit_decision(v, rider, None, sec(now)), sec(now))
     return v
 
 
@@ -77,7 +79,7 @@ def run_fields(v, tariff):
 
 
 def set_run_fields(v, tariff):
-    """Set the vehicle's CCP run fields as `run_sim` keeps them after a commit."""
+    """Set the vehicle's CCP run fields as a CCP commit keeps them."""
     v.run_fare, v.runs, v.run_umiles = run_fields(v, tariff)
 
 
@@ -444,7 +446,7 @@ def random_world(randint, den=2, net=WORLD):
             case = cases[randint(0, len(cases) - 1)]  # whatever the riders' flags
         else:
             continue
-        fleet.commit(v, k, case, now)
+        fleet.commit(v, k, commit_decision(v, k, case, now), now)
         requests[cid] = k
         quote = solitary_fare(tariff, net, *ends(net, k))
         # CCP pooling leaves guarantees on half mils
@@ -671,8 +673,8 @@ class TestClockedFleet:
         seen = np.zeros(3, dtype=int)
         poolable = {}  # every customer's flag in the current run
 
-        def checked_commit(fleet, v, r, case, now):
-            out = commit(fleet, v, r, case, now)
+        def checked_commit(fleet, v, r, d, now):
+            out = commit(fleet, v, r, d, now)
             seen[2] += stale_events(fleet)
             fleet.advance(now)  # as every reader does
             seen[:2] += check_fleet_state(fleet, now, poolable)
@@ -716,7 +718,8 @@ class TestClockedFleet:
         v = vehicle_with_rider(line6, 0, "A", k)  # k on board, at E at 96 s
         fleet = Fleet([v])
         r = req(2, "B", "E", t=1)
-        fleet.commit(v, r, 1, sec(1))  # k is dropped off first, where r is
+        # k is dropped off first, where r is
+        fleet.commit(v, r, commit_decision(v, r, 1, sec(1)), sec(1))
         rebuilt = Fleet([v])  # derived from the vehicle's rides alone
         for f in (fleet, rebuilt):
             for now in range(0, sec(120), sec(2)):
@@ -735,7 +738,8 @@ class TestClockedFleet:
         fleet.advance(sec(1))
         assert fleet.lone == {0: 1}
         # r rides on to F, so k is dropped off at E on the way back, at 144 s
-        fleet.commit(v, req(2, "B", "F", t=1), 2, sec(1))
+        r = req(2, "B", "F", t=1)
+        fleet.commit(v, r, commit_decision(v, r, 2, sec(1)), sec(1))
         assert stale_events(fleet) == 1  # the vehicle's old end at 96 s
         flags = {1: True, 2: True}
         for now, lone in ((sec(96), {}), (sec(100), {}), (sec(120), {0: 1}), (sec(144), {})):
@@ -772,8 +776,8 @@ class TestCarriedLeg:
             legs_read.append((i, j))
             return leg(net, i, j)
 
-        def versioned_commit(fleet, v, r, case, now):
-            out = commit(fleet, v, r, case, now)  # its anchor is read on the route it replaces
+        def versioned_commit(fleet, v, r, d, now):
+            out = commit(fleet, v, r, d, now)  # its anchor is read on the route it replaces
             version[run, v.id] = version.get((run, v.id), 0) + 1
             return out
 
@@ -1109,7 +1113,7 @@ def first_pooling_cases(seed, fee_usd):
         v = fleet.by_id.get(d.vehicle)
         if d.decision == POOLED and len(v.runs[-1]) == 1:
             k = requests[d.partner]
-            anchor, _, _ = v.anchor_at(now)
+            anchor, _, _ = anchor_at(v, now)
             geometry = PoolGeometry(d.case, now, v.active[k.id].pickup_time,
                                     net.node_ids[anchor] if d.case <= 2 else None)
             assert d.run_fare == ccp_pooled_fare(tariff, net, k, r, geometry)

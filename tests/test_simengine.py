@@ -14,7 +14,7 @@ from ridepool.domain import Request
 from ridepool import harness
 from ridepool.harness import ScenarioGrid, run_grid, synthetic_trips
 from ridepool.mechanisms import POOLED, DecisionRow, Mechanism
-from ridepool import simengine
+from ridepool import mechanisms, simengine
 from ridepool.netgraph import INF, RoadNetwork, make_grid
 from ridepool.pricing import pcp_fare, solitary_fare
 from ridepool.simengine import (
@@ -378,6 +378,43 @@ class TestAudits:
         verdict = check_replay(res)
         assert not verdict.passed
         assert (verdict.check, verdict.detail) == ("pickups-match", f"customer {rider.customer}")
+
+    def test_replay_accepts_waits_only_while_idle_until_a_request(self, line6):
+        rides = [Request(0, "A", "C", sec(100), 250, sec(300), False),
+                 Request(1, "E", "F", sec(300), 250, sec(300), False)]
+        cfg = config(line6, Mechanism.SRO, fleet=1, initial_vehicle_nodes=("A",))
+        res = run_sim(cfg, rides)
+        assert res.served == 2 and check_replay(res).passed
+        (v,) = res.vehicles
+        # it waits at A from 0 to 100 s and at C from 148 to 300 s, each time
+        # until the request it then serves
+        assert (v.way_nodes, v.way_times) == ([0, 2, 4, 5], [0, sec(148), sec(348), sec(372)])
+        v.way_times[2:] = [sec(349), sec(373)]  # it now leaves C 1 s after the request
+        verdict = check_replay(res)
+        assert (verdict.passed, verdict.check, verdict.detail) == (
+            False, "leg-times", f"vehicle {v.id} at waypoint 2")
+
+    def test_replay_fails_on_shifted_pooled_stop_times(self, grid10, monkeypatch):
+        """The cases that pick the partner up first plan r's pickup, and every
+        stop after it, 1 usec late: the commit lays that plan out and books it,
+        so only the legs' times can tell."""
+        pooled_vehicles = mechanisms._pooled_vehicles
+
+        def shifted(row):
+            case, added, r_pick, r_drop, k_pick, k_drop = row
+            if case in (3, 4):
+                return case, added, r_pick + 1, r_drop + 1, k_pick, k_drop + 1
+            return row
+
+        def late(*args):
+            return [p._replace(cases=tuple(map(shifted, p.cases))) for p in pooled_vehicles(*args)]
+
+        monkeypatch.setattr(mechanisms, "_pooled_vehicles", late)
+        res = run_sim(config(grid10, Mechanism.CCP, seed=0, mar=Fraction(8, 10)),
+                      grid_requests(grid10, 0, 200))
+        assert any(d.case in (3, 4) for d in res.decision_log)
+        verdict = check_replay(res)
+        assert (verdict.passed, verdict.check) == (False, "leg-times")
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_pcp_detour_bounds_and_replay(self, grid10, seed):
