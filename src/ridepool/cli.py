@@ -269,10 +269,8 @@ def cmd_split(args) -> int:
     cell_columns, accounts = rio.load_run_accounts_csv(args.runs)
     rows = []
     for cell, acct in accounts:
-        if args.scheme == "shapley":
-            fares = shapley_split(acct)
-        else:
-            fares = goalprog_split(acct, thresholds)
+        fares = (shapley_split(acct) if args.scheme == "shapley"
+                 else goalprog_split(acct, thresholds))
         rows.extend(rio.run_split_rows(acct, fares, cell))
     header = cell_columns + rio.SPLIT_COLUMNS
     target = args.out or "-"

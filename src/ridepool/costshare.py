@@ -16,7 +16,9 @@ from a fare through the definition above:
   threshold, the number of customers whose relative saving reaches that
   threshold, never lowering an earlier count.  The run-level problem
   decomposes into exact budget checks over selections of the smallest
-  solitary costs, so no mathematical-programming solver is involved.
+  solitary costs, so no mathematical-programming solver is involved; they
+  run in integers over the thresholds' common denominator, and each fare is
+  built as one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import Sequence
 
 
@@ -87,26 +90,31 @@ def goalprog_split(acct: RunAccount, sigmas: Sequence[Fraction]) -> dict[int, Fr
     threshold, in proportion to solitary cost, i.e. as a uniform bump of
     their relative saving.
 
+    It works in integers over the lcm ``L`` of the thresholds' denominators
+    and never builds the leftover's share: each fare is one Fraction over
+    ``L`` times the recipients' summed solitary cost (or 1, if none is left).
+
     The thresholds `sigmas` must be exact Fractions, strictly increasing
     and in (0, 1); `SimConfig` and `cli._thresholds` check them, not this.
     """
-    budget = Fraction(_check_feasible(acct))
+    den = lcm(*(s.denominator for s in sigmas))
+    budget = _check_feasible(acct) * den
     order = sorted(acct.members, key=lambda m: (m.solitary_cost, m.customer))
     prefix = list(accumulate((m.solitary_cost for m in order), initial=0))
-    saving = dict.fromkeys((m.customer for m in order), Fraction(0))
+    saving = dict.fromkeys((m.customer for m in order), 0)  # in units of 1/den
     reached = recipients = len(order)
-    prev_sigma = Fraction(0)
-    for sigma in sigmas:
-        step = sigma - prev_sigma
+    levels = [s.numerator * (den // s.denominator) for s in sigmas]  # each sigma * den
+    for prev, level in zip([0, *levels], levels):
+        step = level - prev
         while reached and step * prefix[reached] > budget:
             reached -= 1
         budget -= step * prefix[reached]
         for m in order[:reached]:
-            saving[m.customer] = sigma
+            saving[m.customer] = level
         recipients = reached or recipients
-        prev_sigma = sigma
-    if budget:  # left over after the levels
-        for m in order[:recipients]:
-            saving[m.customer] += budget / prefix[recipients]
-    return {m.customer: m.solitary_cost - m.pooled_time_cost - saving[m.customer] * m.solitary_cost
+    per = prefix[recipients] if budget else 1  # the leftover's share is budget / per
+    left = dict.fromkeys((m.customer for m in order[:recipients]), budget)
+    return {m.customer: Fraction((m.solitary_cost - m.pooled_time_cost) * den * per
+                                 - (saving[m.customer] * per + left.get(m.customer, 0))
+                                 * m.solitary_cost, den * per)
             for m in acct.members}

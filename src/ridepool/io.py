@@ -178,16 +178,8 @@ def summary_row(oc: CellOutcome) -> tuple:
 
 
 DECISION_COLUMNS = (
-    "time_s",
-    "customer",
-    "mechanism",
-    "decision",
-    "vehicle",
-    "partner",
-    "fare_usd",
-    "baseline_cost_usd",
-    "guaranteed_cost_usd",
-    "added_distance_mi",
+    "time_s", "customer", "mechanism", "decision", "vehicle", "partner", "fare_usd",
+    "baseline_cost_usd", "guaranteed_cost_usd", "added_distance_mi",
 )
 
 
@@ -224,8 +216,9 @@ def run_split_rows(account: RunAccount, fares, cell: tuple):
     each led by `cell`."""
     for m in account.members:
         fare = fares[m.customer]
-        saving = 1 - Fraction(fare + m.pooled_time_cost, m.solitary_cost)
-        yield cell + _member_fields(account, m) + (fmt_usd(fare), fmt4(saving))
+        whole = fare.denominator * m.solitary_cost  # the saving 1 - (fare + a) / c is saved / whole
+        saved = whole - fare.numerator - fare.denominator * m.pooled_time_cost
+        yield cell + _member_fields(account, m) + (fmt_usd(fare), fmt4(saved, whole))
 
 
 def split_rows(oc: CellOutcome):

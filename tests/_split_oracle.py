@@ -1,6 +1,8 @@
-"""Brute-force reference for the saver counts of `goalprog_split`.
+"""References for `goalprog_split`: its fares and its saver counts.
 
-Every assignment of a saver level to each customer is enumerated; the
+`fraction_goalprog_split` is the split done step by step in Fraction
+arithmetic, whose fare map the integer split must equal.  `oracle_split`
+enumerates every assignment of a saver level to each customer; the
 lexicographically largest count vector among those that fit the run's
 budget is the optimum the goal-programming split must reach.  A split's
 own counts are derived from its fare map (`saver_counts`).
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
@@ -61,3 +64,28 @@ def oracle_split(acct: RunAccount, sigmas: Sequence[Fraction]) -> tuple[int, ...
             best = counts
     assert best is not None  # the all-zero assignment is always feasible
     return best
+
+
+def fraction_goalprog_split(acct: RunAccount, sigmas: Sequence[Fraction]) -> dict[int, Fraction]:
+    """`goalprog_split` with every step in Fraction arithmetic: the budget,
+    each step times a prefix of solitary costs, each saving and each fare."""
+    budget = Fraction(_check_feasible(acct))
+    order = sorted(acct.members, key=lambda m: (m.solitary_cost, m.customer))
+    prefix = list(accumulate((m.solitary_cost for m in order), initial=0))
+    saving = dict.fromkeys((m.customer for m in order), Fraction(0))
+    reached = recipients = len(order)
+    prev_sigma = Fraction(0)
+    for sigma in sigmas:
+        step = sigma - prev_sigma
+        while reached and step * prefix[reached] > budget:
+            reached -= 1
+        budget -= step * prefix[reached]
+        for m in order[:reached]:
+            saving[m.customer] = sigma
+        recipients = reached or recipients
+        prev_sigma = sigma
+    if budget:  # left over after the levels
+        for m in order[:recipients]:
+            saving[m.customer] += budget / prefix[recipients]
+    return {m.customer: m.solitary_cost - m.pooled_time_cost - saving[m.customer] * m.solitary_cost
+            for m in acct.members}

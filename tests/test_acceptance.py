@@ -20,7 +20,7 @@ import pytest
 from ridepool.cli import main as cli_main
 from ridepool.costshare import RunAccount, RunMember, goalprog_split, shapley_split
 from ridepool.harness import ScenarioGrid, run_grid, summarize, synthetic_trips
-from ridepool.mechanisms import Mechanism
+from ridepool.mechanisms import UNSERVED, Mechanism
 from ridepool.netgraph import make_grid
 from ridepool.simengine import SimConfig, run_sim
 from ridepool.units import USEC, fraction_from
@@ -262,19 +262,28 @@ class TestCriterion7DirectionalTrends:
 
 
 class TestCriterion8MarZeroEquivalence:
-    @pytest.mark.parametrize("mech", [Mechanism.PCP, Mechanism.CCP])
-    def test_field_identical_to_baseline(self, mech):
+    """The mechanism reductions: CCP and PCP at MAR 0, and CCP at MAR 1 with a
+    change fee that no pooling can overcome, each reproduce the paired SRO
+    run decision by decision."""
+
+    @pytest.mark.parametrize("mech, mar, fee", [
+        pytest.param(Mechanism.PCP, 0, None, id="PCP"),
+        pytest.param(Mechanism.CCP, 0, None, id="CCP"),
+        pytest.param(Mechanism.CCP, 1, 10**9, id="CCP-mar1-fee1e9"),
+    ])
+    def test_field_identical_to_baseline(self, mech, mar, fee):
         net = make_grid(10, 10, 0.2, 30)
         for seed in range(5):
             trips = synthetic_trips(net, 200, 1800, seed=seed)
             cfg = SimConfig(
-                mechanism=mech, tariff=ScenarioGrid().tariff(), fleet_size=15,
-                mar=Fraction(0), rng_seed=seed, network=net, horizon=1800 * USEC,
+                mechanism=mech, tariff=ScenarioGrid().tariff(change_fee=fee), fleet_size=15,
+                mar=Fraction(mar), rng_seed=seed, network=net, horizon=1800 * USEC,
                 max_wait_override=360 * USEC,
             )
             a = run_sim(cfg, trips)
             b = counterfactual_sro(cfg, trips)
             assert a.pooled_customers == 0
+            assert (a.poolable_customers > 0) == (mar > 0)
             assert (a.served, a.unserved) == (b.served, b.unserved)
             assert unserved_ids(a) == unserved_ids(b)
             assert a.fleet_distance == b.fleet_distance
@@ -283,13 +292,18 @@ class TestCriterion8MarZeroEquivalence:
                 x, y = a.per_customer[cid], b.per_customer[cid]
                 assert (x.fare, x.pickup_time, x.dropoff_time, x.total_cost, x.vehicle) == (
                     y.fare, y.pickup_time, y.dropoff_time, y.total_cost, y.vehicle)
-            # decision logs agree on everything except the mechanism label
+            # decision logs agree on everything except the mechanism label and
+            # an unserved request's baseline, which SRO does not log
             strip = lambda log: [
-                (d.time, d.customer, d.decision, d.vehicle, d.partner, d.fare)
+                (d.time, d.customer, d.decision, d.vehicle, d.partner, d.fare,
+                 None if d.decision == UNSERVED else d.baseline_cost,
+                 d.added_distance, d.pickup, d.dropoff)
                 for d in log
             ]
             assert strip(a.decision_log) == strip(b.decision_log)
-        _report(8, f"{mech.value}: 5 seeds field-identical to the paired baseline at MAR 0")
+        fee_text = "the default change fee" if fee is None else f"a change fee of {fee} mils"
+        _report(8, f"{mech.value} at MAR {mar} with {fee_text}: 5 seeds field-identical "
+                   "to the paired baseline")
 
 
 class TestCriterion9Determinism:

@@ -439,6 +439,20 @@ class TestSplitCommand:
         assert rc == 0
         assert target.read_bytes() == (out / "splits.csv").read_bytes()
 
+    def test_round_trip_at_mixed_denominator_thresholds(self, simulated, tmp_path):
+        # thresholds over denominators 5, 4 and 2 (lcm 20): `split` re-splits
+        # the runs to the splits.csv that `simulate` wrote at the same ones
+        _, _, out = simulate(tmp_path, {**CONFIG, "split_thresholds_pct": [20, 25, 50]})
+        target = tmp_path / "split.csv"
+        rc = main(["split", "--runs", str(out / "run_accounts.csv"), "--scheme", "goalprog",
+                   "--thresholds", "20,25,50", "--out", str(target)])
+        assert rc == 0
+        assert target.read_bytes() == (out / "splits.csv").read_bytes()
+        # the same runs as at the default thresholds, divided otherwise
+        default, runs = simulated[2], "run_accounts.csv"
+        assert (out / runs).read_bytes() == (default / runs).read_bytes()
+        assert target.read_bytes() != (default / "splits.csv").read_bytes()
+
     def test_run_file_with_some_cell_columns_fails(self, simulated, tmp_path, capsys):
         # used to key runs by run id alone, merging same-id runs of different
         # cells, and to fail on their run fares

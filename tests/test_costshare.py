@@ -11,7 +11,11 @@ from ridepool.costshare import (
     goalprog_split,
     shapley_split,
 )
-from tests._split_oracle import TooLarge, oracle_split, saver_counts, savings
+from ridepool.io import run_split_rows
+from ridepool.units import fmt4, fmt_usd
+from tests._split_oracle import (
+    TooLarge, fraction_goalprog_split, oracle_split, saver_counts, savings,
+)
 
 USD = 1000  # mils per dollar
 
@@ -167,3 +171,51 @@ class TestEquivalence:
         assert saver_counts(acct, fares, THRESHOLDS) == oracle_split(acct, THRESHOLDS)
         assert sum(fares.values()) == fare
         assert all(s >= 0 for s in savings(acct, fares).values())
+
+
+# thresholds over denominators 7, 3, 5, 2 and 4 (lcm 420), so that no one
+# threshold's denominator is a multiple of every other's
+MIXED = (Fraction(1, 7), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 4))
+
+
+@st.composite
+def mixed_runs(draw):
+    """A run of 2-9 riders and mixed-denominator thresholds.  The budget is
+    none (the fare takes all), exactly a level's cost for the cheapest
+    riders, the riders' full willingness (fare 0), or any."""
+    n = draw(st.integers(2, 9))
+    sigmas = tuple(sorted(draw(st.sets(st.sampled_from(MIXED), min_size=1))))
+    kind = draw(st.sampled_from(["zero", "level", "full", "any"]))
+    # a level's cost is whole mils when every solitary cost is a multiple of 420
+    unit = 420 if kind == "level" else 1
+    cost = st.integers(1, 120 if unit > 1 else 50_000).map(lambda k: k * unit)
+    cs = [draw(cost)] * n if draw(st.booleans()) else draw(st.lists(cost, min_size=n, max_size=n))
+    # pooled time costs of at most a quarter of c keep every level affordable
+    aa = [draw(st.integers(0, c // 4 if unit > 1 else c)) for c in cs]
+    willing = sum(c - a for c, a in zip(cs, aa))
+    if kind == "level":
+        sigma = draw(st.sampled_from(sigmas))
+        budget = sigma * sum(sorted(cs)[:draw(st.integers(1, n))])
+    elif kind == "any":
+        budget = draw(st.integers(0, willing))
+    else:
+        budget = 0 if kind == "zero" else willing
+    ids = draw(st.permutations(range(10, 10 + n)))  # member order differs from id order
+    members = tuple(RunMember(customer=i, solitary_cost=c, pooled_time_cost=a)
+                    for i, c, a in zip(ids, cs, aa))
+    return RunAccount(run_id="x", members=members, run_fare=willing - int(budget)), sigmas
+
+
+class TestIntegerSplit:
+    @given(mixed_runs())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_fraction_split(self, case):
+        acct, sigmas = case
+        fares, reference = goalprog_split(acct, sigmas), fraction_goalprog_split(acct, sigmas)
+        assert fares == reference
+        assert list(fares) == [m.customer for m in acct.members]
+        # a Fraction even when the fare is a whole number of mils
+        assert all(type(f) is Fraction for f in fares.values())
+        rows = list(run_split_rows(acct, fares, ()))
+        assert [row[-2] for row in rows] == [fmt_usd(reference[m.customer]) for m in acct.members]
+        assert [row[-1] for row in rows] == [fmt4(s) for s in savings(acct, reference).values()]
