@@ -9,7 +9,8 @@ joins a vehicle in one of seven ways, its case: alone on an idle vehicle
 riders' new pickup and dropoff times, and committing it rewrites the future
 part of the schedule: a REC entry is recorded at the vehicle's anchor (the
 next node it can reroute from) and the case's stops follow at the
-decision's times.
+decision's times.  It also builds the rider's `CustomerOutcome`, her one
+record, which a pooling beside her moves.
 
 Times are integer microseconds, distances integer micro-miles; see `units`.
 """
@@ -117,8 +118,31 @@ class DecisionRow:
     run_umiles: int | None = field(default=None, repr=False)  # CCP only
 
 
+@dataclass
+class CustomerOutcome:
+    """A served rider's one record.  `apply_assignment` builds it, keeps it on her vehicle
+    while she rides and moves it at a pooling beside her; `run_sim` books it and sets
+    `total_cost` after the run.  Her request and its endpoints' node indices, keyword-only,
+    stay out of the repr and of comparisons."""
+
+    customer: int
+    poolable: bool
+    pooled: bool
+    vehicle: int
+    fare: Money
+    pickup_time: int
+    dropoff_time: int
+    total_cost: Money
+    baseline_solitary_cost: int
+    solitary_quote: int
+    _: KW_ONLY
+    request: Request = field(repr=False, compare=False)
+    origin_idx: int = field(repr=False, compare=False)
+    dest_idx: int = field(repr=False, compare=False)
+
+
 def _decision_stops(d: DecisionRow, o: int, dest: int,
-                    k: ActiveRide | None) -> tuple[tuple[str, int, int, int], ...]:
+                    k: CustomerOutcome | None) -> tuple[tuple[str, int, int, int], ...]:
     """The stops of committing `d`, each (op, customer, node index, time), at
     the decision's times: its rider's, from node `o` to node `dest`, alone in
     case None; beside the partner on her ride `k`, odd cases drop her off
@@ -133,19 +157,6 @@ def _decision_stops(d: DecisionRow, o: int, dest: int,
         return (pu_r, *drops)
     pu_k = (PU, d.partner, k.origin_idx, d.partner_pickup)
     return ((pu_k, pu_r) if case <= 4 else (pu_r, pu_k)) + drops
-
-
-@dataclass
-class ActiveRide:
-    """Currently committed, not yet completed ride on a vehicle: its times,
-    its endpoints' node indices and the committed request, which is where
-    the pooled pass reads a partner's request."""
-
-    pickup_time: int
-    dropoff_time: int
-    origin_idx: int
-    dest_idx: int
-    request: Request
 
 
 class VehicleState:
@@ -174,7 +185,7 @@ class VehicleState:
         self.leg_from = -1  # the waypoint index of the carried leg; -1 when none is
         self.leg: tuple[list[int], list[int], list[int]] = ([], [], [])
         self.leg_start = 0  # usec, the carried leg's departure time
-        self.active: dict[int, ActiveRide] = {}
+        self.active: dict[int, CustomerOutcome] = {}
         self.slot = -1  # this vehicle's index in its `Fleet`'s vehicles
         self.runs: list[list[int]] = []
         self.run_fare: int = 0
@@ -246,7 +257,7 @@ class Fleet:
             elif ride.dropoff_time > second:
                 second = ride.dropoff_time
         heappush(self._events, (last, slot, version, None))
-        if second < last and v.active[rider].request.poolable:
+        if second < last and v.active[rider].poolable:
             heappush(self._events, (second, slot, version, rider))
 
     def advance(self, now: int) -> None:
@@ -264,10 +275,11 @@ class Fleet:
             else:
                 self.lone[slot] = rider
 
-    def commit(self, v: VehicleState, r: Request, d: DecisionRow, now: int) -> None:
-        """`apply_assignment` on one of these vehicles; `advance` applies its new events."""
+    def commit(self, r: Request, d: DecisionRow, now: int) -> CustomerOutcome:
+        """`apply_assignment` on the decision's vehicle; `advance` applies its new events."""
+        v = self.by_id[d.vehicle]
         slot, old = v.slot, v.way_nodes[-1]
-        apply_assignment(v, r, d, now)
+        ride = apply_assignment(v, r, d, now)
         here = self.idle_at.get(old)
         if here is not None and slot in here:
             here.remove(slot)
@@ -275,10 +287,11 @@ class Fleet:
                 del self.idle_at[old]
         self.lone.pop(slot, None)
         self._track(v)
+        return ride
 
 
-def apply_assignment(v: VehicleState, r: Request, d: DecisionRow, now: int) -> None:
-    """Commit decision `d` on request `r`: rewrite the future schedule from the anchor.
+def apply_assignment(v: VehicleState, r: Request, d: DecisionRow, now: int) -> CustomerOutcome:
+    """Commit decision `d` on request `r`, rewriting the future schedule from the anchor.
 
     Case None puts `r` alone on an idle vehicle; cases 1-6 pool it with the
     vehicle's one rider, `d.partner`, on board in cases 1-2 and waiting in
@@ -286,7 +299,9 @@ def apply_assignment(v: VehicleState, r: Request, d: DecisionRow, now: int) -> N
     when `d` is not for `r` and `v` or their riders at `now` do not fit it.
     The new customer gets a REC entry at (anchor, now), and the stops and
     the waypoints follow at the decision's times, the waypoints' mileage read
-    from `lex`.  A CCP decision also sets the vehicle's runs and run fields.
+    from `lex`.  Returns `r`'s new record; a pooling also moves the partner's
+    (her times, pooled flag and CCP fare).  A CCP decision also sets the
+    vehicle's runs and run fields.
     """
     idle = v.is_idle(now)  # also prunes the finished rides
     active, case = v.active, d.case
@@ -321,9 +336,13 @@ def apply_assignment(v: VehicleState, r: Request, d: DecisionRow, now: int) -> N
     entries.append(ScheduleEntry(node_ids[a], now, REC, r.id))
 
     o, dest = net.index(r.origin), net.index(r.destination)
-    active[r.id] = ActiveRide(d.pickup, d.dropoff, o, dest, r)
+    ride = active[r.id] = CustomerOutcome(
+        r.id, bool(r.poolable), k is not None, d.vehicle, d.fare, d.pickup, d.dropoff, 0,
+        d.baseline_cost, d.quote, request=r, origin_idx=o, dest_idx=dest)
     if k is not None:
-        k.pickup_time, k.dropoff_time = d.partner_pickup, d.partner_dropoff
+        k.pooled, k.pickup_time, k.dropoff_time = True, d.partner_pickup, d.partner_dropoff
+        if d.partner_fare_change is not None:  # CCP: a Fraction, as the change is
+            k.fare += d.partner_fare_change
     lex = net.rows()[1]
     cur = a
     for op, c, j, t in _decision_stops(d, o, dest, k):
@@ -342,3 +361,4 @@ def apply_assignment(v: VehicleState, r: Request, d: DecisionRow, now: int) -> N
             run = v.runs[-1]
             run.insert(len(run) - 1 if case >= 5 else len(run), r.id)
         v.run_fare, v.run_umiles = d.run_fare, d.run_umiles
+    return ride

@@ -9,7 +9,7 @@ share one signature, `assign_*(fleet, r, now, net, tariff)`, and return one
 winner's case and both riders' new pickup and dropoff times (and CCP's run
 fare and mileage), which `run_sim` logs and commits as they are: the commit
 (`domain.apply_assignment`) lays the winner's stops out at these times.  A
-partner's request is the one her vehicle holds (`ActiveRide.request`).
+partner's request is in her record on her vehicle (`CustomerOutcome.request`).
 
 * SRO  -- solitary rides only, minimal added driving distance.
 * PCP  -- poolable customers always pay the discounted fare; pooling picks

@@ -2,8 +2,9 @@
 
 Requests are processed strictly in arrival order; each one triggers an
 immediate assignment under the configured mechanism, whose `DecisionRow` is
-logged as returned, committed as it is to its vehicle (`Fleet.commit`, which
-also keeps CCP's runs) and booked in the customer book.
+logged as returned and committed as it is to its vehicle (`Fleet.commit`,
+which also keeps CCP's runs); the customer book holds the rider's record that
+the commit returns, which later poolings beside her move in place.
 Vehicle motion is implicit: schedules carry exact node arrival times and a
 rerouted vehicle continues from its anchor node.  Identical configuration
 and request streams produce byte-identical results.
@@ -28,8 +29,8 @@ from math import lcm
 import numpy as np
 
 from .costshare import RunAccount, RunMember, goalprog_split
-from .domain import DecisionRow, Fleet, Request, VehicleState
-from .mechanisms import POOLED, UNSERVED, Mechanism, assign_ccp, assign_pcp, assign_sro
+from .domain import CustomerOutcome, DecisionRow, Fleet, Request, VehicleState
+from .mechanisms import UNSERVED, Mechanism, assign_ccp, assign_pcp, assign_sro
 from .netgraph import INF, RoadNetwork
 from .pricing import Tariff, pcp_fare, provider_profit, total_cost
 from .units import Money, fmt_seconds, money_sum, time_cost_mils
@@ -71,8 +72,13 @@ class SimConfig:
     decided: SimResult | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.fleet_size < 1:
-            raise ConfigError("fleet_size must be at least 1")
+        for name, least in (("fleet_size", 1), ("rng_seed", 0), ("horizon", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{name} must be an int of at least {least}, got {value!r}")
+        w = self.max_wait_override
+        if w is not None and (type(w) is not int or w <= 0):
+            raise ConfigError(f"max_wait_override must be None or a positive int, got {w!r}")
         if type(self.mar) not in (int, Fraction):
             raise ConfigError(f"mar must be an int or a Fraction, got {self.mar!r}")
         if not (self.vot_values and all(type(v) is int and v >= 0 for v in self.vot_values)):
@@ -87,20 +93,6 @@ class SimConfig:
                 and all(a < b for a, b in zip(s, s[1:]))):
             raise ConfigError("split_thresholds must be exact fractions in (0, 1), "
                               f"strictly increasing: {s!r}")
-
-
-@dataclass
-class CustomerOutcome:
-    customer: int
-    poolable: bool
-    pooled: bool
-    vehicle: int
-    fare: Money
-    pickup_time: int
-    dropoff_time: int
-    total_cost: Money
-    baseline_solitary_cost: int
-    solitary_quote: int
 
 
 @dataclass(frozen=True)
@@ -142,10 +134,10 @@ class SimResult:
     @cached_property
     def sums(self) -> RiderSums:
         """Taken on first read; `reprice` hands a re-priced run those of its decided run."""
-        pcp, by_id = self.mechanism == Mechanism.PCP.value, self.requests
+        pcp = self.mechanism == Mechanism.PCP.value
         rows = [(o.baseline_solitary_cost, o.solitary_quote if pcp else o.fare,
-                 time_cost_mils(by_id[c].value_of_time, o.dropoff_time - by_id[c].request_time))
-                for c, o in self.per_customer.items() if o.poolable]
+                 time_cost_mils(o.request.value_of_time, o.dropoff_time - o.request.request_time))
+                for o in self.per_customer.values() if o.poolable]
         priced = [row for row in rows if row[0] > 0]
         return RiderSums(
             self.config.tariff.discount_factor if pcp else 1,
@@ -259,16 +251,7 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
         log.append(d)
         if d.decision == UNSERVED:
             continue
-
-        fleet.commit(fleet.by_id[d.vehicle], r, d, now)
-        pooled = d.decision == POOLED
-        if pooled:
-            kb = book[d.partner]
-            kb.pooled, kb.pickup_time, kb.dropoff_time = True, d.partner_pickup, d.partner_dropoff
-            if d.partner_fare_change is not None:  # CCP: a Fraction, as the change is
-                kb.fare += d.partner_fare_change
-        book[r.id] = CustomerOutcome(r.id, bool(r.poolable), pooled, d.vehicle, d.fare, d.pickup,
-                                     d.dropoff, 0, d.baseline_cost, d.quote)
+        book[r.id] = fleet.commit(r, d, now)
 
     # pooled CCP runs and their ex-post splits; a run's id counts every run
     # of its vehicle
@@ -278,19 +261,17 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
             for i, run in enumerate(v.runs):
                 if len(run) < 2:
                     continue
-                run_id = f"v{v.id}r{i}"
+                run_id, riders = f"v{v.id}r{i}", [book[c] for c in run]
                 members = tuple(
                     RunMember(
-                        customer=c,
-                        solitary_cost=book[c].baseline_solitary_cost,
+                        customer=o.customer,
+                        solitary_cost=o.baseline_solitary_cost,
                         pooled_time_cost=time_cost_mils(
-                            by_id[c].value_of_time,
-                            book[c].dropoff_time - by_id[c].request_time,
-                        ),
+                            o.request.value_of_time, o.dropoff_time - o.request.request_time),
                     )
-                    for c in run
+                    for o in riders
                 )
-                fare = money_sum([book[c].fare for c in run])  # int or Fraction mils
+                fare = money_sum([o.fare for o in riders])  # int or Fraction mils
                 if fare.denominator != 1:
                     raise ValueError(
                         f"run {run_id}: fare {fare} mils is not a whole number of mils"
@@ -301,8 +282,8 @@ def run_sim(cfg: SimConfig, requests: list[Request]) -> SimResult:
                     for cid, split_fare in goalprog_split(account, cfg.split_thresholds).items():
                         book[cid].fare = split_fare
 
-    for cid, o in book.items():
-        o.total_cost = total_cost(o.fare, by_id[cid], o.dropoff_time)
+    for o in book.values():
+        o.total_cost = total_cost(o.fare, o.request, o.dropoff_time)
     fleet_umi = sum(v.way_cum[-1] for v in fleet.vehicles)
     fares_total = money_sum([o.fare for o in book.values()])
     return SimResult(
@@ -361,10 +342,11 @@ def reprice(decided: SimResult, tariff: Tariff) -> SimResult:
         fare, cost = o.fare, o.total_cost
         if o.poolable:
             fare = fares[o.solitary_quote]
-            cost = total_cost(fare, decided.requests[cid], o.dropoff_time)
+            cost = total_cost(fare, o.request, o.dropoff_time)
         book[cid] = CustomerOutcome(cid, o.poolable, o.pooled, o.vehicle, fare, o.pickup_time,
                                     o.dropoff_time, cost, o.baseline_solitary_cost,
-                                    o.solitary_quote)
+                                    o.solitary_quote, request=o.request,
+                                    origin_idx=o.origin_idx, dest_idx=o.dest_idx)
     log = [
         DecisionRow(d.time, d.customer, d.mechanism, d.decision, d.vehicle, d.partner,
                     book[d.customer].fare, d.baseline_cost, d.guaranteed_cost, d.added_distance,

@@ -74,6 +74,31 @@ def output_digests(out):
             for name in ("summary.csv", "decisions.csv", "splits.csv", "run_accounts.csv")}
 
 
+# decisions.csv's column groups, by position: its header names `mechanism`
+# twice, the cell's and the decision row's
+DECISION_GROUPS = {"cell": range(0, 8), "decision": range(8, 18)}
+
+
+def group_digests(path, groups=DECISION_GROUPS):
+    """The SHA-256 of a CSV's header and of each group's columns over its
+    rows, once the groups are seen to partition the header's positions.  A
+    column added in a new group leaves the old groups' digests as they were."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert sorted(i for cols in groups.values() for i in cols) == list(range(len(header)))
+    parts = {"header": header}
+    parts.update({name: [[row[i] for i in cols] for row in rows] for name, cols in groups.items()})
+    return {name: hashlib.sha256(json.dumps(part).encode()).hexdigest()
+            for name, part in parts.items()}
+
+
+DECISION_GROUP_PINS = {
+    "header": "0b2a8f25ee52cd11408ad14e0eb33fd51cb78dcb837ccd1eed887fa8288f9d44",
+    "cell": "88f8f1660f4a28df3f4d0143d632d0fec0eeaa28bdb420a79b21df646d0a0db2",
+    "decision": "06ad18f6f91f3295e8379b7c04de88d0bc125ccb8b186057b3bbfe830ebfd7ce",
+}
+
+
 class TestSimulate:
     def test_outputs_exist(self, simulated):
         _, _, out = simulated
@@ -111,6 +136,7 @@ class TestSimulate:
             "splits.csv": "5464ab0bf017e2feba3c6627a1c071270f09a61c439a5a824f14b60495b8081d",
             "run_accounts.csv": "5058144fe63dac34437bd906a798ee581b3812a334379fa742c61fa1c632946f",
         }
+        assert group_digests(out / "decisions.csv") == DECISION_GROUP_PINS
 
     def test_shapley_outputs_are_pinned(self, tmp_path):
         # the same grid under the default split scheme, which changes only
@@ -122,6 +148,7 @@ class TestSimulate:
             "splits.csv": "9b5bcac248d437b7b90ab13b76b67a443b6491d51e495fd69ef0ae3c2f835ae6",
             "run_accounts.csv": "5058144fe63dac34437bd906a798ee581b3812a334379fa742c61fa1c632946f",
         }
+        assert group_digests(out / "decisions.csv") == DECISION_GROUP_PINS
 
     def test_discount_axis_outputs_are_pinned(self, tmp_path):
         # three discounts, two detours, three MARs and two seeds: the PCP
@@ -135,8 +162,31 @@ class TestSimulate:
             "summary.csv": "7179c48593dce9ab58948b2f34024e6c248b934c178e59515c1ed310627c567a",
             "decisions.csv": "161d7e174773b5c288c7a4386e333859a4a8167b39b1384039ff9c62a4c90bfb",
         }
+        assert group_digests(out / "decisions.csv") == {
+            "header": DECISION_GROUP_PINS["header"],
+            "cell": "d3a70bfcb85d31c47287138b92e11c8f7912246765a84739bcebd043e8917130",
+            "decision": "770cbfb080b2cfb423da010e706ac94b31ee6f8510e55b9c156f0c7f0e5c9b4e",
+        }
         # SRO: 2 seeds; PCP: 3 discounts x 2 detours x 3 mars x 2 seeds; CCP: 3 mars x 2 seeds
         assert len((out / "summary.csv").read_text().splitlines()) == 1 + 2 + 36 + 6
+
+    def test_a_changed_cell_moves_only_its_groups_digest(self, simulated, tmp_path):
+        # the header and each group are pinned apart, so a one-cell change,
+        # in the header or in any group, fails exactly one of those pins
+        _, _, out = simulated
+        with open(out / "decisions.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows[0]) == 18
+        copied = tmp_path / "decisions.csv"
+        for row, col, group in ((0, 3, "header"), (1, 0, "cell"), (5, 7, "cell"),
+                                (2, 8, "decision"), (9, 17, "decision")):
+            changed = copy.deepcopy(rows)
+            changed[row][col] += "x"
+            with open(copied, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(changed)
+            got = group_digests(copied)
+            assert {name for name, pin in DECISION_GROUP_PINS.items() if got[name] != pin} == {
+                group}
 
     def test_trip_max_wait_gives_way_to_the_config_axis(self, simulated, tmp_path):
         # every cell replaces each trip's max_wait_s with the max_wait_s

@@ -14,8 +14,9 @@ from ridepool.domain import (
     DO,
     PU,
     REC,
-    ActiveRide,
+    CustomerOutcome,
     DecisionRow,
+    Fleet,
     Request,
     ScheduleEntry,
     VehicleState,
@@ -23,8 +24,9 @@ from ridepool.domain import (
     apply_assignment,
 )
 from ridepool.harness import ScenarioGrid, synthetic_trips
-from ridepool.mechanisms import Mechanism
+from ridepool.mechanisms import Mechanism, assign_ccp
 from ridepool.netgraph import RoadNetwork
+from ridepool.units import mils_from_usd
 from tests._hop_oracle import HopRoute
 from tests._scan_oracle import (
     Stop,
@@ -144,7 +146,8 @@ class TestApplyAssignment:
 
         def state():
             return (list(v.schedule), list(v.way_nodes), list(v.way_times), list(v.way_cum),
-                    repr(v.active), repr(v.runs))
+                    repr(v.active), repr(v.runs),
+                    [(o.request, o.origin_idx, o.dest_idx) for o in v.active.values()])
 
         before = state()
         with pytest.raises(ValueError, match=(
@@ -224,7 +227,9 @@ class TestCaseStops:
             return [(op, c, line6.node_ids[j]) for op, c, j, _ in stops]
 
         r, k = rider(2, "B", "E"), rider(1, "C", "F")
-        ride = ActiveRide(0, 0, *ends(line6, k), k)
+        o, dest = ends(line6, k)
+        ride = CustomerOutcome(1, True, False, 0, 0, 0, 0, 0, 0, 0, request=k, origin_idx=o,
+                               dest_idx=dest)
         times = {(PU, 2): 10, (DO, 2): 20, (PU, 1): 30, (DO, 1): 40}
         d = DecisionRow(0, 2, "PCP", "solitary", quote=0, pickup=10, dropoff=20)
         stops = _decision_stops(d, *ends(line6, r), None)
@@ -239,6 +244,42 @@ class TestCaseStops:
                 assert [t for *_, t in stops] == [times[op, c] for op, c, *_ in stops]
                 cases.append(case)
         assert cases == [1, 2, 3, 4, 5, 6]
+
+
+class TestOneRecordPerRider:
+    """The commit builds its rider's `CustomerOutcome`, keeps it on the
+    vehicle and moves that same record at a pooling beside her."""
+
+    def test_a_ccp_pooling_moves_the_partners_record(self, line6):
+        tariff = ScenarioGrid().tariff(change_fee=mils_from_usd(1.9))
+        v = VehicleState(0, "A", line6)
+        k, r = rider(1, "B", "E"), rider(2, "C", "A")
+        d = assign_ccp(Fleet([v]), k, 0, line6, tariff)
+        assert (d.decision, d.case) == ("solitary", None)
+        mine = apply_assignment(v, k, d, 0)
+        assert mine is v.active[k.id]
+        assert repr(mine) == (
+            "CustomerOutcome(customer=1, poolable=True, pooled=False, vehicle=0, fare=4000, "
+            "pickup_time=24000000, dropoff_time=96000000, total_cost=0, "
+            "baseline_solitary_cost=4400, solitary_quote=4000)"
+        )
+        assert (mine.request, mine.origin_idx, mine.dest_idx) == (k, *ends(line6, k))
+
+        fleet = Fleet([v])  # derived from the vehicle's rides alone
+        fleet.advance(0)
+        d = assign_ccp(fleet, r, 0, line6, tariff)
+        assert (d.decision, d.case, d.partner) == ("pooled", 6, k.id)
+        # the pooling moves both of k's times and her fare
+        assert (d.partner_pickup, d.partner_dropoff) != (mine.pickup_time, mine.dropoff_time)
+        assert d.partner_fare_change != 0
+        fare = mine.fare
+        theirs = apply_assignment(v, r, d, 0)
+        assert theirs is v.active[r.id] and v.active[k.id] is mine
+        assert (mine.pooled, mine.pickup_time, mine.dropoff_time) == (
+            True, d.partner_pickup, d.partner_dropoff)
+        assert mine.fare - fare == d.partner_fare_change
+        assert (theirs.pooled, theirs.fare, theirs.pickup_time, theirs.dropoff_time) == (
+            True, d.fare, d.pickup, d.dropoff)
 
 
 class TestExtractRuns:
@@ -446,7 +487,8 @@ def replay_against_hops(cfg, trips):
     hops: dict[int, HopRoute] = {}
     counts = Counter()
 
-    def checked_commit(fleet, v, r, d, now):
+    def checked_commit(fleet, r, d, now):
+        v = fleet.by_id[d.vehicle]
         for w in fleet.vehicles:
             ref = hops.setdefault(w.id, HopRoute(w.way_nodes[0]))
             idle = w.is_idle(now)
@@ -459,7 +501,7 @@ def replay_against_hops(cfg, trips):
                 counts["departs_now"] += depart == now > w.way_times[j]
         stops = commit_stops(v, r, d.case, now)
         hops[v.id].commit(net, [net.index(s.location) for s in stops], now, v.is_idle(now))
-        out = commit(fleet, v, r, d, now)
+        out = commit(fleet, r, d, now)
         ref = hops[v.id]
         assert expand_route(v) == (ref.nodes, ref.times, ref.cum)
         counts["commits"] += 1
@@ -513,8 +555,9 @@ def carried_legs(cfg, trips):
         v.leg_from, v.leg, v.leg_start = kept
         return got
 
-    def checked_commit(fleet, v, r, d, now):
-        out = commit(fleet, v, r, d, now)
+    def checked_commit(fleet, r, d, now):
+        out = commit(fleet, r, d, now)
+        v = fleet.by_id[d.vehicle]
         j, leg = v.leg_from, v.leg
         if j >= 0:
             cut = net.leg(v.way_nodes[j], v.way_nodes[j + 1])

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ridepool import harness, mechanisms, simengine
+from ridepool import domain, harness, mechanisms, simengine
 from ridepool.harness import (
     BRACKETS,
     SUMMARY_METRICS,
@@ -257,9 +257,10 @@ class TestRepricedRecords:
             copied[type(obj).__name__] += 1
             return replace(obj, **changes)
 
-        # the rules build the decided rows, `reprice` the re-priced ones
-        for module, cls in ((simengine, CustomerOutcome), (simengine, DecisionRow),
-                            (mechanisms, DecisionRow)):
+        # the rules build the decided rows and the commits the decided
+        # outcomes, `reprice` the re-priced ones
+        for module, cls in ((domain, CustomerOutcome), (simengine, CustomerOutcome),
+                            (simengine, DecisionRow), (mechanisms, DecisionRow)):
             monkeypatch.setattr(module, cls.__name__, counting(cls))
         monkeypatch.setattr(simengine, "replace", counting_replace)
         net = make_grid(6, 6, 0.15, 30)

@@ -446,7 +446,7 @@ def random_world(randint, den=2, net=WORLD):
             case = cases[randint(0, len(cases) - 1)]  # whatever the riders' flags
         else:
             continue
-        fleet.commit(v, k, commit_decision(v, k, case, now), now)
+        fleet.commit(k, commit_decision(v, k, case, now), now)
         requests[cid] = k
         quote = solitary_fare(tariff, net, *ends(net, k))
         # CCP pooling leaves guarantees on half mils
@@ -673,8 +673,8 @@ class TestClockedFleet:
         seen = np.zeros(3, dtype=int)
         poolable = {}  # every customer's flag in the current run
 
-        def checked_commit(fleet, v, r, d, now):
-            out = commit(fleet, v, r, d, now)
+        def checked_commit(fleet, r, d, now):
+            out = commit(fleet, r, d, now)
             seen[2] += stale_events(fleet)
             fleet.advance(now)  # as every reader does
             seen[:2] += check_fleet_state(fleet, now, poolable)
@@ -719,7 +719,7 @@ class TestClockedFleet:
         fleet = Fleet([v])
         r = req(2, "B", "E", t=1)
         # k is dropped off first, where r is
-        fleet.commit(v, r, commit_decision(v, r, 1, sec(1)), sec(1))
+        fleet.commit(r, commit_decision(v, r, 1, sec(1)), sec(1))
         rebuilt = Fleet([v])  # derived from the vehicle's rides alone
         for f in (fleet, rebuilt):
             for now in range(0, sec(120), sec(2)):
@@ -739,7 +739,7 @@ class TestClockedFleet:
         assert fleet.lone == {0: 1}
         # r rides on to F, so k is dropped off at E on the way back, at 144 s
         r = req(2, "B", "F", t=1)
-        fleet.commit(v, r, commit_decision(v, r, 2, sec(1)), sec(1))
+        fleet.commit(r, commit_decision(v, r, 2, sec(1)), sec(1))
         assert stale_events(fleet) == 1  # the vehicle's old end at 96 s
         flags = {1: True, 2: True}
         for now, lone in ((sec(96), {}), (sec(100), {}), (sec(120), {0: 1}), (sec(144), {})):
@@ -776,9 +776,9 @@ class TestCarriedLeg:
             legs_read.append((i, j))
             return leg(net, i, j)
 
-        def versioned_commit(fleet, v, r, d, now):
-            out = commit(fleet, v, r, d, now)  # its anchor is read on the route it replaces
-            version[run, v.id] = version.get((run, v.id), 0) + 1
+        def versioned_commit(fleet, r, d, now):
+            out = commit(fleet, r, d, now)  # its anchor is read on the route it replaces
+            version[run, d.vehicle] = version.get((run, d.vehicle), 0) + 1
             return out
 
         def checked(v, now):

@@ -133,18 +133,32 @@ class TestValidation:
         (dict(mars=(True,)), "mar must be an int or a Fraction, got True"),
         (dict(vot_values=(200, True)),
          "vot_values must be non-negative ints of mils per minute, at least one: (200, True)"),
+        (dict(max_waits=(1.5,)), "max_wait_override must be None or a positive int, got 1.5"),
+        (dict(max_waits=(0,)), "max_wait_override must be None or a positive int, got 0"),
+        (dict(max_waits=(True,)), "max_wait_override must be None or a positive int, got True"),
+        (dict(fleet_sizes=(2.5,)), "fleet_size must be an int of at least 1, got 2.5"),
+        (dict(fleet_sizes=(0,)), "fleet_size must be an int of at least 1, got 0"),
+        (dict(fleet_sizes=(True,)), "fleet_size must be an int of at least 1, got True"),
+        (dict(seeds=(-1,)), "rng_seed must be an int of at least 0, got -1"),
+        (dict(seeds=(1.0,)), "rng_seed must be an int of at least 0, got 1.0"),
+        (dict(horizon=-5), "horizon must be an int of at least 0, got -5"),
+        (dict(horizon=300.0 * USEC), "horizon must be an int of at least 0, got 300000000.0"),
     ], ids=["discount-float", "detour-float", "base-fare-float", "mar-float", "vot-empty",
-            "fee-bool", "discount-bool", "mar-bool", "vot-bool"])
+            "fee-bool", "discount-bool", "mar-bool", "vot-bool", "wait-float", "wait-zero",
+            "wait-bool", "fleet-float", "fleet-zero", "fleet-bool", "seed-negative",
+            "seed-float", "horizon-negative", "horizon-float"])
     def test_inexact_grid_input_fails_before_its_cell_runs(self, monkeypatch, axes, message):
         # unchecked, a float would simulate and fail late (float fares in
         # summary.csv, a float detour factor in `assign_pcp`, a float MAR in
-        # `units.fmt4`), and no value of time would fail in the draw
+        # `units.fmt4`, float times under a float wait), no value of time
+        # would fail in the draw, a zero wait would be blamed on a request and
+        # a negative horizon would run no request at all
         net = make_grid(4, 4, 0.1, 30)
         calls, real = [], harness.run_sim
         monkeypatch.setattr(harness, "run_sim",
                             lambda cfg, trips: calls.append(cfg) or real(cfg, trips))
-        grid = ScenarioGrid(mechanisms=(Mechanism.PCP, Mechanism.CCP), fleet_sizes=(3,),
-                            horizon=300 * USEC, **axes)
+        grid = ScenarioGrid(**{"mechanisms": (Mechanism.PCP, Mechanism.CCP),
+                               "fleet_sizes": (3,), "horizon": 300 * USEC, **axes})
         with pytest.raises((ValueError, ConfigError), match=f"^{re.escape(message)}$"):
             run_grid(grid, synthetic_trips(net, 20, 300, seed=1), net)
         # at most the SRO baseline ran, whose configuration is exact
