@@ -30,6 +30,7 @@ from .units import Money
 REC = "REC"
 PU = "PU"
 DO = "DO"
+NO_ANCHOR = (inf, -inf, None)  # `VehicleState.anchor_memo` holding for no time
 
 @dataclass(frozen=True)
 class Request:
@@ -168,7 +169,8 @@ class VehicleState:
     `busy_anchor` carries the leg being driven: the index of the waypoint it leaves, the
     memoized leg and its departure time.  A commit keeps the waypoints reached by its time
     and cuts the leg being driven at its anchor, whose canonical path is the carried leg's
-    prefix, so the carried leg stays valid across commits.
+    prefix, so the carried leg stays valid across commits.  `anchor_memo` holds the last
+    answer from inside a leg; a commit on a busy vehicle clears it.
     Customer-centered pooling also keeps `runs`, each run's customers in first-pickup order
     (a run is a maximal occupied interval), plus the last run's fare and `run_umiles`, the
     route's planned mileage from that run's first pickup; `apply_assignment` sets them from
@@ -185,6 +187,7 @@ class VehicleState:
         self.leg_from = -1  # the waypoint index of the carried leg; -1 when none is
         self.leg: tuple[list[int], list[int], list[int]] = ([], [], [])
         self.leg_start = 0  # usec, the carried leg's departure time
+        self.anchor_memo: tuple = NO_ANCHOR  # (lo, hi, answer), see `busy_anchor`
         self.active: dict[int, CustomerOutcome] = {}
         self.slot = -1  # this vehicle's index in its `Fleet`'s vehicles
         self.runs: list[list[int]] = []
@@ -203,9 +206,15 @@ class VehicleState:
         return not self.active
 
     def busy_anchor(self, now: int) -> tuple[int, int, int]:
-        """(node index, time, cumulative umiles) of the next node a vehicle known to be busy
-        at `now` can turn at, without pruning: the first node of its route reached at or
-        after `now`.  An idle vehicle turns where it stands, at `now`."""
+        """(node index, time, cumulative umiles) of the next node a vehicle busy at `now`
+        can turn at, without pruning: the first node of its route reached at or after `now`.
+        `now` must not pass the route's last waypoint (IndexError there): callers ask only
+        vehicles with a rider still to drop off, as `Fleet.lone` and a commit's busy branch
+        do.  `anchor_memo` is (lo, hi, answer) for the last answer from inside a leg: the
+        answer for every `now` in (lo, hi], after the hop before it up to its own time."""
+        lo, hi, got = self.anchor_memo
+        if lo < now <= hi:
+            return got
         j = bisect_right(self.way_times, now) - 1
         if self.way_times[j] == now:
             return self.way_nodes[j], now, self.way_cum[j]
@@ -218,7 +227,9 @@ class VehicleState:
         nodes, usec, umiles = self.leg
         start = self.leg_start
         k = bisect_left(usec, now - start, 1)
-        return nodes[k], start + usec[k], self.way_cum[j] + umiles[k]
+        got = nodes[k], start + usec[k], self.way_cum[j] + umiles[k]
+        self.anchor_memo = (start + usec[k - 1] if k > 1 else self.way_times[j], got[1], got)
+        return got
 
 
 class Fleet:
@@ -321,6 +332,7 @@ def apply_assignment(v: VehicleState, r: Request, d: DecisionRow, now: int) -> C
         a, cum = way_nodes[-1], way_cum[-1]
     else:
         a, t, cum = v.busy_anchor(now)
+        v.anchor_memo = NO_ANCHOR
         # the waypoints reached by `now` are driven, then the route turns at the anchor
         kept = bisect_right(way_times, now)
         del way_nodes[kept:], way_times[kept:], way_cum[kept:]

@@ -102,49 +102,54 @@ def _pooled_vehicles(
     fleet's routes must be mutually reachable, as `run_sim` checks at entry,
     and every anchor lies on a canonical path between such nodes.  An
     interleaving that breaks r's wait limit, or the wait limit of a partner
-    still waiting, is dropped.  Each pickup order (`heads`) is followed by
-    both dropoff orders.
+    still waiting, is dropped.  The rows of `o`, `d` and the anchor are read
+    once; each feasible pickup order gives two rows, k dropped off first and
+    r dropped off first.
     """
     dur, lex = net.rows()
+    dur_o, lex_o, dur_d, lex_d = dur[o], lex[o], dur[d], lex[d]
+    t_od, m_od = dur_o[d], lex_o[d]
     latest = r.request_time + r.max_wait
     out = []
     for slot, kid in sorted(fleet.lone.items()):
         v = fleet.vehicles[slot]
         a, t_a, a_cum = v.busy_anchor(now)
-        pick = t_a + dur[a][o]  # r's earliest pickup
+        dur_a = dur[a]
+        pick = t_a + dur_a[o]  # r's earliest pickup
         if pick > latest:
             continue
-        m_ao = lex[a][o]
+        lex_a = lex[a]
         tail = v.way_cum[-1] - a_cum  # mileage of the abandoned plan
         ride = v.active[kid]
         k = ride.request
         ok, dk = ride.origin_idx, ride.dest_idx
-        t_kr, t_rk = dur[dk][d], dur[d][dk]
-        m_kr, m_rk = lex[dk][d], lex[d][dk]
-        # (first case, node after the pickups, time and umiles there, both pickups)
+        t_kr, t_rk = dur[dk][d], dur_d[dk]
+        m_kr, m_rk = lex[dk][d] - tail, lex_d[dk] - tail  # each less the abandoned plan
+        t_odk, m_odk = dur_o[dk], lex_o[dk] + m_kr
+        # `PooledVehicle` rows; odd cases drop k off first
         if ride.pickup_time <= now:
-            heads = [(1, o, pick, m_ao, pick, ride.pickup_time)]
+            k_pick, m, t1, t2 = ride.pickup_time, lex_a[o], pick + t_odk, pick + t_od
+            rows = ((1, m + m_odk, pick, t1 + t_kr, k_pick, t1),
+                    (2, m + m_od + m_rk, pick, t2, k_pick, t2 + t_rk))
         else:
-            heads = []
             k_latest = k.request_time + k.max_wait
-            k_pick = t_a + dur[a][ok]
+            dur_k, lex_k = dur[ok], lex[ok]
+            k_pick = t_a + dur_a[ok]
+            r_pick = k_pick + dur_k[o]
+            if k_pick <= k_latest and r_pick <= latest:
+                m, t1, t2 = lex_a[ok] + lex_k[o], r_pick + t_odk, r_pick + t_od
+                rows = ((3, m + m_odk, r_pick, t1 + t_kr, k_pick, t1),
+                        (4, m + m_od + m_rk, r_pick, t2, k_pick, t2 + t_rk))
+            else:
+                rows = ()
+            k_pick = pick + dur_o[ok]
             if k_pick <= k_latest:
-                r_pick = k_pick + dur[ok][o]
-                if r_pick <= latest:
-                    heads.append((3, o, r_pick, lex[a][ok] + lex[ok][o], r_pick, k_pick))
-            k_pick = pick + dur[o][ok]
-            if k_pick <= k_latest:
-                heads.append((5, ok, k_pick, m_ao + lex[o][ok], pick, k_pick))
-            if not heads:
+                m, t1, t2 = lex_a[o] + lex_o[ok], k_pick + dur_k[dk], k_pick + dur_k[d]
+                rows += ((5, m + lex_k[dk] + m_kr, pick, t1 + t_kr, k_pick, t1),
+                         (6, m + lex_k[d] + m_rk, pick, t2, k_pick, t2 + t_rk))
+            elif not rows:
                 continue
-        rows = []
-        for case, x, t, m, r_pick, k_pick in heads:
-            t1, t2 = dur[x][dk], dur[x][d]
-            rows.append((case, m + lex[x][dk] + m_kr - tail, r_pick, t + t1 + t_kr, k_pick,
-                         t + t1))
-            rows.append((case + 1, m + lex[x][d] + m_rk - tail, r_pick, t + t2, k_pick,
-                         t + t2 + t_rk))
-        out.append(PooledVehicle(v, k, a, tail, tuple(rows)))
+        out.append(PooledVehicle(v, k, a, tail, rows))
     return out
 
 

@@ -80,21 +80,23 @@ def run_fixture(fx: TheoremFixture, mechanism: Mechanism) -> SimResult:
 # ---------------------------------------------------------------------------
 
 def check_individual_rationality(result: SimResult) -> Verdict:
-    """Served poolable riders never exceed their frozen solitary baseline;
-    served non-poolable riders pay exactly their solitary economics."""
+    """For CCP and SRO runs (a PCP rider pays the discounted fare, pooled or
+    not): served poolable riders never exceed their frozen solitary baseline;
+    served riders not pooled, poolable or not, pay exactly their solitary
+    economics, as CCP grants no discount for an unsuccessful matching."""
     for cid, o in sorted(result.per_customer.items()):
-        if o.poolable:
-            if o.total_cost > o.baseline_solitary_cost:
-                return Verdict(
-                    "individual-rationality", "total_cost<=baseline", False,
-                    f"customer {cid}: cost {o.total_cost} exceeds baseline {o.baseline_solitary_cost}",
-                )
-        else:
-            if o.fare != o.solitary_quote or o.total_cost != o.baseline_solitary_cost:
-                return Verdict(
-                    "individual-rationality", "non-poolable-pays-quote", False,
-                    f"customer {cid}: fare {o.fare} vs quote {o.solitary_quote}",
-                )
+        if not (o.poolable and o.pooled) and (
+                o.fare != o.solitary_quote or o.total_cost != o.baseline_solitary_cost):
+            return Verdict(
+                "individual-rationality",
+                "unpooled-pays-quote" if o.poolable else "non-poolable-pays-quote", False,
+                f"customer {cid}: fare {o.fare} vs quote {o.solitary_quote}",
+            )
+        if o.total_cost > o.baseline_solitary_cost:
+            return Verdict(
+                "individual-rationality", "total_cost<=baseline", False,
+                f"customer {cid}: cost {o.total_cost} exceeds baseline {o.baseline_solitary_cost}",
+            )
     return Verdict(
         "individual-rationality", "total_cost<=baseline", True,
         f"{len(result.per_customer)} served customers audited",

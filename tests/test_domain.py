@@ -539,20 +539,23 @@ def carried_legs(cfg, trips):
     commits: after a commit, the carried leg cut at the waypoint after the
     one it leaves is the canonical path there (`net.leg`), departing when it
     did, so the commit need not drop it; and every `busy_anchor` answer is
-    the same with the carried leg and with none.  After each commit that
-    leaves the vehicle inside its carried leg, also ask for its anchor there,
-    at the commit's time and just before the leg's end.  Return counts of the
-    commits that cut a carried leg short and of those answers."""
+    the same with the carried leg and anchor memo and with neither.  After
+    each commit that leaves the vehicle inside its carried leg, also ask for
+    its anchor there, at the commit's time and just before the leg's end.
+    Return counts of the commits that cut a carried leg short, of those
+    answers and of the answers the memo gave."""
     net = cfg.network
     busy_anchor, commit = VehicleState.busy_anchor, domain.Fleet.commit
     counts = Counter()
 
     def checked_anchor(v, now):
+        lo, hi, _ = v.anchor_memo
+        counts["memo"] += lo < now <= hi
         got = busy_anchor(v, now)
-        kept = (v.leg_from, v.leg, v.leg_start)
-        v.leg_from = -1
+        kept = (v.leg_from, v.leg, v.leg_start, v.anchor_memo)
+        v.leg_from, v.anchor_memo = -1, domain.NO_ANCHOR
         assert busy_anchor(v, now) == got
-        v.leg_from, v.leg, v.leg_start = kept
+        v.leg_from, v.leg, v.leg_start, v.anchor_memo = kept
         return got
 
     def checked_commit(fleet, r, d, now):
@@ -594,4 +597,35 @@ class TestCarriedLegAcrossCommits:
                 mar=Fraction(3, 4), rng_seed=5, network=grid10, horizon=sec(1800),
             )
             counts += carried_legs(cfg, trips)
-        assert counts["cut"] > 150 and counts["asked"] > 500, counts
+        assert counts["cut"] > 150 and counts["asked"] > 500 and counts["memo"] > 500, counts
+
+
+class TestAnchorMemo:
+    """`busy_anchor`'s memo answers exactly the times its hop holds for."""
+
+    def test_memo_answers_as_a_fresh_vehicle_around_every_hop(self, line6):
+        v = VehicleState(0, "A", line6)
+        # idle at A until 30 s, then A -> B (one hop) and B -> F (four hops)
+        commit_case(v, rider(1, "B", "F"), None, sec(30))
+        assert len(v.net.leg(v.way_nodes[1], v.way_nodes[2])[0]) == 5
+        _, times, _ = expand_route(v)
+        first, last = v.way_times[0], v.way_times[-1]
+        asks = sorted({t + dt for t in times + [sec(30)] for dt in (-1, 0, 1)
+                       if first <= t + dt <= last})
+        hits = 0
+
+        def check(now):
+            nonlocal hits
+            lo, hi, _ = v.anchor_memo
+            hits += lo < now <= hi
+            fresh = VehicleState(1, "A", line6)
+            fresh.way_nodes, fresh.way_times, fresh.way_cum = v.way_nodes, v.way_times, v.way_cum
+            assert v.busy_anchor(now) == fresh.busy_anchor(now), now
+
+        for now in asks:
+            check(now)
+        for seed in range(20):
+            random.Random(seed).shuffle(asks)
+            for now in asks:
+                check(now)
+        assert hits > len(asks)

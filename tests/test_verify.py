@@ -123,6 +123,21 @@ class TestIndividualRationalityAudit:
         assert not v.passed
         assert str(victim) in v.detail
 
+    def test_detects_a_discount_to_an_unpooled_ccp_rider(self, grid10):
+        """CCP grants no discount for an unsuccessful matching, so a poolable
+        rider left alone pays her quote: the audit fails a discount to her
+        that keeps her cost under the baseline."""
+        res = run_sim(config(grid10, Mechanism.CCP, seed=1, fleet=20, mar=Fraction(7, 10)),
+                      grid_requests(grid10, 1, 300))
+        assert check_individual_rationality(res).passed
+        victim = next(cid for cid, o in res.per_customer.items() if o.poolable and not o.pooled)
+        o = res.per_customer[victim]
+        o.fare -= 500  # 50 cents
+        o.total_cost -= 500
+        v = check_individual_rationality(res)
+        assert (v.passed, v.check) == (False, "unpooled-pays-quote")
+        assert f"customer {victim}:" in v.detail
+
 
 class TestFixtureBattery:
     def test_all_fixtures_pass(self):
