@@ -235,19 +235,23 @@ class VehicleState:
 class Fleet:
     """The vehicles plus the state the candidate pass reads, as of `advance`'s clock.
 
-    `idle_at` maps a node index to the slots of the idle vehicles whose route
-    ends there; `lone` maps a slot to the rider of a vehicle carrying exactly
-    one rider, a poolable one.  A vehicle is idle from its last committed
-    dropoff on and carries one rider from its second-to-last one on (riders
-    dropped off together are never alone).  Construction and `commit` push
-    both times onto one min-heap, tagged with the vehicle's version;
-    `advance` applies the events due and skips those of earlier versions.
+    `idle_at` holds, at each node index, the slots of the idle vehicles whose
+    route ends there, or None where none does (never an empty list), and
+    `idle_nodes` counts the nodes that hold some; `lone` maps a slot to the
+    rider of a vehicle carrying exactly one rider, a poolable one.  A vehicle
+    is idle from its last committed dropoff on and carries one rider from its
+    second-to-last one on (riders dropped off together are never alone).
+    Construction and `commit` push both times onto one min-heap, tagged with
+    the vehicle's version; `advance` applies the events due and skips those
+    of earlier versions.
     """
 
     def __init__(self, vehicles: Iterable[VehicleState]):
         self.vehicles = list(vehicles)
         self.by_id = {v.id: v for v in self.vehicles}
-        self.idle_at: dict[int, list[int]] = {}
+        self.idle_at: list[list[int] | None] = [None] * (
+            self.vehicles[0].net.n_nodes if self.vehicles else 0)
+        self.idle_nodes = 0
         self.lone: dict[int, int] = {}
         self.clock = -inf
         # a heap of (time, slot, version, rider or None) and each slot's version
@@ -282,7 +286,13 @@ class Fleet:
                 continue  # a later commit replaced this event
             if rider is None:
                 self.lone.pop(slot, None)
-                self.idle_at.setdefault(self.vehicles[slot].way_nodes[-1], []).append(slot)
+                a = self.vehicles[slot].way_nodes[-1]
+                here = self.idle_at[a]
+                if here is None:
+                    self.idle_at[a] = [slot]
+                    self.idle_nodes += 1
+                else:
+                    here.append(slot)
             else:
                 self.lone[slot] = rider
 
@@ -291,11 +301,12 @@ class Fleet:
         v = self.by_id[d.vehicle]
         slot, old = v.slot, v.way_nodes[-1]
         ride = apply_assignment(v, r, d, now)
-        here = self.idle_at.get(old)
+        here = self.idle_at[old]
         if here is not None and slot in here:
             here.remove(slot)
             if not here:
-                del self.idle_at[old]
+                self.idle_at[old] = None
+                self.idle_nodes -= 1
         self.lone.pop(slot, None)
         self._track(v)
         return ride

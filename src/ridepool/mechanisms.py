@@ -170,12 +170,14 @@ def enumerate_candidates(
     `o` within the wait.  Every solitary candidate drives o -> d, so the
     access mileage alone orders them by added distance, and the pass walks
     the nodes nearest-first (`RoadNetwork.order_to`; no node at all when no
-    vehicle is idle), skips nodes where no idle vehicle's route ends and
-    stops at the first node farther than the best eligible vehicle so far
-    (the request-vehicle pruning of Alonso-Mora et al., PNAS 2017, over
-    per-target travel orders like T-Share's, Ma et al., ICDE 2013).  Only
-    the winner is built, from the walk's reads: an idle vehicle
-    leaves its last waypoint at `now` and abandons no planned mileage.
+    vehicle is idle, `Fleet.idle_nodes` being 0), reads each node's entry of
+    `Fleet.idle_at` by position, skips nodes where no idle vehicle's route
+    ends (a None entry) and stops at the first node farther than the best
+    eligible vehicle so far (the request-vehicle pruning of Alonso-Mora et
+    al., PNAS 2017, over per-target travel orders and a position index like
+    T-Share's, Ma et al., ICDE 2013).  Only the winner is built, from the
+    walk's reads: an idle vehicle leaves its last waypoint at `now` and
+    abandons no planned mileage.
     Then, for a poolable request in a pooling mode, one `PooledVehicle` per
     vehicle with a wait-feasible pooled interleaving (see
     `_pooled_vehicles`), in fleet order.  Every item is feasible.
@@ -188,8 +190,8 @@ def enumerate_candidates(
     fleet.advance(now)
     wait = r.request_time + r.max_wait - now
     best = None  # (access umiles, vehicle id, access usec)
-    for a in net.order_to(o) if idle_at else ():
-        slots = idle_at.get(a)
+    for a in net.order_to(o) if fleet.idle_nodes else ():
+        slots = idle_at[a]
         if slots is None:
             continue
         m = lex[a][o]
@@ -261,8 +263,9 @@ def assign_sro(
     if solo is None:
         return DecisionRow(now, r.id, "SRO", UNSERVED, quote=quote)
     return DecisionRow(
-        now, r.id, "SRO", SOLITARY, fare=quote, baseline_cost=baseline,
-        guaranteed_cost=baseline, quote=quote, **solo._asdict(),
+        now, r.id, "SRO", SOLITARY, vehicle=solo.vehicle, fare=quote, baseline_cost=baseline,
+        guaranteed_cost=baseline, added_distance=solo.added_distance, quote=quote,
+        pickup=solo.pickup, dropoff=solo.dropoff,
     )
 
 
@@ -315,8 +318,9 @@ def assign_pcp(
         return DecisionRow(now, r.id, "PCP", UNSERVED, baseline_cost=baseline, quote=quote)
     if best is solo:
         return DecisionRow(
-            now, r.id, "PCP", SOLITARY, fare=fare, baseline_cost=baseline, quote=quote,
-            **solo._asdict(),
+            now, r.id, "PCP", SOLITARY, vehicle=solo.vehicle, fare=fare, baseline_cost=baseline,
+            added_distance=solo.added_distance, quote=quote, pickup=solo.pickup,
+            dropoff=solo.dropoff,
         )
     return _pooled_decision(*best, r, now, "PCP", fare=fare, baseline_cost=baseline, quote=quote)
 
@@ -405,8 +409,9 @@ def assign_ccp(
         )
     if best_solo is not None:
         return DecisionRow(
-            now, r.id, "CCP", SOLITARY, fare=quote, baseline_cost=baseline,
-            guaranteed_cost=baseline, quote=quote, run_fare=quote, run_umiles=lex[o][d],
-            **best_solo._asdict(),
+            now, r.id, "CCP", SOLITARY, vehicle=best_solo.vehicle, fare=quote,
+            baseline_cost=baseline, guaranteed_cost=baseline,
+            added_distance=best_solo.added_distance, quote=quote, pickup=best_solo.pickup,
+            dropoff=best_solo.dropoff, run_fare=quote, run_umiles=lex[o][d],
         )
     return DecisionRow(now, r.id, "CCP", UNSERVED, baseline_cost=baseline, quote=quote)

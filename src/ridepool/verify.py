@@ -4,6 +4,8 @@ The audits re-derive, from a finished simulation, the guarantees the
 mechanisms are supposed to enforce: customer-centered pooling never leaves
 a served poolable customer worse off than her frozen solitary baseline, and
 provider-centered pooling never stretches a ride past the detour bound.
+A run that cannot pool must repeat the SRO run on its seed decision by
+decision, since the three rules share one solitary path.
 
 The fixture builders construct miniature networks with exact integer arc
 times placed on the boundary of those guarantees:
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from .domain import Request
 from .harness import ScenarioGrid
-from .mechanisms import Mechanism
+from .mechanisms import UNSERVED, Mechanism
 from .netgraph import RoadNetwork
 from .pricing import Tariff, mileage_fare, solitary_fare, total_cost
 from .simengine import SimConfig, SimResult, run_sim
@@ -170,6 +172,37 @@ def check_replay(result: SimResult) -> Verdict:
             f"trace {fleet_dist} vs accounted {result.fleet_distance}",
         )
     return Verdict("replay", "consistent", True, f"{len(result.vehicles)} vehicles replayed")
+
+
+# the decision fields an SRO run sets, bar its mechanism label and `guaranteed_cost`, which PCP
+# leaves unset
+_SRO_FIELDS = ("time", "customer", "decision", "vehicle", "partner", "fare", "baseline_cost",
+               "added_distance", "pickup", "dropoff")
+
+
+def check_reduces_to_sro(result: SimResult, sro: SimResult) -> Verdict:
+    """A run that cannot pool (PCP or CCP at MAR 0, CCP with a change fee no
+    surplus reaches) against the SRO run on the same seed, fleet and trips:
+    decision by decision, the fields SRO sets must agree, an unserved
+    request's baseline masked since SRO logs none, and so must the fleet
+    distance and the fares total.  The first difference names its customer."""
+    name = f"{result.mechanism}-reduces-to-SRO"
+    if len(result.decision_log) != len(sro.decision_log):
+        return Verdict(name, "decision-count", False,
+                       f"{len(result.decision_log)} decisions vs SRO's {len(sro.decision_log)}")
+    for x, y in zip(result.decision_log, sro.decision_log):
+        for f in _SRO_FIELDS:
+            a, b = getattr(x, f), getattr(y, f)
+            if a != b and not (f == "baseline_cost" and x.decision == y.decision == UNSERVED):
+                return Verdict(name, "decisions-match", False,
+                               f"customer {x.customer}: {f} {a!r} vs SRO's {b!r}")
+    if result.fleet_distance != sro.fleet_distance:
+        return Verdict(name, "distance-matches", False,
+                       f"{result.fleet_distance} vs SRO's {sro.fleet_distance} umiles")
+    if result.fares_total != sro.fares_total:
+        return Verdict(name, "fares-match", False,
+                       f"{result.fares_total} vs SRO's {sro.fares_total} mils")
+    return Verdict(name, "reduces-to-SRO", True, f"{len(sro.decision_log)} decisions compared")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 from ridepool.cli import main as cli_main
 from ridepool.costshare import RunAccount, RunMember, goalprog_split, shapley_split
 from ridepool.harness import ScenarioGrid, run_grid, summarize, synthetic_trips
-from ridepool.mechanisms import UNSERVED, Mechanism
+from ridepool.mechanisms import Mechanism
 from ridepool.netgraph import make_grid
 from ridepool.simengine import SimConfig, run_sim
 from ridepool.units import USEC, fraction_from
@@ -29,6 +29,7 @@ from ridepool.verify import (
     build_threshold_fixture,
     check_detour_bounds,
     check_individual_rationality,
+    check_reduces_to_sro,
     check_theorem4_dichotomy,
     check_threshold_witness,
     run_fixture,
@@ -292,15 +293,10 @@ class TestCriterion8MarZeroEquivalence:
                 x, y = a.per_customer[cid], b.per_customer[cid]
                 assert (x.fare, x.pickup_time, x.dropoff_time, x.total_cost, x.vehicle) == (
                     y.fare, y.pickup_time, y.dropoff_time, y.total_cost, y.vehicle)
-            # decision logs agree on everything except the mechanism label and
-            # an unserved request's baseline, which SRO does not log
-            strip = lambda log: [
-                (d.time, d.customer, d.decision, d.vehicle, d.partner, d.fare,
-                 None if d.decision == UNSERVED else d.baseline_cost,
-                 d.added_distance, d.pickup, d.dropoff)
-                for d in log
-            ]
-            assert strip(a.decision_log) == strip(b.decision_log)
+            # decision logs agree on every field SRO sets, bar an unserved
+            # request's baseline, which SRO does not log
+            verdict = check_reduces_to_sro(a, b)
+            assert verdict.passed, verdict.detail
         fee_text = "the default change fee" if fee is None else f"a change fee of {fee} mils"
         _report(8, f"{mech.value} at MAR {mar} with {fee_text}: 5 seeds field-identical "
                    "to the paired baseline")

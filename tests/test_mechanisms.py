@@ -246,6 +246,17 @@ class TestNearestFirstWalk:
         (solo,) = enumerate_candidates(fleet, r, 0, Mechanism.SRO, line6, *ends(line6, r))
         assert solo.vehicle == 1 and visited == [line6.index(x) for x in "ABCDE"]
 
+    def test_committing_the_only_idle_vehicle_empties_the_index(self, line6, monkeypatch):
+        fleet = Fleet([VehicleState(0, "C", line6)])
+        r = req(1, "B", "E")
+        fleet.commit(r, assign_sro(fleet, r, 0, line6, TARIFF), 0)
+        assert (fleet.idle_nodes, fleet.idle_at) == (0, [None] * line6.n_nodes)
+        # the vehicle is busy until it drops r off at E at 96 s
+        r = req(2, "D", "A", t=1)
+        visited = counted_walk(monkeypatch, line6)
+        assert enumerate_candidates(fleet, r, sec(1), Mechanism.SRO, line6, *ends(line6, r)) == []
+        assert visited == []
+
 
 class TestAssignPcp:
     def test_pooling_saves_distance_and_obeys_detour(self, line6):
@@ -628,11 +639,18 @@ class TestDetourLimitsPerRun:
         assert changed > 0 and pooled_strict > 0
 
 
+def idle_index(fleet):
+    """The fleet's `idle_at` as node index -> sorted slots, for its nodes that hold some."""
+    return {a: sorted(slots) for a, slots in enumerate(fleet.idle_at) if slots is not None}
+
+
 def check_fleet_state(fleet, now, poolable):
     """Check the fleet's `idle_at` and `lone` against a recomputation from
     the schedules at `now`, given every customer's flag in `poolable`: a
     vehicle is idle when no dropoff in its schedule lies after `now`, and
-    carries one rider when exactly one does.  Check each busy vehicle's
+    carries one rider when exactly one does.  `idle_nodes` must count the
+    nodes of `idle_at` that hold a slot, and none may hold an empty list.
+    Check each busy vehicle's
     anchor against a linear scan of its expanded route.  Return how many
     vehicles carry one rider, and how many of them dropped another rider off
     since their last commit."""
@@ -655,7 +673,9 @@ def check_fleet_state(fleet, now, poolable):
         while times[pos] < now:
             pos += 1
         assert w.busy_anchor(now) == (nodes[pos], times[pos], cum[pos])
-    assert {a: sorted(slots) for a, slots in fleet.idle_at.items()} == idle
+    assert idle_index(fleet) == idle
+    assert fleet.idle_nodes == sum(slots is not None for slots in fleet.idle_at)
+    assert [] not in fleet.idle_at
     assert fleet.lone == lone
     return alone, after_pair
 
@@ -729,7 +749,7 @@ class TestClockedFleet:
                 r = req(3, "C", "D", t=now / USEC)
                 cands = enumerate_candidates(f, r, now, Mechanism.CCP, line6, *ends(line6, r))
                 assert all(isinstance(c, SolitaryRide) for c in cands)
-            assert f.idle_at == {line6.index("E"): [0]}
+            assert idle_index(f) == {line6.index("E"): [0]}
 
     def test_pooled_recommit_skips_the_replaced_events(self, line6):
         k = req(1, "A", "E")
@@ -746,7 +766,7 @@ class TestClockedFleet:
             fleet.advance(now)
             assert fleet.lone == lone
             check_fleet_state(fleet, now, flags)
-        assert fleet.idle_at == {line6.index("E"): [0]}
+        assert idle_index(fleet) == {line6.index("E"): [0]}
 
     def test_clock_never_runs_backwards(self, line6):
         fleet = Fleet([VehicleState(0, "A", line6)])

@@ -1,6 +1,7 @@
 """Static checks over the package's own source, in place of a linter."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 import ridepool
 
 SOURCES = sorted(Path(ridepool.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 
 def imported_names(tree):
@@ -50,3 +53,21 @@ def test_an_unused_import_is_caught():
                      "    return d.decision == UNSERVED\n")
     used = read_names(tree)
     assert [name for name, _ in imported_names(tree) if name not in used] == ["POOLED"]
+
+
+@pytest.mark.parametrize("path", BENCH_RECORDS, ids=[p.name for p in BENCH_RECORDS])
+def test_every_bench_record_names_a_declared_claim(path):
+    """Each root `BENCH_*.json` parses, says what changed, how it was run, in
+    which order and on what host, and claims a `workload:metric` that
+    `BENCHMARK.json` declares."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    record = json.loads(path.read_text())
+    assert [k for k in ("change", "command", "order", "host", "claim") if k not in record] == []
+    workload, colon, metric = record["claim"]["metric"].partition(":")
+    assert colon and workload in {w["name"] for w in spec["workloads"]}
+    assert metric in {m["name"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def test_bench_records_exist():
+    """The glob finds the records, so the check above is not vacuous."""
+    assert len(BENCH_RECORDS) >= 11

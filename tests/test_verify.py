@@ -1,10 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ridepool import simengine
 from ridepool.domain import Request
-from ridepool.mechanisms import Mechanism
+from ridepool.mechanisms import SOLITARY, Mechanism
 from ridepool.netgraph import make_grid
 from ridepool.pricing import Tariff
 from ridepool.simengine import SimConfig, run_sim
@@ -16,6 +18,7 @@ from ridepool.verify import (
     build_threshold_fixture,
     build_weak_dominance_fixtures,
     check_individual_rationality,
+    check_reduces_to_sro,
     check_theorem4_dichotomy,
     check_threshold_witness,
     check_weak_dominance_fixture,
@@ -137,6 +140,34 @@ class TestIndividualRationalityAudit:
         v = check_individual_rationality(res)
         assert (v.passed, v.check) == (False, "unpooled-pays-quote")
         assert f"customer {victim}:" in v.detail
+
+
+class TestReducesToSro:
+    def test_one_rule_off_the_shared_solitary_path_fails(self, grid10, monkeypatch):
+        """CCP at MAR 0 repeats SRO until its rule logs one umile more on
+        each solitary decision: the check names the first such customer."""
+        cfg = config(grid10, Mechanism.CCP, seed=2, mar=Fraction(0))
+        trips = grid_requests(grid10, 2, 150)
+        sro = run_sim(replace(cfg, mechanism=Mechanism.SRO), trips)
+        res = run_sim(cfg, trips)
+        v = check_reduces_to_sro(res, sro)
+        assert v.passed, v.detail
+        assert v.detail == f"{len(trips)} decisions compared"
+        assign_ccp = simengine.assign_ccp
+
+        def longer(*args):
+            d = assign_ccp(*args)
+            if d.decision == SOLITARY:
+                d.added_distance += 1
+            return d
+
+        monkeypatch.setattr(simengine, "assign_ccp", longer)
+        res = run_sim(cfg, trips)
+        first = next(d for d in sro.decision_log if d.decision == SOLITARY)
+        v = check_reduces_to_sro(res, sro)
+        assert (v.passed, v.check) == (False, "decisions-match")
+        assert v.detail == (f"customer {first.customer}: added_distance "
+                            f"{first.added_distance + 1} vs SRO's {first.added_distance}")
 
 
 class TestFixtureBattery:
