@@ -25,11 +25,9 @@ from .harness import (
     MechanismSummary, ScenarioGrid, aggregate, pareto_dominance, run_grid, synthetic_trips,
 )
 from .mechanisms import Mechanism
-from .netgraph import load_network_csv, make_grid
+from .netgraph import edge_time_usec, load_network_csv, make_grid
 from .simengine import DEFAULT_THRESHOLDS, SPLIT_SCHEMES, ConfigError
-from .units import (
-    UMILE, USEC, fmt4, fraction_from, mils_from_usd, umiles_from_miles, usec_from_seconds,
-)
+from .units import USEC, fmt4, fraction_from, mils_from_usd, umiles_from_miles, usec_from_seconds
 from .verify import run_all_fixtures
 
 
@@ -132,8 +130,7 @@ def _network_from_config(cfg):
         typed = [_required("network.grid", g, key) for key in GRID_TABLE]
         rows, cols, length, speed = (_value(name, v, read, rules) for (name, read, rules), v
                                      in zip(GRID_TABLE.values(), typed))
-        # `make_grid`'s edge time: whole micro-miles at `speed`, in whole microseconds
-        if usec_from_seconds(Fraction(umiles_from_miles(length) * 3600, UMILE) / speed) == 0:
+        if edge_time_usec(umiles_from_miles(length), speed) == 0:
             raise ConfigError("speed_mph must leave an edge at least 1 usec of travel, "
                               f"got {typed[3]!r}")
         return make_grid(rows, cols, length, speed)

@@ -166,11 +166,9 @@ class VehicleState:
     `way_*` hold the route's waypoints (the start node, each anchor inside a leg, each
     stop off the previous waypoint) with the arrival time and cumulative mileage at each.
     Canonical paths join them; a vehicle waits only at its last waypoint, while idle.
-    `busy_anchor` carries the leg being driven: the index of the waypoint it leaves, the
-    memoized leg and its departure time.  A commit keeps the waypoints reached by its time
-    and cuts the leg being driven at its anchor, whose canonical path is the carried leg's
-    prefix, so the carried leg stays valid across commits.  `anchor_memo` holds the last
-    answer from inside a leg; a commit on a busy vehicle clears it.
+    A commit keeps the waypoints reached by its time and cuts the leg being driven at its
+    anchor.  `anchor_memo` holds `busy_anchor`'s last answer from inside a leg; a commit
+    on a busy vehicle clears it.
     Customer-centered pooling also keeps `runs`, each run's customers in first-pickup order
     (a run is a maximal occupied interval), plus the last run's fare and `run_umiles`, the
     route's planned mileage from that run's first pickup; `apply_assignment` sets them from
@@ -184,9 +182,6 @@ class VehicleState:
         self.way_nodes: list[int] = [net.index(start_node)]
         self.way_times: list[int] = [0]
         self.way_cum: list[int] = [0]
-        self.leg_from = -1  # the waypoint index of the carried leg; -1 when none is
-        self.leg: tuple[list[int], list[int], list[int]] = ([], [], [])
-        self.leg_start = 0  # usec, the carried leg's departure time
         self.anchor_memo: tuple = NO_ANCHOR  # (lo, hi, answer), see `busy_anchor`
         self.active: dict[int, CustomerOutcome] = {}
         self.slot = -1  # this vehicle's index in its `Fleet`'s vehicles
@@ -210,22 +205,19 @@ class VehicleState:
         can turn at, without pruning: the first node of its route reached at or after `now`.
         `now` must not pass the route's last waypoint (IndexError there): callers ask only
         vehicles with a rider still to drop off, as `Fleet.lone` and a commit's busy branch
-        do.  `anchor_memo` is (lo, hi, answer) for the last answer from inside a leg: the
-        answer for every `now` in (lo, hi], after the hop before it up to its own time."""
+        do; `RoadNetwork.leg` memoizes each leg.  `anchor_memo` is (lo, hi, answer) for the
+        last answer from inside a leg: the answer for every `now` in (lo, hi], after the hop
+        before it up to its own time."""
         lo, hi, got = self.anchor_memo
         if lo < now <= hi:
             return got
         j = bisect_right(self.way_times, now) - 1
         if self.way_times[j] == now:
             return self.way_nodes[j], now, self.way_cum[j]
-        # a canonical path is the lexicographically smallest time-minimal one, so its prefix
-        # to a hop is the canonical path there: the driven part of a leg cut at an anchor.
-        # Hop 0 is never the anchor: a leg departing at `now` after a wait has left it
-        if j != self.leg_from:
-            self.leg_from, self.leg = j, self.net.leg(self.way_nodes[j], self.way_nodes[j + 1])
-            self.leg_start = self.way_times[j + 1] - self.leg[1][-1]  # after any wait
-        nodes, usec, umiles = self.leg
-        start = self.leg_start
+        # the leg departs when it reaches its end on time, after any wait.  Hop 0 is never
+        # the anchor: a leg departing at `now` after a wait has left it
+        nodes, usec, umiles = self.net.leg(self.way_nodes[j], self.way_nodes[j + 1])
+        start = self.way_times[j + 1] - usec[-1]
         k = bisect_left(usec, now - start, 1)
         got = nodes[k], start + usec[k], self.way_cum[j] + umiles[k]
         self.anchor_memo = (start + usec[k - 1] if k > 1 else self.way_times[j], got[1], got)
@@ -344,7 +336,8 @@ def apply_assignment(v: VehicleState, r: Request, d: DecisionRow, now: int) -> C
     else:
         a, t, cum = v.busy_anchor(now)
         v.anchor_memo = NO_ANCHOR
-        # the waypoints reached by `now` are driven, then the route turns at the anchor
+        # the waypoints reached by `now` are driven, then the route turns at the anchor; a
+        # canonical path is the least time-minimal one, so the cut leg's prefix is one too
         kept = bisect_right(way_times, now)
         del way_nodes[kept:], way_times[kept:], way_cum[kept:]
         if a != way_nodes[-1]:

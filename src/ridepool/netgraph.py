@@ -244,6 +244,12 @@ def _row_views(table: np.ndarray) -> tuple[memoryview, ...]:
     return tuple(flat[i * n : (i + 1) * n] for i in range(table.shape[0]))
 
 
+def edge_time_usec(len_umi: int, mph: Fraction) -> int:
+    """Whole microseconds, rounded half to even, to drive `len_umi` micro-miles at `mph`:
+    hours -> seconds cancels the micro scaling, so usec = umiles * 3600 / mph."""
+    return round_fraction(Fraction(len_umi * 3600) / mph)
+
+
 def make_grid(rows: int, cols: int, edge_length: float, speed: float) -> RoadNetwork:
     """Bidirectional 4-neighbor grid; per-arc time is edge_length / speed.
 
@@ -258,8 +264,7 @@ def make_grid(rows: int, cols: int, edge_length: float, speed: float) -> RoadNet
     speed_frac = fraction_from(speed)
     if len_umi <= 0 or speed_frac <= 0:
         raise InvalidParameter("edge_length and speed must be positive")
-    # hours -> seconds cancels the micro scaling: usec = umiles * 3600 / mph
-    dur_us = round_fraction(Fraction(len_umi * 3600, 1) / speed_frac)
+    dur_us = edge_time_usec(len_umi, speed_frac)
     if dur_us <= 0:
         raise InvalidParameter("edge travel time rounds to zero")
     _check_tables_fit(rows * cols)  # before the arcs are built

@@ -40,18 +40,25 @@ def div_half_even(num: int, den: int) -> int:
     return q
 
 
+def ratio_sum(pairs) -> int | Fraction:
+    """The exact sum of n/d over the int pairs (n, d), d > 0, as one Fraction:
+    the numerators of each denominator add as ints, then one Fraction is
+    built over the denominators' lcm.  The int 0 for no pairs, as `sum`."""
+    nums: dict[int, int] = {}
+    for n, d in pairs:
+        nums[d] = nums.get(d, 0) + n
+    if not nums:
+        return 0
+    den = lcm(*nums)
+    return Fraction(sum(n * (den // d) for d, n in nums.items()), den)
+
+
 def money_sum(values: list[Money]) -> Money:
     """`sum(values)`, of its value and type: an int when every value is one,
-    otherwise a Fraction, even an integral one.  With a Fraction among them,
-    the numerators of each denominator add as ints and one Fraction is built
-    over the denominators' lcm."""
+    otherwise a Fraction, even an integral one, through `ratio_sum`."""
     if Fraction not in set(map(type, values)):
         return sum(values)
-    nums: dict[int, int] = {}
-    for x in values:
-        nums[x.denominator] = nums.get(x.denominator, 0) + x.numerator
-    den = lcm(*nums)
-    return Fraction(sum(n * (den // q) for q, n in nums.items()), den)
+    return ratio_sum((x.numerator, x.denominator) for x in values)
 
 
 def fraction_from(value: int | float | str | Fraction | Decimal) -> Fraction:

@@ -17,8 +17,9 @@ from ridepool.cli import main
 from ridepool.domain import Request
 from ridepool.harness import SUMMARY_METRICS, ScenarioGrid, run_grid, summarize
 from ridepool.io import (
-    BRACKET_COLUMNS, CELL_COLUMNS, SPLIT_COLUMNS, SUMMARY_COLUMNS, SUMMARY_FIELDS, TRIP_COLUMNS,
-    cell_fields, load_run_accounts_csv, load_summary_csv, load_trips_csv,
+    AGGREGATE_FIELDS, BRACKET_COLUMNS, CELL_COLUMNS, MEMBER_COLUMNS, RUN_ACCOUNT_COLUMNS,
+    SPLIT_COLUMNS, SUMMARY_COLUMNS, SUMMARY_FIELDS, TRIP_COLUMNS, cell_fields,
+    load_run_accounts_csv, load_summary_csv, load_trips_csv,
 )
 from ridepool.mechanisms import Mechanism
 from ridepool.units import MILS, USEC, fmt4, fmt_opt, fmt_seconds, fmt_usd, usec_from_seconds
@@ -92,10 +93,86 @@ def group_digests(path, groups=DECISION_GROUPS):
             for name, part in parts.items()}
 
 
+def named_groups(header, groups):
+    """`groups` of column names, each as the positions of its columns in `header`."""
+    return {name: [header.index(col) for col in cols] for name, cols in groups.items()}
+
+
+def one_each(columns):
+    """A group of its own for each of `columns`."""
+    return {col: (col,) for col in columns}
+
+
+# the column groups of each CSV `simulate` and `analyze` write: a new column
+# in a group of its own adds one pin and leaves the others as they were
+MEMBER_GROUPS = {"cell": CELL_COLUMNS, "member": MEMBER_COLUMNS}
+AGGREGATE_COLUMNS = ("setting", "mar", *(col for col, _, _ in AGGREGATE_FIELDS))
+OUTPUT_GROUPS = {
+    "summary.csv": named_groups(SUMMARY_COLUMNS, {
+        "cell": CELL_COLUMNS, **one_each(("split_scheme", *(c for c, _, _ in SUMMARY_FIELDS)))}),
+    "decisions.csv": DECISION_GROUPS,
+    "splits.csv": named_groups(CELL_COLUMNS + SPLIT_COLUMNS, {
+        **MEMBER_GROUPS, **one_each(SPLIT_COLUMNS[len(MEMBER_COLUMNS):])}),
+    "run_accounts.csv": named_groups(CELL_COLUMNS + RUN_ACCOUNT_COLUMNS, {
+        **MEMBER_GROUPS, **one_each(RUN_ACCOUNT_COLUMNS[len(MEMBER_COLUMNS):])}),
+    "aggregate.csv": named_groups(AGGREGATE_COLUMNS, one_each(AGGREGATE_COLUMNS)),
+}
+
+
 DECISION_GROUP_PINS = {
     "header": "0b2a8f25ee52cd11408ad14e0eb33fd51cb78dcb837ccd1eed887fa8288f9d44",
     "cell": "88f8f1660f4a28df3f4d0143d632d0fec0eeaa28bdb420a79b21df646d0a0db2",
     "decision": "06ad18f6f91f3295e8379b7c04de88d0bc125ccb8b186057b3bbfe830ebfd7ce",
+}
+# `simulated`'s files and its `analyze` report, by column group
+OUTPUT_GROUP_PINS = {
+    "summary.csv": {
+        "header": "11b85d1bf0c95edd98ff3394677a69fb6685f13fc54c9024fed1ba3df9940595",
+        "cell": "43c09a3b656bd9e52d345c1ca68150d60be2bd1e3b8292e245de7f254c56a696",
+        "split_scheme": "9b9e867ad9001bc7ed1611cf43a86029d645c933f6864a5d43c8155d91bb820a",
+        "requests": "24df400a41b6f0723af93027aceb149b74086846dfb3bb5b1d8cbcbd873b2225",
+        "served": "c7f4e9ebbac037a677fdf4c87821c068e26ae4e69880e1aae53775d9f48b1f76",
+        "unserved": "1e8c99fd686c42b48faad1167c69250f9f2e838958b3812fc5feb4299df5dd18",
+        "poolable": "a2c0ead241c242fb65e31ba00fbb59cb0ef12af32c8d981a89dcf579cb6582a1",
+        "pooled": "6508195d0c52c6e171a4f0b033c4aa36e1203d8dfc09373a70b303f78441ead0",
+        "fleet_distance_mi": "bf4e21434debeb7989e8874bf1e6b7ca6e921c284e0d5c19c7ec30164b7bdf07",
+        "fares_usd": "e7248409c6eeb8efb837613f93dd43d9a92b2a1096b9592c3562020b9b3acbb7",
+        "profit_usd": "301a6aa2050490f5e70a31324ef8ac6da29fc5e70065910b4fd44a004c42592f",
+        "sro_distance_mi": "9e0140d6d75c0173d23be54620e60545fd3d2c7a66643b2c3735aba19eaf16a7",
+        "sro_profit_usd": "739fc31301ff94edb614b171bee2559290863c852b640c4bdba9a222b17d8131",
+        "distance_saving_pct": "285eafacd4f8a7861d764abc8e46726fc5eb773a94079e51b8af5b4f218f60d8",
+        "profit_delta_pct": "403dd88dbe962d39d58f1afdea9554af2e8acd0040f89ab3ac646e0e8185a81b",
+        "mean_cost_per_poolable_usd": "941fbde876214ce194c8643b2d24acfaaa43d04bbab4c3cc2716b242aca52ace",
+        "cost_reduction_pct": "8ff561dab3adf75fb66aa15bdde5422948f949c5c414134f00aae3cbe6509ab3",
+        "br0": "31366213978da856d7149751a1d2f308562228e428199993008297b11d4b2a27",
+        "br5": "ed2cf823743952175c84567074c109604330710ac634b65121c5fe491493e1d1",
+        "br10": "b165eb7e4583ee3dec2a6745b1ca95bbd87e9a988b725ba2d052582588d672b9",
+        "br15": "e6879ca6313ef3d33259be80967070b0a58f45babcc2fae5d1e9370032f38849",
+        "br20": "1fc56b22262d1eccc0ed195e45506e3af3a44c299351ada0ff504d508b9675f9",
+    },
+    "decisions.csv": DECISION_GROUP_PINS,
+    "splits.csv": {
+        "header": "8599448f1e8f5548dc6e274524cf0b0288959372c148496b2130ef6821806e98",
+        "cell": "fb7b9af68b427f4f19b0d9670ba8e5db7fd3556aa11ac461f5c71419c07c3124",
+        "member": "ada1954fc5af813d3f17ef5de20cbe7d71ff635c1c46d5cb14536ad0da302499",
+        "fare_usd": "6f5cf0203d3930bae64ff958958b84eb1132b951f0d294dd2fede98144a418b9",
+        "relative_saving": "8a00e6cdc3c9805db9dfb2082282dfbf6fbd71afa0ec60f147dc4c31f48b7050",
+    },
+    "run_accounts.csv": {
+        "header": "a8d6656fe46edae05e64b8f0f07dea2ed66d1492c1339591ebd23b6871e71471",
+        "cell": "fb7b9af68b427f4f19b0d9670ba8e5db7fd3556aa11ac461f5c71419c07c3124",
+        "member": "ada1954fc5af813d3f17ef5de20cbe7d71ff635c1c46d5cb14536ad0da302499",
+        "run_fare_usd": "d96bc8f257ec7e43e324a4f96aebb7ea1078bd9d6b3e42ae5b4d2293207a9fc2",
+    },
+    "aggregate.csv": {
+        "header": "2fff789ded8d988ec022d6b0fe61dd2b1f59870ca54f32516e86adbd4dd25951",
+        "setting": "169f305853393cab90757f3e291fd857b36b3f632e69af843572769c218e16b6",
+        "mar": "8603d7105a4469034d088483ec883432178391e2df4ddf9156a5f0cca18b02cf",
+        "unserved_pct": "1f46930b3d69e0de56639a196aef14c75cb77888d0a36c800d457de7ea83a234",
+        "distance_saving_pct": "d5c350c6ae8178150984dbcadee91da7ebcfaffad0f0a267a694aa50e0759ded",
+        "profit_usd": "6ccee7faa248092e54a9bbc948f4ad4625565b4735a6e30c879a268bc8ef2927",
+        "mean_cost_per_poolable_usd": "2dd3e18886a961cc1b999c2af119fe87ec7925c820dd17708eb086bffd3d547c",
+    },
 }
 
 
@@ -136,7 +213,8 @@ class TestSimulate:
             "splits.csv": "5464ab0bf017e2feba3c6627a1c071270f09a61c439a5a824f14b60495b8081d",
             "run_accounts.csv": "5058144fe63dac34437bd906a798ee581b3812a334379fa742c61fa1c632946f",
         }
-        assert group_digests(out / "decisions.csv") == DECISION_GROUP_PINS
+        for name in ("summary.csv", "decisions.csv", "splits.csv", "run_accounts.csv"):
+            assert group_digests(out / name, OUTPUT_GROUPS[name]) == OUTPUT_GROUP_PINS[name], name
 
     def test_shapley_outputs_are_pinned(self, tmp_path):
         # the same grid under the default split scheme, which changes only
@@ -172,21 +250,25 @@ class TestSimulate:
 
     def test_a_changed_cell_moves_only_its_groups_digest(self, simulated, tmp_path):
         # the header and each group are pinned apart, so a one-cell change,
-        # in the header or in any group, fails exactly one of those pins
+        # in the header or in any group of any file, fails exactly one of
+        # those pins
         _, _, out = simulated
-        with open(out / "decisions.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows[0]) == 18
-        copied = tmp_path / "decisions.csv"
-        for row, col, group in ((0, 3, "header"), (1, 0, "cell"), (5, 7, "cell"),
-                                (2, 8, "decision"), (9, 17, "decision")):
-            changed = copy.deepcopy(rows)
-            changed[row][col] += "x"
-            with open(copied, "w", newline="") as fh:
-                csv.writer(fh, lineterminator="\n").writerows(changed)
-            got = group_digests(copied)
-            assert {name for name, pin in DECISION_GROUP_PINS.items() if got[name] != pin} == {
-                group}
+        assert main(["analyze", "--in", str(out)]) == 0
+        copied = tmp_path / "changed.csv"
+        for name, groups in OUTPUT_GROUPS.items():
+            with open(out / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) > 2, name
+            changes = [(0, 0, "header")] + [(len(rows) - 1 if k % 2 else 1, cols[-1], group)
+                                            for k, (group, cols) in enumerate(groups.items())]
+            for row, col, group in changes:
+                changed = copy.deepcopy(rows)
+                changed[row][col] += "x"
+                with open(copied, "w", newline="") as fh:
+                    csv.writer(fh, lineterminator="\n").writerows(changed)
+                got = group_digests(copied, groups)
+                pins = OUTPUT_GROUP_PINS[name]
+                assert {g for g, pin in pins.items() if got[g] != pin} == {group}, (name, group)
 
     def test_trip_max_wait_gives_way_to_the_config_axis(self, simulated, tmp_path):
         # every cell replaces each trip's max_wait_s with the max_wait_s
@@ -316,6 +398,8 @@ class TestAnalyze:
             "brackets.csv": "2da705c5158359a5f84f62f7bb954c69eb93f18907452e2b85f315a84a115c63",
             "pareto.csv": "126cb3aee5a05ba80440a06ae3631b3645c53cf637cf5aaa71d1771e8a55b64f",
         }
+        assert group_digests(out / "aggregate.csv", OUTPUT_GROUPS["aggregate.csv"]) == (
+            OUTPUT_GROUP_PINS["aggregate.csv"])
 
     def test_unserved_share_matches_summarize(self, simulated, outcomes, tmp_path):
         # both sides are exact: analyze takes the share from the integer
@@ -603,6 +687,14 @@ class TestInputErrors:
         runs = two_rider_run(tmp_path, 30.0)
         err = fails_cleanly(capsys, ["split", "--runs", runs, "--scheme", scheme])
         assert "run r1: fare 30000 exceeds willingness 18000" in err
+
+    @pytest.mark.parametrize("scheme", ["shapley", "goalprog"])
+    def test_zero_solitary_cost_names_the_run(self, tmp_path, capsys, scheme):
+        # the run's willingness covers its fare, so only the zero cost refuses it
+        runs = tmp_path / "runs.csv"
+        runs.write_text(RUNS_HEADER + "r7,1,0.0,0.0,5.0\nr7,2,20.0,1.0,5.0\n")
+        err = fails_cleanly(capsys, ["split", "--runs", str(runs), "--scheme", scheme])
+        assert err == "ridepool split: run r7: non-positive solitary cost for 1"
 
     @pytest.mark.parametrize("thresholds,message", [
         # these used to print Python's int() text and Fraction reprs

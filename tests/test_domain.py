@@ -434,6 +434,12 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             Request(1, "A", "A", 0, None, sec(300), None)
 
+    @pytest.mark.parametrize("wait", [0, -1])
+    def test_rejects_a_wait_limit_that_is_not_positive(self, wait):
+        with pytest.raises(ValueError) as err:
+            Request(3, "A", "B", 0, None, wait, None)
+        assert str(err.value) == "request 3: max_wait must be positive"
+
     def test_rejects_negative_value_of_time(self):
         with pytest.raises(ValueError):
             Request(1, "A", "B", 0, -100, sec(300), None)
@@ -535,15 +541,15 @@ class TestRouteAgainstHops:
 
 
 def carried_legs(cfg, trips):
-    """Run one simulation with the leg each vehicle carries checked across
-    commits: after a commit, the carried leg cut at the waypoint after the
-    one it leaves is the canonical path there (`net.leg`), departing when it
-    did, so the commit need not drop it; and every `busy_anchor` answer is
-    the same with the carried leg and anchor memo and with neither.  After
-    each commit that leaves the vehicle inside its carried leg, also ask for
-    its anchor there, at the commit's time and just before the leg's end.
-    Return counts of the commits that cut a carried leg short, of those
-    answers and of the answers the memo gave."""
+    """Run one simulation with each commit's cut leg checked against the route
+    it replaced: a commit that turns inside a leg keeps the waypoints reached
+    by its time and adds its anchor, and the canonical path there (`net.leg`)
+    is the prefix of the leg it cut, departing when that leg did; and every
+    `busy_anchor` answer is the same with the anchor memo and without.  After
+    each commit that leaves the vehicle inside a leg, also ask for its anchor
+    there, at the commit's time and just before the leg's end.  Return counts
+    of the commits that cut a leg short, of those answers and of the answers
+    the memo gave."""
     net = cfg.network
     busy_anchor, commit = VehicleState.busy_anchor, domain.Fleet.commit
     counts = Counter()
@@ -552,26 +558,27 @@ def carried_legs(cfg, trips):
         lo, hi, _ = v.anchor_memo
         counts["memo"] += lo < now <= hi
         got = busy_anchor(v, now)
-        kept = (v.leg_from, v.leg, v.leg_start, v.anchor_memo)
-        v.leg_from, v.anchor_memo = -1, domain.NO_ANCHOR
+        kept, v.anchor_memo = v.anchor_memo, domain.NO_ANCHOR
         assert busy_anchor(v, now) == got
-        v.leg_from, v.leg, v.leg_start, v.anchor_memo = kept
+        v.anchor_memo = kept
         return got
 
     def checked_commit(fleet, r, d, now):
-        out = commit(fleet, r, d, now)
         v = fleet.by_id[d.vehicle]
-        j, leg = v.leg_from, v.leg
-        if j >= 0:
-            cut = net.leg(v.way_nodes[j], v.way_nodes[j + 1])
-            n = len(cut[0])
-            assert cut == tuple(x[:n] for x in leg)
-            assert v.way_times[j + 1] - cut[1][-1] == v.leg_start
-            counts["cut"] += n < len(leg[0])
+        nodes, times = list(v.way_nodes), list(v.way_times)  # the route the commit replaces
+        out = commit(fleet, r, d, now)
+        j = bisect_right(times, now) - 1
+        if j + 1 < len(times) and times[j] < now:  # the commit turned inside leg j
+            assert (v.way_nodes[: j + 1], v.way_times[: j + 1]) == (nodes[: j + 1], times[: j + 1])
+            cut = net.leg(nodes[j], nodes[j + 1])
+            kept = net.leg(nodes[j], v.way_nodes[j + 1])
+            n = len(kept[0])
+            assert kept == tuple(x[:n] for x in cut)
+            assert v.way_times[j + 1] - kept[1][-1] == times[j + 1] - cut[1][-1]
+            counts["cut"] += n < len(cut[0])
             for t in (now, v.way_times[j + 1] - 1):
                 if v.way_times[j] < t < v.way_times[j + 1]:
                     checked_anchor(v, t)
-                    assert v.leg_from == j  # answered from the carried leg
                     counts["asked"] += 1
         return out
 
@@ -583,8 +590,8 @@ def carried_legs(cfg, trips):
 
 
 class TestCarriedLegAcrossCommits:
-    """A commit keeps the leg a vehicle carries: its prefix to the anchor the
-    commit turns at is the canonical path there."""
+    """A commit cuts the leg a vehicle drives at its anchor: the leg's prefix
+    to the anchor is the canonical path there."""
 
     def test_a_cut_carried_leg_is_the_canonical_path_to_the_anchor(self, grid10):
         counts = Counter()

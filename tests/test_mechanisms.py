@@ -782,19 +782,13 @@ class TestClockedFleet:
 class TestCarriedLeg:
     def test_busy_anchor_at_every_call_of_run_sim(self, monkeypatch, grid10):
         """Every `busy_anchor` answer equals the linear scan of the expanded
-        route, and each leg of each route is read through `net.leg` once."""
-        busy_anchor, leg, commit = VehicleState.busy_anchor, RoadNetwork.leg, Fleet.commit
-        legs_read = []
+        route."""
+        busy_anchor, commit = VehicleState.busy_anchor, Fleet.commit
         version = {}  # (run, vehicle) -> its commits so far: its route's version
-        reads = {}  # (run, vehicle, version, waypoint index) -> legs read there
         last = {}  # (run, vehicle, version) -> waypoint index of the last call inside a leg
-        seen = dict.fromkeys(("calls", "reused", "advanced", "after_wait"), 0)
+        seen = dict.fromkeys(("calls", "inside", "advanced", "after_wait"), 0)
         by_mechanism = dict.fromkeys(Mechanism, 0)
         run, mechanism = 0, None
-
-        def counted_leg(net, i, j):
-            legs_read.append((i, j))
-            return leg(net, i, j)
 
         def versioned_commit(fleet, r, d, now):
             out = commit(fleet, r, d, now)  # its anchor is read on the route it replaces
@@ -802,9 +796,7 @@ class TestCarriedLeg:
             return out
 
         def checked(v, now):
-            before = len(legs_read)
             got = busy_anchor(v, now)
-            fetched = len(legs_read) - before
             nodes, times, cum = expand_route(v)
             pos = 0
             while times[pos] < now:
@@ -814,20 +806,15 @@ class TestCarriedLeg:
             by_mechanism[mechanism] += 1
             j = bisect_right(v.way_times, now) - 1
             if v.way_times[j] == now:
-                assert fetched == 0
                 return got
             route = (run, v.id, version.get((run, v.id), 0))
-            key = route + (j,)
-            reads[key] = reads.get(key, 0) + fetched
-            assert reads[key] == 1, f"leg {key} read {reads[key]} times"
-            seen["reused"] += fetched == 0
+            seen["inside"] += 1
             seen["advanced"] += last.get(route, j) < j
             last[route] = j
-            start = v.way_times[j + 1] - leg(v.net, v.way_nodes[j], v.way_nodes[j + 1])[1][-1]
+            start = v.way_times[j + 1] - v.net.leg(v.way_nodes[j], v.way_nodes[j + 1])[1][-1]
             seen["after_wait"] += start > v.way_times[j]
             return got
 
-        monkeypatch.setattr(RoadNetwork, "leg", counted_leg)
         monkeypatch.setattr(Fleet, "commit", versioned_commit)
         monkeypatch.setattr(VehicleState, "busy_anchor", checked)
         rng = np.random.default_rng(11)
@@ -844,8 +831,8 @@ class TestCarriedLeg:
                     rng_seed=seed, network=grid10, horizon=1800 * USEC,
                 )
                 simengine.run_sim(cfg, trips)
-        # the pooling mechanisms ask for busy anchors; the checks met reused legs, anchors on
-        # a later leg of the same route, and legs that depart after a wait at their waypoint
+        # the pooling mechanisms ask for busy anchors; the checks met anchors inside a leg,
+        # on a later leg of the same route, and on legs that depart after a wait there
         assert by_mechanism[Mechanism.PCP] > 0 and by_mechanism[Mechanism.CCP] > 0
         assert min(seen.values()) >= 10, seen
 

@@ -13,6 +13,7 @@ from ridepool.netgraph import (
     PathResult,
     RoadNetwork,
     Unreachable,
+    edge_time_usec,
     load_network_csv,
     make_grid,
 )
@@ -141,6 +142,41 @@ class TestGridGenerator:
     def test_rejects_nonpositive_parameters(self, edge, speed):
         with pytest.raises(InvalidParameter):
             make_grid(2, 2, edge, speed)
+
+
+class TestRefusals:
+    """Each refusal names the bad field or value."""
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: RoadNetwork([], []), "network needs at least one node"),
+        (lambda: RoadNetwork(["a", "b"], [("a", "a", 0.1, 10)]), "self-loop arc at 'a'"),
+        (lambda: RoadNetwork(["a", "b"], [("a", "b", 0, 10)]),
+         "arc ('a', 'b') needs positive length and time"),
+        (lambda: RoadNetwork(["a", "b"], [("b", "a", 0.1, "0.0000001")]),
+         "arc ('b', 'a') needs positive length and time"),
+        (lambda: RoadNetwork(["a", "b"], []).index("c"), "unknown node 'c'"),
+        (lambda: make_grid(1001, 2, 0.2, 30), "grid larger than 1000x1000 is not supported"),
+        (lambda: make_grid(2, 1001, 0.2, 30), "grid larger than 1000x1000 is not supported"),
+        (lambda: make_grid(2, 2, "0.000001", 10**10), "edge travel time rounds to zero"),
+    ], ids=["no-nodes", "self-loop", "zero-length", "zero-time", "unknown-node", "rows",
+            "cols", "zero-edge-time"])
+    def test_refusal_names_the_problem(self, build, message):
+        with pytest.raises(InvalidParameter) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_unknown_row_kind_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("node,a\nnode,b\nedge,a,b,0.1,12\n")
+        with pytest.raises(InvalidParameter) as err:
+            load_network_csv(path)
+        assert str(err.value) == "line 3: unknown row kind 'edge'"
+
+    @pytest.mark.parametrize("umiles,mph,usec", [(200_000, 30, 24 * USEC), (1, 10**10, 0),
+                                                  (1, Fraction(7200), 0), (3, Fraction(7200), 2)])
+    def test_edge_time_rounds_half_to_even(self, umiles, mph, usec):
+        # 0.5 usec rounds to 0 and 1.5 usec to 2
+        assert edge_time_usec(umiles, mph) == usec
 
 
 class TestTableMemory:

@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +33,22 @@ def line():
 
 def req(i, o, d, t=0, vot_mils_min=225, wait_s=600, poolable=True):
     return Request(i, o, d, sec(t), vot_mils_min, sec(wait_s), poolable)
+
+
+class TestTariffRefusals:
+    @pytest.mark.parametrize("field,value,message", [
+        ("base_fare", -1, "base fare and change fee must be non-negative"),
+        ("change_fee", -1, "base fare and change fee must be non-negative"),
+        ("per_mile", 0, "per-mile rates must be positive"),
+        ("provider_cost_per_mile", -5, "per-mile rates must be positive"),
+        ("discount_factor", 0, "discount factor must be in (0, 1]"),
+        ("discount_factor", Fraction(5, 4), "discount factor must be in (0, 1]"),
+        ("detour_factor", 0, "detour factor must be positive"),
+    ])
+    def test_out_of_range_field_is_named(self, tariff, field, value, message):
+        with pytest.raises(ValueError) as err:
+            replace(tariff, **{field: value})
+        assert str(err.value) == message
 
 
 class TestSolitaryFare:

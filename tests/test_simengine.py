@@ -107,6 +107,21 @@ class TestRelease:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("changes,message", [
+        (dict(mar=Fraction(3, 2)), "mar must lie in [0, 1]"),
+        (dict(split_scheme="nash"), "unknown split scheme 'nash'"),
+    ], ids=["mar-above-one", "unknown-split-scheme"])
+    def test_config_field_out_of_range_is_named(self, grid10, changes, message):
+        with pytest.raises(ConfigError) as err:
+            config(grid10, Mechanism.CCP, **changes)
+        assert str(err.value) == message
+
+    def test_vehicle_nodes_must_match_the_fleet(self, grid10):
+        cfg = config(grid10, Mechanism.SRO, fleet=3, initial_vehicle_nodes=("n000x000",) * 2)
+        with pytest.raises(ConfigError) as err:
+            run_sim(cfg, grid_requests(grid10, 1, 5))
+        assert str(err.value) == "initial_vehicle_nodes must match fleet_size"
+
     @pytest.mark.parametrize("thresholds", [
         (Fraction(1, 10), Fraction(5, 100)),
         (Fraction(0), Fraction(1, 10)),

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ridepool
+from tests.test_verify import AUDIT_MUTATIONS
 
 SOURCES = sorted(Path(ridepool.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +54,58 @@ def test_an_unused_import_is_caught():
                      "    return d.decision == UNSERVED\n")
     used = read_names(tree)
     assert [name for name, _ in imported_names(tree) if name not in used] == ["POOLED"]
+
+
+def failing_verdicts(tree, audits):
+    """(function, check) of each `Verdict` call inside the functions named
+    `audits` whose `passed` argument is the constant False; a conditional
+    check gives the names of both branches."""
+    def names(node):
+        if isinstance(node, ast.IfExp):
+            return names(node.body) | names(node.orelse)
+        assert isinstance(node, ast.Constant), ast.dump(node)
+        return {node.value}
+
+    found = set()
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in audits):
+            continue
+        for call in ast.walk(fn):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Verdict":
+                args = dict(zip(("fixture", "check", "passed", "detail"), call.args))
+                args.update((k.arg, k.value) for k in call.keywords)
+                passed = args["passed"]
+                if isinstance(passed, ast.Constant) and passed.value is False:
+                    found |= {(fn.name, check) for check in names(args["check"])}
+    return found
+
+
+def run_audits(tree):
+    """The names of the functions in `tree` whose first parameter is a `SimResult`."""
+    return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.args.args
+            and getattr(fn.args.args[0].annotation, "id", None) == "SimResult"}
+
+
+def test_every_failing_audit_verdict_is_provoked():
+    """Each failing verdict of the run audits in `verify.py` has its corruption
+    in `tests/test_verify.py::AUDIT_MUTATIONS`, so no audit verdict, an added
+    audit's included, goes untested."""
+    tree = ast.parse((Path(ridepool.__file__).parent / "verify.py").read_text())
+    audits = run_audits(tree)
+    assert audits >= {"check_individual_rationality", "check_detour_bounds", "check_replay",
+                      "check_reduces_to_sro"}
+    assert failing_verdicts(tree, audits) == set(AUDIT_MUTATIONS)
+
+
+def test_a_failing_verdict_is_found_in_both_branches():
+    tree = ast.parse("def audit(ok):\n"
+                     "    if ok:\n"
+                     "        return Verdict('a', 'fine', True, '')\n"
+                     "    v = Verdict('a', 'x' if ok else 'y', False, '')\n"
+                     "    return Verdict('a', check='z', passed=False, detail='')\n"
+                     "def other():\n"
+                     "    return Verdict('b', 'w', False, '')\n")
+    assert failing_verdicts(tree, {"audit"}) == {("audit", "x"), ("audit", "y"), ("audit", "z")}
 
 
 @pytest.mark.parametrize("path", BENCH_RECORDS, ids=[p.name for p in BENCH_RECORDS])

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ridepool.units import MILS, UMILE, USEC, div_half_even, fmt4, fraction_from, money_sum
+from ridepool.units import (
+    MILS, UMILE, USEC, div_half_even, fmt4, fraction_from, money_sum, ratio_sum,
+)
 
 # ints with value * 10**4 / 10**6 ending in exactly one half
 HALF_EVEN_TIES = st.integers(-10**9, 10**9).map(lambda k: 100 * k + 50)
@@ -115,3 +117,17 @@ class TestMoneySum:
         # digests render a value through its type: 5 and Fraction(5) differ there
         got, want = money_sum(values), sum(values)
         assert (type(got), got) == (type(want), want)
+
+
+class TestRatioSum:
+    @given(st.lists(st.tuples(st.integers(-10**12, 10**12), st.integers(1, 10**6)), max_size=40))
+    @example([])
+    @example([(3, 6), (-1, 2)])  # a zero total, still a Fraction
+    @example([(7, 4), (5, 6), (1, 4)])  # denominators with a common factor
+    def test_value_and_type_of_builtin_sum(self, pairs):
+        got, want = ratio_sum(pairs), sum(Fraction(n, d) for n, d in pairs)
+        assert (type(got), got) == (type(want), want)
+
+    def test_takes_a_generator(self):
+        # as `SimResult.sums` and `money_sum` pass it
+        assert ratio_sum((n, 3) for n in range(4)) == Fraction(2)

@@ -1,11 +1,13 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
+from math import floor
 
 import numpy as np
 import pytest
 
 from ridepool import simengine
-from ridepool.domain import Request
+from ridepool.domain import DO, PU, Request
 from ridepool.mechanisms import SOLITARY, Mechanism
 from ridepool.netgraph import make_grid
 from ridepool.pricing import Tariff
@@ -17,8 +19,10 @@ from ridepool.verify import (
     build_theorem4_fixtures,
     build_threshold_fixture,
     build_weak_dominance_fixtures,
+    check_detour_bounds,
     check_individual_rationality,
     check_reduces_to_sro,
+    check_replay,
     check_theorem4_dichotomy,
     check_threshold_witness,
     check_weak_dominance_fixture,
@@ -176,3 +180,147 @@ class TestFixtureBattery:
         assert verdicts and all(v.passed for v in verdicts), [
             v.row() for v in verdicts if not v.passed
         ]
+
+
+# ---------------------------------------------------------------------------
+# every failing verdict of the run audits, provoked
+# ---------------------------------------------------------------------------
+
+def seeded_runs(net, world):
+    """A fresh real result of `world` and, for the reduction, its SRO run:
+    "ccp" pools under CCP at MAR 0.7, "pcp" under PCP, and "ccp-mar0" is CCP
+    at MAR 0, which cannot pool."""
+    if world == "ccp-mar0":
+        cfg, trips = config(net, Mechanism.CCP, seed=2, mar=Fraction(0)), grid_requests(net, 2, 150)
+        return run_sim(cfg, trips), run_sim(replace(cfg, mechanism=Mechanism.SRO), trips)
+    mech = Mechanism.CCP if world == "ccp" else Mechanism.PCP
+    cfg = config(net, mech, seed=1, fleet=20, mar=Fraction(7, 10))
+    return run_sim(cfg, grid_requests(net, 1, 300)), None
+
+
+def rider(res, want):
+    """The first customer, by id, whose record passes `want`."""
+    return next(cid for cid, o in sorted(res.per_customer.items()) if want(o))
+
+
+def recharge(want, mils):
+    """The corruption that adds `mils(o)` to the fare and total cost of the
+    first rider whose record `o` passes `want`."""
+    def corrupt(res, _):
+        cid = rider(res, want)
+        o = res.per_customer[cid]
+        bump = mils(o)
+        o.fare += bump
+        o.total_cost += bump
+        return f"customer {cid}"
+    return corrupt
+
+
+def past_detour_bound(res, _):
+    cid = rider(res, lambda o: o.pooled)
+    o, net, r = res.per_customer[cid], res.config.network, res.requests[cid]
+    direct = net.duration_usec(net.index(r.origin), net.index(r.destination))
+    o.dropoff_time = o.pickup_time + floor((1 + res.config.tariff.detour_factor) * direct) + 1
+    return f"customer {cid}"
+
+
+def swapped_entry_times(res, _):
+    for v in res.vehicles:
+        s = v.schedule
+        i = next((i for i in range(len(s) - 1) if s[i].time < s[i + 1].time), None)
+        if i is not None:
+            s[i], s[i + 1] = s[i]._replace(time=s[i + 1].time), s[i + 1]._replace(time=s[i].time)
+            return f"vehicle {v.id}"
+
+
+def third_pickup(res, _):
+    for v in res.vehicles:
+        onboard = 0
+        for i, e in enumerate(v.schedule):
+            onboard += (e.op == PU) - (e.op == DO)
+            if onboard == 2:
+                v.schedule.insert(i + 1, e)  # a pickup more at the same stop and time
+                return f"vehicle {v.id} at t={e.time}"
+
+
+def late_waypoint(res, _):
+    v = next(v for v in res.vehicles if len(v.way_times) > 1)
+    v.way_times[1] += 1
+    return f"vehicle {v.id}"
+
+
+def moved(field):
+    def corrupt(res, _):
+        cid = rider(res, lambda o: True)
+        setattr(res.per_customer[cid], field, getattr(res.per_customer[cid], field) + 1)
+        return f"customer {cid}"
+    return corrupt
+
+
+def longer_fleet(res, sro):
+    res.fleet_distance += 1
+    return (f"accounted {res.fleet_distance}" if sro is None
+            else f"{res.fleet_distance} vs SRO's {sro.fleet_distance} umiles")
+
+
+def last_decision_dropped(res, sro):
+    res.decision_log.pop()
+    return f"{len(res.decision_log)} decisions vs SRO's {len(sro.decision_log)}"
+
+
+def longer_solitary_decision(res, _):
+    d = next(d for d in res.decision_log if d.decision == SOLITARY)
+    d.added_distance += 1
+    return f"customer {d.customer}: added_distance"
+
+
+def dearer_fares(res, sro):
+    res.fares_total += 1
+    return f"{res.fares_total} vs SRO's {sro.fares_total} mils"
+
+
+# (audit, check) of each failing verdict -> (world, corruption): the
+# corruption changes one thing of a fresh real result of the world and
+# returns what the failing verdict's detail must name: the customer or
+# vehicle at fault, or the two totals that disagree
+AUDIT_MUTATIONS = {
+    ("check_individual_rationality", "non-poolable-pays-quote"):
+        ("ccp", recharge(lambda o: not o.poolable, lambda o: 10)),
+    ("check_individual_rationality", "unpooled-pays-quote"):
+        ("ccp", recharge(lambda o: o.poolable and not o.pooled, lambda o: -500)),
+    ("check_individual_rationality", "total_cost<=baseline"):  # one cent past the guarantee
+        ("ccp", recharge(lambda o: o.pooled,
+                         lambda o: o.baseline_solitary_cost - o.total_cost + 10)),
+    ("check_detour_bounds", "ride<=bound"): ("pcp", past_detour_bound),
+    ("check_replay", "times-nondecreasing"): ("ccp", swapped_entry_times),
+    ("check_replay", "capacity"): ("ccp", third_pickup),
+    ("check_replay", "leg-times"): ("ccp", late_waypoint),
+    ("check_replay", "pickups-match"): ("ccp", moved("pickup_time")),
+    ("check_replay", "dropoffs-match"): ("ccp", moved("dropoff_time")),
+    ("check_replay", "distance-matches"): ("ccp", longer_fleet),
+    ("check_reduces_to_sro", "decision-count"): ("ccp-mar0", last_decision_dropped),
+    ("check_reduces_to_sro", "decisions-match"): ("ccp-mar0", longer_solitary_decision),
+    ("check_reduces_to_sro", "distance-matches"): ("ccp-mar0", longer_fleet),
+    ("check_reduces_to_sro", "fares-match"): ("ccp-mar0", dearer_fares),
+}
+AUDITS = {
+    "check_individual_rationality": lambda res, _: check_individual_rationality(res),
+    "check_detour_bounds": lambda res, _: check_detour_bounds(res, res.config.tariff.detour_factor),
+    "check_replay": lambda res, _: check_replay(res),
+    "check_reduces_to_sro": check_reduces_to_sro,
+}
+
+
+@pytest.mark.parametrize("audit,check", list(AUDIT_MUTATIONS),
+                         ids=[f"{a}:{c}" for a, c in AUDIT_MUTATIONS])
+def test_each_failing_verdict_fires(grid10, audit, check):
+    """The audit passes the real run, then fails its one corruption with
+    `check` and a detail naming what is at fault."""
+    world, corrupt = AUDIT_MUTATIONS[audit, check]
+    res, sro = seeded_runs(grid10, world)
+    v = AUDITS[audit](res, sro)
+    assert v.passed, v.detail
+    named = corrupt(res, sro)
+    v = AUDITS[audit](res, sro)
+    assert (v.passed, v.check) == (False, check), v.detail
+    assert re.search(rf"(^|\s){re.escape(named)}(\b|$)", v.detail), (named, v.detail)
